@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl bench-par scenarios scenarios-smoke scenarios-lossy trace-smoke
+.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl scenarios scenarios-smoke scenarios-lossy trace-smoke results-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,24 +27,14 @@ bench-all:
 bench-xl:
 	$(PYTHON) benchmarks/bench_slot_pipeline.py --scenarios static-large static-xlarge --output BENCH_slot_pipeline_xl.json
 
-# The scaling-curve tier for the region-sharded solver: 5k → 10k → 50k
-# anchors, reference-free above 5k, sharded columns on every row (the
-# n·ε welfare certificate is asserted live on each measured slot).
+# The scaling curve: 5k → 10k → 50k anchors, reference-free above 5k.
 bench-xxl:
 	$(PYTHON) benchmarks/bench_slot_pipeline.py --scenarios static-large static-xlarge static-xxl --output BENCH_slot_pipeline_xxl.json
 
-# The multiprocess scaling curve: the same 5k → 10k → 50k anchors with
-# a 4-worker shard pool (override via WORKERS=n).  Per-slot byte
-# identity of the pooled result against the in-process sharded solve is
-# asserted live; par_speedup only reflects wall-clock on multi-core
-# hosts — see benchmarks/README.md for the single-core caveat.
-WORKERS ?= 4
-bench-par:
-	$(PYTHON) benchmarks/bench_slot_pipeline.py --scenarios static-large static-xlarge static-xxl --workers $(WORKERS) --output BENCH_slot_pipeline_par.json
-
 # Telemetry gate: a tiny scenario with tracing on — every span must
 # validate against the JSONL schema, traces must replay byte-identically,
-# and the instrumentation-off slot time is pinned within 3% of untraced
+# the timed phases plus other_s must add up to slot_s, and the
+# instrumentation-off slot time is pinned within 3% of untraced
 # (tier-1 runs the same tests via `make test`).
 trace-smoke:
 	$(PYTHON) -m pytest tests/obs/test_trace_smoke.py -q
@@ -66,3 +56,11 @@ scenarios:
 	for name in $$($(PYTHON) -c "from repro.scenarios import scenario_names; print(' '.join(scenario_names()))"); do \
 		$(PYTHON) -m repro scenario run $$name || exit 1; \
 	done
+
+# Regenerate every archive under results/ — the figure and ablation
+# benches, then every catalog scenario — and fail if any file differs
+# from the committed one.  Slow (minutes), so not part of `make test`.
+results-check:
+	$(PYTHON) -m pytest -q benchmarks/test_fig*.py benchmarks/test_ablation*.py
+	$(MAKE) scenarios
+	git diff --exit-code -- results/

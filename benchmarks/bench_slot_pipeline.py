@@ -12,10 +12,8 @@ comparing:
   ``advance_to_reference`` playback walk;
 * **columnar path**: ``P2PSystem.build_problem`` (vectorized assembly
   on the persistent peer-state store) + the event-driven price-frontier
-  ``jacobi`` solver (also re-timed warm-started from the previous
-  slot's λ — the ``warm_solve_s`` column) + the vectorized
-  ``_apply_transfers`` epilogue + the store's batched
-  ``_advance_playback`` sweep.
+  ``jacobi`` solver + the vectorized ``_apply_transfers`` epilogue +
+  the store's batched ``_advance_playback`` sweep.
 
 Scenarios with ``reference=False`` (the 10k tier, and the lossy row —
 the seed apply path has no link model) skip every seed-path timing;
@@ -54,9 +52,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.auction import AuctionSolver  # noqa: E402
 from repro.core.problem import DenseView, SchedulingProblem  # noqa: E402
-from repro.core.result import decay_prices  # noqa: E402
-from repro.core.sharding import ShardedAuctionSolver  # noqa: E402
-from repro.core.workers import workers_available  # noqa: E402
 from repro.p2p.config import SystemConfig  # noqa: E402
 from repro.p2p.system import P2PSystem  # noqa: E402
 from repro.scenarios import (  # noqa: E402
@@ -77,7 +72,7 @@ EPSILON = 0.01  # the system config's default bidding increment
 #: ``reference=False`` skips every seed-path ("old") timing — the
 #: 10k-peer tier would otherwise spend minutes in the per-request /
 #: per-edge reference loops just to reproduce a known ratio; its rows
-#: carry the columnar-path and warm-start columns only.
+#: carry the columnar-path columns only.
 SCENARIOS: Dict[str, dict] = {
     "static-small": dict(n_peers=200, slots=3, churn=False, overrides={}, gauss_seidel=True),
     "static-medium": dict(n_peers=2000, slots=3, churn=False, overrides={}, gauss_seidel=True),
@@ -86,8 +81,8 @@ SCENARIOS: Dict[str, dict] = {
         n_peers=10_000, slots=2, churn=False, overrides={},
         gauss_seidel=False, reference=False,
     ),
-    # 50k tier (``make bench-xxl``): the scaling-curve anchor for the
-    # region-sharded solve path.  Reference-free like every 10k+ tier.
+    # 50k tier (``make bench-xxl``): the top anchor of the scaling
+    # curve.  Reference-free like every 10k+ tier.
     "static-xxl": dict(
         n_peers=50_000, slots=2, churn=False, overrides={},
         gauss_seidel=False, reference=False,
@@ -464,7 +459,7 @@ def build_system(spec: dict, seed: int) -> P2PSystem:
 
 
 def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = None,
-                   verbose: bool = True, repeats: int = 3, workers: int = 4) -> dict:
+                   verbose: bool = True, repeats: int = 3) -> dict:
     n_slots = spec["slots"] if slots is None else slots
     if n_slots < 1:
         raise ValueError(f"need at least one measured slot, got {n_slots!r}")
@@ -490,28 +485,6 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
         prime_problem, prime_delta, system.now
     )
 
-    # Region-sharded solve path: a persistent solver (as the live
-    # ``sharded_solve=True`` scheduler keeps one) so the row-partition
-    # cache behaves as it does across real slots.  One shard per ISP —
-    # the ``shard_count=0`` system default.
-    sharded_solver = ShardedAuctionSolver(
-        epsilon=EPSILON, n_shards=system.config.n_isps
-    )
-    # Parallel sharded solve: the same region partition dispatched to a
-    # persistent multiprocess worker pool over shared-memory blocks.
-    # Byte-identity against the in-process sharded result is asserted
-    # on every measured slot, so every published ``par_solve_s`` is
-    # self-certifying.  ``procs=0`` (or no shared memory on the host)
-    # skips the parallel columns entirely.
-    procs = workers if workers > 0 and workers_available() else 0
-    par_solver = (
-        ShardedAuctionSolver(
-            epsilon=EPSILON, n_shards=system.config.n_isps, n_workers=procs
-        )
-        if procs
-        else None
-    )
-
     reference = spec.get("reference", True)
     scenario_spec = spec.get("scenario_spec")
     timeline = (
@@ -520,229 +493,131 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
     next_event = 0
     outage_caps: Dict[int, List[int]] = {}
     rows: List[dict] = []
-    prev_prices = None
-    try:
-        for _ in range(n_slots):
-            t = system.now
-            if churn:
-                system._process_departures(t, remove_finished=True)
-                system._admit_arrivals(t)
-                system._collect_arrivals_during(t, t + system.config.slot_seconds)
-            while next_event < len(timeline) and timeline[next_event].time <= t:
-                apply_event(system, timeline[next_event], outage_caps)
-                next_event += 1
-            system._refill_neighbors()
-            # The retry sweep runs outside the timed region, as run_slot
-            # would: it drains due retries left by the previous slot's
-            # (single real) apply, so each measured build sees the pending
-            # set the live pipeline would.  No-op for ideal rows.
-            system._slot_transfers_failed = 0
-            system._slot_link_delay_ms = 0.0
-            system._process_retries(t)
-            budgets = {
-                p.peer_id: p.upload_capacity_chunks for p in system.peers.values()
-                if p.upload_capacity_chunks > 0
-            }
+    for _ in range(n_slots):
+        t = system.now
+        if churn:
+            system._process_departures(t, remove_finished=True)
+            system._admit_arrivals(t)
+            system._collect_arrivals_during(t, t + system.config.slot_seconds)
+        while next_event < len(timeline) and timeline[next_event].time <= t:
+            apply_event(system, timeline[next_event], outage_caps)
+            next_event += 1
+        system._refill_neighbors()
+        # The retry sweep runs outside the timed region, as run_slot
+        # would: it drains due retries left by the previous slot's
+        # (single real) apply, so each measured build sees the pending
+        # set the live pipeline would.  No-op for ideal rows.
+        system._slot_transfers_failed = 0
+        system._slot_link_delay_ms = 0.0
+        system._process_retries(t)
+        budgets = {
+            p.peer_id: p.upload_capacity_chunks for p in system.peers.values()
+            if p.upload_capacity_chunks > 0
+        }
 
-            # Min-of-N per phase suppresses scheduler noise; every repeat
-            # rebuilds fresh problem objects so cached views never leak
-            # from one timing into another.  The warm-started solve gets its
-            # own fresh problem per repeat for the same reason — its timing
-            # is directly comparable to solve_new_s (both pay the CSR and
-            # reverse-index builds themselves).
-            build_old = build_new = solve_old = solve_new = float("inf")
-            sharded_solve = float("inf")
-            par_solve = float("inf") if par_solver is not None else None
-            result_par = None
-            warm_solve = float("inf") if prev_prices is not None else None
-            result_old = None
-            for _rep in range(repeats):
-                if reference:
-                    t0 = time.perf_counter()
-                    problem_old, _ = system.build_problem_reference(t, capacities=budgets)
-                    t1 = time.perf_counter()
-                    build_old = min(build_old, t1 - t0)
-                t2 = time.perf_counter()
-                problem_new, _ = system.build_problem(t, capacities=budgets)
-                t3 = time.perf_counter()
-                build_new = min(build_new, t3 - t2)
-                if reference:
-                    assert problem_old.n_requests == problem_new.n_requests
-                    assert problem_old.n_edges() == problem_new.n_edges()
-                    # Seed solve: padded dense expansion (as the seed built
-                    # it) + dense jacobi.  The expansion is timed because the
-                    # seed solver paid for it on every fresh problem.
-                    t4 = time.perf_counter()
-                    legacy_dense(problem_old)
-                    solver_old = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense")
-                    result_old = solver_old.solve(problem_old)
-                    t5 = time.perf_counter()
-                    solve_old = min(solve_old, t5 - t4)
-                t6 = time.perf_counter()
-                solver_new = AuctionSolver(epsilon=EPSILON, mode="jacobi")
-                result_new = solver_new.solve(problem_new)
-                t7 = time.perf_counter()
-                solve_new = min(solve_new, t7 - t6)
-                # Sharded solve on its own fresh problem (pays the CSR build
-                # like the cold solve); the region gather and partition are
-                # part of the path, so they sit inside the timed region.
-                problem_shard, _ = system.build_problem(t, capacities=budgets)
-                ts0 = time.perf_counter()
-                regions = system.store.regions_of(
-                    problem_shard.request_peer_array()
-                )
-                result_shard = sharded_solver.solve(problem_shard, regions)
-                ts1 = time.perf_counter()
-                sharded_solve = min(sharded_solve, ts1 - ts0)
-                if par_solver is not None:
-                    # Same path, dispatched to the worker pool; pays the
-                    # region gather, block publish, pipe round-trips and
-                    # merge inside the timed region.
-                    problem_par, _ = system.build_problem(t, capacities=budgets)
-                    tp0 = time.perf_counter()
-                    regions_par = system.store.regions_of(
-                        problem_par.request_peer_array()
-                    )
-                    result_par = par_solver.solve(problem_par, regions_par)
-                    tp1 = time.perf_counter()
-                    par_solve = min(par_solve, tp1 - tp0)
-                if prev_prices is not None:
-                    problem_warm, _ = system.build_problem(t, capacities=budgets)
-                    t8 = time.perf_counter()
-                    AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(
-                        problem_warm, initial_prices=prev_prices
-                    )
-                    t9 = time.perf_counter()
-                    warm_solve = min(warm_solve, t9 - t8)
-
-            # Incremental build: patch the retained problem forward with the
-            # delta accumulated since the previous slot's build.  The delta
-            # is consumed once; repeats restore the reuse caches (snapshotted
-            # by reference) so every repeat splices from identical state.
-            # The retry-suppression diff surfaces on the first patch only —
-            # later repeats see the queue version already consumed, which is
-            # exactly the once-per-slot behavior of the live pipeline.
-            delta = system.store.consume_delta()
-            dsnap = system.store.snapshot_delta_state()
-            build_delta = float("inf")
-            problem_delta = None
-            for _rep in range(repeats):
-                if _rep:
-                    system.store.restore_delta_state(dsnap)
-                td0 = time.perf_counter()
-                problem_delta = system.patch_problem(
-                    prev_problem_delta, delta, t, capacities=budgets
-                )
-                td1 = time.perf_counter()
-                build_delta = min(build_delta, td1 - td0)
-            assert_identical_problem(problem_new, problem_delta)
-            prev_problem_delta = problem_delta
-
-            welfare_old = result_old.welfare(problem_old) if reference else None
-            welfare_new = result_new.welfare(problem_new)
-            n_eps = problem_new.n_requests * EPSILON
-
-            # Live certificate for the sharded path, asserted on every
-            # measured slot: the merged assignment must be feasible and its
-            # welfare within the auction's own n·ε bound of the flat solve.
-            result_shard.check_feasible(problem_shard)
-            welfare_sharded = result_shard.welfare(problem_shard)
-            assert abs(welfare_new - welfare_sharded) <= n_eps + 1e-6, (
-                f"sharded welfare gap {abs(welfare_new - welfare_sharded)} "
-                f"exceeds n·ε = {n_eps} ({sharded_solver.last_report})"
-            )
-            if par_solver is not None:
-                # Live parity gate: the pool's merged result must be
-                # byte-identical to the in-process sharded solve on every
-                # measured slot — the speedup column is meaningless if the
-                # parallel path computed something else.
-                assert np.array_equal(
-                    result_par.assignment_array(), result_shard.assignment_array()
-                )
-                assert np.array_equal(
-                    result_par.price_arrays()[0], result_shard.price_arrays()[0]
-                )
-                assert np.array_equal(
-                    result_par.price_arrays()[1], result_shard.price_arrays()[1]
-                )
-                assert np.array_equal(
-                    result_par.eta_arrays()[1], result_shard.eta_arrays()[1]
-                )
-                assert result_par.stats == result_shard.stats
-
-            gs_welfare = None
-            if spec["gauss_seidel"]:
-                gs = AuctionSolver(epsilon=EPSILON, mode="gauss-seidel").solve(problem_new)
-                gs_welfare = gs.welfare(problem_new)
-
+        # Min-of-N per phase suppresses scheduler noise; every repeat
+        # rebuilds fresh problem objects so cached views never leak
+        # from one timing into another.
+        build_old = build_new = solve_old = solve_new = float("inf")
+        result_old = None
+        for _rep in range(repeats):
             if reference:
-                apply_old, apply_new, (inter, intra) = timed_apply(
-                    system, problem_new, result_new, repeats
-                )
-                playback_old, playback_new = timed_playback(
-                    system, t + system.config.slot_seconds, repeats
-                )
-            else:
-                apply_old = playback_old = None
-                apply_new, (inter, intra) = timed_apply_new_only(
-                    system, problem_new, result_new, repeats
-                )
-                playback_new = timed_playback_new_only(
-                    system, t + system.config.slot_seconds, repeats
-                )
+                t0 = time.perf_counter()
+                problem_old, _ = system.build_problem_reference(t, capacities=budgets)
+                t1 = time.perf_counter()
+                build_old = min(build_old, t1 - t0)
+            t2 = time.perf_counter()
+            problem_new, _ = system.build_problem(t, capacities=budgets)
+            t3 = time.perf_counter()
+            build_new = min(build_new, t3 - t2)
+            if reference:
+                assert problem_old.n_requests == problem_new.n_requests
+                assert problem_old.n_edges() == problem_new.n_edges()
+                # Seed solve: padded dense expansion (as the seed built
+                # it) + dense jacobi.  The expansion is timed because the
+                # seed solver paid for it on every fresh problem.
+                t4 = time.perf_counter()
+                legacy_dense(problem_old)
+                solver_old = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense")
+                result_old = solver_old.solve(problem_old)
+                t5 = time.perf_counter()
+                solve_old = min(solve_old, t5 - t4)
+            t6 = time.perf_counter()
+            solver_new = AuctionSolver(epsilon=EPSILON, mode="jacobi")
+            result_new = solver_new.solve(problem_new)
+            t7 = time.perf_counter()
+            solve_new = min(solve_new, t7 - t6)
 
-            rows.append(dict(
-                n_peers=len(system.peers),
-                n_requests=problem_new.n_requests,
-                n_edges=problem_new.n_edges(),
-                build_old_s=build_old if reference else None,
-                build_new_s=build_new,
-                build_delta_s=build_delta,
-                solve_old_s=solve_old if reference else None,
-                solve_new_s=solve_new,
-                sharded_solve_s=sharded_solve,
-                par_solve_s=par_solve,
-                procs=(
-                    par_solver.last_report.procs if par_solver is not None else 0
-                ),
-                warm_solve_s=warm_solve,
-                apply_old_s=apply_old,
-                apply_s=apply_new,
-                playback_old_s=playback_old,
-                playback_s=playback_new,
-                welfare_old=welfare_old,
-                welfare_new=welfare_new,
-                welfare_sharded=welfare_sharded,
-                sharded_fallback=sharded_solver.last_report.fallback,
-                sharded_coordination_rounds=(
-                    sharded_solver.last_report.coordination_rounds
-                ),
-                sharded_boundary_uploaders=(
-                    sharded_solver.last_report.n_boundary_uploaders
-                ),
-                gs_welfare=gs_welfare,
-                n_eps_bound=n_eps,
-                inter_isp=inter,
-                intra_isp=intra,
-            ))
-            # Next slot's warm start: this slot's converged prices, decayed
-            # exactly as run_slot carries them over a slot boundary (raw
-            # carry overprices transiently scarce uploaders — the decayed
-            # vector is what warm_start_across_slots actually feeds in).
-            prev_prices = result_new.price_arrays()
-            decay = system.config.warm_price_decay
-            if prev_prices is not None and decay != 1.0:
-                prev_prices = decay_prices(
-                    prev_prices[0], prev_prices[1], decay, EPSILON
-                )
-            system.now = t + system.config.slot_seconds
-            system.slot_index += 1
+        # Incremental build: patch the retained problem forward with the
+        # delta accumulated since the previous slot's build.  The delta
+        # is consumed once; repeats restore the reuse caches (snapshotted
+        # by reference) so every repeat splices from identical state.
+        # The retry-suppression diff surfaces on the first patch only —
+        # later repeats see the queue version already consumed, which is
+        # exactly the once-per-slot behavior of the live pipeline.
+        delta = system.store.consume_delta()
+        dsnap = system.store.snapshot_delta_state()
+        build_delta = float("inf")
+        problem_delta = None
+        for _rep in range(repeats):
+            if _rep:
+                system.store.restore_delta_state(dsnap)
+            td0 = time.perf_counter()
+            problem_delta = system.patch_problem(
+                prev_problem_delta, delta, t, capacities=budgets
+            )
+            td1 = time.perf_counter()
+            build_delta = min(build_delta, td1 - td0)
+        assert_identical_problem(problem_new, problem_delta)
+        prev_problem_delta = problem_delta
 
-    finally:
-        # The pool owns shared-memory segments and child processes;
-        # unlink/terminate them even when a parity assert trips.
-        if par_solver is not None:
-            par_solver.close()
+        welfare_old = result_old.welfare(problem_old) if reference else None
+        welfare_new = result_new.welfare(problem_new)
+        n_eps = problem_new.n_requests * EPSILON
+
+        gs_welfare = None
+        if spec["gauss_seidel"]:
+            gs = AuctionSolver(epsilon=EPSILON, mode="gauss-seidel").solve(problem_new)
+            gs_welfare = gs.welfare(problem_new)
+
+        if reference:
+            apply_old, apply_new, (inter, intra) = timed_apply(
+                system, problem_new, result_new, repeats
+            )
+            playback_old, playback_new = timed_playback(
+                system, t + system.config.slot_seconds, repeats
+            )
+        else:
+            apply_old = playback_old = None
+            apply_new, (inter, intra) = timed_apply_new_only(
+                system, problem_new, result_new, repeats
+            )
+            playback_new = timed_playback_new_only(
+                system, t + system.config.slot_seconds, repeats
+            )
+
+        rows.append(dict(
+            n_peers=len(system.peers),
+            n_requests=problem_new.n_requests,
+            n_edges=problem_new.n_edges(),
+            build_old_s=build_old if reference else None,
+            build_new_s=build_new,
+            build_delta_s=build_delta,
+            solve_old_s=solve_old if reference else None,
+            solve_new_s=solve_new,
+            apply_old_s=apply_old,
+            apply_s=apply_new,
+            playback_old_s=playback_old,
+            playback_s=playback_new,
+            welfare_old=welfare_old,
+            welfare_new=welfare_new,
+            gs_welfare=gs_welfare,
+            n_eps_bound=n_eps,
+            inter_isp=inter,
+            intra_isp=intra,
+        ))
+        system.now = t + system.config.slot_seconds
+        system.slot_index += 1
 
     def total(key):
         vals = [row[key] for row in rows if row[key] is not None]
@@ -757,18 +632,9 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
     solve_old, solve_new = total("solve_old_s"), total("solve_new_s")
     slot_old = build_old + solve_old if reference else None
     slot_new = build_new + solve_new
-    # Incremental-mode slot: patched build + the solve that mode pairs
-    # with (warm-started where a previous slot's λ exists, cold on the
-    # first measured slot).
+    # Incremental-mode slot: patched build + the cold flat solve.
     build_delta_total = total("build_delta_s")
-    slot_delta = float(sum(
-        row["build_delta_s"] + (
-            row["warm_solve_s"]
-            if row["warm_solve_s"] is not None
-            else row["solve_new_s"]
-        )
-        for row in rows
-    ))
+    slot_delta = build_delta_total + solve_new
     welfare_gap = (
         max(abs(row["welfare_old"] - row["welfare_new"]) for row in rows)
         if reference
@@ -777,43 +643,6 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
     gs_gap = None
     if spec["gauss_seidel"]:
         gs_gap = max(abs(row["gs_welfare"] - row["welfare_new"]) for row in rows)
-
-    # Sharded-path aggregates: the composed sharded slot pairs the
-    # patched (delta) build with the region-sharded solve, mirroring
-    # what a live system with sharded_solve=True actually runs.
-    sharded_total = total("sharded_solve_s")
-    slot_sharded = (
-        build_delta_total + sharded_total
-        if build_delta_total is not None and sharded_total is not None
-        else None
-    )
-    sharded_gap = max(
-        abs(row["welfare_new"] - row["welfare_sharded"]) for row in rows
-    )
-
-    # Parallel aggregates: speedup is against the in-process sharded
-    # solve (same partition, same math — the pool only changes *where*
-    # the shard solves run).  Fallback counts are reason-coded; a
-    # nonzero total means some slots degraded to the sequential path.
-    par_total = total("par_solve_s")
-    par_speedup = ratio(sharded_total, par_total)
-    par_fallbacks = (
-        {k: int(v) for k, v in sorted(par_solver.worker_fallbacks.items())}
-        if par_solver is not None
-        else None
-    )
-
-    # Warm rows exclude the first slot (nothing to warm-start from), so
-    # the speedup compares against the cold solve on the same slots.
-    warm_total = total("warm_solve_s")
-    cold_on_warm_slots = [
-        row["solve_new_s"] for row in rows if row["warm_solve_s"] is not None
-    ]
-    warm_speedup = (
-        float(sum(cold_on_warm_slots)) / warm_total
-        if warm_total
-        else None
-    )
 
     summary = dict(
         n_peers=rows[-1]["n_peers"],
@@ -829,26 +658,11 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
         solve_old_s=solve_old,
         solve_new_s=solve_new,
         solve_speedup=ratio(solve_old, solve_new),
-        warm_solve_s=warm_total,
-        warm_speedup=warm_speedup,
         slot_old_s=slot_old,
         slot_new_s=slot_new,
         slot_speedup=ratio(slot_old, slot_new),
         slot_delta_s=slot_delta,
         slot_delta_speedup=ratio(slot_new, slot_delta),
-        sharded_solve_s=sharded_total,
-        sharded_solve_speedup=ratio(solve_new, sharded_total),
-        slot_sharded_s=slot_sharded,
-        slot_sharded_speedup=ratio(slot_new, slot_sharded),
-        procs=procs,
-        par_solve_s=par_total,
-        par_speedup=par_speedup,
-        par_fallbacks=par_fallbacks,
-        sharded_welfare_gap_max=sharded_gap,
-        sharded_within_n_eps=bool(
-            sharded_gap <= max(row["n_eps_bound"] for row in rows) + 1e-6
-        ),
-        sharded_n_shards=system.config.n_isps,
         apply_old_s=total("apply_old_s"),
         apply_s=total("apply_s"),
         apply_speedup=ratio(total("apply_old_s"), total("apply_s")),
@@ -872,21 +686,9 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
         def fmt_x(value):
             return f"{value:.1f}×" if value is not None else "–"
 
-        warm_note = (
-            f" | warm solve {fmt(warm_total)} ({fmt_x(warm_speedup)})"
-            if warm_total is not None
-            else ""
-        )
         gap_note = (
             f" | welfare gap {welfare_gap:.2e} (n·ε = {summary['n_eps_bound']:.2f})"
             if welfare_gap is not None
-            else ""
-        )
-        par_note = (
-            f" | par solve {fmt(par_total)} "
-            f"({fmt_x(par_speedup)} vs sharded, procs={procs}, "
-            f"fallbacks={sum(par_fallbacks.values())})"
-            if par_total is not None
             else ""
         )
         print(
@@ -906,18 +708,14 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
             f"playback {fmt(summary['playback_old_s'])} → "
             f"{fmt(summary['playback_s'])} "
             f"({fmt_x(summary['playback_speedup'])})"
-            f"{warm_note}{gap_note} | "
-            f"sharded solve {fmt(sharded_total)} "
-            f"(slot {fmt_x(summary['slot_sharded_speedup'])}, "
-            f"gap {sharded_gap:.2e})"
-            f"{par_note}"
+            f"{gap_note}"
         )
     return summary
 
 
 def run(scenario_names: List[str], seed: int = 0, slots: Optional[int] = None,
         output: Optional[pathlib.Path] = DEFAULT_OUTPUT, verbose: bool = True,
-        seed_src: Optional[pathlib.Path] = None, workers: int = 4) -> dict:
+        seed_src: Optional[pathlib.Path] = None) -> dict:
     report = {
         "benchmark": "slot_pipeline",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
@@ -931,7 +729,7 @@ def run(scenario_names: List[str], seed: int = 0, slots: Optional[int] = None,
     for name in scenario_names:
         spec = SCENARIOS[name]
         summary = bench_scenario(
-            name, spec, seed=seed, slots=slots, verbose=verbose, workers=workers
+            name, spec, seed=seed, slots=slots, verbose=verbose
         )
         if seed_src is not None:
             baseline = measure_seed_revision(
@@ -964,11 +762,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--all", action="store_true", help="run every scenario incl. large")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="shard-worker processes for the parallel solve columns "
-        "(0 disables them; ignored where shared memory is unavailable)",
-    )
     parser.add_argument("--slots", type=int, default=None, help="override measured slots per scenario")
     parser.add_argument("--output", type=pathlib.Path, default=DEFAULT_OUTPUT)
     parser.add_argument("--no-output", action="store_true", help="skip writing the JSON")
@@ -981,15 +774,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.slots is not None and args.slots < 1:
         parser.error("--slots must be >= 1")
     names = sorted(SCENARIOS) if args.all else args.scenarios
-    if args.workers < 0:
-        parser.error("--workers must be >= 0")
     run(
         names,
         seed=args.seed,
         slots=args.slots,
         output=None if args.no_output else args.output,
         seed_src=args.seed_src,
-        workers=args.workers,
     )
     return 0
 

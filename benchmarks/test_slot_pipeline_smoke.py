@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 import bench_slot_pipeline as bench
-from repro.core import workers_available
 
 TINY_SUMMARY_FIELDS = [
     "n_peers", "slots", "n_requests_mean", "n_edges_mean",
@@ -23,16 +22,11 @@ TINY_SUMMARY_FIELDS = [
     "build_old_s", "build_new_s", "build_speedup",
     "build_delta_s", "delta_speedup",
     "solve_old_s", "solve_new_s", "solve_speedup",
-    "warm_solve_s", "warm_speedup",
     "slot_old_s", "slot_new_s", "slot_speedup",
     "slot_delta_s", "slot_delta_speedup",
     "apply_old_s", "apply_s", "apply_speedup",
     "playback_old_s", "playback_s", "playback_speedup",
     "welfare_gap_max", "n_eps_bound", "welfare_within_n_eps",
-    "sharded_solve_s", "sharded_solve_speedup",
-    "slot_sharded_s", "slot_sharded_speedup",
-    "sharded_welfare_gap_max", "sharded_within_n_eps", "sharded_n_shards",
-    "procs", "par_solve_s", "par_speedup", "par_fallbacks",
 ]
 
 
@@ -53,7 +47,7 @@ def static_small_summary():
     """One real 200-peer static-small run shared by the gate tests."""
     return bench.bench_scenario(
         "static-small", bench.SCENARIOS["static-small"], seed=0,
-        slots=2, verbose=False, repeats=3, workers=0,
+        slots=2, verbose=False, repeats=3,
     )
 
 
@@ -61,30 +55,13 @@ def static_small_summary():
 def test_scenario_smoke(name, tiny_specs):
     spec = tiny_specs[name]
     summary = bench.bench_scenario(
-        name, spec, seed=1, verbose=False, repeats=1, workers=2
+        name, spec, seed=1, verbose=False, repeats=1
     )
     for field in TINY_SUMMARY_FIELDS:
         assert field in summary, field
-    if workers_available():
-        # The worker-pool columns ran (and the live byte-identity
-        # parity assert inside bench_scenario passed) on every tier.
-        assert summary["procs"] == 2
-        assert summary["par_solve_s"] > 0
-        assert summary["par_fallbacks"] == {}
-    else:
-        assert summary["procs"] == 0
-        assert summary["par_solve_s"] is None
     assert summary["slots"] == 1
     assert summary["n_requests_mean"] > 0
     assert summary["build_new_s"] > 0 and summary["solve_new_s"] > 0
-    # The sharded column runs on every tier (reference or not) and its
-    # welfare certificate is asserted live inside bench_scenario; the
-    # summary restates the bound so JSON consumers can check it too.
-    assert summary["sharded_solve_s"] > 0
-    assert summary["sharded_within_n_eps"]
-    assert summary["sharded_n_shards"] >= 1
-    # A single measured slot has nothing to warm-start from.
-    assert summary["warm_solve_s"] is None
     if spec.get("reference", True):
         assert summary["reference_measured"]
         assert summary["build_old_s"] > 0 and summary["solve_old_s"] > 0
@@ -142,15 +119,11 @@ def test_solve_phase_speedup_static_small(static_small_summary):
     """Event-driven frontier solve ≥ 2× over the seed's padded-dense path.
 
     The acceptance bar of the frontier-solver PR, checked at tier-1
-    scale (the full bar at 2k peers is tracked by ``make bench``).  The
-    warm-started re-bid column must also be populated (slot 2 warms from
-    slot 1) and not regress the cold solve by more than noise.
+    scale (the full bar at 2k peers is tracked by ``make bench``).
     """
     summary = static_small_summary
     assert summary["solve_old_s"] > 0 and summary["solve_new_s"] > 0
     assert summary["solve_speedup"] >= 2.0, summary["solve_speedup"]
-    assert summary["warm_solve_s"] is not None and summary["warm_solve_s"] > 0
-    assert summary["warm_speedup"] is not None
 
 
 def test_run_writes_report(tmp_path, monkeypatch):
@@ -166,63 +139,6 @@ def test_run_writes_report(tmp_path, monkeypatch):
     assert out.exists()
     assert report["benchmark"] == "slot_pipeline"
     assert "static-small" in report["scenarios"]
-
-
-def test_sharded_slot_parity_static_large():
-    """Composed sharded slot ≈ flat slot at the 5k tier.
-
-    The acceptance smoke gate of the region-sharded PR: the sharded
-    slot pairs the delta build with the region-sharded solve, and the
-    delta-build savings must pay for the boundary-coordination audits.
-    The measured margin at 5k is a few percent on a quiet box, so the
-    gate allows 5% + 10ms of scheduler noise — wide enough not to
-    flake, tight enough to catch structural regressions (a sharded
-    path that falls back to a full flat solve every slot lands ~10%
-    over and fails).  The correctness side has no tolerance: the n·ε
-    welfare certificate is asserted on every measured slot inside
-    ``bench_scenario`` and restated here.
-    """
-    spec = dict(bench.SCENARIOS["static-large"], reference=False)
-    summary = bench.bench_scenario(
-        "static-large", spec, seed=0, slots=2, verbose=False, repeats=3,
-        workers=0,
-    )
-    assert summary["sharded_within_n_eps"]
-    assert summary["sharded_welfare_gap_max"] <= summary["n_eps_bound"] + 1e-6
-    assert summary["slot_sharded_s"] > 0 and summary["slot_new_s"] > 0
-    assert (
-        summary["slot_sharded_s"] <= summary["slot_new_s"] * 1.05 + 0.010
-    ), (summary["slot_sharded_s"], summary["slot_new_s"])
-    # No slot may have needed the coordination-budget bailout at 5k.
-    for row in summary["slot_rows"]:
-        assert row["sharded_fallback"] == "", row["sharded_fallback"]
-
-
-@pytest.mark.skipif(
-    not workers_available(), reason="shared memory unavailable on this platform"
-)
-def test_par_parity_static_large():
-    """Worker-pool parity gate at the 5k tier (``make bench-par``).
-
-    The acceptance smoke gate of the multiprocess-shard-workers PR: a
-    2-worker pool must complete every measured slot at 5k peers with
-    zero reason-coded fallbacks, and the per-slot byte-identity of its
-    merged result against the in-process sharded solve is asserted
-    live inside ``bench_scenario``.  No speedup bar here — wall-clock
-    gains need physical cores, which tier-1 boxes may not have; the
-    scaling curve is tracked by ``make bench-par`` instead.
-    """
-    spec = dict(bench.SCENARIOS["static-large"], reference=False)
-    summary = bench.bench_scenario(
-        "static-large", spec, seed=0, slots=2, verbose=False, repeats=1,
-        workers=2,
-    )
-    assert summary["procs"] == 2
-    assert summary["par_solve_s"] > 0
-    assert summary["par_fallbacks"] == {}
-    for row in summary["slot_rows"]:
-        assert row["procs"] == 2, row
-        assert row["par_solve_s"] > 0
 
 
 def test_xl_tier_listed():

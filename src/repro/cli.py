@@ -196,12 +196,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
     from .p2p.config import SystemConfig
     from .p2p.system import P2PSystem
 
-    config = SystemConfig.bench(
-        seed=args.seed,
-        bid_rounds_per_slot=1,
-        sharded_solve=args.sharded,
-        shard_workers=args.workers,
-    )
+    config = SystemConfig.bench(seed=args.seed, bid_rounds_per_slot=1)
     system = P2PSystem(config)
     system.populate_static(args.peers)
     sink = JsonlTraceSink(args.output)
@@ -355,17 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     trc_record.add_argument(
         "--slots", type=int, default=2, help="slots to run"
     )
-    trc_record.add_argument(
-        "--workers", type=int, default=0,
-        help="shard worker processes (0 = in-process shards)",
-    )
-    trc_record.add_argument(
-        "--sharded", action=argparse.BooleanOptionalAction, default=True,
-        help="use the region-sharded solver (default on)",
-    )
     trc_record.set_defaults(func=_cmd_trace_record)
     trc_summarize = trc_sub.add_parser(
-        "summarize", help="per-slot table + totals for one trace"
+        "summarize", help="per-slot table, phase shares + totals for one trace"
     )
     trc_summarize.add_argument("trace", type=pathlib.Path, help="trace file")
     trc_summarize.set_defaults(func=_cmd_trace_summarize)

@@ -33,24 +33,14 @@ from .problem import (
     random_problem,
 )
 from .result import ScheduleResult, SolverStats
-from .sharding import (
-    ShardPlan,
-    ShardedAuctionSolver,
-    ShardedSolveReport,
-    boundary_uploaders,
-    plan_shards,
-    rows_view,
-)
 from .strategic import ManipulationRow, manipulation_study, true_utility_of_peer
 from .vcg import VCGOutcome, vcg_payments
-from .workers import ShardWorkerPool, WorkerError, workers_available
 from .scheduler import (
     AuctionScheduler,
     DistributedAuctionScheduler,
     ChunkScheduler,
     HungarianScheduler,
     LPScheduler,
-    ShardedAuctionScheduler,
     available_schedulers,
     make_scheduler,
 )
@@ -82,32 +72,22 @@ __all__ = [
     "ScalingPhase",
     "ScheduleResult",
     "SchedulingProblem",
-    "ShardPlan",
-    "ShardWorkerPool",
-    "ShardedAuctionScheduler",
-    "ShardedAuctionSolver",
-    "ShardedSolveReport",
     "SimpleLocalityScheduler",
     "SolverStats",
-    "WorkerError",
     "UtilityGreedyScheduler",
     "VCGOutcome",
     "available_schedulers",
-    "boundary_uploaders",
     "check_complementary_slackness",
     "dual_objective",
     "duality_gap",
     "expand_to_assignment",
     "manipulation_study",
     "make_scheduler",
-    "plan_shards",
     "random_problem",
-    "rows_view",
     "solve_hungarian",
     "solve_lp_relaxation",
     "solve_min_cost_flow",
     "true_utility_of_peer",
     "vcg_payments",
     "verify_theorem1",
-    "workers_available",
 ]

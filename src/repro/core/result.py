@@ -26,42 +26,13 @@ import numpy as np
 
 from .problem import SchedulingProblem
 
-__all__ = ["ScheduleResult", "SolverStats", "decay_prices"]
+__all__ = ["ScheduleResult", "SolverStats"]
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 _EMPTY_FLOAT = np.empty(0, dtype=float)
 
 #: Sentinel uploader id for unserved requests in :meth:`assignment_array`.
 UNSERVED = -1
-
-
-def decay_prices(
-    ids: np.ndarray,
-    values: np.ndarray,
-    factor: float,
-    floor: float = 0.0,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Geometrically decayed warm-start prices; ``None`` when all cold.
-
-    Carrying last slot's final λ verbatim across the boundary overprices
-    uploaders whose scarcity was transient — the next auction then burns
-    rounds walking them back down (and retires rows that would have won
-    at equilibrium).  Scaling by ``factor`` and flushing entries below
-    ``floor`` to exactly 0 keeps the persistent component of the price
-    field while forgetting the noise.  ``factor=1.0`` is the legacy raw
-    carry; a result of all-zero prices returns ``None`` so the caller
-    can fall back to a plain cold start.
-    """
-    if not 0.0 <= factor <= 1.0:
-        raise ValueError(f"decay factor must be in [0, 1], got {factor!r}")
-    if factor == 1.0 and floor <= 0.0:
-        return ids, values
-    decayed = values * factor
-    if floor > 0.0:
-        decayed[decayed < floor] = 0.0
-    if not decayed.any():
-        return None
-    return ids, decayed
 
 
 class _SyncedDict(dict):

@@ -24,7 +24,6 @@ from .baselines import (
 from .exact import solve_hungarian, solve_lp_relaxation
 from .problem import SchedulingProblem
 from .result import ScheduleResult
-from .sharding import ShardedAuctionSolver
 
 __all__ = [
     "AuctionScheduler",
@@ -32,7 +31,6 @@ __all__ = [
     "ChunkScheduler",
     "HungarianScheduler",
     "LPScheduler",
-    "ShardedAuctionScheduler",
     "available_schedulers",
     "make_scheduler",
 ]
@@ -84,69 +82,6 @@ class AuctionScheduler:
         result = solver.solve(problem, initial_prices=initial_prices)
         self.last_rows_evaluated = solver.rows_evaluated
         return result
-
-
-class ShardedAuctionScheduler:
-    """The auction solved region-sharded with boundary-price coordination.
-
-    Rows partition by ``region_fn(request peer ids) % n_shards`` — the
-    P2P system injects the store's ISP column
-    (:meth:`~repro.p2p.state.PeerStateStore.regions_of`), standalone use
-    defaults to hashing the requesting peer id, which is correct (the
-    coordination certificate never depends on the partition) just not
-    locality-aligned.  ``n_shards=1`` is byte-identical to
-    :class:`AuctionScheduler`.  The solver instance persists across
-    calls so the row partition is revalidated, not recomputed, for the
-    stable-membership slots of the delta pipeline; ``last_report``
-    exposes per-solve coordination diagnostics.
-    """
-
-    name = "auction-sharded"
-    supports_warm_start = True
-
-    def __init__(
-        self,
-        epsilon: float = DEFAULT_EPSILON,
-        n_shards: int = 2,
-        region_fn=None,
-        n_workers: int = 0,
-        **solver_kwargs,
-    ) -> None:
-        self.epsilon = epsilon
-        self.n_shards = int(n_shards)
-        self.region_fn = region_fn
-        self.solver = ShardedAuctionSolver(
-            epsilon=epsilon,
-            n_shards=self.n_shards,
-            n_workers=n_workers,
-            **solver_kwargs,
-        )
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op for in-process solves)."""
-        self.solver.close()
-
-    @property
-    def last_report(self):
-        """Diagnostics of the most recent solve."""
-        return self.solver.last_report
-
-    @property
-    def worker_fallbacks(self):
-        """Cumulative reason-coded worker-pool degradations (telemetry)."""
-        return self.solver.worker_fallbacks
-
-    @property
-    def last_rows_evaluated(self) -> int:
-        """In-process bid-phase row evaluations of the most recent solve."""
-        return self.solver.rows_evaluated
-
-    def schedule(
-        self, problem: SchedulingProblem, initial_prices=None
-    ) -> ScheduleResult:
-        peers = problem.request_peer_array()
-        regions = self.region_fn(peers) if self.region_fn is not None else peers
-        return self.solver.solve(problem, regions, initial_prices=initial_prices)
 
 
 class DistributedAuctionScheduler:
@@ -210,7 +145,6 @@ class LPScheduler:
 
 _REGISTRY: Dict[str, Callable[..., ChunkScheduler]] = {
     "auction": AuctionScheduler,
-    "auction-sharded": ShardedAuctionScheduler,
     "auction-distributed": DistributedAuctionScheduler,
     "locality": SimpleLocalityScheduler,
     "locality-retry": LocalityRetryScheduler,

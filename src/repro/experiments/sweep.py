@@ -11,9 +11,8 @@ These quantify the design choices DESIGN.md calls out:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class EpsilonSweepRow:
     optimality: float  # welfare / hungarian optimum
     bids: int
     rounds: int
-    seconds: float
 
 
 def epsilon_sweep(
@@ -68,9 +66,7 @@ def epsilon_sweep(
     optimum = solve_hungarian(problem).welfare(problem)
     rows = []
     for epsilon in epsilons:
-        start = time.perf_counter()
         result = AuctionSolver(epsilon=epsilon, mode=mode).solve(problem)
-        elapsed = time.perf_counter() - start
         welfare = result.welfare(problem)
         rows.append(
             EpsilonSweepRow(
@@ -79,7 +75,6 @@ def epsilon_sweep(
                 optimality=welfare / optimum if optimum else 1.0,
                 bids=result.stats.bids_submitted,
                 rounds=result.stats.rounds,
-                seconds=elapsed,
             )
         )
     return rows
@@ -92,7 +87,6 @@ class SolverRow:
     solver: str
     welfare: float
     served: int
-    seconds: float
 
 
 def solver_comparison(
@@ -111,24 +105,20 @@ def solver_comparison(
         max_candidates=max_candidates,
     )
 
-    def timed(name: str, solve: Callable[[], object]) -> SolverRow:
-        start = time.perf_counter()
-        result = solve()
-        elapsed = time.perf_counter() - start
+    def row(name: str, result) -> SolverRow:
         return SolverRow(
             solver=name,
             welfare=result.welfare(problem),
             served=result.n_served(),
-            seconds=elapsed,
         )
 
     return [
-        timed("auction-gs", lambda: AuctionSolver(epsilon, mode="gauss-seidel").solve(problem)),
-        timed("auction-jacobi", lambda: AuctionSolver(epsilon, mode="jacobi").solve(problem)),
-        timed("auction-scaled", lambda: ScaledAuctionSolver(epsilon_final=epsilon).solve(problem)),
-        timed("hungarian", lambda: solve_hungarian(problem)),
-        timed("lp", lambda: solve_lp_relaxation(problem).result),
-        timed("min-cost-flow", lambda: solve_min_cost_flow(problem)),
+        row("auction-gs", AuctionSolver(epsilon, mode="gauss-seidel").solve(problem)),
+        row("auction-jacobi", AuctionSolver(epsilon, mode="jacobi").solve(problem)),
+        row("auction-scaled", ScaledAuctionSolver(epsilon_final=epsilon).solve(problem)),
+        row("hungarian", solve_hungarian(problem)),
+        row("lp", solve_lp_relaxation(problem).result),
+        row("min-cost-flow", solve_min_cost_flow(problem)),
     ]
 
 
@@ -173,26 +163,6 @@ class RebidRow:
     served: int
     miss_rate: float
     auction_rounds: int  # solver work: total ε-auction rounds
-    solve_seconds: float  # wall time inside scheduler.schedule
-
-
-class _TimedScheduler:
-    """Wrapper counting wall time spent inside ``schedule`` calls."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.name = inner.name
-        self.supports_warm_start = getattr(inner, "supports_warm_start", False)
-        self.seconds = 0.0
-
-    def schedule(self, problem, initial_prices=None):
-        start = time.perf_counter()
-        if self.supports_warm_start:
-            result = self.inner.schedule(problem, initial_prices=initial_prices)
-        else:
-            result = self.inner.schedule(problem)
-        self.seconds += time.perf_counter() - start
-        return result
 
 
 def rebid_study(
@@ -210,9 +180,7 @@ def rebid_study(
     event-driven solver's frontier was built for: a warm re-bid round
     only re-evaluates requests whose uploaders repriced).  Each (R, warm)
     cell runs the same moderately-contended static workload (fig5's
-    tightened supply) end to end; welfare/served/miss/auction-round
-    columns are deterministic, ``solve_seconds`` is wall time inside the
-    scheduler only.
+    tightened supply) end to end; every column is deterministic.
     """
     rows: List[RebidRow] = []
     for rounds in rounds_list:
@@ -226,8 +194,6 @@ def rebid_study(
                 seed_upload_multiple=3.0,
             )
             system = P2PSystem(config)
-            timed = _TimedScheduler(system.scheduler)
-            system.scheduler = timed
             system.populate_static(n_peers, stagger=False)
             collector = system.run(duration_seconds)
             totals = collector.totals()
@@ -243,7 +209,6 @@ def rebid_study(
                     auction_rounds=sum(
                         s.auction_rounds for s in collector.slots
                     ),
-                    solve_seconds=timed.seconds,
                 )
             )
             assert n_slots == int(duration_seconds / config.slot_seconds)
@@ -255,7 +220,7 @@ def render_rebid_study(rows: List[RebidRow]) -> str:
     return render_table(
         [
             "rounds", "prices", "welfare", "welfare/slot", "served",
-            "miss_rate", "auction_rounds", "solve_seconds",
+            "miss_rate", "auction_rounds",
         ],
         [
             [
@@ -266,7 +231,6 @@ def render_rebid_study(rows: List[RebidRow]) -> str:
                 r.served,
                 r.miss_rate,
                 r.auction_rounds,
-                r.solve_seconds,
             ]
             for r in rows
         ],
@@ -276,17 +240,14 @@ def render_rebid_study(rows: List[RebidRow]) -> str:
 def render_epsilon_sweep(rows: List[EpsilonSweepRow]) -> str:
     """Text table for the ε ablation."""
     return render_table(
-        ["epsilon", "welfare", "optimality", "bids", "rounds", "seconds"],
-        [
-            [r.epsilon, r.welfare, r.optimality, r.bids, r.rounds, r.seconds]
-            for r in rows
-        ],
+        ["epsilon", "welfare", "optimality", "bids", "rounds"],
+        [[r.epsilon, r.welfare, r.optimality, r.bids, r.rounds] for r in rows],
     )
 
 
 def render_solver_comparison(rows: List[SolverRow]) -> str:
     """Text table for the solver ablation."""
     return render_table(
-        ["solver", "welfare", "served", "seconds"],
-        [[r.solver, r.welfare, r.served, r.seconds] for r in rows],
+        ["solver", "welfare", "served"],
+        [[r.solver, r.welfare, r.served] for r in rows],
     )

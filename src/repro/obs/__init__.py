@@ -34,6 +34,7 @@ from .analyze import (
 from .rollup import IspRollup, isp_rollup_block
 from .sinks import JsonlTraceSink, MemoryTraceSink, NullTraceSink, TraceSink
 from .trace import (
+    TIMING_PHASES,
     TRACE_SCHEMA_VERSION,
     SlotTracer,
     canonical_line,
@@ -42,6 +43,7 @@ from .trace import (
 )
 
 __all__ = [
+    "TIMING_PHASES",
     "TRACE_SCHEMA_VERSION",
     "IspRollup",
     "JsonlTraceSink",

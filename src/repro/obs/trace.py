@@ -4,13 +4,14 @@ One record per slot, assembled by :meth:`P2PSystem.run_slot` only when
 the attached sink is enabled.  The record is a plain dict in two parts:
 
 * the **deterministic body** — every counter the slot produced (churn,
-  build kind and delta reasons, solver work, sharded-coordination
-  diagnostics, retry pipeline, traffic split, playback misses).  Equal
-  seeds produce byte-equal bodies across runs and machines; the
-  property suite pins this.
-* the ``"timing"`` sub-dict — wall-clock phase durations (build, solve,
-  apply, playback, retries, whole slot) plus per-worker wall times from
-  the shard pool.  Timing is the only machine-dependent content, so
+  build kind and delta reasons, solver work, retry pipeline, traffic
+  split, playback misses).  Equal seeds produce byte-equal bodies
+  across runs and machines; the property suite pins this.
+* the ``"timing"`` sub-dict — wall-clock durations of every slot phase
+  (:data:`TIMING_PHASES`: churn, neighbour refill, retries, build,
+  solve, apply, playback), ``other_s`` (whatever no phase claims) and
+  the whole ``slot_s``, so the phases plus ``other_s`` sum to
+  ``slot_s``.  Timing is the only machine-dependent content, so
   :func:`strip_timing` / :func:`canonical_line` remove exactly one key
   to get the comparable form.
 
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from .sinks import NullTraceSink, TraceSink
 
 __all__ = [
+    "TIMING_PHASES",
     "TRACE_SCHEMA_VERSION",
     "SlotTracer",
     "canonical_line",
@@ -38,6 +40,12 @@ __all__ = [
 
 #: Version stamped into every record's ``"v"`` field.
 TRACE_SCHEMA_VERSION = 1
+
+#: The slot phases ``run_slot`` times, in pipeline order.  Each is a
+#: ``"<phase>_s"`` key of the ``"timing"`` sub-dict.
+TIMING_PHASES = (
+    "churn", "refill", "retry", "build", "solve", "apply", "playback",
+)
 
 #: Required top-level fields and their types (the guaranteed schema).
 _REQUIRED: Tuple[Tuple[str, type], ...] = (
@@ -70,7 +78,8 @@ _REQUIRED_NESTED: Dict[str, Tuple[str, ...]] = {
     "traffic": ("inter", "intra"),
     "playback": ("due", "missed"),
     "link": ("regime", "transfers_failed", "delay_ms"),
-    "timing": ("build_s", "solve_s", "apply_s", "playback_s", "retry_s", "slot_s"),
+    "timing": tuple(f"{phase}_s" for phase in TIMING_PHASES)
+    + ("other_s", "slot_s"),
 }
 
 #: Build kinds ``run_slot`` stamps into the ``"build"`` field.
@@ -103,9 +112,6 @@ def validate_trace_record(record: dict) -> None:
         for field in fields:
             if field not in block:
                 raise ValueError(f"trace record missing {group}.{field}")
-    sharded = record.get("sharded")
-    if sharded is not None and not isinstance(sharded, dict):
-        raise ValueError("field 'sharded' must be a dict or None")
 
 
 def strip_timing(record: dict) -> dict:

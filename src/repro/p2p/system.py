@@ -27,20 +27,14 @@ at the boundary.
 from __future__ import annotations
 
 import itertools
-import os
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.problem import SchedulingProblem
-from ..core.result import ScheduleResult, decay_prices
-from ..core.scheduler import (
-    AuctionScheduler,
-    ChunkScheduler,
-    ShardedAuctionScheduler,
-    make_scheduler,
-)
+from ..core.result import ScheduleResult
+from ..core.scheduler import AuctionScheduler, ChunkScheduler, make_scheduler
 from ..metrics.collectors import MetricsCollector, SlotMetrics
 from ..metrics.traffic_matrix import TrafficMatrix
 from ..net.costs import CostModel
@@ -164,9 +158,6 @@ class P2PSystem:
         self._ids = itertools.count(1)
         self.now = 0.0
         self.slot_index = 0
-        # Final λ of the last warm-started bid round, carried across the
-        # slot boundary when ``warm_start_across_slots`` is on.
-        self._carry_prices = None
         # Incremental-build state: the previous build's problem (the
         # patch baseline), plus the retry-queue snapshot the last
         # suppression diff was taken against.
@@ -198,44 +189,17 @@ class P2PSystem:
 
     def _default_scheduler(self) -> ChunkScheduler:
         if self.config.scheduler == "auction":
-            if self.config.sharded_solve:
-                # Region-sharded solve path: rows partition by the
-                # store's ISP column (one shard per region by default),
-                # the jacobi frontier runs per shard, and boundary
-                # uploader prices coordinate (core/sharding.py).  The
-                # scheduler persists so the row partition cache
-                # composes with the delta-patched problems of
-                # incremental_build.
-                # Late-bound: the store is created after the scheduler.
-                # REPRO_WORKERS overrides the configured worker count
-                # (0 forces in-process; results are identical).
-                workers = self.config.shard_workers
-                env = os.environ.get("REPRO_WORKERS")
-                if env is not None and env.strip():
-                    try:
-                        workers = int(env)
-                    except ValueError:
-                        raise ValueError(
-                            f"REPRO_WORKERS must be an integer, got {env!r}"
-                        ) from None
-                return ShardedAuctionScheduler(
-                    epsilon=self.config.epsilon,
-                    n_shards=self.config.shard_count or self.config.n_isps,
-                    region_fn=lambda peers: self.store.regions_of(peers),
-                    n_workers=max(0, workers),
-                )
             return AuctionScheduler(epsilon=self.config.epsilon)
         return make_scheduler(
             self.config.scheduler, rng=self.rngs.stream("scheduler")
         )
 
     def close(self) -> None:
-        """Release external resources (the sharded scheduler's workers).
+        """Release the scheduler's external resources, if it holds any.
 
-        Idempotent; a no-op for every in-process scheduler.  Long-lived
-        drivers (benches, property trajectories) should call it so
-        worker processes and shared-memory blocks never outlive the
-        system they serve — ``atexit`` covers everyone else.
+        Idempotent; a no-op for every built-in scheduler.  Benches and
+        property trajectories call it after each run so a custom
+        scheduler that does own resources can release them.
         """
         close = getattr(self.scheduler, "close", None)
         if close is not None:
@@ -377,9 +341,9 @@ class P2PSystem:
         With ``config.warm_start_prices`` each re-bid round's auction is
         warm-started from the previous round's final λ (the paper's
         peers bid against *posted* prices, which persist between
-        rounds); ``config.warm_start_across_slots`` additionally carries
-        λ over the slot boundary.  Both default off, reproducing the
-        cold-start trajectories of every archived experiment.
+        rounds); the first round of every slot starts cold.  Off by
+        default, reproducing the cold-start trajectories of every
+        archived experiment.
         """
         t = self.now
         slot = self.config.slot_seconds
@@ -392,17 +356,23 @@ class P2PSystem:
             t_slot0 = perf_counter()
             arrivals0 = self.arrivals
             departures0 = self.departures
-            build_s = solve_s = apply_s = playback_s = 0.0
+            churn_s = build_s = solve_s = apply_s = playback_s = 0.0
             bids_sub = bids_rej = evictions = price_updates = rows_eval = 0
             delta_reasons: Dict[str, int] = {}
-            worker_wall: Dict[str, float] = {}
             build_kind = "none"
 
         if churn:
             self._process_departures(t, remove_finished)
             self._admit_arrivals(t)
             self._collect_arrivals_during(t, t + slot)
+            if tracing:
+                # Churn is the slot's first phase: it starts at t_slot0.
+                churn_s = perf_counter() - t_slot0
+        if tracing:
+            t_refill0 = perf_counter()
         self._refill_neighbors()
+        if tracing:
+            refill_s = perf_counter() - t_refill0
 
         if self.isp_rollup is not None:
             self.isp_rollup.begin_slot()
@@ -410,14 +380,6 @@ class P2PSystem:
         inter = intra = 0
         n_requests = n_served = sched_rounds = 0
         due = missed = 0
-        # Sharded-solve diagnostics, summed over bid rounds (zero/empty
-        # for flat schedulers — one getattr per round).
-        coord = boundary = contested = sharded_fb = 0
-        sharded_fb_reason = ""
-        worker_fb0 = sum(
-            getattr(self.scheduler, "worker_fallbacks", {}).values()
-        )
-        sharded_trace = None
         # Slot-boundary retry sweep: evict churned endpoints, surrender
         # expired edges, re-attempt due ones.  A no-op (and no RNG
         # draws) while the queue is empty — i.e. always, under ideal
@@ -439,7 +401,7 @@ class P2PSystem:
         warm = self.config.warm_start_prices and getattr(
             self.scheduler, "supports_warm_start", False
         )
-        prices = self._carry_prices if warm else None
+        prices = None
         incremental = self.config.incremental_build
         for r in range(rounds):
             now_r = t + r * slot / rounds
@@ -486,14 +448,6 @@ class P2PSystem:
                 prices = result.price_arrays()
             else:
                 result = self.scheduler.schedule(problem)
-            report = getattr(self.scheduler, "last_report", None)
-            if report is not None:
-                coord += report.coordination_rounds
-                boundary += report.n_boundary_uploaders
-                contested += report.contested_rows
-                if report.fallback:
-                    sharded_fb += 1
-                    sharded_fb_reason = report.fallback
             if tracing:
                 t2 = perf_counter()
                 solve_s += t2 - t1
@@ -503,42 +457,6 @@ class P2PSystem:
                 evictions += s.evictions
                 price_updates += s.price_updates
                 rows_eval += getattr(self.scheduler, "last_rows_evaluated", 0)
-                if report is not None:
-                    if sharded_trace is None:
-                        sharded_trace = {
-                            "coordination_rounds": 0,
-                            "boundary_uploaders": 0,
-                            "contested_rows": 0,
-                            "fallbacks": 0,
-                            "fallback_reason": "",
-                            "procs": 0,
-                            "par_shards": 0,
-                            "worker_fallbacks": 0,
-                            "blocks_republished": -1,
-                        }
-                    sharded_trace["coordination_rounds"] += report.coordination_rounds
-                    sharded_trace["boundary_uploaders"] += report.n_boundary_uploaders
-                    sharded_trace["contested_rows"] += report.contested_rows
-                    if report.fallback:
-                        sharded_trace["fallbacks"] += 1
-                        sharded_trace["fallback_reason"] = report.fallback
-                    sharded_trace["procs"] = max(
-                        sharded_trace["procs"], report.procs
-                    )
-                    sharded_trace["par_shards"] += report.par_shards
-                    if report.blocks_republished >= 0:
-                        if sharded_trace["blocks_republished"] < 0:
-                            sharded_trace["blocks_republished"] = 0
-                        sharded_trace["blocks_republished"] += (
-                            report.blocks_republished
-                        )
-                pool = getattr(
-                    getattr(self.scheduler, "solver", None), "_pool", None
-                )
-                if pool is not None and pool.last_wall_s:
-                    for w, wall in pool.last_wall_s.items():
-                        key = str(w)
-                        worker_wall[key] = worker_wall.get(key, 0.0) + wall
             welfare += result.welfare(problem)
             round_inter, round_intra = self._apply_transfers(problem, result)
             inter += round_inter
@@ -576,30 +494,23 @@ class P2PSystem:
             retry_pending=len(self.retry_queue),
             link_delay_ms=self._slot_link_delay_ms + retry["delay_ms"],
             link_regime=self.links.regime,
-            coordination_rounds=coord,
-            boundary_uploaders=boundary,
-            contested_rows=contested,
-            sharded_fallbacks=sharded_fb,
-            sharded_fallback_reason=sharded_fb_reason,
-            worker_fallbacks=sum(
-                getattr(self.scheduler, "worker_fallbacks", {}).values()
-            )
-            - worker_fb0,
         )
         self.collector.record(metrics)
         if tracing:
-            if sharded_trace is not None:
-                sharded_trace["worker_fallbacks"] = metrics.worker_fallbacks
+            slot_s = perf_counter() - t_slot0
             timing = {
+                "churn_s": churn_s,
+                "refill_s": refill_s,
+                "retry_s": retry_s,
                 "build_s": build_s,
                 "solve_s": solve_s,
                 "apply_s": apply_s,
                 "playback_s": playback_s,
-                "retry_s": retry_s,
-                "slot_s": perf_counter() - t_slot0,
             }
-            if worker_wall:
-                timing["workers"] = worker_wall
+            # Whatever no phase claims (rollup, metrics record, glue):
+            # the phases are disjoint intervals, so this stays >= 0.
+            timing["other_s"] = slot_s - sum(timing.values())
+            timing["slot_s"] = slot_s
             tracer.emit(
                 {
                     "v": TRACE_SCHEMA_VERSION,
@@ -636,25 +547,9 @@ class P2PSystem:
                         "delay_ms": self._slot_link_delay_ms
                         + retry["delay_ms"],
                     },
-                    "sharded": sharded_trace,
                     "timing": timing,
                 }
             )
-        if warm and self.config.warm_start_across_slots and prices is not None:
-            # Decay the carried λ at the boundary: transient scarcity
-            # prices fade (sub-ε entries flush to an exact cold 0) while
-            # the persistent component survives.  decay=1.0 is the
-            # legacy raw carry.
-            decay = self.config.warm_price_decay
-            self._carry_prices = (
-                prices
-                if decay == 1.0
-                else decay_prices(
-                    prices[0], prices[1], decay, self.config.epsilon
-                )
-            )
-        else:
-            self._carry_prices = None
         self.now = t + slot
         self.slot_index += 1
         return metrics

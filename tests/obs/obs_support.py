@@ -34,10 +34,10 @@ def minimal_record() -> dict:
         "traffic": {"inter": 1, "intra": 1},
         "playback": {"due": 4, "missed": 2},
         "link": {"regime": "ideal", "transfers_failed": 0, "delay_ms": 0.0},
-        "sharded": None,
         "timing": {
+            "churn_s": 0.0, "refill_s": 0.0, "retry_s": 0.0,
             "build_s": 0.01, "solve_s": 0.02, "apply_s": 0.003,
-            "playback_s": 0.001, "retry_s": 0.0, "slot_s": 0.04,
+            "playback_s": 0.001, "other_s": 0.006, "slot_s": 0.04,
         },
     }
 

@@ -57,10 +57,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="solver.rows_evaluated"):
             validate_trace_record(record)
 
-    def test_rejects_non_dict_sharded(self):
+    @pytest.mark.parametrize("phase", ["churn_s", "refill_s", "other_s"])
+    def test_rejects_missing_timing_phase(self, phase):
         record = minimal_record()
-        record["sharded"] = "yes"
-        with pytest.raises(ValueError, match="sharded"):
+        del record["timing"][phase]
+        with pytest.raises(ValueError, match=f"timing.{phase}"):
             validate_trace_record(record)
 
     def test_rejects_bool_for_numeric(self):

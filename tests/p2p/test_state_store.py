@@ -217,21 +217,6 @@ class TestVersionCounters:
             seen.append(system.store.membership_version)
         assert seen == sorted(seen)
 
-    def test_region_version_bumps_on_membership_changes(self):
-        system = build_system(8)
-        store = system.store
-        v0 = store.region_version
-        peer = _craft_peer(system, max(system.peers) + 1, system.catalog[0])
-        system._admit(peer)
-        v1 = store.region_version
-        assert v1 > v0
-        system.remove_peer(peer.peer_id)
-        v2 = store.region_version
-        assert v2 > v1
-        victims = [p for p in system.peers.values() if not p.is_seed][:2]
-        store.remove_batch(victims)
-        assert store.region_version > v2
-
     def test_overlay_dirty_set_drained_by_build(self):
         system = build_system(8)
         system.build_problem(system.now)
@@ -329,8 +314,6 @@ class TestReviewRegressions:
             for pid, p in system.peers.items()
             if p.session is not None
         }
-        import pytest
-
         with pytest.raises(ValueError, match="time went backwards"):
             system._advance_playback(t + 4.0)
         after = {
@@ -340,72 +323,3 @@ class TestReviewRegressions:
         }
         assert positions == after  # nothing advanced, in either bucket
 
-
-class TestRegionColumn:
-    """The region accessors the sharded solve path partitions on."""
-
-    def test_regions_of_matches_peer_isps(self):
-        system = build_system(12)
-        ids = np.fromiter(system.peers, dtype=np.int64)
-        regions = system.store.regions_of(ids)
-        assert regions.dtype == np.int64
-        for pid, region in zip(ids.tolist(), regions.tolist()):
-            assert region == system.peers[pid].isp
-
-    def test_regions_align_with_built_problem(self):
-        system = build_system(12)
-        system.run_slot()
-        problem, _ = system.build_problem(system.now)
-        if problem.n_requests == 0:
-            pytest.skip("no requests this slot")
-        regions = system.store.regions_of(problem.request_peer_array())
-        assert len(regions) == problem.n_requests
-        assert set(regions.tolist()) <= set(range(system.config.n_isps))
-
-    def test_regions_of_memoized_by_identity_and_version(self):
-        system = build_system(10)
-        ids = np.fromiter(system.peers, dtype=np.int64)
-        first = system.store.regions_of(ids)
-        assert not first.flags.writeable
-        # Same array object, same version → the memoized object itself.
-        assert system.store.regions_of(ids) is first
-        # An equal-but-distinct array misses the identity check.
-        other = system.store.regions_of(ids.copy())
-        assert other is not first
-        assert np.array_equal(other, first)
-
-    def test_regions_memo_invalidated_by_churn(self):
-        system = build_system(10)
-        ids = np.fromiter(system.peers, dtype=np.int64)
-        first = system.store.regions_of(ids)
-        victim = next(p for p in system.peers.values() if not p.is_seed)
-        system.remove_peer(victim.peer_id)
-        fresh = system.store.regions_of(ids)
-        assert fresh is not first  # version bumped → recomputed
-        assert fresh[ids.tolist().index(victim.peer_id)] == -1
-
-    def test_touched_regions_row_level(self):
-        from repro.p2p.state import SlotDelta
-
-        system = build_system(10)
-        table = system.store.isp_table()
-        delta = SlotDelta()
-        assert delta.touched_regions(table) == set()
-        some = list(system.peers)[:3]
-        delta.capacity_touched.extend(some)
-        expected = {int(table[pid]) for pid in some}
-        assert delta.touched_regions(table) == expected
-
-    def test_touched_regions_coarse_flags_mean_all(self):
-        from repro.p2p.state import SlotDelta
-
-        table = np.zeros(4, dtype=np.int64)
-        for flag in (
-            "playback_moved",
-            "costs_invalidated",
-            "membership_changed",
-            "capacity_changed",
-        ):
-            delta = SlotDelta()
-            setattr(delta, flag, True)
-            assert delta.touched_regions(table) is None, flag

@@ -1,11 +1,11 @@
 """Warm-started prices through the slot loop (config-gated re-bids).
 
 ``warm_start_prices`` feeds each bid round's final λ into the next
-round's auction; ``warm_start_across_slots`` carries λ over the slot
-boundary.  Both default off — every archived experiment regenerates
-cold — so these tests pin the plumbing: flag validation, tuple/dict
-price-form equivalence at the solver, carry semantics, and graceful
-no-op for schedulers without warm-start support.
+round's auction; the first round of every slot starts cold.  Off by
+default — every archived experiment regenerates cold — so these tests
+pin the plumbing: the flag, tuple/dict price-form equivalence at the
+solver, within-slot carry semantics, and graceful no-op for schedulers
+without warm-start support.
 """
 
 from __future__ import annotations
@@ -21,14 +21,8 @@ from repro.p2p.system import P2PSystem
 
 
 class TestConfigFlags:
-    def test_across_slots_requires_warm_start(self):
-        with pytest.raises(ValueError, match="warm_start_across_slots"):
-            SystemConfig.tiny(warm_start_across_slots=True).validate()
-
     def test_flags_accepted(self):
-        config = SystemConfig.tiny(
-            warm_start_prices=True, warm_start_across_slots=True
-        )
+        config = SystemConfig.tiny(warm_start_prices=True)
         config.validate()
         assert config.warm_start_prices
 
@@ -102,19 +96,27 @@ class TestSlotLoop:
         assert 0.0 <= totals["miss_rate"] <= 1.0
 
     def test_within_slot_only_does_not_carry(self):
+        """Rounds after the first warm-start; each slot's first is cold."""
         system = self._system(warm_start_prices=True)
-        system.run_slot()
-        assert system._carry_prices is None
+        inner = system.scheduler
+        seen = []
 
-    def test_across_slots_carries(self):
-        system = self._system(
-            warm_start_prices=True, warm_start_across_slots=True
-        )
+        class Spy:
+            name = inner.name
+            supports_warm_start = True
+
+            def schedule(self, problem, initial_prices=None):
+                seen.append(initial_prices)
+                return inner.schedule(problem, initial_prices=initial_prices)
+
+        system.scheduler = Spy()
         system.run_slot()
-        assert system._carry_prices is not None
-        ids, vals = system._carry_prices
-        assert len(ids) == len(vals)
-        system.run_slot()  # consumes the carried λ without error
+        system.run_slot()
+        assert len(seen) == 6  # 2 slots × 3 bid rounds
+        for slot_start in (0, 3):
+            assert seen[slot_start] is None
+            assert seen[slot_start + 1] is not None
+            assert seen[slot_start + 2] is not None
 
     def test_warm_flag_ignored_for_schedulers_without_support(self):
         system = self._system(warm_start_prices=True, scheduler="locality")

@@ -1,11 +1,9 @@
 """Property: slot traces are a pure function of (config, seed).
 
 The canonical (timing-stripped) serialization of every emitted span must
-be byte-identical across repeated runs of the same seed, across solver
-configurations that are pinned schedule-equivalent (flat vs sharded on
-capacity-ample workloads is *not* required here — only that each
-configuration replays itself), and across the order systems are built
-in.  This is what makes committed example traces diffable: ``repro
+be byte-identical across repeated runs of the same seed, for every
+build configuration (each replays itself), and across the order
+systems are built in.  This is what makes traces diffable: ``repro
 trace diff`` on two runs shows real counter differences, never noise.
 Runs under the deterministic ``repro-props`` profile via
 ``make test-props``.
@@ -28,16 +26,13 @@ configs = st.fixed_dictionaries(
         "n_peers": st.integers(5, 20),
         "churn": st.booleans(),
         "incremental_build": st.booleans(),
-        "sharded_solve": st.booleans(),
     }
 )
 
 
 def _trace(params: dict, n_slots: int = 3) -> List[str]:
     config = SystemConfig.tiny(
-        seed=params["seed"],
-        incremental_build=params["incremental_build"],
-        sharded_solve=params["sharded_solve"],
+        seed=params["seed"], incremental_build=params["incremental_build"]
     )
     system = P2PSystem(config)
     system.populate_static(params["n_peers"])
@@ -72,9 +67,7 @@ def test_trace_unaffected_by_sibling_system_construction(params):
     baseline = _trace(params)
 
     config = SystemConfig.tiny(
-        seed=params["seed"],
-        incremental_build=params["incremental_build"],
-        sharded_solve=params["sharded_solve"],
+        seed=params["seed"], incremental_build=params["incremental_build"]
     )
     sibling = P2PSystem(SystemConfig.tiny(seed=params["seed"] + 1))
     sibling.populate_static(8)
