@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl scenarios scenarios-smoke scenarios-lossy trace-smoke results-check
+.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl scenarios scenarios-smoke scenarios-lossy trace-smoke results-check perf-ab
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -64,3 +64,16 @@ results-check:
 	$(PYTHON) -m pytest -q benchmarks/test_fig*.py benchmarks/test_ablation*.py
 	$(MAKE) scenarios
 	git diff --exit-code -- results/
+
+# Paired A/B of the end-to-end slot benchmark (perfbench/run.py --trace 0):
+# BASE, checked out into a temporary git worktree, against this checkout,
+# PAIRS pairs that alternate which tree runs first.  Prints each
+# end-to-end metric's median, quartiles and win count.  Slow (about a
+# minute and a quarter a pair on churn-lossy-3k, 2-core host), so not
+# part of `make test`.
+BASE ?= HEAD
+W ?= churn-lossy-3k
+SEED ?= 1
+PAIRS ?= 10
+perf-ab:
+	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --workload $(W) --seed $(SEED) --pairs $(PAIRS)

@@ -214,14 +214,16 @@ class CostModel:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def forget_peer(self, peer_id: int) -> int:
-        """Drop cached entries involving a departed peer.
+    def forget_peer(self, *peer_ids: int) -> int:
+        """Drop cached entries involving any of the departed peers.
 
-        Returns the number of entries evicted.  Keeping the cache tight
-        matters in long churn runs (arrival rate 1/s over hundreds of
-        seconds).
+        One pass over the cache however many ids are given, so a slot's
+        whole departure batch costs one sweep.  Returns the number of
+        entries evicted.  Keeping the cache tight matters in long churn
+        runs (arrival rate 1/s over hundreds of seconds).
         """
-        stale = [k for k in self._cache if peer_id in k]
+        gone = set(peer_ids)
+        stale = [k for k in self._cache if k[0] in gone or k[1] in gone]
         for k in stale:
             del self._cache[k]
         return len(stale)

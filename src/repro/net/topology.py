@@ -38,34 +38,32 @@ def rank_candidates(
       the regime in which ISP-aware source selection actually matters.
 
     Ties are broken randomly when ``rng`` is given, else by peer id for
-    determinism.
+    determinism.  The result is the ``(distance, tiebreak, peer)`` order,
+    and the random draws are one bulk call in per-candidate order (under
+    ``"random"`` a seed draws its rank, then its tiebreak).
     """
     if seed_rank not in ("first", "random"):
         raise ValueError(f"unknown seed_rank {seed_rank!r}")
-    candidates = list(candidates)
-    watcher_distances = []
-    positions = {}
-    for peer in candidates:
-        pos = position_of(peer)
-        positions[peer] = pos
-        if pos is not None:
-            watcher_distances.append(abs(pos - joiner_position))
-    max_distance = max(watcher_distances, default=1.0)
-    keyed = []
-    for peer in candidates:
-        pos = positions[peer]
-        if pos is None:
-            if seed_rank == "first":
-                distance = 0.0
-            else:
-                draw = rng.random() if rng is not None else (peer % 997) / 997.0
-                distance = draw * max_distance
-        else:
-            distance = abs(pos - joiner_position)
-        tiebreak = rng.random() if rng is not None else float(peer)
-        keyed.append((distance, tiebreak, peer))
-    keyed.sort()
-    return [peer for _, __, peer in keyed]
+    ids = np.fromiter(candidates, dtype=np.int64)
+    # A seed's position is None, which becomes NaN here.
+    positions = np.array([position_of(p) for p in ids.tolist()], dtype=float)
+    distance = np.abs(positions - joiner_position)
+    seeds = np.isnan(distance)
+    ranked = seeds if seed_rank == "random" else np.zeros_like(seeds)
+    # Index of each candidate's first draw: one draw per earlier
+    # candidate, plus one per earlier seed that drew a rank.
+    first = np.arange(len(ids)) + np.cumsum(ranked) - ranked
+    if rng is not None:
+        draws = rng.random(len(ids) + int(ranked.sum()))
+        tiebreak, seed_draw = draws[first + ranked], draws[first[ranked]]
+    else:
+        tiebreak, seed_draw = ids.astype(float), (ids[ranked] % 997) / 997.0
+    if seed_rank == "first":
+        distance[seeds] = 0.0
+    else:
+        watchers = distance[~seeds]
+        distance[seeds] = seed_draw * (watchers.max() if watchers.size else 1.0)
+    return ids[np.lexsort((ids, tiebreak, distance))].tolist()
 
 
 class OverlayGraph:

@@ -605,7 +605,8 @@ class P2PSystem:
 
         The doomed set comes from one mask over the store's departure
         and playback columns instead of a Python pass over every online
-        peer; :meth:`_process_departures_reference` keeps the per-peer
+        peer, and the whole batch leaves the pair-cost cache in one
+        sweep; :meth:`_process_departures_reference` keeps the per-peer
         loop this is pinned against.
         """
         doomed = self.store.departure_scan(t, remove_finished)
@@ -617,7 +618,7 @@ class P2PSystem:
             self.tracker.unregister(peer.peer_id)
             self.overlay.remove_node(peer.peer_id)
             self.topology.remove_peer(peer.peer_id)
-            self.costs.forget_peer(peer.peer_id)
+        self.costs.forget_peer(*doomed)
         self.departures += len(peers)
 
     def _process_departures_reference(self, t: float, remove_finished: bool) -> None:
@@ -657,12 +658,8 @@ class P2PSystem:
                 # is the overlay's live set) — the historical full-dict
                 # walk skipped these, so the tracker RNG must too.
                 continue
-            peer = self.peers[pid]
-            candidates = [
-                nb
-                for nb in self.tracker.bootstrap_candidates(peer)
-                if nb not in self.overlay.neighbors(pid)
-            ]
+            # bootstrap() itself skips self and existing neighbors.
+            candidates = self.tracker.bootstrap_candidates(self.peers[pid])
             self.overlay.bootstrap(pid, candidates)
 
     # ------------------------------------------------------------------

@@ -81,6 +81,32 @@ class TestMaintenance:
         assert evicted == 2
         assert model.cache_size() == 1
 
+    @staticmethod
+    def full_cache(seed=0):
+        _, model = make_model(seed=seed)
+        for src in (1, 2, 3, 4, 5):
+            for dst in (1, 2, 3, 4, 5):
+                model.cost(src, dst)
+        return model
+
+    def test_batched_forget_equals_single_calls(self):
+        batched, single = self.full_cache(), self.full_cache()
+        total = batched.forget_peer(1, 4, 5)
+        expected = sum(single.forget_peer(pid) for pid in (1, 4, 5))
+        assert total == expected == 9
+        assert list(batched._cache.items()) == list(single._cache.items())
+
+    def test_forget_nothing_is_noop(self):
+        model = self.full_cache()
+        before = list(model._cache.items())
+        assert model.forget_peer() == 0
+        assert list(model._cache.items()) == before
+
+    def test_repeated_id_counts_once(self):
+        repeated, once = self.full_cache(), self.full_cache()
+        assert repeated.forget_peer(2, 2, 3, 2) == once.forget_peer(2, 3) == 7
+        assert list(repeated._cache.items()) == list(once._cache.items())
+
     def test_forgotten_pair_resamples(self):
         _, model = make_model(seed=5)
         first = model.cost(1, 2)

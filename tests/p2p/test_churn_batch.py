@@ -3,11 +3,13 @@
 The slot boundary's churn handling is columnar since the event-driven
 auction PR: departures come from one mask over the store's departure /
 playback columns (``PeerStateStore.departure_scan``) and are removed via
-``remove_batch``; arrival bursts register with ``admit_batch``.  These
-tests pin the batched paths against the per-peer reference
-(``_process_departures_reference``, sequential ``store.admit``) on whole
-churny trajectories — peer state, metrics and store invariants must all
-come out identical.
+``remove_batch``; arrival bursts register with ``admit_batch``; the
+departed batch leaves the pair-cost cache in one ``forget_peer`` sweep.
+These tests pin the batched paths against the per-peer reference
+(``_process_departures_reference``, sequential ``store.admit``, the
+neighbor-filtering refill walk) on whole churny trajectories — peer
+state, metrics, store invariants, cost cache and overlay must all come
+out identical.
 """
 
 from __future__ import annotations
@@ -120,6 +122,41 @@ class TestTrajectoryEquivalence:
         assert_same_peer_state(a, b)
         a.store.check_consistency(a.peers, tracker=a.tracker)
         b.store.check_consistency(b.peers, tracker=b.tracker)
+        # One batched cache sweep evicts exactly what per-peer calls
+        # did: same pairs, same insertion order, same costs.
+        assert list(a.costs._cache.items()) == list(b.costs._cache.items())
+        # The refill passes ranked lists straight to bootstrap(); the
+        # reference filtered out existing neighbors first.
+        assert a.overlay.nodes() == b.overlay.nodes()
+        for pid in a.overlay.nodes():
+            assert a.overlay.neighbors(pid) == b.overlay.neighbors(pid), pid
+
+
+class TestBatchedForget:
+    def test_one_cache_sweep_per_departure_slot(self):
+        system = P2PSystem(churny_config(3))
+        system.populate_static(12)
+        calls = []
+        real_forget = system.costs.forget_peer
+
+        def spy(*peer_ids):
+            calls.append(peer_ids)
+            return real_forget(*peer_ids)
+
+        system.costs.forget_peer = spy
+        batched_slots = 0
+        for _ in range(12):
+            before = set(system.peers)
+            calls.clear()
+            system.run_slot(churn=True, remove_finished=True)
+            departed = before - set(system.peers)
+            if not departed:
+                assert calls == []
+                continue
+            assert len(calls) == 1
+            assert sorted(calls[0]) == sorted(departed)
+            batched_slots += len(departed) > 1
+        assert batched_slots  # several peers left together at least once
 
 
 class TestBatchStoreOps:
