@@ -22,7 +22,7 @@ bench-all:
 	$(PYTHON) benchmarks/bench_slot_pipeline.py --all
 
 # The 5k/10k-peer tier: static-large re-measures with the reference
-# paths, static-xlarge (10k) records columnar+warm columns only.
+# paths, static-xlarge (10k) records the columnar columns only.
 # Written to its own JSON so `make bench`'s committed matrix is kept.
 bench-xl:
 	$(PYTHON) benchmarks/bench_slot_pipeline.py --scenarios static-large static-xlarge --output BENCH_slot_pipeline_xl.json
@@ -65,15 +65,17 @@ results-check:
 	$(MAKE) scenarios
 	git diff --exit-code -- results/
 
-# Paired A/B of the end-to-end slot benchmark (perfbench/run.py --trace 0):
-# BASE, checked out into a temporary git worktree, against this checkout,
-# PAIRS pairs that alternate which tree runs first.  Prints each
-# end-to-end metric's median, quartiles and win count.  Slow (about a
-# minute and a quarter a pair on churn-lossy-3k, 2-core host), so not
-# part of `make test`.
+# Paired A/B of the end-to-end slot benchmark (perfbench/run.py --trace
+# $(TRACE)): BASE, checked out into a temporary git worktree, against this
+# checkout, PAIRS pairs that alternate which tree runs first.  Prints each
+# end-to-end metric's median, quartiles and win count; TRACE=1 compares
+# traced runs on the per-layer metrics instead.  Slow (about a minute and
+# a quarter a pair on churn-lossy-3k, 2-core host), so not part of
+# `make test`.
 BASE ?= HEAD
 W ?= churn-lossy-3k
 SEED ?= 1
 PAIRS ?= 10
+TRACE ?= 0
 perf-ab:
-	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --workload $(W) --seed $(SEED) --pairs $(PAIRS)
+	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --workload $(W) --seed $(SEED) --pairs $(PAIRS) --trace $(TRACE)

@@ -34,6 +34,12 @@ Two execution modes:
   reverse uploader→rows index — so a round costs O(edges touched by
   last round's price changes), not O(pending edges), and there is no
   ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
+  Each round commits every auctioneer's batch at once: an auctioneer
+  that already holds members and whose batch reaches ``B(u)`` merges
+  the two in one ``np.lexsort`` (higher bid first; on equal bids a
+  member before an incoming bid, the later-accepted member first, and
+  incoming bids in batch order) and keeps the first ``B(u)``, exactly
+  what the reference heap walk keeps.
 * ``"jacobi-dense"`` — the same synchronized semantics over the padded
   dense view; kept as the equivalence reference for the CSR port (the
   two produce identical assignments) and for benchmarking the padding
@@ -300,8 +306,8 @@ class AuctionSolver:
         absorbed by λ, not η.
 
         Vectorized over the CSR view — one segment-max pass over all
-        edges; :meth:`_etas_reference` keeps the per-request loop this
-        is pinned against in the tests.
+        edges; ``tests/oracles/auction.py`` keeps the per-request loop
+        this is pinned against.
         """
         csr = problem.csr()
         if csr.n_requests == 0:
@@ -313,23 +319,6 @@ class AuctionSolver:
         )
         best = AuctionSolver._etas_array(problem, lam_arr)
         return dict(enumerate(best.tolist()))
-
-    @staticmethod
-    def _etas_reference(
-        problem: SchedulingProblem, lam: Dict[int, float]
-    ) -> Dict[int, float]:
-        """Per-request loop implementation of :meth:`_etas` (semantics pin)."""
-        etas: Dict[int, float] = {}
-        for index in range(problem.n_requests):
-            candidates = problem.candidates_of(index)
-            values = problem.edge_values_of(index)
-            best = 0.0
-            for u, value in zip(candidates, values):
-                if problem.capacity_of(int(u)) == 0:
-                    continue
-                best = max(best, float(value) - lam.get(int(u), 0.0))
-            etas[index] = best
-        return etas
 
     # ------------------------------------------------------------------
     # Gauss-Seidel: one bid at a time (faithful Alg. 1 semantics)
@@ -553,7 +542,7 @@ class AuctionSolver:
         * maintains a ``dirty`` frontier seeded with every row and, after
           each round, re-armed only for rows incident to uploaders whose
           ``λ`` rose (via the problem's reverse uploader→rows CSR index)
-          plus rows evicted by the contested-segment replay,
+          plus rows evicted by a contested merge,
         * evaluates only dirty pending rows each round: a clean pending
           row is provably dormant (its last bid was ``≤ λ`` at prices
           that have not moved), so the dense reference would re-compute
@@ -565,6 +554,18 @@ class AuctionSolver:
         no sub-gather at all.  The final ``η`` duals come straight from
         the ``phi1`` cache after a last sync of still-dirty rows — no
         extra full-edge pass.
+
+        The commit is one vectorized pass per round.  Each uploader's
+        members sit in a flat block of ``B(u)`` slots, so reading a
+        contested auctioneer's members costs O(B(u)).  A batch accepts
+        a prefix of itself, highest bid first.  An auctioneer that
+        already holds members and whose batch reaches ``B(u)`` is
+        contested: :meth:`_merge_contested` sorts its members and batch
+        together under the reference heap's tie order (higher bid; a
+        member before an equal incoming bid; the later-accepted member;
+        batch order) and keeps the first ``B(u)``.  Once a batch that
+        got in fills the set, ``λ_u`` becomes the lowest kept bid if
+        that is higher; evicted rows are marked dirty.
         """
         csr = problem.csr()
         n = csr.n_requests
@@ -589,7 +590,8 @@ class AuctionSolver:
         # each assigned request carries its accepted bid and a per-uploader
         # insertion sequence number, which together reproduce the
         # reference _AssignmentSet's (bid, insertion order) eviction
-        # tie-break exactly when a contested segment replays the heap.
+        # tie-break when a contested auctioneer merges its members with
+        # a batch.
         assigned_to = np.full(n, -1, dtype=np.int64)
         bid_of = np.zeros(n, dtype=float)
         seq_of = np.zeros(n, dtype=np.int64)
@@ -618,6 +620,13 @@ class AuctionSolver:
             # λ updates).
             dirty = ~retired
         rev_indptr, rev_rows = csr.uploader_rows()
+        # Member blocks: uploader u's accepted requests sit in
+        # member[base[u] : base[u] + load[u]], in no particular order.
+        # A block holds B(u) slots, or fewer when fewer rows list u.
+        block = np.minimum(capacity, np.diff(rev_indptr))
+        base = np.zeros(n_uploaders, dtype=np.int64)
+        np.cumsum(block[:-1], out=base[1:])
+        member = np.empty(int(block.sum()), dtype=np.int64)
         nonempty = nonempty_starts = None  # built lazily (masked problems)
         # Round-persistent scratch (sized once, reused every round) so
         # the sub-CSR gather never re-allocates edge-sized temporaries.
@@ -769,80 +778,69 @@ class AuctionSolver:
             stats.bids_submitted += len(rows)
             stats.rounds = round_no
 
-            # Commit each auctioneer's batch, highest bid first — one
-            # vectorized pass over all segments when no batch contends
-            # with previously accepted members (the overwhelmingly
-            # common case), replaying the exact heap walk only for the
-            # contested auctioneers.
+            # Commit each auctioneer's batch (a segment of the sorted
+            # round), highest bid first, all auctioneers at once.  A
+            # batch fills free slots: the accepted bids are a prefix of
+            # it, and an auctioneer that starts empty or keeps room to
+            # spare evicts nobody.
             order = _order_bids(bids, target, n_uploaders)
             rows, bids, target = rows[order], bids[order], target[order]
             boundaries = np.nonzero(np.diff(target))[0] + 1
             seg_starts = np.concatenate(([0], boundaries))
             seg_len = np.diff(np.concatenate((seg_starts, [len(target)])))
             seg_u = target[seg_starts]
-            lam_seg_before = lam[seg_u]
             m = load[seg_u]
             cap = capacity[seg_u]
-            # A segment can evict an *existing* member only when the
-            # auctioneer already holds members and the batch overflows
-            # its capacity.  m == 0 segments never evict: descending
-            # bids fill the set, then every later bid loses to the
-            # accepted minimum (ties reject, `b <= min_bid`).
-            contested = (m > 0) & (m + seg_len > cap)
-            if not contested.any():
-                limit = np.minimum(seg_len, cap - m)
-                within = np.arange(len(target), dtype=np.int64) - np.repeat(
-                    seg_starts, seg_len
+            within = np.arange(len(target), dtype=np.int64) - np.repeat(
+                seg_starts, seg_len
+            )
+            limit = np.minimum(seg_len, cap - m)
+            # Lowest kept bid of a batch that fills an empty set;
+            # contested entries are overwritten by the merge.
+            lowest = bids[seg_starts + limit - 1]
+            # Contested: existing members must be weighed against the
+            # batch, which fills the set (and may evict some of them).
+            contested = (m > 0) & (m + seg_len >= cap)
+            if contested.any():
+                c = np.nonzero(contested)[0]
+                limit[c], lowest[c], evicted = self._merge_contested(
+                    member, base[seg_u[c]], m[c], cap[c], bid_of, seq_of,
+                    rows, bids, within, seg_starts[c], seg_len[c],
                 )
-                accepted = within < np.repeat(limit, seg_len)
-                acc_rows = rows[accepted]
-                stats.bids_rejected += int(len(rows) - len(acc_rows))
-                full_now = (m + limit == cap) & (limit > 0)
-                need_existing = full_now & (m > 0)
-                existing_min = (
-                    self._member_mins(assigned_to, bid_of, seg_u[need_existing])
-                    if need_existing.any()
-                    else None
-                )
-                assigned_to[acc_rows] = target[accepted]
-                bid_of[acc_rows] = bids[accepted]
-                seq_of[acc_rows] = next_seq[target[accepted]] + within[accepted]
-                next_seq[seg_u] += limit
-                load[seg_u] += limit
-                if full_now.any():
-                    # λ_u = lowest member bid once full: the lowest
-                    # accepted batch bid, tempered by the lowest bid of
-                    # pre-existing members where there are any.
-                    new_price = bids[seg_starts + limit - 1].copy()
-                    if existing_min is not None:
-                        new_price[need_existing] = np.minimum(
-                            new_price[need_existing], existing_min
+                assigned_to[evicted] = -1
+                dirty[evicted] = True
+                stats.evictions += len(evicted)
+            accepted = within < np.repeat(limit, seg_len)
+            acc_rows = rows[accepted]
+            acc_u = target[accepted]
+            stats.bids_rejected += int(len(rows) - len(acc_rows))
+            assigned_to[acc_rows] = acc_u
+            bid_of[acc_rows] = bids[accepted]
+            seq_of[acc_rows] = next_seq[acc_u] + within[accepted]
+            # Uncontested batches append to their member blocks; the
+            # merge already rewrote the contested blocks.
+            fresh = accepted & ~np.repeat(contested, seg_len)
+            fresh_u = target[fresh]
+            member[base[fresh_u] + load[fresh_u] + within[fresh]] = rows[fresh]
+            next_seq[seg_u] += limit
+            load[seg_u] = np.minimum(m + limit, cap)
+            # λ_u = lowest kept bid once a batch that got in fills the set.
+            upd = (limit > 0) & (m + limit >= cap) & (lowest > lam[seg_u])
+            if upd.any():
+                repriced = seg_u[upd]
+                lam[repriced] = lowest[upd]
+                stats.price_updates += len(repriced)
+                if self.on_price_update is not None:
+                    # Callback fast path: only a tracing run pays for
+                    # the index materialization + Python loop.
+                    for i in np.nonzero(upd)[0].tolist():
+                        self.on_price_update(
+                            round_no, int(csr.uploaders[seg_u[i]]), float(lowest[i])
                         )
-                    upd = full_now & (new_price > lam[seg_u])
-                    if upd.any():
-                        lam[seg_u[upd]] = new_price[upd]
-                        stats.price_updates += int(upd.sum())
-                        if self.on_price_update is not None:
-                            # Callback fast path: only a tracing run pays
-                            # for the index materialization + Python loop.
-                            for i in np.nonzero(upd)[0].tolist():
-                                self.on_price_update(
-                                    round_no,
-                                    int(csr.uploaders[seg_u[i]]),
-                                    float(new_price[i]),
-                                )
-            else:
-                self._commit_segments_mixed(
-                    rows, bids, target, seg_starts, seg_len, seg_u, contested,
-                    assigned_to, bid_of, seq_of, next_seq, load, lam, capacity,
-                    stats, round_no, csr.uploaders, dirty,
-                )
-            # Frontier propagation: every request incident to an
-            # uploader that repriced this round re-evaluates next round
-            # (this includes every bidder rejected above — a rejection
-            # always coincides with its target's λ rising).
-            repriced = seg_u[lam[seg_u] > lam_seg_before]
-            if len(repriced):
+                # Frontier propagation: every request incident to an
+                # uploader that repriced this round re-evaluates next
+                # round (this includes every bidder rejected above — a
+                # rejection always coincides with its target's λ rising).
                 hit = self._concat_ranges(
                     rev_indptr[repriced],
                     rev_indptr[repriced + 1] - rev_indptr[repriced],
@@ -888,140 +886,65 @@ class AuctionSolver:
         )
 
     @staticmethod
-    def _member_mins(
-        assigned_to: np.ndarray, bid_of: np.ndarray, targets: np.ndarray
-    ) -> np.ndarray:
-        """Lowest accepted bid per uploader in ``targets``; +inf when empty.
-
-        One sort over the currently assigned requests instead of one
-        heap query per uploader.
-        """
-        out = np.full(len(targets), np.inf, dtype=float)
-        members = np.nonzero(assigned_to >= 0)[0]
-        if not len(members):
-            return out
-        owners = assigned_to[members]
-        owner_bids = bid_of[members]
-        order = np.argsort(owners, kind="stable")
-        owners, owner_bids = owners[order], owner_bids[order]
-        starts = np.concatenate(([0], np.nonzero(np.diff(owners))[0] + 1))
-        uniq = owners[starts]
-        mins = np.minimum.reduceat(owner_bids, starts)
-        pos = np.searchsorted(uniq, targets)
-        pos_c = np.minimum(pos, len(uniq) - 1)
-        hit = uniq[pos_c] == targets
-        out[hit] = mins[pos_c[hit]]
-        return out
-
-    def _commit_segments_mixed(
-        self,
-        rows: np.ndarray,
-        bids: np.ndarray,
-        target: np.ndarray,
-        seg_starts: np.ndarray,
-        seg_len: np.ndarray,
-        seg_u: np.ndarray,
-        contested: np.ndarray,
-        assigned_to: np.ndarray,
+    def _merge_contested(
+        member: np.ndarray,
+        base: np.ndarray,
+        m: np.ndarray,
+        cap: np.ndarray,
         bid_of: np.ndarray,
         seq_of: np.ndarray,
-        next_seq: np.ndarray,
-        load: np.ndarray,
-        lam: np.ndarray,
-        capacity: np.ndarray,
-        stats: SolverStats,
-        round_no: int,
-        uploader_ids: np.ndarray,
-        dirty: Optional[np.ndarray] = None,
-    ) -> None:
-        """Per-segment commit for a round with at least one contested batch.
+        rows: np.ndarray,
+        bids: np.ndarray,
+        within: np.ndarray,
+        starts: np.ndarray,
+        lens: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weigh contested auctioneers' members against their batches.
 
-        Uncontested segments take the same accept-prefix shortcut as the
-        all-vectorized path (scalarized per segment); contested segments
-        replay the reference heap walk over ``(bid, seq)`` so evictions
-        and tie-breaks stay bit-for-bit identical to ``jacobi-dense``.
-        ``dirty`` is the frontier solver's re-evaluation mask: every
-        evicted request is marked so it re-bids next round even when the
-        eviction did not move the auctioneer's price (a min-bid tie).
+        Auctioneer ``i`` holds ``m[i] > 0`` members in
+        ``member[base[i] : base[i] + m[i]]`` and receives the batch
+        ``rows[starts[i] : starts[i] + lens[i]]`` (bid descending;
+        ``within`` is each bid's position in its batch), and
+        ``m[i] + lens[i] >= cap[i]``.  One lexsort over all members and
+        batches keeps each auctioneer's first ``cap[i]`` entries in the
+        order the reference heap walk keeps them:
+
+        * the higher bid first;
+        * on equal bids, an existing member before an incoming bid (an
+          incoming bid must beat the lowest member, ``b <= min_bid``
+          rejects);
+        * among members, the later-accepted one (the heap evicts the
+          lowest ``(bid, seq)``);
+        * among incoming bids, batch order.
+
+        The kept incoming bids are a prefix of each batch — no incoming
+        bid is evicted in its own round — so the caller's accept-prefix
+        writes carry over.  Rewrites each block with its kept rows and
+        returns the number of incoming bids accepted and the lowest kept
+        bid per auctioneer, and the evicted member rows.
         """
-        # One batched member-min pass covers every uncontested segment
-        # that will fill up: an uploader's member set is only modified
-        # by its own segment (one segment per uploader per round), so
-        # mins taken before the loop match mins taken at each turn.
-        m_all = load[seg_u]
-        limit_all = np.minimum(seg_len, capacity[seg_u] - m_all)
-        need = ~contested & (m_all > 0) & (m_all + limit_all == capacity[seg_u])
-        existing_min_of = np.full(len(seg_u), np.inf)
-        if need.any():
-            existing_min_of[need] = self._member_mins(
-                assigned_to, bid_of, seg_u[need]
-            )
-        for i in range(len(seg_u)):
-            u = int(seg_u[i])
-            start = int(seg_starts[i])
-            stop = start + int(seg_len[i])
-            price = float(lam[u])
-            cap_u = int(capacity[u])
-            if not contested[i]:
-                k = stop - start
-                limit = min(k, cap_u - int(load[u]))
-                existing_min = float(existing_min_of[i])
-                acc = slice(start, start + limit)
-                assigned_to[rows[acc]] = u
-                bid_of[rows[acc]] = bids[acc]
-                seq_of[rows[acc]] = next_seq[u] + np.arange(limit, dtype=np.int64)
-                next_seq[u] += limit
-                load[u] += limit
-                stats.bids_rejected += k - limit
-                if limit and int(load[u]) == cap_u:
-                    new_price = min(float(bids[start + limit - 1]), existing_min)
-                    if new_price > price:
-                        lam[u] = new_price
-                        stats.price_updates += 1
-                        if self.on_price_update is not None:
-                            self.on_price_update(
-                                round_no, int(uploader_ids[u]), new_price
-                            )
-                continue
-            # Contested: exact replay of the reference _AssignmentSet walk.
-            members = np.nonzero(assigned_to == u)[0]
-            heap = list(
-                zip(
-                    bid_of[members].tolist(),
-                    seq_of[members].tolist(),
-                    members.tolist(),
-                )
-            )
-            heapq.heapify(heap)
-            changed = False
-            for r, b in zip(rows[start:stop].tolist(), bids[start:stop].tolist()):
-                if b <= price:
-                    stats.bids_rejected += 1
-                    continue
-                if len(heap) >= cap_u:
-                    if b <= heap[0][0]:
-                        stats.bids_rejected += 1
-                        continue
-                    _, _, evicted = heapq.heappop(heap)
-                    assigned_to[evicted] = -1
-                    stats.evictions += 1
-                    if dirty is not None:
-                        dirty[evicted] = True
-                seq = int(next_seq[u])
-                next_seq[u] += 1
-                heapq.heappush(heap, (b, seq, r))
-                assigned_to[r] = u
-                bid_of[r] = b
-                seq_of[r] = seq
-                changed = True
-            load[u] = len(heap)
-            if changed and len(heap) >= cap_u:
-                new_price = heap[0][0]
-                if new_price > price:
-                    lam[u] = new_price
-                    stats.price_updates += 1
-                    if self.on_price_update is not None:
-                        self.on_price_update(round_no, int(uploader_ids[u]), new_price)
+        held = member[AuctionSolver._concat_ranges(base, m)]
+        incoming = AuctionSolver._concat_ranges(starts, lens)
+        group = np.arange(len(m))
+        row = np.concatenate((held, rows[incoming]))
+        bid = np.concatenate((bid_of[held], bids[incoming]))
+        # Below the bid, one key carries both tie rules: members sort by
+        # -1 - seq < 0 (later accepted first), incoming bids by their
+        # batch position >= 0.
+        tie = np.concatenate((-1 - seq_of[held], within[incoming]))
+        owner = np.concatenate((np.repeat(group, m), np.repeat(group, lens)))
+        order = np.lexsort((tie, -bid, owner))
+        row, bid, tie = row[order], bid[order], tie[order]
+        size = m + lens
+        first = np.zeros(len(m), dtype=np.int64)
+        np.cumsum(size[:-1], out=first[1:])
+        rank = np.arange(len(row), dtype=np.int64) - np.repeat(first, size)
+        kept = rank < np.repeat(cap, size)
+        member[np.repeat(base, cap) + rank[kept]] = row[kept]
+        accepted = np.bincount(
+            np.repeat(group, size)[kept & (tie >= 0)], minlength=len(m)
+        )
+        return accepted, bid[first + cap - 1], row[~kept & (tie < 0)]
 
     # ------------------------------------------------------------------
     # Jacobi over the padded dense view (reference for the CSR port)

@@ -9,6 +9,9 @@ sequential-semantics reference and only agrees within ``n·ε``.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,9 @@ from hypothesis import strategies as st
 from repro.core.auction import AuctionSolver, _segment_max
 from repro.core.exact import solve_hungarian
 from repro.core.problem import SchedulingProblem, random_problem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from auction import etas_reference  # noqa: E402
 
 EPSILON = 1e-6
 
@@ -140,7 +146,7 @@ class TestEtasVectorized:
             for u in p.uploaders()
         }
         fast = AuctionSolver._etas(p, lam)
-        slow = AuctionSolver._etas_reference(p, lam)
+        slow = etas_reference(p, lam)
         assert fast.keys() == slow.keys()
         for r in fast:
             assert fast[r] == slow[r]
@@ -153,9 +159,91 @@ class TestEtasVectorized:
         lam = {1: 0.0, 2: 1.0}
         # Only uploader 2 counts: eta = 9 - 4 - 1 = 4 (not 8.5 via u=1).
         assert AuctionSolver._etas(p, lam) == {0: 4.0}
-        assert AuctionSolver._etas_reference(p, lam) == {0: 4.0}
+        assert etas_reference(p, lam) == {0: 4.0}
 
     def test_empty_problem(self):
         p = SchedulingProblem()
         p.set_capacity(1, 2)
         assert AuctionSolver._etas(p, {1: 0.0}) == {}
+
+
+class TestContestedCommit:
+    """Hand-built rounds that pin the contested merge's tie order.
+
+    ``ε = 0.5`` and integer values keep every bid an exact binary
+    fraction, so ties are exact.  In each case a strong bidder ``D``
+    takes uploader ``V`` in round 1 and the requests it outbids turn to
+    their second choice in round 2, against members accepted in round 1.
+    """
+
+    EPS = 0.5
+
+    def solve(self, problem):
+        """Jacobi result and price-callback stream, held equal to jacobi-dense."""
+        outcomes = []
+        for mode in ("jacobi", "jacobi-dense"):
+            calls = []
+            solver = AuctionSolver(
+                epsilon=self.EPS,
+                mode=mode,
+                on_price_update=lambda *call, calls=calls: calls.append(call),
+            )
+            outcomes.append((solver.solve(problem), calls))
+        (result, calls), (dense, dense_calls) = outcomes
+        assert result.assignment == dense.assignment
+        assert result.prices == dense.prices
+        assert result.etas == dense.etas
+        assert result.stats == dense.stats
+        assert calls == dense_calls
+        return result, calls
+
+    def test_incoming_bid_tying_the_lowest_member_loses(self):
+        # U (id 1, B = 2) accepts A at 3.5 in round 1 and is not full.
+        # In round 2 B bids 5.5 and C bids 3.5 at U: B fills the set and
+        # C, tying member A, is rejected (the heap rejects b <= min).
+        p = SchedulingProblem()
+        p.set_capacity(1, 2)
+        p.set_capacity(2, 1)
+        p.add_request(100, "a", 5.0, {1: 2.0})  # A
+        p.add_request(101, "b", 10.0, {1: 5.0, 2: 1.0})  # B
+        p.add_request(102, "c", 10.0, {1: 7.0, 2: 2.0})  # C
+        p.add_request(103, "d", 20.0, {2: 0.0})  # D
+        result, _ = self.solve(p)
+        assert result.assignment == {0: 1, 1: 1, 2: None, 3: 2}
+        assert result.stats.evictions == 0
+        assert result.prices == {1: 3.5, 2: 20.5}
+
+    def test_earlier_accepted_of_equal_members_is_evicted(self):
+        # A and B both bid 3.5 in round 1 and fill U (id 1, B = 2), A
+        # first.  In round 2 C bids 5.5 and evicts the lowest (bid, seq)
+        # member: A.  The lowest kept bid stays 3.5, so λ_U does not move.
+        p = SchedulingProblem()
+        p.set_capacity(1, 2)
+        p.set_capacity(2, 1)
+        p.add_request(100, "a", 5.0, {1: 2.0})  # A
+        p.add_request(101, "b", 6.0, {1: 3.0})  # B
+        p.add_request(102, "c", 10.0, {1: 5.0, 2: 1.0})  # C
+        p.add_request(103, "d", 20.0, {2: 0.0})  # D
+        result, _ = self.solve(p)
+        assert result.assignment == {0: None, 1: 1, 2: 1, 3: 2}
+        assert result.stats.evictions == 1
+        assert result.prices == {1: 3.5, 2: 20.5}
+
+    def test_contested_and_empty_auctioneers_reprice_in_uploader_order(self):
+        # Round 1: A fills uploader 2 (B = 1) at 3.5 and D takes V (id 4).
+        # Round 2: E and G fill the empty uploaders 1 and 3 while F
+        # evicts A from uploader 2; all three reprice in the same round,
+        # and the callbacks arrive in ascending uploader order.
+        p = SchedulingProblem()
+        for uploader in (1, 2, 3, 4):
+            p.set_capacity(uploader, 1)
+        p.add_request(100, "a", 5.0, {2: 2.0})  # A
+        p.add_request(103, "d", 20.0, {4: 0.0})  # D
+        p.add_request(104, "e", 10.0, {4: 1.0, 1: 5.0})  # E
+        p.add_request(105, "f", 10.0, {4: 1.0, 2: 4.0})  # F
+        p.add_request(106, "g", 10.0, {4: 1.0, 3: 5.0})  # G
+        result, calls = self.solve(p)
+        assert result.assignment == {0: None, 1: 4, 2: 1, 3: 2, 4: 3}
+        assert result.stats.evictions == 1
+        assert result.prices == {1: 5.5, 2: 6.5, 3: 5.5, 4: 20.5}
+        assert calls == [(1, 2, 3.5), (1, 4, 20.5), (2, 1, 5.5), (2, 2, 6.5), (2, 3, 5.5)]

@@ -3,13 +3,14 @@
 The frontier solver re-evaluates only requests incident to repriced
 uploaders (plus evicted requests); the dense reference re-scans every
 pending request every round.  Both must produce byte-identical results —
-assignment, final λ, η duals and every ``SolverStats`` counter — over
+assignment, final λ, η duals, every ``SolverStats`` counter and the
+``on_price_update(round, uploader, price)`` stream, call for call — over
 randomly generated problems covering the frontier's hard cases:
 
 * zero-capacity uploaders (masked edges, rows retired up front);
 * integer weights (exact bid ties → ε = 0 dormancy, contested
   evictions with min-bid ties where the price does *not* move);
-* tight capacities (evictions / contested-segment heap replays);
+* tight capacities (evictions / contested merges);
 * warm-started prices (stale-dormancy from the very first round).
 
 Runs under the deterministic ``repro-props`` Hypothesis profile.
@@ -70,12 +71,20 @@ def warm_prices(seed: int, problem: SchedulingProblem, fraction: float):
 
 def assert_identical(problem, epsilon, initial_prices=None) -> None:
     results = []
+    streams = []
     for mode in ("jacobi", "jacobi-dense"):
-        solver = AuctionSolver(epsilon=epsilon, mode=mode, max_rounds=400)
+        calls = []
+        solver = AuctionSolver(
+            epsilon=epsilon,
+            mode=mode,
+            max_rounds=400,
+            on_price_update=lambda *call, calls=calls: calls.append(call),
+        )
         try:
             results.append(solver.solve(problem, initial_prices=initial_prices))
         except AuctionNonConvergence:
             results.append(None)
+        streams.append(calls)
     frontier, dense = results
     assert (frontier is None) == (dense is None)
     if frontier is None:
@@ -84,6 +93,8 @@ def assert_identical(problem, epsilon, initial_prices=None) -> None:
     assert frontier.prices == dense.prices
     assert frontier.etas == dense.etas  # exact float equality
     assert frontier.stats == dense.stats  # every counter, incl. evictions
+    # Side effects too: every (round, uploader, price) callback, in order.
+    assert streams[0] == streams[1]
 
 
 problems = st.fixed_dictionaries(
