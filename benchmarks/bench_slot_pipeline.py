@@ -10,10 +10,15 @@ comparing:
   expansion + the ``jacobi-dense`` solver + the per-edge
   ``_apply_transfers_reference`` loop + the per-chunk
   ``advance_to_reference`` playback walk;
-* **columnar path**: ``P2PSystem.build_problem`` (vectorized assembly
-  on the persistent peer-state store) + the event-driven price-frontier
-  ``jacobi`` solver + the vectorized ``_apply_transfers`` epilogue +
-  the store's batched ``_advance_playback`` sweep.
+* **columnar path**: the cold per-group assembler from
+  ``tests/oracles/assemble.py`` (vectorized assembly on the persistent
+  peer-state store, candidate CSR rebuilt every call) + the
+  event-driven price-frontier ``jacobi`` solver + the vectorized
+  ``_apply_transfers`` epilogue + the store's batched
+  ``_advance_playback`` sweep;
+* **delta build**: ``P2PSystem.build_problem``, which splices each
+  group's candidate CSR forward from the previous build, timed on the
+  same state as the cold assembler and checked byte-identical to it.
 
 Scenarios with ``reference=False`` (the 10k tier, and the lossy row —
 the seed apply path has no link model) skip every seed-path timing;
@@ -49,6 +54,7 @@ import numpy as np
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "tests" / "oracles"))
 
 from repro.core.auction import AuctionSolver  # noqa: E402
 from repro.core.problem import DenseView, SchedulingProblem  # noqa: E402
@@ -61,6 +67,7 @@ from repro.scenarios import (  # noqa: E402
     apply_event,
     compile_timeline,
 )
+from assemble import build_problem_cold  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_slot_pipeline.json"
 EPSILON = 0.01  # the system config's default bidding increment
@@ -259,7 +266,7 @@ def assert_identical_problem(a: SchedulingProblem, b: SchedulingProblem) -> None
     columns are directly comparable — no canonicalization needed.  The
     property suite pins the same invariant across whole trajectories;
     this inline check makes every published ``build_delta_s`` number
-    self-certifying.
+    self-certifying against the cold assembler.
     """
     assert a.n_requests == b.n_requests
     assert a.n_edges() == b.n_edges()
@@ -344,10 +351,6 @@ def restore_playback_state(system: P2PSystem, snap: dict) -> None:
         session.played = played
         session.missed = set(missed)
         session._last_advance = last_advance
-    # The store's playback columns no longer match the session objects;
-    # force the next assemble to resync (the harness trusts sessions for
-    # the delta-timing block, so out-of-band rewinds must be declared).
-    system.store.mark_sessions_dirty()
 
 
 def advance_playback_reference(system: P2PSystem, to_time: float):
@@ -467,23 +470,10 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
     churn = spec["churn"]
 
     # Warm-up slot: populates the pairwise cost cache so neither build
-    # path pays the sampling cost inside the timed region, and fills
-    # buffers so the measured slots look like steady state.
+    # path pays the sampling cost inside the timed region, fills
+    # buffers so the measured slots look like steady state, and leaves
+    # the per-group candidate caches the measured builds splice forward.
     system.run_slot(churn=churn, remove_finished=churn)
-
-    # Incremental-build pipeline: record store mutations from here on
-    # and prime the reuse caches with one untimed patch, so the measured
-    # slots time the steady state run_slot(incremental_build=True)
-    # reaches after its first (cold) build.  The priming delta is empty
-    # (recording just started) — the caches self-validate, so this only
-    # installs the retained CSR the measured patches splice forward.
-    system.store.enable_delta_recording()
-    system.store.trust_sessions()
-    prime_delta = system.store.consume_delta()
-    prime_problem, _ = system.build_problem(system.now)
-    prev_problem_delta = system.patch_problem(
-        prime_problem, prime_delta, system.now
-    )
 
     reference = spec.get("reference", True)
     scenario_spec = spec.get("scenario_spec")
@@ -527,7 +517,7 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
                 t1 = time.perf_counter()
                 build_old = min(build_old, t1 - t0)
             t2 = time.perf_counter()
-            problem_new, _ = system.build_problem(t, capacities=budgets)
+            problem_new = build_problem_cold(system, t, capacities=budgets)
             t3 = time.perf_counter()
             build_new = min(build_new, t3 - t2)
             if reference:
@@ -548,14 +538,10 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
             t7 = time.perf_counter()
             solve_new = min(solve_new, t7 - t6)
 
-        # Incremental build: patch the retained problem forward with the
-        # delta accumulated since the previous slot's build.  The delta
-        # is consumed once; repeats restore the reuse caches (snapshotted
-        # by reference) so every repeat splices from identical state.
-        # The retry-suppression diff surfaces on the first patch only —
-        # later repeats see the queue version already consumed, which is
-        # exactly the once-per-slot behavior of the live pipeline.
-        delta = system.store.consume_delta()
+        # Delta build: splice the candidate caches the previous slot's
+        # build left behind.  Repeats restore those caches (snapshotted
+        # by reference) so every repeat splices from identical state;
+        # the cold assembler above never touches them.
         dsnap = system.store.snapshot_delta_state()
         build_delta = float("inf")
         problem_delta = None
@@ -563,13 +549,10 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
             if _rep:
                 system.store.restore_delta_state(dsnap)
             td0 = time.perf_counter()
-            problem_delta = system.patch_problem(
-                prev_problem_delta, delta, t, capacities=budgets
-            )
+            problem_delta = system.build_problem(t, capacities=budgets)
             td1 = time.perf_counter()
             build_delta = min(build_delta, td1 - td0)
         assert_identical_problem(problem_new, problem_delta)
-        prev_problem_delta = problem_delta
 
         welfare_old = result_old.welfare(problem_old) if reference else None
         welfare_new = result_new.welfare(problem_new)
@@ -632,7 +615,7 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
     solve_old, solve_new = total("solve_old_s"), total("solve_new_s")
     slot_old = build_old + solve_old if reference else None
     slot_new = build_new + solve_new
-    # Incremental-mode slot: patched build + the cold flat solve.
+    # Live slot: the delta build + the flat solve.
     build_delta_total = total("build_delta_s")
     slot_delta = build_delta_total + solve_new
     welfare_gap = (

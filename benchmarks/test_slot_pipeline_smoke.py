@@ -6,8 +6,9 @@ build, both construction paths must agree, the solvers must agree within
 ``n·ε``, and the report must carry every field the JSON consumers read.
 No file is written.  Two real ``static-small`` runs additionally gate
 the acceptance bars of the performance PRs: vectorized apply ≥ 3×,
-batched playback ≥ 2×, and the event-driven frontier solve ≥ 2× over
-the padded-dense seed path.
+batched playback ≥ 2×, the event-driven frontier solve ≥ 2× over the
+padded-dense seed path, and ``build_problem`` ≥ 2× over the cold
+per-group assembler.
 """
 
 from __future__ import annotations
@@ -99,13 +100,14 @@ def test_apply_phase_speedup_static_small(static_small_summary):
 
 
 def test_delta_build_speedup_static_small(static_small_summary):
-    """Incremental patch ≥ 2× over the cold columnar build.
+    """``build_problem`` ≥ 2× over the cold per-group assembler.
 
-    The acceptance smoke gate of the cross-slot delta PR: patching the
-    retained problem forward (packed-word availability, spliced
-    candidate CSR, requested-cell valuations) must beat reassembling
-    from scratch even at 200 peers, where numpy fixed costs weigh
-    heaviest.  Byte-identity of the patched problem is asserted inside
+    The acceptance smoke gate of the cross-slot delta build: the one
+    build (packed-word availability, spliced candidate CSR,
+    requested-cell valuations) must beat the cold assembler kept in
+    ``tests/oracles/assemble.py`` even at 200 peers, where numpy fixed
+    costs weigh heaviest.  Both are timed min-of-3 on the same store
+    state, and byte-identity of the two problems is asserted inside
     ``bench_scenario`` itself on every measured slot.
     """
     summary = static_small_summary

@@ -31,7 +31,7 @@ def main() -> None:
     system.populate_static(200)
     system.run(20.0)  # warm up two slots centrally
 
-    problem, _ = system.build_problem(system.now)
+    problem = system.build_problem(system.now)
     print(f"slot at t={system.now:.0f}s: {problem.describe()}\n")
 
     sim = Simulator(start_time=system.now)

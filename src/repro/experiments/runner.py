@@ -92,7 +92,7 @@ def run_price_trace(
 
     for _ in range(n_slots):
         slot_start = system.now
-        problem, _ = system.build_problem(system.now)
+        problem = system.build_problem(system.now)
         sim = Simulator(start_time=slot_start)
         network = SimNetwork(
             sim,

@@ -5,8 +5,8 @@ them, and renders the comparison tables the CLI prints:
 
 * ``summarize`` — one trace: per-slot table, each slot phase's share
   of the summed slot wall clock, and whole-run totals.
-* ``diff`` — two traces side by side (e.g. cold vs incremental build,
-  or two seeds).  Only deterministic counters are compared — timing
+* ``diff`` — two traces side by side (e.g. two seeds, or two
+  revisions on one seed).  Only deterministic counters are compared — timing
   never enters the table, so the rendering is stable across machines.
 * ``rollup`` — N traces, one row each: the cross-run dashboard that
   replaces ad-hoc BENCH-json spelunking (mean slot wall time is the one
@@ -71,8 +71,9 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
         "requests": int(tot(lambda r: r["n_requests"])),
         "served": int(tot(lambda r: r["n_served"])),
         "welfare": float(tot(lambda r: r["welfare"])),
-        "builds_cold": sum(1 for r in records if r["build"] == "cold"),
-        "builds_patch": sum(1 for r in records if r["build"] == "patch"),
+        "segments_reused": int(tot(lambda r: r["build"]["reused"])),
+        "segments_rebuilt": int(tot(lambda r: r["build"]["rebuilt"])),
+        "segments_dropped": int(tot(lambda r: r["build"]["dropped"])),
         "solver_rounds": int(tot(lambda r: r["solver"]["rounds"])),
         "bids_submitted": int(tot(lambda r: r["solver"]["bids_submitted"])),
         "price_updates": int(tot(lambda r: r["solver"]["price_updates"])),
@@ -93,10 +94,11 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
 #: Diff/rollup row order: every counter trace_totals can produce.
 _TOTAL_FIELDS = (
     "slots", "peers_final", "arrivals", "departures", "requests", "served",
-    "welfare", "builds_cold", "builds_patch", "solver_rounds",
-    "bids_submitted", "price_updates", "evictions", "rows_evaluated",
-    "inter_isp", "intra_isp", "inter_frac", "due", "missed", "miss_rate",
-    "retry_attempts", "retry_succeeded", "transfers_failed",
+    "welfare", "segments_reused", "segments_rebuilt", "segments_dropped",
+    "solver_rounds", "bids_submitted", "price_updates", "evictions",
+    "rows_evaluated", "inter_isp", "intra_isp", "inter_frac", "due",
+    "missed", "miss_rate", "retry_attempts", "retry_succeeded",
+    "transfers_failed",
 )
 
 
@@ -120,7 +122,8 @@ def summarize_trace(
 ) -> str:
     """Per-slot table, phase shares and totals for one loaded trace."""
     headers = [
-        "slot", "peers", "reqs", "served", "welfare", "rounds", "build",
+        "slot", "peers", "reqs", "served", "welfare", "rounds",
+        "reused/rebuilt",
         "inter", "intra", "due", "missed", "retry_ok/att",
     ]
     rows: List[List[object]] = []
@@ -133,7 +136,7 @@ def summarize_trace(
                 r["n_served"],
                 float(r["welfare"]),
                 r["solver"]["rounds"],
-                r["build"],
+                f"{r['build']['reused']}/{r['build']['rebuilt']}",
                 r["traffic"]["inter"],
                 r["traffic"]["intra"],
                 r["playback"]["due"],

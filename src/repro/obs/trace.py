@@ -4,8 +4,8 @@ One record per slot, assembled by :meth:`P2PSystem.run_slot` only when
 the attached sink is enabled.  The record is a plain dict in two parts:
 
 * the **deterministic body** — every counter the slot produced (churn,
-  build kind and delta reasons, solver work, retry pipeline, traffic
-  split, playback misses).  Equal seeds produce byte-equal bodies
+  candidate segments the builds spliced, solver work, retry pipeline,
+  traffic split, playback misses).  Equal seeds produce byte-equal bodies
   across runs and machines; the property suite pins this.
 * the ``"timing"`` sub-dict — wall-clock durations of every slot phase
   (:data:`TIMING_PHASES`: churn, neighbour refill, retries, build,
@@ -38,8 +38,10 @@ __all__ = [
     "validate_trace_record",
 ]
 
-#: Version stamped into every record's ``"v"`` field.
-TRACE_SCHEMA_VERSION = 1
+#: Version stamped into every record's ``"v"`` field.  Version 2
+#: replaced the ``build`` kind string and the ``delta_reasons``
+#: histogram with the ``build`` splice-counter group.
+TRACE_SCHEMA_VERSION = 2
 
 #: The slot phases ``run_slot`` times, in pipeline order.  Each is a
 #: ``"<phase>_s"`` key of the ``"timing"`` sub-dict.
@@ -58,8 +60,7 @@ _REQUIRED: Tuple[Tuple[str, type], ...] = (
     ("n_requests", int),
     ("n_served", int),
     ("welfare", float),
-    ("build", str),
-    ("delta_reasons", dict),
+    ("build", dict),
     ("solver", dict),
     ("retry", dict),
     ("traffic", dict),
@@ -70,6 +71,9 @@ _REQUIRED: Tuple[Tuple[str, type], ...] = (
 
 #: Required sub-fields of the nested counter groups.
 _REQUIRED_NESTED: Dict[str, Tuple[str, ...]] = {
+    # Candidate segments the slot's builds took from a group's cache,
+    # re-read from the entry dict, and dropped (watchers gone inactive).
+    "build": ("reused", "rebuilt", "dropped"),
     "solver": (
         "rounds", "bids_submitted", "bids_rejected", "evictions",
         "price_updates", "rows_evaluated",
@@ -81,9 +85,6 @@ _REQUIRED_NESTED: Dict[str, Tuple[str, ...]] = {
     "timing": tuple(f"{phase}_s" for phase in TIMING_PHASES)
     + ("other_s", "slot_s"),
 }
-
-#: Build kinds ``run_slot`` stamps into the ``"build"`` field.
-_BUILD_KINDS = ("cold", "patch", "none")
 
 
 def validate_trace_record(record: dict) -> None:
@@ -105,8 +106,6 @@ def validate_trace_record(record: dict) -> None:
         raise ValueError(
             f"trace schema v{record['v']} != supported v{TRACE_SCHEMA_VERSION}"
         )
-    if record["build"] not in _BUILD_KINDS:
-        raise ValueError(f"unknown build kind {record['build']!r}")
     for group, fields in _REQUIRED_NESTED.items():
         block = record[group]
         for field in fields:

@@ -98,15 +98,6 @@ class SystemConfig:
     # cold.  Every slot's first round starts cold.
     warm_start_prices: bool = False
 
-    # Incremental cross-slot problem construction: retain each build's
-    # flat candidate CSR in the peer-state store and patch only the row
-    # segments invalidated since (deliveries, playback, churn, retry
-    # suppression, regime events) instead of reassembling from scratch
-    # (P2PSystem.patch_problem).  Byte-identical problems either way —
-    # property-pinned — so trajectories are unchanged; off by default so
-    # archived results regenerate on the cold reference path.
-    incremental_build: bool = False
-
     # Per-ISP metrics rollup (obs/rollup.py): accumulate per-slot ×
     # per-ISP traffic/transit-cost/QoE counters during the run and
     # render them as the scenario report's "Per-ISP rollup" block.  Off

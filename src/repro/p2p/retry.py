@@ -88,11 +88,6 @@ class RetryQueue:
         self._attempts = _EMPTY
         self._due = _EMPTY
         self._expire = _EMPTY
-        #: Bumped on every queue mutation (append / filter / restore).
-        #: The incremental build keys its suppression-set diff on it: an
-        #: unchanged version means the pending triples — and therefore
-        #: the rows ``build_problem`` suppresses — are unchanged.
-        self.version = 0
 
     def __len__(self) -> int:
         return len(self._down)
@@ -170,7 +165,6 @@ class RetryQueue:
         self._attempts = np.concatenate((self._attempts, as64(attempts)))
         self._due = np.concatenate((self._due, as64(due)))
         self._expire = np.concatenate((self._expire, as64(expire)))
-        self.version += 1
 
     # ------------------------------------------------------------------
     # Slot-boundary sweep
@@ -241,7 +235,6 @@ class RetryQueue:
         self._attempts = self._attempts[keep]
         self._due = self._due[keep]
         self._expire = self._expire[keep]
-        self.version += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -295,7 +288,6 @@ class RetryQueue:
         self._attempts = snap["attempts"].copy()
         self._due = snap["due"].copy()
         self._expire = snap["expire"].copy()
-        self.version += 1
 
 
 def _triple_key(peer: np.ndarray, video: np.ndarray, chunk: np.ndarray) -> np.ndarray:

@@ -29,7 +29,9 @@ at the few places state actually changes:
   (:meth:`OverlayGraph.consume_dirty`) instead of being version-swept
   wholesale.  Missing entries are built in peer-dict order so the cost
   model samples never-seen pairs in exactly the order the pre-store
-  pipeline did (trajectory preservation).
+  pipeline did (trajectory preservation).  Each video group also keeps
+  the flat candidate CSR of its last build, which the next build
+  splices forward segment by segment (:class:`_CandCache`).
 * **Playback** columns (start time/position, last-advance, a
   ``missed``-chunk bitmap matrix mirroring each session's ``missed``
   set) feed both the batched :meth:`PeerStateStore.advance_playback`
@@ -40,11 +42,13 @@ at the few places state actually changes:
   snapshot/restore — is detected and the affected rows resynced rather
   than silently trusted.
 
-The assembly matches :meth:`P2PSystem.build_problem_reference` bit for
-bit (request order, valuations, candidate sets, costs) and the batched
-advance matches the per-session ``advance_to`` /
-``advance_to_reference`` pins; the property suite under
-``tests/properties/`` fuzzes whole scenarios against all three.
+:meth:`PeerStateStore.assemble_requests` is the one request assembler:
+one fused pass per bucket over word-packed windows.  It matches
+:meth:`P2PSystem.build_problem_reference` bit for bit (request order,
+valuations, candidate sets, costs), and the batched advance matches the
+per-session ``advance_to`` / ``advance_to_reference`` pins; the property
+suite under ``tests/properties/`` fuzzes whole scenarios against these
+and against the cold per-group assembler in ``tests/oracles/``.
 
 Window gathers use :func:`numpy.lib.stride_tricks.sliding_window_view`
 over the matrices, which are padded with ``window`` always-False columns
@@ -64,106 +68,10 @@ from ..vod.valuation import DeadlineValuation
 from ..vod.video import Video
 from .peer import Peer
 
-__all__ = [
-    "PeerStateStore", "StateBucket", "VideoGroup", "SlotDelta",
-    "DELTA_DELIVERY", "DELTA_PLAYBACK", "DELTA_ADMIT", "DELTA_REMOVE",
-    "DELTA_CANDIDATES", "DELTA_CAPACITY", "DELTA_RETRY",
-]
+__all__ = ["PeerStateStore", "StateBucket", "VideoGroup"]
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 _EMPTY_FLOAT = np.empty(0, dtype=float)
-
-#: Reason codes for the per-slot delta set (bitmask per peer id).
-DELTA_DELIVERY = 1     # chunks written into the peer's buffer row
-DELTA_PLAYBACK = 2     # playback advanced (every watcher, every slot)
-DELTA_ADMIT = 4        # peer admitted this slot
-DELTA_REMOVE = 8       # peer removed this slot
-DELTA_CANDIDATES = 16  # candidate table dropped (overlay/degree change)
-DELTA_CAPACITY = 32    # upload budget changed mid-run
-DELTA_RETRY = 64       # retry-queue suppression set changed for the peer
-
-
-class SlotDelta:
-    """One slot's mutation record, accumulated by the store.
-
-    The audit trail the incremental build consumes: which peer rows were
-    invalidated since the previous ``build_problem`` and why.  Row-level
-    marks carry a reason bitmask (``DELTA_*``); coarse flags cover
-    mutations that invalidate whole column families — playback moves
-    every watcher's window each slot, a cost shock invalidates every
-    candidate-cost table (full candidate rebuild), membership changes
-    reshape the member tables.
-
-    The delta is *observational* with respect to cache correctness: the
-    candidate-CSR caches self-validate against the store's epoch/log
-    machinery, so a lost or merged delta can never yield a stale
-    problem.  Tests and :meth:`P2PSystem.patch_problem` read it to
-    assert/decide what the patch path actually had to redo.
-    """
-
-    __slots__ = (
-        "delivered_runs", "admitted", "removed", "capacity_touched",
-        "retry_added", "retry_removed", "playback_moved",
-        "costs_invalidated", "membership_changed", "capacity_changed",
-        "candidate_drops",
-    )
-
-    def __init__(self) -> None:
-        self.delivered_runs: List[Sequence[Peer]] = []
-        self.admitted: List[int] = []
-        self.removed: List[int] = []
-        self.capacity_touched: List[int] = []
-        self.retry_added: List[int] = []
-        self.retry_removed: List[int] = []
-        self.candidate_drops: List[int] = []
-        self.playback_moved = False
-        self.costs_invalidated = False
-        self.membership_changed = False
-        self.capacity_changed = False
-
-    def mark_retry(self, added_pids, removed_pids) -> None:
-        """Record suppression-set row deletions/additions (system hook)."""
-        self.retry_added.extend(int(p) for p in added_pids)
-        self.retry_removed.extend(int(p) for p in removed_pids)
-
-    def reasons(self) -> Dict[int, int]:
-        """Peer id → reason bitmask, materialized from the raw marks."""
-        out: Dict[int, int] = {}
-
-        def mark(pids, code):
-            for pid in pids:
-                out[pid] = out.get(pid, 0) | code
-
-        for run_peers in self.delivered_runs:
-            mark((p.peer_id for p in run_peers), DELTA_DELIVERY)
-        mark(self.admitted, DELTA_ADMIT)
-        mark(self.removed, DELTA_REMOVE)
-        mark(self.capacity_touched, DELTA_CAPACITY)
-        mark(self.candidate_drops, DELTA_CANDIDATES)
-        mark(self.retry_added, DELTA_RETRY)
-        mark(self.retry_removed, DELTA_RETRY)
-        return out
-
-    def reason_histogram(self) -> Dict[str, int]:
-        """Peers-per-reason counts, named for the trace schema.
-
-        One peer marked for several reasons counts once under each —
-        the histogram answers "what invalidated rows this slot", not
-        "how many rows were invalidated".
-        """
-        names = (
-            ("delivery", DELTA_DELIVERY),
-            ("playback", DELTA_PLAYBACK),
-            ("admit", DELTA_ADMIT),
-            ("remove", DELTA_REMOVE),
-            ("candidates", DELTA_CANDIDATES),
-            ("capacity", DELTA_CAPACITY),
-            ("retry", DELTA_RETRY),
-        )
-        masks = self.reasons().values()
-        return {
-            name: sum(1 for m in masks if m & code) for name, code in names
-        }
 
 #: Sessions this many chunks behind their due position are advanced
 #: individually (their catch-up window would blow up the batch gather).
@@ -203,7 +111,7 @@ def _window_words(words_flat, wpr, rows, starts, W):
 
 
 class _CandCache:
-    """One video group's cached flat candidate CSR (the reuse path).
+    """One video group's flat candidate CSR from its last build.
 
     Holds the pooled per-active-watcher segments the previous
     :meth:`PeerStateStore._flat_candidates_cached` call returned, plus
@@ -396,7 +304,7 @@ class VideoGroup:
         self._watchers_stale = True
         self._watcher_rows = _EMPTY_INT
         self._watcher_ids = _EMPTY_INT
-        # Flat candidate CSR from the last reuse-path assemble (or None).
+        # Flat candidate CSR from the last build (or None).
         self._cand_cache: Optional[_CandCache] = None
 
     def admit(self, peer: Peer) -> int:
@@ -471,54 +379,24 @@ class PeerStateStore:
         # watcher.  Every _cand insert/pop/clear updates both.
         self._cand: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._cand_have = np.zeros(64, dtype=bool)
-        # Shared iota scratch for segment-expansion index arithmetic.
-        self._iota_buf = np.arange(1024, dtype=np.int64)
         self._overlay_version_seen = overlay.version
-        # Candidate invalidation stream for the reuse-path CSR caches:
+        # Candidate invalidation stream for the per-group CSR caches:
         # every entry popped from _cand is appended here; wholesale
         # clears (cost shocks) bump the epoch instead of logging pids.
         self._cand_log: List[int] = []
         self._cand_reset_epoch = 0
-        # Session-sync trust (reuse path may skip the per-build resync).
-        self._sessions_trusted = False
-        self._sessions_dirty = False
-        #: When on, every mutation is recorded into the current
-        #: :class:`SlotDelta` (off by default: zero bookkeeping cost).
-        self.record_delta = False
-        self._delta = SlotDelta()
-
-    # ------------------------------------------------------------------
-    # Slot-delta recording (incremental-build mode)
-    # ------------------------------------------------------------------
-    def enable_delta_recording(self) -> None:
-        """Start accumulating mutations into per-slot :class:`SlotDelta`s."""
-        self.record_delta = True
-
-    def consume_delta(self) -> SlotDelta:
-        """The mutations since the last consume; resets the accumulator."""
-        delta = self._delta
-        self._delta = SlotDelta()
-        return delta
-
-    def trust_sessions(self) -> None:
-        """Declare sessions mutated only through store methods.
-
-        Lets reuse-mode :meth:`assemble_requests` skip the per-build
-        watcher resync (the playback columns are then authoritative).
-        Callers that mutate session objects out-of-band — tests, the
-        bench harness's snapshot/restore — must call
-        :meth:`mark_sessions_dirty` afterwards to force one resync.
-        """
-        self._sessions_trusted = True
-
-    def mark_sessions_dirty(self) -> None:
-        """Force the next assemble to resync rows from the sessions."""
-        self._sessions_dirty = True
+        #: Running totals of candidate segments the builds spliced:
+        #: ``reused`` from a group's cache, ``rebuilt`` from the entry
+        #: dict, ``dropped`` (cached watchers no longer active).  The
+        #: slot trace reports their per-slot differences.
+        self.splice_counts: Dict[str, int] = {
+            "reused": 0, "rebuilt": 0, "dropped": 0,
+        }
 
     def snapshot_delta_state(self):
-        """Capture the reuse-path caches/log for exact replay.
+        """Capture the per-group CSR caches and drop log for exact replay.
 
-        The bench harness times ``patch_problem`` min-of-N on identical
+        The bench harness times ``build_problem`` min-of-N on identical
         state; without restoring the caches between repeats every repeat
         after the first would hit the all-clean fast path and the timing
         would be a lie.  Cache records are captured by reference — a
@@ -530,16 +408,11 @@ class PeerStateStore:
             cache = group._cand_cache
             if cache is not None:
                 caches[vid] = (cache, cache.log_pos)
-        return (
-            caches,
-            list(self._cand_log),
-            self._cand_reset_epoch,
-            self._sessions_dirty,
-        )
+        return caches, list(self._cand_log), self._cand_reset_epoch
 
     def restore_delta_state(self, snap) -> None:
         """Restore state captured by :meth:`snapshot_delta_state`."""
-        caches, log, epoch, dirty = snap
+        caches, log, epoch = snap
         for vid, group in self.groups.items():
             entry = caches.get(vid)
             if entry is None:
@@ -550,7 +423,6 @@ class PeerStateStore:
                 group._cand_cache = cache
         self._cand_log = list(log)
         self._cand_reset_epoch = epoch
-        self._sessions_dirty = dirty
 
     # ------------------------------------------------------------------
     # Membership hooks
@@ -609,9 +481,6 @@ class PeerStateStore:
         peer.state_row = row
         self._append_order(peer)
         self.membership_version += 1
-        if self.record_delta:
-            self._delta.admitted.append(peer.peer_id)
-            self._delta.membership_changed = True
 
     def admit_batch(self, peers: Sequence[Peer]) -> None:
         """Admit many peers at once (batched :meth:`admit`).
@@ -645,9 +514,6 @@ class PeerStateStore:
             group.member_rows = np.insert(group.member_rows, at, add_rows)
             group._watchers_stale = True
         self.membership_version += len(peers)
-        if self.record_delta:
-            self._delta.admitted.extend(p.peer_id for p in peers)
-            self._delta.membership_changed = True
 
     def remove(self, peer: Peer) -> None:
         group = peer.state_group
@@ -668,9 +534,6 @@ class PeerStateStore:
             self.candidate_epoch += 1
             self._cand_log.append(peer.peer_id)
         self.membership_version += 1
-        if self.record_delta:
-            self._delta.removed.append(peer.peer_id)
-            self._delta.membership_changed = True
 
     def remove_batch(self, peers: Sequence[Peer]) -> None:
         """Remove many peers at once (batched :meth:`remove`).
@@ -718,9 +581,6 @@ class PeerStateStore:
                 self.candidate_epoch += 1
                 self._cand_log.append(peer.peer_id)
         self.membership_version += len(peers)
-        if self.record_delta:
-            self._delta.removed.extend(p.peer_id for p in peers)
-            self._delta.membership_changed = True
 
     def update_capacity(self, peer: Peer) -> None:
         """Re-read one online peer's upload capacity into the column.
@@ -749,9 +609,6 @@ class PeerStateStore:
             dtype=np.int64,
             count=len(idx),
         )
-        if self.record_delta:
-            self._delta.capacity_touched.extend(ids[idx].tolist())
-            self._delta.capacity_changed = True
 
     def invalidate_costs(self) -> None:
         """Drop every cached candidate-cost table (cost-regime change).
@@ -766,12 +623,10 @@ class PeerStateStore:
             self._cand.clear()
             self._cand_have[:] = False
             self.candidate_epoch += 1
-        # The reuse-path CSR caches hold cost *copies*, so they go stale
+        # The per-group CSR caches hold cost *copies*, so they go stale
         # even when the entry dict is already empty: always bump the
         # epoch (wholesale invalidation, no per-pid log entries).
         self._cand_reset_epoch += 1
-        if self.record_delta:
-            self._delta.costs_invalidated = True
 
     # ------------------------------------------------------------------
     # Columns
@@ -831,8 +686,6 @@ class PeerStateStore:
                     self._cand_have[pid] = False
                     dropped = True
                     self._cand_log.append(pid)
-                    if self.record_delta:
-                        self._delta.candidate_drops.append(pid)
             if dropped:
                 self.candidate_epoch += 1
         else:
@@ -897,36 +750,44 @@ class PeerStateStore:
     def _flat_candidates_cached(
         self, group: VideoGroup, active_ids: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached/spliced :meth:`_flat_candidates` (the reuse path).
+        """:meth:`_flat_candidates`, spliced forward from the group's cache.
 
-        Byte-identical output to the cold build: per-watcher segments
+        Byte-identical output to the flat build: per-watcher segments
         whose entry survived untouched since the cached copy (not in the
         drop log, no cost-regime epoch bump) are gathered straight out
         of the previous call's pooled arrays; only fresh or invalidated
         segments are re-read from the entry dict.  The common steady
         slot — same active set, nothing dropped — returns the cached
-        arrays outright.
+        arrays outright.  A group with no valid cache (the first build
+        of a run, or after a cost shock) builds flat.  Every segment is
+        counted into :attr:`splice_counts`.
         """
         cache = group._cand_cache
         log = self._cand_log
+        tally = self.splice_counts
+        d = len(active_ids)
         if cache is None or cache.reset_epoch != self._cand_reset_epoch:
+            if cache is not None:
+                tally["dropped"] += int(
+                    np.count_nonzero(~np.isin(cache.active_ids, active_ids))
+                )
             out = self._flat_candidates(group, active_ids)
             group._cand_cache = _CandCache(
                 active_ids, *out, len(log), self._cand_reset_epoch
             )
-            self._trim_cand_log()
+            tally["rebuilt"] += d
             return out
-        dropped = log[cache.log_pos :]
+        gone = log[cache.log_pos :]
         stale = (
-            np.isin(active_ids, np.asarray(dropped, dtype=np.int64))
-            if dropped
+            np.isin(active_ids, np.asarray(gone, dtype=np.int64))
+            if gone
             else None
         )
         if (stale is None or not stale.any()) and np.array_equal(
             active_ids, cache.active_ids
         ):
             cache.log_pos = len(log)
-            self._trim_cand_log()
+            tally["reused"] += d
             return (
                 cache.counts, cache.indptr, cache.rows,
                 cache.ids, cache.costs,
@@ -934,7 +795,6 @@ class PeerStateStore:
         # Splice: cached segments for surviving actives, dict entries
         # (pre-built by assemble_requests) for the rest, one pooled
         # gather in active order.
-        d = len(active_ids)
         if len(cache.active_ids):
             pos = np.searchsorted(cache.active_ids, active_ids)
             np.minimum(pos, len(cache.active_ids) - 1, out=pos)
@@ -942,6 +802,9 @@ class PeerStateStore:
         else:
             pos = np.zeros(d, dtype=np.int64)
             in_cache = np.zeros(d, dtype=bool)
+        tally["dropped"] += len(cache.active_ids) - int(
+            np.count_nonzero(in_cache)
+        )
         if stale is not None:
             in_cache &= ~stale
         counts = np.empty(d, dtype=np.int64)
@@ -951,6 +814,8 @@ class PeerStateStore:
         starts[in_cache] = cache.indptr[:-1][hit_pos]
         fresh = ~in_cache
         fresh_ids = active_ids[fresh]
+        tally["reused"] += d - len(fresh_ids)
+        tally["rebuilt"] += len(fresh_ids)
         pool_rows, pool_ids, pool_costs = cache.rows, cache.ids, cache.costs
         if len(fresh_ids):
             entries = [
@@ -975,7 +840,8 @@ class PeerStateStore:
         indptr = np.zeros(d + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         total = int(indptr[-1])
-        edge_idx = np.repeat(starts - indptr[:-1], counts) + self._iota(total)
+        edge_idx = np.repeat(starts - indptr[:-1], counts)
+        edge_idx += np.arange(total, dtype=np.int64)
         rows = pool_rows[edge_idx]
         ids = pool_ids[edge_idx]
         costs = pool_costs[edge_idx]
@@ -983,22 +849,7 @@ class PeerStateStore:
             active_ids, counts, indptr, rows, ids, costs,
             len(log), self._cand_reset_epoch,
         )
-        self._trim_cand_log()
         return counts, indptr, rows, ids, costs
-
-    def _iota(self, n: int) -> np.ndarray:
-        """First ``n`` int64 naturals from a shared read-only scratch.
-
-        The segment-expansion index arithmetic needs a fresh-looking
-        ``arange`` per call; callers only ever use it as an operand (it
-        is never written through), so one growing buffer serves all.
-        """
-        buf = self._iota_buf
-        if n > len(buf):
-            self._iota_buf = buf = np.arange(
-                max(n, 2 * len(buf)), dtype=np.int64
-            )
-        return buf[:n]
 
     def _trim_cand_log(self) -> None:
         """Compact the drop log once it outgrows the limit.
@@ -1006,8 +857,9 @@ class PeerStateStore:
         The log prefix every live cache has already consumed is deleted
         and the cursors rebased; a cache lagging more than the limit (a
         group that stopped producing requests) is dropped rather than
-        allowed to pin the log forever.  With no caches at all — the
-        cold-only pipeline — the whole log clears.
+        allowed to pin the log forever.  With no caches at all the whole
+        log clears.  Runs at the end of every build, so the log stays
+        bounded between builds whatever the churn rate.
         """
         log = self._cand_log
         if len(log) <= _CAND_LOG_LIMIT:
@@ -1053,9 +905,6 @@ class PeerStateStore:
         every peer is store-bound with an uncapped buffer, and no
         (peer, chunk) pair repeats within the batch.
         """
-        if self.record_delta:
-            # O(1): keep the run list itself; reasons() resolves lazily.
-            self._delta.delivered_runs.append(run_peers)
         n_runs = len(run_peers)
         lens = stops - starts
         added = np.zeros(n_runs, dtype=np.int64)
@@ -1133,7 +982,6 @@ class PeerStateStore:
         now: float,
         valuation: DeadlineValuation,
         lookahead: float = 0.0,
-        reuse: bool = False,
     ):
         """All slot requests as flat columns in reference request order.
 
@@ -1144,61 +992,19 @@ class PeerStateStore:
         are sorted by uploader id within each request — exactly the
         problem :meth:`P2PSystem.build_problem_reference` constructs.
 
-        ``reuse=True`` is the incremental-build path: the flat candidate
-        CSR is spliced forward from each group's previous assemble
-        (:meth:`_flat_candidates_cached`) and — with sessions trusted and
-        clean — the per-build watcher resync is skipped.  Output is
-        byte-identical either way; windows and valuations are always
-        recomputed (playback shifts the deadline fractions every slot).
+        Every call drains the overlay's dirty set, resyncs the playback
+        columns from the session objects, assembles in one fused pass
+        per bucket (:meth:`_assemble_buckets`) and then compacts the
+        candidate drop log.  Windows and valuations are recomputed on
+        every call (playback shifts the deadline fractions); only the
+        candidate CSR carries over between builds.
         """
         self._drain_overlay()
-        if not (reuse and self._sessions_trusted and not self._sessions_dirty):
-            for bucket in self.buckets.values():
-                self._sync_bucket(bucket)
-            self._sessions_dirty = False
-        if reuse:
-            return self._assemble_requests_fast(now, valuation, lookahead)
-        preps = []
-        need_entry: List[Tuple[int, VideoGroup]] = []
-        for group in self.groups.values():
-            prep = self._prepare_group(group, now)
-            if prep is None:
-                continue
-            preps.append(prep)
-            for pid in prep[1].tolist():
-                if pid not in self._cand:
-                    need_entry.append((pid, group))
-        if need_entry:
-            # Build missing candidate tables in peer-dict order so the
-            # cost model samples never-seen pairs in exactly the order
-            # the pre-store pipeline did (trajectory preservation).
-            need_entry.sort(key=self._dict_order_key())
-            for pid, group in need_entry:
-                self._candidate_entry(pid, group)
-        parts = []
-        for prep in preps:
-            part = self._finish_group(prep, now, valuation, lookahead)
-            if part is not None:
-                parts.append((prep[0].video.video_id,) + part)
-        if not parts:
-            return None
-        if len(parts) == 1:
-            vid, peers, chunks, vals, counts, cand_ids, cand_costs = parts[0]
-            vids = np.full(len(peers), vid, dtype=np.int64)
-        else:
-            peers = np.concatenate([p[1] for p in parts])
-            chunks = np.concatenate([p[2] for p in parts])
-            vals = np.concatenate([p[3] for p in parts])
-            counts = np.concatenate([p[4] for p in parts])
-            cand_ids = np.concatenate([p[5] for p in parts])
-            cand_costs = np.concatenate([p[6] for p in parts])
-            vids = np.repeat(
-                np.fromiter((p[0] for p in parts), dtype=np.int64, count=len(parts)),
-                np.fromiter((len(p[1]) for p in parts), dtype=np.int64, count=len(parts)),
-            )
-        return self._pack_requests(
-            peers, vids, chunks, vals, counts, cand_ids, cand_costs
-        )
+        for bucket in self.buckets.values():
+            self._sync_bucket(bucket)
+        parts = self._assemble_buckets(now, valuation, lookahead)
+        self._trim_cand_log()
+        return parts
 
     def _pack_requests(self, peers, vids, chunks, vals, counts,
                        cand_ids, cand_costs):
@@ -1264,143 +1070,28 @@ class PeerStateStore:
         }
         return lambda item: rank[item[0]]
 
-    def _prepare_group(self, group: VideoGroup, now: float):
-        """Window/availability stage: which watchers can request what.
-
-        Returns ``(group, gated_ids, gated_rows, due, avail)`` for the
-        watchers that are unfinished *and* have a non-empty available
-        window (the gate the reference applies before touching the cost
-        model), or ``None`` when the group cannot produce requests.
-        The bucket's positions must already be synced.
-        """
-        rows, ids = group.watcher_arrays()
-        if not len(rows):
-            return None
-        bucket = group.bucket
-        n_chunks = group.n_chunks
-        positions = bucket.position[rows]
-        active = positions < n_chunks
-        if not active.any():
-            return None
-        act_rows = rows[active]
-        st = bucket.start_time[act_rows]
-        sp = bucket.start_pos[act_rows]
-        cps = group.video.chunks_per_second
-        # due_position(now), vectorized with the same float ops.
-        due = sp + (np.maximum(0.0, now - st) * cps).astype(np.int64)
-        np.minimum(due, n_chunks, out=due)
-        W = group.window
-        offs = np.arange(W, dtype=np.int64)
-        in_range = (due[:, None] + offs[None, :]) < n_chunks
-        swv_masks, swv_missed = bucket.window_views()
-        held = swv_masks[act_rows, due]
-        missed_win = swv_missed[act_rows, due]
-        avail = in_range & ~held & ~missed_win
-        gated = avail.any(axis=1)
-        if not gated.any():
-            return None
-        return (
-            group,
-            ids[active][gated],
-            act_rows[gated],
-            due[gated],
-            avail[gated],
-        )
-
-    def _finish_group(
-        self,
-        prep,
-        now: float,
-        valuation: DeadlineValuation,
-        lookahead: float,
-    ):
-        group, act_ids, act_rows, due, avail = prep
-        bucket = group.bucket
-        n_chunks = group.n_chunks
-        W = group.window
-        flats = self._flat_candidates(group, act_ids)
-        nb_counts, nb_indptr, nb_rows, nb_ids, nb_costs = flats
-        sel = nb_counts > 0
-        if not sel.any():
-            return None
-        if not sel.all():
-            # Restrict every per-watcher array to watchers with at least
-            # one same-video neighbor (the only ones that can request).
-            keep_edges = np.repeat(sel, nb_counts)
-            nb_rows = nb_rows[keep_edges]
-            nb_ids = nb_ids[keep_edges]
-            nb_costs = nb_costs[keep_edges]
-            nb_counts = nb_counts[sel]
-            nb_indptr = np.zeros(len(nb_counts) + 1, dtype=np.int64)
-            np.cumsum(nb_counts, out=nb_indptr[1:])
-            act_rows = act_rows[sel]
-            act_ids = act_ids[sel]
-            due = due[sel]
-            avail = avail[sel]
-        d = len(act_rows)
-        st = bucket.start_time[act_rows]
-        sp = bucket.start_pos[act_rows]
-        cps = group.video.chunks_per_second
-        cols = due[:, None] + np.arange(W, dtype=np.int64)[None, :]
-        # Valuations: identical formula (and op order) to
-        # Peer.build_request_arrays, evaluated on the whole window.
-        deadlines = (st[:, None] + (cols - sp[:, None]) / cps) - now
-        to_deadline = np.maximum(0.0, deadlines - lookahead)
-        values = valuation.values(to_deadline)
-        swv_masks, _ = bucket.window_views()
-        owner = np.repeat(np.arange(d, dtype=np.int64), nb_counts)
-        have = swv_masks[nb_rows, due[owner]]
-        have &= avail[owner]
-        # Candidate counts per (watcher, chunk): segment sums over the
-        # neighbor rows.  int8 is safe while no peer has ≥128 same-video
-        # neighbors; fall back to a wide dtype otherwise.
-        if int(nb_counts.max(initial=0)) < 128:
-            counts = np.add.reduceat(have.view(np.int8), nb_indptr[:-1], axis=0)
-        else:
-            counts = np.add.reduceat(
-                have.astype(np.int64), nb_indptr[:-1], axis=0
-            )
-        requested = counts > 0
-        rd, rc = np.nonzero(requested)
-        if not len(rd):
-            return None
-        req_peers = act_ids[rd]
-        req_chunks = due[rd] + rc
-        req_vals = values[rd, rc]
-        req_counts = counts[rd, rc].astype(np.int64)
-        # Edges: nonzero of `have` is (neighbor-major, chunk) per
-        # watcher; the problem wants (chunk-major, neighbor-sorted), so
-        # reorder by the composite (watcher, chunk, neighbor) key.
-        nzr, nzc = np.nonzero(have)
-        key = (owner[nzr] * np.int64(W) + nzc) * np.int64(len(nb_rows)) + nzr
-        order = np.argsort(key, kind="stable")
-        cand_ids = nb_ids[nzr[order]]
-        cand_costs = nb_costs[nzr[order]]
-        return req_peers, req_chunks, req_vals, req_counts, cand_ids, cand_costs
-
-    def _assemble_requests_fast(
+    def _assemble_buckets(
         self, now: float, valuation: DeadlineValuation, lookahead: float
     ):
-        """Reuse-path assembler: one fused pass per bucket.
+        """The assembler proper: one fused pass per bucket.
 
-        Byte-identical output to the cold per-group loop, pinned by the
-        property suite, but with three structural shortcuts the pinned
-        reference doesn't take:
+        Byte-identical output to the cold per-group assembler kept in
+        ``tests/oracles/assemble.py`` (pinned by the property suite),
+        with three structural shortcuts:
 
         * every group sharing a :class:`StateBucket` (same chunk count,
           same window) is prepared and finished in a single batched
           pass, so the per-group numpy fixed costs stop dominating at
           small scale;
-        * ``avail`` gates the per-cell request counts instead of being
+        * ``avail`` gates the requested cells instead of being
           broadcast over the edge matrix, and valuations are evaluated
           only at requested cells (both are elementwise, so restricting
           them changes no bytes);
-        * candidate edges come from expanding each requested cell's
-          neighbor segment — already (watcher, chunk, neighbor) order —
-          so the cold path's full-matrix ``nonzero`` and edge-key
-          argsort disappear.
+        * candidate edges come out of a (watcher, chunk, neighbor) bit
+          block in the order the problem wants (:meth:`_finish_bucket`),
+          so the full-matrix ``nonzero`` and edge-key argsort disappear.
 
-        Candidate tables themselves still come from the per-group
+        Candidate tables come from the per-group
         :meth:`_flat_candidates_cached` splice.  Group concatenation
         order is free here: each peer watches one video, so the
         dict-order permutation in :meth:`_pack_requests` lands on
@@ -1490,14 +1181,15 @@ class PeerStateStore:
                         (int(act_ids[i]), entries[int(agidx[i])][0])
                     )
         if need_entry:
-            # Same dict-order discipline as the cold path: never-seen
-            # pairs must hit the cost model in reference order.
+            # Build missing candidate tables in peer-dict order so the
+            # cost model samples never-seen pairs in exactly the order
+            # the pre-store pipeline did (trajectory preservation).
             need_entry.sort(key=self._dict_order_key())
             for pid, group in need_entry:
                 self._candidate_entry(pid, group)
         outputs = []
         for stage in staged:
-            part = self._finish_bucket_fast(stage, now, valuation, lookahead)
+            part = self._finish_bucket(stage, now, valuation, lookahead)
             if part is not None:
                 outputs.append(part)
         if not outputs:
@@ -1523,7 +1215,7 @@ class PeerStateStore:
         packbits bit order (chunk ``64q + j`` at bit ``63 - j`` of word
         ``q``), padded so the two-word read in :func:`_window_words`
         stays inside the row for any window start up to ``n_chunks``.
-        Packed fresh on every fast assemble — the matrices mutate
+        Packed fresh on every assemble — the matrices mutate
         between builds and packing is linear in the bitmap size.
         """
         n = bucket.n_rows
@@ -1540,8 +1232,14 @@ class PeerStateStore:
         mw = mm.reshape(-1).view(">u8").astype(np.uint64)
         return pw, mw, wpr
 
-    def _finish_bucket_fast(self, stage, now, valuation, lookahead):
-        """Finish one bucket's fused prep; see :meth:`_assemble_requests_fast`."""
+    def _finish_bucket(self, stage, now, valuation, lookahead):
+        """Requests and candidate edges of one prepared bucket, or ``None``.
+
+        A requested cell is an available window cell some neighbor
+        holds; its candidates are those holders.  Both come out of one
+        ``(watcher, chunk, neighbor)`` bit block, so no array is sized
+        by the (requested cell, neighbor) pair count.
+        """
         bucket, entries, act_rows, act_ids, due, avail, agidx, packed = stage
         W = bucket.window
         # Per-group candidate splices, sliced out of the fused watcher
@@ -1597,7 +1295,8 @@ class PeerStateStore:
             np.cumsum(new_counts, out=nb_indptr[1:])
             seg_idx = np.repeat(
                 old_indptr[:-1][order] - nb_indptr[:-1], new_counts
-            ) + self._iota(len(nb_rows))
+            )
+            seg_idx += np.arange(len(nb_rows), dtype=np.int64)
             nb_rows = nb_rows[seg_idx]
             nb_ids = nb_ids[seg_idx]
             nb_costs = nb_costs[seg_idx]
@@ -1606,39 +1305,51 @@ class PeerStateStore:
             nb_indptr = np.zeros(d + 1, dtype=np.int64)
             np.cumsum(nb_counts, out=nb_indptr[1:])
         owner = np.repeat(np.arange(d, dtype=np.int64), nb_counts)
-        counts = None
         if packed is not None:
-            # Word pipeline: one uint64 window per candidate edge, OR'd
-            # per watcher.  A cell is requested iff some neighbor holds
-            # it and it is available — the same predicate the boolean
-            # branch evaluates as (counts > 0) & avail.
+            # Word pipeline: one uint64 window per candidate edge.  A
+            # cell is requested iff it is available and some neighbor
+            # holds it, so OR-ing each watcher's edge words and masking
+            # with ``avail`` gives its requested cells, and masking each
+            # edge word with those leaves exactly the holders' bits.
             pw, wpr = packed
             words = _window_words(pw, wpr, nb_rows, due[owner], W)
-            any_w = np.bitwise_or.reduceat(words, nb_indptr[:-1])
-            req_w = any_w & avail
-            # Big-endian byte view + unpackbits puts bit 63-c in column
-            # c, so columns 64-W.. are window offsets 0..W-1.
-            req_bytes = req_w.astype(">u8").view(np.uint8).reshape(d, 8)
-            req_mat = np.unpackbits(req_bytes, axis=1)[:, 64 - W:]
-            rd, rc = np.nonzero(req_mat)
+            req_w = np.bitwise_or.reduceat(words, nb_indptr[:-1]) & avail
+            words &= req_w[owner]
+            edges = np.flatnonzero(words)
+            # Shifting offset 0 up to bit 63 makes big-endian bytes plus
+            # unpackbits put window offset k in column k.
+            top = (words[edges] << np.uint64(64 - W)).astype(">u8")
+            top = top.view(np.uint8).reshape(-1, 8)[:, : (W + 7) >> 3]
+            bits = np.unpackbits(top, axis=1)[:, :W]
         else:
             swv_masks, _ = bucket.window_views()
             have = swv_masks[nb_rows, due[owner]]
-            if int(nb_counts.max(initial=0)) < 128:
-                counts = np.add.reduceat(
-                    have.view(np.int8), nb_indptr[:-1], axis=0
-                )
-            else:
-                counts = np.add.reduceat(
-                    have.astype(np.int64), nb_indptr[:-1], axis=0
-                )
-            # An unavailable cell would have been zeroed inside `have`
-            # before the segment sum; masking the requested set instead
-            # leaves available cells' counts untouched.
-            requested = (counts > 0) & avail
-            rd, rc = np.nonzero(requested)
-        if not len(rd):
+            requested = np.logical_or.reduceat(have, nb_indptr[:-1], axis=0)
+            requested &= avail
+            have &= requested[owner]
+            edges = np.arange(len(nb_rows), dtype=np.int64)
+            bits = have.view(np.uint8)
+        # Scatter each holder bit to (watcher, chunk, neighbor slot):
+        # the block's nonzeros then come out in the problem's edge order
+        # (candidate segments ascend by uploader id), and each requested
+        # cell is one run of equal (watcher, chunk) in that order.
+        K = int(nb_counts.max())
+        e_owner = owner[edges]
+        block = np.zeros((d, W, K), dtype=np.uint8)
+        block[e_owner, :, edges - nb_indptr[e_owner]] = bits
+        flat = np.flatnonzero(block)
+        if not len(flat):
             return None
+        cell = flat // K
+        edge = flat - cell * K
+        edge += nb_indptr[cell // W]
+        cand_ids = nb_ids[edge]
+        cand_costs = nb_costs[edge]
+        run = np.flatnonzero(cell[1:] != cell[:-1]) + 1
+        req_counts = np.diff(run, prepend=0, append=len(flat))
+        req_cells = cell[np.concatenate(([0], run))]
+        rd = req_cells // W
+        rc = req_cells - rd * W
         req_rows = act_rows[rd]
         req_peers = act_ids[rd]
         req_chunks = due[rd] + rc
@@ -1649,28 +1360,6 @@ class PeerStateStore:
         # full-window matrix, evaluated at the requested cells only.
         deadlines = (st + (req_chunks - sp) / cps) - now
         req_vals = valuation.values(np.maximum(0.0, deadlines - lookahead))
-        # Edges: expand each requested cell's neighbor segment and keep
-        # the holders.  Segments ascend by uploader id (the candidate
-        # tables are sorted), so the concatenation is already the
-        # (watcher, chunk, neighbor) order the problem wants.
-        lens = nb_counts[rd]
-        offs = np.zeros(len(rd) + 1, dtype=np.int64)
-        np.cumsum(lens, out=offs[1:])
-        edge_idx = np.repeat(
-            nb_indptr[:-1][rd] - offs[:-1], lens
-        ) + self._iota(int(offs[-1]))
-        hold = bucket.masks[nb_rows[edge_idx], np.repeat(req_chunks, lens)]
-        picked = edge_idx[hold]
-        cand_ids = nb_ids[picked]
-        cand_costs = nb_costs[picked]
-        if counts is not None:
-            req_counts = counts[rd, rc].astype(np.int64)
-        elif int(nb_counts.max(initial=0)) < 128:
-            req_counts = np.add.reduceat(
-                hold.view(np.int8), offs[:-1]
-            ).astype(np.int64)
-        else:
-            req_counts = np.add.reduceat(hold.astype(np.int64), offs[:-1])
         vids = vids_of[agidx[rd]]
         return req_peers, vids, req_chunks, req_vals, req_counts, cand_ids, cand_costs
 
@@ -1726,8 +1415,6 @@ class PeerStateStore:
                     f"time went backwards: {to_time!r} < {first!r}"
                 )
             preps.append((bucket, rows, sessions, st, eligible, positions))
-        if self.record_delta and preps:
-            self._delta.playback_moved = True
         due_total = 0
         missed_total = 0
         for prep in preps:

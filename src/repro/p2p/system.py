@@ -55,7 +55,7 @@ from .config import SystemConfig
 from .peer import Peer
 from .retry import RetryQueue
 from .seeding import create_seeds
-from .state import PeerStateStore, SlotDelta
+from .state import PeerStateStore
 from .tracker import Tracker
 
 __all__ = ["P2PSystem"]
@@ -158,19 +158,6 @@ class P2PSystem:
         self._ids = itertools.count(1)
         self.now = 0.0
         self.slot_index = 0
-        # Incremental-build state: the previous build's problem (the
-        # patch baseline), plus the retry-queue snapshot the last
-        # suppression diff was taken against.
-        self._prev_problem: Optional[SchedulingProblem] = None
-        self._retry_version_seen = self.retry_queue.version
-        self._pending_keys_prev = np.empty(0, dtype=np.int64)
-        if config.incremental_build:
-            # Record every store mutation into per-slot deltas, and
-            # trust the playback columns (sessions are only mutated
-            # through store methods inside the slot loop) so the reuse
-            # path can skip the per-build watcher resync.
-            self.store.enable_delta_recording()
-            self.store.trust_sessions()
         self._pending_arrivals: List[ArrivalPlan] = []
         self._next_arrival_time: Optional[float] = None
         self.departures = 0
@@ -358,8 +345,7 @@ class P2PSystem:
             departures0 = self.departures
             churn_s = build_s = solve_s = apply_s = playback_s = 0.0
             bids_sub = bids_rej = evictions = price_updates = rows_eval = 0
-            delta_reasons: Dict[str, int] = {}
-            build_kind = "none"
+            splice0 = dict(self.store.splice_counts)
 
         if churn:
             self._process_departures(t, remove_finished)
@@ -402,7 +388,6 @@ class P2PSystem:
             self.scheduler, "supports_warm_start", False
         )
         prices = None
-        incremental = self.config.incremental_build
         for r in range(rounds):
             now_r = t + r * slot / rounds
             shares = (
@@ -412,34 +397,7 @@ class P2PSystem:
             )
             if tracing:
                 t0 = perf_counter()
-            if incremental:
-                delta = self.store.consume_delta()
-                if tracing:
-                    for name, count in delta.reason_histogram().items():
-                        if count:
-                            delta_reasons[name] = (
-                                delta_reasons.get(name, 0) + count
-                            )
-                if self._prev_problem is None:
-                    # First build of the run: cold, establishes the
-                    # patch baseline.
-                    problem, _ = self.build_problem(
-                        now_r, capacity_array=shares
-                    )
-                    if tracing and r == 0:
-                        build_kind = "cold"
-                else:
-                    problem = self.patch_problem(
-                        self._prev_problem, delta, now_r,
-                        capacity_array=shares,
-                    )
-                    if tracing and r == 0:
-                        build_kind = "patch"
-                self._prev_problem = problem
-            else:
-                problem, _ = self.build_problem(now_r, capacity_array=shares)
-                if tracing and r == 0:
-                    build_kind = "cold"
+            problem = self.build_problem(now_r, capacity_array=shares)
             if tracing:
                 t1 = perf_counter()
                 build_s += t1 - t0
@@ -522,8 +480,10 @@ class P2PSystem:
                     "n_requests": n_requests,
                     "n_served": n_served,
                     "welfare": welfare,
-                    "build": build_kind,
-                    "delta_reasons": delta_reasons,
+                    "build": {
+                        name: count - splice0[name]
+                        for name, count in self.store.splice_counts.items()
+                    },
                     "solver": {
                         "rounds": sched_rounds,
                         "bids_submitted": bids_sub,
@@ -841,99 +801,33 @@ class P2PSystem:
         now: float,
         capacities: Optional[Dict[int, int]] = None,
         capacity_array: Optional[np.ndarray] = None,
-    ) -> Tuple[SchedulingProblem, Dict[int, int]]:
+    ) -> SchedulingProblem:
         """One (sub-)round's assignment problem from the peer-state store.
 
         Fully vectorized construction on the persistent columnar store:
-        window availability and valuations come from sliding-window
-        gathers over the per-video bitmap matrices, candidate edges from
-        the cached per-video neighbor CSR, and the whole request block is
-        handed to :meth:`SchedulingProblem.add_requests_batch` in one
-        call — no per-peer Python loop, no per-slot re-stacking.
-        Produces the same problem (same request order, same candidate
-        edges and costs; candidates sorted by uploader id) as the
-        per-request :meth:`build_problem_reference`, which the property
-        suite pins byte-for-byte.
+        window availability and valuations come from word-packed window
+        gathers over the per-bucket bitmap matrices, and the candidate
+        CSR is spliced forward from each video group's previous build —
+        only segments invalidated since (churn, overlay changes, cost
+        shocks) are re-read from the entry dict, and a group with no
+        cache (the first build of a run) builds its CSR flat.  The whole
+        request block is handed to
+        :meth:`SchedulingProblem.add_requests_batch` in one call — no
+        per-peer Python loop, no per-slot re-stacking.  Produces the
+        same problem (same request order, same candidate edges and
+        costs; candidates sorted by uploader id) as the per-request
+        :meth:`build_problem_reference`, which the property suite pins
+        byte-for-byte, as it pins the cold per-group assembler in
+        ``tests/oracles/assemble.py``.
 
         ``capacities`` overrides per-peer upload budgets as a dict
         (missing entries mean 0); ``capacity_array`` is the loop-free
         variant aligned with the store's peer-dict-order id column (used
-        by ``run_slot``'s sub-round split).  Returns the problem plus a
-        map request-index → downstream peer id.
+        by ``run_slot``'s sub-round split).  Capacities are primed from
+        the store's columns without a per-peer dict.  The request-index
+        → downstream peer map is ``problem.request_peer_array()``.
         """
-        store = self.store
-        ids, caps = store.capacity_columns()
-        if capacity_array is not None:
-            caps = np.ascontiguousarray(capacity_array, dtype=np.int64)
-            if len(caps) != len(ids):
-                raise ValueError(
-                    f"capacity_array must align with the {len(ids)} online "
-                    f"peers, got {len(caps)} entries"
-                )
-        elif capacities is not None:
-            caps = np.fromiter(
-                (capacities.get(pid, 0) for pid in ids.tolist()),
-                dtype=np.int64,
-                count=len(ids),
-            )
-        rounds = self.config.bid_rounds_per_slot
-        lookahead = self.config.slot_seconds / rounds if rounds > 1 else 0.0
-        problem = SchedulingProblem()
-        problem.set_capacities_batch(ids, caps)
-        parts = store.assemble_requests(now, self.valuation, lookahead)
-        if parts is None:
-            return problem, {}
-        if len(self.retry_queue):
-            # Chunks parked in the retry pipeline stay out of the
-            # auction until delivered, evicted or surrendered — a
-            # pending edge must not be double-assigned.
-            parts = self._suppress_pending_requests(parts)
-            if parts is None:
-                return problem, {}
-        req_peers, pairs, vals, cand_ids, cand_costs, indptr = parts
-        # validate=False: this producer is pinned against the per-request
-        # reference by the construction-equivalence/property tests.
-        problem.add_requests_batch(
-            req_peers, pairs, vals, cand_ids, cand_costs, indptr,
-            validate=False,
-        )
-        request_owner = dict(enumerate(req_peers.tolist()))
-        return problem, request_owner
-
-    def patch_problem(
-        self,
-        prev_problem: SchedulingProblem,
-        delta: SlotDelta,
-        now: float,
-        capacities: Optional[Dict[int, int]] = None,
-        capacity_array: Optional[np.ndarray] = None,
-    ) -> SchedulingProblem:
-        """Incremental :meth:`build_problem`: splice the previous build
-        forward instead of reassembling from scratch.
-
-        ``prev_problem`` is the problem the last build produced (its
-        candidate CSR lives on in the store's per-group caches) and
-        ``delta`` the :meth:`PeerStateStore.consume_delta` record of the
-        mutations since — deliveries, playback, churn batches, capacity
-        and cost shocks, plus the retry-suppression changes this method
-        surfaces into it.  Only row segments those mutations invalidated
-        are rebuilt; valuations and window availability are recomputed
-        wholesale either way (playback shifts every deadline fraction
-        each round), and capacity columns are primed from the store's
-        arrays without the per-peer dict.
-
-        The returned problem is byte-identical to what a cold
-        :meth:`build_problem` would produce on the same state — the
-        caches self-validate against the store's drop log and cost
-        epoch, so a stale ``delta`` can degrade only performance, never
-        correctness.  The property suite pins this across churn, lossy
-        links, retries and regime events.
-        """
-        if prev_problem is None:
-            raise ValueError("patch_problem requires a previous problem")
-        self._surface_retry_delta(delta)
-        store = self.store
-        ids, caps = store.capacity_columns()
+        ids, caps = self.store.capacity_columns()
         if capacity_array is not None:
             caps = np.ascontiguousarray(capacity_array, dtype=np.int64)
             if len(caps) != len(ids):
@@ -951,50 +845,25 @@ class P2PSystem:
         lookahead = self.config.slot_seconds / rounds if rounds > 1 else 0.0
         problem = SchedulingProblem()
         problem.prime_capacities(ids, caps)
-        parts = store.assemble_requests(
-            now, self.valuation, lookahead, reuse=True
-        )
+        parts = self.store.assemble_requests(now, self.valuation, lookahead)
         if parts is None:
             return problem
         if len(self.retry_queue):
+            # Chunks parked in the retry pipeline stay out of the
+            # auction until delivered, evicted or surrendered — a
+            # pending edge must not be double-assigned.
             parts = self._suppress_pending_requests(parts)
             if parts is None:
                 return problem
-        req_peers, pairs, vals, cand_ids, cand_costs, indptr = parts
-        problem.add_requests_batch(
-            req_peers, pairs, vals, cand_ids, cand_costs, indptr,
-            validate=False,
-        )
+        # validate=False: this producer is pinned against the per-request
+        # reference by the construction-equivalence/property tests.
+        problem.add_requests_batch(*parts, validate=False)
         return problem
 
-    def _surface_retry_delta(self, delta: SlotDelta) -> None:
-        """Record suppression-set changes since the last diff into ``delta``.
-
-        A triple entering the retry queue deletes its request row from
-        the next problem; a triple leaving (delivered, surrendered,
-        evicted) re-exposes one.  Keyed on the queue's version counter,
-        so the steady empty-queue case is one int compare.  Marks are
-        conservative: after a cold rebuild the first diff may re-report
-        triples that were already suppressed.
-        """
-        from .retry import _triple_key
-
-        queue = self.retry_queue
-        if queue.version == self._retry_version_seen:
-            return
-        down, video, chunk = queue.pending_triples()
-        keys = _triple_key(down, video, chunk)
-        prev = self._pending_keys_prev
-        added = np.setdiff1d(keys, prev)
-        removed = np.setdiff1d(prev, keys)
-        if len(added) or len(removed):
-            # The downstream peer id is the top 32 bits of the key.
-            delta.mark_retry(
-                (added >> np.int64(32)).tolist(),
-                (removed >> np.int64(32)).tolist(),
-            )
-        self._pending_keys_prev = keys
-        self._retry_version_seen = queue.version
+    # The end-to-end benchmark's layer trace wraps build methods by name
+    # and fails on a missing one; the name stays until that hook list
+    # drops it.
+    patch_problem = build_problem
 
     def build_problem_reference(
         self,

@@ -27,7 +27,7 @@ def paper_slot():
     config = SystemConfig.paper(seed=0, bid_rounds_per_slot=1)
     system = P2PSystem(config)
     system.populate_static(500)
-    problem, _ = system.build_problem(0.0)
+    problem = system.build_problem(0.0)
     return system, problem
 
 

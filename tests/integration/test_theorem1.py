@@ -71,7 +71,7 @@ def test_certificates_on_system_generated_problems(seed):
     system = P2PSystem(SystemConfig.tiny(seed=seed))
     system.populate_static(12)
     system.run(10.0)
-    problem, _ = system.build_problem(system.now)
+    problem = system.build_problem(system.now)
     if problem.n_requests == 0:
         pytest.skip("workload produced no requests")
     result = AuctionSolver(epsilon=EPS, mode="gauss-seidel").solve(problem)

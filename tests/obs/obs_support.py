@@ -21,8 +21,7 @@ def minimal_record() -> dict:
         "n_requests": 3,
         "n_served": 2,
         "welfare": 1.5,
-        "build": "cold",
-        "delta_reasons": {},
+        "build": {"reused": 4, "rebuilt": 1, "dropped": 0},
         "solver": {
             "rounds": 1, "bids_submitted": 3, "bids_rejected": 0,
             "evictions": 0, "price_updates": 2, "rows_evaluated": 3,

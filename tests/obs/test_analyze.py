@@ -66,7 +66,9 @@ class TestTotals:
         assert totals["slots"] == 3
         assert totals["welfare"] == pytest.approx(33.0)
         assert totals["served"] == 6
-        assert totals["builds_cold"] == 3
+        assert totals["segments_reused"] == 12
+        assert totals["segments_rebuilt"] == 3
+        assert totals["segments_dropped"] == 0
         assert totals["inter_frac"] == pytest.approx(0.5)
         assert totals["miss_rate"] == pytest.approx(0.5)
 
@@ -76,7 +78,7 @@ class TestRendering:
         text = summarize_trace(make_trace(3), label="demo")
         lines = text.splitlines()
         assert lines[0].startswith("Trace demo — 3 slots")
-        assert text.count("cold") == 3
+        assert text.count(" 4/1 ") == 3  # reused/rebuilt segments
         assert lines[-1].startswith("totals:")
 
     def test_summarize_prints_phase_shares(self):

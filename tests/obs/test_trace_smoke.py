@@ -44,12 +44,31 @@ class TestSpanContent:
         assert times == sorted(times)
         assert records[-1]["n_peers"] == len(system.peers)
 
-    def test_cold_then_patched_builds_with_incremental(self):
-        records, _ = traced_run(seed=3, n_slots=4, incremental_build=True)
-        assert records[0]["build"] == "cold"
-        assert all(r["build"] == "patch" for r in records[1:])
-        # Patched slots carry reason-coded delta histograms.
-        assert any(sum(r["delta_reasons"].values()) for r in records[1:])
+    def test_build_counters_show_the_splice(self):
+        """The first build reads every segment; later ones splice.
+
+        On a churning run (two bid rounds a slot, so every slot builds
+        twice), churn invalidates candidate tables that some later slot
+        must re-read, and every slot after the first reuses cached
+        segments.
+        """
+        config = SystemConfig.tiny(
+            seed=3,
+            bid_rounds_per_slot=2,
+            arrival_rate_per_s=0.5,
+            early_departure_prob=0.5,
+        )
+        system = P2PSystem(config)
+        system.populate_static(20)
+        tracer = system.attach_tracer(MemoryTraceSink())
+        for _ in range(4):
+            system.run_slot(churn=True, remove_finished=True)
+        system.close()
+        records = tracer.records()
+        assert records[0]["build"]["rebuilt"] > 0  # no cache yet
+        assert sum(r["departures"] for r in records) > 0
+        assert any(r["build"]["rebuilt"] for r in records[1:])
+        assert all(r["build"]["reused"] for r in records[1:])
 
 
 class TestPhaseAttribution:

@@ -99,8 +99,8 @@ class TestApplyEquivalence:
         fast.run_slot()
         slow.run_slot()
         budgets = dict(zip(*map(np.ndarray.tolist, fast._capacity_arrays())))
-        problem_fast, _ = fast.build_problem(fast.now, capacities=budgets)
-        problem_slow, _ = slow.build_problem(slow.now, capacities=budgets)
+        problem_fast = fast.build_problem(fast.now, capacities=budgets)
+        problem_slow = slow.build_problem(slow.now, capacities=budgets)
         result_fast = fast.scheduler.schedule(problem_fast)
         result_slow = slow.scheduler.schedule(problem_slow)
         assert result_fast.assignment == result_slow.assignment
@@ -138,7 +138,7 @@ class TestApplyEquivalence:
 
     def test_empty_result_is_noop(self):
         system = build_system(SCENARIOS["static"])
-        problem, _ = system.build_problem(system.now)
+        problem = system.build_problem(system.now)
         empty = ScheduleResult(
             assignment={r: None for r in range(problem.n_requests)}
         )

@@ -1,33 +1,35 @@
-"""Unit tests for the incremental cross-slot problem pipeline.
+"""Unit tests for the cross-slot candidate splice behind ``build_problem``.
 
 The property suite (``tests/properties/test_incremental_build_equiv.py``)
-pins byte-identity wholesale; these tests pin the *mechanism*: which
-mutation marks which peer row with which ``DELTA_*`` reason, how retry
-suppression surfaces as row deletions/additions, when the pipeline falls
-back to a full candidate rebuild, and the bench-facing snapshot/restore
+pins byte-identity with the cold oracle wholesale; these tests pin the
+*mechanism*: which mutations make the next build re-read or drop
+candidate segments (``PeerStateStore.splice_counts``), how retry
+suppression deletes and restores request rows, that no problem or
+drop-log entry outlives its use, and the bench-facing snapshot/restore
 and log-compaction plumbing.
 """
 
 from __future__ import annotations
 
+import gc
+import pathlib
+import sys
+import weakref
+
 import numpy as np
 
 from repro.net.linkmodel import LinkParams
+from repro.p2p import state
 from repro.p2p.config import SystemConfig
-from repro.p2p.state import (
-    _CAND_LOG_LIMIT,
-    DELTA_ADMIT,
-    DELTA_CANDIDATES,
-    DELTA_CAPACITY,
-    DELTA_DELIVERY,
-    DELTA_REMOVE,
-    DELTA_RETRY,
-)
+from repro.p2p.state import _CAND_LOG_LIMIT
 from repro.p2p.system import P2PSystem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from assemble import build_problem_cold  # noqa: E402
 
 
 def make_system(n_peers=20, slots=2, **overrides):
-    config = SystemConfig.tiny(seed=7, incremental_build=True, **overrides)
+    config = SystemConfig.tiny(seed=7, **overrides)
     system = P2PSystem(config)
     system.populate_static(n_peers)
     for _ in range(slots):
@@ -36,7 +38,7 @@ def make_system(n_peers=20, slots=2, **overrides):
 
 
 def assert_identical(a, b):
-    """Byte-identity of two column-path problems (same producer order)."""
+    """Byte-identity of two slot problems' flat CSR columns."""
     assert a.n_requests == b.n_requests
     assert a.n_edges() == b.n_edges()
     ac, bc = a.csr(), b.csr()
@@ -50,102 +52,100 @@ def assert_identical(a, b):
     assert np.array_equal(ac.uploader_index, bc.uploader_index)
 
 
+def counted_build(system):
+    """One ``build_problem`` at ``system.now`` and its splice counts."""
+    before = dict(system.store.splice_counts)
+    problem = system.build_problem(system.now)
+    after = system.store.splice_counts
+    return problem, {name: after[name] - before[name] for name in after}
+
+
 def double_build(system):
-    """Cold rebuild vs delta patch on the current state; returns both."""
-    now = system.now
-    cold, _ = system.build_problem(now)
-    delta = system.store.consume_delta()
-    patched = system.patch_problem(system._prev_problem, delta, now)
-    assert_identical(cold, patched)
-    return cold, delta
+    """Cold oracle vs the one build on the current state.
+
+    Asserts the two problems are identical; returns the build's
+    problem and splice counts.
+    """
+    cold = build_problem_cold(system, system.now)
+    problem, counts = counted_build(system)
+    assert_identical(cold, problem)
+    return problem, counts
 
 
-class TestConfig:
-    def test_defaults_off(self):
-        config = SystemConfig()
-        assert not config.incremental_build
-        config.validate()
-
-    def test_flag_enables_recording_and_trust(self):
-        system = make_system(slots=0)
-        assert system.store.record_delta
-        assert system.store._sessions_trusted
-
-    def test_cold_default_records_nothing(self):
-        config = SystemConfig.tiny(seed=7)
-        system = P2PSystem(config)
-        system.populate_static(10)
-        system.run_slot()
-        delta = system.store.consume_delta()
-        assert not delta.delivered_runs and not delta.playback_moved
+def has_row(problem, down, vid, chunk) -> bool:
+    peers = problem.request_peer_array()
+    pairs = problem.chunk_pair_array()
+    hit = (peers == down) & (pairs[:, 0] == vid) & (pairs[:, 1] == chunk)
+    return bool(hit.any())
 
 
 class TestReasonCodes:
+    """What invalidates a candidate segment, read off the splice counts."""
+
     def test_delivery_and_playback_marks(self):
+        # Deliveries and playback move windows, not neighbor tables: a
+        # steady slot leaves every cached segment valid.
         system = make_system(slots=1)
+        double_build(system)
         system.run_slot()
-        delta = system.store.consume_delta()
-        reasons = delta.reasons()
-        assert delta.playback_moved
-        delivered = [
-            pid for pid, code in reasons.items() if code & DELTA_DELIVERY
-        ]
-        assert delivered, "a steady slot delivers chunks"
-        # Restore the accumulator contract for any later consumer.
-        assert system.store.consume_delta().delivered_runs == []
+        _, counts = double_build(system)
+        assert counts["reused"] > 0
+        assert counts["rebuilt"] == 0
 
     def test_admit_and_remove_marks(self):
         system = make_system()
+        problem, _ = double_build(system)
+        victim = int(problem.request_peer_array()[0])
         new_peer = system.add_watching_peer(video_id=0, upload_multiple=1.0)
-        victim = next(
-            pid for pid, p in system.peers.items()
-            if not p.is_seed and pid != new_peer.peer_id
-        )
         system.remove_peer(victim)
-        delta = system.store.consume_delta()
-        reasons = delta.reasons()
-        assert reasons[new_peer.peer_id] & DELTA_ADMIT
-        assert reasons[victim] & DELTA_REMOVE
-        assert delta.membership_changed
+        problem, counts = double_build(system)
+        requesters = set(problem.request_peer_array().tolist())
+        assert new_peer.peer_id in requesters
+        assert victim not in requesters
+        assert counts["rebuilt"] > 0  # the newcomer and its neighbors
+        assert counts["dropped"] > 0  # the victim's segment
 
     def test_capacity_marks(self):
         system = make_system()
+        double_build(system)
         pid = next(pid for pid, p in system.peers.items() if not p.is_seed)
         system.set_upload_capacities({pid: 3})
-        delta = system.store.consume_delta()
-        assert delta.reasons()[pid] & DELTA_CAPACITY
-        assert delta.capacity_changed
+        problem, counts = double_build(system)
+        assert problem.capacity_of(pid) == 3
+        # A budget change touches no candidate table.
+        assert counts["rebuilt"] == 0 and counts["dropped"] == 0
 
     def test_candidate_drop_marks_on_overlay_churn(self):
         system = make_system()
         # Build once so candidate tables exist, then tear a peer out of
         # the overlay: its surviving neighbors' tables must be dropped.
-        double_build(system)
-        victim = next(pid for pid, p in system.peers.items() if not p.is_seed)
+        problem, _ = double_build(system)
+        requesters = set(problem.request_peer_array().tolist())
+        victim = next(
+            pid for pid, p in system.peers.items()
+            if not p.is_seed and set(system.overlay.neighbors(pid)) & requesters
+        )
         system.remove_peer(victim)
-        cold, delta = double_build(system)
-        dropped = [
-            pid for pid, code in delta.reasons().items()
-            if code & DELTA_CANDIDATES
-        ]
-        assert dropped, "overlay churn must drop neighbor candidate tables"
-        assert victim not in dropped  # the victim's row is gone, not stale
+        problem, counts = double_build(system)
+        assert counts["rebuilt"] > 0, "overlay churn must re-read neighbor tables"
+        assert victim not in set(problem.request_peer_array().tolist())
 
     def test_cost_shock_invalidates_wholesale(self):
         system = make_system()
         double_build(system)
         system.scale_inter_isp_costs(2.0)
-        cold, delta = double_build(system)
-        assert delta.costs_invalidated
-        # The full fallback installed fresh cost copies: next patch
+        _, counts = double_build(system)
+        assert counts["reused"] == 0 and counts["rebuilt"] > 0
+        # The full rebuild installed fresh cost copies: the next build
         # splices forward again from the rebuilt caches.
-        double_build(system)
+        _, counts = double_build(system)
+        assert counts["rebuilt"] == 0 and counts["reused"] > 0
 
 
 class TestRetrySuppression:
     def _queue_one(self, system):
         """Park one real request triple in the retry queue."""
-        problem, _ = system.build_problem(system.now)
+        problem = system.build_problem(system.now)
         assert problem.n_requests > 0
         peers = problem.request_peer_array()
         pairs = problem.chunk_pair_array()
@@ -164,14 +164,11 @@ class TestRetrySuppression:
     def test_suppress_marks_and_row_deletion(self):
         system = make_system()
         down, _, vid, chunk = self._queue_one(system)
-        cold, delta = double_build(system)
-        assert down in delta.retry_added
-        assert delta.reasons()[down] & DELTA_RETRY
-        # The suppressed triple's row is deleted from the problem.
-        peers = cold.request_peer_array()
-        pairs = cold.chunk_pair_array()
-        hit = (peers == down) & (pairs[:, 0] == vid) & (pairs[:, 1] == chunk)
-        assert not hit.any()
+        problem, counts = double_build(system)
+        # The suppressed triple's row is deleted from the problem, and
+        # no candidate segment had to be re-read for it.
+        assert not has_row(problem, down, vid, chunk)
+        assert counts["rebuilt"] == 0
 
     def test_surrender_reexposes_row(self):
         system = make_system()
@@ -181,44 +178,46 @@ class TestRetrySuppression:
         for isp in range(system.config.n_isps):
             system.set_link_conditions(LinkParams(loss_rate=1.0), isp_a=isp)
         down, _, vid, chunk = self._queue_one(system)
-        double_build(system)  # suppression visible
+        problem, _ = double_build(system)
+        assert not has_row(problem, down, vid, chunk)
         ttl = system.config.retry_ttl_slots
         for _ in range(ttl + 1):
             system.slot_index += 1
             system._process_retries(system.now)
         assert len(system.retry_queue) == 0, "TTL must surrender the triple"
-        cold, delta = double_build(system)
-        assert down in delta.retry_removed
-        assert delta.reasons()[down] & DELTA_RETRY
-        peers = cold.request_peer_array()
-        pairs = cold.chunk_pair_array()
-        hit = (peers == down) & (pairs[:, 0] == vid) & (pairs[:, 1] == chunk)
-        assert hit.any(), "surrendered triple must re-enter the problem"
+        problem, _ = double_build(system)
+        assert has_row(problem, down, vid, chunk), (
+            "surrendered triple must re-enter the problem"
+        )
 
     def test_retry_delivery_reexposes_via_mark(self):
         system = make_system()
-        down, *_ = self._queue_one(system)
+        down, _, vid, chunk = self._queue_one(system)
         double_build(system)
-        # Ideal links: the due re-attempt succeeds and drains the queue.
+        # Ideal links: the due re-attempt succeeds and drains the queue;
+        # the triple stays out of the problem because the peer now holds
+        # the chunk, not because anything still suppresses it.
         system.slot_index += system.config.retry_backoff_base_slots
         stats = system._process_retries(system.now)
         assert stats["succeeded"] >= 1
-        cold, delta = double_build(system)
-        assert down in delta.retry_removed
+        assert len(system.retry_queue) == 0
+        assert system.peers[down].buffer.holds(chunk)
+        problem, _ = double_build(system)
+        assert not has_row(problem, down, vid, chunk)
 
 
-class TestSessionTrust:
-    def test_out_of_band_mutation_must_be_declared(self):
+class TestSessionSync:
+    def test_out_of_band_rewind_is_resynced_by_the_next_build(self):
         system = make_system()
         double_build(system)
         peer = next(p for p in system.peers.values() if p.session is not None)
         # Rewind the session object behind the store's back, as the
-        # bench harness does between timing repeats.
+        # bench harness does between timing repeats.  Nothing needs to
+        # be declared: every build resyncs from the sessions.
         peer.session._last_advance = max(
             0.0, peer.session._last_advance - system.config.slot_seconds
         )
-        system.store.mark_sessions_dirty()
-        double_build(system)  # resyncs, still byte-identical
+        double_build(system)
 
 
 class TestSnapshotRestore:
@@ -226,16 +225,13 @@ class TestSnapshotRestore:
         system = make_system()
         double_build(system)
         system.run_slot()
-        now = system.now
-        cold, _ = system.build_problem(now)
-        delta = system.store.consume_delta()
         snap = system.store.snapshot_delta_state()
-        first = system.patch_problem(system._prev_problem, delta, now)
-        assert_identical(cold, first)
+        first, first_counts = double_build(system)
         for _ in range(3):
             system.store.restore_delta_state(snap)
-            again = system.patch_problem(system._prev_problem, delta, now)
+            again, counts = counted_build(system)
             assert_identical(first, again)
+            assert counts == first_counts
 
 
 class TestCandLogCompaction:
@@ -255,3 +251,34 @@ class TestCandLogCompaction:
         # The pipeline recovers: next build rebuilds dropped caches.
         system.run_slot()
         double_build(system)
+
+
+class TestRetention:
+    def test_no_problem_outlives_its_slot(self):
+        system = make_system(slots=0, bid_rounds_per_slot=2)
+        seen = []
+        schedule = system.scheduler.schedule
+
+        def recording(problem, *args, **kwargs):
+            seen.append(weakref.ref(problem))
+            return schedule(problem, *args, **kwargs)
+
+        system.scheduler.schedule = recording
+        for slot in range(3):
+            system.run_slot()
+            gc.collect()
+            assert len(seen) == 2 * (slot + 1)
+            assert all(ref() is None for ref in seen), f"slot {slot}"
+
+    def test_drop_log_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(state, "_CAND_LOG_LIMIT", 16)
+        config = SystemConfig.tiny(
+            seed=5, arrival_rate_per_s=1.0, early_departure_prob=0.5
+        )
+        system = P2PSystem(config)
+        system.populate_static(30)
+        for _ in range(8):
+            system.run_slot(churn=True, remove_finished=True)
+            assert len(system.store._cand_log) <= 16
+        # Enough churn to overflow the limit several times over.
+        assert system.departures > 16

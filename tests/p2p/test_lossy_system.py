@@ -112,7 +112,7 @@ class TestLossySlots:
 class TestRetryInteractions:
     def _park_first_request(self, system, uploader_id):
         """Push the first assembleable request into the retry queue."""
-        problem, _ = system.build_problem(system.now)
+        problem = system.build_problem(system.now)
         assert problem.n_requests > 0
         down = int(problem.request_peer_array()[0])
         video, chunk = (int(v) for v in problem.chunk_pair_array()[0])
@@ -130,7 +130,7 @@ class TestRetryInteractions:
 
     def test_pending_edge_suppressed_from_build_problem(self, system):
         problem, down, video, chunk = self._park_first_request(system, uploader_id=0)
-        suppressed, _ = system.build_problem(system.now)
+        suppressed = system.build_problem(system.now)
         assert suppressed.n_requests == problem.n_requests - 1
         key = _triple_key(
             np.array([down]), np.array([video]), np.array([chunk])
@@ -144,7 +144,7 @@ class TestRetryInteractions:
         counters = system._process_retries(system.now)
         assert counters["surrendered"] == 1
         assert len(system.retry_queue) == 0
-        reexposed, _ = system.build_problem(system.now)
+        reexposed = system.build_problem(system.now)
         assert reexposed.n_requests == problem.n_requests
         key = _triple_key(
             np.array([down]), np.array([video]), np.array([chunk])

@@ -100,7 +100,7 @@ class TestTransferPath:
     def test_transfers_write_through_to_matrix(self):
         system = build_system(20)
         system.run_slot()
-        problem, _ = system.build_problem(system.now)
+        problem = system.build_problem(system.now)
         result = system.scheduler.schedule(problem)
         system._apply_transfers(problem, result)
         for peer in system.peers.values():
@@ -147,7 +147,7 @@ class TestNeighborRefill:
         # Equivalence after the refill: the rebuilt candidate tables
         # must match the reference construction exactly.
         ref, _ = system.build_problem_reference(system.now)
-        new, _ = system.build_problem(system.now)
+        new = system.build_problem(system.now)
         assert ref.n_edges() == new.n_edges()
 
     def test_refill_skips_scan_when_nobody_deficient(self):
@@ -173,7 +173,7 @@ class TestOutOfBandMutation:
         # Advance one session directly — the store column goes stale.
         watcher.session.advance_to(system.now + 3.0)
         ref, _ = system.build_problem_reference(system.now + 3.0)
-        new, _ = system.build_problem(system.now + 3.0)
+        new = system.build_problem(system.now + 3.0)
         assert ref.n_requests == new.n_requests
         bucket = watcher.state_group.bucket
         assert bucket.position[watcher.state_row] == watcher.session.position
@@ -266,8 +266,8 @@ class TestReviewRegressions:
         assert not system.store._ids_monotone
         system.run(20.0)
         ref, ref_owner = system.build_problem_reference(system.now)
-        new, new_owner = system.build_problem(system.now)
-        assert ref_owner == new_owner
+        new = system.build_problem(system.now)
+        assert ref_owner == dict(enumerate(new.request_peer_array().tolist()))
         import numpy as np
 
         assert np.array_equal(

@@ -59,7 +59,7 @@ class TestAdmission:
 class TestProblemConstruction:
     def test_candidates_are_neighbors_with_chunk(self, tiny_system):
         tiny_system.populate_static(15)
-        problem, owner = tiny_system.build_problem(0.0)
+        problem = tiny_system.build_problem(0.0)
         for r in range(problem.n_requests):
             request = problem.request(r)
             downstream = tiny_system.peers[request.peer]
@@ -72,7 +72,7 @@ class TestProblemConstruction:
 
     def test_capacity_override(self, tiny_system):
         tiny_system.populate_static(5)
-        problem, _ = tiny_system.build_problem(
+        problem = tiny_system.build_problem(
             0.0, capacities={pid: 1 for pid in tiny_system.peers}
         )
         assert all(problem.capacity_of(u) == 1 for u in problem.uploaders())
@@ -84,8 +84,10 @@ class TestProblemConstruction:
 
     def test_request_owner_map(self, tiny_system):
         tiny_system.populate_static(10)
-        problem, owner = tiny_system.build_problem(0.0)
-        for r, pid in owner.items():
+        problem = tiny_system.build_problem(0.0)
+        owner = problem.request_peer_array()
+        assert problem.n_requests > 0
+        for r, pid in enumerate(owner.tolist()):
             assert problem.request(r).peer == pid
 
 

@@ -19,8 +19,8 @@ from repro.p2p.system import P2PSystem
 
 def assert_same_slot_problem(system, now, capacities=None):
     ref, ref_owner = system.build_problem_reference(now, capacities=capacities)
-    col, col_owner = system.build_problem(now, capacities=capacities)
-    assert ref_owner == col_owner
+    col = system.build_problem(now, capacities=capacities)
+    assert ref_owner == dict(enumerate(col.request_peer_array().tolist()))
     assert ref.n_requests == col.n_requests
     assert ref.n_edges() == col.n_edges()
     assert ref.uploaders() == col.uploaders()
@@ -70,8 +70,8 @@ class TestStaticEquivalence:
         for pid in some:
             full[pid] = system.peers[pid].upload_capacity_chunks
         sparse = {pid: cap for pid, cap in full.items() if cap > 0}
-        p_full, _ = system.build_problem(system.now, capacities=full)
-        p_sparse, _ = system.build_problem(system.now, capacities=sparse)
+        p_full = system.build_problem(system.now, capacities=full)
+        p_sparse = system.build_problem(system.now, capacities=sparse)
         assert p_full.uploaders() == p_sparse.uploaders()
         for u in p_full.uploaders():
             assert p_full.capacity_of(u) == p_sparse.capacity_of(u)
@@ -93,7 +93,7 @@ class TestSolverOnBothBuilds:
         system.run(duration_seconds=30)
         system.build_problem(system.now)  # warm the cost cache
         ref, _ = system.build_problem_reference(system.now)
-        col, _ = system.build_problem(system.now)
+        col = system.build_problem(system.now)
         eps = 1e-6
         res_ref = AuctionSolver(epsilon=eps, mode="jacobi").solve(ref)
         res_col = AuctionSolver(epsilon=eps, mode="jacobi").solve(col)

@@ -129,8 +129,8 @@ class TestSlotLoop:
         b = self._system(warm_start_prices=True)
         # Different flags, same seed: the *first* round of the first slot
         # is cold in both, so its problem must be identical.
-        pa, _ = a.build_problem(a.now)
-        pb, _ = b.build_problem(b.now)
+        pa = a.build_problem(a.now)
+        pb = b.build_problem(b.now)
         assert pa.n_requests == pb.n_requests
         ra = AuctionScheduler(epsilon=0.01).schedule(pa)
         rb = AuctionScheduler(epsilon=0.01).schedule(pb)

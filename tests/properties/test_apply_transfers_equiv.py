@@ -22,8 +22,8 @@ def test_apply_matches_reference(sc):
     slow = sc.build_system()
     now = fast.now
     assert slow.now == now
-    problem_fast, _ = fast.build_problem(now)
-    problem_slow, _ = slow.build_problem(now)
+    problem_fast = fast.build_problem(now)
+    problem_slow = slow.build_problem(now)
     result_fast = fast.scheduler.schedule(problem_fast)
     result_slow = slow.scheduler.schedule(problem_slow)
     assert result_fast.assignment == result_slow.assignment

@@ -20,9 +20,9 @@ from support import assert_same_problem
 def test_build_matches_reference_full_capacity(sc):
     system = sc.build_system()
     now = system.now
-    new_p, new_owner = system.build_problem(now)
+    new_p = system.build_problem(now)
     ref_p, ref_owner = system.build_problem_reference(now)
-    assert ref_owner == new_owner
+    assert ref_owner == dict(enumerate(new_p.request_peer_array().tolist()))
     assert_same_problem(ref_p, new_p)
 
 
@@ -39,11 +39,11 @@ def test_build_matches_reference_subround_budgets(sc):
         for pid, share in zip(ids.tolist(), shares.tolist())
         if share > 0
     }
-    new_p, _ = system.build_problem(now, capacities=budgets)
+    new_p = system.build_problem(now, capacities=budgets)
     ref_p, _ = system.build_problem_reference(now, capacities=budgets)
     assert_same_problem(ref_p, new_p)
     # The loop-free array variant must build the identical problem.
-    arr_p, _ = system.build_problem(now, capacity_array=shares)
+    arr_p = system.build_problem(now, capacity_array=shares)
     assert_same_problem(new_p, arr_p)
     assert np.array_equal(
         np.asarray([arr_p.capacity_of(int(u)) for u in ids.tolist()]),

@@ -1,9 +1,8 @@
 """Property: slot traces are a pure function of (config, seed).
 
 The canonical (timing-stripped) serialization of every emitted span must
-be byte-identical across repeated runs of the same seed, for every
-build configuration (each replays itself), and across the order
-systems are built in.  This is what makes traces diffable: ``repro
+be byte-identical across repeated runs of the same seed, with and
+without churn, and across the order systems are built in.  This is what makes traces diffable: ``repro
 trace diff`` on two runs shows real counter differences, never noise.
 Runs under the deterministic ``repro-props`` profile via
 ``make test-props``.
@@ -25,15 +24,12 @@ configs = st.fixed_dictionaries(
         "seed": st.integers(0, 2**16),
         "n_peers": st.integers(5, 20),
         "churn": st.booleans(),
-        "incremental_build": st.booleans(),
     }
 )
 
 
 def _trace(params: dict, n_slots: int = 3) -> List[str]:
-    config = SystemConfig.tiny(
-        seed=params["seed"], incremental_build=params["incremental_build"]
-    )
+    config = SystemConfig.tiny(seed=params["seed"])
     system = P2PSystem(config)
     system.populate_static(params["n_peers"])
     tracer = system.attach_tracer(MemoryTraceSink())
@@ -66,9 +62,7 @@ def test_trace_unaffected_by_sibling_system_construction(params):
     """
     baseline = _trace(params)
 
-    config = SystemConfig.tiny(
-        seed=params["seed"], incremental_build=params["incremental_build"]
-    )
+    config = SystemConfig.tiny(seed=params["seed"])
     sibling = P2PSystem(SystemConfig.tiny(seed=params["seed"] + 1))
     sibling.populate_static(8)
     system = P2PSystem(config)

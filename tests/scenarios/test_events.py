@@ -115,12 +115,12 @@ class TestCostShocks:
         epoch = system.store.candidate_epoch
         system.scale_inter_isp_costs(2.5)
         assert system.store.candidate_epoch > epoch
-        new_p, _ = system.build_problem(system.now)
+        new_p = system.build_problem(system.now)
         ref_p, _ = system.build_problem_reference(system.now)
         assert_same_problem(ref_p, new_p)
         # And again after another slot of deliveries.
         system.run_slot()
-        new_p, _ = system.build_problem(system.now)
+        new_p = system.build_problem(system.now)
         ref_p, _ = system.build_problem_reference(system.now)
         assert_same_problem(ref_p, new_p)
 
@@ -136,7 +136,7 @@ class TestCapacityHooks:
         assert col[watchers[0]] == 0
         assert col[watchers[1]] == 7
         system.store.check_consistency(system.peers, system.tracker)
-        problem, _ = system.build_problem(system.now)
+        problem = system.build_problem(system.now)
         assert problem.capacity_of(watchers[1]) == 7
 
     def test_offline_ids_ignored(self):
