@@ -81,11 +81,11 @@ _BATCH_ADVANCE_LIMIT = 1024
 #: compacts (caches lagging further than this are dropped, not waited for).
 _CAND_LOG_LIMIT = 4096
 
-#: Widest request window the packed-word fast path supports: a window
+#: Widest request window the packed-word branch supports: a window
 #: starting at any bit offset within a word must fit the two-word read
 #: below (63 offset bits + W ≤ 2·64 always holds, but the single right
 #: shift needs W ≤ 64 − 7 to stay exact for byte-grained fallbacks).
-#: Wider windows use the boolean fused path.
+#: Wider windows use the boolean branch.
 _PACKED_WINDOW_MAX = 57
 
 
@@ -1010,7 +1010,7 @@ class PeerStateStore:
                        cand_ids, cand_costs):
         """Permute concatenated request columns into peer-dict order.
 
-        Shared epilogue of both assemble paths.  Any concatenation
+        Shared with the cold oracle assembler.  Any concatenation
         order is acceptable on entry as long as each peer's requests
         stay window-ordered relative to each other (a peer watches one
         video, so its requests come from a single group): the stable
@@ -1328,14 +1328,14 @@ class PeerStateStore:
             requested &= avail
             have &= requested[owner]
             edges = np.arange(len(nb_rows), dtype=np.int64)
-            bits = have.view(np.uint8)
+            bits = have
         # Scatter each holder bit to (watcher, chunk, neighbor slot):
         # the block's nonzeros then come out in the problem's edge order
         # (candidate segments ascend by uploader id), and each requested
         # cell is one run of equal (watcher, chunk) in that order.
         K = int(nb_counts.max())
         e_owner = owner[edges]
-        block = np.zeros((d, W, K), dtype=np.uint8)
+        block = np.zeros((d, W, K), dtype=bool)
         block[e_owner, :, edges - nb_indptr[e_owner]] = bits
         flat = np.flatnonzero(block)
         if not len(flat):

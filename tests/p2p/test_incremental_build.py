@@ -207,7 +207,7 @@ class TestRetrySuppression:
 
 
 class TestSessionSync:
-    def test_out_of_band_rewind_is_resynced_by_the_next_build(self):
+    def test_out_of_band_rewind_is_resynced(self):
         system = make_system()
         double_build(system)
         peer = next(p for p in system.peers.values() if p.session is not None)
