@@ -16,6 +16,11 @@ untraced (``--trace 0``, the default), the per-layer metrics traced
 over the pairs, the change of the median, whether the median moved the
 better way by more than the base's interquartile range, and on how
 many pairs this checkout did better (equal values are ties, not wins).
+An end-to-end metric also gets a verdict against its ``bound`` (a
+fraction of the base median): ``unresolved`` when the base's
+interquartile range is wider than the bound and not every change run
+reads better than every base run, else ``worse`` when the change's
+median is worse than the base's by more than the bound, else ``ok``.
 It also counts the pairs on which both trees printed the same
 determinism digest (the traced digest when traced).  A run fails if
 it exits non-zero, prints no JSON result or reports failed operations;
@@ -81,10 +86,26 @@ def quartiles(values: List[float]) -> Tuple[float, float, float]:
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def verdict(base: List[float], change: List[float], lower: bool, bound: float) -> str:
+    """``unresolved``, ``worse`` or ``ok`` for one end-to-end metric.
+
+    ``bound`` is the fraction of the base median by which the metric
+    may get worse.  Spread wider than the bound leaves the comparison
+    unresolved unless the change's runs all read better than the base's.
+    """
+    (b1, bm, b3), (_, cm, _) = quartiles(base), quartiles(change)
+    limit = bound * abs(bm)
+    better = max(change) < min(base) if lower else min(change) > max(base)
+    if b3 - b1 > limit and not better:
+        return "unresolved"
+    loss = (cm - bm) if lower else (bm - cm)
+    return "worse" if loss > limit else "ok"
+
+
 def report(pairs: List[Tuple[dict, dict]], metrics: List[dict]) -> None:
-    """Print each metric's medians, quartiles and the change's win count."""
+    """Print each metric's medians, quartiles, win count and verdict."""
     print(f"\n{'metric':<22} {'base median [q1, q3]':>32} {'change median [q1, q3]':>32}"
-          f" {'Δ median':>9} {'>IQR':>5} {'wins':>6}")
+          f" {'Δ median':>9} {'>IQR':>5} {'wins':>6} {'verdict':>10}")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         base = [b[name] for b, _ in pairs]
@@ -93,9 +114,12 @@ def report(pairs: List[Tuple[dict, dict]], metrics: List[dict]) -> None:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         gain = (bm - cm) if lower else (cm - bm)
         rel = f"{(cm - bm) / bm:+.1%}" if bm else "n/a"
+        # Per-layer metrics carry no bound, so no verdict.
+        judged = verdict(base, change, lower, metric["bound"]) if "bound" in metric else ""
         print(f"{name:<22} {f'{bm:.4g} [{b1:.4g}, {b3:.4g}]':>32} "
               f"{f'{cm:.4g} [{c1:.4g}, {c3:.4g}]':>32} {rel:>9} "
-              f"{'yes' if gain > b3 - b1 else 'no':>5} {f'{wins}/{len(pairs)}':>6}")
+              f"{'yes' if gain > b3 - b1 else 'no':>5} {f'{wins}/{len(pairs)}':>6}"
+              f" {judged:>10}")
 
 
 def main(argv=None) -> int:

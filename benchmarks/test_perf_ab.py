@@ -1,0 +1,52 @@
+"""The paired A/B report's verdict column, on synthetic pairs."""
+
+from __future__ import annotations
+
+import perf_ab
+
+METRICS = [
+    {"name": "slot_p50_s", "better": "lower", "bound": 0.25},
+    {"name": "welfare_per_slot", "better": "higher", "bound": 0.08},
+    {"name": "solve.self_s", "better": "lower"},
+]
+
+
+def pairs_of(name, base, change):
+    return [({name: b}, {name: c}) for b, c in zip(base, change)]
+
+
+def verdict_of(capsys, metric, base, change):
+    """The verdict column ``report`` prints for one metric."""
+    perf_ab.report(pairs_of(metric["name"], base, change), [metric])
+    header, row = capsys.readouterr().out.strip().splitlines()
+    assert header.split()[-1] == "verdict"
+    return row.split()[-1]
+
+
+def test_small_change_within_bound_is_ok(capsys):
+    base = [1.00, 1.01, 0.99, 1.00]
+    assert verdict_of(capsys, METRICS[0], base, [1.10, 1.09, 1.11, 1.10]) == "ok"
+
+
+def test_change_past_bound_is_worse(capsys):
+    base = [1.00, 1.01, 0.99, 1.00]
+    assert verdict_of(capsys, METRICS[0], base, [1.30, 1.31, 1.29, 1.30]) == "worse"
+    # Higher is better: a fall past the bound is worse too.
+    base = [100.0, 101.0, 99.0, 100.0]
+    assert verdict_of(capsys, METRICS[1], base, [90.0, 91.0, 89.0, 90.0]) == "worse"
+
+
+def test_spread_wider_than_bound_is_unresolved(capsys):
+    base = [1.0, 2.0, 1.0, 2.0]  # IQR 1.0 against a bound of 0.25 × 1.5
+    assert verdict_of(capsys, METRICS[0], base, [1.4, 1.5, 1.6, 1.5]) == "unresolved"
+
+
+def test_wide_spread_resolves_when_every_change_run_is_better(capsys):
+    base = [1.0, 2.0, 1.0, 2.0]
+    assert verdict_of(capsys, METRICS[0], base, [0.5, 0.6, 0.7, 0.6]) == "ok"
+
+
+def test_per_layer_metrics_get_no_verdict(capsys):
+    perf_ab.report(pairs_of("solve.self_s", [1.0, 1.0], [2.0, 2.0]), [METRICS[2]])
+    row = capsys.readouterr().out.strip().splitlines()[-1]
+    assert row.split()[-1] == "0/2"  # the wins column ends the row

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -72,6 +73,17 @@ __all__ = [
 #: Default bidding increment: negligible welfare impact (gap ≤ n·ε) but
 #: guarantees termination even on tied instances.
 DEFAULT_EPSILON = 1e-9
+
+#: A jacobi round that is not bulk and evaluates at most this many rows
+#: runs on Python scalars: at that size numpy's per-call overhead, not
+#: the bids, is the cost of a vector round.
+_SMALL_ROUND_ROWS = 32
+
+#: A round takes its rows from the previous round's exact frontier while
+#: that holds at most ``max(_FRONTIER_MIN_ROWS, n // _FRONTIER_DIVISOR)``
+#: entries; past that, two O(n) mask scans are cheaper than deduplicating.
+_FRONTIER_MIN_ROWS = 64
+_FRONTIER_DIVISOR = 16
 
 
 class AuctionNonConvergence(RuntimeError):
@@ -226,8 +238,8 @@ class AuctionSolver:
         trace: Optional[PriceTrace] = None,
         on_price_update: Optional[Callable[[int, int, float], None]] = None,
     ) -> None:
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon!r}")
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
         if mode not in ("auto", "gauss-seidel", "jacobi", "jacobi-dense"):
             raise ValueError(f"unknown mode {mode!r}")
         self.epsilon = float(epsilon)
@@ -236,10 +248,6 @@ class AuctionSolver:
         self.max_rounds = int(max_rounds)
         self.trace = trace
         self.on_price_update = on_price_update
-        # Telemetry: bid-phase row evaluations of the last solve() call.
-        # Lives on the solver (not SolverStats) so the stats dataclass
-        # stays bit-identical between the frontier and dense paths.
-        self.rows_evaluated = 0
 
     # ------------------------------------------------------------------
     # Entry point
@@ -260,7 +268,6 @@ class AuctionSolver:
         driver detects that via the duality gap and falls back to a cold
         run.
         """
-        self.rows_evaluated = 0
         mode = self.mode
         if mode == "auto":
             mode = "jacobi" if problem.n_edges() > self.AUTO_JACOBI_EDGES else "gauss-seidel"
@@ -378,7 +385,7 @@ class AuctionSolver:
             r = active.popleft()
             if assigned_to[r] is not None or retired[r]:
                 continue
-            self.rows_evaluated += 1
+            stats.rows_evaluated += 1
             cands = usable[r]
             prices = np.fromiter(
                 (lam[int(u)] for u in cands), dtype=float, count=len(cands)
@@ -636,112 +643,255 @@ class AuctionSolver:
         edge_u_buf = np.empty(n_edges, dtype=np.int64)
         sub_indptr_buf = np.empty(n + 1, dtype=np.int64)
 
+        # The exact frontier: after a round commits, the next round's
+        # rows are its pending evicted rows and the pending rows incident
+        # to an uploader it repriced (see propagate).  None means scan.
+        frontier = None
+        frontier_cap = max(_FRONTIER_MIN_ROWS, n // _FRONTIER_DIVISOR)
+        no_rows = np.empty(0, dtype=np.int64)
+        epsilon = self.epsilon
+
+        def scalar_bids(rows: np.ndarray) -> Tuple[List[Tuple[int, float, int]], bool]:
+            """Evaluate a small round's rows on Python floats.
+
+            Per row: ``φ = v − λ`` over its edges (one gather for the
+            round), the first maximal edge, the second-best value, and
+            the bid ``lam_t + phi1 - outside + ε`` — the vector path's
+            float operations in its order, so every bid is bit-identical.
+            Caches ``phi1`` and retires rows with ``phi1 <= 0``.  Returns
+            the submitted bids as ``(uploader, -bid, row)`` and whether
+            any row stayed live.
+            """
+            lens = counts[rows]
+            eidx = self._concat_ranges(indptr[rows], lens, iota_e)
+            edge_u = uidx[eidx]
+            phi = (values[eidx] - lam[edge_u]).tolist()
+            edge_u = edge_u.tolist()
+            best: List[float] = []
+            bids: List[Tuple[int, float, int]] = []
+            live = False
+            at = 0
+            for r, k in zip(rows.tolist(), lens.tolist()):
+                seg = phi[at : at + k]
+                phi1 = max(seg)
+                best.append(phi1)
+                if phi1 > 0.0:
+                    live = True
+                    j = seg.index(phi1)
+                    # The best edge's slot takes the outside option, so
+                    # the max is max(φ_second, 0).
+                    seg[j] = 0.0
+                    outside = max(seg)
+                    u = edge_u[at + j]
+                    lam_t = lam.item(u)
+                    bid = lam_t + phi1 - outside + epsilon
+                    if bid > lam_t:
+                        bids.append((u, -bid, r))
+                else:
+                    retired[r] = True
+                at += k
+            phi1_of[rows] = best
+            return bids, live
+
+        def scalar_commit(
+            bids: List[Tuple[int, float, int]], round_no: int
+        ) -> Tuple[np.ndarray, np.ndarray]:
+            """Commit a small round's bids on Python scalars.
+
+            Sorting the ``(uploader, -bid, row)`` tuples gives
+            :func:`_order_bids`' order.  Per auctioneer, in ascending
+            uploader order: an uncontested batch appends its accepted
+            prefix; one bid into a full set evicts the member with the
+            lowest ``(bid, seq)`` if and only if it beats that member's
+            bid; any other contested batch merges with the members under
+            :meth:`_merge_contested`'s four-key order.  Returns the
+            repriced uploaders and the evicted rows.
+            """
+            bids.sort()
+            repriced: List[int] = []
+            evicted: List[int] = []
+            accepted = 0
+            i = 0
+            while i < len(bids):
+                u = bids[i][0]
+                j = i + 1
+                while j < len(bids) and bids[j][0] == u:
+                    j += 1
+                batch = bids[i:j]
+                i = j
+                m, cap = load.item(u), capacity.item(u)
+                seq0, at = next_seq.item(u), base.item(u)
+                if m == 0 or m + len(batch) < cap:
+                    take = min(len(batch), cap - m)
+                    for w in range(take):
+                        member[at + m + w] = batch[w][2]
+                    lowest = -batch[take - 1][1]
+                elif len(batch) == 1 and m == cap:
+                    held = member[at : at + cap]
+                    kept = bid_of[held].tolist()
+                    low, _, x = min(zip(kept, seq_of[held].tolist(), range(cap)))
+                    _, neg, r = batch[0]
+                    take = int(-neg > low)
+                    if take:
+                        evicted.append(held.item(x))
+                        member[at + x] = r
+                        kept[x] = -neg
+                        lowest = min(kept)
+                else:
+                    held = member[at : at + m].tolist()
+                    merged = sorted(
+                        [
+                            (-b, -1 - q, r)
+                            for b, q, r in zip(
+                                bid_of[held].tolist(), seq_of[held].tolist(), held
+                            )
+                        ]
+                        + [(neg, w, r) for w, (_, neg, r) in enumerate(batch)]
+                    )
+                    member[at : at + cap] = [r for _, _, r in merged[:cap]]
+                    evicted += [r for _, tie, r in merged[cap:] if tie < 0]
+                    take = sum(tie >= 0 for _, tie, _ in merged[:cap])
+                    lowest = -merged[cap - 1][0]
+                for w in range(take):
+                    _, neg, r = batch[w]
+                    assigned_to[r] = u
+                    bid_of[r] = -neg
+                    seq_of[r] = seq0 + w
+                next_seq[u] = seq0 + take
+                load[u] = min(m + take, cap)
+                accepted += take
+                if take and m + take >= cap and lowest > lam.item(u):
+                    lam[u] = lowest
+                    repriced.append(u)
+                    if self.on_price_update is not None:
+                        self.on_price_update(round_no, csr.uploaders.item(u), lowest)
+            evicted_rows = np.array(evicted, dtype=np.int64)
+            assigned_to[evicted_rows] = -1
+            stats.bids_submitted += len(bids)
+            stats.bids_rejected += len(bids) - accepted
+            stats.evictions += len(evicted)
+            stats.price_updates += len(repriced)
+            return np.array(repriced, dtype=np.int64), evicted_rows
+
+        def propagate(repriced: np.ndarray, evicted: np.ndarray) -> Optional[np.ndarray]:
+            """Re-arm the rows a round made stale; return the next round's rows.
+
+            Marks dirty every evicted row and every row incident to an
+            uploader that repriced.  The pending rows among them,
+            ascending, are exactly the next round's ``dirty & pending``:
+            an assigned row becomes pending only by eviction, and a
+            rejected bidder is among them because a rejection always
+            coincides with its target's λ rising.  Returns ``None``
+            (scan instead) past ``frontier_cap`` entries, where
+            deduplicating costs more than the two mask scans.
+            """
+            dirty[evicted] = True
+            touched = no_rows
+            if len(repriced):
+                lo = rev_indptr[repriced]
+                touched = rev_rows[
+                    self._concat_ranges(lo, rev_indptr[repriced + 1] - lo)
+                ]
+                dirty[touched] = True
+            if len(evicted) + len(touched) > frontier_cap:
+                return None
+            rows = np.concatenate((evicted, touched))
+            return np.unique(rows[(assigned_to[rows] < 0) & ~retired[rows]])
+
         for round_no in range(1, self.max_rounds + 1):
-            pending = (assigned_to < 0) & ~retired
-            if not pending.any():
-                break
-            rows = np.nonzero(dirty & pending)[0]
+            if frontier is None:
+                pending = (assigned_to < 0) & ~retired
+                rows = np.nonzero(dirty & pending)[0]
+            else:
+                rows = frontier
             if not len(rows):
                 # Every pending row is clean ⇒ dormant at prices that
                 # have not moved since its last evaluation; the dense
                 # reference would re-bid them all and submit nothing.
                 break
             dirty[rows] = False
-            self.rows_evaluated += len(rows)
-            full_best2 = False
-            if 2 * len(rows) >= n:
-                # Bulk round (the first, or a warm re-bid wave): the
-                # best-surplus pass runs over the full CSR with no
-                # gather, refreshing the whole phi1 cache at the current
-                # prices.
-                if lam.any():
-                    np.take(lam, uidx, out=lam_e_buf)
-                    phi = np.subtract(values, lam_e_buf, out=phi_buf)
-                else:
-                    # Cold round: φ ≡ the (masked) values; read them
-                    # directly and copy only if the knockout pass below
-                    # needs to mutate the full-CSR φ.
-                    phi = values
-                if no_empty:
-                    phi1_of[:] = np.maximum.reduceat(phi, indptr[:-1])
-                else:
-                    phi1_of[:] = _segment_max(phi, indptr)
-                phi1 = phi1_of[rows]
-                newly_retired = phi1 <= 0.0
-                retired[rows[newly_retired]] = True
-                live = ~newly_retired
-                if not live.any():
+            stats.rows_evaluated += len(rows)
+            # Nothing is re-armed until the round commits: a round whose
+            # rows all retire leaves no rows for the next.
+            frontier = no_rows
+            if len(rows) <= _SMALL_ROUND_ROWS and 2 * len(rows) < n:
+                bids, live = scalar_bids(rows)
+                if not live:
                     continue
-                rows = rows[live]
-                phi1 = phi1[live]
-                live_edges = int(counts[rows].sum())
-                full_best2 = 2 * live_edges >= n_edges
-                if full_best2:
-                    # Live bidders hold most edges: the best-edge /
-                    # second-best pass is cheaper over the full CSR than
-                    # through a gather.
-                    if phi is values:
-                        np.copyto(phi_buf, values)
-                        phi = phi_buf
-                    is_best = phi >= np.repeat(phi1_of, counts)
-                    if no_empty:
-                        loc_star_all = np.minimum.reduceat(
-                            np.where(is_best, iota_e, n_edges), indptr[:-1]
-                        )
-                        e_star = loc_star_all[rows]
-                        phi[loc_star_all] = -np.inf
-                        phi2 = np.maximum.reduceat(phi, indptr[:-1])[rows]
-                    else:
-                        if nonempty_starts is None:
-                            nonempty = counts > 0
-                            nonempty_starts = indptr[:-1][nonempty]
-                        loc_star_ne = np.minimum.reduceat(
-                            np.where(is_best, iota_e, n_edges), nonempty_starts
-                        )
-                        e_star_all = np.zeros(n, dtype=np.int64)
-                        e_star_all[nonempty] = loc_star_ne
-                        e_star = e_star_all[rows]
-                        phi[loc_star_ne] = -np.inf
-                        phi2 = _segment_max(phi, indptr)[rows]
-                else:
-                    starts = indptr[rows]
-                    lens = counts[rows]
-                    sub_indptr = sub_indptr_buf[: len(rows) + 1]
-                    sub_indptr[0] = 0
-                    np.cumsum(lens, out=sub_indptr[1:])
-                    total = int(sub_indptr[-1])
-                    eidx = self._concat_ranges(starts, lens, iota_e)
-                    # lam_e_buf is dead after the subtract; reuse it for
-                    # the live rows' phi gather.
-                    phi_sub = np.take(phi, eidx, out=lam_e_buf[:total])
+                if not bids:
+                    break  # all remaining bidders dormant (ε = 0 ties)
+                repriced, evicted = scalar_commit(bids, round_no)
+                stats.scalar_rounds += 1
             else:
-                # Frontier round: gather only the dirty pending rows'
-                # edges into a compact sub-CSR over the scratch buffers.
-                starts = indptr[rows]
-                lens = counts[rows]
-                sub_indptr = sub_indptr_buf[: len(rows) + 1]
-                sub_indptr[0] = 0
-                np.cumsum(lens, out=sub_indptr[1:])
-                total = int(sub_indptr[-1])
-                eidx = self._concat_ranges(starts, lens, iota_e)
-                phi_sub = np.take(values, eidx, out=phi_buf[:total])
-                eu = np.take(uidx, eidx, out=edge_u_buf[:total])
-                np.take(lam, eu, out=lam_e_buf[:total])
-                phi_sub -= lam_e_buf[:total]
-                # Pending rows are never empty (empty rows were retired
-                # up front), so plain reduceat is safe here.
-                phi1 = np.maximum.reduceat(phi_sub, sub_indptr[:-1])
-                phi1_of[rows] = phi1
-                newly_retired = phi1 <= 0.0
-                retired[rows[newly_retired]] = True
-                live = ~newly_retired
-                if not live.any():
-                    continue
-                if not live.all():
-                    # Re-gather the live subset so the best-edge pass
-                    # below sees one contiguous sub-CSR in either path.
+                full_best2 = False
+                if 2 * len(rows) >= n:
+                    # Bulk round (the first, or a warm re-bid wave): the
+                    # best-surplus pass runs over the full CSR with no
+                    # gather, refreshing the whole phi1 cache at the current
+                    # prices.
+                    if lam.any():
+                        np.take(lam, uidx, out=lam_e_buf)
+                        phi = np.subtract(values, lam_e_buf, out=phi_buf)
+                    else:
+                        # Cold round: φ ≡ the (masked) values; read them
+                        # directly and copy only if the knockout pass below
+                        # needs to mutate the full-CSR φ.
+                        phi = values
+                    if no_empty:
+                        phi1_of[:] = np.maximum.reduceat(phi, indptr[:-1])
+                    else:
+                        phi1_of[:] = _segment_max(phi, indptr)
+                    phi1 = phi1_of[rows]
+                    newly_retired = phi1 <= 0.0
+                    retired[rows[newly_retired]] = True
+                    live = ~newly_retired
+                    if not live.any():
+                        continue
                     rows = rows[live]
                     phi1 = phi1[live]
+                    live_edges = int(counts[rows].sum())
+                    full_best2 = 2 * live_edges >= n_edges
+                    if full_best2:
+                        # Live bidders hold most edges: the best-edge /
+                        # second-best pass is cheaper over the full CSR than
+                        # through a gather.
+                        if phi is values:
+                            np.copyto(phi_buf, values)
+                            phi = phi_buf
+                        is_best = phi >= np.repeat(phi1_of, counts)
+                        if no_empty:
+                            loc_star_all = np.minimum.reduceat(
+                                np.where(is_best, iota_e, n_edges), indptr[:-1]
+                            )
+                            e_star = loc_star_all[rows]
+                            phi[loc_star_all] = -np.inf
+                            phi2 = np.maximum.reduceat(phi, indptr[:-1])[rows]
+                        else:
+                            if nonempty_starts is None:
+                                nonempty = counts > 0
+                                nonempty_starts = indptr[:-1][nonempty]
+                            loc_star_ne = np.minimum.reduceat(
+                                np.where(is_best, iota_e, n_edges), nonempty_starts
+                            )
+                            e_star_all = np.zeros(n, dtype=np.int64)
+                            e_star_all[nonempty] = loc_star_ne
+                            e_star = e_star_all[rows]
+                            phi[loc_star_ne] = -np.inf
+                            phi2 = _segment_max(phi, indptr)[rows]
+                    else:
+                        starts = indptr[rows]
+                        lens = counts[rows]
+                        sub_indptr = sub_indptr_buf[: len(rows) + 1]
+                        sub_indptr[0] = 0
+                        np.cumsum(lens, out=sub_indptr[1:])
+                        total = int(sub_indptr[-1])
+                        eidx = self._concat_ranges(starts, lens, iota_e)
+                        # lam_e_buf is dead after the subtract; reuse it for
+                        # the live rows' phi gather.
+                        phi_sub = np.take(phi, eidx, out=lam_e_buf[:total])
+                else:
+                    # Frontier round: gather only the dirty pending rows'
+                    # edges into a compact sub-CSR over the scratch buffers.
                     starts = indptr[rows]
                     lens = counts[rows]
                     sub_indptr = sub_indptr_buf[: len(rows) + 1]
@@ -753,99 +903,116 @@ class AuctionSolver:
                     eu = np.take(uidx, eidx, out=edge_u_buf[:total])
                     np.take(lam, eu, out=lam_e_buf[:total])
                     phi_sub -= lam_e_buf[:total]
+                    # Pending rows are never empty (empty rows were retired
+                    # up front), so plain reduceat is safe here.
+                    phi1 = np.maximum.reduceat(phi_sub, sub_indptr[:-1])
+                    phi1_of[rows] = phi1
+                    newly_retired = phi1 <= 0.0
+                    retired[rows[newly_retired]] = True
+                    live = ~newly_retired
+                    if not live.any():
+                        continue
+                    if not live.all():
+                        # Re-gather the live subset so the best-edge pass
+                        # below sees one contiguous sub-CSR in either path.
+                        rows = rows[live]
+                        phi1 = phi1[live]
+                        starts = indptr[rows]
+                        lens = counts[rows]
+                        sub_indptr = sub_indptr_buf[: len(rows) + 1]
+                        sub_indptr[0] = 0
+                        np.cumsum(lens, out=sub_indptr[1:])
+                        total = int(sub_indptr[-1])
+                        eidx = self._concat_ranges(starts, lens, iota_e)
+                        phi_sub = np.take(values, eidx, out=phi_buf[:total])
+                        eu = np.take(uidx, eidx, out=edge_u_buf[:total])
+                        np.take(lam, eu, out=lam_e_buf[:total])
+                        phi_sub -= lam_e_buf[:total]
 
-            if not full_best2:
-                # First maximal edge per live row (same tie-break as the
-                # dense argmax), then knock it out in place for phi2 —
-                # the sub-buffer is dead after these two reductions.
-                is_best = phi_sub >= np.repeat(phi1, lens)
-                loc_star = np.minimum.reduceat(
-                    np.where(is_best, iota_e[:total], total), sub_indptr[:-1]
-                )
-                e_star = eidx[loc_star]
-                phi_sub[loc_star] = -np.inf
-                phi2 = np.maximum.reduceat(phi_sub, sub_indptr[:-1])
-            target = uidx[e_star]
-            outside = np.maximum(phi2, 0.0)
-            lam_t = lam[target]
-            bids = lam_t + phi1 - outside + self.epsilon
-            submit = bids > lam_t
-            if not submit.any():
-                break  # all remaining bidders dormant (ε = 0 ties)
-            rows = rows[submit]
-            bids = bids[submit]
-            target = target[submit]
-            stats.bids_submitted += len(rows)
-            stats.rounds = round_no
+                if not full_best2:
+                    # First maximal edge per live row (same tie-break as the
+                    # dense argmax), then knock it out in place for phi2 —
+                    # the sub-buffer is dead after these two reductions.
+                    is_best = phi_sub >= np.repeat(phi1, lens)
+                    loc_star = np.minimum.reduceat(
+                        np.where(is_best, iota_e[:total], total), sub_indptr[:-1]
+                    )
+                    e_star = eidx[loc_star]
+                    phi_sub[loc_star] = -np.inf
+                    phi2 = np.maximum.reduceat(phi_sub, sub_indptr[:-1])
+                target = uidx[e_star]
+                outside = np.maximum(phi2, 0.0)
+                lam_t = lam[target]
+                bids = lam_t + phi1 - outside + self.epsilon
+                submit = bids > lam_t
+                if not submit.any():
+                    break  # all remaining bidders dormant (ε = 0 ties)
+                rows = rows[submit]
+                bids = bids[submit]
+                target = target[submit]
+                stats.bids_submitted += len(rows)
 
-            # Commit each auctioneer's batch (a segment of the sorted
-            # round), highest bid first, all auctioneers at once.  A
-            # batch fills free slots: the accepted bids are a prefix of
-            # it, and an auctioneer that starts empty or keeps room to
-            # spare evicts nobody.
-            order = _order_bids(bids, target, n_uploaders)
-            rows, bids, target = rows[order], bids[order], target[order]
-            boundaries = np.nonzero(np.diff(target))[0] + 1
-            seg_starts = np.concatenate(([0], boundaries))
-            seg_len = np.diff(np.concatenate((seg_starts, [len(target)])))
-            seg_u = target[seg_starts]
-            m = load[seg_u]
-            cap = capacity[seg_u]
-            within = np.arange(len(target), dtype=np.int64) - np.repeat(
-                seg_starts, seg_len
-            )
-            limit = np.minimum(seg_len, cap - m)
-            # Lowest kept bid of a batch that fills an empty set;
-            # contested entries are overwritten by the merge.
-            lowest = bids[seg_starts + limit - 1]
-            # Contested: existing members must be weighed against the
-            # batch, which fills the set (and may evict some of them).
-            contested = (m > 0) & (m + seg_len >= cap)
-            if contested.any():
-                c = np.nonzero(contested)[0]
-                limit[c], lowest[c], evicted = self._merge_contested(
-                    member, base[seg_u[c]], m[c], cap[c], bid_of, seq_of,
-                    rows, bids, within, seg_starts[c], seg_len[c],
+                # Commit each auctioneer's batch (a segment of the sorted
+                # round), highest bid first, all auctioneers at once.  A
+                # batch fills free slots: the accepted bids are a prefix of
+                # it, and an auctioneer that starts empty or keeps room to
+                # spare evicts nobody.
+                order = _order_bids(bids, target, n_uploaders)
+                rows, bids, target = rows[order], bids[order], target[order]
+                boundaries = np.nonzero(np.diff(target))[0] + 1
+                seg_starts = np.concatenate(([0], boundaries))
+                seg_len = np.diff(np.concatenate((seg_starts, [len(target)])))
+                seg_u = target[seg_starts]
+                m = load[seg_u]
+                cap = capacity[seg_u]
+                within = np.arange(len(target), dtype=np.int64) - np.repeat(
+                    seg_starts, seg_len
                 )
-                assigned_to[evicted] = -1
-                dirty[evicted] = True
-                stats.evictions += len(evicted)
-            accepted = within < np.repeat(limit, seg_len)
-            acc_rows = rows[accepted]
-            acc_u = target[accepted]
-            stats.bids_rejected += int(len(rows) - len(acc_rows))
-            assigned_to[acc_rows] = acc_u
-            bid_of[acc_rows] = bids[accepted]
-            seq_of[acc_rows] = next_seq[acc_u] + within[accepted]
-            # Uncontested batches append to their member blocks; the
-            # merge already rewrote the contested blocks.
-            fresh = accepted & ~np.repeat(contested, seg_len)
-            fresh_u = target[fresh]
-            member[base[fresh_u] + load[fresh_u] + within[fresh]] = rows[fresh]
-            next_seq[seg_u] += limit
-            load[seg_u] = np.minimum(m + limit, cap)
-            # λ_u = lowest kept bid once a batch that got in fills the set.
-            upd = (limit > 0) & (m + limit >= cap) & (lowest > lam[seg_u])
-            if upd.any():
+                limit = np.minimum(seg_len, cap - m)
+                # Lowest kept bid of a batch that fills an empty set;
+                # contested entries are overwritten by the merge.
+                lowest = bids[seg_starts + limit - 1]
+                # Contested: existing members must be weighed against the
+                # batch, which fills the set (and may evict some of them).
+                contested = (m > 0) & (m + seg_len >= cap)
+                evicted = no_rows
+                if contested.any():
+                    c = np.nonzero(contested)[0]
+                    limit[c], lowest[c], evicted = self._merge_contested(
+                        member, base[seg_u[c]], m[c], cap[c], bid_of, seq_of,
+                        rows, bids, within, seg_starts[c], seg_len[c],
+                    )
+                    assigned_to[evicted] = -1
+                    stats.evictions += len(evicted)
+                accepted = within < np.repeat(limit, seg_len)
+                acc_rows = rows[accepted]
+                acc_u = target[accepted]
+                stats.bids_rejected += int(len(rows) - len(acc_rows))
+                assigned_to[acc_rows] = acc_u
+                bid_of[acc_rows] = bids[accepted]
+                seq_of[acc_rows] = next_seq[acc_u] + within[accepted]
+                # Uncontested batches append to their member blocks; the
+                # merge already rewrote the contested blocks.
+                fresh = accepted & ~np.repeat(contested, seg_len)
+                fresh_u = target[fresh]
+                member[base[fresh_u] + load[fresh_u] + within[fresh]] = rows[fresh]
+                next_seq[seg_u] += limit
+                load[seg_u] = np.minimum(m + limit, cap)
+                # λ_u = lowest kept bid once a batch that got in fills the set.
+                upd = (limit > 0) & (m + limit >= cap) & (lowest > lam[seg_u])
                 repriced = seg_u[upd]
-                lam[repriced] = lowest[upd]
-                stats.price_updates += len(repriced)
-                if self.on_price_update is not None:
-                    # Callback fast path: only a tracing run pays for
-                    # the index materialization + Python loop.
-                    for i in np.nonzero(upd)[0].tolist():
-                        self.on_price_update(
-                            round_no, int(csr.uploaders[seg_u[i]]), float(lowest[i])
-                        )
-                # Frontier propagation: every request incident to an
-                # uploader that repriced this round re-evaluates next
-                # round (this includes every bidder rejected above — a
-                # rejection always coincides with its target's λ rising).
-                hit = self._concat_ranges(
-                    rev_indptr[repriced],
-                    rev_indptr[repriced + 1] - rev_indptr[repriced],
-                )
-                dirty[rev_rows[hit]] = True
+                if len(repriced):
+                    lam[repriced] = lowest[upd]
+                    stats.price_updates += len(repriced)
+                    if self.on_price_update is not None:
+                        # Callback fast path: only a tracing run pays for
+                        # the index materialization + Python loop.
+                        for i in np.nonzero(upd)[0].tolist():
+                            self.on_price_update(
+                                round_no, int(csr.uploaders[seg_u[i]]), float(lowest[i])
+                            )
+            stats.rounds = round_no
+            frontier = propagate(repriced, evicted)
             if self.trace is not None:
                 self.trace.record(
                     round_no,
@@ -984,7 +1151,7 @@ class AuctionSolver:
             if not pending.any():
                 break
             rows = np.nonzero(pending)[0]
-            self.rows_evaluated += len(rows)
+            stats.rows_evaluated += len(rows)
             phi = values[rows] - lam[safe_uidx[rows]]
             phi[pad[rows]] = -np.inf
             j_star = np.argmax(phi, axis=1)

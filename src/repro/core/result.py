@@ -19,7 +19,7 @@ hot paths use the array accessors (:meth:`assignment_array`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -89,7 +89,13 @@ class _SyncedDict(dict):
 
 @dataclass
 class SolverStats:
-    """Work counters a solver reports for benchmarking and diagnostics."""
+    """Work counters a solver reports for benchmarking and diagnostics.
+
+    ``rows_evaluated`` (bid-phase row evaluations) and ``scalar_rounds``
+    (jacobi rounds that committed bids on the scalar path) describe how
+    a solve did its work, not what it found, so equality ignores them:
+    the dense jacobi reference evaluates every pending row by design.
+    """
 
     rounds: int = 0
     bids_submitted: int = 0
@@ -97,6 +103,8 @@ class SolverStats:
     evictions: int = 0
     price_updates: int = 0
     converged: bool = True
+    rows_evaluated: int = field(default=0, compare=False)
+    scalar_rounds: int = field(default=0, compare=False)
 
     def merge(self, other: "SolverStats") -> "SolverStats":
         """Combine counters from a sub-run (e.g., ε-scaling phases)."""
@@ -107,6 +115,8 @@ class SolverStats:
             evictions=self.evictions + other.evictions,
             price_updates=self.price_updates + other.price_updates,
             converged=self.converged and other.converged,
+            rows_evaluated=self.rows_evaluated + other.rows_evaluated,
+            scalar_rounds=self.scalar_rounds + other.scalar_rounds,
         )
 
 

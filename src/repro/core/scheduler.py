@@ -61,11 +61,17 @@ class AuctionScheduler:
         mode: str = "auto",
         **solver_kwargs,
     ) -> None:
-        self.epsilon = epsilon
-        self.mode = mode
-        self.solver_kwargs = solver_kwargs
-        #: Bid-phase row evaluations of the most recent solve (telemetry).
-        self.last_rows_evaluated = 0
+        # Built here so a bad ε or mode fails at construction, not in
+        # the first slot; the solver keeps no state between solves.
+        self.solver = AuctionSolver(epsilon=epsilon, mode=mode, **solver_kwargs)
+
+    @property
+    def epsilon(self) -> float:
+        return self.solver.epsilon
+
+    @property
+    def mode(self) -> str:
+        return self.solver.mode
 
     def schedule(
         self, problem: SchedulingProblem, initial_prices=None
@@ -76,12 +82,7 @@ class AuctionScheduler:
         :meth:`AuctionSolver.solve` — a dict or an ``(ids, values)``
         pair (:meth:`~repro.core.result.ScheduleResult.price_arrays`).
         """
-        solver = AuctionSolver(
-            epsilon=self.epsilon, mode=self.mode, **self.solver_kwargs
-        )
-        result = solver.solve(problem, initial_prices=initial_prices)
-        self.last_rows_evaluated = solver.rows_evaluated
-        return result
+        return self.solver.solve(problem, initial_prices=initial_prices)
 
 
 class DistributedAuctionScheduler:

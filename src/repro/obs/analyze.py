@@ -79,6 +79,8 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
         "price_updates": int(tot(lambda r: r["solver"]["price_updates"])),
         "evictions": int(tot(lambda r: r["solver"]["evictions"])),
         "rows_evaluated": int(tot(lambda r: r["solver"]["rows_evaluated"])),
+        # Optional in schema v2: traces written before it existed read 0.
+        "scalar_rounds": int(tot(lambda r: r["solver"].get("scalar_rounds", 0))),
         "inter_isp": inter,
         "intra_isp": intra,
         "inter_frac": inter / (inter + intra) if inter + intra else 0.0,
@@ -96,9 +98,9 @@ _TOTAL_FIELDS = (
     "slots", "peers_final", "arrivals", "departures", "requests", "served",
     "welfare", "segments_reused", "segments_rebuilt", "segments_dropped",
     "solver_rounds", "bids_submitted", "price_updates", "evictions",
-    "rows_evaluated", "inter_isp", "intra_isp", "inter_frac", "due",
-    "missed", "miss_rate", "retry_attempts", "retry_succeeded",
-    "transfers_failed",
+    "rows_evaluated", "scalar_rounds", "inter_isp", "intra_isp",
+    "inter_frac", "due", "missed", "miss_rate", "retry_attempts",
+    "retry_succeeded", "transfers_failed",
 )
 
 
@@ -158,6 +160,7 @@ def summarize_trace(
         f"inter_frac={totals['inter_frac']:.4g}",
         f"miss_rate={totals['miss_rate']:.4g}",
         f"rounds={totals['solver_rounds']}",
+        f"scalar_rounds={totals['scalar_rounds']}",
     ]
     lines.append("totals: " + " ".join(parts))
     return "\n".join(lines)

@@ -74,6 +74,8 @@ _REQUIRED_NESTED: Dict[str, Tuple[str, ...]] = {
     # Candidate segments the slot's builds took from a group's cache,
     # re-read from the entry dict, and dropped (watchers gone inactive).
     "build": ("reused", "rebuilt", "dropped"),
+    # ``solver.scalar_rounds`` joined v2 later, so it is not required:
+    # readers default it to 0 for traces written before it.
     "solver": (
         "rounds", "bids_submitted", "bids_rejected", "evictions",
         "price_updates", "rows_evaluated",

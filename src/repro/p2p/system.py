@@ -344,7 +344,8 @@ class P2PSystem:
             arrivals0 = self.arrivals
             departures0 = self.departures
             churn_s = build_s = solve_s = apply_s = playback_s = 0.0
-            bids_sub = bids_rej = evictions = price_updates = rows_eval = 0
+            bids_sub = bids_rej = evictions = price_updates = 0
+            rows_eval = scalar_rounds = 0
             splice0 = dict(self.store.splice_counts)
 
         if churn:
@@ -414,7 +415,8 @@ class P2PSystem:
                 bids_rej += s.bids_rejected
                 evictions += s.evictions
                 price_updates += s.price_updates
-                rows_eval += getattr(self.scheduler, "last_rows_evaluated", 0)
+                rows_eval += s.rows_evaluated
+                scalar_rounds += s.scalar_rounds
             welfare += result.welfare(problem)
             round_inter, round_intra = self._apply_transfers(problem, result)
             inter += round_inter
@@ -491,6 +493,7 @@ class P2PSystem:
                         "evictions": evictions,
                         "price_updates": price_updates,
                         "rows_evaluated": rows_eval,
+                        "scalar_rounds": scalar_rounds,
                     },
                     "retry": {
                         "attempts": retry["attempts"],

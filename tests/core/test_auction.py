@@ -12,6 +12,7 @@ from repro.core.auction import (
 )
 from repro.core.exact import solve_hungarian
 from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.scheduler import AuctionScheduler
 
 MODES = ("gauss-seidel", "jacobi")
 
@@ -126,6 +127,20 @@ class TestDiagnostics:
             AuctionSolver(epsilon=-1.0)
         with pytest.raises(ValueError):
             AuctionSolver(mode="bogus")
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize(
+        "solver_mode", ["auto", "gauss-seidel", "jacobi", "jacobi-dense"]
+    )
+    def test_non_finite_epsilon_rejected(self, epsilon, solver_mode):
+        # NaN let jacobi serve nothing at λ = 0 and gauss-seidel serve
+        # at λ = inf; inf posted λ = inf everywhere.
+        with pytest.raises(ValueError, match="epsilon"):
+            AuctionSolver(epsilon=epsilon, mode=solver_mode)
+
+    def test_scheduler_rejects_bad_epsilon_at_construction(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            AuctionScheduler(epsilon=float("nan"))
 
     def test_stats_counters_populated(self, small_problem, mode):
         result = AuctionSolver(epsilon=1e-9, mode=mode).solve(small_problem)

@@ -97,6 +97,29 @@ class TestJacobiCSRvsDense:
             bound = p.n_requests * EPSILON + 1e-9
             assert abs(jac.welfare(p) - gs.welfare(p)) <= bound
 
+    def test_large_solve_runs_both_round_paths(self):
+        # 2,500 requests: the bulk and mid-size rounds take the vector
+        # path, the small tail rounds the scalar one.
+        p = random_problem(
+            np.random.default_rng(0), n_requests=2500, n_uploaders=400, max_candidates=6
+        )
+        outcomes = []
+        for mode in ("jacobi", "jacobi-dense"):
+            calls = []
+            solver = AuctionSolver(
+                epsilon=0.01,
+                mode=mode,
+                on_price_update=lambda *call, calls=calls: calls.append(call),
+            )
+            outcomes.append((solver.solve(p), calls))
+        (a, calls), (b, dense_calls) = outcomes
+        assert 0 < a.stats.scalar_rounds < a.stats.rounds
+        assert a.assignment == b.assignment
+        assert a.prices == b.prices
+        assert a.etas == b.etas
+        assert a.stats == b.stats
+        assert calls == dense_calls
+
     def test_warm_start_equivalence(self, small_problem):
         warm = {100: 0.5, 200: 0.25}
         a = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(small_problem, warm)
@@ -177,9 +200,22 @@ class TestContestedCommit:
     """
 
     EPS = 0.5
+    #: The zero-capacity uploader of the inert padding requests.
+    DEAD = 99
 
     def solve(self, problem):
-        """Jacobi result and price-callback stream, held equal to jacobi-dense."""
+        """Jacobi outcome and price-callback stream, held equal to jacobi-dense.
+
+        The problem is padded with inert requests whose only candidate,
+        ``DEAD``, has no capacity.  They retire up front and raise n, so
+        every round is small (2·rows < n) and commits on the scalar
+        path.  Returns the hand-built requests' assignment, the other
+        uploaders' prices, the stats and the callback stream.
+        """
+        live = problem.n_requests
+        problem.set_capacity(self.DEAD, 0)
+        for i in range(2 * live):
+            problem.add_request(900 + i, f"inert{i}", 1.0, {self.DEAD: 0.0})
         outcomes = []
         for mode in ("jacobi", "jacobi-dense"):
             calls = []
@@ -195,7 +231,10 @@ class TestContestedCommit:
         assert result.etas == dense.etas
         assert result.stats == dense.stats
         assert calls == dense_calls
-        return result, calls
+        assert result.stats.scalar_rounds == result.stats.rounds
+        assignment = {r: u for r, u in result.assignment.items() if r < live}
+        prices = {u: lam for u, lam in result.prices.items() if u != self.DEAD}
+        return assignment, prices, result.stats, calls
 
     def test_incoming_bid_tying_the_lowest_member_loses(self):
         # U (id 1, B = 2) accepts A at 3.5 in round 1 and is not full.
@@ -208,10 +247,10 @@ class TestContestedCommit:
         p.add_request(101, "b", 10.0, {1: 5.0, 2: 1.0})  # B
         p.add_request(102, "c", 10.0, {1: 7.0, 2: 2.0})  # C
         p.add_request(103, "d", 20.0, {2: 0.0})  # D
-        result, _ = self.solve(p)
-        assert result.assignment == {0: 1, 1: 1, 2: None, 3: 2}
-        assert result.stats.evictions == 0
-        assert result.prices == {1: 3.5, 2: 20.5}
+        assignment, prices, stats, _ = self.solve(p)
+        assert assignment == {0: 1, 1: 1, 2: None, 3: 2}
+        assert stats.evictions == 0
+        assert prices == {1: 3.5, 2: 20.5}
 
     def test_earlier_accepted_of_equal_members_is_evicted(self):
         # A and B both bid 3.5 in round 1 and fill U (id 1, B = 2), A
@@ -224,10 +263,10 @@ class TestContestedCommit:
         p.add_request(101, "b", 6.0, {1: 3.0})  # B
         p.add_request(102, "c", 10.0, {1: 5.0, 2: 1.0})  # C
         p.add_request(103, "d", 20.0, {2: 0.0})  # D
-        result, _ = self.solve(p)
-        assert result.assignment == {0: None, 1: 1, 2: 1, 3: 2}
-        assert result.stats.evictions == 1
-        assert result.prices == {1: 3.5, 2: 20.5}
+        assignment, prices, stats, _ = self.solve(p)
+        assert assignment == {0: None, 1: 1, 2: 1, 3: 2}
+        assert stats.evictions == 1
+        assert prices == {1: 3.5, 2: 20.5}
 
     def test_contested_and_empty_auctioneers_reprice_in_uploader_order(self):
         # Round 1: A fills uploader 2 (B = 1) at 3.5 and D takes V (id 4).
@@ -242,8 +281,8 @@ class TestContestedCommit:
         p.add_request(104, "e", 10.0, {4: 1.0, 1: 5.0})  # E
         p.add_request(105, "f", 10.0, {4: 1.0, 2: 4.0})  # F
         p.add_request(106, "g", 10.0, {4: 1.0, 3: 5.0})  # G
-        result, calls = self.solve(p)
-        assert result.assignment == {0: None, 1: 4, 2: 1, 3: 2, 4: 3}
-        assert result.stats.evictions == 1
-        assert result.prices == {1: 5.5, 2: 6.5, 3: 5.5, 4: 20.5}
+        assignment, prices, stats, calls = self.solve(p)
+        assert assignment == {0: None, 1: 4, 2: 1, 3: 2, 4: 3}
+        assert stats.evictions == 1
+        assert prices == {1: 5.5, 2: 6.5, 3: 5.5, 4: 20.5}
         assert calls == [(1, 2, 3.5), (1, 4, 20.5), (2, 1, 5.5), (2, 2, 6.5), (2, 3, 5.5)]

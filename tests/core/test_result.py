@@ -69,3 +69,11 @@ class TestSolverStats:
         a = SolverStats(converged=True)
         b = SolverStats(converged=False)
         assert not a.merge(b).converged
+
+    def test_telemetry_is_summed_but_not_compared(self):
+        a = SolverStats(rounds=2, rows_evaluated=10, scalar_rounds=1)
+        b = SolverStats(rounds=3, rows_evaluated=4, scalar_rounds=2)
+        merged = a.merge(b)
+        assert (merged.rows_evaluated, merged.scalar_rounds) == (14, 3)
+        # How a solve did its work is not part of what it found.
+        assert SolverStats(rounds=2) == a

@@ -72,6 +72,15 @@ class TestTotals:
         assert totals["inter_frac"] == pytest.approx(0.5)
         assert totals["miss_rate"] == pytest.approx(0.5)
 
+    def test_scalar_rounds_total_and_default(self):
+        records = make_trace(3)
+        # Records written before the counter existed read 0.
+        assert trace_totals(records)["scalar_rounds"] == 0
+        for record in records:
+            record["solver"]["scalar_rounds"] = 2
+        assert trace_totals(records)["scalar_rounds"] == 6
+        assert "scalar_rounds=6" in summarize_trace(records).splitlines()[-1]
+
 
 class TestRendering:
     def test_summarize_shows_each_slot_and_totals(self):

@@ -26,6 +26,7 @@ from repro.obs import (
     load_trace,
     validate_trace_record,
 )
+from repro.core.scheduler import AuctionScheduler
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
@@ -69,6 +70,26 @@ class TestSpanContent:
         assert sum(r["departures"] for r in records) > 0
         assert any(r["build"]["rebuilt"] for r in records[1:])
         assert all(r["build"]["reused"] for r in records[1:])
+
+
+    def test_solver_counts_scalar_rounds(self):
+        """A jacobi solve takes its small rounds on the scalar path.
+
+        Tiny problems stay under ``AUTO_JACOBI_EDGES`` and so run
+        Gauss-Seidel; the jacobi scheduler is passed explicitly.
+        """
+        config = SystemConfig.tiny(seed=3)
+        system = P2PSystem(
+            config, scheduler=AuctionScheduler(epsilon=config.epsilon, mode="jacobi")
+        )
+        system.populate_static(100, stagger=False)
+        tracer = system.attach_tracer(MemoryTraceSink())
+        for _ in range(4):
+            system.run_slot()
+        system.close()
+        solver = [r["solver"] for r in tracer.records()]
+        scalar = sum(s["scalar_rounds"] for s in solver)
+        assert 0 < scalar <= sum(s["rounds"] for s in solver)
 
 
 class TestPhaseAttribution:

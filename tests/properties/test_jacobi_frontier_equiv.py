@@ -13,16 +13,26 @@ randomly generated problems covering the frontier's hard cases:
 * tight capacities (evictions / contested merges);
 * warm-started prices (stale-dormancy from the very first round).
 
+Every example is solved three times, with ``_SMALL_ROUND_ROWS`` at 0
+(every round on the vector path), at its default (which at these sizes
+puts every non-bulk round on the scalar path) and above every round.
+
 Runs under the deterministic ``repro-props`` Hypothesis profile.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import auction
 from repro.core.auction import AuctionNonConvergence, AuctionSolver
+
+#: ``_SMALL_ROUND_ROWS`` settings: vector only, the default, scalar for
+#: every non-bulk round.
+SMALL_ROUND_ROWS = (0, auction._SMALL_ROUND_ROWS, 10**9)
 from repro.core.problem import SchedulingProblem
 
 
@@ -69,32 +79,42 @@ def warm_prices(seed: int, problem: SchedulingProblem, fraction: float):
     }
 
 
+def solve(problem, epsilon, mode, initial_prices):
+    """The result (None if it does not converge) and its price-callback stream."""
+    calls = []
+    solver = AuctionSolver(
+        epsilon=epsilon,
+        mode=mode,
+        max_rounds=400,
+        on_price_update=lambda *call: calls.append(call),
+    )
+    try:
+        return solver.solve(problem, initial_prices=initial_prices), calls
+    except AuctionNonConvergence:
+        return None, calls
+
+
 def assert_identical(problem, epsilon, initial_prices=None) -> None:
-    results = []
-    streams = []
-    for mode in ("jacobi", "jacobi-dense"):
-        calls = []
-        solver = AuctionSolver(
-            epsilon=epsilon,
-            mode=mode,
-            max_rounds=400,
-            on_price_update=lambda *call, calls=calls: calls.append(call),
-        )
-        try:
-            results.append(solver.solve(problem, initial_prices=initial_prices))
-        except AuctionNonConvergence:
-            results.append(None)
-        streams.append(calls)
-    frontier, dense = results
-    assert (frontier is None) == (dense is None)
-    if frontier is None:
-        return
-    assert frontier.assignment == dense.assignment
-    assert frontier.prices == dense.prices
-    assert frontier.etas == dense.etas  # exact float equality
-    assert frontier.stats == dense.stats  # every counter, incl. evictions
-    # Side effects too: every (round, uploader, price) callback, in order.
-    assert streams[0] == streams[1]
+    dense, dense_calls = solve(problem, epsilon, "jacobi-dense", initial_prices)
+    for small in SMALL_ROUND_ROWS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(auction, "_SMALL_ROUND_ROWS", small)
+            frontier, calls = solve(problem, epsilon, "jacobi", initial_prices)
+            # Frontier off: every round scans the pending and dirty masks.
+            mp.setattr(auction, "_FRONTIER_MIN_ROWS", 0)
+            mp.setattr(auction, "_FRONTIER_DIVISOR", 10**9)
+            scanned, _ = solve(problem, epsilon, "jacobi", initial_prices)
+        assert (frontier is None) == (dense is None)
+        if frontier is None:
+            continue
+        assert frontier.assignment == dense.assignment
+        assert frontier.prices == dense.prices
+        assert frontier.etas == dense.etas  # exact float equality
+        assert frontier.stats == dense.stats  # every counter, incl. evictions
+        # Side effects too: every (round, uploader, price) callback, in order.
+        assert calls == dense_calls
+        # The exact frontier evaluates exactly the rows the scans find.
+        assert frontier.stats.rows_evaluated == scanned.stats.rows_evaluated
 
 
 problems = st.fixed_dictionaries(
