@@ -34,12 +34,20 @@ Two execution modes:
   reverse uploader→rows index — so a round costs O(edges touched by
   last round's price changes), not O(pending edges), and there is no
   ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
+  Each round takes its rows from the exact frontier the previous round
+  left, not from O(n) mask scans, while that frontier holds at most
+  ``max(64, n // 16)`` entries.
   Each round commits every auctioneer's batch at once: an auctioneer
   that already holds members and whose batch reaches ``B(u)`` merges
   the two in one ``np.lexsort`` (higher bid first; on equal bids a
   member before an incoming bid, the later-accepted member first, and
   incoming bids in batch order) and keeps the first ``B(u)``, exactly
-  what the reference heap walk keeps.
+  what the reference heap walk keeps.  A round that is not bulk
+  (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` = 32
+  rows — the many small rounds of a solve's tail — runs the same
+  steps on Python scalars, where numpy's fixed per-call cost would
+  outweigh its few bids (Bertsekas & Castañon, Parallel Computing 17,
+  1991, describe that fixed per-round cost of synchronous auctions).
 * ``"jacobi-dense"`` — the same synchronized semantics over the padded
   dense view; kept as the equivalence reference for the CSR port (the
   two produce identical assignments) and for benchmarking the padding
@@ -555,24 +563,42 @@ class AuctionSolver:
           that have not moved), so the dense reference would re-compute
           the identical non-submitting bid for it.
 
-        Rounds therefore cost O(edges incident to last round's price
-        changes), not O(pending edges); bulk rounds (the first, or a
-        warm re-bid wave touching most rows) run over the full CSR with
-        no sub-gather at all.  The final ``η`` duals come straight from
-        the ``phi1`` cache after a last sync of still-dirty rows — no
-        extra full-edge pass.
+        The rows of a round come from an exact frontier, not from mask
+        scans.  After a round commits, the next round's rows are the
+        pending rows among those it evicted and those incident to an
+        uploader it repriced, ascending and deduplicated.  That is
+        exactly ``dirty & pending``: an assigned row becomes pending
+        only by eviction, and a rejected bid always coincides with its
+        target's ``λ`` rising.  Round 1 scans, and so does any round
+        after a frontier of more than ``max(64, n // 16)`` entries,
+        where two O(n) scans cost less than deduplicating.
 
-        The commit is one vectorized pass per round.  Each uploader's
-        members sit in a flat block of ``B(u)`` slots, so reading a
-        contested auctioneer's members costs O(B(u)).  A batch accepts
-        a prefix of itself, highest bid first.  An auctioneer that
-        already holds members and whose batch reaches ``B(u)`` is
-        contested: :meth:`_merge_contested` sorts its members and batch
-        together under the reference heap's tie order (higher bid; a
-        member before an equal incoming bid; the later-accepted member;
-        batch order) and keeps the first ``B(u)``.  Once a batch that
-        got in fills the set, ``λ_u`` becomes the lowest kept bid if
-        that is higher; evicted rows are marked dirty.
+        Rounds therefore cost O(edges incident to last round's price
+        changes), not O(pending edges); bulk rounds (``2·rows ≥ n``:
+        the first, or a warm re-bid wave touching most rows) run over
+        the full CSR with no sub-gather at all.  The final ``η`` duals
+        come straight from the ``phi1`` cache after a last sync of
+        still-dirty rows — no extra full-edge pass.
+
+        A vector round commits in one pass.  Each uploader's members
+        sit in a flat block of ``B(u)`` slots, so reading a contested
+        auctioneer's members costs O(B(u)).  A batch accepts a prefix
+        of itself, highest bid first.  An auctioneer that already holds
+        members and whose batch reaches ``B(u)`` is contested:
+        :meth:`_merge_contested` sorts its members and batch together
+        under the reference heap's tie order (higher bid; a member
+        before an equal incoming bid; the later-accepted member; batch
+        order) and keeps the first ``B(u)``.  Once a batch that got in
+        fills the set, ``λ_u`` becomes the lowest kept bid if that is
+        higher; evicted rows are marked dirty.
+
+        A round that is not bulk and evaluates at most
+        ``_SMALL_ROUND_ROWS`` rows — most rounds of a solve's tail,
+        each moving a handful of bids — runs the same evaluate, commit
+        and propagate steps on Python scalars instead, where numpy's
+        per-call overhead would dominate: the same float operations in
+        the same order and the same tie rules, so it produces the same
+        bids, members, prices and callbacks as the vector path.
         """
         csr = problem.csr()
         n = csr.n_requests
@@ -651,7 +677,9 @@ class AuctionSolver:
         no_rows = np.empty(0, dtype=np.int64)
         epsilon = self.epsilon
 
-        def scalar_bids(rows: np.ndarray) -> Tuple[List[Tuple[int, float, int]], bool]:
+        def scalar_bids(
+            rows: np.ndarray,
+        ) -> Tuple[List[Tuple[int, float, int]], bool]:
             """Evaluate a small round's rows on Python floats.
 
             Per row: ``φ = v − λ`` over its edges (one gather for the
@@ -722,14 +750,18 @@ class AuctionSolver:
                 m, cap = load.item(u), capacity.item(u)
                 seq0, at = next_seq.item(u), base.item(u)
                 if m == 0 or m + len(batch) < cap:
+                    # Uncontested: the accepted prefix fills free slots.
                     take = min(len(batch), cap - m)
                     for w in range(take):
                         member[at + m + w] = batch[w][2]
                     lowest = -batch[take - 1][1]
                 elif len(batch) == 1 and m == cap:
+                    # One bid into a full set, the common tail case.
                     held = member[at : at + cap]
                     kept = bid_of[held].tolist()
-                    low, _, x = min(zip(kept, seq_of[held].tolist(), range(cap)))
+                    low, _, x = min(
+                        zip(kept, seq_of[held].tolist(), range(cap))
+                    )
                     _, neg, r = batch[0]
                     take = int(-neg > low)
                     if take:
@@ -738,6 +770,8 @@ class AuctionSolver:
                         kept[x] = -neg
                         lowest = min(kept)
                 else:
+                    # Contested: members sort by -1 - seq < 0, incoming
+                    # bids by batch position, below the bid.
                     held = member[at : at + m].tolist()
                     merged = sorted(
                         [
@@ -764,7 +798,9 @@ class AuctionSolver:
                     lam[u] = lowest
                     repriced.append(u)
                     if self.on_price_update is not None:
-                        self.on_price_update(round_no, csr.uploaders.item(u), lowest)
+                        self.on_price_update(
+                            round_no, csr.uploaders.item(u), lowest
+                        )
             evicted_rows = np.array(evicted, dtype=np.int64)
             assigned_to[evicted_rows] = -1
             stats.bids_submitted += len(bids)
@@ -773,7 +809,9 @@ class AuctionSolver:
             stats.price_updates += len(repriced)
             return np.array(repriced, dtype=np.int64), evicted_rows
 
-        def propagate(repriced: np.ndarray, evicted: np.ndarray) -> Optional[np.ndarray]:
+        def propagate(
+            repriced: np.ndarray, evicted: np.ndarray
+        ) -> Optional[np.ndarray]:
             """Re-arm the rows a round made stale; return the next round's rows.
 
             Marks dirty every evicted row and every row incident to an
