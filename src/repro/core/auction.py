@@ -669,13 +669,10 @@ class AuctionSolver:
         edge_u_buf = np.empty(n_edges, dtype=np.int64)
         sub_indptr_buf = np.empty(n + 1, dtype=np.int64)
 
-        # The exact frontier: after a round commits, the next round's
-        # rows are its pending evicted rows and the pending rows incident
-        # to an uploader it repriced (see propagate).  None means scan.
+        # The next round's rows (see propagate); None means scan.
         frontier = None
         frontier_cap = max(_FRONTIER_MIN_ROWS, n // _FRONTIER_DIVISOR)
         no_rows = np.empty(0, dtype=np.int64)
-        epsilon = self.epsilon
 
         def scalar_bids(
             rows: np.ndarray,
@@ -712,7 +709,7 @@ class AuctionSolver:
                     outside = max(seg)
                     u = edge_u[at + j]
                     lam_t = lam.item(u)
-                    bid = lam_t + phi1 - outside + epsilon
+                    bid = lam_t + phi1 - outside + self.epsilon
                     if bid > lam_t:
                         bids.append((u, -bid, r))
                 else:

@@ -27,6 +27,27 @@ from auction import etas_reference  # noqa: E402
 EPSILON = 1e-6
 
 
+def solve_like_dense(problem, epsilon):
+    """The jacobi result and its price-callback stream, both asserted
+    equal to ``jacobi-dense``'s: assignment, λ, η, stats and callbacks."""
+    outcomes = []
+    for mode in ("jacobi", "jacobi-dense"):
+        calls = []
+        solver = AuctionSolver(
+            epsilon=epsilon,
+            mode=mode,
+            on_price_update=lambda *call, calls=calls: calls.append(call),
+        )
+        outcomes.append((solver.solve(problem), calls))
+    (result, calls), (dense, dense_calls) = outcomes
+    assert result.assignment == dense.assignment
+    assert result.prices == dense.prices
+    assert result.etas == dense.etas
+    assert result.stats == dense.stats
+    assert calls == dense_calls
+    return result, calls
+
+
 def skewed_problem(rng: np.random.Generator, n_requests=60, n_uploaders=25):
     """Instance with heavily skewed candidate counts (the padding worst case)."""
     p = SchedulingProblem()
@@ -103,22 +124,8 @@ class TestJacobiCSRvsDense:
         p = random_problem(
             np.random.default_rng(0), n_requests=2500, n_uploaders=400, max_candidates=6
         )
-        outcomes = []
-        for mode in ("jacobi", "jacobi-dense"):
-            calls = []
-            solver = AuctionSolver(
-                epsilon=0.01,
-                mode=mode,
-                on_price_update=lambda *call, calls=calls: calls.append(call),
-            )
-            outcomes.append((solver.solve(p), calls))
-        (a, calls), (b, dense_calls) = outcomes
-        assert 0 < a.stats.scalar_rounds < a.stats.rounds
-        assert a.assignment == b.assignment
-        assert a.prices == b.prices
-        assert a.etas == b.etas
-        assert a.stats == b.stats
-        assert calls == dense_calls
+        result, _ = solve_like_dense(p, 0.01)
+        assert 0 < result.stats.scalar_rounds < result.stats.rounds
 
     def test_warm_start_equivalence(self, small_problem):
         warm = {100: 0.5, 200: 0.25}
@@ -216,21 +223,7 @@ class TestContestedCommit:
         problem.set_capacity(self.DEAD, 0)
         for i in range(2 * live):
             problem.add_request(900 + i, f"inert{i}", 1.0, {self.DEAD: 0.0})
-        outcomes = []
-        for mode in ("jacobi", "jacobi-dense"):
-            calls = []
-            solver = AuctionSolver(
-                epsilon=self.EPS,
-                mode=mode,
-                on_price_update=lambda *call, calls=calls: calls.append(call),
-            )
-            outcomes.append((solver.solve(problem), calls))
-        (result, calls), (dense, dense_calls) = outcomes
-        assert result.assignment == dense.assignment
-        assert result.prices == dense.prices
-        assert result.etas == dense.etas
-        assert result.stats == dense.stats
-        assert calls == dense_calls
+        result, calls = solve_like_dense(problem, self.EPS)
         assert result.stats.scalar_rounds == result.stats.rounds
         assignment = {r: u for r, u in result.assignment.items() if r < live}
         prices = {u: lam for u, lam in result.prices.items() if u != self.DEAD}

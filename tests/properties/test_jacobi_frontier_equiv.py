@@ -29,11 +29,11 @@ from hypothesis import strategies as st
 
 from repro.core import auction
 from repro.core.auction import AuctionNonConvergence, AuctionSolver
+from repro.core.problem import SchedulingProblem
 
 #: ``_SMALL_ROUND_ROWS`` settings: vector only, the default, scalar for
 #: every non-bulk round.
 SMALL_ROUND_ROWS = (0, auction._SMALL_ROUND_ROWS, 10**9)
-from repro.core.problem import SchedulingProblem
 
 
 def build_problem(
