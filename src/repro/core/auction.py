@@ -43,7 +43,7 @@ Two execution modes:
   member before an incoming bid, the later-accepted member first, and
   incoming bids in batch order) and keeps the first ``B(u)``, exactly
   what the reference heap walk keeps.  A round that is not bulk
-  (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` = 32
+  (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` = 16
   rows — the many small rounds of a solve's tail — runs the same
   steps on Python scalars, where numpy's fixed per-call cost would
   outweigh its few bids (Bertsekas & Castañon, Parallel Computing 17,
@@ -84,12 +84,14 @@ DEFAULT_EPSILON = 1e-9
 
 #: A jacobi round that is not bulk and evaluates at most this many rows
 #: runs on Python scalars: at that size numpy's per-call overhead, not
-#: the bids, is the cost of a vector round.
-_SMALL_ROUND_ROWS = 32
+#: the bids, is the cost of a vector round.  On the benchmark workloads
+#: the scalar round stops being cheaper at 12 to 24 rows.
+_SMALL_ROUND_ROWS = 16
 
 #: A round takes its rows from the previous round's exact frontier while
 #: that holds at most ``max(_FRONTIER_MIN_ROWS, n // _FRONTIER_DIVISOR)``
-#: entries; past that, two O(n) mask scans are cheaper than deduplicating.
+#: entries; past that, two O(n) mask scans are cheaper than deduplicating
+#: (on the benchmark workloads the two break even at n/16 to n/8).
 _FRONTIER_MIN_ROWS = 64
 _FRONTIER_DIVISOR = 16
 
@@ -726,9 +728,7 @@ class AuctionSolver:
             Sorting the ``(uploader, -bid, row)`` tuples gives
             :func:`_order_bids`' order.  Per auctioneer, in ascending
             uploader order: an uncontested batch appends its accepted
-            prefix; one bid into a full set evicts the member with the
-            lowest ``(bid, seq)`` if and only if it beats that member's
-            bid; any other contested batch merges with the members under
+            prefix; a contested one merges with the members under
             :meth:`_merge_contested`'s four-key order.  Returns the
             repriced uploaders and the evicted rows.
             """
@@ -752,20 +752,6 @@ class AuctionSolver:
                     for w in range(take):
                         member[at + m + w] = batch[w][2]
                     lowest = -batch[take - 1][1]
-                elif len(batch) == 1 and m == cap:
-                    # One bid into a full set, the common tail case.
-                    held = member[at : at + cap]
-                    kept = bid_of[held].tolist()
-                    low, _, x = min(
-                        zip(kept, seq_of[held].tolist(), range(cap))
-                    )
-                    _, neg, r = batch[0]
-                    take = int(-neg > low)
-                    if take:
-                        evicted.append(held.item(x))
-                        member[at + x] = r
-                        kept[x] = -neg
-                        lowest = min(kept)
                 else:
                     # Contested: members sort by -1 - seq < 0, incoming
                     # bids by batch position, below the bid.

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import auction
 from repro.core.auction import AuctionSolver, _segment_max
 from repro.core.exact import solve_hungarian
 from repro.core.problem import SchedulingProblem, random_problem
@@ -211,15 +212,24 @@ class TestContestedCommit:
     DEAD = 99
 
     def solve(self, problem):
-        """Jacobi outcome and price-callback stream, held equal to jacobi-dense.
+        """Jacobi outcome and price-callback stream on both round paths.
 
-        The problem is padded with inert requests whose only candidate,
-        ``DEAD``, has no capacity.  They retire up front and raise n, so
-        every round is small (2·rows < n) and commits on the scalar
-        path.  Returns the hand-built requests' assignment, the other
-        uploaders' prices, the stats and the callback stream.
+        The case is solved twice, each time held equal to jacobi-dense.
+        First every round runs on the vector path (``_SMALL_ROUND_ROWS
+        = 0``).  Then the problem is padded with inert requests whose
+        only candidate, ``DEAD``, has no capacity: they retire up front
+        and raise n, so every round is small (2·rows < n) and runs on
+        the scalar path.  Both runs must agree on the hand-built
+        requests' assignment, the other uploaders' prices, the stats and
+        the callback stream, which are returned.
         """
         live = problem.n_requests
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(auction, "_SMALL_ROUND_ROWS", 0)
+            result, calls = solve_like_dense(problem, self.EPS)
+        assert result.stats.scalar_rounds == 0
+        vector = (result.assignment, result.prices, result.stats, calls)
+
         problem.set_capacity(self.DEAD, 0)
         for i in range(2 * live):
             problem.add_request(900 + i, f"inert{i}", 1.0, {self.DEAD: 0.0})
@@ -227,7 +237,8 @@ class TestContestedCommit:
         assert result.stats.scalar_rounds == result.stats.rounds
         assignment = {r: u for r, u in result.assignment.items() if r < live}
         prices = {u: lam for u, lam in result.prices.items() if u != self.DEAD}
-        return assignment, prices, result.stats, calls
+        assert (assignment, prices, result.stats, calls) == vector
+        return vector
 
     def test_incoming_bid_tying_the_lowest_member_loses(self):
         # U (id 1, B = 2) accepts A at 3.5 in round 1 and is not full.
