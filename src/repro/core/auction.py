@@ -43,7 +43,7 @@ Two execution modes:
   member before an incoming bid, the later-accepted member first, and
   incoming bids in batch order) and keeps the first ``B(u)``, exactly
   what the reference heap walk keeps.  A round that is not bulk
-  (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` = 16
+  (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` = 32
   rows — the many small rounds of a solve's tail — runs the same
   steps on Python scalars, where numpy's fixed per-call cost would
   outweigh its few bids (Bertsekas & Castañon, Parallel Computing 17,
@@ -85,8 +85,8 @@ DEFAULT_EPSILON = 1e-9
 #: A jacobi round that is not bulk and evaluates at most this many rows
 #: runs on Python scalars: at that size numpy's per-call overhead, not
 #: the bids, is the cost of a vector round.  On the benchmark workloads
-#: the scalar round stops being cheaper at 12 to 24 rows.
-_SMALL_ROUND_ROWS = 16
+#: the two paths break even at about this size.
+_SMALL_ROUND_ROWS = 32
 
 #: A round takes its rows from the previous round's exact frontier while
 #: that holds at most ``max(_FRONTIER_MIN_ROWS, n // _FRONTIER_DIVISOR)``
@@ -727,10 +727,11 @@ class AuctionSolver:
 
             Sorting the ``(uploader, -bid, row)`` tuples gives
             :func:`_order_bids`' order.  Per auctioneer, in ascending
-            uploader order: an uncontested batch appends its accepted
-            prefix; a contested one merges with the members under
-            :meth:`_merge_contested`'s four-key order.  Returns the
-            repriced uploaders and the evicted rows.
+            uploader order, the batch fills free slots and then evicts
+            the lowest ``(bid, seq)`` members it beats, as the reference
+            heap walk does, so it keeps what :meth:`_merge_contested`'s
+            four-key order keeps.  Returns the repriced uploaders and
+            the evicted rows.
             """
             bids.sort()
             repriced: List[int] = []
@@ -746,29 +747,31 @@ class AuctionSolver:
                 i = j
                 m, cap = load.item(u), capacity.item(u)
                 seq0, at = next_seq.item(u), base.item(u)
-                if m == 0 or m + len(batch) < cap:
-                    # Uncontested: the accepted prefix fills free slots.
-                    take = min(len(batch), cap - m)
-                    for w in range(take):
-                        member[at + m + w] = batch[w][2]
-                    lowest = -batch[take - 1][1]
+                # Free slots take the batch's first bids.
+                take = min(len(batch), cap - m)
+                for w in range(take):
+                    member[at + m + w] = batch[w][2]
+                if m and m + len(batch) >= cap:
+                    # Contested: each later bid must beat the lowest
+                    # (bid, seq) member left, and evicts it.  An equal
+                    # bid loses, and once a bid fails every lower one
+                    # fails too.  The set is full, so λ reads every member.
+                    held = member[at : at + m]
+                    kept = bid_of[held].tolist()
+                    order = zip(kept, seq_of[held].tolist(), range(m))
+                    for low, _, x in heapq.nsmallest(len(batch) - take, order):
+                        _, neg, r = batch[take]
+                        if -neg <= low:
+                            break
+                        evicted.append(held.item(x))
+                        member[at + x] = r
+                        kept[x] = -neg
+                        take += 1
+                    lowest = min(kept)
+                    if take:
+                        lowest = min(lowest, -batch[take - 1][1])
                 else:
-                    # Contested: members sort by -1 - seq < 0, incoming
-                    # bids by batch position, below the bid.
-                    held = member[at : at + m].tolist()
-                    merged = sorted(
-                        [
-                            (-b, -1 - q, r)
-                            for b, q, r in zip(
-                                bid_of[held].tolist(), seq_of[held].tolist(), held
-                            )
-                        ]
-                        + [(neg, w, r) for w, (_, neg, r) in enumerate(batch)]
-                    )
-                    member[at : at + cap] = [r for _, _, r in merged[:cap]]
-                    evicted += [r for _, tie, r in merged[cap:] if tie < 0]
-                    take = sum(tie >= 0 for _, tie, _ in merged[:cap])
-                    lowest = -merged[cap - 1][0]
+                    lowest = -batch[take - 1][1]
                 for w in range(take):
                     _, neg, r = batch[w]
                     assigned_to[r] = u

@@ -15,7 +15,7 @@ randomly generated problems covering the frontier's hard cases:
 
 Every example is solved three times, with ``_SMALL_ROUND_ROWS`` at 0
 (every round on the vector path), at its default (which at these sizes
-puts most non-bulk rounds on the scalar path) and above every round.
+puts every non-bulk round on the scalar path) and above every round.
 
 Runs under the deterministic ``repro-props`` Hypothesis profile.
 """
