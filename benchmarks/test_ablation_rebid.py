@@ -28,7 +28,7 @@ def test_ablation_rebid(benchmark, results_dir):
     # auction misses under tight supply.
     assert by_cell[(2, False)].miss_rate < by_cell[(1, False)].miss_rate
     # Warm-started re-bid waves never do more ε-auction work than cold
-    # ones — the price frontier only re-arms repriced uploaders' rows.
+    # ones: they start near the last wave's clearing prices.
     for rounds in (2, 4, 8):
         warm, cold = by_cell[(rounds, True)], by_cell[(rounds, False)]
         assert warm.auction_rounds <= cold.auction_rounds

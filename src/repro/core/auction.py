@@ -28,15 +28,14 @@ Two execution modes:
 * ``"jacobi"`` — all unassigned requests bid each round against the
   round-start prices; numpy-vectorized over the problem's flat CSR view
   (segment maxima via ``np.maximum.reduceat``), used for paper-scale
-  instances.  The round loop is *event-driven*: per-row best surpluses
-  are cached and only rows incident to uploaders whose price
-  changed (plus evicted rows) are re-evaluated, via the problem's
-  reverse uploader→rows index — so a round costs O(edges touched by
-  last round's price changes), not O(pending edges), and there is no
-  ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
-  Each round takes its rows from the exact frontier the previous round
-  left, not from O(n) mask scans, while that frontier holds at most
-  ``max(64, n // 16)`` entries.
+  instances.  As in Alg. 1, the losers bid next: after round 1, a
+  round evaluates only the rows the round before left unassigned (its
+  rejected bidders and the members it evicted) plus, at ε = 0, the
+  dormant tied rows that a reprice of one of their candidates woke.
+  These are exactly the pending rows whose bid can have changed, so a
+  round costs O(its bidders' edges), not O(pending edges), and there is
+  no ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
+  The ``η`` duals are computed on the result's first read of them.
   Each round commits every auctioneer's batch at once: an auctioneer
   that already holds members and whose batch reaches ``B(u)`` merges
   the two in one ``np.lexsort`` (higher bid first; on equal bids a
@@ -59,6 +58,7 @@ tests cross-check them against the Hungarian oracle.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -68,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .problem import SchedulingProblem
+from .problem import CSRView, SchedulingProblem
 from .result import ScheduleResult, SolverStats
 
 __all__ = [
@@ -87,13 +87,6 @@ DEFAULT_EPSILON = 1e-9
 #: the bids, is the cost of a vector round.  On the benchmark workloads
 #: the two paths break even at about this size.
 _SMALL_ROUND_ROWS = 32
-
-#: A round takes its rows from the previous round's exact frontier while
-#: that holds at most ``max(_FRONTIER_MIN_ROWS, n // _FRONTIER_DIVISOR)``
-#: entries; past that, two O(n) mask scans are cheaper than deduplicating
-#: (on the benchmark workloads the two break even at n/16 to n/8).
-_FRONTIER_MIN_ROWS = 64
-_FRONTIER_DIVISOR = 16
 
 
 class AuctionNonConvergence(RuntimeError):
@@ -298,14 +291,14 @@ class AuctionSolver:
         return max(1_000_000, 200 * max(1, problem.n_edges()))
 
     @staticmethod
-    def _etas_array(problem: SchedulingProblem, lam_by_index: np.ndarray) -> np.ndarray:
+    def _etas_array(csr: CSRView, lam_by_index: np.ndarray) -> np.ndarray:
         """Optimal duals ``η_d`` as an ``(R,)`` array given index-aligned ``λ``.
 
         ``lam_by_index`` follows the CSR view's uploader index order —
-        exactly the shape the jacobi solvers carry, so the epilogue pays
-        zero dict round-trips.
+        exactly the shape the jacobi solvers carry, so they hand the
+        result this call over their view and final ``λ`` to run on the
+        first read of ``η``.
         """
-        csr = problem.csr()
         if csr.n_requests == 0:
             return np.empty(0, dtype=float)
         phi = csr.values - lam_by_index[csr.uploader_index]
@@ -334,7 +327,7 @@ class AuctionSolver:
             dtype=float,
             count=len(csr.uploaders),
         )
-        best = AuctionSolver._etas_array(problem, lam_arr)
+        best = AuctionSolver._etas_array(csr, lam_arr)
         return dict(enumerate(best.tolist()))
 
     # ------------------------------------------------------------------
@@ -520,7 +513,7 @@ class AuctionSolver:
     ) -> np.ndarray:
         """Concatenation of ``[starts[i], starts[i]+lens[i])`` ranges.
 
-        The flat-gather primitive of the frontier solver: one cumsum +
+        The flat-gather primitive of the jacobi solver: one cumsum +
         repeat instead of a Python loop over slices.  ``iota`` is an
         optional pre-built ``arange`` (at least total long) so the hot
         path skips that per-round allocation.
@@ -543,44 +536,43 @@ class AuctionSolver:
         problem: SchedulingProblem,
         initial_prices: Optional[Dict[int, float]] = None,
     ) -> ScheduleResult:
-        """Event-driven (price-frontier) jacobi rounds over the CSR view.
+        """Synchronized rounds over the CSR view in which the losers bid next.
 
         Produces exactly the assignment of :meth:`_solve_jacobi_dense`
         (same bid order, same tie-breaks, same stats) without
-        materializing the padded ``(R, K_max)`` matrices — and, unlike
-        the dense reference, without re-scanning every pending edge
-        every round.  The key observation is classic auction-algorithm
-        practice: a request's best/second-best surplus (and hence its
-        bid) can only change when one of *its own* candidate uploaders
-        reprices, or when the request itself is evicted.  So the solver
+        materializing the padded ``(R, K_max)`` matrices, and without
+        re-evaluating every pending row every round.  Round 1 evaluates
+        every row not retired up front.  Each later round evaluates, in
+        ascending order, the rows the round before left unassigned, as
+        Alg. 1 re-bids them: its rejected bidders, the members its bids
+        evicted, and the *dormant* rows that one of its reprices woke.
+        A row is dormant when it stayed live but its bid did not exceed
+        its target's ``λ`` (an ε = 0 tie); it wakes when an uploader it
+        has an edge to reprices.
 
-        * keeps a per-row ``phi1`` (best-surplus) column cached from
-          each row's last evaluation — the η duals read it directly,
-        * maintains a ``dirty`` frontier seeded with every row and, after
-          each round, re-armed only for rows incident to uploaders whose
-          ``λ`` rose (via the problem's reverse uploader→rows CSR index)
-          plus rows evicted by a contested merge,
-        * evaluates only dirty pending rows each round: a clean pending
-          row is provably dormant (its last bid was ``≤ λ`` at prices
-          that have not moved), so the dense reference would re-compute
-          the identical non-submitting bid for it.
+        A request's best and second-best surplus change only when one
+        of its own candidates reprices or it is evicted, so a pending
+        row's bid can differ from its last one only if it was evicted or
+        has a candidate that repriced since (``dirty & pending`` in an
+        event-driven frontier).  The rule takes exactly those rows:
 
-        The rows of a round come from an exact frontier, not from mask
-        scans.  After a round commits, the next round's rows are the
-        pending rows among those it evicted and those incident to an
-        uploader it repriced, ascending and deduplicated.  That is
-        exactly ``dirty & pending``: an assigned row becomes pending
-        only by eviction, and a rejected bid always coincides with its
-        target's ``λ`` rising.  Round 1 scans, and so does any round
-        after a frontier of more than ``max(64, n // 16)`` entries,
-        where two O(n) scans cost less than deduplicating.
+        * an assigned row becomes pending only by eviction;
+        * a rejected bid always reprices its target: the lowest kept bid
+          is at least the rejected bid, which exceeds the old ``λ``;
+        * any other pending row last evaluated to a bid that did not
+          exceed ``λ``, so it is dormant, and until one of its candidates
+          reprices the dense reference re-computes the same idle bid
+          for it.
 
-        Rounds therefore cost O(edges incident to last round's price
-        changes), not O(pending edges); bulk rounds (``2·rows ≥ n``:
-        the first, or a warm re-bid wave touching most rows) run over
-        the full CSR with no sub-gather at all.  The final ``η`` duals
-        come straight from the ``phi1`` cache after a last sync of
-        still-dirty rows — no extra full-edge pass.
+        With ``ε > 0`` every live row bids (unless ``ε`` is below the
+        rounding of ``λ``), so the dormant set stays empty and every
+        round evaluates exactly the dense reference's pending rows.
+
+        Bulk rounds (``2·rows ≥ n``: the first, or a warm re-bid wave
+        touching most rows) take the best surplus over the full CSR with
+        no gather.  Other rounds gather their rows' edges into a compact
+        sub-CSR over round-persistent scratch buffers, so a round costs
+        O(its rows' edges).
 
         A vector round commits in one pass.  Each uploader's members
         sit in a flat block of ``B(u)`` slots, so reading a contested
@@ -592,15 +584,19 @@ class AuctionSolver:
         before an equal incoming bid; the later-accepted member; batch
         order) and keeps the first ``B(u)``.  Once a batch that got in
         fills the set, ``λ_u`` becomes the lowest kept bid if that is
-        higher; evicted rows are marked dirty.
+        higher.
 
         A round that is not bulk and evaluates at most
         ``_SMALL_ROUND_ROWS`` rows — most rounds of a solve's tail,
-        each moving a handful of bids — runs the same evaluate, commit
-        and propagate steps on Python scalars instead, where numpy's
-        per-call overhead would dominate: the same float operations in
-        the same order and the same tie rules, so it produces the same
-        bids, members, prices and callbacks as the vector path.
+        each moving a handful of bids — runs the same evaluate and
+        commit steps on Python scalars instead, where numpy's per-call
+        overhead would dominate: the same float operations in the same
+        order and the same tie rules, so it produces the same bids,
+        members, prices and callbacks as the vector path.
+
+        The ``η`` duals are left to the result, which computes them on
+        first read from the CSR view and the final ``λ``
+        (:meth:`_etas_array`); the slot loop never reads them.
         """
         csr = problem.csr()
         n = csr.n_requests
@@ -632,33 +628,18 @@ class AuctionSolver:
         seq_of = np.zeros(n, dtype=np.int64)
         next_seq = np.zeros(n_uploaders, dtype=np.int64)
         load = np.zeros(n_uploaders, dtype=np.int64)
-        # Per-row best-surplus cache (read by the η epilogue; phi2 and
-        # the best edge are only needed within a round and recomputed on
-        # each evaluation).  When nothing is masked and no row is empty
-        # the up-front retirement scan is skipped entirely — the first
-        # (bulk) round writes every phi1 before anything reads it.
-        # Otherwise the λ=0 segment maxima
-        # double as the retirement scan (rows with no edge, or only
-        # zero-capacity candidates, can never bid) and are already final
-        # for those rows: every usable edge is -inf there.
+        # Rows with no edge, or only zero-capacity candidates, can never
+        # bid and retire up front.  When nothing is masked and no row is
+        # empty there are none, and the scan is skipped.
         no_empty = bool(counts.min(initial=1) > 0)
         if values is csr.values and no_empty:
-            phi1_of = np.empty(n, dtype=float)
             retired = np.zeros(n, dtype=bool)
-            dirty = np.ones(n, dtype=bool)
         else:
-            phi1_of = _segment_max(values, indptr)
-            retired = ~np.isfinite(phi1_of)
-            # The frontier: rows whose cached surplus may be stale.
-            # Rows retired up front stay clean forever — their
-            # candidates never reprice (zero capacity ⇒ no bids ⇒ no
-            # λ updates).
-            dirty = ~retired
-        rev_indptr, rev_rows = csr.uploader_rows()
+            retired = ~np.isfinite(_segment_max(values, indptr))
         # Member blocks: uploader u's accepted requests sit in
         # member[base[u] : base[u] + load[u]], in no particular order.
         # A block holds B(u) slots, or fewer when fewer rows list u.
-        block = np.minimum(capacity, np.diff(rev_indptr))
+        block = np.minimum(capacity, np.bincount(uidx, minlength=n_uploaders))
         base = np.zeros(n_uploaders, dtype=np.int64)
         np.cumsum(block[:-1], out=base[1:])
         member = np.empty(int(block.sum()), dtype=np.int64)
@@ -669,41 +650,49 @@ class AuctionSolver:
         phi_buf = np.empty(n_edges, dtype=float)
         lam_e_buf = np.empty(n_edges, dtype=float)
         edge_u_buf = np.empty(n_edges, dtype=np.int64)
-        sub_indptr_buf = np.empty(n + 1, dtype=np.int64)
-
-        # The next round's rows (see propagate); None means scan.
-        frontier = None
-        frontier_cap = max(_FRONTIER_MIN_ROWS, n // _FRONTIER_DIVISOR)
         no_rows = np.empty(0, dtype=np.int64)
+        # Live rows whose last bid did not exceed λ, waiting for one of
+        # their candidates to reprice.
+        dormant = no_rows
 
-        def scalar_bids(
+        def gather(
             rows: np.ndarray,
-        ) -> Tuple[List[Tuple[int, float, int]], bool]:
-            """Evaluate a small round's rows on Python floats.
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            """The rows' edges, row after row, in the scratch buffers.
 
-            Per row: ``φ = v − λ`` over its edges (one gather for the
-            round), the first maximal edge, the second-best value, and
-            the bid ``lam_t + phi1 - outside + ε`` — the vector path's
-            float operations in its order, so every bid is bit-identical.
-            Caches ``phi1`` and retires rows with ``phi1 <= 0``.  Returns
-            the submitted bids as ``(uploader, -bid, row)`` and whether
-            any row stayed live.
+            Returns each row's edge count, the flat edge indices, the
+            edges' uploader indices and ``φ = v − λ`` at current prices.
             """
             lens = counts[rows]
             eidx = self._concat_ranges(indptr[rows], lens, iota_e)
-            edge_u = uidx[eidx]
-            phi = (values[eidx] - lam[edge_u]).tolist()
+            total = len(eidx)
+            edge_u = np.take(uidx, eidx, out=edge_u_buf[:total])
+            phi = np.take(values, eidx, out=phi_buf[:total])
+            phi -= np.take(lam, edge_u, out=lam_e_buf[:total])
+            return lens, eidx, edge_u, phi
+
+        def scalar_bids(
+            rows: np.ndarray,
+        ) -> Tuple[List[Tuple[int, float, int]], List[int]]:
+            """Evaluate a small round's rows on Python floats.
+
+            Per row: the first maximal edge of ``φ``, the second-best
+            value, and the bid ``lam_t + phi1 - outside + ε`` — the
+            vector path's float operations in its order, so every bid is
+            bit-identical.  Retires rows with ``phi1 <= 0``.  Returns the
+            submitted bids as ``(uploader, -bid, row)`` and the live rows
+            whose bid did not exceed ``λ``.
+            """
+            lens, _, edge_u, phi = gather(rows)
+            phi = phi.tolist()
             edge_u = edge_u.tolist()
-            best: List[float] = []
             bids: List[Tuple[int, float, int]] = []
-            live = False
+            idle: List[int] = []
             at = 0
             for r, k in zip(rows.tolist(), lens.tolist()):
                 seg = phi[at : at + k]
                 phi1 = max(seg)
-                best.append(phi1)
                 if phi1 > 0.0:
-                    live = True
                     j = seg.index(phi1)
                     # The best edge's slot takes the outside option, so
                     # the max is max(φ_second, 0).
@@ -714,15 +703,16 @@ class AuctionSolver:
                     bid = lam_t + phi1 - outside + self.epsilon
                     if bid > lam_t:
                         bids.append((u, -bid, r))
+                    else:
+                        idle.append(r)
                 else:
                     retired[r] = True
                 at += k
-            phi1_of[rows] = best
-            return bids, live
+            return bids, idle
 
         def scalar_commit(
             bids: List[Tuple[int, float, int]], round_no: int
-        ) -> Tuple[np.ndarray, np.ndarray]:
+        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             """Commit a small round's bids on Python scalars.
 
             Sorting the ``(uploader, -bid, row)`` tuples gives
@@ -730,13 +720,13 @@ class AuctionSolver:
             uploader order, the batch fills free slots and then evicts
             the lowest ``(bid, seq)`` members it beats, as the reference
             heap walk does, so it keeps what :meth:`_merge_contested`'s
-            four-key order keeps.  Returns the repriced uploaders and
-            the evicted rows.
+            four-key order keeps.  Returns the repriced uploaders, the
+            evicted rows and the rejected rows.
             """
             bids.sort()
             repriced: List[int] = []
             evicted: List[int] = []
-            accepted = 0
+            rejected: List[int] = []
             i = 0
             while i < len(bids):
                 u = bids[i][0]
@@ -777,9 +767,9 @@ class AuctionSolver:
                     assigned_to[r] = u
                     bid_of[r] = -neg
                     seq_of[r] = seq0 + w
+                rejected.extend(r for _, _, r in batch[take:])
                 next_seq[u] = seq0 + take
                 load[u] = min(m + take, cap)
-                accepted += take
                 if take and m + take >= cap and lowest > lam.item(u):
                     lam[u] = lowest
                     repriced.append(u)
@@ -790,69 +780,35 @@ class AuctionSolver:
             evicted_rows = np.array(evicted, dtype=np.int64)
             assigned_to[evicted_rows] = -1
             stats.bids_submitted += len(bids)
-            stats.bids_rejected += len(bids) - accepted
+            stats.bids_rejected += len(rejected)
             stats.evictions += len(evicted)
             stats.price_updates += len(repriced)
-            return np.array(repriced, dtype=np.int64), evicted_rows
+            return (
+                np.array(repriced, dtype=np.int64),
+                evicted_rows,
+                np.array(rejected, dtype=np.int64),
+            )
 
-        def propagate(
-            repriced: np.ndarray, evicted: np.ndarray
-        ) -> Optional[np.ndarray]:
-            """Re-arm the rows a round made stale; return the next round's rows.
-
-            Marks dirty every evicted row and every row incident to an
-            uploader that repriced.  The pending rows among them,
-            ascending, are exactly the next round's ``dirty & pending``:
-            an assigned row becomes pending only by eviction, and a
-            rejected bidder is among them because a rejection always
-            coincides with its target's λ rising.  Returns ``None``
-            (scan instead) past ``frontier_cap`` entries, where
-            deduplicating costs more than the two mask scans.
-            """
-            dirty[evicted] = True
-            touched = no_rows
-            if len(repriced):
-                lo = rev_indptr[repriced]
-                touched = rev_rows[
-                    self._concat_ranges(lo, rev_indptr[repriced + 1] - lo)
-                ]
-                dirty[touched] = True
-            if len(evicted) + len(touched) > frontier_cap:
-                return None
-            rows = np.concatenate((evicted, touched))
-            return np.unique(rows[(assigned_to[rows] < 0) & ~retired[rows]])
-
+        rows = np.nonzero(~retired)[0]
         for round_no in range(1, self.max_rounds + 1):
-            if frontier is None:
-                pending = (assigned_to < 0) & ~retired
-                rows = np.nonzero(dirty & pending)[0]
-            else:
-                rows = frontier
             if not len(rows):
-                # Every pending row is clean ⇒ dormant at prices that
-                # have not moved since its last evaluation; the dense
-                # reference would re-bid them all and submit nothing.
+                # Every pending row is dormant at prices that have not
+                # moved since its last evaluation; the dense reference
+                # would re-bid them all and submit nothing.
                 break
-            dirty[rows] = False
             stats.rows_evaluated += len(rows)
-            # Nothing is re-armed until the round commits: a round whose
-            # rows all retire leaves no rows for the next.
-            frontier = no_rows
             if len(rows) <= _SMALL_ROUND_ROWS and 2 * len(rows) < n:
-                bids, live = scalar_bids(rows)
-                if not live:
-                    continue
+                bids, idle = scalar_bids(rows)
                 if not bids:
-                    break  # all remaining bidders dormant (ε = 0 ties)
-                repriced, evicted = scalar_commit(bids, round_no)
+                    break  # every row retired or dormant
+                repriced, evicted, rejected = scalar_commit(bids, round_no)
                 stats.scalar_rounds += 1
             else:
                 full_best2 = False
                 if 2 * len(rows) >= n:
                     # Bulk round (the first, or a warm re-bid wave): the
                     # best-surplus pass runs over the full CSR with no
-                    # gather, refreshing the whole phi1 cache at the current
-                    # prices.
+                    # gather.
                     if lam.any():
                         np.take(lam, uidx, out=lam_e_buf)
                         phi = np.subtract(values, lam_e_buf, out=phi_buf)
@@ -862,19 +818,17 @@ class AuctionSolver:
                         # needs to mutate the full-CSR φ.
                         phi = values
                     if no_empty:
-                        phi1_of[:] = np.maximum.reduceat(phi, indptr[:-1])
+                        phi1_all = np.maximum.reduceat(phi, indptr[:-1])
                     else:
-                        phi1_of[:] = _segment_max(phi, indptr)
-                    phi1 = phi1_of[rows]
-                    newly_retired = phi1 <= 0.0
-                    retired[rows[newly_retired]] = True
-                    live = ~newly_retired
+                        phi1_all = _segment_max(phi, indptr)
+                    phi1 = phi1_all[rows]
+                    live = phi1 > 0.0
+                    retired[rows[~live]] = True
                     if not live.any():
-                        continue
+                        break
                     rows = rows[live]
                     phi1 = phi1[live]
-                    live_edges = int(counts[rows].sum())
-                    full_best2 = 2 * live_edges >= n_edges
+                    full_best2 = 2 * int(counts[rows].sum()) >= n_edges
                     if full_best2:
                         # Live bidders hold most edges: the best-edge /
                         # second-best pass is cheaper over the full CSR than
@@ -882,7 +836,7 @@ class AuctionSolver:
                         if phi is values:
                             np.copyto(phi_buf, values)
                             phi = phi_buf
-                        is_best = phi >= np.repeat(phi1_of, counts)
+                        is_best = phi >= np.repeat(phi1_all, counts)
                         if no_empty:
                             loc_star_all = np.minimum.reduceat(
                                 np.where(is_best, iota_e, n_edges), indptr[:-1]
@@ -902,68 +856,32 @@ class AuctionSolver:
                             e_star = e_star_all[rows]
                             phi[loc_star_ne] = -np.inf
                             phi2 = _segment_max(phi, indptr)[rows]
-                    else:
-                        starts = indptr[rows]
-                        lens = counts[rows]
-                        sub_indptr = sub_indptr_buf[: len(rows) + 1]
-                        sub_indptr[0] = 0
-                        np.cumsum(lens, out=sub_indptr[1:])
-                        total = int(sub_indptr[-1])
-                        eidx = self._concat_ranges(starts, lens, iota_e)
-                        # lam_e_buf is dead after the subtract; reuse it for
-                        # the live rows' phi gather.
-                        phi_sub = np.take(phi, eidx, out=lam_e_buf[:total])
-                else:
-                    # Frontier round: gather only the dirty pending rows'
-                    # edges into a compact sub-CSR over the scratch buffers.
-                    starts = indptr[rows]
-                    lens = counts[rows]
-                    sub_indptr = sub_indptr_buf[: len(rows) + 1]
-                    sub_indptr[0] = 0
-                    np.cumsum(lens, out=sub_indptr[1:])
-                    total = int(sub_indptr[-1])
-                    eidx = self._concat_ranges(starts, lens, iota_e)
-                    phi_sub = np.take(values, eidx, out=phi_buf[:total])
-                    eu = np.take(uidx, eidx, out=edge_u_buf[:total])
-                    np.take(lam, eu, out=lam_e_buf[:total])
-                    phi_sub -= lam_e_buf[:total]
-                    # Pending rows are never empty (empty rows were retired
-                    # up front), so plain reduceat is safe here.
-                    phi1 = np.maximum.reduceat(phi_sub, sub_indptr[:-1])
-                    phi1_of[rows] = phi1
-                    newly_retired = phi1 <= 0.0
-                    retired[rows[newly_retired]] = True
-                    live = ~newly_retired
-                    if not live.any():
-                        continue
-                    if not live.all():
-                        # Re-gather the live subset so the best-edge pass
-                        # below sees one contiguous sub-CSR in either path.
-                        rows = rows[live]
-                        phi1 = phi1[live]
-                        starts = indptr[rows]
-                        lens = counts[rows]
-                        sub_indptr = sub_indptr_buf[: len(rows) + 1]
-                        sub_indptr[0] = 0
-                        np.cumsum(lens, out=sub_indptr[1:])
-                        total = int(sub_indptr[-1])
-                        eidx = self._concat_ranges(starts, lens, iota_e)
-                        phi_sub = np.take(values, eidx, out=phi_buf[:total])
-                        eu = np.take(uidx, eidx, out=edge_u_buf[:total])
-                        np.take(lam, eu, out=lam_e_buf[:total])
-                        phi_sub -= lam_e_buf[:total]
-
                 if not full_best2:
-                    # First maximal edge per live row (same tie-break as the
-                    # dense argmax), then knock it out in place for phi2 —
-                    # the sub-buffer is dead after these two reductions.
+                    # Every other round, and a bulk round whose live rows
+                    # hold few edges: one sub-CSR of the rows' edges.
+                    # Pending rows are never empty (empty rows retire up
+                    # front), so plain reduceat is safe here.
+                    lens, eidx, _, phi_sub = gather(rows)
+                    total = len(eidx)
+                    starts = np.cumsum(lens) - lens
+                    phi1 = np.maximum.reduceat(phi_sub, starts)
+                    live = phi1 > 0.0
+                    retired[rows[~live]] = True
+                    if not live.any():
+                        break
+                    # First maximal edge per row (same tie-break as the
+                    # dense argmax), then knock it out in place for phi2;
+                    # the rows just retired ride along and drop out after.
                     is_best = phi_sub >= np.repeat(phi1, lens)
                     loc_star = np.minimum.reduceat(
-                        np.where(is_best, iota_e[:total], total), sub_indptr[:-1]
+                        np.where(is_best, iota_e[:total], total), starts
                     )
                     e_star = eidx[loc_star]
                     phi_sub[loc_star] = -np.inf
-                    phi2 = np.maximum.reduceat(phi_sub, sub_indptr[:-1])
+                    phi2 = np.maximum.reduceat(phi_sub, starts)
+                    if not live.all():
+                        rows, phi1 = rows[live], phi1[live]
+                        e_star, phi2 = e_star[live], phi2[live]
                 target = uidx[e_star]
                 outside = np.maximum(phi2, 0.0)
                 lam_t = lam[target]
@@ -971,6 +889,7 @@ class AuctionSolver:
                 submit = bids > lam_t
                 if not submit.any():
                     break  # all remaining bidders dormant (ε = 0 ties)
+                idle = rows[~submit]
                 rows = rows[submit]
                 bids = bids[submit]
                 target = target[submit]
@@ -1009,9 +928,10 @@ class AuctionSolver:
                     assigned_to[evicted] = -1
                     stats.evictions += len(evicted)
                 accepted = within < np.repeat(limit, seg_len)
+                rejected = rows[~accepted]
                 acc_rows = rows[accepted]
                 acc_u = target[accepted]
-                stats.bids_rejected += int(len(rows) - len(acc_rows))
+                stats.bids_rejected += len(rejected)
                 assigned_to[acc_rows] = acc_u
                 bid_of[acc_rows] = bids[accepted]
                 seq_of[acc_rows] = next_seq[acc_u] + within[accepted]
@@ -1036,7 +956,21 @@ class AuctionSolver:
                                 round_no, int(csr.uploaders[seg_u[i]]), float(lowest[i])
                             )
             stats.rounds = round_no
-            frontier = propagate(repriced, evicted)
+            if len(idle):
+                dormant = np.concatenate((dormant, np.asarray(idle, dtype=np.int64)))
+            woken = no_rows
+            if len(dormant) and len(repriced):
+                # Wake the dormant rows with an edge at a repriced uploader
+                # (a dormant row is live, so it has edges).
+                hit = np.zeros(n_uploaders, dtype=bool)
+                hit[repriced] = True
+                lens = counts[dormant]
+                edges = self._concat_ranges(indptr[dormant], lens)
+                wake = np.logical_or.reduceat(hit[uidx[edges]], np.cumsum(lens) - lens)
+                woken, dormant = dormant[wake], dormant[~wake]
+            # The three sets are disjoint; ascending order is the row
+            # order the dense reference's scan would give them.
+            rows = np.sort(np.concatenate((rejected, evicted, woken)))
             if self.trace is not None:
                 self.trace.record(
                     round_no,
@@ -1048,31 +982,11 @@ class AuctionSolver:
                 f"{(assigned_to >= 0).sum()}/{n} assigned, epsilon={self.epsilon}"
             )
 
-        # η epilogue off the phi1 cache: rows whose candidates repriced
-        # after their last evaluation get one final sync at the final
-        # prices; every clean row's cache already equals the final
-        # surplus, so no full-edge _etas_array pass is needed.
-        sync = np.nonzero(dirty)[0]
-        if len(sync):
-            starts = indptr[sync]
-            lens = counts[sync]
-            sub_indptr = sub_indptr_buf[: len(sync) + 1]
-            sub_indptr[0] = 0
-            np.cumsum(lens, out=sub_indptr[1:])
-            total = int(sub_indptr[-1])
-            eidx = self._concat_ranges(starts, lens, iota_e)
-            phi = np.take(values, eidx, out=phi_buf[:total])
-            eu = np.take(uidx, eidx, out=edge_u_buf[:total])
-            np.take(lam, eu, out=lam_e_buf[:total])
-            phi -= lam_e_buf[:total]
-            # Dirty rows always hold at least one edge (only repriced
-            # uploaders and evictions mark rows, both require edges).
-            phi1_of[sync] = np.maximum.reduceat(phi, sub_indptr[:-1])
         return ScheduleResult.from_arrays(
             assigned_to,
             csr.uploaders,
             lam,
-            etas=np.maximum(phi1_of, 0.0),
+            etas=functools.partial(self._etas_array, csr, lam),
             stats=stats,
         )
 
@@ -1254,6 +1168,6 @@ class AuctionSolver:
             assigned_to,
             dense.uploaders,
             lam,
-            etas=self._etas_array(problem, lam),
+            etas=functools.partial(self._etas_array, problem.csr(), lam),
             stats=stats,
         )

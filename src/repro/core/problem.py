@@ -156,56 +156,6 @@ class CSRView:
             object.__setattr__(self, "_edge_rows", cached)
         return cached
 
-    def uploader_rows(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Reverse CSR index: uploader → incident request rows; cached.
-
-        Returns ``(rev_indptr, rev_rows)`` where the requests holding an
-        edge at uploader index ``u`` are
-        ``rev_rows[rev_indptr[u]:rev_indptr[u+1]]`` (ascending row order
-        within each uploader, one entry per edge — candidate uploaders
-        are unique within a request, so rows never repeat per uploader).
-        The event-driven auction uses this to re-evaluate only the
-        requests incident to uploaders whose price changed.
-        """
-        cached = getattr(self, "_uploader_rows", None)
-        if cached is None:
-            n_uploaders = len(self.uploaders)
-            if self.n_edges:
-                cached = self._transpose_index(n_uploaders)
-            else:
-                cached = (np.zeros(n_uploaders + 1, dtype=np.int64), _EMPTY_INT)
-            object.__setattr__(self, "_uploader_rows", cached)
-        return cached
-
-    def _transpose_index(self, n_uploaders: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Build :meth:`uploader_rows` — scipy's C transpose when available.
-
-        ``csr → csc`` conversion is exactly the stable counting sort the
-        reverse index needs (row order preserved within each column) and
-        runs ~8× faster than ``np.argsort(..., kind="stable")`` over the
-        edge column; the numpy path keeps the module importable without
-        scipy.
-        """
-        try:
-            from scipy import sparse
-        except ImportError:  # covered: test_csr_reverse_index masks scipy
-            rev_indptr = np.zeros(n_uploaders + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(self.uploader_index, minlength=n_uploaders),
-                out=rev_indptr[1:],
-            )
-            order = np.argsort(self.uploader_index, kind="stable")
-            return rev_indptr, self.edge_rows()[order]
-        matrix = sparse.csr_matrix(
-            (
-                np.ones(self.n_edges, dtype=np.int8),
-                self.uploader_index,
-                self.indptr,
-            ),
-            shape=(self.n_requests, n_uploaders),
-        ).tocsc()
-        return matrix.indptr.astype(np.int64), matrix.indices
-
     def to_dense(self) -> DenseView:
         """Expand to the padded :class:`DenseView` (round-trip helper)."""
         n = self.n_requests

@@ -20,7 +20,7 @@ hot paths use the array accessors (:meth:`assignment_array`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -136,7 +136,9 @@ class ScheduleResult:
         solvers).  Lazy dict view with the same mutation write-back.
     etas:
         Dual variables ``η_d^{(c)}`` per request index (auction only).
-        Lazy dict view with the same mutation write-back.
+        Lazy dict view with the same mutation write-back.  The jacobi
+        solvers defer ``η``: it is computed on first read, from the
+        solve's CSR view and the ``λ`` the solve ended with, and cached.
     stats:
         Work counters.
     """
@@ -149,6 +151,7 @@ class ScheduleResult:
         "_price_vals",
         "_eta_ids",
         "_eta_vals",
+        "_eta_source",
         "stats",
         "_assignment_dict",
         "_prices_dict",
@@ -176,6 +179,7 @@ class ScheduleResult:
         )
         self._price_ids, self._price_vals = self._split_mapping(prices)
         self._eta_ids, self._eta_vals = self._split_mapping(etas)
+        self._eta_source: Optional[Callable[[], np.ndarray]] = None
         self.stats = stats if stats is not None else SolverStats()
         self._assignment_dict: Optional[Dict[int, Optional[int]]] = None
         self._prices_dict: Optional[Dict[int, float]] = None
@@ -199,7 +203,7 @@ class ScheduleResult:
         assigned_index: np.ndarray,
         uploaders: np.ndarray,
         prices: Optional[np.ndarray] = None,
-        etas: Optional[np.ndarray] = None,
+        etas: Union[np.ndarray, Callable[[], np.ndarray], None] = None,
         stats: Optional[SolverStats] = None,
     ) -> "ScheduleResult":
         """Build a result straight from solver arrays (no Python loops).
@@ -214,7 +218,9 @@ class ScheduleResult:
         prices:
             Optional ``(U,)`` float ``λ`` aligned with ``uploaders``.
         etas:
-            Optional ``(R,)`` float ``η`` per request index.
+            Optional ``(R,)`` float ``η`` per request index, or a
+            function returning it: called once, on the first read of
+            :attr:`etas` or :meth:`eta_arrays`.
         """
         assigned_index = np.asarray(assigned_index, dtype=np.int64)
         uploaders = np.asarray(uploaders, dtype=np.int64)
@@ -238,8 +244,11 @@ class ScheduleResult:
             if prices is None
             else np.asarray(prices, dtype=float)
         )
+        result._eta_source = None
         if etas is None:
             result._eta_ids, result._eta_vals = _EMPTY_INT, _EMPTY_FLOAT
+        elif callable(etas):
+            result._eta_source = etas
         else:
             result._eta_ids = np.arange(n, dtype=np.int64)
             result._eta_vals = np.asarray(etas, dtype=float)
@@ -271,6 +280,7 @@ class ScheduleResult:
         result._assigned = assigned_ids
         result._price_ids, result._price_vals = cls._split_mapping(prices)
         result._eta_ids, result._eta_vals = cls._split_mapping(etas)
+        result._eta_source = None
         result.stats = stats if stats is not None else SolverStats()
         result._assignment_dict = None
         result._prices_dict = None
@@ -283,6 +293,13 @@ class ScheduleResult:
     # ------------------------------------------------------------------
     def _mark_dirty(self) -> None:
         self._dirty = True
+
+    def _compute_etas(self) -> None:
+        """Run a deferred ``η`` computation, once."""
+        if self._eta_source is not None:
+            self._eta_vals = np.asarray(self._eta_source(), dtype=float)
+            self._eta_ids = np.arange(len(self._eta_vals), dtype=np.int64)
+            self._eta_source = None
 
     def _sync(self) -> None:
         """Rebuild the arrays after a consumer mutated a dict view."""
@@ -334,6 +351,7 @@ class ScheduleResult:
     @property
     def etas(self) -> Dict[int, float]:
         if self._etas_dict is None:
+            self._compute_etas()
             self._etas_dict = _SyncedDict(
                 dict(zip(self._eta_ids.tolist(), self._eta_vals.tolist())),
                 self._mark_dirty,
@@ -381,6 +399,7 @@ class ScheduleResult:
     def eta_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(request_ids, η values)`` (do not mutate)."""
         self._sync()
+        self._compute_etas()
         return self._eta_ids, self._eta_vals
 
     # ------------------------------------------------------------------

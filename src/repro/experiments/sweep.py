@@ -176,9 +176,9 @@ def rebid_study(
     The paper's peers "keep bidding" within a slot; ``bid_rounds_per_slot
     = R`` splits each slot into R re-bid rounds with refreshed deadlines
     and 1/R budget shares, and ``warm_start_prices`` carries round r's
-    final λ into round r+1 (price continuity — the regime the
-    event-driven solver's frontier was built for: a warm re-bid round
-    only re-evaluates requests whose uploaders repriced).  Each (R, warm)
+    final λ into round r+1 (price continuity: a warm re-bid round
+    starts near the last round's clearing prices, so fewer of its bids
+    lose and bid again).  Each (R, warm)
     cell runs the same moderately-contended static workload (fig5's
     tightened supply) end to end; every column is deterministic.
     """

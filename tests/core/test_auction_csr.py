@@ -19,8 +19,11 @@ from hypothesis import strategies as st
 
 from repro.core import auction
 from repro.core.auction import AuctionSolver, _segment_max
+from repro.core.duality import check_complementary_slackness
 from repro.core.exact import solve_hungarian
 from repro.core.problem import SchedulingProblem, random_problem
+from repro.p2p.config import SystemConfig
+from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
 from auction import etas_reference  # noqa: E402
@@ -198,6 +201,42 @@ class TestEtasVectorized:
         assert AuctionSolver._etas(p, {1: 0.0}) == {}
 
 
+class TestDeferredEtas:
+    """The jacobi result computes η on first read, at the solve's λ."""
+
+    def test_matches_the_reference_and_dense(self):
+        p = random_problem(
+            np.random.default_rng(5), n_requests=80, n_uploaders=12,
+            capacity_range=(0, 3),
+        )
+        result = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(p)
+        dense = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense").solve(p)
+        ids, etas = result.eta_arrays()
+        assert ids.tolist() == list(range(p.n_requests))
+        assert dict(zip(ids.tolist(), etas.tolist())) == dense.etas
+        assert result.etas == etas_reference(p, result.prices)
+
+    def test_price_edit_before_the_first_read_leaves_eta_alone(self):
+        p = random_problem(np.random.default_rng(6), n_requests=60)
+        result = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(p)
+        solved = dict(result.prices)
+        result.prices.update({u: lam + 1.0 for u, lam in solved.items()})
+        result.price_arrays()  # the arrays follow the edited view
+        assert result.etas == etas_reference(p, solved)
+        assert result.etas != etas_reference(p, result.prices)
+
+    def test_certificate_on_a_cold_solve_of_a_built_problem(self):
+        system = P2PSystem(SystemConfig.tiny(seed=2))
+        system.populate_static(12)
+        problem = system.build_problem(system.now)
+        system.close()
+        assert problem.n_requests > 0
+        result = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(problem)
+        report = check_complementary_slackness(problem, result, tol=2 * EPSILON)
+        assert report.dual_feasible and report.cs_capacity, report.violations[:3]
+        assert report.cs_assignment and report.cs_request, report.violations[:3]
+
+
 class TestContestedCommit:
     """Hand-built rounds that pin the contested merge's tie order.
 
@@ -205,13 +244,14 @@ class TestContestedCommit:
     fraction, so ties are exact.  In each case a strong bidder ``D``
     takes uploader ``V`` in round 1 and the requests it outbids turn to
     their second choice in round 2, against members accepted in round 1.
+    The last case pins the wake-up of an ε = 0 tie instead.
     """
 
     EPS = 0.5
     #: The zero-capacity uploader of the inert padding requests.
     DEAD = 99
 
-    def solve(self, problem):
+    def solve(self, problem, epsilon=EPS):
         """Jacobi outcome and price-callback stream on both round paths.
 
         The case is solved twice, each time held equal to jacobi-dense.
@@ -226,14 +266,14 @@ class TestContestedCommit:
         live = problem.n_requests
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(auction, "_SMALL_ROUND_ROWS", 0)
-            result, calls = solve_like_dense(problem, self.EPS)
+            result, calls = solve_like_dense(problem, epsilon)
         assert result.stats.scalar_rounds == 0
         vector = (result.assignment, result.prices, result.stats, calls)
 
         problem.set_capacity(self.DEAD, 0)
         for i in range(2 * live):
             problem.add_request(900 + i, f"inert{i}", 1.0, {self.DEAD: 0.0})
-        result, calls = solve_like_dense(problem, self.EPS)
+        result, calls = solve_like_dense(problem, epsilon)
         assert result.stats.scalar_rounds == result.stats.rounds
         assignment = {r: u for r, u in result.assignment.items() if r < live}
         prices = {u: lam for u, lam in result.prices.items() if u != self.DEAD}
@@ -290,3 +330,23 @@ class TestContestedCommit:
         assert stats.evictions == 1
         assert prices == {1: 5.5, 2: 6.5, 3: 5.5, 4: 20.5}
         assert calls == [(1, 2, 3.5), (1, 4, 20.5), (2, 1, 5.5), (2, 2, 6.5), (2, 3, 5.5)]
+
+    def test_dormant_tie_wakes_when_its_other_candidate_reprices(self):
+        # ε = 0.  X values uploaders 1 and 2 at 8 each, so its bid at
+        # its target, 1, equals λ and it goes dormant in round 1, when
+        # A takes uploader 3 at 20 and rejects B.  In round 2 B bids 5
+        # at uploader 2, X's other candidate; that reprice wakes X,
+        # which takes uploader 1 at 8 − 3 = 5 in round 3.  X is
+        # evaluated twice, where the dense reference's scan evaluates
+        # it in all three rounds.
+        p = SchedulingProblem()
+        for uploader in (1, 2, 3):
+            p.set_capacity(uploader, 1)
+        p.add_request(100, "x", 10.0, {1: 2.0, 2: 2.0})  # X
+        p.add_request(101, "a", 20.0, {3: 0.0})  # A
+        p.add_request(102, "b", 10.0, {3: 0.0, 2: 5.0})  # B
+        assignment, prices, stats, calls = self.solve(p, epsilon=0.0)
+        assert assignment == {0: 1, 1: 3, 2: 2}
+        assert prices == {1: 5.0, 2: 5.0, 3: 20.0}
+        assert calls == [(1, 3, 20.0), (2, 2, 5.0), (3, 1, 5.0)]
+        assert stats.rows_evaluated == 5
