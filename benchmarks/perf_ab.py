@@ -10,6 +10,14 @@ one after the other, and alternates which tree goes first so that a
 drift in host speed favours neither side.  A run's last output line is
 its JSON result.
 
+Traced runs add ``--seconds 0``: each tree then traces exactly the
+workload's fixed slots, so both trees' per-layer times cover the same
+slots (with the default budget a faster tree would trace more, later
+slots).  Untraced runs keep the default budget, which is what
+``BENCHMARK.json`` runs; a faster tree can fit an extra pass from
+another sub-seed into it, so the report warns on every pair whose two
+runs measured a different number of passes.
+
 For every metric ``BENCHMARK.json`` names — the end-to-end metrics
 untraced (``--trace 0``, the default), the per-layer metrics traced
 (``--trace 1``) — the report gives each side's median and quartiles
@@ -57,11 +65,10 @@ def run_bench(
     """One run on ``tree``: its metrics and digest, or None if it failed."""
     # Each tree imports the program from its own src/ only.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    cmd = [
-        sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--trace", str(trace), "--out", str(out),
-    ]
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        bench_command(tree, workload, seed, trace, out),
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
     lines = proc.stdout.splitlines()
     try:
         result = json.loads(lines[-1])
@@ -76,7 +83,25 @@ def run_bench(
     metrics["digest"] = next(
         (line.split()[1] for line in lines if line.startswith("digest ")), None
     )
+    # Untraced runs print "... over P passes"; traced runs have no passes.
+    metrics["passes"] = next(
+        (int(line.split()[-2]) for line in lines if line.endswith(" passes")), None
+    )
     return metrics
+
+
+def bench_command(
+    tree: Path, workload: str, seed: int, trace: int, out: Path
+) -> List[str]:
+    """The ``perfbench/run.py`` command line of one run on ``tree``."""
+    cmd = [
+        sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+        "--seed", str(seed), "--trace", str(trace), "--out", str(out),
+    ]
+    if trace:
+        # The fixed slots only, so both trees trace the same ones.
+        cmd += ["--seconds", "0"]
+    return cmd
 
 
 def quartiles(values: List[float]) -> Tuple[float, float, float]:
@@ -166,6 +191,10 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{args.pairs} {headline}  {summary}", flush=True)
             if result["base"] and result["change"]:
                 pairs.append((result["base"], result["change"]))
+                passes = (result["base"]["passes"], result["change"]["passes"])
+                if passes[0] != passes[1]:
+                    print(f"  warning: pair {i + 1} measured {passes[0]} passes on "
+                          f"base, {passes[1]} on change", flush=True)
     finally:
         subprocess.run(
             ["git", "worktree", "remove", "--force", str(trees["base"])],
@@ -179,6 +208,9 @@ def main(argv=None) -> int:
         same = sum(b["digest"] == c["digest"] for b, c in pairs)
         kind = "traced digests" if args.trace else "digests"
         print(f"\n{kind} equal on {same}/{len(pairs)} pairs")
+        if not args.trace:
+            uneven = sum(b["passes"] != c["passes"] for b, c in pairs)
+            print(f"pass counts differ on {uneven}/{len(pairs)} pairs")
     print(f"\nfailed runs: base {failed['base']}, change {failed['change']} "
           f"({len(pairs)} of {args.pairs} pairs compared)")
     return 1 if failed["base"] or failed["change"] else 0

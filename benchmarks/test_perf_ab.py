@@ -50,3 +50,26 @@ def test_per_layer_metrics_get_no_verdict(capsys):
     perf_ab.report(pairs_of("solve.self_s", [1.0, 1.0], [2.0, 2.0]), [METRICS[2]])
     row = capsys.readouterr().out.strip().splitlines()[-1]
     assert row.split()[-1] == "0/2"  # the wins column ends the row
+
+
+def test_traced_runs_trace_the_fixed_slots(tmp_path):
+    """Traced runs drop the time budget; untraced runs keep it."""
+    traced = perf_ab.bench_command(tmp_path, "premiere-3k", 1, 1, tmp_path / "out")
+    assert traced[traced.index("--seconds") + 1] == "0"
+    assert traced[traced.index("--trace") + 1] == "1"
+    untraced = perf_ab.bench_command(tmp_path, "premiere-3k", 1, 0, tmp_path / "out")
+    assert "--seconds" not in untraced
+
+
+def test_run_reads_the_pass_count(tmp_path):
+    """An untraced run's "... over P passes" line gives its pass count."""
+    script = tmp_path / "perfbench" / "run.py"
+    script.parent.mkdir()
+    script.write_text(
+        "import json\n"
+        "print('slot_tail_s is p95.0 of 40 slots over 5 passes')\n"
+        "print('digest abc')\n"
+        "print(json.dumps({'failed': 0, 'metrics': {'slot_p50_s': {'value': 0.1}}}))\n"
+    )
+    metrics = perf_ab.run_bench(tmp_path, "premiere-3k", 1, 0, tmp_path / "out")
+    assert metrics == {"slot_p50_s": 0.1, "digest": "abc", "passes": 5}

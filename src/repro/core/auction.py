@@ -624,6 +624,9 @@ class AuctionSolver:
         # tie-break when a contested auctioneer merges its members with
         # a batch.
         assigned_to = np.full(n, -1, dtype=np.int64)
+        # CSR edge of each row's latest bid.  A row bids only while
+        # unassigned, so an assigned row's entry is its kept bid's edge.
+        edge_of = np.zeros(n, dtype=np.int64)
         bid_of = np.zeros(n, dtype=float)
         seq_of = np.zeros(n, dtype=np.int64)
         next_seq = np.zeros(n_uploaders, dtype=np.int64)
@@ -683,7 +686,7 @@ class AuctionSolver:
             submitted bids as ``(uploader, -bid, row)`` and the live rows
             whose bid did not exceed ``λ``.
             """
-            lens, _, edge_u, phi = gather(rows)
+            lens, eidx, edge_u, phi = gather(rows)
             phi = phi.tolist()
             edge_u = edge_u.tolist()
             bids: List[Tuple[int, float, int]] = []
@@ -703,6 +706,7 @@ class AuctionSolver:
                     bid = lam_t + phi1 - outside + self.epsilon
                     if bid > lam_t:
                         bids.append((u, -bid, r))
+                        edge_of[r] = eidx[at + j]
                     else:
                         idle.append(r)
                 else:
@@ -882,6 +886,7 @@ class AuctionSolver:
                     if not live.all():
                         rows, phi1 = rows[live], phi1[live]
                         e_star, phi2 = e_star[live], phi2[live]
+                edge_of[rows] = e_star
                 target = uidx[e_star]
                 outside = np.maximum(phi2, 0.0)
                 lam_t = lam[target]
@@ -988,6 +993,8 @@ class AuctionSolver:
             lam,
             etas=functools.partial(self._etas_array, csr, lam),
             stats=stats,
+            csr=csr,
+            edges=edge_of,
         )
 
     @staticmethod

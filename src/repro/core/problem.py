@@ -893,21 +893,6 @@ class SchedulingProblem:
         out[np.argsort(indices, kind="stable")] = values
         return out
 
-    def edge_cost_pairs(self, indices, uploaders) -> np.ndarray:
-        """Network costs ``w`` of served pairs, aligned with ``indices``.
-
-        Recovered as ``v − (v − w)`` from the valuation column and the
-        CSR edge values, so the per-ISP transit-cost rollup needs no
-        per-edge dict lookups.  Same contract as
-        :meth:`edge_value_pairs`: unique in-range ``indices``,
-        ``KeyError`` for non-candidate pairs.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if len(indices) == 0:
-            return _EMPTY_FLOAT.copy()
-        valuations = self.request_valuation_array()
-        return valuations[indices] - self.edge_value_pairs(indices, uploaders)
-
     def has_edge_pairs(self, indices, uploaders) -> np.ndarray:
         """Bool per pair: is ``uploaders[i]`` a candidate of ``indices[i]``?
 

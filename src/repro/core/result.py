@@ -24,7 +24,7 @@ from typing import Callable, Dict, Hashable, Iterator, Mapping, Optional, Tuple,
 
 import numpy as np
 
-from .problem import SchedulingProblem
+from .problem import CSRView, SchedulingProblem
 
 __all__ = ["ScheduleResult", "SolverStats"]
 
@@ -141,6 +141,16 @@ class ScheduleResult:
         solve's CSR view and the ``λ`` the solve ended with, and cached.
     stats:
         Work counters.
+
+    The CSR jacobi solver also hands over the CSR edge of every served
+    request (the edge its kept bid is on), so :meth:`served_values` and
+    :meth:`welfare` read ``v − w`` at those edges instead of matching
+    the served pairs against every edge of the problem.  The pair
+    lookup runs instead when the result has no edges (every other
+    solver), when it is scored against a problem whose CSR view is not
+    the solve's, and after any edit through a dict view.  The edges
+    live on the result, so results of several solvers of one problem
+    never share them.
     """
 
     __slots__ = (
@@ -152,6 +162,8 @@ class ScheduleResult:
         "_eta_ids",
         "_eta_vals",
         "_eta_source",
+        "_csr",
+        "_served_edges",
         "stats",
         "_assignment_dict",
         "_prices_dict",
@@ -180,6 +192,8 @@ class ScheduleResult:
         self._price_ids, self._price_vals = self._split_mapping(prices)
         self._eta_ids, self._eta_vals = self._split_mapping(etas)
         self._eta_source: Optional[Callable[[], np.ndarray]] = None
+        self._csr: Optional[CSRView] = None
+        self._served_edges: Optional[np.ndarray] = None
         self.stats = stats if stats is not None else SolverStats()
         self._assignment_dict: Optional[Dict[int, Optional[int]]] = None
         self._prices_dict: Optional[Dict[int, float]] = None
@@ -205,6 +219,8 @@ class ScheduleResult:
         prices: Optional[np.ndarray] = None,
         etas: Union[np.ndarray, Callable[[], np.ndarray], None] = None,
         stats: Optional[SolverStats] = None,
+        csr: Optional[CSRView] = None,
+        edges: Optional[np.ndarray] = None,
     ) -> "ScheduleResult":
         """Build a result straight from solver arrays (no Python loops).
 
@@ -221,6 +237,12 @@ class ScheduleResult:
             Optional ``(R,)`` float ``η`` per request index, or a
             function returning it: called once, on the first read of
             :attr:`etas` or :meth:`eta_arrays`.
+        csr, edges:
+            Optional: the CSR view the solve ran on and an ``(R,)`` int
+            array holding, at each served request, the index of its
+            edge in that view (other positions are ignored).  The
+            result keeps the served rows' edges for
+            :meth:`served_values` and :meth:`welfare`.
         """
         assigned_index = np.asarray(assigned_index, dtype=np.int64)
         uploaders = np.asarray(uploaders, dtype=np.int64)
@@ -252,6 +274,10 @@ class ScheduleResult:
         else:
             result._eta_ids = np.arange(n, dtype=np.int64)
             result._eta_vals = np.asarray(etas, dtype=float)
+        result._csr = csr
+        result._served_edges = (
+            None if csr is None or edges is None else edges[result._served]
+        )
         result.stats = stats if stats is not None else SolverStats()
         result._assignment_dict = None
         result._prices_dict = None
@@ -281,6 +307,8 @@ class ScheduleResult:
         result._price_ids, result._price_vals = cls._split_mapping(prices)
         result._eta_ids, result._eta_vals = cls._split_mapping(etas)
         result._eta_source = None
+        result._csr = None
+        result._served_edges = None
         result.stats = stats if stats is not None else SolverStats()
         result._assignment_dict = None
         result._prices_dict = None
@@ -293,6 +321,8 @@ class ScheduleResult:
     # ------------------------------------------------------------------
     def _mark_dirty(self) -> None:
         self._dirty = True
+        # An edited view may no longer match the solve's edges.
+        self._served_edges = None
 
     def _compute_etas(self) -> None:
         """Run a deferred ``η`` computation, once."""
@@ -405,9 +435,43 @@ class ScheduleResult:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
+    def _solver_edge_values(
+        self, problem: SchedulingProblem
+    ) -> Optional[np.ndarray]:
+        """``v − w`` at the solve's served edges, or ``None``.
+
+        ``None`` unless the solver recorded its edges, ``problem``'s
+        CSR view is the one it solved, and no dict view was edited.
+        """
+        if self._served_edges is None or problem.csr() is not self._csr:
+            return None
+        return self._csr.values[self._served_edges]
+
+    def served_values(self, problem: SchedulingProblem) -> np.ndarray:
+        """Net utility ``v − w`` of each served pair, aligned with :meth:`served_pairs`.
+
+        Read at the solver's edges when they apply (see the class
+        docstring), else looked up by pair
+        (:meth:`SchedulingProblem.edge_value_pairs`, ``KeyError`` for a
+        non-candidate pair).
+        """
+        values = self._solver_edge_values(problem)
+        if values is None:
+            values = problem.edge_value_pairs(*self.served_pairs())
+        return values
+
     def welfare(self, problem: SchedulingProblem) -> float:
-        """Social welfare Σ (v − w) over served requests."""
-        return problem.welfare_pairs(*self.served_pairs())
+        """Social welfare Σ (v − w) over served requests.
+
+        The sum of :meth:`served_values` at the solver's edges: the
+        values :meth:`SchedulingProblem.welfare_pairs` sums, in the same
+        ascending-request order, so the float is the same.  Without
+        them, :meth:`SchedulingProblem.welfare_pairs` itself.
+        """
+        values = self._solver_edge_values(problem)
+        if values is None:
+            return problem.welfare_pairs(*self.served_pairs())
+        return float(values.sum())
 
     def n_served(self) -> int:
         """Number of requests that received bandwidth."""
@@ -431,8 +495,7 @@ class ScheduleResult:
         """
         indices, uploaders = self.served_pairs()
         downstream = problem.request_peer_array()[indices]
-        values = problem.edge_value_pairs(indices, uploaders)
-        return indices, downstream, uploaders, values
+        return indices, downstream, uploaders, self.served_values(problem)
 
     def served_edges(
         self, problem: SchedulingProblem

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
-__all__ = ["OverlayGraph", "rank_candidates"]
+__all__ = ["OverlayGraph", "rank_candidate_columns", "rank_candidates"]
 
 
 def rank_candidates(
@@ -42,11 +42,26 @@ def rank_candidates(
     and the random draws are one bulk call in per-candidate order (under
     ``"random"`` a seed draws its rank, then its tiebreak).
     """
-    if seed_rank not in ("first", "random"):
-        raise ValueError(f"unknown seed_rank {seed_rank!r}")
     ids = np.fromiter(candidates, dtype=np.int64)
     # A seed's position is None, which becomes NaN here.
     positions = np.array([position_of(p) for p in ids.tolist()], dtype=float)
+    return rank_candidate_columns(ids, positions, joiner_position, rng, seed_rank)
+
+
+def rank_candidate_columns(
+    ids: np.ndarray,
+    positions: np.ndarray,
+    joiner_position: float,
+    rng: Optional[np.random.Generator] = None,
+    seed_rank: str = "first",
+) -> List[int]:
+    """:func:`rank_candidates` over columns: ``positions`` is NaN for seeds.
+
+    ``ids`` (int64) and ``positions`` (float) are aligned, in candidate
+    order, which fixes the order of the random draws.
+    """
+    if seed_rank not in ("first", "random"):
+        raise ValueError(f"unknown seed_rank {seed_rank!r}")
     distance = np.abs(positions - joiner_position)
     seeds = np.isnan(distance)
     ranked = seeds if seed_rank == "random" else np.zeros_like(seeds)

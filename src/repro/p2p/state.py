@@ -50,6 +50,14 @@ per-session ``advance_to`` / ``advance_to_reference`` pins; the property
 suite under ``tests/properties/`` fuzzes whole scenarios against these
 and against the cold per-group assembler in ``tests/oracles/``.
 
+A build reads what its windows touch.  The held-chunk bitmap is read at
+every candidate edge's window, so it is word-packed, but only over the
+column band between the smallest and the largest due position (a word
+or two per row for a synchronized audience).  The ``missed`` bitmap is
+read only at each active watcher's own window, so those windows are
+taken straight from the boolean matrix and folded into one word each;
+it is never packed.
+
 Window gathers use :func:`numpy.lib.stride_tricks.sliding_window_view`
 over the matrices, which are padded with ``window`` always-False columns
 so a window starting at any playback position stays in bounds.
@@ -93,12 +101,13 @@ def _window_words(words_flat, wpr, rows, starts, W):
     """Request windows of word-packed rows, one ``uint64`` each.
 
     ``words_flat`` is a row-major ``(n_rows, wpr)`` uint64 matrix from
-    :meth:`PeerStateStore._packed_matrices`, flattened, holding chunk
-    ``64·q + j`` of each row at bit ``63 - j`` of word ``q`` (big-endian
-    ``np.packbits`` order).  A window is then two aligned word gathers
-    and a shift: bit ``W - 1 - k`` of the result is chunk ``start + k``
-    (MSB-first), so word-wise AND/OR over windows is bit-for-bit the
-    boolean-matrix computation.  Requires ``wpr`` wide enough that word
+    :meth:`PeerStateStore._packed_matrices`, flattened, holding column
+    ``64·q + j`` of each row's band at bit ``63 - j`` of word ``q``
+    (big-endian ``np.packbits`` order); ``starts`` are band columns.  A
+    window is then two aligned word gathers and a shift: bit
+    ``W - 1 - k`` of the result is column ``start + k`` (MSB-first), so
+    word-wise AND/OR over windows is bit-for-bit the boolean-matrix
+    computation.  Requires ``wpr`` wide enough that word
     ``(start >> 6) + 1`` stays inside the row.
     """
     q = starts >> np.int64(6)
@@ -1141,9 +1150,16 @@ class PeerStateStore:
                 # Packed windows: availability as one word per watcher.
                 # Bit W-1-k of each word is window offset k, so the
                 # word ops below mirror the boolean branch bit-for-bit.
-                pw, mw, wpr = self._packed_matrices(bucket)
-                held_w = _window_words(pw, wpr, act_rows, due, W)
-                miss_w = _window_words(mw, wpr, act_rows, due, W)
+                pw, wpr, lo = self._packed_matrices(bucket, due)
+                held_w = _window_words(pw, wpr, act_rows, due - lo, W)
+                # The missed bitmap is read only at these windows: fold
+                # each one (W bytes of the bool view) into its word.
+                miss_b = np.zeros((len(due), 8), dtype=np.uint8)
+                miss_b[:, : (W + 7) >> 3] = np.packbits(
+                    bucket.window_views()[1][act_rows, due], axis=1
+                )
+                miss_w = miss_b.view(">u8").ravel().astype(np.uint64)
+                miss_w >>= np.uint64(64 - W)
                 full = np.uint64((1 << W) - 1)
                 dead = np.uint64(W) - np.clip(
                     n_chunks - due, 0, W
@@ -1151,7 +1167,7 @@ class PeerStateStore:
                 in_range_w = (full >> dead) << dead
                 avail = in_range_w & ~held_w & ~miss_w
                 gated = avail != 0
-                packed = (pw, wpr)
+                packed = (pw, wpr, lo)
             else:
                 offs = np.arange(W, dtype=np.int64)
                 in_range = (due[:, None] + offs[None, :]) < n_chunks
@@ -1208,29 +1224,33 @@ class PeerStateStore:
             peers, vids, chunks, vals, counts, cand_ids, cand_costs
         )
 
-    def _packed_matrices(self, bucket: StateBucket):
-        """Word-packed ``(masks, missed)`` rows plus words-per-row.
+    def _packed_matrices(self, bucket: StateBucket, due: np.ndarray):
+        """Word-packed held-chunk rows over the band the windows read.
 
-        Each row becomes ``wpr`` native uint64 words in big-endian
-        packbits bit order (chunk ``64q + j`` at bit ``63 - j`` of word
-        ``q``), padded so the two-word read in :func:`_window_words`
-        stays inside the row for any window start up to ``n_chunks``.
-        Packed fresh on every assemble — the matrices mutate
-        between builds and packing is linear in the bitmap size.
+        Every window of this build starts at an active watcher's due
+        position, so only columns ``lo:hi`` are read: ``lo`` is the
+        smallest due rounded down to a word boundary, ``hi`` the end of
+        the window at the largest due.  Returns ``(words, wpr, lo)``:
+        the band of each row as ``wpr`` native uint64 words in
+        big-endian packbits bit order (chunk ``lo + 64q + j`` at bit
+        ``63 - j`` of word ``q``), padded so the two-word read in
+        :func:`_window_words` stays inside the row for every start in
+        the band; a window starting at chunk ``s`` is read at
+        ``s - lo``.  A synchronized audience packs a word or two per
+        row; a staggered one spans the whole video.  Packed fresh on
+        every assemble, since the matrix mutates between builds; no
+        packed copy outlives the build.
         """
         n = bucket.n_rows
-        width = max((bucket.padded + 7) >> 3, (bucket.n_chunks >> 3) + 16)
+        lo = int(due.min()) & ~63
+        top = int(due.max())
+        hi = min(bucket.padded, top + bucket.window)
+        width = max((hi - lo + 7) >> 3, ((top - lo) >> 3) + 16)
         width = (width + 7) & ~7
         pm = np.zeros((n, width), dtype=np.uint8)
-        mm = np.zeros((n, width), dtype=np.uint8)
-        pb = np.packbits(bucket.masks[:n], axis=1)
+        pb = np.packbits(bucket.masks[:n, lo:hi], axis=1)
         pm[:, : pb.shape[1]] = pb
-        mb = np.packbits(bucket.missed[:n], axis=1)
-        mm[:, : mb.shape[1]] = mb
-        wpr = width >> 3
-        pw = pm.reshape(-1).view(">u8").astype(np.uint64)
-        mw = mm.reshape(-1).view(">u8").astype(np.uint64)
-        return pw, mw, wpr
+        return pm.reshape(-1).view(">u8").astype(np.uint64), width >> 3, lo
 
     def _finish_bucket(self, stage, now, valuation, lookahead):
         """Requests and candidate edges of one prepared bucket, or ``None``.
@@ -1311,8 +1331,8 @@ class PeerStateStore:
             # holds it, so OR-ing each watcher's edge words and masking
             # with ``avail`` gives its requested cells, and masking each
             # edge word with those leaves exactly the holders' bits.
-            pw, wpr = packed
-            words = _window_words(pw, wpr, nb_rows, due[owner], W)
+            pw, wpr, lo = packed
+            words = _window_words(pw, wpr, nb_rows, (due - lo)[owner], W)
             req_w = np.bitwise_or.reduceat(words, nb_indptr[:-1]) & avail
             words &= req_w[owner]
             edges = np.flatnonzero(words)

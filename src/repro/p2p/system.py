@@ -1120,6 +1120,7 @@ class P2PSystem:
         isp_of = self._isp_id_array()
         up_isps = isp_of[uploaders]
         down_isps = isp_of[downstream]
+        keep = None
         if self.links.active:
             # Lossy regime: classify each assigned edge under the link
             # table.  Failed/truncated edges park in the retry queue;
@@ -1150,10 +1151,14 @@ class P2PSystem:
         intra = len(indices) - inter
         self.traffic_matrix.record_batch(up_isps, down_isps)
         if self.isp_rollup is not None:
+            # Transit cost w = v − (v − w), at the delivered pairs.
+            values = result.served_values(problem)
+            if keep is not None:
+                values = values[keep]
             self.isp_rollup.record_transfers(
                 up_isps,
                 down_isps,
-                problem.edge_cost_pairs(indices, uploaders),
+                problem.request_valuation_array()[indices] - values,
             )
         # Requests arrive grouped by downloader (one builder block per
         # peer), so run boundaries are one diff — no sort.  A problem

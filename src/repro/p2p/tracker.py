@@ -9,11 +9,12 @@ they serve every position).
 
 from __future__ import annotations
 
+from math import nan
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ..net.topology import rank_candidates
+from ..net.topology import rank_candidate_columns
 from .peer import Peer
 
 __all__ = ["Tracker"]
@@ -95,23 +96,22 @@ class Tracker:
         Seeds of the video are always eligible and rank first (they
         cover any playback position).
         """
-        video_id = joiner.video.video_id
-        candidates = [
-            pid for pid in self._by_video.get(video_id, set()) if pid != joiner.peer_id
-        ]
-        joiner_pos = float(joiner.playback_position() or 0)
-
-        def position_of(pid: int) -> Optional[float]:
-            peer = self._peers[pid]
-            if peer.is_seed:
-                return None  # ranks first
-            pos = peer.playback_position()
-            return float(pos) if pos is not None else None
-
-        return rank_candidates(
-            position_of,
-            joiner_pos,
-            candidates,
+        members = self._by_video.get(joiner.video.video_id, self._NO_MEMBERS)
+        ids = np.fromiter(members, dtype=np.int64, count=len(members))
+        ids = ids[ids != joiner.peer_id]
+        peers = self._peers
+        # Seeds and peers without a session have no position (NaN).
+        positions = np.array(
+            [
+                nan if p.is_seed or p.session is None else p.session.position
+                for p in map(peers.__getitem__, ids.tolist())
+            ],
+            dtype=float,
+        )
+        return rank_candidate_columns(
+            ids,
+            positions,
+            float(joiner.playback_position() or 0),
             rng=self.rng,
             seed_rank=self.seed_rank,
         )

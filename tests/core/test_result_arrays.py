@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.auction import AuctionSolver
-from repro.core.problem import random_problem
+from repro.core.baselines import UtilityGreedyScheduler
+from repro.core.problem import ProblemBuilder, random_problem
 from repro.core.result import ScheduleResult, SolverStats
 
 assignments = st.lists(
@@ -180,3 +181,64 @@ class TestServedColumns:
         result = ScheduleResult(assignment={0: 100, 1: 200, 2: None, 3: None})
         with pytest.raises(KeyError):
             result.served_columns(small_problem)
+
+
+class TestServedEdges:
+    """A jacobi result reads ``v − w`` at its solve's edges, else by pair.
+
+    Each fallback must score the assignment the result holds now,
+    against the problem it is given.
+    """
+
+    def test_edited_assignment_falls_back(self, small_problem):
+        result = AuctionSolver(epsilon=1e-9, mode="jacobi").solve(small_problem)
+        assert result.welfare(small_problem) == pytest.approx(16.0)
+        result.assignment[0] = 200  # r0 moves to its 6.0 edge
+        result.assignment[2] = None
+        assert result.welfare(small_problem) == pytest.approx(6.0 + 5.0)
+        assert result.served_values(small_problem).tolist() == [6.0, 5.0]
+        _, _, _, values = result.served_columns(small_problem)
+        assert values.tolist() == [6.0, 5.0]
+
+    def test_scored_against_another_problem(self, small_problem):
+        result = AuctionSolver(epsilon=1e-9, mode="jacobi").solve(small_problem)
+        other = ProblemBuilder()
+        other.set_capacities([100, 200], [2, 1])
+        # Same requests and candidates; every edge is worth 1.0 more.
+        other.add_block(
+            np.array([1, 2, 3, 4]),
+            ["a", "b", "c", "d"],
+            np.array([9.0, 7.0, 6.0, 3.0]),
+            np.array([100, 200, 100, 100, 200, 200]),
+            np.array([1.0, 2.0, 1.0, 4.0, 1.0, 3.0]),
+            np.array([0, 2, 3, 5, 6]),
+        )
+        other = other.build()
+        assert result.welfare(other) == pytest.approx(16.0 + 3.0)
+        assert result.welfare(other) == other.welfare(result.assignment)
+        assert result.served_values(other).tolist() == [8.0, 6.0, 5.0]
+
+    def test_solvers_scoring_one_problem_in_turn(self):
+        problem = random_problem(np.random.default_rng(5), n_requests=120)
+        solvers = [
+            AuctionSolver(epsilon=1e-9, mode="jacobi").solve,
+            AuctionSolver(epsilon=2.0, mode="jacobi").solve,
+            AuctionSolver(epsilon=1e-9, mode="gauss-seidel").solve,
+            UtilityGreedyScheduler().schedule,
+            AuctionSolver(epsilon=0.5, mode="jacobi").solve,
+        ]
+        welfares = []
+        for _ in range(2):
+            for solve in solvers:
+                # Each result is dropped right after scoring, so a later
+                # one may reuse its id.
+                result = solve(problem)
+                welfare = result.welfare(problem)
+                assert welfare == problem.welfare_pairs(*result.served_pairs())
+                assert np.array_equal(
+                    result.served_values(problem),
+                    problem.edge_value_pairs(*result.served_pairs()),
+                )
+                welfares.append(welfare)
+        assert len(set(welfares[:5])) > 1  # the solvers really differ
+        assert welfares[:5] == welfares[5:]

@@ -20,7 +20,12 @@ two invariants are pinned:
 
 A wide-window variant (``prefetch_chunks`` beyond the packed-word bound)
 drives the boolean branch of the fused assembler through the same
-assertions.
+assertions.  A long-video variant (a few hundred chunks, staggered or
+synchronized start) drives the packed branch's column band: the
+assembler packs only the columns between the smallest and the largest
+due position, so bands that start past column 0, bands one window wide
+and windows that straddle a 64-chunk word boundary all occur there
+(with the 40-chunk videos every band starts at column 0).
 """
 
 from __future__ import annotations
@@ -54,11 +59,14 @@ class DeltaScenario:
     shock: Optional[str]  # regime event fired before the middle slot
     shock_slot: int
     wide_window: bool  # W > _PACKED_WINDOW_MAX: boolean branch
+    n_chunks: int = 40
+    stagger: bool = True  # False: a synchronized audience from chunk 0
 
     def config(self) -> SystemConfig:
         kwargs = dict(
             seed=self.seed,
             n_videos=self.n_videos,
+            video_size_bytes=self.n_chunks * 8 * 1024,
             bid_rounds_per_slot=self.bid_rounds,
             arrival_rate_per_s=1.0,
             early_departure_prob=0.4 if self.churn else 0.0,
@@ -76,7 +84,7 @@ class DeltaScenario:
                 lambda now, capacities=None, capacity_array=None:
                 build_problem_cold(system, now, capacities, capacity_array)
             )
-        system.populate_static(self.n_peers)
+        system.populate_static(self.n_peers, stagger=self.stagger)
         if self.lossy:
             system.apply_link_preset("loss30-delay50")
         return system
@@ -123,6 +131,26 @@ wide_scenarios = st.builds(
     wide_window=st.just(True),
 )
 
+#: Long videos.  A synchronized audience shares one due position (a
+#: band one window wide) that passes chunk 64 — the first band past
+#: column 0 — after seven slots, with a window across the word
+#: boundary on the way (10 chunks a slot).
+band_scenarios = st.builds(
+    DeltaScenario,
+    seed=st.integers(0, 10_000),
+    n_peers=st.integers(2, 10),
+    n_videos=st.integers(1, 2),
+    churn=st.booleans(),
+    bid_rounds=st.integers(1, 2),
+    slots=st.integers(2, 9),
+    lossy=st.booleans(),
+    shock=st.sampled_from([None, "cost", "capacity", "degree"]),
+    shock_slot=st.integers(1, 2),
+    wide_window=st.just(False),
+    n_chunks=st.integers(100, 400),
+    stagger=st.booleans(),
+)
+
 
 def _run_twins(sc: DeltaScenario) -> None:
     live = sc.build()
@@ -144,6 +172,12 @@ def test_incremental_trajectory_matches_cold_twin(sc):
 @given(sc=wide_scenarios)
 def test_incremental_trajectory_matches_cold_twin_wide_window(sc):
     """Windows beyond the packed-word bound: boolean branch."""
+    _run_twins(sc)
+
+
+@given(sc=band_scenarios)
+def test_incremental_trajectory_matches_cold_twin_long_video(sc):
+    """Long videos, staggered or synchronized: the packed column band."""
     _run_twins(sc)
 
 
@@ -169,4 +203,9 @@ def test_patch_byte_identical_along_trajectory(sc):
 
 @given(sc=wide_scenarios)
 def test_patch_byte_identical_wide_window(sc):
+    _check_build_byte_identity(sc)
+
+
+@given(sc=band_scenarios)
+def test_patch_byte_identical_long_video(sc):
     _check_build_byte_identity(sc)
