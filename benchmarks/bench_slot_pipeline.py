@@ -4,12 +4,13 @@ Times one slot's hot path — problem build, jacobi solve, transfer
 apply, playback advance — on a matrix of scenario configurations,
 comparing:
 
-* **seed path**: ``P2PSystem.build_problem_reference`` (per-request
-  dict/loop construction, as in the seed revision) + a faithful
-  re-implementation of the seed's per-request padded ``dense()``
-  expansion + the ``jacobi-dense`` solver + the per-edge
-  ``_apply_transfers_reference`` loop + the per-chunk
-  ``advance_to_reference`` playback walk;
+* **seed path**: the oracles in ``tests/oracles/``:
+  ``slot.build_problem_reference`` (per-request dict/loop construction,
+  as in the seed revision) + a faithful re-implementation of the seed's
+  per-request padded ``dense()`` expansion + the dense jacobi solver
+  ``auction.solve_jacobi_dense`` + the per-edge
+  ``slot.apply_transfers_reference`` loop + the per-chunk
+  ``slot.advance_playback_reference`` playback walk;
 * **columnar path**: the cold per-group assembler from
   ``tests/oracles/assemble.py`` (vectorized assembly on the persistent
   peer-state store, candidate CSR rebuilt every call) + the
@@ -57,7 +58,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tests" / "oracles"))
 
 from repro.core.auction import AuctionSolver  # noqa: E402
-from repro.core.problem import DenseView, SchedulingProblem  # noqa: E402
+from repro.core.problem import SchedulingProblem  # noqa: E402
 from repro.p2p.config import SystemConfig  # noqa: E402
 from repro.p2p.system import P2PSystem  # noqa: E402
 from repro.scenarios import (  # noqa: E402
@@ -68,6 +69,12 @@ from repro.scenarios import (  # noqa: E402
     compile_timeline,
 )
 from assemble import build_problem_cold  # noqa: E402
+from auction import DenseView, solve_jacobi_dense  # noqa: E402
+from slot import (  # noqa: E402
+    advance_playback_reference,
+    apply_transfers_reference,
+    build_problem_reference,
+)
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_slot_pipeline.json"
 EPSILON = 0.01  # the system config's default bidding increment
@@ -161,8 +168,9 @@ def legacy_dense(problem: SchedulingProblem) -> DenseView:
     """The seed revision's ``dense()`` expansion (per-request Python loop).
 
     Kept here verbatim so the "before" timing reflects what the seed
-    jacobi solver actually paid to build its padded view; the library's
-    ``dense()`` is now a vectorized scatter and would understate it.
+    jacobi solver actually paid to build its padded view; the dense
+    oracle's ``dense_view`` is a vectorized scatter and would understate
+    it.
     """
     uploaders = np.fromiter((int(u) for u in problem.uploaders()), dtype=np.int64)
     index_of = {int(u): i for i, u in enumerate(uploaders)}
@@ -353,19 +361,6 @@ def restore_playback_state(system: P2PSystem, snap: dict) -> None:
         session._last_advance = last_advance
 
 
-def advance_playback_reference(system: P2PSystem, to_time: float):
-    """The seed revision's playback phase: per-chunk while loop per session."""
-    due = 0
-    missed = 0
-    for peer in system.peers.values():
-        if peer.session is None or peer.session.start_time >= to_time:
-            continue
-        stats = peer.session.advance_to_reference(to_time)
-        due += stats.due
-        missed += stats.missed
-    return due, missed
-
-
 def timed_apply_new_only(system: P2PSystem, problem, result, repeats: int):
     """Min-of-N timing of the vectorized apply alone (reference-free tier).
 
@@ -410,7 +405,7 @@ def timed_apply(system: P2PSystem, problem, result, repeats: int):
     outcome = None
     for rep in range(repeats):
         t0 = time.perf_counter()
-        pair_old = system._apply_transfers_reference(problem, result)
+        pair_old = apply_transfers_reference(system, problem, result)
         t1 = time.perf_counter()
         restore_transfer_state(system, snap)
         t2 = time.perf_counter()
@@ -513,7 +508,7 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
         for _rep in range(repeats):
             if reference:
                 t0 = time.perf_counter()
-                problem_old, _ = system.build_problem_reference(t, capacities=budgets)
+                problem_old, _ = build_problem_reference(system, t, capacities=budgets)
                 t1 = time.perf_counter()
                 build_old = min(build_old, t1 - t0)
             t2 = time.perf_counter()
@@ -528,8 +523,8 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
                 # seed solver paid for it on every fresh problem.
                 t4 = time.perf_counter()
                 legacy_dense(problem_old)
-                solver_old = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense")
-                result_old = solver_old.solve(problem_old)
+                solver_old = AuctionSolver(epsilon=EPSILON)
+                result_old = solve_jacobi_dense(solver_old, problem_old)
                 t5 = time.perf_counter()
                 solve_old = min(solve_old, t5 - t4)
             t6 = time.perf_counter()

@@ -1,6 +1,6 @@
 """Ablation A1 — the bidding increment ε: work vs optimality.
 
-Not a paper figure; quantifies the design choice DESIGN.md documents:
+Not a paper figure; quantifies a design choice of the reproduction:
 the paper's ε = 0 rule is exact only without ties, a tiny ε explodes the
 bid count under contention, and a moderate ε converges fast while
 staying (empirically exactly) optimal.

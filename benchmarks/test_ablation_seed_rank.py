@@ -1,6 +1,7 @@
 """Ablation A5 — tracker seed ranking: guaranteed vs random.
 
-DESIGN.md §3 documents this reproduction choice: when every bootstrap
+A reproduction choice (``SystemConfig.bench`` sets
+``tracker_seed_rank="random"``): when every bootstrap
 list is guaranteed to contain the (cheap, intra-ISP) seeds, inter-ISP
 traffic collapses toward zero for any cost-aware protocol and Fig. 4's
 comparison degenerates.  Ranking seeds at a random position — a tracker

@@ -164,14 +164,16 @@ def test_xxl_tier_listed():
 
 
 def test_legacy_dense_matches_library_dense():
-    """The archived seed expansion must stay equivalent to dense()."""
+    """The archived seed expansion must stay equivalent to the dense
+    oracle's vectorized view (``tests/oracles/auction.py``)."""
     import numpy as np
 
+    from auction import dense_view  # on sys.path via the harness
     from repro.core.problem import random_problem
 
     p = random_problem(np.random.default_rng(3), n_requests=20, n_uploaders=5)
     a = bench.legacy_dense(p)
-    b = p.dense()
+    b = dense_view(p)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.uploader_index, b.uploader_index)
     assert np.array_equal(a.uploaders, b.uploaders)

@@ -27,7 +27,6 @@ from .exact import LPSolution, solve_hungarian, solve_lp_relaxation, solve_min_c
 from .problem import (
     ChunkRequest,
     CSRView,
-    DenseView,
     ProblemBuilder,
     SchedulingProblem,
     random_problem,
@@ -55,7 +54,6 @@ __all__ = [
     "ChunkRequest",
     "ChunkScheduler",
     "DEFAULT_EPSILON",
-    "DenseView",
     "DistributedAuction",
     "DistributedAuctionScheduler",
     "HungarianScheduler",

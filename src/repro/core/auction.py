@@ -47,10 +47,10 @@ Two execution modes:
   steps on Python scalars, where numpy's fixed per-call cost would
   outweigh its few bids (Bertsekas & Castañon, Parallel Computing 17,
   1991, describe that fixed per-round cost of synchronous auctions).
-* ``"jacobi-dense"`` — the same synchronized semantics over the padded
-  dense view; kept as the equivalence reference for the CSR port (the
-  two produce identical assignments) and for benchmarking the padding
-  blowup.
+
+The jacobi rounds' equivalence reference, the same synchronized
+semantics over a padded ``(R, K_max)`` view, is the dense oracle in
+``tests/oracles/auction.py``; the two produce identical assignments.
 
 All modes provably reach assignments within ``n·ε`` of the optimum;
 tests cross-check them against the Hungarian oracle.
@@ -217,9 +217,8 @@ class AuctionSolver:
     epsilon:
         Bidding increment; ``0`` is the paper's exact rule.
     mode:
-        ``"auto"`` (jacobi for large instances), ``"gauss-seidel"``,
-        ``"jacobi"`` (CSR-vectorized) or ``"jacobi-dense"`` (padded
-        reference implementation of the same round semantics).
+        ``"auto"`` (jacobi for large instances), ``"gauss-seidel"`` or
+        ``"jacobi"`` (CSR-vectorized).
     max_bids / max_rounds:
         Work budgets for the two modes; exceeded ⇒
         :class:`AuctionNonConvergence`.
@@ -243,7 +242,7 @@ class AuctionSolver:
     ) -> None:
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-        if mode not in ("auto", "gauss-seidel", "jacobi", "jacobi-dense"):
+        if mode not in ("auto", "gauss-seidel", "jacobi"):
             raise ValueError(f"unknown mode {mode!r}")
         self.epsilon = float(epsilon)
         self.mode = mode
@@ -276,8 +275,6 @@ class AuctionSolver:
             mode = "jacobi" if problem.n_edges() > self.AUTO_JACOBI_EDGES else "gauss-seidel"
         if mode == "gauss-seidel":
             return self._solve_gauss_seidel(problem, initial_prices)
-        if mode == "jacobi-dense":
-            return self._solve_jacobi_dense(problem, initial_prices)
         return self._solve_jacobi(problem, initial_prices)
 
     # ------------------------------------------------------------------
@@ -538,8 +535,9 @@ class AuctionSolver:
     ) -> ScheduleResult:
         """Synchronized rounds over the CSR view in which the losers bid next.
 
-        Produces exactly the assignment of :meth:`_solve_jacobi_dense`
-        (same bid order, same tie-breaks, same stats) without
+        Produces exactly the assignment of the dense oracle in
+        ``tests/oracles/auction.py`` (same bid order, same tie-breaks,
+        same stats) without
         materializing the padded ``(R, K_max)`` matrices, and without
         re-evaluating every pending row every round.  Round 1 evaluates
         every row not retired up front.  Each later round evaluates, in
@@ -1057,124 +1055,3 @@ class AuctionSolver:
             np.repeat(group, size)[kept & (tie >= 0)], minlength=len(m)
         )
         return accepted, bid[first + cap - 1], row[~kept & (tie < 0)]
-
-    # ------------------------------------------------------------------
-    # Jacobi over the padded dense view (reference for the CSR port)
-    # ------------------------------------------------------------------
-    def _solve_jacobi_dense(
-        self,
-        problem: SchedulingProblem,
-        initial_prices: Optional[Dict[int, float]] = None,
-    ) -> ScheduleResult:
-        dense = problem.dense()
-        n = dense.n_requests
-        stats = SolverStats()
-        if n == 0:
-            return self._empty_result(dense.uploaders, initial_prices, stats)
-
-        values = dense.values.copy()
-        uidx = dense.uploader_index
-        # Mask out uploaders with no capacity.
-        zero_cap = np.nonzero(dense.capacity == 0)[0]
-        if len(zero_cap):
-            dead = np.isin(uidx, zero_cap)
-            values[dead] = -np.inf
-
-        n_uploaders = len(dense.uploaders)
-        lam = self._initial_lam(dense.uploaders, initial_prices)
-        sets = [
-            _AssignmentSet(int(c)) for c in dense.capacity
-        ]  # indexed by uploader index
-        assigned_to = np.full(n, -1, dtype=np.int64)
-        retired = np.all(np.isinf(values) & (values < 0), axis=1)
-
-        safe_uidx = np.where(uidx >= 0, uidx, 0)
-        pad = ~np.isfinite(values)
-
-        for round_no in range(1, self.max_rounds + 1):
-            pending = (assigned_to < 0) & ~retired
-            if not pending.any():
-                break
-            rows = np.nonzero(pending)[0]
-            stats.rows_evaluated += len(rows)
-            phi = values[rows] - lam[safe_uidx[rows]]
-            phi[pad[rows]] = -np.inf
-            j_star = np.argmax(phi, axis=1)
-            phi1 = phi[np.arange(len(rows)), j_star]
-
-            newly_retired = phi1 <= 0.0
-            retired[rows[newly_retired]] = True
-            live = ~newly_retired
-            if not live.any():
-                continue
-            rows = rows[live]
-            phi = phi[live]
-            j_star = j_star[live]
-            phi1 = phi1[live]
-
-            phi_wo_best = phi.copy()
-            phi_wo_best[np.arange(len(rows)), j_star] = -np.inf
-            phi2 = phi_wo_best.max(axis=1)
-            outside = np.maximum(phi2, 0.0)
-            target = uidx[rows, j_star]
-            bids = lam[target] + phi1 - outside + self.epsilon
-            submit = bids > lam[target]
-            if not submit.any():
-                break  # all remaining bidders dormant (ε = 0 ties)
-            rows = rows[submit]
-            bids = bids[submit]
-            target = target[submit]
-            stats.bids_submitted += len(rows)
-            stats.rounds = round_no
-
-            # Process each auctioneer's batch, highest bid first.
-            order = np.lexsort((-bids, target))
-            rows, bids, target = rows[order], bids[order], target[order]
-            boundaries = np.nonzero(np.diff(target))[0] + 1
-            for chunk_rows, chunk_bids, u in zip(
-                np.split(rows, boundaries),
-                np.split(bids, boundaries),
-                target[np.concatenate(([0], boundaries))],
-            ):
-                aset = sets[int(u)]
-                price = lam[int(u)]
-                changed = False
-                for r, b in zip(chunk_rows, chunk_bids):
-                    if b <= price:
-                        stats.bids_rejected += 1
-                        continue
-                    if aset.full:
-                        if b <= aset.min_bid():
-                            stats.bids_rejected += 1
-                            continue
-                        evicted, _ = aset.evict_min()
-                        assigned_to[evicted] = -1
-                        stats.evictions += 1
-                    aset.add(int(r), float(b))
-                    assigned_to[int(r)] = int(u)
-                    changed = True
-                if changed and aset.full:
-                    new_price = aset.min_bid()
-                    if new_price > price:
-                        lam[int(u)] = new_price
-                        stats.price_updates += 1
-                        if self.on_price_update is not None:
-                            self.on_price_update(round_no, int(dense.uploaders[int(u)]), new_price)
-            if self.trace is not None:
-                self.trace.record(
-                    round_no,
-                    {int(dense.uploaders[i]): float(lam[i]) for i in range(n_uploaders)},
-                )
-        else:
-            raise AuctionNonConvergence(
-                f"round budget {self.max_rounds} exceeded: "
-                f"{(assigned_to >= 0).sum()}/{n} assigned, epsilon={self.epsilon}"
-            )
-
-        return ScheduleResult.from_arrays(
-            assigned_to,
-            dense.uploaders,
-            lam,
-            etas=functools.partial(self._etas_array, problem.csr(), lam),
-            stats=stats,
-        )

@@ -6,7 +6,7 @@ geometrically decreasing increment, warm-starting each phase with the
 previous phase's prices, so most of the price climbing happens in cheap
 coarse phases.
 
-Caveat (documented in DESIGN.md): with the outside option, a warm start
+Caveat: with the outside option, a warm start
 can strand a positive price on an uploader that ends the final phase
 unsaturated, which voids the CS-1 optimality certificate.  The driver
 therefore *verifies* the duality gap of the scaled run and falls back to

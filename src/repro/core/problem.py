@@ -24,11 +24,9 @@ Construction comes in two flavours:
   tens of thousands of requests costs a handful of numpy passes instead
   of one Python dict walk per request.
 
-Two read-only array views serve vectorized solvers: the padded
-:meth:`SchedulingProblem.dense` ``(R, K_max)`` matrices and the flat
-:meth:`SchedulingProblem.csr` arrays.  The CSR view is the one to prefer
-when candidate counts are skewed — its size is the edge count ``E``,
-not ``R × K_max``.
+Vectorized solvers read one array view, the flat
+:meth:`SchedulingProblem.csr` arrays.  Its size is the edge count ``E``,
+with no ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import numpy as np
 __all__ = [
     "ChunkRequest",
     "CSRView",
-    "DenseView",
     "ProblemBuilder",
     "SchedulingProblem",
     "random_problem",
@@ -70,45 +67,14 @@ class ChunkRequest:
 
 
 @dataclass(frozen=True)
-class DenseView:
-    """Padded numpy view of a problem for vectorized solvers.
-
-    Attributes
-    ----------
-    values:
-        ``(R, K)`` array of edge net utilities ``v − w``; ``-inf`` padding.
-    uploader_index:
-        ``(R, K)`` array of uploader *indices* (into :attr:`uploaders`);
-        ``-1`` padding.
-    uploaders:
-        Uploader peer ids, position = index used above.
-    capacity:
-        ``(U,)`` int array of ``B(u)`` aligned with :attr:`uploaders`.
-    """
-
-    values: np.ndarray
-    uploader_index: np.ndarray
-    uploaders: np.ndarray
-    capacity: np.ndarray
-
-    @property
-    def n_requests(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def max_candidates(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class CSRView:
     """Flat (CSR) numpy view of a problem for vectorized solvers.
 
     Request ``r``'s candidate edges occupy positions
     ``indptr[r]:indptr[r+1]`` of the flat arrays, in candidate order.
-    Unlike :class:`DenseView` there is no ``(R, K_max)`` padding, so the
-    memory/compute footprint is the edge count ``E`` even when candidate
-    counts are heavily skewed.
+    There is no ``(R, K_max)`` padding, so the memory/compute footprint
+    is the edge count ``E`` even when candidate counts are heavily
+    skewed.
 
     Attributes
     ----------
@@ -155,27 +121,6 @@ class CSRView:
             )
             object.__setattr__(self, "_edge_rows", cached)
         return cached
-
-    def to_dense(self) -> DenseView:
-        """Expand to the padded :class:`DenseView` (round-trip helper)."""
-        n = self.n_requests
-        counts = self.counts()
-        k = int(counts.max()) if n else 0
-        values = np.full((n, max(k, 1)), -np.inf, dtype=float)
-        uploader_index = np.full((n, max(k, 1)), -1, dtype=np.int64)
-        if self.n_edges:
-            rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-            cols = np.arange(self.n_edges, dtype=np.int64) - np.repeat(
-                self.indptr[:-1], counts
-            )
-            values[rows, cols] = self.values
-            uploader_index[rows, cols] = self.uploader_index
-        return DenseView(
-            values=values,
-            uploader_index=uploader_index,
-            uploaders=self.uploaders,
-            capacity=self.capacity,
-        )
 
 
 class SchedulingProblem:
@@ -227,13 +172,11 @@ class SchedulingProblem:
         # batch producers skip both the dict build and the fromiters.
         self._cap_primed: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._edge_count = 0
-        self._dense: Optional[DenseView] = None
         self._csr: Optional[CSRView] = None
         self._peer_arr: Optional[np.ndarray] = None
         self._chunk_arr: Optional[np.ndarray] = None
 
     def _invalidate(self) -> None:
-        self._dense = None
         self._csr = None
         self._peer_arr = None
         self._chunk_arr = None
@@ -489,7 +432,7 @@ class SchedulingProblem:
         """Split pending batch blocks into per-request zero-copy views.
 
         Deferred until a per-request accessor needs them — the solver
-        hot path (``csr()``/``dense()``/``welfare``) never does.
+        hot path (``csr()``/``welfare``) never does.
         ``map()`` keeps the slicing loop in C.
         """
         if not self._lazy_blocks:
@@ -643,8 +586,7 @@ class SchedulingProblem:
 
         Only valid when every chunk key is a ``(video_id, chunk_index)``
         int pair — the shape the P2P slot pipeline always produces.
-        Raises ``ValueError``/``TypeError`` otherwise, so columnar
-        consumers can fall back to the generic per-request path.
+        Raises ``ValueError``/``TypeError`` otherwise.
         """
         if self._chunk_arr is None:
             if self._chunk_pending and not self._chunks:
@@ -660,24 +602,6 @@ class SchedulingProblem:
                 )
             self._chunk_arr = arr
         return self._chunk_arr
-
-    def prime_chunk_pairs(self, pairs: np.ndarray) -> None:
-        """Install a precomputed :meth:`chunk_pair_array` cache.
-
-        Columnar producers (the slot pipeline) already hold the
-        ``(video_id, chunk_index)`` columns they tuple-ized into the
-        chunk keys; installing them here spares consumers the O(R)
-        list-of-tuples conversion.  The array must match ``_chunks``
-        row for row — the construction-equivalence tests pin the one
-        producer that uses this.
-        """
-        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
-        if pairs.ndim != 2 or pairs.shape != (self.n_requests, 2):
-            raise ValueError(
-                f"chunk pairs must have shape ({self.n_requests}, 2), "
-                f"got {pairs.shape}"
-            )
-        self._chunk_arr = pairs
 
     def candidates_of(self, index: int) -> np.ndarray:
         """Uploader peer ids that can serve request ``index``."""
@@ -802,18 +726,6 @@ class SchedulingProblem:
             capacity=capacity,
         )
         return self._csr
-
-    def dense(self) -> DenseView:
-        """Padded arrays over a stable uploader index; cached.
-
-        Derived from :meth:`csr` by a vectorized scatter; prefer the CSR
-        view directly when candidate counts are skewed — the dense
-        expansion costs ``R × K_max`` regardless of the true edge count.
-        """
-        if self._dense is not None:
-            return self._dense
-        self._dense = self.csr().to_dense()
-        return self._dense
 
     # ------------------------------------------------------------------
     # Welfare
@@ -1098,17 +1010,6 @@ class ProblemBuilder:
         self._cost_blocks.append(np.asarray(cand_costs, dtype=float))
         self._count_blocks.append(counts_arr)
         return m
-
-    @property
-    def n_pending(self) -> int:
-        """Requests queued so far."""
-        return sum(len(block) for block in self._peer_blocks)
-
-    def request_peers(self) -> np.ndarray:
-        """Downloader peer id per queued request, in request order."""
-        if not self._peer_blocks:
-            return _EMPTY_INT
-        return np.concatenate(self._peer_blocks)
 
     # ------------------------------------------------------------------
     # Assembly

@@ -9,11 +9,11 @@ The result is *array-native*: the source of truth is three numpy
 columns (request ids, assigned uploader ids, served mask) plus the dual
 vectors, built either straight from solver arrays
 (:meth:`ScheduleResult.from_arrays` — no per-request Python work) or by
-converting the classic dicts once at construction.  The historical dict
-API (``result.assignment`` / ``result.prices`` / ``result.etas``) is
-preserved as lazily materialized, cached read-only views, so every
-consumer written against the dict interface keeps working unchanged;
-hot paths use the array accessors (:meth:`assignment_array`,
+converting the classic dicts once at construction.  The dict API
+(``result.assignment`` / ``result.prices`` / ``result.etas``) is a set
+of lazily materialized, cached views over those arrays; an edit through
+one raises ``TypeError``, so the arrays are the only state.  Hot paths
+use the array accessors (:meth:`assignment_array`,
 :meth:`served_pairs`, :meth:`served_columns`) instead.
 """
 
@@ -35,56 +35,21 @@ _EMPTY_FLOAT = np.empty(0, dtype=float)
 UNSERVED = -1
 
 
-class _SyncedDict(dict):
-    """A dict view that tells its owner when it is mutated.
+class _ReadOnlyDict(dict):
+    """A dict view of a result's arrays that refuses every edit.
 
-    The result's arrays stay the source of truth for the hot paths; a
-    consumer that mutates the historical dict API (tests patch
-    assignments in place) flips a dirty flag so the arrays are rebuilt
-    from the dict before the next array access.
+    The arrays are the result; a changed result is a new
+    :class:`ScheduleResult` (the constructor or
+    :meth:`ScheduleResult.from_assignment_ids`).
     """
 
-    __slots__ = ("_mark_dirty",)
+    __slots__ = ()
 
-    def __init__(self, data, mark_dirty) -> None:
-        super().__init__(data)
-        self._mark_dirty = mark_dirty
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("ScheduleResult views are read-only; build a new result")
 
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self._mark_dirty()
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self._mark_dirty()
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self._mark_dirty()
-
-    def __ior__(self, other):
-        out = super().__ior__(other)
-        self._mark_dirty()
-        return out
-
-    def setdefault(self, key, default=None):
-        out = super().setdefault(key, default)
-        self._mark_dirty()
-        return out
-
-    def pop(self, *args):
-        out = super().pop(*args)
-        self._mark_dirty()
-        return out
-
-    def popitem(self):
-        out = super().popitem()
-        self._mark_dirty()
-        return out
-
-    def clear(self) -> None:
-        super().clear()
-        self._mark_dirty()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = setdefault = pop = popitem = clear = _read_only
 
 
 @dataclass
@@ -94,7 +59,8 @@ class SolverStats:
     ``rows_evaluated`` (bid-phase row evaluations) and ``scalar_rounds``
     (jacobi rounds that committed bids on the scalar path) describe how
     a solve did its work, not what it found, so equality ignores them:
-    the dense jacobi reference evaluates every pending row by design.
+    the dense jacobi oracle (``tests/oracles/auction.py``) evaluates
+    every pending row by design.
     """
 
     rounds: int = 0
@@ -127,18 +93,17 @@ class ScheduleResult:
     ----------
     assignment:
         request index → uploader peer id (or ``None`` when unserved).
-        A lazily built dict view over the backing arrays.  In-place
-        mutations are supported for compatibility: they mark the view
-        dirty and the arrays are rebuilt from it on the next array
-        access.
+        A lazily built, read-only dict view over the backing arrays:
+        an edit raises ``TypeError``.  A changed result is a new one,
+        built with the constructor or :meth:`from_assignment_ids`.
     prices:
         Dual variables ``λ_u`` per uploader (zero for non-auction
-        solvers).  Lazy dict view with the same mutation write-back.
+        solvers).  Read-only dict view.
     etas:
         Dual variables ``η_d^{(c)}`` per request index (auction only).
-        Lazy dict view with the same mutation write-back.  The jacobi
-        solvers defer ``η``: it is computed on first read, from the
-        solve's CSR view and the ``λ`` the solve ended with, and cached.
+        Read-only dict view.  The jacobi solver defers ``η``: it is
+        computed on first read, from the solve's CSR view and the ``λ``
+        the solve ended with, and cached.
     stats:
         Work counters.
 
@@ -147,10 +112,9 @@ class ScheduleResult:
     :meth:`welfare` read ``v − w`` at those edges instead of matching
     the served pairs against every edge of the problem.  The pair
     lookup runs instead when the result has no edges (every other
-    solver), when it is scored against a problem whose CSR view is not
-    the solve's, and after any edit through a dict view.  The edges
-    live on the result, so results of several solvers of one problem
-    never share them.
+    solver), and when it is scored against a problem whose CSR view is
+    not the solve's.  The edges live on the result, so results of
+    several solvers of one problem never share them.
     """
 
     __slots__ = (
@@ -168,7 +132,6 @@ class ScheduleResult:
         "_assignment_dict",
         "_prices_dict",
         "_etas_dict",
-        "_dirty",
     )
 
     def __init__(
@@ -198,7 +161,6 @@ class ScheduleResult:
         self._assignment_dict: Optional[Dict[int, Optional[int]]] = None
         self._prices_dict: Optional[Dict[int, float]] = None
         self._etas_dict: Optional[Dict[int, float]] = None
-        self._dirty = False
 
     @staticmethod
     def _split_mapping(
@@ -282,7 +244,6 @@ class ScheduleResult:
         result._assignment_dict = None
         result._prices_dict = None
         result._etas_dict = None
-        result._dirty = False
         return result
 
     @classmethod
@@ -313,17 +274,11 @@ class ScheduleResult:
         result._assignment_dict = None
         result._prices_dict = None
         result._etas_dict = None
-        result._dirty = False
         return result
 
     # ------------------------------------------------------------------
-    # Dict views (compatibility API; lazily materialized, cached)
+    # Dict views (read-only; lazily materialized, cached)
     # ------------------------------------------------------------------
-    def _mark_dirty(self) -> None:
-        self._dirty = True
-        # An edited view may no longer match the solve's edges.
-        self._served_edges = None
-
     def _compute_etas(self) -> None:
         """Run a deferred ``η`` computation, once."""
         if self._eta_source is not None:
@@ -331,60 +286,33 @@ class ScheduleResult:
             self._eta_ids = np.arange(len(self._eta_vals), dtype=np.int64)
             self._eta_source = None
 
-    def _sync(self) -> None:
-        """Rebuild the arrays after a consumer mutated a dict view."""
-        if not self._dirty:
-            return
-        if self._assignment_dict is not None:
-            d = self._assignment_dict
-            n = len(d)
-            self._req_ids = np.fromiter(d.keys(), dtype=np.int64, count=n)
-            self._served = np.fromiter(
-                (u is not None for u in d.values()), dtype=bool, count=n
-            )
-            self._assigned = np.fromiter(
-                (UNSERVED if u is None else u for u in d.values()),
-                dtype=np.int64,
-                count=n,
-            )
-        if self._prices_dict is not None:
-            self._price_ids, self._price_vals = self._split_mapping(self._prices_dict)
-        if self._etas_dict is not None:
-            self._eta_ids, self._eta_vals = self._split_mapping(self._etas_dict)
-        self._dirty = False
-
     @property
-    def assignment(self) -> Dict[int, Optional[int]]:
+    def assignment(self) -> Mapping[int, Optional[int]]:
         if self._assignment_dict is None:
-            self._assignment_dict = _SyncedDict(
-                {
-                    r: (u if s else None)
-                    for r, u, s in zip(
-                        self._req_ids.tolist(),
-                        self._assigned.tolist(),
-                        self._served.tolist(),
-                    )
-                },
-                self._mark_dirty,
+            self._assignment_dict = _ReadOnlyDict(
+                (r, u if s else None)
+                for r, u, s in zip(
+                    self._req_ids.tolist(),
+                    self._assigned.tolist(),
+                    self._served.tolist(),
+                )
             )
         return self._assignment_dict
 
     @property
-    def prices(self) -> Dict[int, float]:
+    def prices(self) -> Mapping[int, float]:
         if self._prices_dict is None:
-            self._prices_dict = _SyncedDict(
-                dict(zip(self._price_ids.tolist(), self._price_vals.tolist())),
-                self._mark_dirty,
+            self._prices_dict = _ReadOnlyDict(
+                zip(self._price_ids.tolist(), self._price_vals.tolist())
             )
         return self._prices_dict
 
     @property
-    def etas(self) -> Dict[int, float]:
+    def etas(self) -> Mapping[int, float]:
         if self._etas_dict is None:
             self._compute_etas()
-            self._etas_dict = _SyncedDict(
-                dict(zip(self._eta_ids.tolist(), self._eta_vals.tolist())),
-                self._mark_dirty,
+            self._etas_dict = _ReadOnlyDict(
+                zip(self._eta_ids.tolist(), self._eta_vals.tolist())
             )
         return self._etas_dict
 
@@ -399,7 +327,6 @@ class ScheduleResult:
     # ------------------------------------------------------------------
     def request_indices(self) -> np.ndarray:
         """Request ids, aligned with :meth:`assignment_array` (do not mutate)."""
-        self._sync()
         return self._req_ids
 
     def assignment_array(self) -> np.ndarray:
@@ -408,27 +335,22 @@ class ScheduleResult:
         Aligned with :meth:`request_indices`; for solver-built results
         that is simply ``0..R-1``.
         """
-        self._sync()
         return self._assigned
 
     def served_mask(self) -> np.ndarray:
         """Bool mask over :meth:`request_indices` (do not mutate)."""
-        self._sync()
         return self._served
 
     def served_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(request_ids, uploader_ids)`` of the served requests."""
-        self._sync()
         return self._req_ids[self._served], self._assigned[self._served]
 
     def price_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(uploader_ids, λ values)`` (do not mutate)."""
-        self._sync()
         return self._price_ids, self._price_vals
 
     def eta_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(request_ids, η values)`` (do not mutate)."""
-        self._sync()
         self._compute_etas()
         return self._eta_ids, self._eta_vals
 
@@ -440,8 +362,8 @@ class ScheduleResult:
     ) -> Optional[np.ndarray]:
         """``v − w`` at the solve's served edges, or ``None``.
 
-        ``None`` unless the solver recorded its edges, ``problem``'s
-        CSR view is the one it solved, and no dict view was edited.
+        ``None`` unless the solver recorded its edges and ``problem``'s
+        CSR view is the one it solved.
         """
         if self._served_edges is None or problem.csr() is not self._csr:
             return None
@@ -475,11 +397,9 @@ class ScheduleResult:
 
     def n_served(self) -> int:
         """Number of requests that received bandwidth."""
-        self._sync()
         return int(self._served.sum())
 
     def n_unserved(self) -> int:
-        self._sync()
         return len(self._req_ids) - self.n_served()
 
     def served_columns(
@@ -509,7 +429,6 @@ class ScheduleResult:
 
     def uploader_loads(self) -> Dict[int, int]:
         """Chunks assigned per uploader."""
-        self._sync()
         ids, counts = np.unique(self._assigned[self._served], return_counts=True)
         return dict(zip(ids.tolist(), counts.tolist()))
 
@@ -518,7 +437,6 @@ class ScheduleResult:
     # ------------------------------------------------------------------
     def check_feasible(self, problem: SchedulingProblem) -> None:
         """Raise ``AssertionError`` if the assignment violates the ILP constraints."""
-        self._sync()
         n = problem.n_requests
         covered = (
             len(self._req_ids) == n

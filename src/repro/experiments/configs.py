@@ -2,7 +2,8 @@
 
 Each figure gets a :class:`FigureConfig` naming the workload, scale,
 duration and the schedulers compared.  ``scale="bench"`` (default) is
-the laptop-sized configuration documented in DESIGN.md §3; pass
+the laptop-sized :meth:`SystemConfig.bench` (20 videos of 8 MB in 32 KB
+chunks, 25-chunk windows, seeds ranked at random by the tracker); pass
 ``scale="paper"`` for the full Section V setting (500 peers, 100 videos,
 100-chunk windows — minutes per figure).
 """

@@ -1,6 +1,6 @@
 """Parameter sweeps and ablations beyond the paper's figures.
 
-These quantify the design choices DESIGN.md calls out:
+These quantify the reproduction's design choices:
 
 * ε sensitivity of the auction (A1): optimality gap and work vs ε;
 * solver shoot-out (A2): auction vs Hungarian vs LP vs min-cost flow;

@@ -55,15 +55,6 @@ class SlotMetrics:
         return self.chunks_missed / self.chunks_due if self.chunks_due else 0.0
 
     @property
-    def retry_success_rate(self) -> float:
-        """Fraction of this slot's retry attempts that delivered."""
-        return (
-            self.retry_succeeded / self.retry_attempts
-            if self.retry_attempts
-            else 0.0
-        )
-
-    @property
     def mean_link_delay_ms(self) -> float:
         """Mean per-chunk link latency over this slot's deliveries."""
         total = self.inter_isp_chunks + self.intra_isp_chunks

@@ -44,11 +44,12 @@ at the few places state actually changes:
 
 :meth:`PeerStateStore.assemble_requests` is the one request assembler:
 one fused pass per bucket over word-packed windows.  It matches
-:meth:`P2PSystem.build_problem_reference` bit for bit (request order,
-valuations, candidate sets, costs), and the batched advance matches the
-per-session ``advance_to`` / ``advance_to_reference`` pins; the property
-suite under ``tests/properties/`` fuzzes whole scenarios against these
-and against the cold per-group assembler in ``tests/oracles/``.
+the per-request builder in ``tests/oracles/slot.py`` bit for bit
+(request order, valuations, candidate sets, costs), and the batched
+advance matches the per-session ``advance_to`` and the per-chunk loop
+there; the property suite under ``tests/properties/`` fuzzes whole
+scenarios against these and against the cold per-group assembler in
+``tests/oracles/assemble.py``.
 
 A build reads what its windows touch.  The held-chunk bitmap is read at
 every candidate edge's window, so it is word-packed, but only over the
@@ -332,10 +333,6 @@ class VideoGroup:
         self.member_ids = np.delete(self.member_ids, at)
         self.member_rows = np.delete(self.member_rows, at)
         self._watchers_stale = True
-
-    @property
-    def n_members(self) -> int:
-        return len(self.member_ids)
 
     def watcher_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, ids)`` of members with sessions, sorted-id order."""
@@ -999,7 +996,8 @@ class PeerStateStore:
         indptr)`` where ``chunk_pairs`` is the ``(R, 2)``
         ``(video_id, chunk_index)`` column and the CSR candidate arrays
         are sorted by uploader id within each request — exactly the
-        problem :meth:`P2PSystem.build_problem_reference` constructs.
+        problem the per-request builder in ``tests/oracles/slot.py``
+        constructs.
 
         Every call drains the overlay's dirty set, resyncs the playback
         columns from the session objects, assembles in one fused pass
@@ -1404,9 +1402,9 @@ class PeerStateStore:
         have nothing due yet; mid-slot admissions advance from their
         *own* start time on the first boundary after it.  Per-session
         results are committed back to the :class:`PlaybackSession`
-        objects, which remain the reference (``advance_to`` /
-        ``advance_to_reference`` pin the semantics).  Unlike the
-        reference loop, a backwards ``to_time`` raises *before* any
+        objects, which remain the reference (``advance_to`` and the
+        per-chunk loop in ``tests/oracles/slot.py`` pin the semantics).
+        Unlike the reference loop, a backwards ``to_time`` raises *before* any
         session (in any bucket) is advanced.
         """
         preps = []

@@ -569,8 +569,8 @@ class P2PSystem:
         The doomed set comes from one mask over the store's departure
         and playback columns instead of a Python pass over every online
         peer, and the whole batch leaves the pair-cost cache in one
-        sweep; :meth:`_process_departures_reference` keeps the per-peer
-        loop this is pinned against.
+        sweep; ``tests/oracles/slot.py`` keeps the per-peer loop this is
+        pinned against.
         """
         doomed = self.store.departure_scan(t, remove_finished)
         if not doomed:
@@ -583,19 +583,6 @@ class P2PSystem:
             self.topology.remove_peer(peer.peer_id)
         self.costs.forget_peer(*doomed)
         self.departures += len(peers)
-
-    def _process_departures_reference(self, t: float, remove_finished: bool) -> None:
-        """Per-peer loop implementation of :meth:`_process_departures` (pin)."""
-        doomed = []
-        for peer in self.peers.values():
-            if peer.is_seed:
-                continue
-            if peer.departure_time is not None and peer.departure_time <= t:
-                doomed.append(peer.peer_id)
-            elif remove_finished and peer.session is not None and peer.session.finished:
-                doomed.append(peer.peer_id)
-        for peer_id in doomed:
-            self.remove_peer(peer_id)
 
     def _refill_neighbors(self) -> None:
         """Top up peers that fell below their neighbor target (churn losses).
@@ -819,8 +806,8 @@ class P2PSystem:
         per-peer Python loop, no per-slot re-stacking.  Produces the
         same problem (same request order, same candidate edges and
         costs; candidates sorted by uploader id) as the per-request
-        :meth:`build_problem_reference`, which the property suite pins
-        byte-for-byte, as it pins the cold per-group assembler in
+        builder in ``tests/oracles/slot.py``, which the property suite
+        pins byte-for-byte, as it pins the cold per-group assembler in
         ``tests/oracles/assemble.py``.
 
         ``capacities`` overrides per-peer upload budgets as a dict
@@ -868,70 +855,6 @@ class P2PSystem:
     # drops it.
     patch_problem = build_problem
 
-    def build_problem_reference(
-        self,
-        now: float,
-        capacities: Optional[Dict[int, int]] = None,
-    ) -> Tuple[SchedulingProblem, Dict[int, int]]:
-        """Per-request (dict/loop) construction of the same slot problem.
-
-        This is the pre-columnar hot path, kept as the semantics
-        reference: equivalence tests assert :meth:`build_problem`
-        produces the identical problem, and the benchmark harness times
-        the two against each other.
-        """
-        problem = SchedulingProblem()
-        for peer in self.peers.values():
-            capacity = (
-                peer.upload_capacity_chunks
-                if capacities is None
-                else capacities.get(peer.peer_id, 0)
-            )
-            problem.set_capacity(peer.peer_id, capacity)
-        request_owner: Dict[int, int] = {}
-        for peer in self.peers.values():
-            if peer.session is None:
-                continue  # seeds never request
-            # Peers in their startup delay do bid: they are pre-fetching
-            # ahead of the (future) playback start.  With sub-slot
-            # re-bidding, valuations anticipate the urgency reached by
-            # the end of the bid interval (see Peer.build_requests).
-            rounds = self.config.bid_rounds_per_slot
-            lookahead = self.config.slot_seconds / rounds if rounds > 1 else 0.0
-            wanted = peer.build_requests(
-                now, self.config.prefetch_chunks, self.valuation, lookahead=lookahead
-            )
-            if not wanted:
-                continue
-            video_id = peer.video.video_id
-            window = {index for index, _ in wanted}
-            # One set intersection per neighbor instead of one membership
-            # test per (chunk, neighbor) pair — the paper-scale problem
-            # has ~100-chunk windows × 30 neighbors per peer.
-            per_chunk: Dict[int, Dict[int, float]] = {}
-            for nb in self.overlay.neighbors(peer.peer_id):
-                other = self.peers.get(nb)
-                if other is None or other.video.video_id != video_id:
-                    continue
-                hits = other.buffer.held_among(window)
-                if not hits:
-                    continue
-                cost = self.costs.cost(nb, peer.peer_id)
-                for index in hits:
-                    per_chunk.setdefault(index, {})[nb] = cost
-            for index, value in wanted:
-                candidates = per_chunk.get(index)
-                if not candidates:
-                    continue  # nobody caches it: cannot even be requested
-                r = problem.add_request(
-                    peer=peer.peer_id,
-                    chunk=(video_id, index),
-                    valuation=value,
-                    candidates=candidates,
-                )
-                request_owner[r] = peer.peer_id
-        return problem, request_owner
-
     def _suppress_pending_requests(self, parts):
         """Drop requests already parked in the retry queue from ``parts``.
 
@@ -940,8 +863,9 @@ class P2PSystem:
         pending retry are removed, with the candidate CSR re-packed to
         match.  Returns ``None`` when nothing survives.  Only called
         with a non-empty queue, i.e. never under ideal link conditions
-        (``build_problem_reference`` intentionally has no counterpart —
-        the construction-equivalence pins run with an empty queue).
+        (the per-request builder in ``tests/oracles/slot.py`` has no
+        counterpart — the construction-equivalence pins run with an
+        empty queue).
         """
         from .retry import _triple_key
 
@@ -1098,23 +1022,16 @@ class P2PSystem:
         traffic matrix as one bincount, deliveries as one grouped bitmap
         write per receiving peer, and upload counters from one unique
         pass over the uploader column.  Produces exactly the state
-        changes of :meth:`_apply_transfers_reference` (equivalence-
-        tested), which also remains the fallback for problems whose
-        chunk keys are not ``(video, index)`` pairs.
+        changes of the per-edge loop in ``tests/oracles/slot.py``
+        (equivalence-tested).  ``problem`` comes from
+        :meth:`build_problem`, so its chunk keys are ``(video, index)``
+        pairs.
         """
         indices, uploaders = result.served_pairs()
         if not len(indices):
             return 0, 0
-        try:
-            pair_array = problem.chunk_pair_array()
-            chunk_indices = pair_array[:, 1]
-        except (TypeError, ValueError):
-            if self.links.active:
-                raise ValueError(
-                    "lossy link conditions require (video, index) chunk "
-                    "keys; the reference apply path has no link model"
-                )
-            return self._apply_transfers_reference(problem, result)
+        pair_array = problem.chunk_pair_array()
+        chunk_indices = pair_array[:, 1]
         downstream = problem.request_peer_array()[indices]
         chunks = chunk_indices[indices]
         isp_of = self._isp_id_array()
@@ -1197,27 +1114,6 @@ class P2PSystem:
             peers[u].record_upload(int(upload_counts[u]))
         return inter, intra
 
-    def _apply_transfers_reference(
-        self, problem: SchedulingProblem, result: ScheduleResult
-    ) -> Tuple[int, int]:
-        """Per-edge loop implementation of :meth:`_apply_transfers` (pin)."""
-        inter = 0
-        intra = 0
-        for _, downstream, chunk, uploader, _ in result.served_edges(problem):
-            peer = self.peers[downstream]
-            _, index = chunk
-            peer.receive_chunk(index)
-            if peer.first_delivery_time is None:
-                peer.first_delivery_time = self.now
-            up = self.peers[uploader]
-            up.record_upload()
-            self.traffic_matrix.record(up.isp, peer.isp)
-            if self.costs.is_inter_isp(uploader, downstream):
-                inter += 1
-            else:
-                intra += 1
-        return inter, intra
-
     def _advance_playback(self, to_time: float) -> Tuple[int, int]:
         """Advance every session; returns (due, missed) chunk totals.
 
@@ -1225,30 +1121,14 @@ class P2PSystem:
         video instead of a per-session loop; sessions whose
         ``start_time >= to_time`` are skipped (nothing due yet), and
         sessions admitted mid-slot advance from their own start time.
-        Equivalent to :meth:`_advance_playback_reference`, which the
-        property suite pins it against.
+        Equivalent to the per-session loop in ``tests/oracles/slot.py``,
+        which the property suite pins it against.
         """
         return self.store.advance_playback(to_time, self.isp_rollup)
-
-    def _advance_playback_reference(self, to_time: float) -> Tuple[int, int]:
-        """Per-session/per-chunk loop implementation (semantics pin)."""
-        due = 0
-        missed = 0
-        for peer in self.peers.values():
-            if peer.session is None or peer.session.start_time >= to_time:
-                continue
-            stats = peer.session.advance_to_reference(to_time)
-            due += stats.due
-            missed += stats.missed
-        return due, missed
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def online_watching(self) -> List[Peer]:
-        """Non-seed peers with unfinished sessions."""
-        return [p for p in self.peers.values() if p.watching]
-
     def n_seeds(self) -> int:
         return sum(1 for p in self.peers.values() if p.is_seed)
 

@@ -113,9 +113,6 @@ class SimNetwork:
         """Detach a node; in-flight messages to it are dropped on arrival."""
         self._handlers.pop(node_id, None)
 
-    def is_registered(self, node_id: int) -> bool:
-        return node_id in self._handlers
-
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------

@@ -143,7 +143,7 @@ class PlaybackSession:
         recorded in :attr:`missed` so the request window skips them.
         Batched: one bitmap slice counts held-vs-missing over the whole
         due range instead of one buffer probe per chunk
-        (:meth:`advance_to_reference` keeps the per-chunk loop as the
+        (``tests/oracles/slot.py`` keeps the per-chunk loop as the
         semantics pin).
         """
         if now < self._last_advance:
@@ -163,28 +163,6 @@ class PlaybackSession:
             self.missed.update((np.nonzero(~held)[0] + start).tolist())
         self.played += played
         self.position = target
-        return SlotPlaybackStats(due=due, missed=missed)
-
-    def advance_to_reference(self, now: float) -> SlotPlaybackStats:
-        """Per-chunk loop implementation of :meth:`advance_to` (semantics pin)."""
-        if now < self._last_advance:
-            raise ValueError(
-                f"time went backwards: {now!r} < {self._last_advance!r}"
-            )
-        self._last_advance = float(now)
-        target = self.due_position(now)
-        due = 0
-        missed = 0
-        missed_set = self.missed
-        while self.position < target:
-            index = self.position
-            due += 1
-            if self.buffer.holds(index):
-                self.played += 1
-            else:
-                missed_set.add(index)
-                missed += 1
-            self.position += 1
         return SlotPlaybackStats(due=due, missed=missed)
 
     # ------------------------------------------------------------------

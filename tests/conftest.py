@@ -8,6 +8,12 @@ import pytest
 from repro.core.problem import SchedulingProblem
 
 
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (about a minute or more)"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic generator for tests."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,9 @@ from repro.core.auction import (
 from repro.core.exact import solve_hungarian
 from repro.core.problem import SchedulingProblem, random_problem
 from repro.core.scheduler import AuctionScheduler
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from auction import solve_in_mode  # noqa: E402
 
 MODES = ("gauss-seidel", "jacobi")
 
@@ -127,16 +133,18 @@ class TestDiagnostics:
             AuctionSolver(epsilon=-1.0)
         with pytest.raises(ValueError):
             AuctionSolver(mode="bogus")
+        with pytest.raises(ValueError, match="mode"):
+            AuctionSolver(mode="jacobi-dense")  # an oracle now, not a mode
 
     @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
     @pytest.mark.parametrize(
         "solver_mode", ["auto", "gauss-seidel", "jacobi", "jacobi-dense"]
     )
-    def test_non_finite_epsilon_rejected(self, epsilon, solver_mode):
+    def test_non_finite_epsilon_rejected(self, small_problem, epsilon, solver_mode):
         # NaN let jacobi serve nothing at λ = 0 and gauss-seidel serve
         # at λ = inf; inf posted λ = inf everywhere.
         with pytest.raises(ValueError, match="epsilon"):
-            AuctionSolver(epsilon=epsilon, mode=solver_mode)
+            solve_in_mode(solver_mode, small_problem, epsilon=epsilon)
 
     def test_scheduler_rejects_bad_epsilon_at_construction(self):
         with pytest.raises(ValueError, match="epsilon"):

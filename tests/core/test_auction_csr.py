@@ -1,8 +1,8 @@
 """Pins for the CSR-vectorized jacobi auction and dual computation.
 
 The CSR port is held to a stronger standard than the theorem bound: on
-the same problem it must reproduce the padded dense implementation
-*exactly* (same assignment, prices and duals), because both follow the
+the same problem it must reproduce the padded dense oracle
+(``tests/oracles/auction.py``) *exactly* (same assignment, prices and duals), because both follow the
 identical round/tie-break semantics.  Gauss-seidel remains the
 sequential-semantics reference and only agrees within ``n·ε``.
 """
@@ -26,23 +26,24 @@ from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from auction import etas_reference  # noqa: E402
+from auction import etas_reference, solve_in_mode, solve_jacobi_dense  # noqa: E402
 
 EPSILON = 1e-6
 
 
 def solve_like_dense(problem, epsilon):
     """The jacobi result and its price-callback stream, both asserted
-    equal to ``jacobi-dense``'s: assignment, λ, η, stats and callbacks."""
+    equal to the dense oracle's: assignment, λ, η, stats and callbacks."""
     outcomes = []
     for mode in ("jacobi", "jacobi-dense"):
         calls = []
-        solver = AuctionSolver(
+        result = solve_in_mode(
+            mode,
+            problem,
             epsilon=epsilon,
-            mode=mode,
             on_price_update=lambda *call, calls=calls: calls.append(call),
         )
-        outcomes.append((solver.solve(problem), calls))
+        outcomes.append((result, calls))
     (result, calls), (dense, dense_calls) = outcomes
     assert result.assignment == dense.assignment
     assert result.prices == dense.prices
@@ -90,7 +91,7 @@ class TestJacobiCSRvsDense:
             np.random.default_rng(seed), n_requests=70, n_uploaders=10, max_candidates=6
         )
         a = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(p)
-        b = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense").solve(p)
+        b = solve_jacobi_dense(AuctionSolver(epsilon=EPSILON), p)
         assert a.assignment == b.assignment
         assert a.prices == b.prices
         assert a.etas == b.etas
@@ -101,7 +102,7 @@ class TestJacobiCSRvsDense:
     def test_identical_outcomes_skewed(self, seed):
         p = skewed_problem(np.random.default_rng(100 + seed))
         a = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(p)
-        b = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense").solve(p)
+        b = solve_jacobi_dense(AuctionSolver(epsilon=EPSILON), p)
         assert a.assignment == b.assignment
         assert a.prices == b.prices
 
@@ -134,7 +135,7 @@ class TestJacobiCSRvsDense:
     def test_warm_start_equivalence(self, small_problem):
         warm = {100: 0.5, 200: 0.25}
         a = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(small_problem, warm)
-        b = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense").solve(small_problem, warm)
+        b = solve_jacobi_dense(AuctionSolver(epsilon=EPSILON), small_problem, warm)
         assert a.assignment == b.assignment
         assert a.prices == b.prices
 
@@ -150,7 +151,7 @@ class TestEmptyProblem:
 
     @pytest.mark.parametrize("mode", ["jacobi", "jacobi-dense", "gauss-seidel"])
     def test_all_fields_populated(self, mode):
-        result = AuctionSolver(mode=mode).solve(self.make_empty())
+        result = solve_in_mode(mode, self.make_empty())
         assert result.assignment == {}
         assert result.prices == {7: 0.0, 8: 0.0}
         assert result.etas == {}
@@ -160,8 +161,8 @@ class TestEmptyProblem:
 
     @pytest.mark.parametrize("mode", ["jacobi", "jacobi-dense", "gauss-seidel"])
     def test_warm_start_prices_clamped_and_reported(self, mode):
-        result = AuctionSolver(mode=mode).solve(
-            self.make_empty(), initial_prices={7: 1.5, 8: -2.0}
+        result = solve_in_mode(
+            mode, self.make_empty(), initial_prices={7: 1.5, 8: -2.0}
         )
         assert result.prices == {7: 1.5, 8: 0.0}
         assert result.etas == {}
@@ -210,20 +211,11 @@ class TestDeferredEtas:
             capacity_range=(0, 3),
         )
         result = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(p)
-        dense = AuctionSolver(epsilon=EPSILON, mode="jacobi-dense").solve(p)
+        dense = solve_jacobi_dense(AuctionSolver(epsilon=EPSILON), p)
         ids, etas = result.eta_arrays()
         assert ids.tolist() == list(range(p.n_requests))
         assert dict(zip(ids.tolist(), etas.tolist())) == dense.etas
         assert result.etas == etas_reference(p, result.prices)
-
-    def test_price_edit_before_the_first_read_leaves_eta_alone(self):
-        p = random_problem(np.random.default_rng(6), n_requests=60)
-        result = AuctionSolver(epsilon=EPSILON, mode="jacobi").solve(p)
-        solved = dict(result.prices)
-        result.prices.update({u: lam + 1.0 for u, lam in solved.items()})
-        result.price_arrays()  # the arrays follow the edited view
-        assert result.etas == etas_reference(p, solved)
-        assert result.etas != etas_reference(p, result.prices)
 
     def test_certificate_on_a_cold_solve_of_a_built_problem(self):
         system = P2PSystem(SystemConfig.tiny(seed=2))
@@ -254,7 +246,8 @@ class TestContestedCommit:
     def solve(self, problem, epsilon=EPS):
         """Jacobi outcome and price-callback stream on both round paths.
 
-        The case is solved twice, each time held equal to jacobi-dense.
+        The case is solved twice, each time held equal to the dense
+        oracle.
         First every round runs on the vector path (``_SMALL_ROUND_ROWS
         = 0``).  Then the problem is padded with inert requests whose
         only candidate, ``DEAD``, has no capacity: they retire up front

@@ -86,8 +86,12 @@ class TestCertificates:
         assert not report.cs_request
 
     def test_verify_theorem1_rejects_infeasible_assignment(self, small_problem):
-        result = AuctionSolver(epsilon=1e-9).solve(small_problem)
-        result.assignment[1] = 200  # overloads uploader 200 (B=1, now 2)
+        solved = AuctionSolver(epsilon=1e-9).solve(small_problem)
+        assignment = dict(solved.assignment)
+        assignment[1] = 200  # overloads uploader 200 (B=1, now 2)
+        result = ScheduleResult(
+            assignment, solved.prices, solved.etas, solved.stats
+        )
         with pytest.raises(AssertionError):
             verify_theorem1(small_problem, result, epsilon=1e-9)
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.problem import ChunkRequest, SchedulingProblem, random_problem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from auction import dense_view  # noqa: E402
 
 
 class TestConstruction:
@@ -98,8 +104,10 @@ class TestWelfare:
 
 
 class TestDenseView:
+    """The dense oracle's padded view (``tests/oracles/auction.py``)."""
+
     def test_shapes_and_padding(self, small_problem):
-        dense = small_problem.dense()
+        dense = dense_view(small_problem)
         assert dense.values.shape == (4, 2)
         assert dense.uploader_index.shape == (4, 2)
         # Request 1 has one candidate: second column padded.
@@ -107,7 +115,7 @@ class TestDenseView:
         assert dense.values[1, 1] == -np.inf
 
     def test_values_match_edges(self, small_problem):
-        dense = small_problem.dense()
+        dense = dense_view(small_problem)
         uploader_ids = dense.uploaders
         for r in range(4):
             for k in range(dense.max_candidates):
@@ -119,14 +127,8 @@ class TestDenseView:
                     small_problem.edge_value(r, uploader)
                 )
 
-    def test_cached_and_invalidated(self, small_problem):
-        first = small_problem.dense()
-        assert small_problem.dense() is first
-        small_problem.set_capacity(300, 1)
-        assert small_problem.dense() is not first
-
     def test_capacity_alignment(self, small_problem):
-        dense = small_problem.dense()
+        dense = dense_view(small_problem)
         for uploader, capacity in zip(dense.uploaders, dense.capacity):
             assert small_problem.capacity_of(int(uploader)) == int(capacity)
 

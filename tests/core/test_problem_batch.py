@@ -5,11 +5,15 @@ The columnar pipeline rests on two pins:
 * ``add_requests_batch`` / ``ProblemBuilder`` build the *identical*
   problem as a sequence of ``add_request`` calls (property-tested over
   random instances);
-* ``csr()`` and ``dense()`` are two encodings of the same edges —
-  ``csr().to_dense()`` round-trips exactly.
+* ``csr()`` encodes every request's edges, in candidate order: the
+  dense oracle's padded expansion of it (``tests/oracles/auction.py``)
+  gives back the per-request accessors row by row.
 """
 
 from __future__ import annotations
+
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.problem import ProblemBuilder, SchedulingProblem, random_problem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from auction import dense_view, to_dense  # noqa: E402
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +103,7 @@ def assert_problems_identical(a: SchedulingProblem, b: SchedulingProblem) -> Non
         assert a.request(r) == b.request(r)
         assert np.array_equal(a.candidates_of(r), b.candidates_of(r))
         assert np.array_equal(a.costs_of(r), b.costs_of(r))
-    da, db = a.dense(), b.dense()
+    da, db = dense_view(a), dense_view(b)
     assert np.array_equal(da.values, db.values)
     assert np.array_equal(da.uploader_index, db.uploader_index)
     assert np.array_equal(da.uploaders, db.uploaders)
@@ -128,15 +135,17 @@ def test_csr_round_trips_against_dense(description):
     capacities, requests = description
     p = build_per_request(capacities, requests)
     csr = p.csr()
-    dense = p.dense()
-    redense = csr.to_dense()
-    assert np.array_equal(redense.values, dense.values)
-    assert np.array_equal(redense.uploader_index, dense.uploader_index)
-    assert np.array_equal(redense.uploaders, dense.uploaders)
-    assert np.array_equal(redense.capacity, dense.capacity)
-    # CSR row slices reproduce the per-request accessors.
+    dense = to_dense(csr)
+    assert np.array_equal(dense.uploaders, csr.uploaders)
+    assert np.array_equal(dense.capacity, csr.capacity)
+    # CSR row slices and padded rows reproduce the per-request accessors.
     uploaders = csr.uploaders
     for r in range(p.n_requests):
+        k = len(p.candidates_of(r))
+        assert np.array_equal(uploaders[dense.uploader_index[r, :k]], p.candidates_of(r))
+        np.testing.assert_array_equal(dense.values[r, :k], p.edge_values_of(r))
+        assert (dense.uploader_index[r, k:] == -1).all()
+        assert np.isneginf(dense.values[r, k:]).all()
         row = csr.row(r)
         assert np.array_equal(uploaders[csr.uploader_index[row]], p.candidates_of(r))
         np.testing.assert_array_equal(csr.values[row], p.edge_values_of(r))

@@ -1,13 +1,16 @@
 """Array-native ScheduleResult: dict views round-trip the arrays exactly.
 
-The result's source of truth is numpy columns; the historical dict API
-is a lazy view.  These tests pin the round trip both ways (dicts →
+The result's source of truth is numpy columns; the dict API is a lazy,
+read-only view.  These tests pin the round trip both ways (dicts →
 arrays → dict views, arrays → dict views → arrays), the array
-accessors, and the mutation write-back that keeps in-place edits of a
-dict view (used by some tests and tooling) visible to the array paths.
+accessors, and that every edit through a view raises ``TypeError``
+and leaves the arrays as they were.
 """
 
 from __future__ import annotations
+
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from repro.core.auction import AuctionSolver
 from repro.core.baselines import UtilityGreedyScheduler
 from repro.core.problem import ProblemBuilder, random_problem
 from repro.core.result import ScheduleResult, SolverStats
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from auction import solve_in_mode  # noqa: E402
 
 assignments = st.lists(
     st.one_of(st.none(), st.integers(min_value=0, max_value=500)),
@@ -101,7 +107,7 @@ class TestDictRoundTrip:
         p.add_request(peer=1, chunk="a", valuation=2.0, candidates={})
         p.add_request(peer=2, chunk="b", valuation=3.0, candidates={})
         for mode in ("jacobi", "jacobi-dense", "gauss-seidel"):
-            result = AuctionSolver(epsilon=1e-6, mode=mode).solve(p)
+            result = solve_in_mode(mode, p, epsilon=1e-6)
             assert result.assignment == {0: None, 1: None}
 
     def test_from_assignment_ids_round_trips(self):
@@ -128,37 +134,73 @@ class TestDictRoundTrip:
         assert clone.n_served() == result.n_served()
 
 
-class TestMutationWriteBack:
-    def test_assignment_mutation_reaches_arrays(self):
-        result = ScheduleResult(assignment={0: 10, 1: None, 2: 20})
-        result.assignment[1] = 30
-        assert result.n_served() == 3
-        assert result.assignment_array().tolist() == [10, 30, 20]
-        result.assignment[0] = None
-        assert result.n_served() == 2
-        indices, uploaders = result.served_pairs()
-        assert indices.tolist() == [1, 2]
-        assert uploaders.tolist() == [30, 20]
+def _three_ways():
+    """The same result built by each constructor."""
+    uploaders = np.array([10, 20], dtype=np.int64)
+    return {
+        "from_arrays": ScheduleResult.from_arrays(
+            np.array([0, -1, 1]), uploaders, np.array([1.0, 2.0]),
+            np.array([0.5, 0.0, 0.25]),
+        ),
+        "from_assignment_ids": ScheduleResult.from_assignment_ids(
+            np.array([10, -1, 20]), prices={10: 1.0, 20: 2.0},
+            etas={0: 0.5, 1: 0.0, 2: 0.25},
+        ),
+        "dict": ScheduleResult(
+            assignment={0: 10, 1: None, 2: 20}, prices={10: 1.0, 20: 2.0},
+            etas={0: 0.5, 1: 0.0, 2: 0.25},
+        ),
+    }
 
-    def test_price_mutation_reaches_arrays(self):
-        result = ScheduleResult(assignment={0: 10}, prices={10: 1.0})
-        result.prices[10] = 4.0
-        ids, vals = result.price_arrays()
-        assert dict(zip(ids.tolist(), vals.tolist())) == {10: 4.0}
 
-    def test_inplace_union_reaches_arrays(self):
-        result = ScheduleResult(assignment={0: 10, 1: None})
-        view = result.assignment
-        view |= {1: 20}
-        assert result.n_served() == 2
-        assert result.assignment_array().tolist() == [10, 20]
+def _arrays(result):
+    return [
+        a.tolist()
+        for a in (
+            result.request_indices(), result.assignment_array(),
+            result.served_mask(), *result.price_arrays(), *result.eta_arrays(),
+        )
+    ]
 
-    def test_check_feasible_sees_mutations(self, small_problem):
+
+class TestReadOnlyViews:
+    """The arrays are the result: every dict view refuses edits."""
+
+    @pytest.mark.parametrize("how", ["from_arrays", "from_assignment_ids", "dict"])
+    @pytest.mark.parametrize("view", ["assignment", "prices", "etas"])
+    def test_edits_raise_and_leave_the_arrays(self, how, view):
+        result = _three_ways()[how]
+        before = _arrays(result)
+        mapping = getattr(result, view)
+        key = next(iter(mapping))
+        snapshot = dict(mapping)
+        with pytest.raises(TypeError):
+            mapping[key] = 7
+        with pytest.raises(TypeError):
+            mapping.update({key: 7})
+        with pytest.raises(TypeError):
+            mapping |= {key: 7}
+        for edit in (
+            lambda: mapping.pop(key),
+            lambda: mapping.setdefault(99, 7),
+            mapping.popitem,
+            mapping.clear,
+        ):
+            with pytest.raises(TypeError):
+                edit()
+        with pytest.raises(TypeError):
+            del mapping[key]
+        assert getattr(result, view) is mapping
+        assert dict(mapping) == snapshot
+        assert _arrays(result) == before
+
+    def test_check_feasible_rejects_a_rebuilt_overload(self, small_problem):
         result = AuctionSolver(epsilon=1e-9).solve(small_problem)
         result.check_feasible(small_problem)
-        result.assignment[1] = 200  # overloads uploader 200 (B = 1)
+        edited = dict(result.assignment)
+        edited[1] = 200  # overloads uploader 200 (B = 1)
         with pytest.raises(AssertionError):
-            result.check_feasible(small_problem)
+            ScheduleResult(assignment=edited).check_feasible(small_problem)
 
 
 class TestServedColumns:
@@ -186,19 +228,9 @@ class TestServedColumns:
 class TestServedEdges:
     """A jacobi result reads ``v − w`` at its solve's edges, else by pair.
 
-    Each fallback must score the assignment the result holds now,
-    against the problem it is given.
+    The fallback must score the result's assignment against the problem
+    it is given.
     """
-
-    def test_edited_assignment_falls_back(self, small_problem):
-        result = AuctionSolver(epsilon=1e-9, mode="jacobi").solve(small_problem)
-        assert result.welfare(small_problem) == pytest.approx(16.0)
-        result.assignment[0] = 200  # r0 moves to its 6.0 edge
-        result.assignment[2] = None
-        assert result.welfare(small_problem) == pytest.approx(6.0 + 5.0)
-        assert result.served_values(small_problem).tolist() == [6.0, 5.0]
-        _, _, _, values = result.served_columns(small_problem)
-        assert values.tolist() == [6.0, 5.0]
 
     def test_scored_against_another_problem(self, small_problem):
         result = AuctionSolver(epsilon=1e-9, mode="jacobi").solve(small_problem)

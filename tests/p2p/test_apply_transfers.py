@@ -2,13 +2,17 @@
 
 ``P2PSystem._apply_transfers`` (grouped bitmap writes, bincount traffic,
 ISP-table classification) must leave the system in the *identical* state
-as ``_apply_transfers_reference`` — same buffers, same upload/download
+as the per-edge loop ``apply_transfers_reference`` in
+``tests/oracles/slot.py`` — same buffers, same upload/download
 counters, same traffic matrix, same inter/intra split — across static,
 churn and multi-video scenarios.  Likewise for the batched per-round
 budget split in ``run_slot``.
 """
 
 from __future__ import annotations
+
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ from repro.core.problem import SchedulingProblem
 from repro.core.result import ScheduleResult
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
-from repro.vod.playback import PlaybackSession
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import advance_playback_reference, apply_transfers_reference  # noqa: E402
 
 SCENARIOS = {
     "static": dict(n_peers=50, churn=False, overrides={}),
@@ -38,9 +44,7 @@ def build_system(spec, seed=13):
 def force_reference_epilogue(system):
     """Make ``system`` run the per-edge apply loop instead of the new path."""
     system._apply_transfers = (
-        lambda problem, result: P2PSystem._apply_transfers_reference(
-            system, problem, result
-        )
+        lambda problem, result: apply_transfers_reference(system, problem, result)
     )
 
 
@@ -105,36 +109,9 @@ class TestApplyEquivalence:
         result_slow = slow.scheduler.schedule(problem_slow)
         assert result_fast.assignment == result_slow.assignment
         pair_fast = fast._apply_transfers(problem_fast, result_fast)
-        pair_slow = slow._apply_transfers_reference(problem_slow, result_slow)
+        pair_slow = apply_transfers_reference(slow, problem_slow, result_slow)
         assert pair_fast == pair_slow
         assert_same_state(fast, slow)
-
-    def test_non_pair_chunk_keys_fall_back_to_reference(self):
-        """Chunk keys the columnar path cannot columnize still apply."""
-        system = build_system(SCENARIOS["static"])
-        system.run_slot()
-        watcher = next(p for p in system.peers.values() if p.watching)
-        uploader = next(
-            p for p in system.peers.values()
-            if p.is_seed and p.video.video_id == watcher.video.video_id
-        )
-        index = int(np.nonzero(~watcher.buffer.mask)[0][0])  # not yet held
-        problem = SchedulingProblem()
-        problem.set_capacity(uploader.peer_id, 1)
-        problem.add_request(
-            peer=watcher.peer_id,
-            chunk=("chunk", index),  # not an int pair → no chunk_pair_array
-            valuation=5.0,
-            candidates={uploader.peer_id: 1.0},
-        )
-        with pytest.raises(ValueError):
-            problem.chunk_pair_array()
-        result = ScheduleResult(assignment={0: uploader.peer_id})
-        before = watcher.chunks_downloaded
-        inter, intra = system._apply_transfers(problem, result)
-        assert inter + intra == 1
-        assert watcher.chunks_downloaded == before + 1
-        assert watcher.buffer.holds(index)
 
     def test_empty_result_is_noop(self):
         system = build_system(SCENARIOS["static"])
@@ -282,19 +259,9 @@ class TestPlaybackBatchEquivalence:
         spec = SCENARIOS[name]
         fast = build_system(spec)
         slow = build_system(spec)
-        slow_advance = PlaybackSession.advance_to_reference
-
-        def looped_playback(to_time):
-            due = missed = 0
-            for peer in slow.peers.values():
-                if peer.session is None or peer.session.start_time >= to_time:
-                    continue
-                stats = slow_advance(peer.session, to_time)
-                due += stats.due
-                missed += stats.missed
-            return due, missed
-
-        slow._advance_playback = looped_playback
+        slow._advance_playback = lambda to_time: advance_playback_reference(
+            slow, to_time
+        )
         for _ in range(6):
             fast.run_slot(churn=spec["churn"], remove_finished=spec["churn"])
             slow.run_slot(churn=spec["churn"], remove_finished=spec["churn"])

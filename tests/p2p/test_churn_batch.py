@@ -6,7 +6,8 @@ playback columns (``PeerStateStore.departure_scan``) and are removed via
 ``remove_batch``; arrival bursts register with ``admit_batch``; the
 departed batch leaves the pair-cost cache in one ``forget_peer`` sweep.
 These tests pin the batched paths against the per-peer reference
-(``_process_departures_reference``, sequential ``store.admit``, the
+(``process_departures_reference`` in ``tests/oracles/slot.py``,
+sequential ``store.admit``, the
 neighbor-filtering refill walk) on whole churny trajectories — peer
 state, metrics, store invariants, cost cache and overlay must all come
 out identical.
@@ -28,6 +29,9 @@ sys.path.insert(
 )
 from support import assert_same_peer_state  # noqa: E402
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import process_departures_reference  # noqa: E402
+
 
 def churny_config(seed: int, **overrides) -> SystemConfig:
     return SystemConfig.tiny(
@@ -42,7 +46,7 @@ def reference_churn_system(config: SystemConfig) -> P2PSystem:
     """A system forced onto the per-peer churn bookkeeping paths."""
     system = P2PSystem(config)
     system._process_departures = (
-        lambda t, remove_finished: P2PSystem._process_departures_reference(
+        lambda t, remove_finished: process_departures_reference(
             system, t, remove_finished
         )
     )

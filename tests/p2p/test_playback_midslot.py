@@ -10,10 +10,16 @@ per-chunk reference loop.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import advance_playback_reference  # noqa: E402
 
 
 def build_system(n_peers=12, seed=5):
@@ -89,7 +95,7 @@ class TestMidSlotArrivals:
             )
         t = fast.now
         pair_fast = fast._advance_playback(t + 10.0)
-        pair_slow = slow._advance_playback_reference(t + 10.0)
+        pair_slow = advance_playback_reference(slow, t + 10.0)
         assert pair_fast == pair_slow
         for pid, pf in fast.peers.items():
             ps = slow.peers[pid]
@@ -107,7 +113,9 @@ class TestMidSlotArrivals:
         slow = P2PSystem(SystemConfig.tiny(seed=11, arrival_rate_per_s=1.0))
         fast.populate_static(8)
         slow.populate_static(8)
-        slow._advance_playback = slow._advance_playback_reference
+        slow._advance_playback = lambda to_time: advance_playback_reference(
+            slow, to_time
+        )
         for _ in range(6):
             mf = fast.run_slot(churn=True, remove_finished=True)
             ms = slow.run_slot(churn=True, remove_finished=True)

@@ -11,11 +11,17 @@ row bindings, capacity/ISP columns and missed bitmaps).
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import build_problem_reference  # noqa: E402
 
 
 def build_system(n_peers=20, **overrides):
@@ -146,7 +152,7 @@ class TestNeighborRefill:
         assert system.overlay.degree(pid) > 0
         # Equivalence after the refill: the rebuilt candidate tables
         # must match the reference construction exactly.
-        ref, _ = system.build_problem_reference(system.now)
+        ref, _ = build_problem_reference(system, system.now)
         new = system.build_problem(system.now)
         assert ref.n_edges() == new.n_edges()
 
@@ -172,7 +178,7 @@ class TestOutOfBandMutation:
         watcher = next(p for p in system.peers.values() if p.watching)
         # Advance one session directly — the store column goes stale.
         watcher.session.advance_to(system.now + 3.0)
-        ref, _ = system.build_problem_reference(system.now + 3.0)
+        ref, _ = build_problem_reference(system, system.now + 3.0)
         new = system.build_problem(system.now + 3.0)
         assert ref.n_requests == new.n_requests
         bucket = watcher.state_group.bucket
@@ -265,7 +271,7 @@ class TestReviewRegressions:
         system._admit(peer)
         assert not system.store._ids_monotone
         system.run(20.0)
-        ref, ref_owner = system.build_problem_reference(system.now)
+        ref, ref_owner = build_problem_reference(system, system.now)
         new = system.build_problem(system.now)
         assert ref_owner == dict(enumerate(new.request_peer_array().tolist()))
         import numpy as np

@@ -10,15 +10,21 @@ id), so edges are compared as mappings.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.core.auction import AuctionSolver
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import build_problem_reference  # noqa: E402
+
 
 def assert_same_slot_problem(system, now, capacities=None):
-    ref, ref_owner = system.build_problem_reference(now, capacities=capacities)
+    ref, ref_owner = build_problem_reference(system, now, capacities=capacities)
     col = system.build_problem(now, capacities=capacities)
     assert ref_owner == dict(enumerate(col.request_peer_array().tolist()))
     assert ref.n_requests == col.n_requests
@@ -92,7 +98,7 @@ class TestSolverOnBothBuilds:
         system.populate_static(30)
         system.run(duration_seconds=30)
         system.build_problem(system.now)  # warm the cost cache
-        ref, _ = system.build_problem_reference(system.now)
+        ref, _ = build_problem_reference(system, system.now)
         col = system.build_problem(system.now)
         eps = 1e-6
         res_ref = AuctionSolver(epsilon=eps, mode="jacobi").solve(ref)

