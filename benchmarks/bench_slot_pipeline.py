@@ -292,9 +292,9 @@ def assert_identical_problem(a: SchedulingProblem, b: SchedulingProblem) -> None
 def snapshot_transfer_state(system: P2PSystem, problem, result) -> dict:
     """Save the state `_apply_transfers` will touch (peers on served edges).
 
-    Reaches into buffer internals on purpose: the harness must restore
-    bit-identical state between repeats without paying a full-system
-    deep copy.
+    Copies only the touched peers' bitmaps and counters: the harness
+    must restore bit-identical state between repeats without paying a
+    full-system deep copy.
     """
     indices, uploaders = result.served_pairs()
     touched = set(problem.request_peer_array()[indices].tolist())
@@ -303,8 +303,7 @@ def snapshot_transfer_state(system: P2PSystem, problem, result) -> dict:
     for pid in touched:
         peer = system.peers[pid]
         peers[pid] = (
-            peer.buffer._mask.copy(),
-            len(peer.buffer),
+            peer.buffer.mask.copy(),
             peer.chunks_downloaded,
             peer.chunks_uploaded,
             peer.first_delivery_time,
@@ -325,10 +324,9 @@ def snapshot_transfer_state(system: P2PSystem, problem, result) -> dict:
 
 
 def restore_transfer_state(system: P2PSystem, snap: dict) -> None:
-    for pid, (mask, count, downloaded, uploaded, first) in snap["peers"].items():
+    for pid, (mask, downloaded, uploaded, first) in snap["peers"].items():
         peer = system.peers[pid]
-        peer.buffer._mask[:] = mask
-        peer.buffer._count = count
+        peer.buffer.mask[:] = mask
         peer.chunks_downloaded = downloaded
         peer.chunks_uploaded = uploaded
         peer.first_delivery_time = first

@@ -203,10 +203,6 @@ class CostModel:
             if ratio is not None:
                 self._cache[pair] = value * ratio
 
-    def is_inter_isp(self, src: int, dst: int) -> bool:
-        """Whether a transfer src→dst crosses an ISP boundary."""
-        return not self.topology.same_isp(src, dst)
-
     def as_cost_fn(self) -> Callable[[int, int], float]:
         """The model as a plain ``(src, dst) -> float`` callable."""
         return self.cost

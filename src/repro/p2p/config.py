@@ -174,8 +174,10 @@ class SystemConfig:
         """Scaled configuration for the benchmark harness.
 
         32 KB chunks (25 chunks/slot), 8 MB videos (250 chunks ≈ 100 s),
-        20 videos, 15 neighbors, 25-chunk windows.  All distributional
-        parameters match the paper.
+        20 videos, 8 neighbors, 25-chunk windows, one seed per ISP per
+        video, seeds ranked at random among bootstrap candidates
+        (``tracker_seed_rank="random"``) and 4 bid rounds per slot.
+        All distributional parameters match the paper.
         """
         config = cls(
             seed=seed,

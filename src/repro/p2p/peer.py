@@ -1,4 +1,4 @@
-"""The peer: buffer, playback session, request generation, upload capacity.
+"""The peer: buffer, playback session, upload capacity, transfer counters.
 
 Mirrors the paper's emulator peer, whose components are a neighbor
 manager (kept in :mod:`repro.net.topology` / :mod:`repro.p2p.tracker`),
@@ -10,24 +10,27 @@ winning transfers, :mod:`repro.p2p.system`).
 
 Seed peers cache a complete video, never watch, and contribute 8× the
 streaming rate of upload bandwidth.
+
+A peer's transfer counters live with its buffer and playback state in
+its row of the per-peer state (:class:`~repro.vod.buffer.PeerRow`):
+while the peer is online they are entries of the peer-state store's
+counter columns, which the slot pipeline updates for all peers at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from math import isnan
+from typing import Optional
 
-import numpy as np
-
-from ..vod.buffer import ChunkBuffer
+from ..vod.buffer import ChunkBuffer, RowField
 from ..vod.playback import PlaybackSession
-from ..vod.valuation import DeadlineValuation
 from ..vod.video import Video
 
 __all__ = ["Peer"]
 
-_NO_CHUNKS = np.empty(0, dtype=np.int64)
-_NO_VALUES = np.empty(0, dtype=float)
+
+def _time_or_none(value) -> Optional[float]:
+    return None if isnan(value) else float(value)
 
 
 class Peer:
@@ -50,6 +53,14 @@ class Peer:
     departure_time:
         Early-departure instant (Fig. 6 dynamics), ``None`` otherwise.
     """
+
+    chunks_uploaded = RowField("uploaded", int, tally=True)
+    chunks_downloaded = RowField("downloaded", int, tally=True)
+    #: Slot time of the first chunk delivered to this peer (``None``
+    #: until then; the column holds NaN, and assigning ``None`` stores
+    #: NaN) — startup delay in the QoE report is
+    #: ``first_delivery_time - joined_at``.
+    first_delivery_time = RowField("first_delivery", _time_or_none, tally=True)
 
     def __init__(
         self,
@@ -74,22 +85,20 @@ class Peer:
         self.video = video
         self.upload_capacity_chunks = int(upload_capacity_chunks)
         self.buffer = buffer
+        self.peer_row = buffer.peer_row
         self.session = session
         self.is_seed = is_seed
         self.joined_at = float(joined_at)
         self.departure_time = departure_time
-        self.chunks_uploaded = 0
-        self.chunks_downloaded = 0
-        #: Slot time of the first chunk delivered to this peer (``None``
-        #: until then) — startup delay in the QoE report is
-        #: ``first_delivery_time - joined_at``.
-        self.first_delivery_time: Optional[float] = None
         #: Set by the peer-state store on admission: the per-video
-        #: :class:`~repro.p2p.state.VideoGroup` this peer occupies and
-        #: its row in the group's bitmap matrices (``None`` while the
-        #: peer is not registered with a store).
+        #: :class:`~repro.p2p.state.VideoGroup` this peer occupies
+        #: (``None`` while the peer is not registered with a store).
         self.state_group = None
-        self.state_row: Optional[int] = None
+
+    @property
+    def state_row(self) -> Optional[int]:
+        """The peer's row in its group's bucket (``None`` while offline)."""
+        return None if self.state_group is None else self.peer_row.row
 
     # ------------------------------------------------------------------
     # Content queries
@@ -112,83 +121,6 @@ class Peer:
         if self.session is None:
             return None
         return self.session.position
-
-    # ------------------------------------------------------------------
-    # Bidding-side inputs (the window of interest R_t(d))
-    # ------------------------------------------------------------------
-    def build_requests(
-        self,
-        now: float,
-        prefetch_chunks: int,
-        valuation: DeadlineValuation,
-        lookahead: float = 0.0,
-    ) -> List[Tuple[int, float]]:
-        """Chunks this peer wants this slot with their valuations.
-
-        Returns ``[(chunk_index, v), ...]`` for the next
-        ``prefetch_chunks`` chunks beyond the playback position that are
-        neither held nor already missed, valued by time-to-deadline.
-
-        ``lookahead`` implements *anticipative valuation* for sub-slot
-        bidding: a chunk is valued at the urgency it will reach by the
-        end of the bidding interval, ``v(max(0, d − lookahead))``.  The
-        paper's peers "keep bidding" continuously, so a chunk's bid
-        approaches ``v(0)`` (= 11 > the costliest link, by the paper's
-        own parameter choice) right before its deadline; the lookahead
-        reproduces that within a discrete bidding round.
-        """
-        wanted, values = self.build_request_arrays(
-            now, prefetch_chunks, valuation, lookahead=lookahead
-        )
-        return list(zip(wanted.tolist(), values.tolist()))
-
-    def build_request_arrays(
-        self,
-        now: float,
-        prefetch_chunks: int,
-        valuation: DeadlineValuation,
-        lookahead: float = 0.0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`build_requests`: ``(chunk_indices, valuations)``.
-
-        One window scan over the buffer bitmap and one vectorized
-        valuation evaluation; this is the form the slot pipeline
-        consumes directly, and :meth:`build_requests` is a thin wrapper
-        over it so the two can never drift apart.
-        """
-        if self.is_seed or self.session is None or self.session.finished:
-            return _NO_CHUNKS, _NO_VALUES
-        position = self.session.due_position(now)
-        wanted = self.buffer.window_array(
-            position, prefetch_chunks, exclude=self.session.missed
-        )
-        if not wanted.size:
-            return wanted, _NO_VALUES
-        to_deadline = np.maximum(
-            0.0, self.session.seconds_to_deadlines(wanted, now) - lookahead
-        )
-        return wanted, valuation.values(to_deadline)
-
-    # ------------------------------------------------------------------
-    # Transfers
-    # ------------------------------------------------------------------
-    def receive_chunk(self, index: int) -> bool:
-        """Store a downloaded chunk; returns ``False`` if it was duplicate."""
-        position = self.session.position if self.session is not None else 0
-        added = self.buffer.add(index, protect_from=position)
-        if added:
-            self.chunks_downloaded += 1
-        return added
-
-    def receive_chunks(self, indices) -> int:
-        """Batch :meth:`receive_chunk` over an index array; returns how many were new."""
-        position = self.session.position if self.session is not None else 0
-        added = self.buffer.add_batch(indices, protect_from=position)
-        self.chunks_downloaded += added
-        return added
-
-    def record_upload(self, n: int = 1) -> None:
-        self.chunks_uploaded += n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "seed" if self.is_seed else "peer"

@@ -8,12 +8,17 @@ candidate CSR — ~0.2 s of the ~0.23 s slot at 2 000 peers.  The store
 keeps those columns *alive across slots* and updates them incrementally
 at the few places state actually changes:
 
-* **Buffer bitmaps** are not copies at all: each online peer's
-  :class:`~repro.vod.buffer.ChunkBuffer` is *rebound* so its backing
-  storage is a row of a shared bitmap matrix
-  (:meth:`ChunkBuffer.rebind_storage`).  Chunk deliveries in
-  ``_apply_transfers`` therefore update the matrix in place — there is
-  one storage, so the matrix can never drift from the buffers.
+* **Per-peer state** has one owner, the columns here.  Each online
+  peer's chunk bitmap and playback state are a row of a
+  :class:`StateBucket`, and its transfer counters are entries of the
+  store's peer-id-indexed columns.  Its
+  :class:`~repro.vod.buffer.ChunkBuffer`,
+  :class:`~repro.vod.playback.PlaybackSession` and
+  :class:`~repro.p2p.peer.Peer` are views over those entries through
+  the :class:`~repro.vod.buffer.PeerRow` they share, so a write through
+  an object and a write to a column are the same write.  Admission
+  moves the peer's private values into a row; departure moves them
+  back out and zeroes the row.
 * **Layout**: rows live in :class:`StateBucket` matrices keyed by chunk
   count, so every video of the paper's uniform catalog shares one
   matrix and the batched playback pass is a *single* vectorized sweep,
@@ -32,15 +37,10 @@ at the few places state actually changes:
   pipeline did (trajectory preservation).  Each video group also keeps
   the flat candidate CSR of its last build, which the next build
   splices forward segment by segment (:class:`_CandCache`).
-* **Playback** columns (start time/position, last-advance, a
-  ``missed``-chunk bitmap matrix mirroring each session's ``missed``
-  set) feed both the batched :meth:`PeerStateStore.advance_playback`
-  and the window/valuation assembly in
-  :meth:`PeerStateStore.assemble_requests`.  Positions are cheaply
-  re-validated against the session objects every call (one ``fromiter``
-  per bucket), so state mutated outside the store — tests, benchmark
-  snapshot/restore — is detected and the affected rows resynced rather
-  than silently trusted.
+* **Playback** columns (start time/position, position, played count,
+  last advance and the ``missed``-chunk bitmap) feed both the batched
+  :meth:`PeerStateStore.advance_playback` and the window/valuation
+  assembly in :meth:`PeerStateStore.assemble_requests`.
 
 :meth:`PeerStateStore.assemble_requests` is the one request assembler:
 one fused pass per bucket over word-packed windows.  It matches
@@ -66,7 +66,7 @@ so a window starting at any playback position stays in bounds.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -157,7 +157,11 @@ class StateBucket:
     departs (freed rows are zeroed and recycled — possibly by a peer of
     a *different* video with the same chunk count).  Holding all
     same-shape videos in one matrix lets the batched playback advance
-    run as one vectorized sweep regardless of catalog size.
+    run as one vectorized sweep regardless of catalog size.  The
+    columns ``masks``, ``missed``, ``position``, ``played`` and
+    ``last_advance`` are the online peers' own state: their buffers and
+    sessions read and write them through their
+    :class:`~repro.vod.buffer.PeerRow`.
     """
 
     def __init__(self, n_chunks: int, window: int) -> None:
@@ -173,17 +177,17 @@ class StateBucket:
         self.free_rows: List[int] = []
         self.n_rows = 0  # high-water mark of allocated rows
         # Row-indexed columns (valid where a peer occupies the row).
-        self.peer_by_row: List[Optional[Peer]] = [None] * cap
+        self.peer_ids = np.full(cap, -1, dtype=np.int64)
         self.start_time = np.zeros(cap, dtype=float)
         self.start_pos = np.zeros(cap, dtype=np.int64)
         self.position = np.zeros(cap, dtype=np.int64)
+        self.played = np.zeros(cap, dtype=np.int64)
         self.last_advance = np.zeros(cap, dtype=float)
         self.cps = np.zeros(cap, dtype=float)  # chunks per second
         self.has_session = np.zeros(cap, dtype=bool)
-        # Bucket-wide watcher view (rows with sessions, row order).
+        # Bucket-wide watcher rows (rows with sessions, row order).
         self._watchers_stale = True
         self._watcher_rows = _EMPTY_INT
-        self._watcher_sessions: List = []
         # Cached sliding-window views (invalid after _grow reallocates).
         self._swv: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
@@ -207,31 +211,23 @@ class StateBucket:
     def _grow(self) -> None:
         old_cap = self.masks.shape[0]
         new_cap = old_cap * 2
-        masks = np.zeros((new_cap, self.padded), dtype=bool)
-        missed = np.zeros((new_cap, self.padded), dtype=bool)
-        masks[:old_cap] = self.masks
-        missed[:old_cap] = self.missed
-        self.masks = masks
-        self.missed = missed
-        self._swv = None
         for arr_name in (
-            "start_time", "start_pos", "position", "last_advance",
-            "cps", "has_session",
+            "masks", "missed", "peer_ids", "start_time", "start_pos",
+            "position", "played", "last_advance", "cps", "has_session",
         ):
             old = getattr(self, arr_name)
-            new = np.zeros(new_cap, dtype=old.dtype)
+            new = np.zeros((new_cap,) + old.shape[1:], dtype=old.dtype)
             new[:old_cap] = old
             setattr(self, arr_name, new)
-        self.peer_by_row.extend([None] * (new_cap - old_cap))
-        # Re-point every bound buffer at its (already copied) new row.
-        for row, peer in enumerate(self.peer_by_row[:old_cap]):
-            if peer is not None:
-                peer.buffer.rebind_storage(
-                    self.masks[row, : self.n_chunks], copy=False
-                )
+        self.peer_ids[old_cap:] = -1
+        self._swv = None
 
-    def admit_row(self, peer: Peer) -> int:
-        """Assign ``peer`` a row, bind its buffer, fill its columns."""
+    def admit_row(self, peer: Peer, tally) -> int:
+        """Assign ``peer`` a row and move its state there.
+
+        ``tally`` holds the id-indexed counter columns the peer's
+        counters move to (the store).
+        """
         if self.free_rows:
             row = self.free_rows.pop()
         else:
@@ -239,60 +235,63 @@ class StateBucket:
                 self._grow()
             row = self.n_rows
             self.n_rows += 1
-        self.masks[row] = False
-        self.missed[row] = False
-        peer.buffer.rebind_storage(self.masks[row, : self.n_chunks])
-        self.peer_by_row[row] = peer
+        self.peer_ids[row] = peer.peer_id
         self.cps[row] = peer.video.chunks_per_second
         session = peer.session
         if session is not None:
             self.start_time[row] = session.start_time
             self.start_pos[row] = session.start_position
-            self.position[row] = session.position
-            self.last_advance[row] = session._last_advance
-            self.has_session[row] = True
-            if session.missed:
-                idx = np.fromiter(
-                    session.missed, dtype=np.int64, count=len(session.missed)
-                )
-                self.missed[row, idx] = True
-        else:
-            self.has_session[row] = False
+        self.has_session[row] = session is not None
+        peer.peer_row.move(self, row, tally, peer.peer_id)
         self._watchers_stale = True
         return row
 
     def release_row(self, peer: Peer, row: int) -> None:
-        """Free ``row``; the peer's buffer takes back owned storage."""
-        peer.buffer.unbind_storage()
+        """Free ``row``: the peer takes a private copy, the row is zeroed."""
+        peer.peer_row.detach()
         self.masks[row] = False
         self.missed[row] = False
-        self.peer_by_row[row] = None
+        self.peer_ids[row] = -1
+        self.position[row] = 0
+        self.played[row] = 0
+        self.last_advance[row] = 0.0
         self.has_session[row] = False
         self.free_rows.append(row)
         self._watchers_stale = True
 
-    def watcher_arrays(self) -> Tuple[np.ndarray, List]:
-        """``(rows, sessions)`` of every occupied row with a session."""
+    def watcher_rows(self) -> np.ndarray:
+        """Every occupied row with a session, ascending."""
         if self._watchers_stale:
             occupied = self.has_session[: self.n_rows]
-            rows = np.nonzero(occupied)[0].astype(np.int64)
-            self._watcher_rows = rows
-            self._watcher_sessions = [
-                self.peer_by_row[r].session for r in rows.tolist()
-            ]
+            self._watcher_rows = np.nonzero(occupied)[0].astype(np.int64)
             self._watchers_stale = False
-        return self._watcher_rows, self._watcher_sessions
+        return self._watcher_rows
 
-    def resync_row(self, row: int, session) -> None:
-        """Rebuild one row's playback state from the session object."""
-        self.position[row] = session.position
-        self.last_advance[row] = session._last_advance
-        self.missed[row] = False
-        if session.missed:
-            idx = np.fromiter(
-                session.missed, dtype=np.int64, count=len(session.missed)
-            )
-            self.missed[row, idx] = True
+    def play(
+        self, rows: np.ndarray, start: np.ndarray, stop: np.ndarray
+    ) -> np.ndarray:
+        """Play chunks ``[start, stop)`` of each row; returns misses per row.
+
+        One gather over the bitmap: held chunks count as played, the
+        others are marked in ``missed``, and ``position`` moves to
+        ``stop``.  Requires ``stop > start`` on every row.
+        """
+        widths = stop - start
+        w_max = int(widths.max())
+        cols = start[:, None] + np.arange(w_max, dtype=np.int64)[None, :]
+        if w_max > self.window:
+            # Catch-up windows can overrun the padded columns.
+            np.minimum(cols, self.n_chunks, out=cols)
+        miss = ~self.masks[rows[:, None], cols]
+        if int(widths.min()) != w_max:
+            miss &= np.arange(w_max, dtype=np.int64)[None, :] < widths[:, None]
+        missed = miss.sum(axis=1)
+        if missed.any():
+            mr, mc = np.nonzero(miss)
+            self.missed[rows[mr], start[mr] + mc] = True
+        self.position[rows] = stop
+        self.played[rows] += widths - missed
+        return missed
 
 
 class VideoGroup:
@@ -317,8 +316,8 @@ class VideoGroup:
         # Flat candidate CSR from the last build (or None).
         self._cand_cache: Optional[_CandCache] = None
 
-    def admit(self, peer: Peer) -> int:
-        row = self.bucket.admit_row(peer)
+    def admit(self, peer: Peer, tally) -> int:
+        row = self.bucket.admit_row(peer, tally)
         self.row_of[peer.peer_id] = row
         at = int(np.searchsorted(self.member_ids, peer.peer_id))
         self.member_ids = np.insert(self.member_ids, at, peer.peer_id)
@@ -347,10 +346,10 @@ class VideoGroup:
 class PeerStateStore:
     """All columnar peer state, maintained incrementally across slots.
 
-    Owned by :class:`~repro.p2p.system.P2PSystem`; mutated only through
-    :meth:`admit` / :meth:`remove` plus the batched playback commit.
-    Buffer bitmaps need no hook at all — delivery writes go straight
-    into the matrices because the buffers are views into them.
+    Owned by :class:`~repro.p2p.system.P2PSystem`.  Membership changes
+    through :meth:`admit` / :meth:`remove`; the per-peer state of online
+    peers is only ever here, written by the batched delivery and
+    playback passes and, one peer at a time, through the peers' views.
     """
 
     def __init__(
@@ -377,8 +376,12 @@ class PeerStateStore:
         self._order_seed = np.zeros(cap, dtype=bool)
         self._n = 0
         self._ids_monotone = True
-        # Peer-id-indexed ISP lookup (−1 = offline).
-        self._isp_table = np.full(64, -1, dtype=np.int64)
+        # Peer-id-indexed columns: ISP lookup, bucket row and bucket
+        # key (−1 = offline), and the transfer counters the peers'
+        # ``chunks_downloaded`` / ``chunks_uploaded`` /
+        # ``first_delivery_time`` read.
+        for name, empty in self._ID_COLUMNS:
+            setattr(self, name, np.full(64, empty))
         # Per-peer candidate entries: pid -> (nb_rows, nb_ids, nb_costs),
         # mirrored by a pid-indexed presence column so the fast
         # assembler can find missing entries without a Python probe per
@@ -437,6 +440,12 @@ class PeerStateStore:
         "_order_ids", "_order_caps", "_order_isps",
         "_order_departure", "_order_seed",
     )
+    #: Peer-id-indexed columns and the value an id without an online
+    #: peer reads.
+    _ID_COLUMNS = (
+        ("_isp_table", -1), ("_row_table", -1), ("_bucket_key", -1),
+        ("downloaded", 0), ("uploaded", 0), ("first_delivery", np.nan),
+    )
 
     def _ensure_group(self, peer: Peer) -> VideoGroup:
         """The peer's :class:`VideoGroup`, creating group/bucket on demand."""
@@ -474,41 +483,46 @@ class PeerStateStore:
         self._order_seed[n] = peer.is_seed
         self._n = n + 1
         if peer.peer_id >= len(self._isp_table):
-            new_size = max(len(self._isp_table) * 2, peer.peer_id + 1)
-            table = np.full(new_size, -1, dtype=np.int64)
-            table[: len(self._isp_table)] = self._isp_table
-            self._isp_table = table
+            size = max(len(self._isp_table) * 2, peer.peer_id + 1)
+            for name, empty in self._ID_COLUMNS:
+                old = getattr(self, name)
+                new = np.full(size, empty, dtype=old.dtype)
+                new[: len(old)] = old
+                setattr(self, name, new)
         self._isp_table[peer.peer_id] = peer.isp
 
-    def admit(self, peer: Peer) -> None:
-        group = self._ensure_group(peer)
-        row = group.admit(peer)
+    def _bind(self, peer: Peer, group: VideoGroup, row: int) -> None:
+        """Record ``peer``'s new row in the peer and the id tables."""
         peer.state_group = group
-        peer.state_row = row
+        self._row_table[peer.peer_id] = row
+        self._bucket_key[peer.peer_id] = group.bucket.n_chunks
+
+    def admit(self, peer: Peer) -> None:
         self._append_order(peer)
+        group = self._ensure_group(peer)
+        self._bind(peer, group, group.admit(peer, self))
         self.membership_version += 1
 
-    def admit_batch(self, peers: Sequence[Peer]) -> None:
+    def admit_batch(self, peers: Iterable[Peer]) -> None:
         """Admit many peers at once (batched :meth:`admit`).
 
         Final store state is identical to admitting the peers one by one
         in order, but each touched video's sorted member table is merged
         once instead of paying one ``np.insert`` rebuild per peer — the
-        arrival-burst path of the churn slot boundary.
+        path of every admission burst.  ``peers`` is read once, and each
+        peer moves into its row when reached, so an iterator that makes
+        peers on demand keeps one private row copy alive at a time.
         """
-        if not peers:
-            return
         per_group: Dict[int, Tuple[List[int], List[int]]] = {}
         for peer in peers:
+            self._append_order(peer)
             group = self._ensure_group(peer)
-            row = group.bucket.admit_row(peer)
+            row = group.bucket.admit_row(peer, self)
             group.row_of[peer.peer_id] = row
-            peer.state_group = group
-            peer.state_row = row
+            self._bind(peer, group, row)
             ids, rows = per_group.setdefault(peer.video.video_id, ([], []))
             ids.append(peer.peer_id)
             rows.append(row)
-            self._append_order(peer)
         for vid, (id_list, row_list) in per_group.items():
             group = self.groups[vid]
             add_ids = np.asarray(id_list, dtype=np.int64)
@@ -519,7 +533,7 @@ class PeerStateStore:
             group.member_ids = np.insert(group.member_ids, at, add_ids)
             group.member_rows = np.insert(group.member_rows, at, add_rows)
             group._watchers_stale = True
-        self.membership_version += len(peers)
+            self.membership_version += len(id_list)
 
     def remove(self, peer: Peer) -> None:
         group = peer.state_group
@@ -527,14 +541,13 @@ class PeerStateStore:
             raise KeyError(f"peer {peer.peer_id} is not in the store")
         group.remove(peer)
         peer.state_group = None
-        peer.state_row = None
         self.seed_ids.discard(peer.peer_id)
         idx = int(np.nonzero(self._order_ids[: self._n] == peer.peer_id)[0][0])
         for name in self._ORDER_COLUMNS:
             arr = getattr(self, name)
             arr[idx : self._n - 1] = arr[idx + 1 : self._n]
         self._n -= 1
-        self._isp_table[peer.peer_id] = -1
+        self._clear_ids(peer.peer_id)
         if self._cand.pop(peer.peer_id, None) is not None:
             self._cand_have[peer.peer_id] = False
             self.candidate_epoch += 1
@@ -561,7 +574,6 @@ class PeerStateStore:
                 row = group.row_of.pop(peer.peer_id)
                 group.bucket.release_row(peer, row)
                 peer.state_group = None
-                peer.state_row = None
             gone = np.fromiter(
                 (p.peer_id for p in members), dtype=np.int64, count=len(members)
             )
@@ -579,7 +591,7 @@ class PeerStateStore:
             arr = getattr(self, name)
             arr[:kept] = arr[:n][keep_order]
         self._n = kept
-        self._isp_table[ids] = -1
+        self._clear_ids(ids)
         for peer in peers:
             self.seed_ids.discard(peer.peer_id)
             if self._cand.pop(peer.peer_id, None) is not None:
@@ -587,6 +599,11 @@ class PeerStateStore:
                 self.candidate_epoch += 1
                 self._cand_log.append(peer.peer_id)
         self.membership_version += len(peers)
+
+    def _clear_ids(self, ids) -> None:
+        """Reset departed ids in every id-indexed column."""
+        for name, empty in self._ID_COLUMNS:
+            getattr(self, name)[ids] = empty
 
     def update_capacity(self, peer: Peer) -> None:
         """Re-read one online peer's upload capacity into the column.
@@ -649,8 +666,8 @@ class PeerStateStore:
         """Non-seed peers due to leave at slot boundary ``t``, dict order.
 
         One mask over the departure-time column (``inf`` = stays), plus
-        — when ``remove_finished`` — a per-bucket finished check on the
-        synced playback positions.  Matches the reference loop over
+        — when ``remove_finished`` — a per-group finished check on the
+        position column.  Matches the reference loop over
         ``peers.values()`` (``departure_time <= t`` or
         ``session.finished``) including its dict iteration order, which
         the batched removal preserves.
@@ -661,8 +678,6 @@ class PeerStateStore:
         ids = self._order_ids[:n]
         doomed = (self._order_departure[:n] <= t) & ~self._order_seed[:n]
         if remove_finished:
-            for bucket in self.buckets.values():
-                self._sync_bucket(bucket)
             finished: List[np.ndarray] = []
             for group in self.groups.values():
                 rows, g_ids = group.watcher_arrays()
@@ -892,51 +907,38 @@ class PeerStateStore:
     # ------------------------------------------------------------------
     def deliver_runs(
         self,
-        run_peers: Sequence[Peer],
+        ids: np.ndarray,
         starts: np.ndarray,
         stops: np.ndarray,
         chunks: np.ndarray,
+        now: float,
     ) -> np.ndarray:
-        """Write per-peer chunk runs into the bucket matrices; returns
-        the number of newly held chunks per run.
+        """Deliver per-peer chunk runs; returns the newly held chunks per run.
 
         ``chunks[starts[i]:stops[i]]`` is the (unique, in-range) chunk
-        batch for ``run_peers[i]`` — the downloader-grouped runs
-        ``_apply_transfers`` derives from the served columns.  Instead
-        of one small bitmap write per receiving buffer, runs are grouped
-        by state bucket and each bucket takes *one* fancy-indexed
-        read-then-write over its shared mask matrix (the buffers are
-        views into it, so they observe the delivery with no extra sync).
-        Caller contract matches :meth:`ChunkBuffer.receive_batch_trusted`:
-        every peer is store-bound with an uncapped buffer, and no
-        (peer, chunk) pair repeats within the batch.
+        batch for downloader ``ids[i]`` — the downloader-grouped runs
+        ``_apply_transfers`` derives from the served columns.  Rows come
+        from the id-indexed row table, and each state bucket takes *one*
+        fancy-indexed read-then-write over its mask matrix.  Each
+        downloader's ``downloaded`` counter grows by its new chunks, and
+        its ``first_delivery`` is stamped ``now`` if unset.  Caller
+        contract: every id is online, and no (peer, chunk) pair repeats
+        within the batch.
         """
-        n_runs = len(run_peers)
         lens = stops - starts
-        added = np.zeros(n_runs, dtype=np.int64)
-        per_bucket: Dict[int, List[int]] = {}
-        buckets: Dict[int, StateBucket] = {}
-        for i, peer in enumerate(run_peers):
-            bucket = peer.state_group.bucket
-            per_bucket.setdefault(id(bucket), []).append(i)
-            buckets[id(bucket)] = bucket
-        for key, run_list in per_bucket.items():
-            bucket = buckets[key]
-            run_idx = np.asarray(run_list, dtype=np.int64)
+        rows = self._row_table[ids]
+        keys = self._bucket_key[ids]
+        added = np.zeros(len(ids), dtype=np.int64)
+        for key in np.unique(keys).tolist():
+            bucket = self.buckets[key]
+            run_idx = np.flatnonzero(keys == key)
             s = starts[run_idx]
             l = lens[run_idx]
             total = int(l.sum())
             offs = np.zeros(len(run_idx), dtype=np.int64)
             np.cumsum(l[:-1], out=offs[1:])
             edge_idx = np.repeat(s - offs, l) + np.arange(total, dtype=np.int64)
-            rows_e = np.repeat(
-                np.fromiter(
-                    (run_peers[i].state_row for i in run_list),
-                    dtype=np.int64,
-                    count=len(run_list),
-                ),
-                l,
-            )
+            rows_e = np.repeat(rows[run_idx], l)
             ch = chunks[edge_idx]
             held = bucket.masks[rows_e, ch]
             bucket.masks[rows_e, ch] = True
@@ -948,37 +950,15 @@ class PeerStateStore:
                 added[run_idx] = np.bincount(
                     rid, weights=new, minlength=len(run_idx)
                 ).astype(np.int64)
-        for peer, add in zip(run_peers, added.tolist()):
-            if add:
-                peer.buffer.note_external_writes(add)
+        np.add.at(self.downloaded, ids, added)
+        first = self.first_delivery
+        first[ids[np.isnan(first[ids])]] = now
         return added
 
-    # ------------------------------------------------------------------
-    # Session sync
-    # ------------------------------------------------------------------
-    def _sync_bucket(self, bucket: StateBucket) -> np.ndarray:
-        """Fresh playback positions; resyncs rows mutated out-of-band.
-
-        Positions are read from the session objects (one ``fromiter``)
-        and compared to the stored column: a mismatch means the session
-        moved outside the batched path (direct ``advance_to`` calls,
-        benchmark snapshot/restore), so its row — position,
-        last-advance, the ``missed`` bitmap — is rebuilt from the
-        session before anything trusts it.
-        """
-        rows, sessions = bucket.watcher_arrays()
-        n = len(rows)
-        if not n:
-            return _EMPTY_INT
-        fresh = np.fromiter(
-            (s.position for s in sessions), dtype=np.int64, count=n
-        )
-        stored = bucket.position[rows]
-        if not np.array_equal(fresh, stored):
-            stale = np.nonzero(fresh != stored)[0]
-            for i in stale.tolist():
-                bucket.resync_row(int(rows[i]), sessions[i])
-        return fresh
+    def record_uploads(self, uploaders: np.ndarray) -> None:
+        """Count one upload per entry of ``uploaders`` (online peer ids)."""
+        counts = np.bincount(uploaders)
+        self.uploaded[: len(counts)] += counts
 
     # ------------------------------------------------------------------
     # Request assembly (build_problem hot path)
@@ -999,16 +979,13 @@ class PeerStateStore:
         problem the per-request builder in ``tests/oracles/slot.py``
         constructs.
 
-        Every call drains the overlay's dirty set, resyncs the playback
-        columns from the session objects, assembles in one fused pass
-        per bucket (:meth:`_assemble_buckets`) and then compacts the
-        candidate drop log.  Windows and valuations are recomputed on
-        every call (playback shifts the deadline fractions); only the
-        candidate CSR carries over between builds.
+        Every call drains the overlay's dirty set, assembles in one
+        fused pass per bucket (:meth:`_assemble_buckets`) and then
+        compacts the candidate drop log.  Windows and valuations are
+        recomputed on every call (playback shifts the deadline
+        fractions); only the candidate CSR carries over between builds.
         """
         self._drain_overlay()
-        for bucket in self.buckets.values():
-            self._sync_bucket(bucket)
         parts = self._assemble_buckets(now, valuation, lookahead)
         self._trim_cand_log()
         return parts
@@ -1395,44 +1372,33 @@ class PeerStateStore:
 
         One vectorized pass per bucket (a single pass for uniform
         catalogs) replaces the per-session ``advance_to`` loop: targets
-        from the immutable session columns, held counts from one window
-        gather on the bitmap matrix, miss recording into both the
-        ``missed`` matrix and each session's (lazily materialized) set.
+        from the session start columns, held counts from one window
+        gather on the bitmap matrix, misses into the ``missed`` matrix.
         Sessions whose ``start_time >= to_time`` are untouched — they
         have nothing due yet; mid-slot admissions advance from their
-        *own* start time on the first boundary after it.  Per-session
-        results are committed back to the :class:`PlaybackSession`
-        objects, which remain the reference (``advance_to`` and the
-        per-chunk loop in ``tests/oracles/slot.py`` pin the semantics).
-        Unlike the reference loop, a backwards ``to_time`` raises *before* any
+        *own* start time on the first boundary after it.
+        ``PlaybackSession.advance_to`` and the per-chunk loop in
+        ``tests/oracles/slot.py`` pin the semantics.  Unlike the
+        reference loop, a backwards ``to_time`` raises *before* any
         session (in any bucket) is advanced.
         """
         preps = []
         for bucket in self.buckets.values():
-            rows, sessions = bucket.watcher_arrays()
+            rows = bucket.watcher_rows()
             if not len(rows):
                 continue
             st = bucket.start_time[rows]
             eligible = st < to_time
             if not eligible.any():
                 continue
-            positions = self._sync_bucket(bucket)
-            # Backwards-time validation reads the session objects, not
-            # the column: a snapshot/restore can rewind _last_advance
-            # without moving the position the sync check keys on.
-            last = np.fromiter(
-                (s._last_advance for s in sessions),
-                dtype=float,
-                count=len(sessions),
-            )
-            bucket.last_advance[rows] = last
+            last = bucket.last_advance[rows]
             bad = eligible & (last > to_time)
             if bad.any():
                 first = float(last[np.nonzero(bad)[0][0]])
                 raise ValueError(
                     f"time went backwards: {to_time!r} < {first!r}"
                 )
-            preps.append((bucket, rows, sessions, st, eligible, positions))
+            preps.append((bucket, rows, st, eligible))
         due_total = 0
         missed_total = 0
         for prep in preps:
@@ -1444,131 +1410,41 @@ class PeerStateStore:
     def _advance_prepared(
         self, prep, to_time: float, rollup=None
     ) -> Tuple[int, int]:
-        bucket, rows, sessions, st, eligible, positions = prep
-        n_chunks = bucket.n_chunks
+        bucket, rows, st, eligible = prep
+        positions = bucket.position[rows]
         target = bucket.start_pos[rows] + (
             np.maximum(0.0, to_time - st) * bucket.cps[rows]
         ).astype(np.int64)
-        np.minimum(target, n_chunks, out=target)
+        np.minimum(target, bucket.n_chunks, out=target)
         width = np.where(eligible, target - positions, 0)
         np.maximum(width, 0, out=width)
-        due_total = int(width.sum())
-        missed_total = 0
-        row_missed = None
+        row_missed = np.zeros(len(rows), dtype=np.int64)
+        far = width > _BATCH_ADVANCE_LIMIT
+        # Far-behind sessions (fresh joiners catching up a whole video)
+        # play in a gather of their own, so the common one stays small.
+        for part in ((width > 0) & ~far, far):
+            idx = np.flatnonzero(part)
+            if len(idx):
+                row_missed[idx] = bucket.play(
+                    rows[idx], positions[idx], target[idx]
+                )
+        bucket.last_advance[rows[eligible]] = to_time
         if rollup is not None:
-            # Per-row due snapshot before the big-session zeroing below.
-            row_due = width.copy()
-            row_missed = np.zeros(len(rows), dtype=np.int64)
-        if int(width.max()) > _BATCH_ADVANCE_LIMIT:
-            # Far-behind sessions (fresh joiners catching up a whole
-            # video) advance individually; the batch window stays small.
-            big = width > _BATCH_ADVANCE_LIMIT
-            for i in np.nonzero(big)[0].tolist():
-                session = sessions[i]
-                stats = session.advance_to(to_time)
-                missed_total += stats.missed
-                if row_missed is not None:
-                    row_missed[i] += stats.missed
-                bucket.resync_row(int(rows[i]), session)
-            width = np.where(big, 0, width)
-        batch = width > 0
-        all_move = bool(batch.all())
-        if all_move or batch.any():
-            b_idx = np.nonzero(batch)[0]
-            rows_b = rows[b_idx]
-            pos_b = positions[b_idx]
-            tgt_b = target[b_idx]
-            widths_b = tgt_b - pos_b
-            w_max = int(widths_b.max())
-            uniform = bool(widths_b.min() == w_max)
-            cols = pos_b[:, None] + np.arange(w_max, dtype=np.int64)[None, :]
-            if w_max > bucket.window:
-                # Catch-up windows can overrun the padded columns.
-                cols = np.minimum(cols, n_chunks)
-            held = bucket.masks[rows_b[:, None], cols]
-            if uniform:
-                # Steady state: every session consumes the same number of
-                # chunks, so no per-cell validity mask is needed.
-                mm = ~held
-                played = w_max - mm.sum(axis=1)
-            else:
-                valid = (
-                    np.arange(w_max, dtype=np.int64)[None, :]
-                    < widths_b[:, None]
-                )
-                mm = valid & ~held
-                played = widths_b - mm.sum(axis=1)
-            batch_missed = int(widths_b.sum() - played.sum())
-            missed_total += batch_missed
-            if row_missed is not None:
-                row_missed[b_idx] += widths_b - played
-            if batch_missed:
-                mr, mc = np.nonzero(mm)
-                missed_chunks = pos_b[mr] + mc
-                bucket.missed[rows_b[mr], missed_chunks] = True
-                # Per-session miss batches, one deferred run per session.
-                run_starts = np.flatnonzero(
-                    np.concatenate(([True], mr[1:] != mr[:-1]))
-                )
-                owners = b_idx[mr[run_starts]]
-                bounds = np.append(run_starts, len(mr))
-                for oi, s0, e0 in zip(
-                    owners.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()
-                ):
-                    sessions[oi].defer_missed(missed_chunks[s0:e0])
-            bucket.position[rows_b] = tgt_b
-            bucket.last_advance[rows[eligible]] = to_time
-            if all_move and bool(eligible.all()):
-                # One fused commit pass over every session.
-                for session, tgt, plays in zip(
-                    sessions, tgt_b.tolist(), played.tolist()
-                ):
-                    session.position = tgt
-                    session.played += plays
-                    session._last_advance = to_time
-                if row_missed is not None:
-                    self._deposit_playback_rollup(
-                        bucket, rows, row_due, row_missed, rollup
-                    )
-                return due_total, missed_total
-            for i, tgt, plays in zip(
-                b_idx.tolist(), tgt_b.tolist(), played.tolist()
-            ):
-                session = sessions[i]
-                session.position = tgt
-                session.played += plays
-        else:
-            bucket.last_advance[rows[eligible]] = to_time
-        for session, ok in zip(sessions, eligible.tolist()):
-            if ok:
-                session._last_advance = to_time
-        if row_missed is not None:
-            self._deposit_playback_rollup(
-                bucket, rows, row_due, row_missed, rollup
+            rollup.record_playback(
+                self._isp_table[bucket.peer_ids[rows]], width, row_missed
             )
-        return due_total, missed_total
-
-    def _deposit_playback_rollup(
-        self, bucket, rows, row_due, row_missed, rollup
-    ) -> None:
-        """Deposit one bucket's per-row due/missed into the ISP rollup."""
-        ids = np.fromiter(
-            (bucket.peer_by_row[int(r)].peer_id for r in rows),
-            dtype=np.int64,
-            count=len(rows),
-        )
-        rollup.record_playback(self._isp_table[ids], row_due, row_missed)
+        return int(width.sum()), int(row_missed.sum())
 
     # ------------------------------------------------------------------
     # Introspection / invariants (used by the staleness tests)
     # ------------------------------------------------------------------
     def check_consistency(self, peers: Dict[int, Peer], tracker=None) -> None:
-        """Assert the store mirrors the authoritative object graph.
+        """Assert the store's membership and columns match ``peers``.
 
         Cheap enough for tests to call after every mutation: membership
-        tables, row bindings, capacity/ISP columns and the missed
-        bitmaps must all agree with the ``peers`` dict (and, when a
-        ``tracker`` is given, with its per-video registry).
+        tables (and, when a ``tracker`` is given, its per-video
+        registry), the peer-dict-order columns, and that every online
+        peer's buffer, session and counters are bound to its row.
         """
         ids = sorted(peers)
         if tracker is not None:
@@ -1585,24 +1461,19 @@ class PeerStateStore:
         assert order_ids == list(peers), "capacity column order drifted"
         for pid, peer in peers.items():
             group = self.groups[peer.video.video_id]
-            bucket = group.bucket
             row = group.row_of[pid]
+            handle = peer.peer_row
             assert peer.state_group is group and peer.state_row == row
-            assert bucket.peer_by_row[row] is peer
+            assert group.bucket.peer_ids[row] == pid
+            assert self._row_table[pid] == row
             assert (
-                peer.buffer.mask.base is bucket.masks
-                or peer.buffer.mask.base is bucket.masks.base
-            ), f"buffer of peer {pid} is not bound to the store"
+                handle.cols is group.bucket
+                and handle.tally is self
+                and handle.index == pid
+            ), f"peer {pid} is not bound to its row"
+            assert peer.buffer.peer_row is handle
+            assert peer.session is None or peer.session.peer_row is handle
             assert self._isp_table[pid] == peer.isp
-            if peer.session is not None:
-                missed_row = set(
-                    np.nonzero(bucket.missed[row, : group.n_chunks])[0].tolist()
-                )
-                synced = bucket.position[row] == peer.session.position
-                if synced:
-                    assert missed_row == peer.session.missed, (
-                        f"missed bitmap of peer {pid} drifted"
-                    )
         caps = self._order_caps[: self._n]
         expect = np.fromiter(
             (peers[pid].upload_capacity_chunks for pid in order_ids),

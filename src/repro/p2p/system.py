@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,11 +130,12 @@ class P2PSystem:
         self.collector = MetricsCollector()
         self.traffic_matrix = TrafficMatrix(config.n_isps)
         self.peers: Dict[int, Peer] = {}
-        # Persistent columnar peer state: per-video member tables,
-        # buffer-bitmap matrices (the buffers' actual storage), playback
-        # and capacity/ISP columns, candidate tables — maintained
-        # incrementally at admit/remove/transfer/refresh instead of
-        # being rebuilt from the object graph every build_problem call.
+        # Persistent columnar peer state: per-video member tables, the
+        # online peers' bitmaps, playback state and transfer counters
+        # (the only copy; the peer objects are views), capacity/ISP
+        # columns and candidate tables — maintained incrementally at
+        # admit/remove/transfer/refresh instead of being rebuilt every
+        # build_problem call.
         self.store = PeerStateStore(
             self.overlay, self.costs, window=config.prefetch_chunks
         )
@@ -171,8 +172,7 @@ class P2PSystem:
             IspRollup(config.n_isps) if config.isp_rollup else None
         )
 
-        for seed_peer in create_seeds(config, self.catalog, self._ids):
-            self._admit(seed_peer)
+        self._admit_all(create_seeds(config, self.catalog, self._ids))
 
     def _default_scheduler(self) -> ChunkScheduler:
         if self.config.scheduler == "auction":
@@ -209,22 +209,27 @@ class P2PSystem:
         """
         rng = self.rngs.stream("static-population")
         startup = self.config.startup_delay_slots * self.config.slot_seconds
-        for _ in range(n_peers):
-            video = self.catalog[self.popularity.sample(rng)]
-            position = int(rng.integers(0, video.n_chunks)) if stagger else 0
-            multiple = float(
-                rng.uniform(
-                    self.config.peer_upload_min_multiple,
-                    self.config.peer_upload_max_multiple,
+
+        def watchers():
+            for _ in range(n_peers):
+                video = self.catalog[self.popularity.sample(rng)]
+                position = int(rng.integers(0, video.n_chunks)) if stagger else 0
+                multiple = float(
+                    rng.uniform(
+                        self.config.peer_upload_min_multiple,
+                        self.config.peer_upload_max_multiple,
+                    )
                 )
-            )
-            self.add_watching_peer(
-                video_id=video.video_id,
-                upload_multiple=multiple,
-                start_position=position,
-                start_time=self.now if stagger else self.now + startup,
-                prefill_history=stagger,
-            )
+                yield self._new_watcher(
+                    video_id=video.video_id,
+                    upload_multiple=multiple,
+                    start_position=position,
+                    start_time=self.now if stagger else self.now + startup,
+                    departure_time=None,
+                    prefill_history=stagger,
+                )
+
+        self._admit_all(watchers())
 
     def add_watching_peer(
         self,
@@ -234,15 +239,29 @@ class P2PSystem:
         start_time: Optional[float] = None,
         departure_time: Optional[float] = None,
         prefill_history: bool = False,
-        defer_store: bool = False,
     ) -> Peer:
-        """Create, register and wire a watching peer; returns it.
+        """Create, register and wire a watching peer; returns it."""
+        peer = self._new_watcher(
+            video_id,
+            upload_multiple,
+            start_position,
+            start_time,
+            departure_time,
+            prefill_history,
+        )
+        self._admit(peer)
+        return peer
 
-        ``defer_store=True`` skips the peer-state-store registration —
-        the caller takes responsibility for a subsequent
-        :meth:`PeerStateStore.admit_batch` covering the peer (the
-        arrival-burst path).
-        """
+    def _new_watcher(
+        self,
+        video_id: int,
+        upload_multiple: float,
+        start_position: int,
+        start_time: Optional[float],
+        departure_time: Optional[float],
+        prefill_history: bool = False,
+    ) -> Peer:
+        """A watching peer with a fresh id, not yet placed or admitted."""
         video = self.catalog[video_id]
         buffer = ChunkBuffer(video)
         if prefill_history and start_position > 0:
@@ -253,9 +272,9 @@ class P2PSystem:
             start_time=self.now if start_time is None else start_time,
             start_position=start_position,
         )
-        peer = Peer(
+        return Peer(
             peer_id=next(self._ids),
-            isp=-1,  # assigned by _admit
+            isp=-1,  # assigned by _admit_all
             video=video,
             upload_capacity_chunks=self.config.peer_capacity_chunks(upload_multiple),
             buffer=buffer,
@@ -263,23 +282,42 @@ class P2PSystem:
             joined_at=self.now,
             departure_time=departure_time,
         )
-        self._admit(peer, defer_store=defer_store)
-        return peer
 
-    def _admit(self, peer: Peer, defer_store: bool = False) -> None:
-        # Seeds come with a fixed ISP (the paper places 2 per ISP per
-        # video); watchers (isp < 0) go to the least-populated ISP,
-        # realizing "distributed in the 5 ISPs evenly".
-        wanted_isp = None if peer.isp < 0 else peer.isp
-        isp = self.topology.add_peer(peer.peer_id, isp=wanted_isp)
-        peer.isp = isp
-        self.overlay.add_node(peer.peer_id)
-        candidates = self.tracker.bootstrap_candidates(peer)
-        self.tracker.register(peer)
-        self.overlay.bootstrap(peer.peer_id, candidates)
-        self.peers[peer.peer_id] = peer
-        if not defer_store:
-            self.store.admit(peer)
+    def _admit(self, peer: Peer) -> None:
+        self._admit_all([peer])
+
+    def _admit_all(self, peers: Iterable[Peer]) -> None:
+        """Bring new peers online, in order.
+
+        Three phases.  Each peer is placed in an ISP and takes its store
+        row as :meth:`PeerStateStore.admit_batch` reaches it (``peers``
+        is read once, so a generator of new peers keeps one private row
+        copy alive at a time).  The batch's member tables are then
+        merged once.  Last, each peer is bootstrapped and registered in
+        order: the tracker's ranking RNG is consumed in that order, and
+        it reads every candidate's position from the store, which by
+        then holds the whole batch.
+        """
+        placed: List[Peer] = []
+
+        def place():
+            for peer in peers:
+                # Seeds come with a fixed ISP (the paper places 2 per
+                # ISP per video); watchers (isp < 0) go to the
+                # least-populated ISP, realizing "distributed in the 5
+                # ISPs evenly".
+                wanted_isp = None if peer.isp < 0 else peer.isp
+                peer.isp = self.topology.add_peer(peer.peer_id, isp=wanted_isp)
+                placed.append(peer)
+                yield peer
+
+        self.store.admit_batch(place())
+        for peer in placed:
+            self.overlay.add_node(peer.peer_id)
+            candidates = self.tracker.bootstrap_candidates(peer)
+            self.tracker.register(peer)
+            self.overlay.bootstrap(peer.peer_id, candidates)
+            self.peers[peer.peer_id] = peer
 
     def remove_peer(self, peer_id: int) -> None:
         """Depart a peer: drop from overlay, tracker, topology and store."""
@@ -540,28 +578,23 @@ class P2PSystem:
     def _admit_arrivals(self, t: float) -> None:
         """Admit peers that arrived before ``t`` (paper: delayed to slot start).
 
-        Tracker/overlay wiring stays per-peer (the bootstrap RNG must be
-        consumed in arrival order), but the store registration of the
-        whole burst is one :meth:`PeerStateStore.admit_batch` call.
+        The whole burst comes online as one batch, in arrival order.
         """
         ready = [p for p in self._pending_arrivals if p.time < t]
         self._pending_arrivals = [p for p in self._pending_arrivals if p.time >= t]
         startup = self.config.startup_delay_slots * self.config.slot_seconds
-        batch: List[Peer] = []
-        for plan in ready:
-            departure = plan.departure_time
-            batch.append(
-                self.add_watching_peer(
-                    video_id=plan.video_id,
-                    upload_multiple=plan.upload_multiple,
-                    start_position=0,
-                    start_time=t + startup,
-                    departure_time=departure,
-                    defer_store=True,
-                )
+        batch = [
+            self._new_watcher(
+                video_id=plan.video_id,
+                upload_multiple=plan.upload_multiple,
+                start_position=0,
+                start_time=t + startup,
+                departure_time=plan.departure_time,
             )
-            self.arrivals += 1
-        self.store.admit_batch(batch)
+            for plan in ready
+        ]
+        self._admit_all(batch)
+        self.arrivals += len(batch)
 
     def _process_departures(self, t: float, remove_finished: bool) -> None:
         """Depart due/finished peers — columnar scan + batched removal.
@@ -918,10 +951,9 @@ class P2PSystem:
             zero.update(evicted=evicted, surrendered=surrendered)
             return zero
         peers = self.peers
-        # Uncapped buffers only grow, but capped ones can evict the
-        # chunk from the uploader, and suppression should keep the
-        # downstream from obtaining it elsewhere — guard both anyway:
-        # a non-viable edge can never complete, so it evicts.
+        # Buffers only grow, and suppression should keep the downstream
+        # from obtaining the chunk elsewhere — guard both anyway: a
+        # non-viable edge can never complete, so it evicts.
         viable = np.fromiter(
             (
                 peers[int(u)].buffer.holds(int(c))
@@ -963,24 +995,8 @@ class P2PSystem:
                 self.isp_rollup.record_transfers(up_isps, down_isps)
             starts = np.concatenate(([0], np.nonzero(np.diff(down))[0] + 1))
             stops = np.concatenate((starts[1:], [len(down)]))
-            run_peers = [peers[int(down[s])] for s in starts.tolist()]
-            if all(
-                p.state_row is not None and p.buffer.capacity_chunks is None
-                for p in run_peers
-            ):
-                added = self.store.deliver_runs(run_peers, starts, stops, chunks)
-                for peer, add in zip(run_peers, added.tolist()):
-                    peer.chunks_downloaded += add
-                    if peer.first_delivery_time is None:
-                        peer.first_delivery_time = t
-            else:
-                for peer, s, e in zip(run_peers, starts.tolist(), stops.tolist()):
-                    peer.receive_chunks(chunks[s:e])
-                    if peer.first_delivery_time is None:
-                        peer.first_delivery_time = t
-            upload_counts = np.bincount(up)
-            for u in np.nonzero(upload_counts)[0].tolist():
-                peers[u].record_upload(int(upload_counts[u]))
+            self.store.deliver_runs(down[starts], starts, stops, chunks, t)
+            self.store.record_uploads(up)
         if self.isp_rollup is not None and viable.any():
             self.isp_rollup.record_retries(
                 isp_of[batch.down[viable]], isp_of[batch.down[sel]]
@@ -1019,9 +1035,9 @@ class P2PSystem:
 
         Vectorized epilogue over the result's served columns: inter- vs
         intra-ISP classification via the cached ISP lookup table, the
-        traffic matrix as one bincount, deliveries as one grouped bitmap
-        write per receiving peer, and upload counters from one unique
-        pass over the uploader column.  Produces exactly the state
+        traffic matrix as one bincount, deliveries and download counters
+        as one grouped write per state bucket, and upload counters as
+        one bincount over the uploader column.  Produces exactly the state
         changes of the per-edge loop in ``tests/oracles/slot.py``
         (equivalence-tested).  ``problem`` comes from
         :meth:`build_problem`, so its chunk keys are ``(video, index)``
@@ -1082,36 +1098,10 @@ class P2PSystem:
         # that interleaves owners just yields more (still correct) runs.
         starts = np.concatenate(([0], np.nonzero(np.diff(downstream))[0] + 1))
         stops = np.concatenate((starts[1:], [len(downstream)]))
-        peers = self.peers
-        run_peers = [peers[int(downstream[s])] for s in starts.tolist()]
-        if all(
-            p.state_row is not None and p.buffer.capacity_chunks is None
-            for p in run_peers
-        ):
-            # Grouped per-bucket column writes on the store matrices:
-            # one fancy-indexed read/write per bucket instead of one
-            # small bitmap write per receiving buffer.
-            delivered = self.store.deliver_runs(run_peers, starts, stops, chunks)
-            for peer, add in zip(run_peers, delivered.tolist()):
-                peer.chunks_downloaded += add
-                if peer.first_delivery_time is None:
-                    peer.first_delivery_time = self.now
-        else:
-            # Capped or store-unbound buffers (tests, ad-hoc systems):
-            # the original per-peer path.
-            for peer, s, e in zip(run_peers, starts.tolist(), stops.tolist()):
-                idx = chunks[s:e]
-                if peer.buffer.capacity_chunks is None:
-                    # Served chunks are unique and validated per request,
-                    # so the trusted write skips add_batch's guards.
-                    peer.chunks_downloaded += peer.buffer.receive_batch_trusted(idx)
-                else:
-                    peer.receive_chunks(idx)
-                if peer.first_delivery_time is None:
-                    peer.first_delivery_time = self.now
-        upload_counts = np.bincount(uploaders)
-        for u in np.nonzero(upload_counts)[0].tolist():
-            peers[u].record_upload(int(upload_counts[u]))
+        self.store.deliver_runs(
+            downstream[starts], starts, stops, chunks, self.now
+        )
+        self.store.record_uploads(uploaders)
         return inter, intra
 
     def _advance_playback(self, to_time: float) -> Tuple[int, int]:

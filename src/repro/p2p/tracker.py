@@ -94,20 +94,19 @@ class Tracker:
         """Candidates for a joining peer, ranked by playback proximity.
 
         Seeds of the video are always eligible and rank first (they
-        cover any playback position).
+        cover any playback position).  Candidate positions come from
+        the position column of the joiner's video group in the
+        peer-state store, so the joiner and every registered peer of
+        its video must be admitted to the store first.
         """
         members = self._by_video.get(joiner.video.video_id, self._NO_MEMBERS)
         ids = np.fromiter(members, dtype=np.int64, count=len(members))
         ids = ids[ids != joiner.peer_id]
-        peers = self._peers
+        group = joiner.state_group
+        rows = group.member_rows[np.searchsorted(group.member_ids, ids)]
+        bucket = group.bucket
         # Seeds and peers without a session have no position (NaN).
-        positions = np.array(
-            [
-                nan if p.is_seed or p.session is None else p.session.position
-                for p in map(peers.__getitem__, ids.tolist())
-            ],
-            dtype=float,
-        )
+        positions = np.where(bucket.has_session[rows], bucket.position[rows], nan)
         return rank_candidate_columns(
             ids,
             positions,

@@ -4,13 +4,15 @@ Each peer holds downloaded chunks of the video it watches and exchanges
 buffer maps with neighbors (Section V's "buffer manager").  The window
 of interest ``R_t(d)`` is the next ``window`` chunks beyond the playback
 position that the peer does not yet hold — the paper prefetches 100
-chunks, i.e. 10 seconds ahead.
+chunks, i.e. 10 seconds ahead.  Buffers are unbounded, as in the paper.
 
-Storage is a numpy bool bitmap indexed by chunk number.  The zero-copy
-:attr:`ChunkBuffer.mask` view is what the columnar slot pipeline
-(:meth:`repro.p2p.system.P2PSystem.build_problem`) stacks into per-video
-availability matrices, replacing per-(chunk, neighbor) set probes with
-one fancy-index per neighbor.
+Storage is a numpy bool bitmap indexed by chunk number: the peer's row
+of the per-peer state columns, addressed through a :class:`PeerRow`
+that the buffer, the playback session and the peer share.  While the
+peer is online the row belongs to the peer-state store
+(:mod:`repro.p2p.state`), so the slot pipeline reads and writes every
+buffer with whole-matrix operations; before admission and after
+departure it is a private one-row copy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,92 @@ import numpy as np
 
 from .video import Video
 
-__all__ = ["ChunkBuffer"]
+__all__ = ["ChunkBuffer", "PeerRow", "RowField"]
+
+
+class _OwnRow:
+    """A private one-row copy of the per-peer columns (offline peers)."""
+
+    def __init__(self, n_chunks: int) -> None:
+        self.masks = np.zeros((1, n_chunks), dtype=bool)
+        self.missed = np.zeros((1, n_chunks), dtype=bool)
+        self.position = np.zeros(1, dtype=np.int64)
+        self.played = np.zeros(1, dtype=np.int64)
+        self.last_advance = np.zeros(1, dtype=float)
+        self.downloaded = np.zeros(1, dtype=np.int64)
+        self.uploaded = np.zeros(1, dtype=np.int64)
+        self.first_delivery = np.full(1, np.nan)
+
+
+class PeerRow:
+    """Where one peer's per-peer state lives.
+
+    The chunk bitmap and the playback state sit in row ``row`` of
+    ``cols`` (columns ``masks``, ``missed``, ``position``, ``played`` and
+    ``last_advance``); the transfer counters sit at ``index`` of
+    ``tally`` (``downloaded``, ``uploaded`` and ``first_delivery``, NaN
+    until the first delivery).  A buffer creates the handle, and the
+    session and the peer built over that buffer share it, so the three
+    objects read and write one entry.  The peer-state store points it at
+    a bucket row and at the peer's id in its counter columns on
+    admission (:meth:`move`), and back to a private copy on departure
+    (:meth:`detach`).
+    """
+
+    __slots__ = ("n_chunks", "cols", "row", "tally", "index")
+
+    def __init__(self, n_chunks: int) -> None:
+        self.n_chunks = int(n_chunks)
+        own = _OwnRow(self.n_chunks)
+        self.cols = self.tally = own
+        self.row = self.index = 0
+
+    def move(self, cols, row: int, tally, index: int) -> None:
+        """Copy the entry to ``cols[row]`` / ``tally[index]`` and point there."""
+        n = self.n_chunks
+        for name in ("masks", "missed"):
+            getattr(cols, name)[row, :n] = getattr(self.cols, name)[self.row, :n]
+        for name in ("position", "played", "last_advance"):
+            getattr(cols, name)[row] = getattr(self.cols, name)[self.row]
+        for name in ("downloaded", "uploaded", "first_delivery"):
+            getattr(tally, name)[index] = getattr(self.tally, name)[self.index]
+        self.cols, self.row, self.tally, self.index = cols, row, tally, index
+
+    def detach(self) -> None:
+        """Move the entry into a fresh private copy (the peer went offline)."""
+        own = _OwnRow(self.n_chunks)
+        self.move(own, 0, own, 0)
+
+
+class RowField:
+    """An attribute stored in the owner's :class:`PeerRow`.
+
+    ``column`` names a row column, or a counter column when ``tally``;
+    reads convert the stored value with ``kind``.  The owner keeps its
+    handle in ``peer_row``.
+    """
+
+    __slots__ = ("column", "kind", "tally")
+
+    def __init__(self, column: str, kind, tally: bool = False) -> None:
+        self.column = column
+        self.kind = kind
+        self.tally = tally
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        r = obj.peer_row
+        if self.tally:
+            return self.kind(getattr(r.tally, self.column)[r.index])
+        return self.kind(getattr(r.cols, self.column)[r.row])
+
+    def __set__(self, obj, value) -> None:
+        r = obj.peer_row
+        if self.tally:
+            getattr(r.tally, self.column)[r.index] = value
+        else:
+            getattr(r.cols, self.column)[r.row] = value
 
 
 class ChunkBuffer:
@@ -31,95 +118,49 @@ class ChunkBuffer:
     ----------
     video:
         The video whose chunks this buffer stores.
-    capacity_chunks:
-        Optional cap on held chunks; when exceeded, the chunks furthest
-        *behind* the protected position are evicted first (they are least
-        useful for the peer's own playback, though still uploadable until
-        evicted).  ``None`` means unbounded, the paper's implicit setting
-        for 20 MB videos.
     """
 
-    def __init__(self, video: Video, capacity_chunks: Optional[int] = None) -> None:
-        if capacity_chunks is not None and capacity_chunks < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity_chunks!r}")
+    def __init__(self, video: Video) -> None:
         self.video = video
-        self.capacity_chunks = capacity_chunks
-        self._mask = np.zeros(video.n_chunks, dtype=bool)
-        self._count = 0
-
-    # ------------------------------------------------------------------
-    # Storage binding (peer-state store integration)
-    # ------------------------------------------------------------------
-    def rebind_storage(self, view: np.ndarray, copy: bool = True) -> None:
-        """Swap the backing bitmap storage to ``view``.
-
-        The peer-state store binds each online buffer to a row of its
-        per-video bitmap matrix, so every write through this buffer
-        lands in the shared columnar state with no synchronization step.
-        ``copy=True`` carries the current content into the new storage;
-        ``copy=False`` is for re-pointing after the store already
-        block-copied the matrix (growth).
-        """
-        if view.shape != self._mask.shape or view.dtype != np.bool_:
-            raise ValueError(
-                f"storage view must be bool of shape {self._mask.shape}, "
-                f"got {view.dtype} {view.shape}"
-            )
-        if copy:
-            np.copyto(view, self._mask)
-        self._mask = view
-
-    def unbind_storage(self) -> None:
-        """Take back privately owned storage (a copy of the bound row).
-
-        Called when the peer departs: the store frees and zeroes its
-        row, and the buffer must keep its content for any code still
-        holding the departed peer.
-        """
-        self._mask = self._mask.copy()
+        #: The peer's entry in the per-peer state columns.
+        self.peer_row = PeerRow(video.n_chunks)
 
     # ------------------------------------------------------------------
     # Content management
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._count
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, index: int) -> bool:
         return self.holds(index)
 
     def holds(self, index: int) -> bool:
         """Whether chunk ``index`` is in the buffer."""
-        return 0 <= index < self.video.n_chunks and bool(self._mask[index])
+        r = self.peer_row
+        return 0 <= index < r.n_chunks and bool(r.cols.masks[r.row, index])
 
-    def add(self, index: int, protect_from: int = 0) -> bool:
-        """Insert chunk ``index``; returns ``False`` if it was already held.
-
-        ``protect_from`` is the current playback position: eviction under
-        a capacity cap removes the chunk most distant behind it.
-        """
+    def add(self, index: int) -> bool:
+        """Insert chunk ``index``; returns ``False`` if it was already held."""
         if not 0 <= index < self.video.n_chunks:
             raise IndexError(
                 f"chunk {index!r} out of range [0, {self.video.n_chunks})"
             )
-        if self._mask[index]:
+        r = self.peer_row
+        masks = r.cols.masks
+        if masks[r.row, index]:
             return False
-        self._mask[index] = True
-        self._count += 1
-        if self.capacity_chunks is not None and self._count > self.capacity_chunks:
-            self._evict_one(protect_from)
+        masks[r.row, index] = True
         return True
 
-    def add_many(self, indices: Iterable[int], protect_from: int = 0) -> int:
+    def add_many(self, indices: Iterable[int]) -> int:
         """Insert several chunks; returns how many were new."""
-        return sum(1 for index in indices if self.add(index, protect_from))
+        return sum(1 for index in indices if self.add(index))
 
-    def add_batch(self, indices, protect_from: int = 0) -> int:
+    def add_batch(self, indices) -> int:
         """Insert an array of chunks with one bitmap write; returns how many were new.
 
         Same outcome as calling :meth:`add` per index (duplicates within
-        the batch count once).  Buffers with a capacity cap fall back to
-        the per-chunk loop — eviction order depends on the running
-        count, which a grouped write cannot reproduce.
+        the batch count once).
         """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
@@ -129,34 +170,11 @@ class ChunkBuffer:
             raise IndexError(
                 f"chunk {int(bad[0])!r} out of range [0, {self.video.n_chunks})"
             )
-        if self.capacity_chunks is not None:
-            return self.add_many(idx.tolist(), protect_from)
-        uniq = np.unique(idx)
-        return self.receive_batch_trusted(uniq)
-
-    def receive_batch_trusted(self, idx: np.ndarray) -> int:
-        """:meth:`add_batch` minus the guards, for the slot delivery path.
-
-        Caller contract: ``idx`` is an in-range, duplicate-free int64
-        array and the buffer has no capacity cap (the scheduler only
-        delivers unique validated chunk indices, so the per-call guard
-        cost would be pure overhead at one call per receiving peer).
-        """
-        added = int(idx.size - np.count_nonzero(self._mask[idx]))
-        self._mask[idx] = True
-        self._count += added
+        idx = np.unique(idx)
+        mask = self.mask
+        added = int(idx.size - np.count_nonzero(mask[idx]))
+        mask[idx] = True
         return added
-
-    def note_external_writes(self, added: int) -> None:
-        """Credit ``added`` chunks written directly into the bound storage.
-
-        The peer-state store's grouped delivery writes whole batches into
-        the shared bitmap matrix this buffer is a view of; the bits are
-        already set when this is called — only the held-chunk count needs
-        to catch up.  Caller contract: ``added`` is the number of bits
-        that actually flipped 0→1 in this buffer's row.
-        """
-        self._count += added
 
     def fill_range(self, start: int, stop: int) -> None:
         """Mark ``[start, stop)`` as held — used to pre-seed buffers."""
@@ -165,46 +183,26 @@ class ChunkBuffer:
                 f"bad range [{start!r}, {stop!r}) for video of "
                 f"{self.video.n_chunks} chunks"
             )
-        segment = self._mask[start:stop]
-        self._count += int(segment.size - segment.sum())
-        segment[:] = True
-
-    def _evict_one(self, protect_from: int) -> None:
-        # Prefer the chunk furthest behind the playback position (lowest
-        # held index below it); if none lies behind, evict the
-        # furthest-ahead chunk instead.
-        bound = min(max(0, protect_from), self.video.n_chunks)
-        behind = self._mask[:bound]
-        if behind.any():
-            victim = int(np.argmax(behind))
-        else:
-            victim = int(self.video.n_chunks - 1 - np.argmax(self._mask[::-1]))
-        self._mask[victim] = False
-        self._count -= 1
+        self.mask[start:stop] = True
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def mask(self) -> np.ndarray:
-        """Zero-copy bool bitmap over chunk indices (do not mutate).
+        """Zero-copy bool bitmap over chunk indices: the peer's row.
 
-        This is the live storage, not a snapshot: position ``i`` is
-        ``True`` iff chunk ``i`` is currently held.  The slot pipeline
-        stacks these views into per-video availability matrices.
+        A live view, not a snapshot: position ``i`` is ``True`` iff
+        chunk ``i`` is currently held, and a write through it lands in
+        the row.  The row moves when the peer is admitted or departs,
+        so read the property again rather than keeping the view.
         """
-        return self._mask
+        r = self.peer_row
+        return r.cols.masks[r.row, : r.n_chunks]
 
     def bitmap(self) -> FrozenSet[int]:
         """Immutable snapshot advertised to neighbors."""
-        return frozenset(np.nonzero(self._mask)[0].tolist())
-
-    def held_among(self, indices: Set[int]) -> Set[int]:
-        """Subset of ``indices`` that this buffer holds."""
-        if not indices:
-            return set()
-        idx = np.fromiter(indices, dtype=np.int64, count=len(indices))
-        return set(idx[self._mask[idx]].tolist())
+        return frozenset(np.nonzero(self.mask)[0].tolist())
 
     def window_array(
         self,
@@ -219,7 +217,7 @@ class ChunkBuffer:
         stop = min(self.video.n_chunks, start + window)
         if stop <= start:
             return np.empty(0, dtype=np.int64)
-        available = ~self._mask[start:stop]
+        available = ~self.mask[start:stop]
         if exclude:
             # Clear excluded positions directly — O(window + |exclude|),
             # cheaper than a sort-based isin on the hot path.
@@ -244,7 +242,7 @@ class ChunkBuffer:
     def contiguous_from(self, position: int) -> int:
         """Length of the held run starting at ``position`` (buffered playtime)."""
         start = max(0, position)
-        segment = self._mask[start:]
+        segment = self.mask[start:]
         if not segment.size:
             return 0
         first_gap = int(np.argmin(segment))
@@ -254,4 +252,4 @@ class ChunkBuffer:
 
     def completion(self) -> float:
         """Fraction of the video held, in [0, 1]."""
-        return self._count / self.video.n_chunks
+        return len(self) / self.video.n_chunks

@@ -5,6 +5,12 @@ video's bitrate.  A chunk not present in the buffer when its playback
 instant arrives is a *miss* (the player skips it — the VoD behaviour the
 paper measures as "chunk miss rate": "the percentage of chunks which
 fail to be downloaded before the respective playback deadlines").
+
+A session's position, played count, missed-chunk bitmap and advance
+stamp live in the peer's row of the per-peer state (the buffer's
+:class:`~repro.vod.buffer.PeerRow`, which the session shares).  While
+the peer is online that row belongs to the peer-state store, whose
+batched advance moves every session with whole-column operations.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Set
 
 import numpy as np
 
-from .buffer import ChunkBuffer
+from .buffer import ChunkBuffer, RowField
 from .video import Video
 
 __all__ = ["PlaybackSession", "SlotPlaybackStats"]
@@ -49,6 +55,14 @@ class PlaybackSession:
         peers by starting them mid-video.
     """
 
+    #: Index of the next chunk to play; every chunk before it was played
+    #: or missed.
+    position = RowField("position", int)
+    #: Chunks played (held at their deadline) so far.
+    played = RowField("played", int)
+    #: Time of the last advance; time may not go backwards.
+    _last_advance = RowField("last_advance", float)
+
     def __init__(
         self,
         video: Video,
@@ -63,39 +77,33 @@ class PlaybackSession:
             )
         self.video = video
         self.buffer = buffer
+        self.peer_row = buffer.peer_row
         self.start_time = float(start_time)
         self.start_position = int(start_position)
-        self.position = int(start_position)
-        self._missed: Set[int] = set()
-        # Miss batches queued by the store's batched advance, folded
-        # into the set only when someone actually reads it — the slot
-        # loop tracks misses through the store's bitmap matrix and never
-        # does, so steady-state slots skip ~all per-chunk set inserts.
-        self._missed_pending: list = []
+        self.position = self.start_position
         self.played = 0
-        self._last_advance = float(start_time)
+        self._last_advance = self.start_time
+
+    @property
+    def missed_mask(self) -> np.ndarray:
+        """Bool bitmap of the chunks that missed their deadline.
+
+        A live view of the row, like :attr:`ChunkBuffer.mask`; a write
+        through it records (or clears) a miss.
+        """
+        r = self.peer_row
+        return r.cols.missed[r.row, : r.n_chunks]
 
     @property
     def missed(self) -> Set[int]:
-        """Chunk indices that missed their deadline (materialized view)."""
-        if self._missed_pending:
-            for chunk in self._missed_pending:
-                self._missed.update(chunk.tolist())
-            self._missed_pending.clear()
-        return self._missed
+        """Chunk indices that missed their deadline (a snapshot set)."""
+        return set(np.flatnonzero(self.missed_mask).tolist())
 
     @missed.setter
     def missed(self, value) -> None:
-        self._missed = set(value)
-        self._missed_pending.clear()
-
-    def defer_missed(self, chunks) -> None:
-        """Queue an int64 array of missed chunks without touching the set.
-
-        Used by the batched playback path; the indices join
-        :attr:`missed` lazily on the next read.
-        """
-        self._missed_pending.append(chunks)
+        mask = self.missed_mask
+        mask[:] = False
+        mask[np.fromiter(value, dtype=np.int64, count=len(value))] = True
 
     # ------------------------------------------------------------------
     # Timing
@@ -140,9 +148,9 @@ class PlaybackSession:
         """Consume every chunk whose deadline passed since the last call.
 
         Held chunks count as played; absent ones as missed and are
-        recorded in :attr:`missed` so the request window skips them.
-        Batched: one bitmap slice counts held-vs-missing over the whole
-        due range instead of one buffer probe per chunk
+        recorded in :attr:`missed_mask` so the request window skips
+        them.  Batched: one bitmap slice counts held-vs-missing over the
+        whole due range instead of one buffer probe per chunk
         (``tests/oracles/slot.py`` keeps the per-chunk loop as the
         semantics pin).
         """
@@ -157,10 +165,10 @@ class PlaybackSession:
             return SlotPlaybackStats(due=0, missed=0)
         held = self.buffer.mask[start:target]
         due = target - start
-        played = int(held.sum())
+        played = int(np.count_nonzero(held))
         missed = due - played
         if missed:
-            self.missed.update((np.nonzero(~held)[0] + start).tolist())
+            self.missed_mask[start:target] |= ~held
         self.played += played
         self.position = target
         return SlotPlaybackStats(due=due, missed=missed)
@@ -170,8 +178,9 @@ class PlaybackSession:
     # ------------------------------------------------------------------
     def miss_rate(self) -> float:
         """Lifetime miss fraction among consumed chunks."""
-        consumed = self.played + len(self.missed)
-        return len(self.missed) / consumed if consumed else 0.0
+        missed = int(np.count_nonzero(self.missed_mask))
+        consumed = self.played + missed
+        return missed / consumed if consumed else 0.0
 
     def remaining_chunks(self) -> int:
         """Chunks not yet due."""

@@ -95,7 +95,8 @@ def finish_group(store, prep, now: float, valuation, lookahead: float):
     cps = group.video.chunks_per_second
     cols = due[:, None] + np.arange(W, dtype=np.int64)[None, :]
     # Valuations: identical formula (and op order) to
-    # Peer.build_request_arrays, evaluated on the whole window.
+    # the per-peer build_requests in tests/oracles/slot.py, evaluated
+    # on the whole window.
     deadlines = (st[:, None] + (cols - sp[:, None]) / cps) - now
     to_deadline = np.maximum(0.0, deadlines - lookahead)
     values = valuation.values(to_deadline)
@@ -132,8 +133,6 @@ def finish_group(store, prep, now: float, valuation, lookahead: float):
 def assemble_requests_cold(store, now: float, valuation, lookahead: float = 0.0):
     """Same contract as ``PeerStateStore.assemble_requests``, per group."""
     store._drain_overlay()
-    for bucket in store.buckets.values():
-        store._sync_bucket(bucket)
     preps = []
     need_entry: List[Tuple[int, object]] = []
     for group in store.groups.values():

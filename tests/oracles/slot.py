@@ -15,17 +15,89 @@ taking the object the step belongs to:
 * :func:`advance_playback_reference` — ``P2PSystem._advance_playback``:
   :func:`advance_to_reference` per session.
 
+The per-object helpers those loops call are here too, each taking the
+object it was once a method of: :func:`build_requests` (a peer's
+window of interest), :func:`held_among` (a buffer),
+:func:`receive_chunk` and :func:`record_upload` (a peer's transfer
+counters) and :func:`is_inter_isp` (a cost model).
+
 The property suites and the equivalence tests pin the production steps
 against these; the slot-pipeline benchmark times them as its seed path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.problem import SchedulingProblem
 from repro.core.result import ScheduleResult
 from repro.vod.playback import SlotPlaybackStats
+from repro.vod.valuation import DeadlineValuation
+
+
+def build_requests(
+    peer,
+    now: float,
+    prefetch_chunks: int,
+    valuation: DeadlineValuation,
+    lookahead: float = 0.0,
+) -> List[Tuple[int, float]]:
+    """Chunks ``peer`` wants this slot with their valuations.
+
+    Returns ``[(chunk_index, v), ...]`` for the next ``prefetch_chunks``
+    chunks beyond the playback position that are neither held nor
+    already missed, valued by time-to-deadline.
+
+    ``lookahead`` implements *anticipative valuation* for sub-slot
+    bidding: a chunk is valued at the urgency it will reach by the end
+    of the bidding interval, ``v(max(0, d − lookahead))``.  The paper's
+    peers "keep bidding" continuously, so a chunk's bid approaches
+    ``v(0)`` (= 11 > the costliest link, by the paper's own parameter
+    choice) right before its deadline; the lookahead reproduces that
+    within a discrete bidding round.
+    """
+    session = peer.session
+    if peer.is_seed or session is None or session.finished:
+        return []
+    position = session.due_position(now)
+    wanted = peer.buffer.window_array(
+        position, prefetch_chunks, exclude=session.missed
+    )
+    if not wanted.size:
+        return []
+    to_deadline = np.maximum(
+        0.0, session.seconds_to_deadlines(wanted, now) - lookahead
+    )
+    values = valuation.values(to_deadline)
+    return list(zip(wanted.tolist(), values.tolist()))
+
+
+def held_among(buffer, indices: Set[int]) -> Set[int]:
+    """Subset of ``indices`` that ``buffer`` holds."""
+    if not indices:
+        return set()
+    idx = np.fromiter(indices, dtype=np.int64, count=len(indices))
+    return set(idx[buffer.mask[idx]].tolist())
+
+
+def receive_chunk(peer, index: int) -> bool:
+    """Store a downloaded chunk; returns ``False`` if it was a duplicate."""
+    added = peer.buffer.add(index)
+    if added:
+        peer.chunks_downloaded += 1
+    return added
+
+
+def record_upload(peer, n: int = 1) -> None:
+    """Count ``n`` chunks uploaded by ``peer``."""
+    peer.chunks_uploaded += n
+
+
+def is_inter_isp(costs, src: int, dst: int) -> bool:
+    """Whether a transfer src→dst crosses an ISP boundary."""
+    return not costs.topology.same_isp(src, dst)
 
 
 def build_problem_reference(
@@ -52,11 +124,15 @@ def build_problem_reference(
         # Peers in their startup delay do bid: they are pre-fetching
         # ahead of the (future) playback start.  With sub-slot
         # re-bidding, valuations anticipate the urgency reached by
-        # the end of the bid interval (see Peer.build_requests).
+        # the end of the bid interval (see build_requests).
         rounds = system.config.bid_rounds_per_slot
         lookahead = system.config.slot_seconds / rounds if rounds > 1 else 0.0
-        wanted = peer.build_requests(
-            now, system.config.prefetch_chunks, system.valuation, lookahead=lookahead
+        wanted = build_requests(
+            peer,
+            now,
+            system.config.prefetch_chunks,
+            system.valuation,
+            lookahead=lookahead,
         )
         if not wanted:
             continue
@@ -70,7 +146,7 @@ def build_problem_reference(
             other = system.peers.get(nb)
             if other is None or other.video.video_id != video_id:
                 continue
-            hits = other.buffer.held_among(window)
+            hits = held_among(other.buffer, window)
             if not hits:
                 continue
             cost = system.costs.cost(nb, peer.peer_id)
@@ -116,13 +192,13 @@ def apply_transfers_reference(
     for _, downstream, chunk, uploader, _ in result.served_edges(problem):
         peer = system.peers[downstream]
         _, index = chunk
-        peer.receive_chunk(index)
+        receive_chunk(peer, index)
         if peer.first_delivery_time is None:
             peer.first_delivery_time = system.now
         up = system.peers[uploader]
-        up.record_upload()
+        record_upload(up)
         system.traffic_matrix.record(up.isp, peer.isp)
-        if system.costs.is_inter_isp(uploader, downstream):
+        if is_inter_isp(system.costs, uploader, downstream):
             inter += 1
         else:
             intra += 1
@@ -139,14 +215,14 @@ def advance_to_reference(session, now: float) -> SlotPlaybackStats:
     target = session.due_position(now)
     due = 0
     missed = 0
-    missed_set = session.missed
+    missed_mask = session.missed_mask
     while session.position < target:
         index = session.position
         due += 1
         if session.buffer.holds(index):
             session.played += 1
         else:
-            missed_set.add(index)
+            missed_mask[index] = True
             missed += 1
         session.position += 1
     return SlotPlaybackStats(due=due, missed=missed)

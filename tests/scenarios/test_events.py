@@ -67,7 +67,7 @@ class TestCostShocks:
             (a, b)
             for a in system.peers
             for b in system.peers
-            if a < b and costs.is_inter_isp(a, b)
+            if a < b and not costs.topology.same_isp(a, b)
         ][:10]
         before = {p: costs.cost(*p) for p in pairs}
         system.scale_inter_isp_costs(2.0)
@@ -83,7 +83,7 @@ class TestCostShocks:
         fresh = None
         for u in ids:
             for d in ids:
-                if u < d and a.costs.is_inter_isp(u, d):
+                if u < d and not a.costs.topology.same_isp(u, d):
                     if (u, d) not in a.costs._cache:
                         fresh = (u, d)
                         break
@@ -99,7 +99,7 @@ class TestCostShocks:
             (a, b)
             for a in system.peers
             for b in system.peers
-            if a < b and not costs.is_inter_isp(a, b)
+            if a < b and costs.topology.same_isp(a, b)
         ][:5]
         before = {p: costs.cost(*p) for p in intra_pairs}
         system.set_isp_pair_cost_scale(0, 1, 4.0)  # inter pair only

@@ -143,13 +143,3 @@ class TestBufferBatchInsert:
         buffer = ChunkBuffer(make_video())
         assert buffer.add_batch(np.empty(0, dtype=np.int64)) == 0
         assert len(buffer) == 0
-
-    def test_capacity_capped_buffer_falls_back_to_eviction_loop(self):
-        video = make_video()
-        capped_batch = ChunkBuffer(video, capacity_chunks=3)
-        capped_loop = ChunkBuffer(video, capacity_chunks=3)
-        indices = [0, 1, 2, 3, 4]
-        capped_batch.add_batch(np.asarray(indices), protect_from=4)
-        capped_loop.add_many(indices, protect_from=4)
-        assert np.array_equal(capped_batch.mask, capped_loop.mask)
-        assert len(capped_batch) == 3
