@@ -16,7 +16,9 @@ slots (with the default budget a faster tree would trace more, later
 slots).  Untraced runs keep the default budget, which is what
 ``BENCHMARK.json`` runs; a faster tree can fit an extra pass from
 another sub-seed into it, so the report warns on every pair whose two
-runs measured a different number of passes.
+runs measured a different number of passes, and when there are such
+pairs it prints a second, pass-matched table: the same report over
+only the pairs whose two runs measured the same number of passes.
 
 For every metric ``BENCHMARK.json`` names — the end-to-end metrics
 untraced (``--trace 0``, the default), the per-layer metrics traced
@@ -147,6 +149,28 @@ def report(pairs: List[Tuple[dict, dict]], metrics: List[dict]) -> None:
               f" {judged:>10}")
 
 
+def summarize(pairs: List[Tuple[dict, dict]], metrics: List[dict], trace: int) -> None:
+    """The report, the digest matches and, untraced, the pass counts.
+
+    When some pairs' two runs measured a different number of passes, a
+    second report follows over only the pairs whose runs measured the
+    same number.
+    """
+    report(pairs, metrics)
+    same = sum(b["digest"] == c["digest"] for b, c in pairs)
+    kind = "traced digests" if trace else "digests"
+    print(f"\n{kind} equal on {same}/{len(pairs)} pairs")
+    if trace:
+        return
+    matched = [(b, c) for b, c in pairs if b["passes"] == c["passes"]]
+    print(f"pass counts differ on {len(pairs) - len(matched)}/{len(pairs)} pairs")
+    if len(matched) < len(pairs):
+        print(f"\npass-matched: the {len(matched)} pairs whose two runs measured "
+              f"the same number of passes")
+        if matched:
+            report(matched, metrics)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -204,13 +228,7 @@ def main(argv=None) -> int:
         subprocess.run(["git", "worktree", "prune"], cwd=REPO_ROOT, capture_output=True)
 
     if pairs:
-        report(pairs, metrics)
-        same = sum(b["digest"] == c["digest"] for b, c in pairs)
-        kind = "traced digests" if args.trace else "digests"
-        print(f"\n{kind} equal on {same}/{len(pairs)} pairs")
-        if not args.trace:
-            uneven = sum(b["passes"] != c["passes"] for b, c in pairs)
-            print(f"pass counts differ on {uneven}/{len(pairs)} pairs")
+        summarize(pairs, metrics, args.trace)
     print(f"\nfailed runs: base {failed['base']}, change {failed['change']} "
           f"({len(pairs)} of {args.pairs} pairs compared)")
     return 1 if failed["base"] or failed["change"] else 0

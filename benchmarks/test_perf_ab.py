@@ -1,4 +1,4 @@
-"""The paired A/B report's verdict column, on synthetic pairs."""
+"""The paired A/B report: its verdict column and pass counts, on synthetic pairs."""
 
 from __future__ import annotations
 
@@ -73,3 +73,48 @@ def test_run_reads_the_pass_count(tmp_path):
     )
     metrics = perf_ab.run_bench(tmp_path, "premiere-3k", 1, 0, tmp_path / "out")
     assert metrics == {"slot_p50_s": 0.1, "digest": "abc", "passes": 5}
+
+
+def stub_tree(root, passes, p50):
+    """A tree whose ``perfbench/run.py`` prints one fixed untraced result."""
+    script = root / "perfbench" / "run.py"
+    script.parent.mkdir(parents=True)
+    script.write_text(
+        "import json\n"
+        f"print('slot_tail_s is p95.0 of 40 slots over {passes} passes')\n"
+        "print('digest abc')\n"
+        f"print(json.dumps({{'failed': 0, 'metrics': {{'slot_p50_s': {{'value': {p50}}}}}}}))\n"
+    )
+    return root
+
+
+def wins_column(table):
+    """The wins column of the one metric row of a report."""
+    return table.strip().splitlines()[1].split()[-2]
+
+
+def test_uneven_pass_counts_add_a_pass_matched_table(tmp_path, capsys):
+    """Pairs whose two runs measured different pass counts drop out of a
+    second table; with every pair even, nothing extra is printed."""
+    base = stub_tree(tmp_path / "base", 4, 0.2)
+    even = stub_tree(tmp_path / "even", 4, 0.1)
+    extra = stub_tree(tmp_path / "extra", 5, 0.3)
+
+    def pair(change):
+        out = tmp_path / "out"
+        return (perf_ab.run_bench(base, "premiere-3k", 1, 0, out),
+                perf_ab.run_bench(change, "premiere-3k", 1, 0, out))
+
+    pairs = [pair(even), pair(extra), pair(even)]
+    perf_ab.summarize(pairs, METRICS[:1], trace=0)
+    main, matched = capsys.readouterr().out.split(
+        "pass-matched: the 2 pairs whose two runs measured the same number of passes"
+    )
+    assert "pass counts differ on 1/3 pairs" in main
+    assert wins_column(main.split("digests equal")[0]) == "2/3"
+    assert wins_column(matched) == "2/2"
+
+    perf_ab.summarize([pairs[0], pairs[2]], METRICS[:1], trace=0)
+    out = capsys.readouterr().out
+    assert "pass counts differ on 0/2 pairs" in out
+    assert "pass-matched" not in out

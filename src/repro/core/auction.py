@@ -41,12 +41,15 @@ Two execution modes:
   the two in one ``np.lexsort`` (higher bid first; on equal bids a
   member before an incoming bid, the later-accepted member first, and
   incoming bids in batch order) and keeps the first ``B(u)``, exactly
-  what the reference heap walk keeps.  A round that is not bulk
-  (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` = 32
-  rows — the many small rounds of a solve's tail — runs the same
-  steps on Python scalars, where numpy's fixed per-call cost would
-  outweigh its few bids (Bertsekas & Castañon, Parallel Computing 17,
-  1991, describe that fixed per-round cost of synchronous auctions).
+  what the reference heap walk keeps.  The first round that is not
+  bulk (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` =
+  32 rows hands the rest of the solve to a tail loop on Python-native
+  state, where each auctioneer commits through an
+  :class:`_AssignmentSet` heap: in the many small rounds of a solve's
+  tail numpy's fixed per-call cost would outweigh the few bids
+  (Bertsekas & Castañon, Parallel Computing 17, 1991, describe that
+  fixed per-round cost of synchronous auctions).  The handoff is
+  one-way: with ε > 0 no round has more rows than the one before it.
 
 The jacobi rounds' equivalence reference, the same synchronized
 semantics over a padded ``(R, K_max)`` view, is the dense oracle in
@@ -62,6 +65,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -82,10 +86,12 @@ __all__ = [
 #: guarantees termination even on tied instances.
 DEFAULT_EPSILON = 1e-9
 
-#: A jacobi round that is not bulk and evaluates at most this many rows
-#: runs on Python scalars: at that size numpy's per-call overhead, not
-#: the bids, is the cost of a vector round.  On the benchmark workloads
-#: the two paths break even at about this size.
+#: The first jacobi round that is not bulk and evaluates at most this
+#: many rows hands the rest of the solve to the tail loop: at that size
+#: numpy's per-call overhead, not the bids, is the cost of a vector
+#: round.  Re-timed on the benchmark workloads' solves with the tail in
+#: place: 32, 64 and 128 read within a few percent of each other, mixed
+#: by workload, and 256 read 3-10% slower.
 _SMALL_ROUND_ROWS = 32
 
 
@@ -159,7 +165,13 @@ class _AssignmentSet:
     """An auctioneer's set of accepted (request, bid) pairs.
 
     Supports O(log n) insert / evict-lowest via a lazily-invalidated
-    heap.  ``min_bid`` is the price λ_u once the set is full.
+    heap.  ``min_bid`` is the price λ_u once the set is full.  Its
+    ``(bid, insertion order)`` heap is the auctioneer's tie rule for
+    Gauss-Seidel, the jacobi tail, the distributed solver and the dense
+    oracle: the lowest bid is evicted first, the earliest-added of
+    equal bids first, and an incoming bid equal to the lowest loses.
+    The jacobi vector rounds state the same rule as
+    :meth:`AuctionSolver._merge_contested`'s sort keys.
     """
 
     __slots__ = ("capacity", "bids", "_heap", "_seq")
@@ -584,13 +596,30 @@ class AuctionSolver:
         fills the set, ``λ_u`` becomes the lowest kept bid if that is
         higher.
 
-        A round that is not bulk and evaluates at most
-        ``_SMALL_ROUND_ROWS`` rows — most rounds of a solve's tail,
-        each moving a handful of bids — runs the same evaluate and
-        commit steps on Python scalars instead, where numpy's per-call
-        overhead would dominate: the same float operations in the same
-        order and the same tie rules, so it produces the same bids,
-        members, prices and callbacks as the vector path.
+        The first round that is not bulk and evaluates at most
+        ``_SMALL_ROUND_ROWS`` rows hands the rest of the solve to
+        ``tail``, which runs every remaining round on Python-native
+        state, where numpy's per-call overhead would dominate the few
+        bids of each.  The handoff is one-way: an accepted bid evicts
+        at most one member, so with ``ε > 0`` (above the rounding of
+        ``λ``) a round's next rows never outnumber its own, and once a
+        round is small every later round is.  At ε = 0 woken dormant
+        rows can grow a tail round past the bound; the tail is exact
+        at any size.  Its state is local to the solve, read once at the
+        handoff and never written back:
+
+        * a row's edges, as lists, from its first tail bid on;
+        * an :class:`_AssignmentSet` per auctioneer from the first tail
+          bid it gets, seeded with its members in ``seq`` order, so the
+          heap's insertion order is the vector path's ``seq``; the
+          member blocks, ``bid_of``, ``seq_of``, ``load`` and
+          ``next_seq`` are not written after the handoff;
+        * ``λ`` as a list mirror, written through to the array on every
+          reprice (the trace and ``η`` read the array).
+
+        ``assigned_to``, ``edge_of`` and ``retired`` are written row by
+        row, and the dormant set stays an array with the vector rounds'
+        wake step.
 
         The ``η`` duals are left to the result, which computes them on
         first read from the CSR view and the final ``λ``
@@ -656,13 +685,11 @@ class AuctionSolver:
         # their candidates to reprice.
         dormant = no_rows
 
-        def gather(
-            rows: np.ndarray,
-        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        def gather(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             """The rows' edges, row after row, in the scratch buffers.
 
-            Returns each row's edge count, the flat edge indices, the
-            edges' uploader indices and ``φ = v − λ`` at current prices.
+            Returns each row's edge count, the flat edge indices and
+            ``φ = v − λ`` at current prices.
             """
             lens = counts[rows]
             eidx = self._concat_ranges(indptr[rows], lens, iota_e)
@@ -670,316 +697,310 @@ class AuctionSolver:
             edge_u = np.take(uidx, eidx, out=edge_u_buf[:total])
             phi = np.take(values, eidx, out=phi_buf[:total])
             phi -= np.take(lam, edge_u, out=lam_e_buf[:total])
-            return lens, eidx, edge_u, phi
+            return lens, eidx, phi
 
-        def scalar_bids(
-            rows: np.ndarray,
-        ) -> Tuple[List[Tuple[int, float, int]], List[int]]:
-            """Evaluate a small round's rows on Python floats.
+        def wake(idle, repriced) -> np.ndarray:
+            """Park a round's idle rows; return the dormant rows it woke.
 
-            Per row: the first maximal edge of ``φ``, the second-best
-            value, and the bid ``lam_t + phi1 - outside + ε`` — the
-            vector path's float operations in its order, so every bid is
-            bit-identical.  Retires rows with ``phi1 <= 0``.  Returns the
-            submitted bids as ``(uploader, -bid, row)`` and the live rows
-            whose bid did not exceed ``λ``.
+            A dormant row wakes when one of its candidates repriced (a
+            dormant row is live, so it has edges).  Vectorized over the
+            dormant set, which can hold thousands of rows at ε = 0.
             """
-            lens, eidx, edge_u, phi = gather(rows)
-            phi = phi.tolist()
-            edge_u = edge_u.tolist()
-            bids: List[Tuple[int, float, int]] = []
-            idle: List[int] = []
-            at = 0
-            for r, k in zip(rows.tolist(), lens.tolist()):
-                seg = phi[at : at + k]
-                phi1 = max(seg)
-                if phi1 > 0.0:
-                    j = seg.index(phi1)
+            nonlocal dormant
+            if len(idle):
+                dormant = np.concatenate((dormant, np.asarray(idle, dtype=np.int64)))
+            if not (len(dormant) and len(repriced)):
+                return no_rows
+            hit = np.zeros(n_uploaders, dtype=bool)
+            hit[repriced] = True
+            lens = counts[dormant]
+            edges = self._concat_ranges(indptr[dormant], lens)
+            woke = np.logical_or.reduceat(hit[uidx[edges]], np.cumsum(lens) - lens)
+            woken, dormant = dormant[woke], dormant[~woke]
+            return woken
+
+        def record(round_no: int) -> None:
+            if self.trace is not None:
+                self.trace.record(
+                    round_no,
+                    {int(csr.uploaders[i]): float(lam[i]) for i in range(n_uploaders)},
+                )
+
+        def heap_of(u: int) -> _AssignmentSet:
+            """Auctioneer ``u``'s members as a heap, added in ``seq`` order."""
+            aset = _AssignmentSet(capacity.item(u))
+            held = member[base.item(u) : base.item(u) + load.item(u)]
+            held = held[np.argsort(seq_of[held])]
+            for r, b in zip(held.tolist(), bid_of[held].tolist()):
+                aset.add(r, b)
+            return aset
+
+        def tail(rows: List[int], first_round: int) -> bool:
+            """Run the solve's remaining rounds, from ``first_round`` on.
+
+            Per row, the vector round's float operations in its order:
+            the first maximal ``φ``, the second best with the best slot
+            set to the outside option, and the bid
+            ``lam_t + phi1 - outside + ε``.  Every row is evaluated at
+            the round-start prices before any bid commits.  Each
+            auctioneer then walks its batch highest bid first (ties by
+            row), in ascending uploader order, through its
+            :class:`_AssignmentSet`, and reprices to the lowest kept bid
+            once a bid got in and the set is full.  Returns False when
+            the round budget runs out first.
+            """
+            eps = self.epsilon
+            lam_l = lam.tolist()  # written through to ``lam`` on reprice
+            edges: Dict[int, Tuple[List[int], List[float], int]] = {}
+            sets: Dict[int, _AssignmentSet] = {}
+            for round_no in range(first_round, self.max_rounds + 1):
+                if not rows:
+                    return True
+                stats.rows_evaluated += len(rows)
+                bids: List[Tuple[int, float, int]] = []
+                idle: List[int] = []
+                for r in rows:
+                    row = edges.get(r)
+                    if row is None:
+                        at, end = indptr.item(r), indptr.item(r + 1)
+                        row = edges[r] = (
+                            uidx[at:end].tolist(), values[at:end].tolist(), at
+                        )
+                    us, vs, at = row
+                    phi = [v - lam_l[u] for u, v in zip(us, vs)]
+                    phi1 = max(phi)
+                    if phi1 <= 0.0:
+                        retired[r] = True
+                        continue
+                    j = phi.index(phi1)
                     # The best edge's slot takes the outside option, so
                     # the max is max(φ_second, 0).
-                    seg[j] = 0.0
-                    outside = max(seg)
-                    u = edge_u[at + j]
-                    lam_t = lam.item(u)
-                    bid = lam_t + phi1 - outside + self.epsilon
+                    phi[j] = 0.0
+                    u = us[j]
+                    lam_t = lam_l[u]
+                    bid = lam_t + phi1 - max(phi) + eps
                     if bid > lam_t:
                         bids.append((u, -bid, r))
-                        edge_of[r] = eidx[at + j]
+                        edge_of[r] = at + j
                     else:
                         idle.append(r)
-                else:
-                    retired[r] = True
-                at += k
-            return bids, idle
-
-        def scalar_commit(
-            bids: List[Tuple[int, float, int]], round_no: int
-        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """Commit a small round's bids on Python scalars.
-
-            Sorting the ``(uploader, -bid, row)`` tuples gives
-            :func:`_order_bids`' order.  Per auctioneer, in ascending
-            uploader order, the batch fills free slots and then evicts
-            the lowest ``(bid, seq)`` members it beats, as the reference
-            heap walk does, so it keeps what :meth:`_merge_contested`'s
-            four-key order keeps.  Returns the repriced uploaders, the
-            evicted rows and the rejected rows.
-            """
-            bids.sort()
-            repriced: List[int] = []
-            evicted: List[int] = []
-            rejected: List[int] = []
-            i = 0
-            while i < len(bids):
-                u = bids[i][0]
-                j = i + 1
-                while j < len(bids) and bids[j][0] == u:
-                    j += 1
-                batch = bids[i:j]
-                i = j
-                m, cap = load.item(u), capacity.item(u)
-                seq0, at = next_seq.item(u), base.item(u)
-                # Free slots take the batch's first bids.
-                take = min(len(batch), cap - m)
-                for w in range(take):
-                    member[at + m + w] = batch[w][2]
-                if m and m + len(batch) >= cap:
-                    # Contested: each later bid must beat the lowest
-                    # (bid, seq) member left, and evicts it.  An equal
-                    # bid loses, and once a bid fails every lower one
-                    # fails too.  The set is full, so λ reads every member.
-                    held = member[at : at + m]
-                    kept = bid_of[held].tolist()
-                    order = zip(kept, seq_of[held].tolist(), range(m))
-                    for low, _, x in heapq.nsmallest(len(batch) - take, order):
-                        _, neg, r = batch[take]
-                        if -neg <= low:
-                            break
-                        evicted.append(held.item(x))
-                        member[at + x] = r
-                        kept[x] = -neg
-                        take += 1
-                    lowest = min(kept)
-                    if take:
-                        lowest = min(lowest, -batch[take - 1][1])
-                else:
-                    lowest = -batch[take - 1][1]
-                for w in range(take):
-                    _, neg, r = batch[w]
-                    assigned_to[r] = u
-                    bid_of[r] = -neg
-                    seq_of[r] = seq0 + w
-                rejected.extend(r for _, _, r in batch[take:])
-                next_seq[u] = seq0 + take
-                load[u] = min(m + take, cap)
-                if take and m + take >= cap and lowest > lam.item(u):
-                    lam[u] = lowest
-                    repriced.append(u)
-                    if self.on_price_update is not None:
-                        self.on_price_update(
-                            round_no, csr.uploaders.item(u), lowest
-                        )
-            evicted_rows = np.array(evicted, dtype=np.int64)
-            assigned_to[evicted_rows] = -1
-            stats.bids_submitted += len(bids)
-            stats.bids_rejected += len(rejected)
-            stats.evictions += len(evicted)
-            stats.price_updates += len(repriced)
-            return (
-                np.array(repriced, dtype=np.int64),
-                evicted_rows,
-                np.array(rejected, dtype=np.int64),
-            )
+                if not bids:
+                    return True  # every row retired or dormant
+                bids.sort()  # by uploader, then bid descending, then row
+                rejected: List[int] = []
+                evicted: List[int] = []
+                repriced: List[int] = []
+                for u, batch in itertools.groupby(bids, key=operator.itemgetter(0)):
+                    aset = sets.get(u)
+                    if aset is None:
+                        aset = sets[u] = heap_of(u)
+                    price = lam_l[u]
+                    got_in = False
+                    for _, neg, r in batch:
+                        if aset.full:
+                            if -neg <= aset.min_bid():
+                                rejected.append(r)
+                                continue
+                            out, _ = aset.evict_min()
+                            assigned_to[out] = -1
+                            evicted.append(out)
+                        aset.add(r, -neg)
+                        assigned_to[r] = u
+                        got_in = True
+                    if got_in and aset.full:
+                        lowest = aset.min_bid()
+                        if lowest > price:
+                            lam[u] = lam_l[u] = lowest
+                            repriced.append(u)
+                            if self.on_price_update is not None:
+                                self.on_price_update(
+                                    round_no, csr.uploaders.item(u), lowest
+                                )
+                stats.bids_submitted += len(bids)
+                stats.bids_rejected += len(rejected)
+                stats.evictions += len(evicted)
+                stats.price_updates += len(repriced)
+                stats.rounds = round_no
+                stats.scalar_rounds += 1
+                rows = sorted(rejected + evicted + wake(idle, repriced).tolist())
+                record(round_no)
+            return False
 
         rows = np.nonzero(~retired)[0]
+        converged = True
         for round_no in range(1, self.max_rounds + 1):
             if not len(rows):
                 # Every pending row is dormant at prices that have not
                 # moved since its last evaluation; the dense reference
                 # would re-bid them all and submit nothing.
                 break
-            stats.rows_evaluated += len(rows)
             if len(rows) <= _SMALL_ROUND_ROWS and 2 * len(rows) < n:
-                bids, idle = scalar_bids(rows)
-                if not bids:
-                    break  # every row retired or dormant
-                repriced, evicted, rejected = scalar_commit(bids, round_no)
-                stats.scalar_rounds += 1
-            else:
-                full_best2 = False
-                if 2 * len(rows) >= n:
-                    # Bulk round (the first, or a warm re-bid wave): the
-                    # best-surplus pass runs over the full CSR with no
-                    # gather.
-                    if lam.any():
-                        np.take(lam, uidx, out=lam_e_buf)
-                        phi = np.subtract(values, lam_e_buf, out=phi_buf)
-                    else:
-                        # Cold round: φ ≡ the (masked) values; read them
-                        # directly and copy only if the knockout pass below
-                        # needs to mutate the full-CSR φ.
-                        phi = values
+                # One-way handoff (see the docstring): the tail runs
+                # every remaining round.
+                converged = tail(rows.tolist(), round_no)
+                break
+            stats.rows_evaluated += len(rows)
+            full_best2 = False
+            if 2 * len(rows) >= n:
+                # Bulk round (the first, or a warm re-bid wave): the
+                # best-surplus pass runs over the full CSR with no
+                # gather.
+                if lam.any():
+                    np.take(lam, uidx, out=lam_e_buf)
+                    phi = np.subtract(values, lam_e_buf, out=phi_buf)
+                else:
+                    # Cold round: φ ≡ the (masked) values; read them
+                    # directly and copy only if the knockout pass below
+                    # needs to mutate the full-CSR φ.
+                    phi = values
+                if no_empty:
+                    phi1_all = np.maximum.reduceat(phi, indptr[:-1])
+                else:
+                    phi1_all = _segment_max(phi, indptr)
+                phi1 = phi1_all[rows]
+                live = phi1 > 0.0
+                retired[rows[~live]] = True
+                if not live.any():
+                    break
+                rows = rows[live]
+                phi1 = phi1[live]
+                full_best2 = 2 * int(counts[rows].sum()) >= n_edges
+                if full_best2:
+                    # Live bidders hold most edges: the best-edge /
+                    # second-best pass is cheaper over the full CSR than
+                    # through a gather.
+                    if phi is values:
+                        np.copyto(phi_buf, values)
+                        phi = phi_buf
+                    is_best = phi >= np.repeat(phi1_all, counts)
                     if no_empty:
-                        phi1_all = np.maximum.reduceat(phi, indptr[:-1])
+                        loc_star_all = np.minimum.reduceat(
+                            np.where(is_best, iota_e, n_edges), indptr[:-1]
+                        )
+                        e_star = loc_star_all[rows]
+                        phi[loc_star_all] = -np.inf
+                        phi2 = np.maximum.reduceat(phi, indptr[:-1])[rows]
                     else:
-                        phi1_all = _segment_max(phi, indptr)
-                    phi1 = phi1_all[rows]
-                    live = phi1 > 0.0
-                    retired[rows[~live]] = True
-                    if not live.any():
-                        break
-                    rows = rows[live]
-                    phi1 = phi1[live]
-                    full_best2 = 2 * int(counts[rows].sum()) >= n_edges
-                    if full_best2:
-                        # Live bidders hold most edges: the best-edge /
-                        # second-best pass is cheaper over the full CSR than
-                        # through a gather.
-                        if phi is values:
-                            np.copyto(phi_buf, values)
-                            phi = phi_buf
-                        is_best = phi >= np.repeat(phi1_all, counts)
-                        if no_empty:
-                            loc_star_all = np.minimum.reduceat(
-                                np.where(is_best, iota_e, n_edges), indptr[:-1]
-                            )
-                            e_star = loc_star_all[rows]
-                            phi[loc_star_all] = -np.inf
-                            phi2 = np.maximum.reduceat(phi, indptr[:-1])[rows]
-                        else:
-                            if nonempty_starts is None:
-                                nonempty = counts > 0
-                                nonempty_starts = indptr[:-1][nonempty]
-                            loc_star_ne = np.minimum.reduceat(
-                                np.where(is_best, iota_e, n_edges), nonempty_starts
-                            )
-                            e_star_all = np.zeros(n, dtype=np.int64)
-                            e_star_all[nonempty] = loc_star_ne
-                            e_star = e_star_all[rows]
-                            phi[loc_star_ne] = -np.inf
-                            phi2 = _segment_max(phi, indptr)[rows]
-                if not full_best2:
-                    # Every other round, and a bulk round whose live rows
-                    # hold few edges: one sub-CSR of the rows' edges.
-                    # Pending rows are never empty (empty rows retire up
-                    # front), so plain reduceat is safe here.
-                    lens, eidx, _, phi_sub = gather(rows)
-                    total = len(eidx)
-                    starts = np.cumsum(lens) - lens
-                    phi1 = np.maximum.reduceat(phi_sub, starts)
-                    live = phi1 > 0.0
-                    retired[rows[~live]] = True
-                    if not live.any():
-                        break
-                    # First maximal edge per row (same tie-break as the
-                    # dense argmax), then knock it out in place for phi2;
-                    # the rows just retired ride along and drop out after.
-                    is_best = phi_sub >= np.repeat(phi1, lens)
-                    loc_star = np.minimum.reduceat(
-                        np.where(is_best, iota_e[:total], total), starts
-                    )
-                    e_star = eidx[loc_star]
-                    phi_sub[loc_star] = -np.inf
-                    phi2 = np.maximum.reduceat(phi_sub, starts)
-                    if not live.all():
-                        rows, phi1 = rows[live], phi1[live]
-                        e_star, phi2 = e_star[live], phi2[live]
-                edge_of[rows] = e_star
-                target = uidx[e_star]
-                outside = np.maximum(phi2, 0.0)
-                lam_t = lam[target]
-                bids = lam_t + phi1 - outside + self.epsilon
-                submit = bids > lam_t
-                if not submit.any():
-                    break  # all remaining bidders dormant (ε = 0 ties)
-                idle = rows[~submit]
-                rows = rows[submit]
-                bids = bids[submit]
-                target = target[submit]
-                stats.bids_submitted += len(rows)
-
-                # Commit each auctioneer's batch (a segment of the sorted
-                # round), highest bid first, all auctioneers at once.  A
-                # batch fills free slots: the accepted bids are a prefix of
-                # it, and an auctioneer that starts empty or keeps room to
-                # spare evicts nobody.
-                order = _order_bids(bids, target, n_uploaders)
-                rows, bids, target = rows[order], bids[order], target[order]
-                boundaries = np.nonzero(np.diff(target))[0] + 1
-                seg_starts = np.concatenate(([0], boundaries))
-                seg_len = np.diff(np.concatenate((seg_starts, [len(target)])))
-                seg_u = target[seg_starts]
-                m = load[seg_u]
-                cap = capacity[seg_u]
-                within = np.arange(len(target), dtype=np.int64) - np.repeat(
-                    seg_starts, seg_len
+                        if nonempty_starts is None:
+                            nonempty = counts > 0
+                            nonempty_starts = indptr[:-1][nonempty]
+                        loc_star_ne = np.minimum.reduceat(
+                            np.where(is_best, iota_e, n_edges), nonempty_starts
+                        )
+                        e_star_all = np.zeros(n, dtype=np.int64)
+                        e_star_all[nonempty] = loc_star_ne
+                        e_star = e_star_all[rows]
+                        phi[loc_star_ne] = -np.inf
+                        phi2 = _segment_max(phi, indptr)[rows]
+            if not full_best2:
+                # Every other round, and a bulk round whose live rows
+                # hold few edges: one sub-CSR of the rows' edges.
+                # Pending rows are never empty (empty rows retire up
+                # front), so plain reduceat is safe here.
+                lens, eidx, phi_sub = gather(rows)
+                total = len(eidx)
+                starts = np.cumsum(lens) - lens
+                phi1 = np.maximum.reduceat(phi_sub, starts)
+                live = phi1 > 0.0
+                retired[rows[~live]] = True
+                if not live.any():
+                    break
+                # First maximal edge per row (same tie-break as the
+                # dense argmax), then knock it out in place for phi2;
+                # the rows just retired ride along and drop out after.
+                is_best = phi_sub >= np.repeat(phi1, lens)
+                loc_star = np.minimum.reduceat(
+                    np.where(is_best, iota_e[:total], total), starts
                 )
-                limit = np.minimum(seg_len, cap - m)
-                # Lowest kept bid of a batch that fills an empty set;
-                # contested entries are overwritten by the merge.
-                lowest = bids[seg_starts + limit - 1]
-                # Contested: existing members must be weighed against the
-                # batch, which fills the set (and may evict some of them).
-                contested = (m > 0) & (m + seg_len >= cap)
-                evicted = no_rows
-                if contested.any():
-                    c = np.nonzero(contested)[0]
-                    limit[c], lowest[c], evicted = self._merge_contested(
-                        member, base[seg_u[c]], m[c], cap[c], bid_of, seq_of,
-                        rows, bids, within, seg_starts[c], seg_len[c],
-                    )
-                    assigned_to[evicted] = -1
-                    stats.evictions += len(evicted)
-                accepted = within < np.repeat(limit, seg_len)
-                rejected = rows[~accepted]
-                acc_rows = rows[accepted]
-                acc_u = target[accepted]
-                stats.bids_rejected += len(rejected)
-                assigned_to[acc_rows] = acc_u
-                bid_of[acc_rows] = bids[accepted]
-                seq_of[acc_rows] = next_seq[acc_u] + within[accepted]
-                # Uncontested batches append to their member blocks; the
-                # merge already rewrote the contested blocks.
-                fresh = accepted & ~np.repeat(contested, seg_len)
-                fresh_u = target[fresh]
-                member[base[fresh_u] + load[fresh_u] + within[fresh]] = rows[fresh]
-                next_seq[seg_u] += limit
-                load[seg_u] = np.minimum(m + limit, cap)
-                # λ_u = lowest kept bid once a batch that got in fills the set.
-                upd = (limit > 0) & (m + limit >= cap) & (lowest > lam[seg_u])
-                repriced = seg_u[upd]
-                if len(repriced):
-                    lam[repriced] = lowest[upd]
-                    stats.price_updates += len(repriced)
-                    if self.on_price_update is not None:
-                        # Callback fast path: only a tracing run pays for
-                        # the index materialization + Python loop.
-                        for i in np.nonzero(upd)[0].tolist():
-                            self.on_price_update(
-                                round_no, int(csr.uploaders[seg_u[i]]), float(lowest[i])
-                            )
+                e_star = eidx[loc_star]
+                phi_sub[loc_star] = -np.inf
+                phi2 = np.maximum.reduceat(phi_sub, starts)
+                if not live.all():
+                    rows, phi1 = rows[live], phi1[live]
+                    e_star, phi2 = e_star[live], phi2[live]
+            edge_of[rows] = e_star
+            target = uidx[e_star]
+            outside = np.maximum(phi2, 0.0)
+            lam_t = lam[target]
+            bids = lam_t + phi1 - outside + self.epsilon
+            submit = bids > lam_t
+            if not submit.any():
+                break  # all remaining bidders dormant (ε = 0 ties)
+            idle = rows[~submit]
+            rows = rows[submit]
+            bids = bids[submit]
+            target = target[submit]
+            stats.bids_submitted += len(rows)
+
+            # Commit each auctioneer's batch (a segment of the sorted
+            # round), highest bid first, all auctioneers at once.  A
+            # batch fills free slots: the accepted bids are a prefix of
+            # it, and an auctioneer that starts empty or keeps room to
+            # spare evicts nobody.
+            order = _order_bids(bids, target, n_uploaders)
+            rows, bids, target = rows[order], bids[order], target[order]
+            boundaries = np.nonzero(np.diff(target))[0] + 1
+            seg_starts = np.concatenate(([0], boundaries))
+            seg_len = np.diff(np.concatenate((seg_starts, [len(target)])))
+            seg_u = target[seg_starts]
+            m = load[seg_u]
+            cap = capacity[seg_u]
+            within = np.arange(len(target), dtype=np.int64) - np.repeat(
+                seg_starts, seg_len
+            )
+            limit = np.minimum(seg_len, cap - m)
+            # Lowest kept bid of a batch that fills an empty set;
+            # contested entries are overwritten by the merge.
+            lowest = bids[seg_starts + limit - 1]
+            # Contested: existing members must be weighed against the
+            # batch, which fills the set (and may evict some of them).
+            contested = (m > 0) & (m + seg_len >= cap)
+            evicted = no_rows
+            if contested.any():
+                c = np.nonzero(contested)[0]
+                limit[c], lowest[c], evicted = self._merge_contested(
+                    member, base[seg_u[c]], m[c], cap[c], bid_of, seq_of,
+                    rows, bids, within, seg_starts[c], seg_len[c],
+                )
+                assigned_to[evicted] = -1
+                stats.evictions += len(evicted)
+            accepted = within < np.repeat(limit, seg_len)
+            rejected = rows[~accepted]
+            acc_rows = rows[accepted]
+            acc_u = target[accepted]
+            stats.bids_rejected += len(rejected)
+            assigned_to[acc_rows] = acc_u
+            bid_of[acc_rows] = bids[accepted]
+            seq_of[acc_rows] = next_seq[acc_u] + within[accepted]
+            # Uncontested batches append to their member blocks; the
+            # merge already rewrote the contested blocks.
+            fresh = accepted & ~np.repeat(contested, seg_len)
+            fresh_u = target[fresh]
+            member[base[fresh_u] + load[fresh_u] + within[fresh]] = rows[fresh]
+            next_seq[seg_u] += limit
+            load[seg_u] = np.minimum(m + limit, cap)
+            # λ_u = lowest kept bid once a batch that got in fills the set.
+            upd = (limit > 0) & (m + limit >= cap) & (lowest > lam[seg_u])
+            repriced = seg_u[upd]
+            if len(repriced):
+                lam[repriced] = lowest[upd]
+                stats.price_updates += len(repriced)
+                if self.on_price_update is not None:
+                    # Callback fast path: only a tracing run pays for
+                    # the index materialization + Python loop.
+                    for i in np.nonzero(upd)[0].tolist():
+                        self.on_price_update(
+                            round_no, int(csr.uploaders[seg_u[i]]), float(lowest[i])
+                        )
             stats.rounds = round_no
-            if len(idle):
-                dormant = np.concatenate((dormant, np.asarray(idle, dtype=np.int64)))
-            woken = no_rows
-            if len(dormant) and len(repriced):
-                # Wake the dormant rows with an edge at a repriced uploader
-                # (a dormant row is live, so it has edges).
-                hit = np.zeros(n_uploaders, dtype=bool)
-                hit[repriced] = True
-                lens = counts[dormant]
-                edges = self._concat_ranges(indptr[dormant], lens)
-                wake = np.logical_or.reduceat(hit[uidx[edges]], np.cumsum(lens) - lens)
-                woken, dormant = dormant[wake], dormant[~wake]
             # The three sets are disjoint; ascending order is the row
             # order the dense reference's scan would give them.
+            woken = wake(idle, repriced)
             rows = np.sort(np.concatenate((rejected, evicted, woken)))
-            if self.trace is not None:
-                self.trace.record(
-                    round_no,
-                    {int(csr.uploaders[i]): float(lam[i]) for i in range(n_uploaders)},
-                )
+            record(round_no)
         else:
+            converged = False
+        if not converged:
             raise AuctionNonConvergence(
                 f"round budget {self.max_rounds} exceeded: "
                 f"{(assigned_to >= 0).sum()}/{n} assigned, epsilon={self.epsilon}"

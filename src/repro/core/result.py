@@ -57,7 +57,8 @@ class SolverStats:
     """Work counters a solver reports for benchmarking and diagnostics.
 
     ``rows_evaluated`` (bid-phase row evaluations) and ``scalar_rounds``
-    (jacobi rounds that committed bids on the scalar path) describe how
+    (jacobi rounds that committed bids in the tail loop, after the
+    handoff from the vector rounds) describe how
     a solve did its work, not what it found, so equality ignores them:
     the dense jacobi oracle (``tests/oracles/auction.py``) evaluates
     every pending row by design.

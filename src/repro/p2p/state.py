@@ -26,8 +26,9 @@ at the few places state actually changes:
   member-id tables the candidate lookups binary-search; its rows index
   into the bucket.
 * **Membership** (member tables, row assignments, capacity / ISP
-  columns in peer-dict order) is updated in :meth:`PeerStateStore.admit`
-  / :meth:`PeerStateStore.remove`, guarded by
+  columns in peer-dict order) is updated in
+  :meth:`PeerStateStore.admit_batch` / :meth:`PeerStateStore.remove`,
+  guarded by
   :attr:`PeerStateStore.membership_version`.
 * **Candidate tables** (same-video neighbor rows/ids/costs per peer)
   are invalidated per peer from the overlay's dirty set
@@ -316,15 +317,6 @@ class VideoGroup:
         # Flat candidate CSR from the last build (or None).
         self._cand_cache: Optional[_CandCache] = None
 
-    def admit(self, peer: Peer, tally) -> int:
-        row = self.bucket.admit_row(peer, tally)
-        self.row_of[peer.peer_id] = row
-        at = int(np.searchsorted(self.member_ids, peer.peer_id))
-        self.member_ids = np.insert(self.member_ids, at, peer.peer_id)
-        self.member_rows = np.insert(self.member_rows, at, row)
-        self._watchers_stale = True
-        return row
-
     def remove(self, peer: Peer) -> None:
         row = self.row_of.pop(peer.peer_id)
         self.bucket.release_row(peer, row)
@@ -347,8 +339,8 @@ class PeerStateStore:
     """All columnar peer state, maintained incrementally across slots.
 
     Owned by :class:`~repro.p2p.system.P2PSystem`.  Membership changes
-    through :meth:`admit` / :meth:`remove`; the per-peer state of online
-    peers is only ever here, written by the batched delivery and
+    through :meth:`admit_batch` / :meth:`remove`; the per-peer state of
+    online peers is only ever here, written by the batched delivery and
     playback passes and, one peer at a time, through the peers' views.
     """
 
@@ -497,21 +489,16 @@ class PeerStateStore:
         self._row_table[peer.peer_id] = row
         self._bucket_key[peer.peer_id] = group.bucket.n_chunks
 
-    def admit(self, peer: Peer) -> None:
-        self._append_order(peer)
-        group = self._ensure_group(peer)
-        self._bind(peer, group, group.admit(peer, self))
-        self.membership_version += 1
-
     def admit_batch(self, peers: Iterable[Peer]) -> None:
-        """Admit many peers at once (batched :meth:`admit`).
+        """Admit peers, in order: every admission takes this path.
 
-        Final store state is identical to admitting the peers one by one
-        in order, but each touched video's sorted member table is merged
-        once instead of paying one ``np.insert`` rebuild per peer — the
-        path of every admission burst.  ``peers`` is read once, and each
-        peer moves into its row when reached, so an iterator that makes
-        peers on demand keeps one private row copy alive at a time.
+        Each touched video's sorted member table is merged once, not
+        rebuilt by one ``np.insert`` per peer; the store ends as it
+        would after admitting the peers one by one (the per-peer
+        reference is ``admit`` in ``tests/oracles/slot.py``).
+        ``peers`` is read once, and each peer moves into its row when
+        reached, so an iterator that makes peers on demand keeps one
+        private row copy alive at a time.
         """
         per_group: Dict[int, Tuple[List[int], List[int]]] = {}
         for peer in peers:

@@ -1,10 +1,12 @@
-"""Per-peer chunk buffer and window of interest.
+"""Per-peer chunk buffer.
 
 Each peer holds downloaded chunks of the video it watches and exchanges
 buffer maps with neighbors (Section V's "buffer manager").  The window
 of interest ``R_t(d)`` is the next ``window`` chunks beyond the playback
 position that the peer does not yet hold — the paper prefetches 100
-chunks, i.e. 10 seconds ahead.  Buffers are unbounded, as in the paper.
+chunks, i.e. 10 seconds ahead; the peer-state store's request assembler
+(:mod:`repro.p2p.state`) reads it from these bitmaps for every peer at
+once.  Buffers are unbounded, as in the paper.
 
 Storage is a numpy bool bitmap indexed by chunk number: the peer's row
 of the per-peer state columns, addressed through a :class:`PeerRow`
@@ -17,7 +19,7 @@ departure it is a private one-row copy.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable
 
 import numpy as np
 
@@ -203,41 +205,6 @@ class ChunkBuffer:
     def bitmap(self) -> FrozenSet[int]:
         """Immutable snapshot advertised to neighbors."""
         return frozenset(np.nonzero(self.mask)[0].tolist())
-
-    def window_array(
-        self,
-        position: int,
-        window: int,
-        exclude: Optional[Set[int]] = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`window_of_interest`: sorted int64 array."""
-        if window < 0:
-            raise ValueError(f"window must be non-negative, got {window!r}")
-        start = max(0, position)
-        stop = min(self.video.n_chunks, start + window)
-        if stop <= start:
-            return np.empty(0, dtype=np.int64)
-        available = ~self.mask[start:stop]
-        if exclude:
-            # Clear excluded positions directly — O(window + |exclude|),
-            # cheaper than a sort-based isin on the hot path.
-            skip = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-            skip = skip[(skip >= start) & (skip < stop)]
-            available[skip - start] = False
-        return np.nonzero(available)[0] + start
-
-    def window_of_interest(
-        self,
-        position: int,
-        window: int,
-        exclude: Optional[Set[int]] = None,
-    ) -> List[int]:
-        """The next ``window`` chunk indices from ``position`` not yet held.
-
-        ``exclude`` removes chunks already being fetched or already missed.
-        The result is ordered by index (i.e., by deadline).
-        """
-        return self.window_array(position, window, exclude).tolist()
 
     def contiguous_from(self, position: int) -> int:
         """Length of the held run starting at ``position`` (buffered playtime)."""

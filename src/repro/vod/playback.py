@@ -117,13 +117,6 @@ class PlaybackSession:
         """Seconds from ``now`` until chunk ``index`` plays (negative if overdue)."""
         return self.deadline_of(index) - now
 
-    def seconds_to_deadlines(self, indices, now: float) -> np.ndarray:
-        """Vectorized :meth:`seconds_to_deadline` over an index array."""
-        offsets = (
-            np.asarray(indices, dtype=float) - self.start_position
-        ) / self.video.chunks_per_second
-        return (self.start_time + offsets) - now
-
     def due_position(self, now: float) -> int:
         """Index of the first chunk not yet due at time ``now``."""
         elapsed = max(0.0, now - self.start_time)

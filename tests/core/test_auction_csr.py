@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import auction
-from repro.core.auction import AuctionSolver, _segment_max
+from repro.core.auction import AuctionSolver, PriceTrace, _segment_max
 from repro.core.duality import check_complementary_slackness
 from repro.core.exact import solve_hungarian
 from repro.core.problem import SchedulingProblem, random_problem
@@ -125,12 +125,34 @@ class TestJacobiCSRvsDense:
 
     def test_large_solve_runs_both_round_paths(self):
         # 2,500 requests: the bulk and mid-size rounds take the vector
-        # path, the small tail rounds the scalar one.
+        # path, the small rounds after them the tail loop.
         p = random_problem(
             np.random.default_rng(0), n_requests=2500, n_uploaders=400, max_candidates=6
         )
         result, _ = solve_like_dense(p, 0.01)
         assert 0 < result.stats.scalar_rounds < result.stats.rounds
+
+    def test_price_trace_matches_dense_on_both_round_paths(self):
+        # 400 requests: 3 vector rounds, then 14 tail rounds.  The trace
+        # reads λ after every round, so a tail reprice that missed the
+        # solver's λ array would show in the series.
+        p = random_problem(
+            np.random.default_rng(0), n_requests=400, n_uploaders=80, max_candidates=5
+        )
+        dense = PriceTrace()
+        solve_jacobi_dense(AuctionSolver(epsilon=0.01, trace=dense), p)
+        for small in (0, auction._SMALL_ROUND_ROWS):
+            trace = PriceTrace()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(auction, "_SMALL_ROUND_ROWS", small)
+                solver = AuctionSolver(epsilon=0.01, mode="jacobi", trace=trace)
+                stats = solver.solve(p).stats
+            if small:
+                assert 10 <= stats.scalar_rounds < stats.rounds
+            else:
+                assert stats.scalar_rounds == 0
+            assert trace.times == dense.times
+            assert trace.prices == dense.prices  # every uploader's series
 
     def test_warm_start_equivalence(self, small_problem):
         warm = {100: 0.5, 200: 0.25}
@@ -251,8 +273,8 @@ class TestContestedCommit:
         First every round runs on the vector path (``_SMALL_ROUND_ROWS
         = 0``).  Then the problem is padded with inert requests whose
         only candidate, ``DEAD``, has no capacity: they retire up front
-        and raise n, so every round is small (2·rows < n) and runs on
-        the scalar path.  Both runs must agree on the hand-built
+        and raise n, so round 1 is small (2·rows < n) and the whole
+        solve runs in the tail loop.  Both runs must agree on the hand-built
         requests' assignment, the other uploaders' prices, the stats and
         the callback stream, which are returned.
         """

@@ -75,7 +75,7 @@ class TestSpanContent:
 
 
     def test_solver_counts_scalar_rounds(self):
-        """A jacobi solve takes its small rounds on the scalar path.
+        """A jacobi solve hands its small tail rounds to the tail loop.
 
         Tiny problems stay under ``AUTO_JACOBI_EDGES`` and so run
         Gauss-Seidel; the jacobi scheduler is passed explicitly.

@@ -13,13 +13,18 @@ taking the object the step belongs to:
 * :func:`advance_to_reference` — ``PlaybackSession.advance_to``: one
   buffer probe per due chunk;
 * :func:`advance_playback_reference` — ``P2PSystem._advance_playback``:
-  :func:`advance_to_reference` per session.
+  :func:`advance_to_reference` per session;
+* :func:`admit` — ``PeerStateStore.admit_batch``: one peer at a time,
+  each a sorted ``np.insert`` into its video's member table
+  (:func:`group_admit`).
 
 The per-object helpers those loops call are here too, each taking the
 object it was once a method of: :func:`build_requests` (a peer's
-window of interest), :func:`held_among` (a buffer),
-:func:`receive_chunk` and :func:`record_upload` (a peer's transfer
-counters) and :func:`is_inter_isp` (a cost model).
+window of interest), :func:`window_array` and
+:func:`window_of_interest` (a buffer's), :func:`seconds_to_deadlines`
+(a session), :func:`held_among` (a buffer), :func:`receive_chunk` and
+:func:`record_upload` (a peer's transfer counters) and
+:func:`is_inter_isp` (a cost model).
 
 The property suites and the equivalence tests pin the production steps
 against these; the slot-pipeline benchmark times them as its seed path.
@@ -62,16 +67,80 @@ def build_requests(
     if peer.is_seed or session is None or session.finished:
         return []
     position = session.due_position(now)
-    wanted = peer.buffer.window_array(
-        position, prefetch_chunks, exclude=session.missed
+    wanted = window_array(
+        peer.buffer, position, prefetch_chunks, exclude=session.missed
     )
     if not wanted.size:
         return []
     to_deadline = np.maximum(
-        0.0, session.seconds_to_deadlines(wanted, now) - lookahead
+        0.0, seconds_to_deadlines(session, wanted, now) - lookahead
     )
     values = valuation.values(to_deadline)
     return list(zip(wanted.tolist(), values.tolist()))
+
+
+def window_array(
+    buffer,
+    position: int,
+    window: int,
+    exclude: Optional[Set[int]] = None,
+) -> np.ndarray:
+    """:func:`window_of_interest` as a sorted int64 array."""
+    if window < 0:
+        raise ValueError(f"window must be non-negative, got {window!r}")
+    start = max(0, position)
+    stop = min(buffer.video.n_chunks, start + window)
+    if stop <= start:
+        return np.empty(0, dtype=np.int64)
+    available = ~buffer.mask[start:stop]
+    if exclude:
+        # Clear excluded positions directly — O(window + |exclude|),
+        # cheaper than a sort-based isin.
+        skip = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+        skip = skip[(skip >= start) & (skip < stop)]
+        available[skip - start] = False
+    return np.nonzero(available)[0] + start
+
+
+def window_of_interest(
+    buffer,
+    position: int,
+    window: int,
+    exclude: Optional[Set[int]] = None,
+) -> List[int]:
+    """The next ``window`` chunk indices from ``position`` not in ``buffer``.
+
+    ``exclude`` removes chunks already being fetched or already missed.
+    The result is ordered by index (i.e., by deadline).
+    """
+    return window_array(buffer, position, window, exclude).tolist()
+
+
+def seconds_to_deadlines(session, indices, now: float) -> np.ndarray:
+    """``session.seconds_to_deadline`` over an index array."""
+    offsets = (
+        np.asarray(indices, dtype=float) - session.start_position
+    ) / session.video.chunks_per_second
+    return (session.start_time + offsets) - now
+
+
+def admit(store, peer) -> None:
+    """Admit one peer to ``store``: ``store.admit_batch([peer])``, unbatched."""
+    store._append_order(peer)
+    group = store._ensure_group(peer)
+    store._bind(peer, group, group_admit(group, peer, store))
+    store.membership_version += 1
+
+
+def group_admit(group, peer, tally) -> int:
+    """Give ``peer`` a row of ``group``'s bucket and a member-table entry."""
+    row = group.bucket.admit_row(peer, tally)
+    group.row_of[peer.peer_id] = row
+    at = int(np.searchsorted(group.member_ids, peer.peer_id))
+    group.member_ids = np.insert(group.member_ids, at, peer.peer_id)
+    group.member_rows = np.insert(group.member_rows, at, row)
+    group._watchers_stale = True
+    return row
 
 
 def held_among(buffer, indices: Set[int]) -> Set[int]:

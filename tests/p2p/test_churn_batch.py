@@ -6,9 +6,8 @@ playback columns (``PeerStateStore.departure_scan``) and are removed via
 ``remove_batch``; arrival bursts register with ``admit_batch``; the
 departed batch leaves the pair-cost cache in one ``forget_peer`` sweep.
 These tests pin the batched paths against the per-peer reference
-(``process_departures_reference`` in ``tests/oracles/slot.py``,
-sequential ``store.admit``, the
-neighbor-filtering refill walk) on whole churny trajectories — peer
+(``process_departures_reference`` and one-peer-at-a-time ``admit``
+in ``tests/oracles/slot.py``, the neighbor-filtering refill walk) on whole churny trajectories — peer
 state, metrics, store invariants, cost cache and overlay must all come
 out identical.
 """
@@ -30,7 +29,7 @@ sys.path.insert(
 from support import assert_same_peer_state  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import process_departures_reference  # noqa: E402
+from slot import admit, process_departures_reference  # noqa: E402
 
 
 def churny_config(seed: int, **overrides) -> SystemConfig:
@@ -51,8 +50,7 @@ def reference_churn_system(config: SystemConfig) -> P2PSystem:
         )
     )
     store = system.store
-    real_admit = store.admit
-    store.admit_batch = lambda peers: [real_admit(p) for p in peers]
+    store.admit_batch = lambda peers: [admit(store, p) for p in peers]
 
     def full_dict_refill():
         # The historical refill pass: walk the whole peers dict, skip

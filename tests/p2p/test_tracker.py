@@ -32,7 +32,7 @@ def make_peer(store, peer_id, video_id=0, position=0, is_seed=False):
     else:
         buffer.fill_range(0, 100)
     peer = Peer(peer_id, 0, video, 10, buffer, session=session, is_seed=is_seed)
-    store.admit(peer)
+    store.admit_batch([peer])
     return peer
 
 

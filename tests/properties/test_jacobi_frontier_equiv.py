@@ -22,9 +22,17 @@ pending row bids every round, so it evaluates exactly the dense
 reference's rows; with ε = 0 it skips the dormant rows the dense
 reference re-scans, so it evaluates at most as many.
 
-Every example is solved three times, with ``_SMALL_ROUND_ROWS`` at 0
-(every round on the vector path), at its default (which at these sizes
-puts every non-bulk round on the scalar path) and above every round.
+The solver hands the rest of a solve to its tail loop at the first
+round that is not bulk and has at most ``_SMALL_ROUND_ROWS`` rows, and
+the handoff is one-way.  Every example is solved four times, with the
+bound at 0 (every round on the vector path), at 2, at its default
+(which at these sizes hands over at the first non-bulk round) and
+above every round.  Only the bound of 2 reaches the case where a tail
+round outgrows the bound: at ε = 0, cold or warm-started, the dormant
+rows a tail reprice wakes join the next round, and the tail must stay
+exact at any round size.  The random problems reach it rarely, so
+:func:`crowd_problem` builds a crowd of dormant ties for a tail
+reprice to wake.
 
 Runs under the deterministic ``repro-props`` Hypothesis profile.
 """
@@ -46,9 +54,9 @@ from repro.core.problem import SchedulingProblem
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
 from auction import solve_in_mode  # noqa: E402
 
-#: ``_SMALL_ROUND_ROWS`` settings: vector only, the default, scalar for
-#: every non-bulk round.
-SMALL_ROUND_ROWS = (0, auction._SMALL_ROUND_ROWS, 10**9)
+#: ``_SMALL_ROUND_ROWS`` settings: vector only, a handoff at a round of
+#: at most 2 rows, the default, a handoff at the first non-bulk round.
+SMALL_ROUND_ROWS = (0, 2, auction._SMALL_ROUND_ROWS, 10**9)
 
 
 def build_problem(
@@ -79,6 +87,49 @@ def build_problem(
             chunk=f"c{r}",
             valuation=valuation,
             candidates={uploader_ids[int(j)]: float(c) for j, c in zip(chosen, costs)},
+        )
+    return problem
+
+
+def crowd_problem(seed: int) -> SchedulingProblem:
+    """A crowd of ε = 0 ties that sleeps until a tail reprice wakes it.
+
+    Two or three rows fight over one uploader of capacity 1, each with
+    a quiet uploader as its second choice.  Every crowd row values two
+    quiet uploaders equally, so at ε = 0 its bid equals λ and it goes
+    dormant in round 1.  The fight's losers move to the quiet uploaders
+    in rounds of one or two rows, and a quiet uploader that fills and
+    reprices wakes every crowd row that lists it at once: with the
+    bound at 2, a tail round larger than the bound (about half the
+    cold examples).
+    """
+    rng = np.random.default_rng(seed)
+    problem = SchedulingProblem()
+    quiet = [20_000 + i for i in range(int(rng.integers(2, 5)))]
+    top = 30_000
+    problem.set_capacity(top, 1)
+    for u in quiet:
+        problem.set_capacity(u, int(rng.integers(1, 3)))
+    n_fight = int(rng.integers(2, 4))
+    for r in range(n_fight):
+        second = quiet[int(rng.integers(len(quiet)))]
+        problem.add_request(
+            peer=r,
+            chunk=f"c{r}",
+            valuation=float(rng.integers(10, 20)),
+            candidates={
+                top: float(rng.integers(0, 3)),
+                second: float(rng.integers(3, 8)),
+            },
+        )
+    for r in range(n_fight, n_fight + int(rng.integers(3, 21))):
+        a, b = rng.choice(len(quiet), size=2, replace=False)
+        cost = float(rng.integers(0, 5))
+        problem.add_request(
+            peer=r,
+            chunk=f"c{r}",
+            valuation=cost + float(rng.integers(1, 4)),
+            candidates={quiet[int(a)]: cost, quiet[int(b)]: cost},
         )
     return problem
 
@@ -162,6 +213,14 @@ def test_frontier_matches_dense_warm_started(spec, epsilon, warm_fraction):
     problem = build_problem(**spec)
     prices = warm_prices(spec["seed"], problem, warm_fraction)
     assert_identical(problem, epsilon, initial_prices=prices)
+
+
+@given(seed=st.integers(0, 10_000), warm_fraction=st.sampled_from([0.0, 0.3]))
+def test_tail_wakes_a_dormant_crowd(seed, warm_fraction):
+    """ε = 0: a tail round outgrows the bound, and the tail stays exact."""
+    problem = crowd_problem(seed)
+    prices = warm_prices(seed, problem, warm_fraction)
+    assert_identical(problem, 0.0, initial_prices=prices)
 
 
 @given(seed=st.integers(0, 10_000))

@@ -9,9 +9,10 @@ warm starts — both must equal the pair lookup bit for bit:
 ``welfare`` equals ``SchedulingProblem.welfare_pairs`` and the served
 values equal ``SchedulingProblem.edge_value_pairs``.  The edges come
 from two places in the solver, so every example is solved with every
-round on the vector path (``_SMALL_ROUND_ROWS = 0``) and with the
-scalar path on (the default, which at these sizes takes every non-bulk
-round).  The pair lookup is blocked while the result is scored, so the
+round on the vector path (``_SMALL_ROUND_ROWS = 0``), with the handoff
+to the tail loop at a round of at most 2 rows (at ε = 0 later tail
+rounds can outgrow that bound), and at the default bound (which at
+these sizes hands over at the first non-bulk round).  The pair lookup is blocked while the result is scored, so the
 solver's edges are what is being checked.
 
 Runs under the deterministic ``repro-props`` Hypothesis profile.
@@ -35,7 +36,7 @@ def _no_pair_lookup(*_):
 
 
 def assert_edge_welfare(problem, epsilon, initial_prices=None) -> None:
-    for small in (0, auction._SMALL_ROUND_ROWS):
+    for small in (0, 2, auction._SMALL_ROUND_ROWS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(auction, "_SMALL_ROUND_ROWS", small)
             solver = AuctionSolver(epsilon=epsilon, mode="jacobi", max_rounds=400)

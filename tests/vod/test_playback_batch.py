@@ -20,7 +20,7 @@ from repro.vod.playback import PlaybackSession
 from repro.vod.video import Video
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import advance_to_reference  # noqa: E402
+from slot import advance_to_reference, window_array  # noqa: E402
 
 
 def make_video(n_chunks=40):
@@ -109,8 +109,8 @@ class TestBatchedAdvanceEquivalence:
         fast.advance_to(5.0)
         advance_to_reference(slow, 5.0)
         assert fast.missed == {0, 2, 4} == slow.missed
-        window_fast = fast.buffer.window_array(fast.position, 10, exclude=fast.missed)
-        window_slow = slow.buffer.window_array(slow.position, 10, exclude=slow.missed)
+        window_fast = window_array(fast.buffer, fast.position, 10, exclude=fast.missed)
+        window_slow = window_array(slow.buffer, slow.position, 10, exclude=slow.missed)
         assert np.array_equal(window_fast, window_slow)
 
 
