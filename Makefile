@@ -66,8 +66,9 @@ results-check:
 	git diff --exit-code -- results/
 
 # Paired A/B of the end-to-end slot benchmark (perfbench/run.py --trace
-# $(TRACE)): BASE, checked out into a temporary git worktree, against this
-# checkout, PAIRS pairs that alternate which tree runs first.  Prints each
+# $(TRACE)): BASE against this checkout (uncommitted tracked edits included),
+# each checked out into a temporary git worktree at paths of equal length,
+# PAIRS pairs that alternate which tree runs first.  Prints each
 # end-to-end metric's median, quartiles and win count; TRACE=1 compares
 # traced runs on the per-layer metrics instead.  Slow (about a minute and
 # a quarter a pair on churn-lossy-3k, 2-core host), so not part of

@@ -3,8 +3,14 @@
     make perf-ab BASE=<rev> W=churn-lossy-3k SEED=1 PAIRS=10 [TRACE=1]
     python3 benchmarks/perf_ab.py --base <rev> --workload churn-lossy-3k --seed 1 --pairs 10 [--trace 1]
 
-The base revision is checked out into a temporary ``git worktree``,
-which is removed on exit.  Each pair runs
+Both trees run from temporary ``git worktree`` checkouts side by side,
+``<tmp>/base`` and ``<tmp>/chng``, which are removed on exit: a tree's
+directory moves its timings, so the two run from paths of equal
+length.  The change tree is this checkout's tracked files as they are,
+uncommitted edits included (a ``git stash create`` commit, or ``HEAD``
+when there are no edits); untracked files under ``src/`` or
+``perfbench/`` would not reach it, so their presence stops the A/B
+before it starts.  Each pair runs
 ``perfbench/run.py --workload W --seed S --trace T`` once on each tree,
 one after the other, and alternates which tree goes first so that a
 drift in host speed favours neither side.  A run's last output line is
@@ -50,15 +56,51 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git(*args: str) -> str:
+def _git(*args: str, repo: Path = REPO_ROOT) -> str:
     return subprocess.run(
-        ["git", *args], cwd=REPO_ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=repo, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def untracked_sources(repo: Path = REPO_ROOT) -> List[str]:
+    """Untracked files under ``src/`` and ``perfbench/``, which no checkout carries."""
+    return _git(
+        "ls-files", "--others", "--exclude-standard", "--", "src", "perfbench",
+        repo=repo,
+    ).splitlines()
+
+
+def tree_paths(tmp: Path) -> Dict[str, Path]:
+    """The two trees' directories: ``tmp/base`` and ``tmp/chng``, of equal length."""
+    return {"base": tmp / "base", "change": tmp / "chng"}
+
+
+def check_out(trees: Dict[str, Path], base_rev: str, repo: Path = REPO_ROOT) -> None:
+    """Add the base and the change as detached worktrees at ``trees``.
+
+    The change is the checkout's tracked files as they are: a
+    ``git stash create`` commit of the uncommitted edits, or ``HEAD``
+    when there are none.
+    """
+    revs = {"base": base_rev, "change": _git("stash", "create", repo=repo) or "HEAD"}
+    for side, tree in trees.items():
+        _git("worktree", "add", "--detach", str(tree), revs[side], repo=repo)
+
+
+def remove_trees(trees: Dict[str, Path], repo: Path = REPO_ROOT) -> None:
+    """Remove the worktrees :func:`check_out` added (those that exist)."""
+    for tree in trees.values():
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(tree)],
+            cwd=repo, capture_output=True,
+        )
+        shutil.rmtree(tree, ignore_errors=True)
+    subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True)
 
 
 def run_bench(
@@ -182,6 +224,10 @@ def main(argv=None) -> int:
         help="1: traced runs, compared on the per-layer metrics",
     )
     args = parser.parse_args(argv)
+    stray = untracked_sources()
+    if stray:
+        sys.exit("perf-ab: untracked files would not reach the change tree; "
+                 "commit, stage or remove them first:\n  " + "\n  ".join(stray))
 
     spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
     metrics = spec["per_layer" if args.trace else "end_to_end"]
@@ -192,14 +238,14 @@ def main(argv=None) -> int:
           f"nproc={os.cpu_count()} base={base_rev[:12]} "
           f"change={_git('rev-parse', 'HEAD')[:12]}{dirty}", flush=True)
 
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed either way.
+    # SIGTERM unwinds like Ctrl-C, so the worktrees are removed either way.
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     tmp = Path(tempfile.mkdtemp(prefix="perf-ab-"))
-    trees = {"base": tmp / "base", "change": REPO_ROOT}
+    trees = tree_paths(tmp)
     failed = {"base": 0, "change": 0}
     pairs = []
     try:
-        _git("worktree", "add", "--detach", str(trees["base"]), base_rev)
+        check_out(trees, base_rev)
         for i in range(args.pairs):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             result = {}
@@ -220,12 +266,8 @@ def main(argv=None) -> int:
                     print(f"  warning: pair {i + 1} measured {passes[0]} passes on "
                           f"base, {passes[1]} on change", flush=True)
     finally:
-        subprocess.run(
-            ["git", "worktree", "remove", "--force", str(trees["base"])],
-            cwd=REPO_ROOT, capture_output=True,
-        )
+        remove_trees(trees)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=REPO_ROOT, capture_output=True)
 
     if pairs:
         summarize(pairs, metrics, args.trace)

@@ -1,6 +1,8 @@
-"""The paired A/B report: its verdict column and pass counts, on synthetic pairs."""
+"""The paired A/B: its report on synthetic pairs, and its two worktrees."""
 
 from __future__ import annotations
+
+import subprocess
 
 import perf_ab
 
@@ -118,3 +120,57 @@ def test_uneven_pass_counts_add_a_pass_matched_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "pass counts differ on 0/2 pairs" in out
     assert "pass-matched" not in out
+
+
+def git(repo, *args):
+    return subprocess.run(
+        ["git", *args], cwd=repo, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def scratch_repo(root):
+    """A one-commit repository with ``src/mod.py``; returns its HEAD."""
+    (root / "src").mkdir(parents=True)
+    git(root, "init", "-q")
+    git(root, "config", "user.name", "perf-ab test")
+    git(root, "config", "user.email", "perf-ab@example.invalid")
+    (root / "src" / "mod.py").write_text("VALUE = 1\n")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "base")
+    return git(root, "rev-parse", "HEAD")
+
+
+def test_trees_sit_at_equal_length_paths_and_carry_uncommitted_edits(tmp_path):
+    repo = tmp_path / "repo"
+    base = scratch_repo(repo)
+    (repo / "src" / "mod.py").write_text("VALUE = 2\n")  # not committed
+    trees = perf_ab.tree_paths(tmp_path / "ab")
+    try:
+        perf_ab.check_out(trees, base, repo)
+        assert len(str(trees["base"])) == len(str(trees["change"]))
+        assert (trees["base"] / "src" / "mod.py").read_text() == "VALUE = 1\n"
+        assert (trees["change"] / "src" / "mod.py").read_text() == "VALUE = 2\n"
+    finally:
+        perf_ab.remove_trees(trees, repo)
+    assert not trees["base"].exists() and not trees["change"].exists()
+    # The edit stays uncommitted in the checkout.
+    assert git(repo, "status", "--porcelain") == "M src/mod.py"
+
+
+def test_clean_checkout_runs_head_as_the_change(tmp_path):
+    repo = tmp_path / "repo"
+    base = scratch_repo(repo)
+    trees = perf_ab.tree_paths(tmp_path / "ab")
+    try:
+        perf_ab.check_out(trees, base, repo)
+        assert git(trees["change"], "rev-parse", "HEAD") == base
+    finally:
+        perf_ab.remove_trees(trees, repo)
+
+
+def test_untracked_source_files_are_named(tmp_path):
+    repo = tmp_path / "repo"
+    scratch_repo(repo)
+    (repo / "src" / "new.py").write_text("")
+    (repo / "notes.txt").write_text("")  # outside src/ and perfbench/
+    assert perf_ab.untracked_sources(repo) == ["src/new.py"]

@@ -1059,11 +1059,14 @@ def random_problem(
 
     ``integer_weights`` draws integer valuations/costs, which makes the
     auction with ε < 1/n exactly optimal — handy for theorem tests.
+    Requesters are numbered ``0..n_requests-1`` and uploaders from
+    ``max(10_000, n_requests)``, so the two id ranges never meet.
     """
     if n_uploaders < 1:
         raise ValueError("need at least one uploader")
     problem = SchedulingProblem()
-    uploader_ids = [10_000 + i for i in range(n_uploaders)]
+    first = max(10_000, n_requests)
+    uploader_ids = [first + i for i in range(n_uploaders)]
     for u in uploader_ids:
         problem.set_capacity(u, int(rng.integers(capacity_range[0], capacity_range[1] + 1)))
     for r in range(n_requests):

@@ -6,15 +6,14 @@ normals: inter-ISP ~ TN(μ=5, σ=1, [1, 10]) and intra-ISP
 first query (peers churn, so a static matrix would not do) and cache so
 the same pair always sees the same cost within a run.
 
-``symmetric=True`` (the default) gives ``w_{u→d} = w_{d→u}``, consistent
-with interpreting the cost as the latency of the link between the two
-peers.  Asymmetric mode samples each direction independently — useful
-for stress-testing the auction, which never assumes symmetry.
+Costs are symmetric, ``w_{u→d} = w_{d→u}``: the unordered pair shares
+one draw, consistent with interpreting the cost as the latency of the
+link between the two peers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -39,8 +38,6 @@ class CostModel:
         Source of randomness for the cost draws.
     inter, intra:
         Truncated-normal distributions for cross-ISP and same-ISP pairs.
-    symmetric:
-        If ``True`` the unordered pair shares one draw.
     """
 
     def __init__(
@@ -49,13 +46,11 @@ class CostModel:
         rng: np.random.Generator,
         inter: TruncatedNormal = PAPER_INTER_ISP_COST,
         intra: TruncatedNormal = PAPER_INTRA_ISP_COST,
-        symmetric: bool = True,
     ) -> None:
         self.topology = topology
         self.rng = rng
         self.inter = inter
         self.intra = intra
-        self.symmetric = symmetric
         self._cache: Dict[Tuple[int, int], float] = {}
         # Per-ISP-pair price multipliers (scenario engine: transit-price
         # shocks, asymmetric transit regimes).  Keyed by the sorted
@@ -82,10 +77,6 @@ class CostModel:
             value *= self._pair_scale(src, dst)
         self._cache[key] = value
         return value
-
-    def costs_from(self, sources: Iterable[int], dst: int) -> np.ndarray:
-        """Vector of costs ``w_{u→dst}`` for each ``u`` in ``sources``."""
-        return np.array([self.cost(src, dst) for src in sources], dtype=float)
 
     def costs_for_pairs(self, sources, dst: int) -> np.ndarray:
         """Bulk :meth:`cost`: ``w_{u→dst}`` for an array of sources.
@@ -228,22 +219,7 @@ class CostModel:
         """Number of cached pair costs."""
         return len(self._cache)
 
-    def matrix(self, peers: list[int]) -> np.ndarray:
-        """Dense cost matrix over ``peers`` (diagonal zero).
-
-        Row ``i``, column ``j`` holds ``w_{peers[i]→peers[j]}``.  Used by
-        tests and the exact solvers; the auction itself only ever touches
-        costs on candidate edges.
-        """
-        n = len(peers)
-        out = np.zeros((n, n), dtype=float)
-        for i, u in enumerate(peers):
-            for j, d in enumerate(peers):
-                if i != j:
-                    out[i, j] = self.cost(u, d)
-        return out
-
-    def _key(self, src: int, dst: int) -> Tuple[int, int]:
-        if self.symmetric and src > dst:
-            return (dst, src)
-        return (src, dst)
+    @staticmethod
+    def _key(src: int, dst: int) -> Tuple[int, int]:
+        """The cache key of the unordered pair."""
+        return (dst, src) if src > dst else (src, dst)

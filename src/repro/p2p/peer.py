@@ -11,10 +11,11 @@ winning transfers, :mod:`repro.p2p.system`).
 Seed peers cache a complete video, never watch, and contribute 8× the
 streaming rate of upload bandwidth.
 
-A peer's transfer counters live with its buffer and playback state in
-its row of the per-peer state (:class:`~repro.vod.buffer.PeerRow`):
-while the peer is online they are entries of the peer-state store's
-counter columns, which the slot pipeline updates for all peers at once.
+A peer's upload capacity and transfer counters live with its buffer
+and playback state in its row of the per-peer state
+(:class:`~repro.vod.buffer.PeerRow`): while the peer is online they are
+entries of the peer-state store's peer-id-indexed columns, which the
+slot pipeline reads and updates for all peers at once.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ class Peer:
     video:
         The video it watches (seeds: the video it serves).
     upload_capacity_chunks:
-        ``B(u)`` in chunks per slot.
+        ``B(u)`` in chunks per slot.  The one value that may change
+        after admission: writing the attribute writes the store's
+        capacity column, which the next problem build reads.
     is_seed:
         Seeds hold the full video and never issue requests.
     session:
@@ -54,6 +57,7 @@ class Peer:
         Early-departure instant (Fig. 6 dynamics), ``None`` otherwise.
     """
 
+    upload_capacity_chunks = RowField("capacity", int, tally=True)
     chunks_uploaded = RowField("uploaded", int, tally=True)
     chunks_downloaded = RowField("downloaded", int, tally=True)
     #: Slot time of the first chunk delivered to this peer (``None``
@@ -83,22 +87,13 @@ class Peer:
         self.peer_id = peer_id
         self.isp = isp
         self.video = video
-        self.upload_capacity_chunks = int(upload_capacity_chunks)
         self.buffer = buffer
         self.peer_row = buffer.peer_row
+        self.upload_capacity_chunks = int(upload_capacity_chunks)
         self.session = session
         self.is_seed = is_seed
         self.joined_at = float(joined_at)
         self.departure_time = departure_time
-        #: Set by the peer-state store on admission: the per-video
-        #: :class:`~repro.p2p.state.VideoGroup` this peer occupies
-        #: (``None`` while the peer is not registered with a store).
-        self.state_group = None
-
-    @property
-    def state_row(self) -> Optional[int]:
-        """The peer's row in its group's bucket (``None`` while offline)."""
-        return None if self.state_group is None else self.peer_row.row
 
     # ------------------------------------------------------------------
     # Content queries

@@ -10,8 +10,8 @@ at the few places state actually changes:
 
 * **Per-peer state** has one owner, the columns here.  Each online
   peer's chunk bitmap and playback state are a row of a
-  :class:`StateBucket`, and its transfer counters are entries of the
-  store's peer-id-indexed columns.  Its
+  :class:`StateBucket`, and its upload capacity and transfer counters
+  are entries of the store's peer-id-indexed columns.  Its
   :class:`~repro.vod.buffer.ChunkBuffer`,
   :class:`~repro.vod.playback.PlaybackSession` and
   :class:`~repro.p2p.peer.Peer` are views over those entries through
@@ -23,19 +23,23 @@ at the few places state actually changes:
   count, so every video of the paper's uniform catalog shares one
   matrix and the batched playback pass is a *single* vectorized sweep,
   not one per video.  :class:`VideoGroup` keeps the per-video sorted
-  member-id tables the candidate lookups binary-search; its rows index
-  into the bucket.
-* **Membership** (member tables, row assignments, capacity / ISP
-  columns in peer-dict order) is updated in
-  :meth:`PeerStateStore.admit_batch` / :meth:`PeerStateStore.remove`,
-  guarded by
+  member-id tables the candidate lookups binary-search.
+* **Membership** is recorded once, by peer id: the sorted array of
+  online ids, and the id-indexed columns holding each online peer's
+  bucket row and key, plus the values fixed at construction (ISP, seed
+  flag, departure time), written once at admission.  Ascending id is
+  the only order: capacity columns, departure scans and request
+  columns all come out in it.  Online ids and member tables are merged
+  per batch in :meth:`PeerStateStore.admit_batch` and compacted per
+  batch in :meth:`PeerStateStore.remove_batch`, guarded by
   :attr:`PeerStateStore.membership_version`.
 * **Candidate tables** (same-video neighbor rows/ids/costs per peer)
   are invalidated per peer from the overlay's dirty set
   (:meth:`OverlayGraph.consume_dirty`) instead of being version-swept
-  wholesale.  Missing entries are built in peer-dict order so the cost
-  model samples never-seen pairs in exactly the order the pre-store
-  pipeline did (trajectory preservation).  Each video group also keeps
+  wholesale.  Missing entries are built in ascending id order, the
+  order the per-request reference visits peers, so the cost model
+  samples never-seen pairs in exactly its order (trajectory
+  preservation).  Each video group also keeps
   the flat candidate CSR of its last build, which the next build
   splices forward segment by segment (:class:`_CandCache`).
 * **Playback** columns (start time/position, position, played count,
@@ -67,7 +71,7 @@ so a window starting at any playback position stays in bounds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -119,6 +123,12 @@ def _window_words(words_flat, wpr, rows, starts, W):
     lo = words_flat[base + 1] >> ((np.uint64(64) - r) & np.uint64(63))
     np.multiply(lo, r != 0, out=lo)
     return (hi | lo) >> np.uint64(64 - W)
+
+
+def _merge_ids(table: np.ndarray, ids: Sequence[int]) -> np.ndarray:
+    """Sorted ``table`` with the new, distinct ``ids`` merged in."""
+    add = np.sort(np.asarray(ids, dtype=np.int64))
+    return np.insert(table, np.searchsorted(table, add), add)
 
 
 class _CandCache:
@@ -226,7 +236,7 @@ class StateBucket:
     def admit_row(self, peer: Peer, tally) -> int:
         """Assign ``peer`` a row and move its state there.
 
-        ``tally`` holds the id-indexed counter columns the peer's
+        ``tally`` holds the id-indexed columns the peer's capacity and
         counters move to (the store).
         """
         if self.free_rows:
@@ -296,10 +306,11 @@ class StateBucket:
 
 
 class VideoGroup:
-    """Per-video membership tables over a :class:`StateBucket`.
+    """Per-video membership table over a :class:`StateBucket`.
 
-    ``member_ids`` / ``member_rows`` keep the sorted-id view the
-    candidate lookups binary-search; rows index into :attr:`bucket`.
+    ``member_ids`` is the sorted-id table the candidate lookups
+    binary-search; a member's row in :attr:`bucket` is read from the
+    store's id-indexed row table.
     """
 
     def __init__(self, video: Video, bucket: StateBucket) -> None:
@@ -307,9 +318,7 @@ class VideoGroup:
         self.bucket = bucket
         self.n_chunks = int(video.n_chunks)
         self.window = bucket.window
-        self.row_of: Dict[int, int] = {}
         self.member_ids = _EMPTY_INT  # sorted peer ids
-        self.member_rows = _EMPTY_INT  # bucket rows aligned with member_ids
         # Watcher view (members with playback sessions), member order.
         self._watchers_stale = True
         self._watcher_rows = _EMPTY_INT
@@ -317,19 +326,15 @@ class VideoGroup:
         # Flat candidate CSR from the last build (or None).
         self._cand_cache: Optional[_CandCache] = None
 
-    def remove(self, peer: Peer) -> None:
-        row = self.row_of.pop(peer.peer_id)
-        self.bucket.release_row(peer, row)
-        at = int(np.searchsorted(self.member_ids, peer.peer_id))
-        self.member_ids = np.delete(self.member_ids, at)
-        self.member_rows = np.delete(self.member_rows, at)
-        self._watchers_stale = True
+    def watcher_arrays(self, row_table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, ids)`` of members with sessions, sorted-id order.
 
-    def watcher_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, ids)`` of members with sessions, sorted-id order."""
+        ``row_table`` is the store's id-indexed row table.
+        """
         if self._watchers_stale:
-            with_session = self.bucket.has_session[self.member_rows]
-            self._watcher_rows = self.member_rows[with_session]
+            rows = row_table[self.member_ids]
+            with_session = self.bucket.has_session[rows]
+            self._watcher_rows = rows[with_session]
             self._watcher_ids = self.member_ids[with_session]
             self._watchers_stale = False
         return self._watcher_rows, self._watcher_ids
@@ -339,9 +344,10 @@ class PeerStateStore:
     """All columnar peer state, maintained incrementally across slots.
 
     Owned by :class:`~repro.p2p.system.P2PSystem`.  Membership changes
-    through :meth:`admit_batch` / :meth:`remove`; the per-peer state of
-    online peers is only ever here, written by the batched delivery and
-    playback passes and, one peer at a time, through the peers' views.
+    through :meth:`admit_batch` / :meth:`remove_batch`; the per-peer
+    state of online peers is only ever here, written by the batched
+    delivery and playback passes and, one peer at a time, through the
+    peers' views.
     """
 
     def __init__(
@@ -357,21 +363,9 @@ class PeerStateStore:
         #: Bumped whenever any candidate entry is dropped; lets tests
         #: (and future caches) observe candidate invalidation.
         self.candidate_epoch = 0
-        self.seed_ids: Set[int] = set()
-        # Peer-dict-order columns (ids ascend because admission ids are
-        # monotone; an out-of-order admit flips the fast-path flag).
-        cap = 16
-        self._order_ids = np.zeros(cap, dtype=np.int64)
-        self._order_caps = np.zeros(cap, dtype=np.int64)
-        self._order_isps = np.zeros(cap, dtype=np.int64)
-        self._order_departure = np.full(cap, np.inf, dtype=float)
-        self._order_seed = np.zeros(cap, dtype=bool)
-        self._n = 0
-        self._ids_monotone = True
-        # Peer-id-indexed columns: ISP lookup, bucket row and bucket
-        # key (−1 = offline), and the transfer counters the peers'
-        # ``chunks_downloaded`` / ``chunks_uploaded`` /
-        # ``first_delivery_time`` read.
+        # The online peer ids, ascending.  Replaced, never written in
+        # place, so an array handed out stays as it was.
+        self._online_ids = _EMPTY_INT
         for name, empty in self._ID_COLUMNS:
             setattr(self, name, np.full(64, empty))
         # Per-peer candidate entries: pid -> (nb_rows, nb_ids, nb_costs),
@@ -428,15 +422,17 @@ class PeerStateStore:
     # ------------------------------------------------------------------
     # Membership hooks
     # ------------------------------------------------------------------
-    _ORDER_COLUMNS = (
-        "_order_ids", "_order_caps", "_order_isps",
-        "_order_departure", "_order_seed",
-    )
     #: Peer-id-indexed columns and the value an id without an online
-    #: peer reads.
+    #: peer reads: the bucket row and key, the values fixed at the
+    #: peer's construction (written once at admission), and the peers'
+    #: own upload capacity and transfer counters, which their
+    #: ``upload_capacity_chunks`` / ``chunks_downloaded`` /
+    #: ``chunks_uploaded`` / ``first_delivery_time`` read and write.
     _ID_COLUMNS = (
-        ("_isp_table", -1), ("_row_table", -1), ("_bucket_key", -1),
-        ("downloaded", 0), ("uploaded", 0), ("first_delivery", np.nan),
+        ("_row_table", -1), ("_bucket_key", -1), ("_isp_table", -1),
+        ("_seed_table", False), ("_departure_table", np.inf),
+        ("capacity", 0), ("downloaded", 0), ("uploaded", 0),
+        ("first_delivery", np.nan),
     )
 
     def _ensure_group(self, peer: Peer) -> VideoGroup:
@@ -453,172 +449,99 @@ class PeerStateStore:
             self.groups[vid] = group
         return group
 
-    def _append_order(self, peer: Peer) -> None:
-        """Append one peer to the dict-order columns and id-indexed tables."""
-        if peer.is_seed:
-            self.seed_ids.add(peer.peer_id)
-        n = self._n
-        if n >= len(self._order_ids):
-            for name in self._ORDER_COLUMNS:
-                old = getattr(self, name)
-                new = np.zeros(len(old) * 2, dtype=old.dtype)
-                new[:n] = old[:n]
-                setattr(self, name, new)
-        if n and peer.peer_id <= self._order_ids[n - 1]:
-            self._ids_monotone = False
-        self._order_ids[n] = peer.peer_id
-        self._order_caps[n] = peer.upload_capacity_chunks
-        self._order_isps[n] = peer.isp
-        self._order_departure[n] = (
-            np.inf if peer.departure_time is None else peer.departure_time
-        )
-        self._order_seed[n] = peer.is_seed
-        self._n = n + 1
-        if peer.peer_id >= len(self._isp_table):
-            size = max(len(self._isp_table) * 2, peer.peer_id + 1)
+    def _bind(self, peer: Peer) -> VideoGroup:
+        """Move ``peer`` into a bucket row and write its id-indexed entries.
+
+        Returns the peer's group; the caller enters the id in the member
+        table and the online ids.
+        """
+        pid = peer.peer_id
+        if pid >= len(self._row_table):
+            size = max(len(self._row_table) * 2, pid + 1)
             for name, empty in self._ID_COLUMNS:
                 old = getattr(self, name)
                 new = np.full(size, empty, dtype=old.dtype)
                 new[: len(old)] = old
                 setattr(self, name, new)
-        self._isp_table[peer.peer_id] = peer.isp
-
-    def _bind(self, peer: Peer, group: VideoGroup, row: int) -> None:
-        """Record ``peer``'s new row in the peer and the id tables."""
-        peer.state_group = group
-        self._row_table[peer.peer_id] = row
-        self._bucket_key[peer.peer_id] = group.bucket.n_chunks
+        group = self._ensure_group(peer)
+        self._row_table[pid] = group.bucket.admit_row(peer, self)
+        self._bucket_key[pid] = group.bucket.n_chunks
+        self._isp_table[pid] = peer.isp
+        self._seed_table[pid] = peer.is_seed
+        self._departure_table[pid] = (
+            np.inf if peer.departure_time is None else peer.departure_time
+        )
+        return group
 
     def admit_batch(self, peers: Iterable[Peer]) -> None:
         """Admit peers, in order: every admission takes this path.
 
-        Each touched video's sorted member table is merged once, not
-        rebuilt by one ``np.insert`` per peer; the store ends as it
-        would after admitting the peers one by one (the per-peer
-        reference is ``admit`` in ``tests/oracles/slot.py``).
-        ``peers`` is read once, and each peer moves into its row when
-        reached, so an iterator that makes peers on demand keeps one
-        private row copy alive at a time.
+        The online ids and each touched video's sorted member table are
+        merged once, not rebuilt by one ``np.insert`` per peer; the
+        store ends as it would after admitting the peers one by one
+        (the per-peer reference is ``admit`` in
+        ``tests/oracles/slot.py``).  ``peers`` is read once, and each
+        peer moves into its row when reached, so an iterator that makes
+        peers on demand keeps one private row copy alive at a time.
         """
-        per_group: Dict[int, Tuple[List[int], List[int]]] = {}
+        per_group: Dict[int, List[int]] = {}
         for peer in peers:
-            self._append_order(peer)
-            group = self._ensure_group(peer)
-            row = group.bucket.admit_row(peer, self)
-            group.row_of[peer.peer_id] = row
-            self._bind(peer, group, row)
-            ids, rows = per_group.setdefault(peer.video.video_id, ([], []))
-            ids.append(peer.peer_id)
-            rows.append(row)
-        for vid, (id_list, row_list) in per_group.items():
+            group = self._bind(peer)
+            per_group.setdefault(group.video.video_id, []).append(peer.peer_id)
+        for vid, id_list in per_group.items():
             group = self.groups[vid]
-            add_ids = np.asarray(id_list, dtype=np.int64)
-            add_rows = np.asarray(row_list, dtype=np.int64)
-            order = np.argsort(add_ids, kind="stable")  # ids are unique
-            add_ids, add_rows = add_ids[order], add_rows[order]
-            at = np.searchsorted(group.member_ids, add_ids)
-            group.member_ids = np.insert(group.member_ids, at, add_ids)
-            group.member_rows = np.insert(group.member_rows, at, add_rows)
+            group.member_ids = _merge_ids(group.member_ids, id_list)
             group._watchers_stale = True
             self.membership_version += len(id_list)
-
-    def remove(self, peer: Peer) -> None:
-        group = peer.state_group
-        if group is None:
-            raise KeyError(f"peer {peer.peer_id} is not in the store")
-        group.remove(peer)
-        peer.state_group = None
-        self.seed_ids.discard(peer.peer_id)
-        idx = int(np.nonzero(self._order_ids[: self._n] == peer.peer_id)[0][0])
-        for name in self._ORDER_COLUMNS:
-            arr = getattr(self, name)
-            arr[idx : self._n - 1] = arr[idx + 1 : self._n]
-        self._n -= 1
-        self._clear_ids(peer.peer_id)
-        if self._cand.pop(peer.peer_id, None) is not None:
-            self._cand_have[peer.peer_id] = False
-            self.candidate_epoch += 1
-            self._cand_log.append(peer.peer_id)
-        self.membership_version += 1
+        if per_group:
+            self._online_ids = _merge_ids(
+                self._online_ids,
+                [pid for id_list in per_group.values() for pid in id_list],
+            )
 
     def remove_batch(self, peers: Sequence[Peer]) -> None:
-        """Remove many peers at once (batched :meth:`remove`).
+        """Remove online peers, in order: every departure takes this path.
 
-        One mask compaction over the order columns and one per touched
-        member table, instead of an O(online) shift per departure — the
-        departure path of the churn slot boundary.
+        One mask compaction of the online ids and of each touched member
+        table, instead of an O(online) shift per departure; the per-peer
+        reference is ``remove`` in ``tests/oracles/slot.py``.  Raises
+        ``KeyError``, before changing anything, if a peer is not online.
         """
         if not peers:
             return
-        per_group: Dict[int, List[Peer]] = {}
-        for peer in peers:
-            if peer.state_group is None:
-                raise KeyError(f"peer {peer.peer_id} is not in the store")
-            per_group.setdefault(peer.video.video_id, []).append(peer)
-        for vid, members in per_group.items():
-            group = self.groups[vid]
-            for peer in members:
-                row = group.row_of.pop(peer.peer_id)
-                group.bucket.release_row(peer, row)
-                peer.state_group = None
-            gone = np.fromiter(
-                (p.peer_id for p in members), dtype=np.int64, count=len(members)
-            )
-            keep = ~np.isin(group.member_ids, gone)
-            group.member_ids = group.member_ids[keep]
-            group.member_rows = group.member_rows[keep]
-            group._watchers_stale = True
         ids = np.fromiter(
             (p.peer_id for p in peers), dtype=np.int64, count=len(peers)
         )
-        n = self._n
-        keep_order = ~np.isin(self._order_ids[:n], ids)
-        kept = int(keep_order.sum())
-        for name in self._ORDER_COLUMNS:
-            arr = getattr(self, name)
-            arr[:kept] = arr[:n][keep_order]
-        self._n = kept
+        online = ids < len(self._row_table)
+        online[online] = self._row_table[ids[online]] >= 0
+        if not online.all():
+            raise KeyError(
+                f"peer {int(ids[~online][0])} is not in the store"
+            )
+        rows = self._row_table[ids].tolist()
+        per_group: Dict[int, List[int]] = {}
+        for i, peer in enumerate(peers):
+            per_group.setdefault(peer.video.video_id, []).append(i)
+        for vid, idx in per_group.items():
+            group = self.groups[vid]
+            for i in idx:
+                group.bucket.release_row(peers[i], rows[i])
+            keep = ~np.isin(group.member_ids, ids[idx])
+            group.member_ids = group.member_ids[keep]
+            group._watchers_stale = True
+        self._online_ids = self._online_ids[~np.isin(self._online_ids, ids)]
         self._clear_ids(ids)
-        for peer in peers:
-            self.seed_ids.discard(peer.peer_id)
-            if self._cand.pop(peer.peer_id, None) is not None:
-                self._cand_have[peer.peer_id] = False
+        for pid in ids.tolist():
+            if self._cand.pop(pid, None) is not None:
+                self._cand_have[pid] = False
                 self.candidate_epoch += 1
-                self._cand_log.append(peer.peer_id)
+                self._cand_log.append(pid)
         self.membership_version += len(peers)
 
     def _clear_ids(self, ids) -> None:
         """Reset departed ids in every id-indexed column."""
         for name, empty in self._ID_COLUMNS:
             getattr(self, name)[ids] = empty
-
-    def update_capacity(self, peer: Peer) -> None:
-        """Re-read one online peer's upload capacity into the column.
-
-        Scenario-engine hook (capacity ramps, seeder outage/recovery):
-        the caller mutates ``peer.upload_capacity_chunks`` and this
-        re-syncs the dict-order capacity column so the next
-        ``build_problem`` sees the new budget.
-        """
-        self.update_capacities([peer])
-
-    def update_capacities(self, peers: Sequence[Peer]) -> None:
-        """Batched :meth:`update_capacity` (one pass over the column)."""
-        if not peers:
-            return
-        by_id = {p.peer_id: p for p in peers}
-        n = self._n
-        ids = self._order_ids[:n]
-        hit = np.isin(ids, np.fromiter(by_id, dtype=np.int64, count=len(by_id)))
-        idx = np.nonzero(hit)[0]
-        if len(idx) != len(by_id):
-            missing = set(by_id) - set(ids[idx].tolist())
-            raise KeyError(f"peers {sorted(missing)} are not in the store")
-        self._order_caps[idx] = np.fromiter(
-            (by_id[pid].upload_capacity_chunks for pid in ids[idx].tolist()),
-            dtype=np.int64,
-            count=len(idx),
-        )
 
     def invalidate_costs(self) -> None:
         """Drop every cached candidate-cost table (cost-regime change).
@@ -642,32 +565,42 @@ class PeerStateStore:
     # Columns
     # ------------------------------------------------------------------
     def capacity_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(peer_ids, upload capacities)`` in peer-dict order (views)."""
-        return self._order_ids[: self._n], self._order_caps[: self._n]
+        """``(peer_ids, upload capacities)`` of the online peers, ascending id.
+
+        The id array is the store's own (do not mutate); the capacities
+        are a copy.
+        """
+        ids = self._online_ids
+        return ids, self.capacity[ids]
 
     def isp_table(self) -> np.ndarray:
         """Peer-id-indexed ISP lookup table (−1 = offline; do not mutate)."""
         return self._isp_table
 
+    def playback_positions(self, video_id: int, ids: np.ndarray) -> np.ndarray:
+        """Positions of the online peers ``ids`` of video ``video_id``.
+
+        NaN for a peer without a playback session (a seed).
+        """
+        bucket = self.groups[video_id].bucket
+        rows = self._row_table[ids]
+        return np.where(bucket.has_session[rows], bucket.position[rows], np.nan)
+
     def departure_scan(self, t: float, remove_finished: bool) -> List[int]:
-        """Non-seed peers due to leave at slot boundary ``t``, dict order.
+        """Non-seed peers due to leave at slot boundary ``t``, ascending id.
 
         One mask over the departure-time column (``inf`` = stays), plus
         — when ``remove_finished`` — a per-group finished check on the
-        position column.  Matches the reference loop over
-        ``peers.values()`` (``departure_time <= t`` or
-        ``session.finished``) including its dict iteration order, which
-        the batched removal preserves.
+        position column.  Matches the reference loop over the online
+        peers in id order (``departure_time <= t`` or
+        ``session.finished``); the batched removal keeps that order.
         """
-        n = self._n
-        if not n:
-            return []
-        ids = self._order_ids[:n]
-        doomed = (self._order_departure[:n] <= t) & ~self._order_seed[:n]
+        ids = self._online_ids
+        doomed = (self._departure_table[ids] <= t) & ~self._seed_table[ids]
         if remove_finished:
             finished: List[np.ndarray] = []
             for group in self.groups.values():
-                rows, g_ids = group.watcher_arrays()
+                rows, g_ids = group.watcher_arrays(self._row_table)
                 if not len(rows):
                     continue
                 done = group.bucket.position[rows] >= group.n_chunks
@@ -675,8 +608,6 @@ class PeerStateStore:
                     finished.append(g_ids[done])
             if finished:
                 doomed |= np.isin(ids, np.concatenate(finished))
-        if not doomed.any():
-            return []
         return ids[doomed].tolist()
 
     # ------------------------------------------------------------------
@@ -717,9 +648,8 @@ class PeerStateStore:
                 pos = np.searchsorted(members, nb)
                 pos[pos >= members.size] = 0
                 hit = members[pos] == nb
-                mpos = pos[hit]
-                nb_ids = members[mpos]
-                nb_rows = group.member_rows[mpos]
+                nb_ids = members[pos[hit]]
+                nb_rows = self._row_table[nb_ids]
             else:
                 nb_ids = _EMPTY_INT
                 nb_rows = _EMPTY_INT
@@ -977,23 +907,19 @@ class PeerStateStore:
         self._trim_cand_log()
         return parts
 
-    def _pack_requests(self, peers, vids, chunks, vals, counts,
-                       cand_ids, cand_costs):
-        """Permute concatenated request columns into peer-dict order.
+    @staticmethod
+    def _pack_requests(peers, vids, chunks, vals, counts, cand_ids, cand_costs):
+        """Permute concatenated request columns into ascending peer-id order.
 
         Shared with the cold oracle assembler.  Any concatenation
         order is acceptable on entry as long as each peer's requests
         stay window-ordered relative to each other (a peer watches one
         video, so its requests come from a single group): the stable
-        dict-order permutation then lands every column on identical
-        bytes.
+        sort by peer id then lands every column on identical bytes.
         """
         n_req = len(peers)
-        # The permutation may only be skipped when ascending id *is*
-        # peer-dict order; with out-of-order admissions an incidentally
-        # sorted column must still be permuted into dict order.
-        if not (self._ids_monotone and np.all(peers[1:] >= peers[:-1])):
-            perm = self._request_permutation(peers)
+        if not np.all(peers[1:] >= peers[:-1]):
+            perm = np.argsort(peers, kind="stable")
             old_indptr = np.zeros(n_req + 1, dtype=np.int64)
             np.cumsum(counts, out=old_indptr[1:])
             lens = counts[perm]
@@ -1015,31 +941,6 @@ class PeerStateStore:
         pairs[:, 0] = vids
         pairs[:, 1] = chunks
         return peers, pairs, vals, cand_ids, cand_costs, indptr
-
-    def _request_permutation(self, peers: np.ndarray) -> np.ndarray:
-        """Permutation restoring peer-dict request order."""
-        if self._ids_monotone:
-            # Dict order == ascending id; stable sort keeps each peer's
-            # window-ordered block intact.
-            return np.argsort(peers, kind="stable")
-        rank = {
-            pid: i for i, pid in enumerate(self._order_ids[: self._n].tolist())
-        }
-        key = np.fromiter(
-            (rank[pid] for pid in peers.tolist()),
-            dtype=np.int64,
-            count=len(peers),
-        )
-        return np.argsort(key, kind="stable")
-
-    def _dict_order_key(self):
-        """Sort key putting ``(pid, group)`` items in peer-dict order."""
-        if self._ids_monotone:
-            return lambda item: item[0]
-        rank = {
-            pid: i for i, pid in enumerate(self._order_ids[: self._n].tolist())
-        }
-        return lambda item: rank[item[0]]
 
     def _assemble_buckets(
         self, now: float, valuation: DeadlineValuation, lookahead: float
@@ -1065,7 +966,7 @@ class PeerStateStore:
         Candidate tables come from the per-group
         :meth:`_flat_candidates_cached` splice.  Group concatenation
         order is free here: each peer watches one video, so the
-        dict-order permutation in :meth:`_pack_requests` lands on
+        id-order permutation in :meth:`_pack_requests` lands on
         identical bytes regardless.
         """
         staged = []
@@ -1073,7 +974,7 @@ class PeerStateStore:
         per_bucket: Dict[int, list] = {}
         bucket_order: List[StateBucket] = []
         for group in self.groups.values():
-            rows, ids = group.watcher_arrays()
+            rows, ids = group.watcher_arrays(self._row_table)
             if not len(rows):
                 continue
             key = id(group.bucket)
@@ -1159,10 +1060,10 @@ class PeerStateStore:
                         (int(act_ids[i]), entries[int(agidx[i])][0])
                     )
         if need_entry:
-            # Build missing candidate tables in peer-dict order so the
-            # cost model samples never-seen pairs in exactly the order
-            # the pre-store pipeline did (trajectory preservation).
-            need_entry.sort(key=self._dict_order_key())
+            # Build missing candidate tables in ascending id order so
+            # the cost model samples never-seen pairs in exactly the
+            # reference's order (trajectory preservation).
+            need_entry.sort(key=lambda item: item[0])
             for pid, group in need_entry:
                 self._candidate_entry(pid, group)
         outputs = []
@@ -1256,9 +1157,9 @@ class PeerStateStore:
             due = due[sel]
             avail = avail[sel]
         d = len(act_rows)
-        if self._ids_monotone and len(entries) > 1:
+        if len(entries) > 1:
             # Pre-sort watchers by peer id so the emitted request column
-            # is already in dict order and :meth:`_pack_requests` can
+            # is already in id order and :meth:`_pack_requests` can
             # skip its request+edge permutation (requests outnumber
             # watchers many times over).  Candidate segments are
             # permuted alongside.  Stable, and each peer watches one
@@ -1428,64 +1329,55 @@ class PeerStateStore:
     def check_consistency(self, peers: Dict[int, Peer], tracker=None) -> None:
         """Assert the store's membership and columns match ``peers``.
 
-        Cheap enough for tests to call after every mutation: membership
-        tables (and, when a ``tracker`` is given, its per-video
-        registry), the peer-dict-order columns, and that every online
-        peer's buffer, session and counters are bound to its row.
+        Cheap enough for tests to call after every mutation: the online
+        ids and each video's member table (and, when a ``tracker`` is
+        given, its registry), that every online peer's buffer, session
+        and peer share one handle bound to the row the row table names,
+        and the values written at admission.
         """
         ids = sorted(peers)
+        assert self._online_ids.tolist() == ids, "online ids drifted from peers"
+        by_video: Dict[int, List[int]] = {}
+        for pid in ids:
+            by_video.setdefault(peers[pid].video.video_id, []).append(pid)
+        for vid in set(self.groups) | set(by_video):
+            group = self.groups.get(vid)
+            members = [] if group is None else group.member_ids.tolist()
+            assert members == by_video.get(vid, []), (
+                f"member table of video {vid} drifted from peers"
+            )
         if tracker is not None:
             for vid, group in self.groups.items():
                 assert set(group.member_ids.tolist()) == set(
                     tracker.members_view(vid)
                 ), f"store/tracker membership drifted for video {vid}"
-        all_members = sorted(
-            int(pid) for g in self.groups.values() for pid in g.member_ids.tolist()
-        )
-        assert all_members == ids, "store membership drifted from peers dict"
-        order_ids = self._order_ids[: self._n].tolist()
-        assert sorted(order_ids) == ids, "capacity column ids drifted"
-        assert order_ids == list(peers), "capacity column order drifted"
+            assert len(tracker) == len(ids), "tracker holds peers the store lacks"
         for pid, peer in peers.items():
-            group = self.groups[peer.video.video_id]
-            row = group.row_of[pid]
+            bucket = self.groups[peer.video.video_id].bucket
+            row = int(self._row_table[pid])
             handle = peer.peer_row
-            assert peer.state_group is group and peer.state_row == row
-            assert group.bucket.peer_ids[row] == pid
-            assert self._row_table[pid] == row
             assert (
-                handle.cols is group.bucket
+                handle.cols is bucket
+                and handle.row == row
                 and handle.tally is self
                 and handle.index == pid
             ), f"peer {pid} is not bound to its row"
-            assert peer.buffer.peer_row is handle
-            assert peer.session is None or peer.session.peer_row is handle
-            assert self._isp_table[pid] == peer.isp
-        caps = self._order_caps[: self._n]
-        expect = np.fromiter(
-            (peers[pid].upload_capacity_chunks for pid in order_ids),
-            dtype=np.int64,
-            count=self._n,
-        )
-        assert np.array_equal(caps, expect), "capacity column drifted"
-        seed_col = self._order_seed[: self._n]
-        expect_seed = np.fromiter(
-            (peers[pid].is_seed for pid in order_ids),
-            dtype=bool,
-            count=self._n,
-        )
-        assert np.array_equal(seed_col, expect_seed), "seed column drifted"
-        departures = self._order_departure[: self._n]
-        expect_dep = np.fromiter(
-            (
-                np.inf
-                if peers[pid].departure_time is None
-                else peers[pid].departure_time
-                for pid in order_ids
-            ),
-            dtype=float,
-            count=self._n,
-        )
-        assert np.array_equal(departures, expect_dep), (
-            "departure column drifted"
-        )
+            assert bucket.peer_ids[row] == pid, (
+                f"bucket row {row} holds peer {bucket.peer_ids[row]}, not {pid}"
+            )
+            assert self._bucket_key[pid] == bucket.n_chunks, (
+                f"bucket key of peer {pid} drifted"
+            )
+            assert peer.buffer.peer_row is handle and (
+                peer.session is None or peer.session.peer_row is handle
+            ), f"peer {pid}'s buffer or session has another handle"
+            assert self._isp_table[pid] == peer.isp, f"ISP of peer {pid} drifted"
+            assert self._seed_table[pid] == peer.is_seed, (
+                f"seed flag of peer {pid} drifted"
+            )
+            departure = (
+                np.inf if peer.departure_time is None else peer.departure_time
+            )
+            assert self._departure_table[pid] == departure, (
+                f"departure time of peer {pid} drifted"
+            )

@@ -112,7 +112,17 @@ class P2PSystem:
             alpha=config.valuation_alpha, beta=config.valuation_beta
         )
         self.overlay = OverlayGraph(degree_target=config.neighbor_target)
+        # Persistent columnar peer state: the one record of membership
+        # (online ids, per-video member tables, id-indexed rows), the
+        # online peers' bitmaps, playback state, capacities and transfer
+        # counters (the only copy; the peer objects are views) and the
+        # candidate tables, maintained incrementally at admit/remove/
+        # transfer/refresh instead of being rebuilt every build_problem.
+        self.store = PeerStateStore(
+            self.overlay, self.costs, window=config.prefetch_chunks
+        )
         self.tracker = Tracker(
+            self.store,
             rng=self.rngs.stream("tracker"),
             seed_rank=config.tracker_seed_rank,
         )
@@ -130,15 +140,6 @@ class P2PSystem:
         self.collector = MetricsCollector()
         self.traffic_matrix = TrafficMatrix(config.n_isps)
         self.peers: Dict[int, Peer] = {}
-        # Persistent columnar peer state: per-video member tables, the
-        # online peers' bitmaps, playback state and transfer counters
-        # (the only copy; the peer objects are views), capacity/ISP
-        # columns and candidate tables — maintained incrementally at
-        # admit/remove/transfer/refresh instead of being rebuilt every
-        # build_problem call.
-        self.store = PeerStateStore(
-            self.overlay, self.costs, window=config.prefetch_chunks
-        )
         # Lossy-network layer: the per-ISP-pair link-condition table
         # (ideal by default — never evaluated, no RNG draws) and the
         # cross-slot retry queue for failed/truncated transfers.  The
@@ -321,16 +322,24 @@ class P2PSystem:
 
     def remove_peer(self, peer_id: int) -> None:
         """Depart a peer: drop from overlay, tracker, topology and store."""
-        peer = self.peers.get(peer_id)
-        if peer is None:
+        if peer_id not in self.peers:
             raise KeyError(f"peer {peer_id} is not online")
-        del self.peers[peer_id]
-        self.store.remove(peer)
-        self.tracker.unregister(peer_id)
-        self.overlay.remove_node(peer_id)
-        self.topology.remove_peer(peer_id)
-        self.costs.forget_peer(peer_id)
-        self.departures += 1
+        self._depart([peer_id])
+
+    def _depart(self, ids: List[int]) -> None:
+        """Take online peers offline, in order: every departure's path.
+
+        The store removes the whole batch at once, and the batch leaves
+        the pair-cost cache in one sweep.
+        """
+        peers = [self.peers.pop(pid) for pid in ids]
+        self.store.remove_batch(peers)
+        for peer in peers:
+            self.tracker.unregister(peer.peer_id)
+            self.overlay.remove_node(peer.peer_id)
+            self.topology.remove_peer(peer.peer_id)
+        self.costs.forget_peer(*ids)
+        self.departures += len(peers)
 
     # ------------------------------------------------------------------
     # Slot loop
@@ -555,11 +564,6 @@ class P2PSystem:
         self.slot_index += 1
         return metrics
 
-    @staticmethod
-    def _round_budget(capacity: int, round_index: int, rounds: int) -> int:
-        """Integer share of ``capacity`` for one sub-round (shares sum exactly)."""
-        return capacity * (round_index + 1) // rounds - capacity * round_index // rounds
-
     # ------------------------------------------------------------------
     # Churn handling
     # ------------------------------------------------------------------
@@ -601,45 +605,30 @@ class P2PSystem:
 
         The doomed set comes from one mask over the store's departure
         and playback columns instead of a Python pass over every online
-        peer, and the whole batch leaves the pair-cost cache in one
-        sweep; ``tests/oracles/slot.py`` keeps the per-peer loop this is
+        peer; ``tests/oracles/slot.py`` keeps the per-peer loop this is
         pinned against.
         """
         doomed = self.store.departure_scan(t, remove_finished)
-        if not doomed:
-            return
-        peers = [self.peers.pop(pid) for pid in doomed]
-        self.store.remove_batch(peers)
-        for peer in peers:
-            self.tracker.unregister(peer.peer_id)
-            self.overlay.remove_node(peer.peer_id)
-            self.topology.remove_peer(peer.peer_id)
-        self.costs.forget_peer(*doomed)
-        self.departures += len(peers)
+        if doomed:
+            self._depart(doomed)
 
     def _refill_neighbors(self) -> None:
         """Top up peers that fell below their neighbor target (churn losses).
 
         The overlay's incrementally maintained deficient set makes the
-        common static case O(1): when no non-seed peer is below target,
-        the whole pass (and its per-peer tracker queries) is skipped.
-        When someone is, only the deficient peers are visited — ordered
-        by one mask over the store's dict-order id column, so the
-        tracker's ranking RNG is consumed exactly as the historical
-        full-dict walk did.
+        common static case cheap: only the deficient peers are visited,
+        in ascending id order, and seeds are skipped, so the tracker's
+        ranking RNG is consumed exactly as a walk over every online
+        peer in id order would.
         """
         deficient = self.overlay.deficient_nodes()
-        needy = deficient - self.store.seed_ids
-        if not needy:
-            return
-        ids, _ = self._capacity_arrays()
-        needy_arr = np.fromiter(needy, dtype=np.int64, count=len(needy))
-        for pid in ids[np.isin(ids, needy_arr)].tolist():
-            if pid not in deficient:
-                # Refilled as a side effect of an earlier bootstrap in
-                # this very pass (links are undirected and `deficient`
-                # is the overlay's live set) — the historical full-dict
-                # walk skipped these, so the tracker RNG must too.
+        for pid in sorted(deficient):
+            if pid not in deficient or self.peers[pid].is_seed:
+                # Seeds are never topped up, and a peer refilled as a
+                # side effect of an earlier bootstrap in this very pass
+                # (links are undirected and `deficient` is the overlay's
+                # live set) no longer needs it: a walk over every peer
+                # skips both, so the tracker RNG must too.
                 continue
             # bootstrap() itself skips self and existing neighbors.
             candidates = self.tracker.bootstrap_candidates(self.peers[pid])
@@ -647,7 +636,7 @@ class P2PSystem:
 
     # ------------------------------------------------------------------
     # Scenario hooks (mid-run regime changes, driven by the scenario
-    # engine in repro.scenarios — each keeps the columnar store in sync)
+    # engine in repro.scenarios)
     # ------------------------------------------------------------------
     def set_arrival_rate(self, rate_per_s: float) -> None:
         """Change the Poisson arrival intensity from the next draw on."""
@@ -669,23 +658,21 @@ class P2PSystem:
         ``updates`` maps peer id → new capacity in chunks/slot (0 takes
         an uploader offline without departing it — a seeder outage).
         Offline ids are ignored, so a scenario can target peers that may
-        have churned away.  Both the peer objects and the store's
-        capacity column are updated.
+        have churned away.  A peer's capacity is its entry in the
+        store's capacity column, so the next build sees the new budget.
         """
         for pid, chunks in updates.items():
             if chunks < 0:
                 raise ValueError(
                     f"upload capacity must be >= 0, got {chunks!r} for peer {pid}"
                 )
-        touched = []
+        touched = 0
         for pid, chunks in updates.items():
             peer = self.peers.get(pid)
-            if peer is None:
-                continue
-            peer.upload_capacity_chunks = int(chunks)
-            touched.append(peer)
-        self.store.update_capacities(touched)
-        return len(touched)
+            if peer is not None:
+                peer.upload_capacity_chunks = int(chunks)
+                touched += 1
+        return touched
 
     def scale_upload_capacities(
         self, factor: float, peer_ids: Optional[List[int]] = None
@@ -845,8 +832,8 @@ class P2PSystem:
 
         ``capacities`` overrides per-peer upload budgets as a dict
         (missing entries mean 0); ``capacity_array`` is the loop-free
-        variant aligned with the store's peer-dict-order id column (used
-        by ``run_slot``'s sub-round split).  Capacities are primed from
+        variant aligned with the store's ascending online ids (used by
+        ``run_slot``'s sub-round split).  Capacities are primed from
         the store's columns without a per-peer dict.  The request-index
         → downstream peer map is ``problem.request_peer_array()``.
         """
@@ -1014,8 +1001,8 @@ class P2PSystem:
     def _capacity_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(peer_ids, upload capacities)`` columns (do not mutate).
 
-        Maintained incrementally by the peer-state store in ``peers``
-        dict order — reading them is O(1), no rebuild on access.
+        The peer-state store's online ids, ascending, and their entries
+        of its capacity column.
         """
         return self.store.capacity_columns()
 

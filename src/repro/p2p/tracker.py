@@ -9,13 +9,13 @@ they serve every position).
 
 from __future__ import annotations
 
-from math import nan
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from ..net.topology import rank_candidate_columns
 from .peer import Peer
+from .state import PeerStateStore
 
 __all__ = ["Tracker"]
 
@@ -23,18 +23,22 @@ __all__ = ["Tracker"]
 class Tracker:
     """Online-peer registry and bootstrap neighbor selection.
 
-    ``seed_rank`` ("first" or "random") controls whether seeds are
-    guaranteed top-ranked in bootstrap lists or compete at a random
-    position rank; see :func:`repro.net.topology.rank_candidates`.
+    ``store`` is the peer-state store the candidates' playback
+    positions are read from.  ``seed_rank`` ("first" or "random")
+    controls whether seeds are guaranteed top-ranked in bootstrap lists
+    or compete at a random position rank; see
+    :func:`repro.net.topology.rank_candidates`.
     """
 
     _NO_MEMBERS: frozenset = frozenset()
 
     def __init__(
         self,
+        store: PeerStateStore,
         rng: Optional[np.random.Generator] = None,
         seed_rank: str = "first",
     ) -> None:
+        self.store = store
         self._peers: Dict[int, Peer] = {}
         self._by_video: Dict[int, Set[int]] = {}
         self.rng = rng
@@ -94,22 +98,18 @@ class Tracker:
         """Candidates for a joining peer, ranked by playback proximity.
 
         Seeds of the video are always eligible and rank first (they
-        cover any playback position).  Candidate positions come from
-        the position column of the joiner's video group in the
-        peer-state store, so the joiner and every registered peer of
-        its video must be admitted to the store first.
+        cover any playback position).  Candidate positions are read
+        from the peer-state store by id, so the joiner and every
+        registered peer of its video must be admitted to the store
+        first.
         """
-        members = self._by_video.get(joiner.video.video_id, self._NO_MEMBERS)
+        video_id = joiner.video.video_id
+        members = self._by_video.get(video_id, self._NO_MEMBERS)
         ids = np.fromiter(members, dtype=np.int64, count=len(members))
         ids = ids[ids != joiner.peer_id]
-        group = joiner.state_group
-        rows = group.member_rows[np.searchsorted(group.member_ids, ids)]
-        bucket = group.bucket
-        # Seeds and peers without a session have no position (NaN).
-        positions = np.where(bucket.has_session[rows], bucket.position[rows], nan)
         return rank_candidate_columns(
             ids,
-            positions,
+            self.store.playback_positions(video_id, ids),
             float(joiner.playback_position() or 0),
             rng=self.rng,
             seed_rank=self.seed_rank,

@@ -37,6 +37,7 @@ class _OwnRow:
         self.position = np.zeros(1, dtype=np.int64)
         self.played = np.zeros(1, dtype=np.int64)
         self.last_advance = np.zeros(1, dtype=float)
+        self.capacity = np.zeros(1, dtype=np.int64)
         self.downloaded = np.zeros(1, dtype=np.int64)
         self.uploaded = np.zeros(1, dtype=np.int64)
         self.first_delivery = np.full(1, np.nan)
@@ -47,14 +48,14 @@ class PeerRow:
 
     The chunk bitmap and the playback state sit in row ``row`` of
     ``cols`` (columns ``masks``, ``missed``, ``position``, ``played`` and
-    ``last_advance``); the transfer counters sit at ``index`` of
-    ``tally`` (``downloaded``, ``uploaded`` and ``first_delivery``, NaN
-    until the first delivery).  A buffer creates the handle, and the
-    session and the peer built over that buffer share it, so the three
-    objects read and write one entry.  The peer-state store points it at
-    a bucket row and at the peer's id in its counter columns on
-    admission (:meth:`move`), and back to a private copy on departure
-    (:meth:`detach`).
+    ``last_advance``); the upload capacity and the transfer counters sit
+    at ``index`` of ``tally`` (``capacity``, ``downloaded``,
+    ``uploaded`` and ``first_delivery``, NaN until the first delivery).
+    A buffer creates the handle, and the session and the peer built over
+    that buffer share it, so the three objects read and write one entry.
+    The peer-state store points it at a bucket row and at the peer's id
+    in its id-indexed columns on admission (:meth:`move`), and back to a
+    private copy on departure (:meth:`detach`).
     """
 
     __slots__ = ("n_chunks", "cols", "row", "tally", "index")
@@ -72,7 +73,7 @@ class PeerRow:
             getattr(cols, name)[row, :n] = getattr(self.cols, name)[self.row, :n]
         for name in ("position", "played", "last_advance"):
             getattr(cols, name)[row] = getattr(self.cols, name)[self.row]
-        for name in ("downloaded", "uploaded", "first_delivery"):
+        for name in ("capacity", "downloaded", "uploaded", "first_delivery"):
             getattr(tally, name)[index] = getattr(self.tally, name)[self.index]
         self.cols, self.row, self.tally, self.index = cols, row, tally, index
 

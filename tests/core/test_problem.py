@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.auction import AuctionSolver
 from repro.core.problem import ChunkRequest, SchedulingProblem, random_problem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
@@ -147,6 +148,21 @@ class TestRandomProblem:
             assert float(p.request(r).valuation).is_integer()
             for c in p.costs_of(r):
                 assert float(c).is_integer()
+
+    def test_more_requests_than_the_uploader_offset(self):
+        """Requester ids past 10,000 stay clear of the uploader ids."""
+        p = random_problem(
+            np.random.default_rng(3), n_requests=20_000, n_uploaders=2000
+        )
+        assert p.n_requests == 20_000
+        assert min(p.uploaders()) == 20_000
+        result = AuctionSolver(epsilon=0.01).solve(p)
+        result.check_feasible(p)
+        assert result.n_served() > 0
+
+    def test_small_problems_keep_their_uploader_ids(self, rng):
+        p = random_problem(rng, n_requests=30, n_uploaders=7)
+        assert sorted(p.uploaders()) == list(range(10_000, 10_007))
 
     def test_deterministic_for_seed(self):
         a = random_problem(np.random.default_rng(5), n_requests=10)

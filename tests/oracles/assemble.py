@@ -30,7 +30,7 @@ def prepare_group(store, group, now: float):
     model), or ``None`` when the group cannot produce requests.
     The bucket's positions must already be synced.
     """
-    rows, ids = group.watcher_arrays()
+    rows, ids = group.watcher_arrays(store._row_table)
     if not len(rows):
         return None
     bucket = group.bucket
@@ -144,9 +144,9 @@ def assemble_requests_cold(store, now: float, valuation, lookahead: float = 0.0)
             if pid not in store._cand:
                 need_entry.append((pid, group))
     if need_entry:
-        # Missing candidate tables are built in peer-dict order, so the
-        # cost model samples never-seen pairs in reference order.
-        need_entry.sort(key=store._dict_order_key())
+        # Missing candidate tables are built in ascending id order, so
+        # the cost model samples never-seen pairs in reference order.
+        need_entry.sort(key=lambda item: item[0])
         for pid, group in need_entry:
             store._candidate_entry(pid, group)
     parts = []

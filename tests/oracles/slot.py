@@ -15,16 +15,26 @@ taking the object the step belongs to:
 * :func:`advance_playback_reference` — ``P2PSystem._advance_playback``:
   :func:`advance_to_reference` per session;
 * :func:`admit` — ``PeerStateStore.admit_batch``: one peer at a time,
-  each a sorted ``np.insert`` into its video's member table
-  (:func:`group_admit`).
+  each a sorted ``np.insert`` into the online ids and its video's
+  member table;
+* :func:`remove` — ``PeerStateStore.remove_batch``: one peer at a time,
+  each an ``np.delete`` from the online ids and its video's member
+  table;
+* :func:`round_budget` — the sub-round share split in
+  ``P2PSystem.run_slot``: one capacity at a time;
+* :func:`costs_from` — ``CostModel.costs_for_pairs``: one ``cost``
+  call per source.
 
 The per-object helpers those loops call are here too, each taking the
 object it was once a method of: :func:`build_requests` (a peer's
 window of interest), :func:`window_array` and
 :func:`window_of_interest` (a buffer's), :func:`seconds_to_deadlines`
 (a session), :func:`held_among` (a buffer), :func:`receive_chunk` and
-:func:`record_upload` (a peer's transfer counters) and
-:func:`is_inter_isp` (a cost model).
+:func:`record_upload` (a peer's transfer counters), and
+:func:`is_inter_isp` and :func:`cost_matrix` (a cost model).
+
+The loops over the online peers visit them in ascending id order, the
+order of every per-peer column of the peer-state store.
 
 The property suites and the equivalence tests pin the production steps
 against these; the slot-pipeline benchmark times them as its seed path.
@@ -32,7 +42,7 @@ against these; the slot-pipeline benchmark times them as its seed path.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -126,21 +136,39 @@ def seconds_to_deadlines(session, indices, now: float) -> np.ndarray:
 
 def admit(store, peer) -> None:
     """Admit one peer to ``store``: ``store.admit_batch([peer])``, unbatched."""
-    store._append_order(peer)
-    group = store._ensure_group(peer)
-    store._bind(peer, group, group_admit(group, peer, store))
+    pid = peer.peer_id
+    group = store._bind(peer)
+    at = int(np.searchsorted(group.member_ids, pid))
+    group.member_ids = np.insert(group.member_ids, at, pid)
+    group._watchers_stale = True
+    at = int(np.searchsorted(store._online_ids, pid))
+    store._online_ids = np.insert(store._online_ids, at, pid)
     store.membership_version += 1
 
 
-def group_admit(group, peer, tally) -> int:
-    """Give ``peer`` a row of ``group``'s bucket and a member-table entry."""
-    row = group.bucket.admit_row(peer, tally)
-    group.row_of[peer.peer_id] = row
-    at = int(np.searchsorted(group.member_ids, peer.peer_id))
-    group.member_ids = np.insert(group.member_ids, at, peer.peer_id)
-    group.member_rows = np.insert(group.member_rows, at, row)
+def remove(store, peer) -> None:
+    """Remove one peer from ``store``: ``store.remove_batch([peer])``, unbatched."""
+    pid = peer.peer_id
+    if pid >= len(store._row_table) or store._row_table[pid] < 0:
+        raise KeyError(f"peer {pid} is not in the store")
+    group = store.groups[peer.video.video_id]
+    group.bucket.release_row(peer, int(store._row_table[pid]))
+    at = int(np.searchsorted(group.member_ids, pid))
+    group.member_ids = np.delete(group.member_ids, at)
     group._watchers_stale = True
-    return row
+    at = int(np.searchsorted(store._online_ids, pid))
+    store._online_ids = np.delete(store._online_ids, at)
+    store._clear_ids(pid)
+    if store._cand.pop(pid, None) is not None:
+        store._cand_have[pid] = False
+        store.candidate_epoch += 1
+        store._cand_log.append(pid)
+    store.membership_version += 1
+
+
+def round_budget(capacity: int, round_index: int, rounds: int) -> int:
+    """Integer share of ``capacity`` for one sub-round (shares sum exactly)."""
+    return capacity * (round_index + 1) // rounds - capacity * round_index // rounds
 
 
 def held_among(buffer, indices: Set[int]) -> Set[int]:
@@ -169,6 +197,30 @@ def is_inter_isp(costs, src: int, dst: int) -> bool:
     return not costs.topology.same_isp(src, dst)
 
 
+def costs_from(costs, sources: Iterable[int], dst: int) -> np.ndarray:
+    """Vector of costs ``w_{u→dst}`` for each ``u`` in ``sources``."""
+    return np.array([costs.cost(src, dst) for src in sources], dtype=float)
+
+
+def cost_matrix(costs, peers: List[int]) -> np.ndarray:
+    """Dense cost matrix over ``peers`` (diagonal zero).
+
+    Row ``i``, column ``j`` holds ``w_{peers[i]→peers[j]}``.
+    """
+    n = len(peers)
+    out = np.zeros((n, n), dtype=float)
+    for i, u in enumerate(peers):
+        for j, d in enumerate(peers):
+            if i != j:
+                out[i, j] = costs.cost(u, d)
+    return out
+
+
+def online_peers(system):
+    """The system's online peers in ascending id order."""
+    return [system.peers[pid] for pid in sorted(system.peers)]
+
+
 def build_problem_reference(
     system,
     now: float,
@@ -179,7 +231,8 @@ def build_problem_reference(
     Returns the problem and its request index → downloader map.
     """
     problem = SchedulingProblem()
-    for peer in system.peers.values():
+    peers = online_peers(system)
+    for peer in peers:
         capacity = (
             peer.upload_capacity_chunks
             if capacities is None
@@ -187,7 +240,7 @@ def build_problem_reference(
         )
         problem.set_capacity(peer.peer_id, capacity)
     request_owner: Dict[int, int] = {}
-    for peer in system.peers.values():
+    for peer in peers:
         if peer.session is None:
             continue  # seeds never request
         # Peers in their startup delay do bid: they are pre-fetching
@@ -238,7 +291,7 @@ def build_problem_reference(
 def process_departures_reference(system, t: float, remove_finished: bool) -> None:
     """Per-peer loop of ``system._process_departures(t, remove_finished)``."""
     doomed = []
-    for peer in system.peers.values():
+    for peer in online_peers(system):
         if peer.is_seed:
             continue
         if peer.departure_time is not None and peer.departure_time <= t:

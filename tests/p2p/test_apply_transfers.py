@@ -23,7 +23,11 @@ from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import advance_playback_reference, apply_transfers_reference  # noqa: E402
+from slot import (  # noqa: E402
+    advance_playback_reference,
+    apply_transfers_reference,
+    round_budget,
+)
 
 SCENARIOS = {
     "static": dict(n_peers=50, churn=False, overrides={}),
@@ -230,9 +234,7 @@ class TestBudgetVectorization:
         caps = np.array([0, 1, 2, 3, 5, 8, 13, 40, 41], dtype=np.int64)
         for r in range(rounds):
             shares = caps * (r + 1) // rounds - caps * r // rounds
-            expected = [
-                P2PSystem._round_budget(int(c), r, rounds) for c in caps
-            ]
+            expected = [round_budget(int(c), r, rounds) for c in caps]
             assert shares.tolist() == expected
 
     def test_run_slot_budget_split_preserved_under_subrounds(self):

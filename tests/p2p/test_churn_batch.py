@@ -7,7 +7,8 @@ playback columns (``PeerStateStore.departure_scan``) and are removed via
 departed batch leaves the pair-cost cache in one ``forget_peer`` sweep.
 These tests pin the batched paths against the per-peer reference
 (``process_departures_reference`` and one-peer-at-a-time ``admit``
-in ``tests/oracles/slot.py``, the neighbor-filtering refill walk) on whole churny trajectories — peer
+and ``remove`` in ``tests/oracles/slot.py``, the neighbor-filtering
+refill walk) on whole churny trajectories — peer
 state, metrics, store invariants, cost cache and overlay must all come
 out identical.
 """
@@ -29,7 +30,7 @@ sys.path.insert(
 from support import assert_same_peer_state  # noqa: E402
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import admit, process_departures_reference  # noqa: E402
+from slot import admit, process_departures_reference, remove  # noqa: E402
 
 
 def churny_config(seed: int, **overrides) -> SystemConfig:
@@ -51,17 +52,16 @@ def reference_churn_system(config: SystemConfig) -> P2PSystem:
     )
     store = system.store
     store.admit_batch = lambda peers: [admit(store, p) for p in peers]
+    store.remove_batch = lambda peers: [remove(store, p) for p in peers]
 
     def full_dict_refill():
-        # The historical refill pass: walk the whole peers dict, skip
-        # seeds and non-deficient peers at visit time (the overlay's
-        # deficient set is live — earlier bootstraps in the same pass
-        # can refill later peers, whose tracker RNG draw must then be
-        # skipped; the columnar pass must reproduce that exactly).
+        # The historical refill pass: walk every online peer in id
+        # order, skip seeds and non-deficient peers at visit time (the
+        # overlay's deficient set is live — earlier bootstraps in the
+        # same pass can refill later peers, whose tracker RNG draw must
+        # then be skipped; the columnar pass must reproduce that exactly).
         deficient = system.overlay.deficient_nodes()
-        if not (deficient - system.store.seed_ids):
-            return
-        for peer in system.peers.values():
+        for _, peer in sorted(system.peers.items()):
             if peer.is_seed or peer.peer_id not in deficient:
                 continue
             candidates = [

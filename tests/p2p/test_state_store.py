@@ -4,11 +4,14 @@ The store keeps columnar state alive across slots, so every mutation
 path — admit, remove, churn departure, transfer, neighbor refill,
 direct session pokes — must invalidate the right version-keyed caches.
 Each test mutates through one path and asserts the store still matches
-the peers dict (:meth:`PeerStateStore.check_consistency` compares
-membership tables, capacity/ISP columns and row bindings).  The
-store's columns are the only copy of an online peer's playback and
-transfer state: :class:`TestColumnsOwnPeerState` pins that the objects
-read and write them.
+the peers dict (:meth:`PeerStateStore.check_consistency` compares the
+online ids, member tables, row bindings and the values written at
+admission); :class:`TestConsistencyCheckFires` pins that each of those
+checks catches a drift.  The store's columns are the only copy of an
+online peer's playback, capacity and transfer state:
+:class:`TestColumnsOwnPeerState` pins that the objects read and write
+them.  Membership is recorded once, by id, and read back in ascending
+id order (:class:`TestOneRecordOfMembership`).
 """
 
 from __future__ import annotations
@@ -19,8 +22,16 @@ import sys
 import numpy as np
 import pytest
 
+from repro.net.costs import CostModel
+from repro.net.isp import ISPTopology
+from repro.net.topology import OverlayGraph
 from repro.p2p.config import SystemConfig
+from repro.p2p.peer import Peer
+from repro.p2p.state import PeerStateStore
 from repro.p2p.system import P2PSystem
+from repro.vod.buffer import ChunkBuffer, PeerRow
+from repro.vod.playback import PlaybackSession
+from repro.vod.video import Video
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
 from slot import build_problem_reference  # noqa: E402
@@ -30,6 +41,13 @@ def build_system(n_peers=20, **overrides):
     system = P2PSystem(SystemConfig.tiny(seed=42, **overrides))
     system.populate_static(n_peers)
     return system
+
+
+def store_row(system, peer):
+    """``(bucket, row)`` the store records for an online ``peer``."""
+    store = system.store
+    bucket = store.groups[peer.video.video_id].bucket
+    return bucket, int(store._row_table[peer.peer_id])
 
 
 class TestMembershipPaths:
@@ -42,7 +60,7 @@ class TestMembershipPaths:
         assert ids[-1] == peer.peer_id
         assert caps[-1] == peer.upload_capacity_chunks
         assert system.store.isp_table()[peer.peer_id] == peer.isp
-        assert peer.state_group is system.store.groups[0]
+        assert store_row(system, peer) == (peer.peer_row.cols, peer.peer_row.row)
         assert peer.buffer.mask.base is not None  # bound into the matrix
         system.store.check_consistency(system.peers)
 
@@ -51,14 +69,15 @@ class TestMembershipPaths:
         system.build_problem(system.now)  # populate candidate entries
         victim = next(p for p in system.peers.values() if not p.is_seed)
         pid = victim.peer_id
-        row = victim.state_row
-        group = victim.state_group
+        group = system.store.groups[victim.video.video_id]
+        _, row = store_row(system, victim)
         epoch = system.store.candidate_epoch
         system.remove_peer(pid)
         assert pid not in system.store._cand
         assert system.store.candidate_epoch > epoch
         assert system.store.isp_table()[pid] == -1
-        assert pid not in group.row_of
+        assert system.store._row_table[pid] == -1
+        assert pid not in group.member_ids.tolist()
         assert row in group.bucket.free_rows
         assert not group.bucket.masks[row].any()  # zeroed for reuse
         # The departed peer keeps a private copy of its buffer.
@@ -71,12 +90,12 @@ class TestMembershipPaths:
         system = build_system(6)
         victim = next(p for p in system.peers.values() if not p.is_seed)
         vid = victim.video.video_id
-        row = victim.state_row
+        bucket, row = store_row(system, victim)
         system.remove_peer(victim.peer_id)
         newcomer = system.add_watching_peer(video_id=vid, upload_multiple=1.5)
-        assert newcomer.state_row == row  # freed row reused
+        assert store_row(system, newcomer) == (bucket, row)  # freed row reused
         newcomer.buffer.add(3)
-        assert newcomer.state_group.bucket.masks[row, 3]
+        assert bucket.masks[row, 3]
         system.store.check_consistency(system.peers)
 
     def test_churn_departures_keep_store_consistent(self):
@@ -97,7 +116,7 @@ class TestMembershipPaths:
         for _ in range(30):
             system.add_watching_peer(video_id=0, upload_multiple=1.0)
         group = system.store.groups[0]
-        for pid in group.row_of:
+        for pid in group.member_ids.tolist():
             peer = system.peers[pid]
             mask = peer.buffer.mask
             assert mask.base is group.bucket.masks or mask.base is group.bucket.masks.base
@@ -112,8 +131,7 @@ class TestTransferPath:
         result = system.scheduler.schedule(problem)
         system._apply_transfers(problem, result)
         for peer in system.peers.values():
-            row = peer.state_row
-            bucket = peer.state_group.bucket
+            bucket, row = store_row(system, peer)
             assert np.array_equal(
                 bucket.masks[row, : peer.video.n_chunks], peer.buffer.mask
             ), peer.peer_id
@@ -160,14 +178,20 @@ class TestNeighborRefill:
 
     def test_refill_skips_scan_when_nobody_deficient(self):
         system = build_system(4)
+        def needy():
+            return {
+                pid
+                for pid in system.overlay.deficient_nodes()
+                if not system.peers[pid].is_seed
+            }
+
         # Force everyone (incl. seeds) to the degree target by shrinking it.
-        deficient = system.overlay.deficient_nodes() - system.store.seed_ids
-        if deficient:
+        if needy():
             system._refill_neighbors()
         calls = []
         original = system.tracker.bootstrap_candidates
         system.tracker.bootstrap_candidates = lambda p: calls.append(p) or original(p)
-        if not (system.overlay.deficient_nodes() - system.store.seed_ids):
+        if not needy():
             system._refill_neighbors()
             assert calls == []  # O(1) fast path: no tracker queries
 
@@ -178,7 +202,7 @@ class TestColumnsOwnPeerState:
     @staticmethod
     def watcher(system):
         peer = next(p for p in system.peers.values() if p.watching)
-        return peer, peer.state_group.bucket, peer.state_row
+        return (peer,) + store_row(system, peer)
 
     def test_column_writes_are_what_the_objects_read(self):
         system = build_system(10)
@@ -250,7 +274,7 @@ class TestColumnsOwnPeerState:
         )
         peer.session.missed = peer.session.missed | {0}
         store, pid = system.store, peer.peer_id
-        bucket, row = peer.state_group.bucket, peer.state_row
+        bucket, row = store_row(system, peer)
         session = peer.session
 
         def values():
@@ -269,7 +293,8 @@ class TestColumnsOwnPeerState:
         before = values()
         system.remove_peer(pid)
         assert values() == before
-        assert peer.state_row is None
+        assert store._row_table[pid] == -1
+        assert peer.peer_row.cols is not bucket
         assert not bucket.masks[row].any()
         assert not bucket.missed[row].any()
         assert bucket.position[row] == 0
@@ -296,8 +321,8 @@ class TestOutOfBandMutation:
         ref, _ = build_problem_reference(system, system.now + 3.0)
         new = system.build_problem(system.now + 3.0)
         assert ref.n_requests == new.n_requests
-        bucket = watcher.state_group.bucket
-        assert bucket.position[watcher.state_row] == watcher.session.position
+        bucket, row = store_row(system, watcher)
+        assert bucket.position[row] == watcher.session.position
         system.store.check_consistency(system.peers)
 
     def test_snapshot_restore_style_pokes_are_seen_by_the_advance(self):
@@ -351,10 +376,6 @@ class TestVersionCounters:
 
 def _craft_peer(system, peer_id, video, start_time=None):
     """Hand-build a watcher Peer (bypassing the id counter) for _admit."""
-    from repro.p2p.peer import Peer
-    from repro.vod.buffer import ChunkBuffer
-    from repro.vod.playback import PlaybackSession
-
     buffer = ChunkBuffer(video)
     session = PlaybackSession(
         video=video,
@@ -372,31 +393,126 @@ def _craft_peer(system, peer_id, video, start_time=None):
     )
 
 
-class TestReviewRegressions:
-    def test_non_monotone_admission_keeps_reference_request_order(self):
-        """An out-of-order peer id must not break dict-order requests."""
+class TestOneRecordOfMembership:
+    def test_capacity_write_reaches_the_next_build(self):
+        """A peer's capacity is the store's entry: no resync call."""
         system = build_system(10)
-        system.run(20.0)
-        victim = next(p for p in system.peers.values() if not p.is_seed)
-        freed_id = victim.peer_id
-        system.remove_peer(freed_id)
-        # Re-admitting a *smaller* id than the newest peer makes the
-        # peers dict order diverge from ascending-id order.
-        peer = _craft_peer(system, freed_id, system.catalog[0])
-        system._admit(peer)
-        assert not system.store._ids_monotone
-        system.run(20.0)
-        ref, ref_owner = build_problem_reference(system, system.now)
-        new = system.build_problem(system.now)
-        assert ref_owner == dict(enumerate(new.request_peer_array().tolist()))
-        import numpy as np
-
-        assert np.array_equal(
-            ref.request_peer_array(), new.request_peer_array()
-        )
-        assert ref.uploaders() == new.uploaders()
+        peer = next(p for p in system.peers.values() if not p.is_seed)
+        new_cap = peer.upload_capacity_chunks + 5
+        peer.upload_capacity_chunks = new_cap
+        problem = system.build_problem(system.now)
+        assert problem.capacity_of(peer.peer_id) == new_cap
         system.store.check_consistency(system.peers, system.tracker)
 
+    def test_out_of_order_admission_reads_back_in_id_order(self):
+        """Ids admitted as 7 and 3, then 5, come back as 3, 5, 7."""
+        store = PeerStateStore(
+            OverlayGraph(),
+            CostModel(ISPTopology(1), np.random.default_rng(0)),
+            window=10,
+        )
+        video = Video(
+            video_id=0, n_chunks=50, chunk_size_bytes=1000, bitrate_bps=8000
+        )
+
+        def leaver(pid):
+            buffer = ChunkBuffer(video)
+            session = PlaybackSession(video, buffer, start_time=0.0)
+            return Peer(
+                pid, 0, video, 10 * pid, buffer,
+                session=session, departure_time=1.0,
+            )
+
+        store.admit_batch([leaver(7), leaver(3)])
+        store.admit_batch([leaver(5)])
+        ids, caps = store.capacity_columns()
+        assert ids.tolist() == [3, 5, 7]
+        assert caps.tolist() == [30, 50, 70]
+        assert store.departure_scan(2.0, remove_finished=False) == [3, 5, 7]
+
+
+class TestConsistencyCheckFires:
+    """Each check of ``check_consistency`` catches a hand-made drift."""
+
+    @staticmethod
+    def two_watchers(system):
+        return [p for p in system.peers.values() if not p.is_seed][:2]
+
+    def assert_fires(self, system, match):
+        with pytest.raises(AssertionError, match=match):
+            system.store.check_consistency(system.peers, system.tracker)
+
+    def test_row_table_entry_disagreeing_with_the_handle(self):
+        system = build_system(8)
+        a, b = self.two_watchers(system)
+        table = system.store._row_table
+        table[a.peer_id] = table[b.peer_id]
+        self.assert_fires(system, f"peer {a.peer_id} is not bound to its row")
+
+    def test_wrong_bucket_peer_ids_entry(self):
+        system = build_system(8)
+        a, b = self.two_watchers(system)
+        bucket, row = store_row(system, a)
+        bucket.peer_ids[row] = b.peer_id
+        self.assert_fires(system, f"holds peer {b.peer_id}, not {a.peer_id}")
+
+    def test_online_ids_out_of_step_with_peers(self):
+        system = build_system(8)
+        system.store._online_ids = system.store._online_ids[:-1]
+        self.assert_fires(system, "online ids drifted from peers")
+
+    def test_member_table_out_of_step_with_peers(self):
+        system = build_system(8)
+        a, _ = self.two_watchers(system)
+        group = system.store.groups[a.video.video_id]
+        group.member_ids = group.member_ids[group.member_ids != a.peer_id]
+        self.assert_fires(system, "member table of video")
+
+    def test_tracker_member_the_store_lacks(self):
+        system = build_system(8)
+        stranger = _craft_peer(system, max(system.peers) + 1, system.catalog[0])
+        system.tracker.register(stranger)
+        self.assert_fires(system, "store/tracker membership drifted for video 0")
+
+    def test_tracker_member_of_a_video_the_store_lacks(self):
+        system = build_system(8)
+        video = Video(
+            video_id=999,
+            n_chunks=77,
+            chunk_size_bytes=system.catalog[0].chunk_size_bytes,
+            bitrate_bps=system.catalog[0].bitrate_bps,
+        )
+        system.tracker.register(_craft_peer(system, max(system.peers) + 1, video))
+        self.assert_fires(system, "tracker holds peers the store lacks")
+
+    def test_bucket_key_drift(self):
+        system = build_system(8)
+        a, _ = self.two_watchers(system)
+        system.store._bucket_key[a.peer_id] += 1
+        self.assert_fires(system, f"bucket key of peer {a.peer_id} drifted")
+
+    def test_session_on_another_handle(self):
+        system = build_system(8)
+        a, _ = self.two_watchers(system)
+        a.session.peer_row = PeerRow(a.video.n_chunks)
+        self.assert_fires(system, f"peer {a.peer_id}'s buffer or session")
+
+    @pytest.mark.parametrize(
+        "column, value, what",
+        [
+            ("_isp_table", 99, "ISP"),
+            ("_seed_table", True, "seed flag"),
+            ("_departure_table", 0.5, "departure time"),
+        ],
+    )
+    def test_admission_value_drift(self, column, value, what):
+        system = build_system(8)
+        a, _ = self.two_watchers(system)
+        getattr(system.store, column)[a.peer_id] = value
+        self.assert_fires(system, f"{what} of peer {a.peer_id} drifted")
+
+
+class TestReviewRegressions:
     def test_last_advance_rewind_at_same_position_does_not_raise(self):
         """Benchmark-style _last_advance rewinds must not trip the guard."""
         system = build_system(12)
@@ -411,8 +527,6 @@ class TestReviewRegressions:
 
     def test_backwards_time_raises_before_any_bucket_advances(self):
         """Multi-bucket systems must validate all buckets up front."""
-        from repro.vod.video import Video
-
         system = build_system(8)
         system.run(10.0)
         odd_video = Video(

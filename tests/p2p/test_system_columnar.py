@@ -20,7 +20,7 @@ from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import build_problem_reference  # noqa: E402
+from slot import build_problem_reference, round_budget  # noqa: E402
 
 
 def assert_same_slot_problem(system, now, capacities=None):
@@ -61,7 +61,7 @@ class TestStaticEquivalence:
         system.run(duration_seconds=20)
         rounds = system.config.bid_rounds_per_slot
         budgets = {
-            p.peer_id: system._round_budget(p.upload_capacity_chunks, 1, rounds)
+            p.peer_id: round_budget(p.upload_capacity_chunks, 1, rounds)
             for p in system.peers.values()
         }
         assert_same_slot_problem(system, system.now, capacities=budgets)

@@ -43,7 +43,7 @@ def store():
 
 class TestRegistry:
     def test_register_unregister(self, store):
-        tracker = Tracker()
+        tracker = Tracker(store)
         peer = make_peer(store, 1)
         tracker.register(peer)
         assert 1 in tracker and len(tracker) == 1
@@ -51,18 +51,18 @@ class TestRegistry:
         assert 1 not in tracker
 
     def test_duplicate_registration_rejected(self, store):
-        tracker = Tracker()
+        tracker = Tracker(store)
         peer = make_peer(store, 1)
         tracker.register(peer)
         with pytest.raises(ValueError):
             tracker.register(peer)
 
-    def test_unregister_unknown_raises(self):
+    def test_unregister_unknown_raises(self, store):
         with pytest.raises(KeyError):
-            Tracker().unregister(5)
+            Tracker(store).unregister(5)
 
     def test_peers_watching_by_video(self, store):
-        tracker = Tracker()
+        tracker = Tracker(store)
         tracker.register(make_peer(store, 1, video_id=0))
         tracker.register(make_peer(store, 2, video_id=0))
         tracker.register(make_peer(store, 3, video_id=1))
@@ -71,7 +71,7 @@ class TestRegistry:
         assert tracker.peers_watching(9) == set()
 
     def test_online_peers(self, store):
-        tracker = Tracker()
+        tracker = Tracker(store)
         tracker.register(make_peer(store, 1))
         tracker.register(make_peer(store, 2, video_id=1))
         assert sorted(tracker.online_peers()) == [1, 2]
@@ -79,7 +79,7 @@ class TestRegistry:
 
 class TestBootstrap:
     def test_candidates_same_video_only(self, store):
-        tracker = Tracker()
+        tracker = Tracker(store)
         tracker.register(make_peer(store, 1, video_id=0, position=50))
         tracker.register(make_peer(store, 2, video_id=1, position=50))
         joiner = make_peer(store, 10, video_id=0, position=50)
@@ -87,7 +87,7 @@ class TestBootstrap:
         assert candidates == [1]
 
     def test_ranked_by_playback_proximity(self, store):
-        tracker = Tracker()
+        tracker = Tracker(store)
         tracker.register(make_peer(store, 1, position=10))
         tracker.register(make_peer(store, 2, position=48))
         tracker.register(make_peer(store, 3, position=90))
@@ -96,7 +96,7 @@ class TestBootstrap:
         assert candidates[0] == 2
 
     def test_seed_rank_first_guarantees_seeds(self, store):
-        tracker = Tracker(seed_rank="first")
+        tracker = Tracker(store, seed_rank="first")
         tracker.register(make_peer(store, 99, is_seed=True))
         for pid in range(1, 6):
             tracker.register(make_peer(store, pid, position=pid * 10))
@@ -106,10 +106,10 @@ class TestBootstrap:
     def test_seed_rank_random_varies(self):
         ranks = set()
         for seed in range(15):
-            tracker = Tracker(
-                rng=np.random.default_rng(seed), seed_rank="random"
-            )
             store = make_store()
+            tracker = Tracker(
+                store, rng=np.random.default_rng(seed), seed_rank="random"
+            )
             tracker.register(make_peer(store, 99, is_seed=True))
             for pid in range(1, 8):
                 tracker.register(make_peer(store, pid, position=pid * 10))
@@ -118,7 +118,7 @@ class TestBootstrap:
         assert len(ranks) > 1
 
     def test_joiner_not_own_candidate(self, store):
-        tracker = Tracker()
+        tracker = Tracker(store)
         peer = make_peer(store, 1)
         tracker.register(peer)
         assert 1 not in tracker.bootstrap_candidates(peer)
