@@ -13,13 +13,13 @@ comparing:
   ``slot.advance_playback_reference`` playback walk;
 * **columnar path**: the cold per-group assembler from
   ``tests/oracles/assemble.py`` (vectorized assembly on the persistent
-  peer-state store, candidate CSR rebuilt every call) + the
+  peer-state store, one pass per video group) + the
   event-driven price-frontier ``jacobi`` solver + the vectorized
   ``_apply_transfers`` epilogue + the store's batched
   ``_advance_playback`` sweep;
-* **delta build**: ``P2PSystem.build_problem``, which splices each
-  group's candidate CSR forward from the previous build, timed on the
-  same state as the cold assembler and checked byte-identical to it.
+* **delta build**: ``P2PSystem.build_problem``, one fused pass per
+  state bucket over the persistent candidate tables, timed on the same
+  state as the cold assembler and checked byte-identical to it.
 
 Scenarios with ``reference=False`` (the 10k tier, and the lossy row —
 the seed apply path has no link model) skip every seed-path timing;
@@ -465,7 +465,7 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
     # Warm-up slot: populates the pairwise cost cache so neither build
     # path pays the sampling cost inside the timed region, fills
     # buffers so the measured slots look like steady state, and leaves
-    # the per-group candidate caches the measured builds splice forward.
+    # the candidate tables the measured builds read.
     system.run_slot(churn=churn, remove_finished=churn)
 
     reference = spec.get("reference", True)
@@ -493,10 +493,6 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
         system._slot_transfers_failed = 0
         system._slot_link_delay_ms = 0.0
         system._process_retries(t)
-        budgets = {
-            p.peer_id: p.upload_capacity_chunks for p in system.peers.values()
-            if p.upload_capacity_chunks > 0
-        }
 
         # Min-of-N per phase suppresses scheduler noise; every repeat
         # rebuilds fresh problem objects so cached views never leak
@@ -506,11 +502,11 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
         for _rep in range(repeats):
             if reference:
                 t0 = time.perf_counter()
-                problem_old, _ = build_problem_reference(system, t, capacities=budgets)
+                problem_old, _ = build_problem_reference(system, t)
                 t1 = time.perf_counter()
                 build_old = min(build_old, t1 - t0)
             t2 = time.perf_counter()
-            problem_new = build_problem_cold(system, t, capacities=budgets)
+            problem_new = build_problem_cold(system, t)
             t3 = time.perf_counter()
             build_new = min(build_new, t3 - t2)
             if reference:
@@ -531,18 +527,14 @@ def bench_scenario(name: str, spec: dict, seed: int = 0, slots: Optional[int] = 
             t7 = time.perf_counter()
             solve_new = min(solve_new, t7 - t6)
 
-        # Delta build: splice the candidate caches the previous slot's
-        # build left behind.  Repeats restore those caches (snapshotted
-        # by reference) so every repeat splices from identical state;
-        # the cold assembler above never touches them.
-        dsnap = system.store.snapshot_delta_state()
+        # Delta build on the same state.  The cold assembler above has
+        # already made any missing candidate table, and a build changes
+        # no table it reads, so every repeat does the same gather.
         build_delta = float("inf")
         problem_delta = None
         for _rep in range(repeats):
-            if _rep:
-                system.store.restore_delta_state(dsnap)
             td0 = time.perf_counter()
-            problem_delta = system.build_problem(t, capacities=budgets)
+            problem_delta = system.build_problem(t)
             td1 = time.perf_counter()
             build_delta = min(build_delta, td1 - td0)
         assert_identical_problem(problem_new, problem_delta)

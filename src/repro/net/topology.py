@@ -99,12 +99,9 @@ class OverlayGraph:
         # any link change — the columnar slot pipeline reads these once
         # per peer per slot instead of copying the neighbor set.
         self._adj_arrays: Dict[int, np.ndarray] = {}
-        #: Monotone counter bumped on every link/node mutation; cheap
-        #: cache key for derived per-peer structures (slot pipeline).
-        self.version = 0
         #: Peers whose link set changed since the last
-        #: :meth:`consume_dirty` — the peer-state store invalidates only
-        #: these candidate entries instead of sweeping every peer.
+        #: :meth:`consume_dirty` — the peer-state store drops only these
+        #: peers' candidate tables instead of sweeping every peer.
         self._dirty: Set[int] = set()
         #: Nodes currently below the degree target, maintained
         #: incrementally so the refill pass can skip a full scan.
@@ -126,7 +123,6 @@ class OverlayGraph:
         self._adj_arrays.pop(peer_id, None)
         self._dirty.add(peer_id)
         self._deficient.discard(peer_id)
-        self.version += 1
         for other in neighbors:
             self._adj[other].discard(peer_id)
             self._adj_arrays.pop(other, None)
@@ -162,7 +158,6 @@ class OverlayGraph:
         for node in (a, b):
             if len(self._adj[node]) >= self.degree_target:
                 self._deficient.discard(node)
-        self.version += 1
 
     def disconnect(self, a: int, b: int) -> None:
         """Remove the link a—b if present."""
@@ -173,7 +168,6 @@ class OverlayGraph:
                 self._dirty.add(node)
                 if len(self._adj[node]) < self.degree_target:
                     self._deficient.add(node)
-        self.version += 1
 
     def set_degree_target(self, target: int) -> None:
         """Change the soft degree target mid-run (scenario locality cap).

@@ -71,9 +71,9 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
         "requests": int(tot(lambda r: r["n_requests"])),
         "served": int(tot(lambda r: r["n_served"])),
         "welfare": float(tot(lambda r: r["welfare"])),
-        "segments_reused": int(tot(lambda r: r["build"]["reused"])),
-        "segments_rebuilt": int(tot(lambda r: r["build"]["rebuilt"])),
-        "segments_dropped": int(tot(lambda r: r["build"]["dropped"])),
+        "tables_reused": int(tot(lambda r: r["build"]["reused"])),
+        "tables_rebuilt": int(tot(lambda r: r["build"]["rebuilt"])),
+        "tables_dropped": int(tot(lambda r: r["build"]["dropped"])),
         "solver_rounds": int(tot(lambda r: r["solver"]["rounds"])),
         "bids_submitted": int(tot(lambda r: r["solver"]["bids_submitted"])),
         "price_updates": int(tot(lambda r: r["solver"]["price_updates"])),
@@ -96,7 +96,7 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
 #: Diff/rollup row order: every counter trace_totals can produce.
 _TOTAL_FIELDS = (
     "slots", "peers_final", "arrivals", "departures", "requests", "served",
-    "welfare", "segments_reused", "segments_rebuilt", "segments_dropped",
+    "welfare", "tables_reused", "tables_rebuilt", "tables_dropped",
     "solver_rounds", "bids_submitted", "price_updates", "evictions",
     "rows_evaluated", "scalar_rounds", "inter_isp", "intra_isp",
     "inter_frac", "due", "missed", "miss_rate", "retry_attempts",
@@ -125,7 +125,7 @@ def summarize_trace(
     """Per-slot table, phase shares and totals for one loaded trace."""
     headers = [
         "slot", "peers", "reqs", "served", "welfare", "rounds",
-        "reused/rebuilt",
+        "tables reused/rebuilt",
         "inter", "intra", "due", "missed", "retry_ok/att",
     ]
     rows: List[List[object]] = []

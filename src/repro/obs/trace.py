@@ -4,9 +4,10 @@ One record per slot, assembled by :meth:`P2PSystem.run_slot` only when
 the attached sink is enabled.  The record is a plain dict in two parts:
 
 * the **deterministic body** — every counter the slot produced (churn,
-  candidate segments the builds spliced, solver work, retry pipeline,
-  traffic split, playback misses).  Equal seeds produce byte-equal bodies
-  across runs and machines; the property suite pins this.
+  candidate tables the builds kept, made and dropped, solver work,
+  retry pipeline, traffic split, playback misses).  Equal seeds produce
+  byte-equal bodies across runs and machines; the property suite pins
+  this.
 * the ``"timing"`` sub-dict — wall-clock durations of every slot phase
   (:data:`TIMING_PHASES`: churn, neighbour refill, retries, build,
   solve, apply, playback), ``other_s`` (whatever no phase claims) and
@@ -40,8 +41,9 @@ __all__ = [
 
 #: Version stamped into every record's ``"v"`` field.  Version 2
 #: replaced the ``build`` kind string and the ``delta_reasons``
-#: histogram with the ``build`` splice-counter group.
-TRACE_SCHEMA_VERSION = 2
+#: histogram with the ``build`` splice-counter group; version 3 made
+#: that group count candidate tables instead of splice segments.
+TRACE_SCHEMA_VERSION = 3
 
 #: The slot phases ``run_slot`` times, in pipeline order.  Each is a
 #: ``"<phase>_s"`` key of the ``"timing"`` sub-dict.
@@ -71,8 +73,10 @@ _REQUIRED: Tuple[Tuple[str, type], ...] = (
 
 #: Required sub-fields of the nested counter groups.
 _REQUIRED_NESTED: Dict[str, Tuple[str, ...]] = {
-    # Candidate segments the slot's builds took from a group's cache,
-    # re-read from the entry dict, and dropped (watchers gone inactive).
+    # Candidate tables over the slot's builds: ``reused`` counts active
+    # watchers whose table was kept, ``rebuilt`` the tables made (one
+    # ``costs_for_pairs`` call each), ``dropped`` the tables dropped
+    # since the build before (departures, link changes, cost shocks).
     "build": ("reused", "rebuilt", "dropped"),
     # ``solver.scalar_rounds`` joined v2 later, so it is not required:
     # readers default it to 0 for traces written before it.

@@ -31,17 +31,18 @@ at the few places state actually changes:
   the only order: capacity columns, departure scans and request
   columns all come out in it.  Online ids and member tables are merged
   per batch in :meth:`PeerStateStore.admit_batch` and compacted per
-  batch in :meth:`PeerStateStore.remove_batch`, guarded by
-  :attr:`PeerStateStore.membership_version`.
-* **Candidate tables** (same-video neighbor rows/ids/costs per peer)
-  are invalidated per peer from the overlay's dirty set
-  (:meth:`OverlayGraph.consume_dirty`) instead of being version-swept
-  wholesale.  Missing entries are built in ascending id order, the
-  order the per-request reference visits peers, so the cost model
-  samples never-seen pairs in exactly its order (trajectory
-  preservation).  Each video group also keeps
-  the flat candidate CSR of its last build, which the next build
-  splices forward segment by segment (:class:`_CandCache`).
+  batch in :meth:`PeerStateStore.remove_batch`.
+* **Candidate tables** (a watcher's same-video neighbor rows, ids and
+  costs) are kept once, as spans of one pooled ``(rows, ids, costs)``
+  triple addressed by two id-indexed columns, a start and a count (−1:
+  no table).  A table is dropped when its peer's links change (the
+  overlay's dirty set, :meth:`OverlayGraph.consume_dirty`), when the
+  peer departs and on a cost-regime change; missing tables of active
+  watchers are built in ascending id order, the order the per-request
+  reference visits peers, so the cost model samples never-seen pairs
+  in exactly its order (trajectory preservation).  A build reads all
+  of a bucket's tables with one range gather, and the pool is
+  compacted by one gather once its dead part outgrows its live part.
 * **Playback** columns (start time/position, position, played count,
   last advance and the ``missed``-chunk bitmap) feed both the batched
   :meth:`PeerStateStore.advance_playback` and the window/valuation
@@ -91,10 +92,6 @@ _EMPTY_FLOAT = np.empty(0, dtype=float)
 #: individually (their catch-up window would blow up the batch gather).
 _BATCH_ADVANCE_LIMIT = 1024
 
-#: Candidate drop-log length at which :meth:`PeerStateStore._trim_cand_log`
-#: compacts (caches lagging further than this are dropped, not waited for).
-_CAND_LOG_LIMIT = 4096
-
 #: Widest request window the packed-word branch supports: a window
 #: starting at any bit offset within a word must fit the two-word read
 #: below (63 offset bits + W ≤ 2·64 always holds, but the single right
@@ -129,36 +126,6 @@ def _merge_ids(table: np.ndarray, ids: Sequence[int]) -> np.ndarray:
     """Sorted ``table`` with the new, distinct ``ids`` merged in."""
     add = np.sort(np.asarray(ids, dtype=np.int64))
     return np.insert(table, np.searchsorted(table, add), add)
-
-
-class _CandCache:
-    """One video group's flat candidate CSR from its last build.
-
-    Holds the pooled per-active-watcher segments the previous
-    :meth:`PeerStateStore._flat_candidates_cached` call returned, plus
-    the validity cursor: the drop-log position and cost-regime epoch the
-    copy was taken at.  Segments of peers dropped from the entry dict
-    since ``log_pos`` (or the whole cache, after an epoch bump) are
-    stale; everything else can be spliced forward verbatim.
-    """
-
-    __slots__ = (
-        "active_ids", "counts", "indptr", "rows", "ids", "costs",
-        "log_pos", "reset_epoch",
-    )
-
-    def __init__(
-        self, active_ids, counts, indptr, rows, ids, costs,
-        log_pos, reset_epoch,
-    ) -> None:
-        self.active_ids = active_ids
-        self.counts = counts
-        self.indptr = indptr
-        self.rows = rows
-        self.ids = ids
-        self.costs = costs
-        self.log_pos = log_pos
-        self.reset_epoch = reset_epoch
 
 
 class StateBucket:
@@ -323,8 +290,6 @@ class VideoGroup:
         self._watchers_stale = True
         self._watcher_rows = _EMPTY_INT
         self._watcher_ids = _EMPTY_INT
-        # Flat candidate CSR from the last build (or None).
-        self._cand_cache: Optional[_CandCache] = None
 
     def watcher_arrays(self, row_table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, ids)`` of members with sessions, sorted-id order.
@@ -358,66 +323,28 @@ class PeerStateStore:
         self.window = max(1, int(window))
         self.buckets: Dict[int, StateBucket] = {}
         self.groups: Dict[int, VideoGroup] = {}
-        #: Bumped on every admit/remove; keys membership-derived caches.
-        self.membership_version = 0
-        #: Bumped whenever any candidate entry is dropped; lets tests
-        #: (and future caches) observe candidate invalidation.
-        self.candidate_epoch = 0
         # The online peer ids, ascending.  Replaced, never written in
         # place, so an array handed out stays as it was.
         self._online_ids = _EMPTY_INT
         for name, empty in self._ID_COLUMNS:
             setattr(self, name, np.full(64, empty))
-        # Per-peer candidate entries: pid -> (nb_rows, nb_ids, nb_costs),
-        # mirrored by a pid-indexed presence column so the fast
-        # assembler can find missing entries without a Python probe per
-        # watcher.  Every _cand insert/pop/clear updates both.
-        self._cand: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._cand_have = np.zeros(64, dtype=bool)
-        self._overlay_version_seen = overlay.version
-        # Candidate invalidation stream for the per-group CSR caches:
-        # every entry popped from _cand is appended here; wholesale
-        # clears (cost shocks) bump the epoch instead of logging pids.
-        self._cand_log: List[int] = []
-        self._cand_reset_epoch = 0
-        #: Running totals of candidate segments the builds spliced:
-        #: ``reused`` from a group's cache, ``rebuilt`` from the entry
-        #: dict, ``dropped`` (cached watchers no longer active).  The
-        #: slot trace reports their per-slot differences.
-        self.splice_counts: Dict[str, int] = {
+        # The candidate-table pool: peer ``pid``'s table is the span
+        # ``[_table_start[pid], _table_start[pid] + _table_count[pid])``
+        # of these three arrays.  Dropped spans stay until a compaction;
+        # ``_pool_live`` counts the edges of the tables still held.
+        self._pool_rows = _EMPTY_INT
+        self._pool_ids = _EMPTY_INT
+        self._pool_costs = _EMPTY_FLOAT
+        self._pool_live = 0
+        self._dropped = 0  # tables dropped since the last build
+        #: Running totals of the builds' candidate tables: ``reused``
+        #: (active watchers whose table was kept), ``rebuilt`` (tables
+        #: made, one ``costs_for_pairs`` call each) and ``dropped``
+        #: (tables dropped since the build before).  The slot trace
+        #: reports their per-slot differences.
+        self.table_counts: Dict[str, int] = {
             "reused": 0, "rebuilt": 0, "dropped": 0,
         }
-
-    def snapshot_delta_state(self):
-        """Capture the per-group CSR caches and drop log for exact replay.
-
-        The bench harness times ``build_problem`` min-of-N on identical
-        state; without restoring the caches between repeats every repeat
-        after the first would hit the all-clean fast path and the timing
-        would be a lie.  Cache records are captured by reference — a
-        later splice installs a *new* record and mutates the old one
-        only through ``log_pos``, which is saved and restored here.
-        """
-        caches = {}
-        for vid, group in self.groups.items():
-            cache = group._cand_cache
-            if cache is not None:
-                caches[vid] = (cache, cache.log_pos)
-        return caches, list(self._cand_log), self._cand_reset_epoch
-
-    def restore_delta_state(self, snap) -> None:
-        """Restore state captured by :meth:`snapshot_delta_state`."""
-        caches, log, epoch = snap
-        for vid, group in self.groups.items():
-            entry = caches.get(vid)
-            if entry is None:
-                group._cand_cache = None
-            else:
-                cache, log_pos = entry
-                cache.log_pos = log_pos
-                group._cand_cache = cache
-        self._cand_log = list(log)
-        self._cand_reset_epoch = epoch
 
     # ------------------------------------------------------------------
     # Membership hooks
@@ -427,12 +354,15 @@ class PeerStateStore:
     #: peer's construction (written once at admission), and the peers'
     #: own upload capacity and transfer counters, which their
     #: ``upload_capacity_chunks`` / ``chunks_downloaded`` /
-    #: ``chunks_uploaded`` / ``first_delivery_time`` read and write.
+    #: ``chunks_uploaded`` / ``first_delivery_time`` read and write,
+    #: and the span of the peer's candidate table in the pool (count
+    #: −1: no table).
     _ID_COLUMNS = (
         ("_row_table", -1), ("_bucket_key", -1), ("_isp_table", -1),
         ("_seed_table", False), ("_departure_table", np.inf),
         ("capacity", 0), ("downloaded", 0), ("uploaded", 0),
-        ("first_delivery", np.nan),
+        ("first_delivery", np.nan), ("_table_start", 0),
+        ("_table_count", -1),
     )
 
     def _ensure_group(self, peer: Peer) -> VideoGroup:
@@ -492,7 +422,6 @@ class PeerStateStore:
             group = self.groups[vid]
             group.member_ids = _merge_ids(group.member_ids, id_list)
             group._watchers_stale = True
-            self.membership_version += len(id_list)
         if per_group:
             self._online_ids = _merge_ids(
                 self._online_ids,
@@ -530,13 +459,8 @@ class PeerStateStore:
             group.member_ids = group.member_ids[keep]
             group._watchers_stale = True
         self._online_ids = self._online_ids[~np.isin(self._online_ids, ids)]
+        self._drop_tables(ids)
         self._clear_ids(ids)
-        for pid in ids.tolist():
-            if self._cand.pop(pid, None) is not None:
-                self._cand_have[pid] = False
-                self.candidate_epoch += 1
-                self._cand_log.append(pid)
-        self.membership_version += len(peers)
 
     def _clear_ids(self, ids) -> None:
         """Reset departed ids in every id-indexed column."""
@@ -544,22 +468,14 @@ class PeerStateStore:
             getattr(self, name)[ids] = empty
 
     def invalidate_costs(self) -> None:
-        """Drop every cached candidate-cost table (cost-regime change).
+        """Drop every candidate table (cost-regime change).
 
-        Scenario-engine hook: after a mid-run ISP price shock the cached
-        per-peer ``(rows, ids, costs)`` entries hold stale costs; this
-        forces them to be rebuilt from the cost model on next use (reads
-        only the model's pair cache — no random draws are consumed, so
-        the run's cost trajectory is unperturbed).
+        Scenario-engine hook: after a mid-run ISP price shock the tables
+        hold stale costs; dropping them makes the next build re-read
+        them from the cost model (only its pair cache: no random draws
+        are consumed, so the run's cost trajectory is unperturbed).
         """
-        if self._cand:
-            self._cand.clear()
-            self._cand_have[:] = False
-            self.candidate_epoch += 1
-        # The per-group CSR caches hold cost *copies*, so they go stale
-        # even when the entry dict is already empty: always bump the
-        # epoch (wholesale invalidation, no per-pid log entries).
-        self._cand_reset_epoch += 1
+        self._drop_tables(self._online_ids)
 
     # ------------------------------------------------------------------
     # Columns
@@ -614,210 +530,85 @@ class PeerStateStore:
     # Candidate tables
     # ------------------------------------------------------------------
     def _drain_overlay(self) -> None:
-        """Invalidate candidate entries of peers whose links changed."""
-        if self.overlay.version == self._overlay_version_seen:
-            return
+        """Drop the candidate tables of peers whose links changed.
+
+        Every overlay node was admitted to the store first, so its id
+        lies inside the id-indexed columns.
+        """
         dirty = self.overlay.consume_dirty()
         if dirty:
-            dropped = False
-            for pid in dirty:
-                if self._cand.pop(pid, None) is not None:
-                    self._cand_have[pid] = False
-                    dropped = True
-                    self._cand_log.append(pid)
-            if dropped:
-                self.candidate_epoch += 1
-        else:
-            # Version moved without dirty marks (defensive): full sweep.
-            if self._cand:
-                self._cand.clear()
-                self._cand_have[:] = False
-                self.candidate_epoch += 1
-            self._cand_reset_epoch += 1
-        self._overlay_version_seen = self.overlay.version
+            self._drop_tables(np.fromiter(dirty, dtype=np.int64, count=len(dirty)))
+
+    def _drop_tables(self, ids: np.ndarray) -> None:
+        """Drop the candidate tables of the distinct ``ids`` that hold one."""
+        counts = self._table_count[ids]
+        held = counts >= 0
+        if held.any():
+            self._pool_live -= int(counts[held].sum())
+            self._table_count[ids[held]] = -1
+            self._dropped += int(np.count_nonzero(held))
 
     def _candidate_entry(
         self, pid: int, group: VideoGroup
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Same-video neighbor ``(rows, ids, costs)``, sorted by id."""
-        entry = self._cand.get(pid)
-        if entry is None:
-            members = group.member_ids
-            nb = self.overlay.neighbor_array(pid)
-            if nb.size and members.size:
-                pos = np.searchsorted(members, nb)
-                pos[pos >= members.size] = 0
-                hit = members[pos] == nb
-                nb_ids = members[pos[hit]]
-                nb_rows = self._row_table[nb_ids]
-            else:
-                nb_ids = _EMPTY_INT
-                nb_rows = _EMPTY_INT
-            nb_costs = self.costs.costs_for_pairs(nb_ids, pid)
-            entry = (nb_rows, nb_ids, nb_costs)
-            self._cand[pid] = entry
-            have = self._cand_have
-            if pid >= len(have):
-                grown = np.zeros(max(pid + 1, 2 * len(have)), dtype=bool)
-                grown[: len(have)] = have
-                self._cand_have = have = grown
-            have[pid] = True
-        return entry
-
-    def _flat_candidates(
-        self, group: VideoGroup, active_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat candidate CSR over ``active_ids`` (entries pre-built)."""
-        entries = [
-            self._candidate_entry(pid, group) for pid in active_ids.tolist()
-        ]
-        d = len(entries)
-        counts = np.fromiter(
-            (len(e[0]) for e in entries), dtype=np.int64, count=d
-        )
-        indptr = np.zeros(d + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if d and int(indptr[-1]):
-            rows = np.concatenate([e[0] for e in entries])
-            ids = np.concatenate([e[1] for e in entries])
-            costs = np.concatenate([e[2] for e in entries])
+        """Same-video neighbor ``(rows, ids, costs)`` of ``pid``, sorted by id."""
+        members = group.member_ids
+        nb = self.overlay.neighbor_array(pid)
+        if nb.size and members.size:
+            pos = np.searchsorted(members, nb)
+            pos[pos >= members.size] = 0
+            nb_ids = members[pos[members[pos] == nb]]
         else:
-            rows, ids, costs = _EMPTY_INT, _EMPTY_INT, _EMPTY_FLOAT
-        return counts, indptr, rows, ids, costs
+            nb_ids = _EMPTY_INT
+        return (
+            self._row_table[nb_ids],
+            nb_ids,
+            self.costs.costs_for_pairs(nb_ids, pid),
+        )
 
-    def _flat_candidates_cached(
-        self, group: VideoGroup, active_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_flat_candidates`, spliced forward from the group's cache.
+    def _build_tables(self, need: Sequence[Tuple[int, VideoGroup]]) -> None:
+        """Build the tables of ``need``'s ``(pid, group)`` pairs, in its order.
 
-        Byte-identical output to the flat build: per-watcher segments
-        whose entry survived untouched since the cached copy (not in the
-        drop log, no cost-regime epoch bump) are gathered straight out
-        of the previous call's pooled arrays; only fresh or invalidated
-        segments are re-read from the entry dict.  The common steady
-        slot — same active set, nothing dropped — returns the cached
-        arrays outright.  A group with no valid cache (the first build
-        of a run, or after a cost shock) builds flat.  Every segment is
-        counted into :attr:`splice_counts`.
+        One :meth:`_candidate_entry` (one ``costs_for_pairs`` call) per
+        table, so the order of ``need`` is the order the cost model
+        samples never-seen pairs in, and one pool append for them all.
+        Before that, a pool whose dead part outgrows its live part is
+        compacted by one gather of the live tables.
         """
-        cache = group._cand_cache
-        log = self._cand_log
-        tally = self.splice_counts
-        d = len(active_ids)
-        if cache is None or cache.reset_epoch != self._cand_reset_epoch:
-            if cache is not None:
-                tally["dropped"] += int(
-                    np.count_nonzero(~np.isin(cache.active_ids, active_ids))
-                )
-            out = self._flat_candidates(group, active_ids)
-            group._cand_cache = _CandCache(
-                active_ids, *out, len(log), self._cand_reset_epoch
-            )
-            tally["rebuilt"] += d
-            return out
-        gone = log[cache.log_pos :]
-        stale = (
-            np.isin(active_ids, np.asarray(gone, dtype=np.int64))
-            if gone
-            else None
-        )
-        if (stale is None or not stale.any()) and np.array_equal(
-            active_ids, cache.active_ids
-        ):
-            cache.log_pos = len(log)
-            tally["reused"] += d
-            return (
-                cache.counts, cache.indptr, cache.rows,
-                cache.ids, cache.costs,
-            )
-        # Splice: cached segments for surviving actives, dict entries
-        # (pre-built by assemble_requests) for the rest, one pooled
-        # gather in active order.
-        if len(cache.active_ids):
-            pos = np.searchsorted(cache.active_ids, active_ids)
-            np.minimum(pos, len(cache.active_ids) - 1, out=pos)
-            in_cache = cache.active_ids[pos] == active_ids
-        else:
-            pos = np.zeros(d, dtype=np.int64)
-            in_cache = np.zeros(d, dtype=bool)
-        tally["dropped"] += len(cache.active_ids) - int(
-            np.count_nonzero(in_cache)
-        )
-        if stale is not None:
-            in_cache &= ~stale
-        counts = np.empty(d, dtype=np.int64)
-        starts = np.empty(d, dtype=np.int64)
-        hit_pos = pos[in_cache]
-        counts[in_cache] = cache.counts[hit_pos]
-        starts[in_cache] = cache.indptr[:-1][hit_pos]
-        fresh = ~in_cache
-        fresh_ids = active_ids[fresh]
-        tally["reused"] += d - len(fresh_ids)
-        tally["rebuilt"] += len(fresh_ids)
-        pool_rows, pool_ids, pool_costs = cache.rows, cache.ids, cache.costs
-        if len(fresh_ids):
-            entries = [
-                self._candidate_entry(pid, group)
-                for pid in fresh_ids.tolist()
-            ]
-            f_counts = np.fromiter(
-                (len(e[0]) for e in entries),
-                dtype=np.int64,
-                count=len(entries),
-            )
-            f_offs = np.zeros(len(entries), dtype=np.int64)
-            np.cumsum(f_counts[:-1], out=f_offs[1:])
-            counts[fresh] = f_counts
-            starts[fresh] = f_offs + len(pool_rows)
-            if int(f_counts[-1] + f_offs[-1]):
-                pool_rows = np.concatenate([pool_rows] + [e[0] for e in entries])
-                pool_ids = np.concatenate([pool_ids] + [e[1] for e in entries])
-                pool_costs = np.concatenate(
-                    [pool_costs] + [e[2] for e in entries]
-                )
-        indptr = np.zeros(d + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        total = int(indptr[-1])
-        edge_idx = np.repeat(starts - indptr[:-1], counts)
-        edge_idx += np.arange(total, dtype=np.int64)
-        rows = pool_rows[edge_idx]
-        ids = pool_ids[edge_idx]
-        costs = pool_costs[edge_idx]
-        group._cand_cache = _CandCache(
-            active_ids, counts, indptr, rows, ids, costs,
-            len(log), self._cand_reset_epoch,
-        )
-        return counts, indptr, rows, ids, costs
-
-    def _trim_cand_log(self) -> None:
-        """Compact the drop log once it outgrows the limit.
-
-        The log prefix every live cache has already consumed is deleted
-        and the cursors rebased; a cache lagging more than the limit (a
-        group that stopped producing requests) is dropped rather than
-        allowed to pin the log forever.  With no caches at all the whole
-        log clears.  Runs at the end of every build, so the log stays
-        bounded between builds whatever the churn rate.
-        """
-        log = self._cand_log
-        if len(log) <= _CAND_LOG_LIMIT:
+        if len(self._pool_ids) > 2 * self._pool_live:
+            live = self._online_ids[self._table_count[self._online_ids] >= 0]
+            _, indptr, rows, ids, costs = self._gather_tables(live)
+            self._pool_rows, self._pool_ids, self._pool_costs = rows, ids, costs
+            self._table_start[live] = indptr[:-1]
+        if not need:
             return
-        floor = len(log) - _CAND_LOG_LIMIT
-        cut = len(log)
-        for group in self.groups.values():
-            cache = group._cand_cache
-            if cache is None:
-                continue
-            if cache.log_pos < floor:
-                group._cand_cache = None
-            elif cache.log_pos < cut:
-                cut = cache.log_pos
-        if cut:
-            del log[:cut]
-            for group in self.groups.values():
-                cache = group._cand_cache
-                if cache is not None:
-                    cache.log_pos -= cut
+        rows, ids, costs = zip(
+            *[self._candidate_entry(pid, group) for pid, group in need]
+        )
+        pids = np.fromiter((pid for pid, _ in need), dtype=np.int64, count=len(need))
+        counts = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+        self._table_start[pids] = np.cumsum(counts) - counts + len(self._pool_ids)
+        self._table_count[pids] = counts
+        self._pool_live += int(counts.sum())
+        self._pool_rows = np.concatenate((self._pool_rows,) + rows)
+        self._pool_ids = np.concatenate((self._pool_ids,) + ids)
+        self._pool_costs = np.concatenate((self._pool_costs,) + costs)
+
+    def _gather_tables(self, ids: np.ndarray):
+        """The tables of ``ids`` concatenated in their order, by one gather.
+
+        Returns ``(counts, indptr, rows, ids, costs)``, a CSR over
+        ``ids``; every id must hold a table.
+        """
+        counts = self._table_count[ids]
+        indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        idx = np.repeat(self._table_start[ids] - indptr[:-1], counts)
+        idx += np.arange(int(indptr[-1]), dtype=np.int64)
+        return (
+            counts, indptr,
+            self._pool_rows[idx], self._pool_ids[idx], self._pool_costs[idx],
+        )
 
     # ------------------------------------------------------------------
     # Batched delivery (transfer-apply hot path)
@@ -896,16 +687,14 @@ class PeerStateStore:
         problem the per-request builder in ``tests/oracles/slot.py``
         constructs.
 
-        Every call drains the overlay's dirty set, assembles in one
-        fused pass per bucket (:meth:`_assemble_buckets`) and then
-        compacts the candidate drop log.  Windows and valuations are
+        Every call drops the tables of peers whose links changed and
+        assembles in one fused pass per bucket
+        (:meth:`_assemble_buckets`).  Windows and valuations are
         recomputed on every call (playback shifts the deadline
-        fractions); only the candidate CSR carries over between builds.
+        fractions); only the candidate tables carry over between builds.
         """
         self._drain_overlay()
-        parts = self._assemble_buckets(now, valuation, lookahead)
-        self._trim_cand_log()
-        return parts
+        return self._assemble_buckets(now, valuation, lookahead)
 
     @staticmethod
     def _pack_requests(peers, vids, chunks, vals, counts, cand_ids, cand_costs):
@@ -963,16 +752,17 @@ class PeerStateStore:
           block in the order the problem wants (:meth:`_finish_bucket`),
           so the full-matrix ``nonzero`` and edge-key argsort disappear.
 
-        Candidate tables come from the per-group
-        :meth:`_flat_candidates_cached` splice.  Group concatenation
-        order is free here: each peer watches one video, so the
-        id-order permutation in :meth:`_pack_requests` lands on
-        identical bytes regardless.
+        Active watchers without a candidate table get one first
+        (:meth:`_build_tables`), and the build's tables are counted into
+        :attr:`table_counts`.  Group concatenation order is free here:
+        each peer watches one video, so the id-order permutation in
+        :meth:`_pack_requests` lands on identical bytes regardless.
         """
         staged = []
-        need_entry: List[Tuple[int, VideoGroup]] = []
+        need: List[Tuple[int, VideoGroup]] = []
         per_bucket: Dict[int, list] = {}
         bucket_order: List[StateBucket] = []
+        n_active = 0
         for group in self.groups.values():
             rows, ids = group.watcher_arrays(self._row_table)
             if not len(rows):
@@ -1050,22 +840,19 @@ class PeerStateStore:
             staged.append(
                 (bucket, entries, act_rows, act_ids, due, avail, agidx, packed)
             )
-            have = self._cand_have
-            in_tab = act_ids < len(have)
-            hit = np.zeros(len(act_ids), dtype=bool)
-            hit[in_tab] = have[act_ids[in_tab]]
-            if not hit.all():
-                for i in np.nonzero(~hit)[0].tolist():
-                    need_entry.append(
-                        (int(act_ids[i]), entries[int(agidx[i])][0])
-                    )
-        if need_entry:
-            # Build missing candidate tables in ascending id order so
-            # the cost model samples never-seen pairs in exactly the
-            # reference's order (trajectory preservation).
-            need_entry.sort(key=lambda item: item[0])
-            for pid, group in need_entry:
-                self._candidate_entry(pid, group)
+            n_active += len(act_ids)
+            for i in np.flatnonzero(self._table_count[act_ids] < 0).tolist():
+                need.append((int(act_ids[i]), entries[int(agidx[i])][0]))
+        # Build missing candidate tables in ascending id order so the
+        # cost model samples never-seen pairs in exactly the reference's
+        # order (trajectory preservation).
+        need.sort(key=lambda item: item[0])
+        self._build_tables(need)
+        tally = self.table_counts
+        tally["reused"] += n_active - len(need)
+        tally["rebuilt"] += len(need)
+        tally["dropped"] += self._dropped
+        self._dropped = 0
         outputs = []
         for stage in staged:
             part = self._finish_bucket(stage, now, valuation, lookahead)
@@ -1125,68 +912,32 @@ class PeerStateStore:
         """
         bucket, entries, act_rows, act_ids, due, avail, agidx, packed = stage
         W = bucket.window
-        # Per-group candidate splices, sliced out of the fused watcher
-        # columns (agidx ascends with the group concatenation).
-        bounds = np.searchsorted(agidx, np.arange(len(entries) + 1))
-        flats = []
-        vids_of = np.empty(len(entries), dtype=np.int64)
-        for gi, (group, _, _) in enumerate(entries):
-            vids_of[gi] = group.video.video_id
-            lo, hi = int(bounds[gi]), int(bounds[gi + 1])
-            if hi > lo:
-                flats.append(self._flat_candidates_cached(group, act_ids[lo:hi]))
-        if len(flats) == 1:
-            nb_counts, _, nb_rows, nb_ids, nb_costs = flats[0]
-        else:
-            nb_counts = np.concatenate([f[0] for f in flats])
-            nb_rows = np.concatenate([f[2] for f in flats])
-            nb_ids = np.concatenate([f[3] for f in flats])
-            nb_costs = np.concatenate([f[4] for f in flats])
-        sel = nb_counts > 0
-        if not sel.any():
-            return None
-        if not sel.all():
-            keep_edges = np.repeat(sel, nb_counts)
-            nb_rows = nb_rows[keep_edges]
-            nb_ids = nb_ids[keep_edges]
-            nb_costs = nb_costs[keep_edges]
-            nb_counts = nb_counts[sel]
-            act_rows = act_rows[sel]
-            act_ids = act_ids[sel]
-            agidx = agidx[sel]
-            due = due[sel]
-            avail = avail[sel]
-        d = len(act_rows)
         if len(entries) > 1:
-            # Pre-sort watchers by peer id so the emitted request column
-            # is already in id order and :meth:`_pack_requests` can
-            # skip its request+edge permutation (requests outnumber
-            # watchers many times over).  Candidate segments are
-            # permuted alongside.  Stable, and each peer watches one
-            # video, so per-peer window order is untouched — identical
-            # bytes to permuting after the fact.
+            # Watchers in peer-id order, so the emitted request column
+            # is already ascending and :meth:`_pack_requests` skips its
+            # request+edge permutation (requests outnumber watchers many
+            # times over).  Each peer watches one video, so per-peer
+            # window order is untouched: identical bytes to permuting
+            # after the fact.
             order = np.argsort(act_ids, kind="stable")
             act_ids = act_ids[order]
             act_rows = act_rows[order]
             agidx = agidx[order]
             due = due[order]
             avail = avail[order]
-            new_counts = nb_counts[order]
-            old_indptr = np.zeros(d + 1, dtype=np.int64)
-            np.cumsum(nb_counts, out=old_indptr[1:])
-            nb_indptr = np.zeros(d + 1, dtype=np.int64)
-            np.cumsum(new_counts, out=nb_indptr[1:])
-            seg_idx = np.repeat(
-                old_indptr[:-1][order] - nb_indptr[:-1], new_counts
-            )
-            seg_idx += np.arange(len(nb_rows), dtype=np.int64)
-            nb_rows = nb_rows[seg_idx]
-            nb_ids = nb_ids[seg_idx]
-            nb_costs = nb_costs[seg_idx]
-            nb_counts = new_counts
-        else:
-            nb_indptr = np.zeros(d + 1, dtype=np.int64)
-            np.cumsum(nb_counts, out=nb_indptr[1:])
+        sel = self._table_count[act_ids] > 0
+        if not sel.any():
+            return None
+        if not sel.all():
+            act_rows = act_rows[sel]
+            act_ids = act_ids[sel]
+            agidx = agidx[sel]
+            due = due[sel]
+            avail = avail[sel]
+        nb_counts, nb_indptr, nb_rows, nb_ids, nb_costs = self._gather_tables(
+            act_ids
+        )
+        d = len(act_rows)
         owner = np.repeat(np.arange(d, dtype=np.int64), nb_counts)
         if packed is not None:
             # Word pipeline: one uint64 window per candidate edge.  A
@@ -1243,7 +994,10 @@ class PeerStateStore:
         # full-window matrix, evaluated at the requested cells only.
         deadlines = (st + (req_chunks - sp) / cps) - now
         req_vals = valuation.values(np.maximum(0.0, deadlines - lookahead))
-        vids = vids_of[agidx[rd]]
+        vids = np.fromiter(
+            (group.video.video_id for group, _, _ in entries),
+            dtype=np.int64, count=len(entries),
+        )[agidx[rd]]
         return req_peers, vids, req_chunks, req_vals, req_counts, cand_ids, cand_costs
 
     # ------------------------------------------------------------------
@@ -1331,12 +1085,27 @@ class PeerStateStore:
 
         Cheap enough for tests to call after every mutation: the online
         ids and each video's member table (and, when a ``tracker`` is
-        given, its registry), that every online peer's buffer, session
-        and peer share one handle bound to the row the row table names,
-        and the values written at admission.
+        given, its registry), the candidate-table pool (every span lies
+        inside it, its live count is the online tables' edges, and no
+        offline id holds a table), that every online peer's buffer,
+        session and peer share one handle bound to the row the row
+        table names, and the values written at admission.
         """
         ids = sorted(peers)
         assert self._online_ids.tolist() == ids, "online ids drifted from peers"
+        counts = self._table_count
+        held = self._online_ids[counts[self._online_ids] >= 0]
+        assert np.count_nonzero(counts >= 0) == len(held), (
+            "an offline id holds a candidate table"
+        )
+        starts = self._table_start[held]
+        ends = starts + counts[held]
+        assert (starts >= 0).all() and (ends <= len(self._pool_ids)).all(), (
+            "a candidate table's span leaves the pool"
+        )
+        assert int(counts[held].sum()) == self._pool_live, (
+            "the pool's live count drifted from the tables"
+        )
         by_video: Dict[int, List[int]] = {}
         for pid in ids:
             by_video.setdefault(peers[pid].video.video_id, []).append(pid)

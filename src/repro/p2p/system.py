@@ -115,9 +115,10 @@ class P2PSystem:
         # Persistent columnar peer state: the one record of membership
         # (online ids, per-video member tables, id-indexed rows), the
         # online peers' bitmaps, playback state, capacities and transfer
-        # counters (the only copy; the peer objects are views) and the
-        # candidate tables, maintained incrementally at admit/remove/
-        # transfer/refresh instead of being rebuilt every build_problem.
+        # counters (the only copy; the peer objects are views) and each
+        # watcher's candidate table (a span of one pool), maintained
+        # incrementally at admit/remove/transfer/link change instead of
+        # being rebuilt every build_problem.
         self.store = PeerStateStore(
             self.overlay, self.costs, window=config.prefetch_chunks
         )
@@ -335,7 +336,7 @@ class P2PSystem:
         peers = [self.peers.pop(pid) for pid in ids]
         self.store.remove_batch(peers)
         for peer in peers:
-            self.tracker.unregister(peer.peer_id)
+            self.tracker.unregister(peer)
             self.overlay.remove_node(peer.peer_id)
             self.topology.remove_peer(peer.peer_id)
         self.costs.forget_peer(*ids)
@@ -393,7 +394,7 @@ class P2PSystem:
             churn_s = build_s = solve_s = apply_s = playback_s = 0.0
             bids_sub = bids_rej = evictions = price_updates = 0
             rows_eval = scalar_rounds = 0
-            splice0 = dict(self.store.splice_counts)
+            tables0 = dict(self.store.table_counts)
 
         if churn:
             self._process_departures(t, remove_finished)
@@ -431,7 +432,7 @@ class P2PSystem:
         # at the boundary above), so the store's capacity columns cover
         # the whole slot; the per-round share array is passed straight
         # to build_problem — no per-peer budget dict.
-        _, slot_caps = self._capacity_arrays()
+        _, slot_caps = self.store.capacity_columns()
         warm = self.config.warm_start_prices and getattr(
             self.scheduler, "supports_warm_start", False
         )
@@ -530,8 +531,8 @@ class P2PSystem:
                     "n_served": n_served,
                     "welfare": welfare,
                     "build": {
-                        name: count - splice0[name]
-                        for name, count in self.store.splice_counts.items()
+                        name: count - tables0[name]
+                        for name, count in self.store.table_counts.items()
                     },
                     "solver": {
                         "rounds": sched_rounds,
@@ -809,7 +810,6 @@ class P2PSystem:
     def build_problem(
         self,
         now: float,
-        capacities: Optional[Dict[int, int]] = None,
         capacity_array: Optional[np.ndarray] = None,
     ) -> SchedulingProblem:
         """One (sub-)round's assignment problem from the peer-state store.
@@ -817,11 +817,10 @@ class P2PSystem:
         Fully vectorized construction on the persistent columnar store:
         window availability and valuations come from word-packed window
         gathers over the per-bucket bitmap matrices, and the candidate
-        CSR is spliced forward from each video group's previous build —
-        only segments invalidated since (churn, overlay changes, cost
-        shocks) are re-read from the entry dict, and a group with no
-        cache (the first build of a run) builds its CSR flat.  The whole
-        request block is handed to
+        edges from one range gather of the watchers' candidate tables,
+        which persist across builds; only the tables dropped since
+        (churn, link changes, cost shocks) and those of watchers new to
+        the build are made afresh.  The whole request block is handed to
         :meth:`SchedulingProblem.add_requests_batch` in one call — no
         per-peer Python loop, no per-slot re-stacking.  Produces the
         same problem (same request order, same candidate edges and
@@ -830,12 +829,12 @@ class P2PSystem:
         pins byte-for-byte, as it pins the cold per-group assembler in
         ``tests/oracles/assemble.py``.
 
-        ``capacities`` overrides per-peer upload budgets as a dict
-        (missing entries mean 0); ``capacity_array`` is the loop-free
-        variant aligned with the store's ascending online ids (used by
-        ``run_slot``'s sub-round split).  Capacities are primed from
-        the store's columns without a per-peer dict.  The request-index
-        → downstream peer map is ``problem.request_peer_array()``.
+        ``capacity_array`` overrides the upload budgets, aligned with
+        the store's ascending online ids (``run_slot``'s sub-round
+        split); by default each peer's own capacity applies.
+        Capacities are primed from the store's columns without a
+        per-peer dict.  The request-index → downstream peer map is
+        ``problem.request_peer_array()``.
         """
         ids, caps = self.store.capacity_columns()
         if capacity_array is not None:
@@ -845,12 +844,6 @@ class P2PSystem:
                     f"capacity_array must align with the {len(ids)} online "
                     f"peers, got {len(caps)} entries"
                 )
-        elif capacities is not None:
-            caps = np.fromiter(
-                (capacities.get(pid, 0) for pid in ids.tolist()),
-                dtype=np.int64,
-                count=len(ids),
-            )
         rounds = self.config.bid_rounds_per_slot
         lookahead = self.config.slot_seconds / rounds if rounds > 1 else 0.0
         problem = SchedulingProblem()
@@ -930,7 +923,7 @@ class P2PSystem:
         queue = self.retry_queue
         if not len(queue):
             return zero
-        isp_of = self._isp_id_array()
+        isp_of = self.store.isp_table()
         evicted = queue.evict_departed(isp_of >= 0)
         surrendered = len(queue.pop_surrendered(self.slot_index)[0])
         batch, expire = queue.pop_due(self.slot_index)
@@ -998,23 +991,6 @@ class P2PSystem:
             "delay_ms": delay_ms,
         }
 
-    def _capacity_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(peer_ids, upload capacities)`` columns (do not mutate).
-
-        The peer-state store's online ids, ascending, and their entries
-        of its capacity column.
-        """
-        return self.store.capacity_columns()
-
-    def _isp_id_array(self) -> np.ndarray:
-        """Peer-id-indexed ISP lookup table (do not mutate).
-
-        ``arr[peer_id]`` is the peer's ISP index (−1 for ids not online);
-        maintained incrementally by the peer-state store — a flat table
-        beats a dict probe per transfer by orders of magnitude.
-        """
-        return self.store.isp_table()
-
     def _apply_transfers(
         self, problem: SchedulingProblem, result: ScheduleResult
     ) -> Tuple[int, int]:
@@ -1037,7 +1013,7 @@ class P2PSystem:
         chunk_indices = pair_array[:, 1]
         downstream = problem.request_peer_array()[indices]
         chunks = chunk_indices[indices]
-        isp_of = self._isp_id_array()
+        isp_of = self.store.isp_table()
         up_isps = isp_of[uploaders]
         down_isps = isp_of[downstream]
         keep = None

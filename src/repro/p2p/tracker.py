@@ -39,48 +39,33 @@ class Tracker:
         seed_rank: str = "first",
     ) -> None:
         self.store = store
-        self._peers: Dict[int, Peer] = {}
+        # Online peer ids (seeds included) by video.  A set's iteration
+        # order fixes the order of the bootstrap candidates, and so of
+        # the ranking's tie-break draws.
         self._by_video: Dict[int, Set[int]] = {}
         self.rng = rng
         self.seed_rank = seed_rank
-        #: Monotone counter bumped on every register/unregister; lets
-        #: membership-derived caches (the peer-state store's tables, the
-        #: staleness tests) key on tracker state without copying it.
-        self.version = 0
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
     def register(self, peer: Peer) -> None:
-        if peer.peer_id in self._peers:
+        members = self._by_video.setdefault(peer.video.video_id, set())
+        if peer.peer_id in members:
             raise ValueError(f"peer {peer.peer_id} already registered")
-        self._peers[peer.peer_id] = peer
-        self._by_video.setdefault(peer.video.video_id, set()).add(peer.peer_id)
-        self.version += 1
+        members.add(peer.peer_id)
 
-    def unregister(self, peer_id: int) -> None:
-        peer = self._peers.pop(peer_id, None)
-        if peer is None:
-            raise KeyError(f"peer {peer_id} not registered")
-        members = self._by_video.get(peer.video.video_id)
-        if members is not None:
-            members.discard(peer_id)
-            if not members:
-                del self._by_video[peer.video.video_id]
-        self.version += 1
-
-    def __contains__(self, peer_id: int) -> bool:
-        return peer_id in self._peers
+    def unregister(self, peer: Peer) -> None:
+        vid = peer.video.video_id
+        members = self._by_video.get(vid, self._NO_MEMBERS)
+        if peer.peer_id not in members:
+            raise KeyError(f"peer {peer.peer_id} not registered")
+        members.discard(peer.peer_id)
+        if not members:
+            del self._by_video[vid]
 
     def __len__(self) -> int:
-        return len(self._peers)
-
-    def online_peers(self) -> List[int]:
-        return list(self._peers)
-
-    def peers_watching(self, video_id: int) -> Set[int]:
-        """Online peers (incl. seeds) holding content of ``video_id``."""
-        return set(self._by_video.get(video_id, set()))
+        return sum(len(members) for members in self._by_video.values())
 
     def members_view(self, video_id: int):
         """Zero-copy view of ``video_id``'s member set (do not mutate).

@@ -48,12 +48,11 @@ class TestSpanContent:
         assert records[-1]["n_peers"] == len(system.peers)
 
     def test_build_counters_show_the_splice(self):
-        """The first build reads every segment; later ones splice.
+        """The first build makes every candidate table; later ones keep them.
 
         On a churning run (two bid rounds a slot, so every slot builds
-        twice), churn invalidates candidate tables that some later slot
-        must re-read, and every slot after the first reuses cached
-        segments.
+        twice), churn drops candidate tables that some later slot must
+        make again, and every slot after the first keeps some tables.
         """
         config = SystemConfig.tiny(
             seed=3,
@@ -68,7 +67,7 @@ class TestSpanContent:
             system.run_slot(churn=True, remove_finished=True)
         system.close()
         records = tracer.records()
-        assert records[0]["build"]["rebuilt"] > 0  # no cache yet
+        assert records[0]["build"]["rebuilt"] > 0  # no table yet
         assert sum(r["departures"] for r in records) > 0
         assert any(r["build"]["rebuilt"] for r in records[1:])
         assert all(r["build"]["reused"] for r in records[1:])

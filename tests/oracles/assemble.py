@@ -1,20 +1,24 @@
 """Cold per-group twin of ``PeerStateStore.assemble_requests``.
 
 The production assembler runs one fused pass per state bucket over
-word-packed windows and splices each video group's candidate CSR
-forward from the previous build.  This is the assembler it replaced:
-one pass per video group over boolean window matrices, the candidate
-CSR rebuilt flat from the entry dict on every call, and edges ordered
-by a full ``nonzero`` plus a stable argsort of the (watcher, chunk,
-neighbor) key.  It never reads or writes the per-group CSR caches, so
-it can run on the same store state as the production build.  The
-property suite compares the two problems byte for byte, and the
-slot-pipeline benchmark times one against the other.
+word-packed windows and reads a bucket's candidate tables with one
+range gather.  This is the assembler it replaced: one pass per video
+group over boolean window matrices, and edges ordered by a full
+``nonzero`` plus a stable argsort of the (watcher, chunk, neighbor)
+key.  Candidate tables go through the store's one table path: the
+overlay's dirty set drops them, missing ones are built in ascending id
+order, and each group's are gathered from the pool.  So the oracle can
+run on the same store state as the production build, before or after
+it.  Table contents are checked independently against the overlay and
+the cost model by ``build_problem_reference`` in
+``tests/oracles/slot.py``.  The property suite compares the two
+assemblers' problems byte for byte, and the slot-pipeline benchmark
+times one against the other.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -70,8 +74,8 @@ def finish_group(store, prep, now: float, valuation, lookahead: float):
     group, act_ids, act_rows, due, avail = prep
     bucket = group.bucket
     W = group.window
-    flats = store._flat_candidates(group, act_ids)
-    nb_counts, nb_indptr, nb_rows, nb_ids, nb_costs = flats
+    tables = store._gather_tables(act_ids)
+    nb_counts, nb_indptr, nb_rows, nb_ids, nb_costs = tables
     sel = nb_counts > 0
     if not sel.any():
         return None
@@ -141,14 +145,12 @@ def assemble_requests_cold(store, now: float, valuation, lookahead: float = 0.0)
             continue
         preps.append(prep)
         for pid in prep[1].tolist():
-            if pid not in store._cand:
+            if store._table_count[pid] < 0:
                 need_entry.append((pid, group))
-    if need_entry:
-        # Missing candidate tables are built in ascending id order, so
-        # the cost model samples never-seen pairs in reference order.
-        need_entry.sort(key=lambda item: item[0])
-        for pid, group in need_entry:
-            store._candidate_entry(pid, group)
+    # Missing candidate tables are built in ascending id order, so the
+    # cost model samples never-seen pairs in reference order.
+    need_entry.sort(key=lambda item: item[0])
+    store._build_tables(need_entry)
     parts = []
     for prep in preps:
         part = finish_group(store, prep, now, valuation, lookahead)
@@ -178,23 +180,16 @@ def assemble_requests_cold(store, now: float, valuation, lookahead: float = 0.0)
 def build_problem_cold(
     system,
     now: float,
-    capacities: Optional[Dict[int, int]] = None,
     capacity_array: Optional[np.ndarray] = None,
 ) -> SchedulingProblem:
     """Same contract as ``P2PSystem.build_problem``, on the cold assembler.
 
-    Capacities go through the validating dict path
+    Capacities go through the validating path
     (``set_capacities_batch``) rather than the trusted priming.
     """
     ids, caps = system.store.capacity_columns()
     if capacity_array is not None:
         caps = np.asarray(capacity_array, dtype=np.int64)
-    elif capacities is not None:
-        caps = np.fromiter(
-            (capacities.get(pid, 0) for pid in ids.tolist()),
-            dtype=np.int64,
-            count=len(ids),
-        )
     rounds = system.config.bid_rounds_per_slot
     lookahead = system.config.slot_seconds / rounds if rounds > 1 else 0.0
     problem = SchedulingProblem()

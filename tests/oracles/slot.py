@@ -22,6 +22,8 @@ taking the object the step belongs to:
   table;
 * :func:`round_budget` — the sub-round share split in
   ``P2PSystem.run_slot``: one capacity at a time;
+* :func:`capacity_array` — a per-peer budget dict as the aligned
+  array ``P2PSystem.build_problem`` takes;
 * :func:`costs_from` — ``CostModel.costs_for_pairs``: one ``cost``
   call per source.
 
@@ -143,7 +145,6 @@ def admit(store, peer) -> None:
     group._watchers_stale = True
     at = int(np.searchsorted(store._online_ids, pid))
     store._online_ids = np.insert(store._online_ids, at, pid)
-    store.membership_version += 1
 
 
 def remove(store, peer) -> None:
@@ -158,12 +159,8 @@ def remove(store, peer) -> None:
     group._watchers_stale = True
     at = int(np.searchsorted(store._online_ids, pid))
     store._online_ids = np.delete(store._online_ids, at)
+    store._drop_tables(np.array([pid], dtype=np.int64))
     store._clear_ids(pid)
-    if store._cand.pop(pid, None) is not None:
-        store._cand_have[pid] = False
-        store.candidate_epoch += 1
-        store._cand_log.append(pid)
-    store.membership_version += 1
 
 
 def round_budget(capacity: int, round_index: int, rounds: int) -> int:
@@ -219,6 +216,20 @@ def cost_matrix(costs, peers: List[int]) -> np.ndarray:
 def online_peers(system):
     """The system's online peers in ascending id order."""
     return [system.peers[pid] for pid in sorted(system.peers)]
+
+
+def capacity_array(system, budgets: Dict[int, int]) -> np.ndarray:
+    """``budgets`` as ``build_problem``'s ``capacity_array``.
+
+    Aligned with the store's ascending online ids; a peer missing from
+    ``budgets`` gets 0.
+    """
+    ids, _ = system.store.capacity_columns()
+    return np.fromiter(
+        (budgets.get(pid, 0) for pid in ids.tolist()),
+        dtype=np.int64,
+        count=len(ids),
+    )
 
 
 def build_problem_reference(

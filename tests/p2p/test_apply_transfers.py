@@ -106,9 +106,8 @@ class TestApplyEquivalence:
         slow = build_system(spec)
         fast.run_slot()
         slow.run_slot()
-        budgets = dict(zip(*map(np.ndarray.tolist, fast._capacity_arrays())))
-        problem_fast = fast.build_problem(fast.now, capacities=budgets)
-        problem_slow = slow.build_problem(slow.now, capacities=budgets)
+        problem_fast = fast.build_problem(fast.now)
+        problem_slow = slow.build_problem(slow.now)
         result_fast = fast.scheduler.schedule(problem_fast)
         result_slow = slow.scheduler.schedule(problem_slow)
         assert result_fast.assignment == result_slow.assignment

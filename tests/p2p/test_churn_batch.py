@@ -175,16 +175,21 @@ class TestBatchStoreOps:
             )
             for _ in range(4)
         ]
-        before = system.store.membership_version
         system._admit_all(batch)  # one admit_batch call for the four
-        assert system.store.membership_version == before + len(batch)
         system.store.check_consistency(system.peers, tracker=system.tracker)
 
     def test_admit_batch_empty_is_noop(self):
         system = P2PSystem(SystemConfig.tiny(seed=4))
-        before = system.store.membership_version
-        system.store.admit_batch([])
-        assert system.store.membership_version == before
+        store = system.store
+        online = store._online_ids
+        members = {vid: g.member_ids for vid, g in store.groups.items()}
+        store.admit_batch([])
+        # Nothing merged: the same online ids and member tables.
+        assert store._online_ids is online
+        assert set(store.groups) == set(members)
+        assert all(
+            g.member_ids is members[vid] for vid, g in store.groups.items()
+        )
 
     def test_remove_batch_consistency(self):
         system = P2PSystem(SystemConfig.tiny(seed=5))
@@ -194,7 +199,7 @@ class TestBatchStoreOps:
             del system.peers[peer.peer_id]
         system.store.remove_batch(victims)
         for peer in victims:
-            system.tracker.unregister(peer.peer_id)
+            system.tracker.unregister(peer)
             system.overlay.remove_node(peer.peer_id)
             system.topology.remove_peer(peer.peer_id)
             system.costs.forget_peer(peer.peer_id)

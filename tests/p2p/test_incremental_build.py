@@ -1,12 +1,11 @@
-"""Unit tests for the cross-slot candidate splice behind ``build_problem``.
+"""Unit tests for the candidate tables behind ``build_problem``.
 
 The property suite (``tests/properties/test_incremental_build_equiv.py``)
 pins byte-identity with the cold oracle wholesale; these tests pin the
-*mechanism*: which mutations make the next build re-read or drop
-candidate segments (``PeerStateStore.splice_counts``), how retry
-suppression deletes and restores request rows, that no problem or
-drop-log entry outlives its use, and the bench-facing snapshot/restore
-and log-compaction plumbing.
+*mechanism*: which mutations make the next build make or drop candidate
+tables (``PeerStateStore.table_counts``), how retry suppression deletes
+and restores request rows, that a repeated build on unchanged state is
+identical, and that no problem and no dead pool span outlives its use.
 """
 
 from __future__ import annotations
@@ -19,13 +18,17 @@ import weakref
 import numpy as np
 
 from repro.net.linkmodel import LinkParams
-from repro.p2p import state
+from repro.obs import MemoryTraceSink
 from repro.p2p.config import SystemConfig
-from repro.p2p.state import _CAND_LOG_LIMIT
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
 from assemble import build_problem_cold  # noqa: E402
+
+
+#: Pool edges the bound allows beyond twice the live ones, so the test
+#: pins the pool's size, not the compaction trigger's exact threshold.
+POOL_SLACK = 16
 
 
 def make_system(n_peers=20, slots=2, **overrides):
@@ -53,23 +56,37 @@ def assert_identical(a, b):
 
 
 def counted_build(system):
-    """One ``build_problem`` at ``system.now`` and its splice counts."""
-    before = dict(system.store.splice_counts)
+    """One ``build_problem`` at ``system.now`` and its table counts."""
+    before = dict(system.store.table_counts)
     problem = system.build_problem(system.now)
-    after = system.store.splice_counts
+    after = system.store.table_counts
     return problem, {name: after[name] - before[name] for name in after}
 
 
 def double_build(system):
-    """Cold oracle vs the one build on the current state.
+    """The one build vs the cold oracle on the current state.
 
     Asserts the two problems are identical; returns the build's
-    problem and splice counts.
+    problem and table counts.  The build goes first, so its counts
+    include every table the state lacks.
     """
-    cold = build_problem_cold(system, system.now)
     problem, counts = counted_build(system)
-    assert_identical(cold, problem)
+    assert_identical(build_problem_cold(system, system.now), problem)
     return problem, counts
+
+
+def has_table(system, pid) -> bool:
+    return bool(system.store._table_count[pid] >= 0)
+
+
+def count_cost_lookups(system):
+    """The destinations of every ``costs_for_pairs`` call from now on."""
+    calls = []
+    lookup = system.costs.costs_for_pairs
+    system.costs.costs_for_pairs = (
+        lambda sources, dst: calls.append(dst) or lookup(sources, dst)
+    )
+    return calls
 
 
 def has_row(problem, down, vid, chunk) -> bool:
@@ -80,11 +97,11 @@ def has_row(problem, down, vid, chunk) -> bool:
 
 
 class TestReasonCodes:
-    """What invalidates a candidate segment, read off the splice counts."""
+    """What drops or makes a candidate table, read off the table counts."""
 
     def test_delivery_and_playback_marks(self):
         # Deliveries and playback move windows, not neighbor tables: a
-        # steady slot leaves every cached segment valid.
+        # steady slot keeps every table.
         system = make_system(slots=1)
         double_build(system)
         system.run_slot()
@@ -103,7 +120,7 @@ class TestReasonCodes:
         assert new_peer.peer_id in requesters
         assert victim not in requesters
         assert counts["rebuilt"] > 0  # the newcomer and its neighbors
-        assert counts["dropped"] > 0  # the victim's segment
+        assert counts["dropped"] > 0  # the victim's table
 
     def test_capacity_marks(self):
         system = make_system()
@@ -136,10 +153,28 @@ class TestReasonCodes:
         system.scale_inter_isp_costs(2.0)
         _, counts = double_build(system)
         assert counts["reused"] == 0 and counts["rebuilt"] > 0
-        # The full rebuild installed fresh cost copies: the next build
-        # splices forward again from the rebuilt caches.
+        # The rebuilt tables hold the new costs: the next build keeps
+        # them all.
         _, counts = double_build(system)
         assert counts["rebuilt"] == 0 and counts["reused"] > 0
+
+    def test_departure_drops_its_table_and_its_neighbours(self):
+        system = make_system()
+        system.build_problem(system.now)
+        victim = next(
+            pid for pid, p in system.peers.items()
+            if not p.is_seed
+            and has_table(system, pid)
+            and any(has_table(system, nb) for nb in system.overlay.neighbors(pid))
+        )
+        holders = sum(
+            has_table(system, nb) for nb in system.overlay.neighbors(victim)
+        )
+        system.remove_peer(victim)
+        _, counts = counted_build(system)
+        # Its own table at the departure, its ex-neighbours' at the
+        # build (their links changed).
+        assert counts["dropped"] == 1 + holders
 
 
 class TestRetrySuppression:
@@ -220,37 +255,18 @@ class TestSessionSync:
         double_build(system)
 
 
-class TestSnapshotRestore:
-    def test_repeat_patches_identical(self):
+class TestRepeatedBuild:
+    def test_repeat_builds_identical(self):
+        """A build changes no table it reads: nothing to restore."""
         system = make_system()
         double_build(system)
         system.run_slot()
-        snap = system.store.snapshot_delta_state()
-        first, first_counts = double_build(system)
+        first, _ = double_build(system)
         for _ in range(3):
-            system.store.restore_delta_state(snap)
             again, counts = counted_build(system)
             assert_identical(first, again)
-            assert counts == first_counts
-
-
-class TestCandLogCompaction:
-    def test_trim_rebases_and_drops_laggards(self):
-        system = make_system()
-        double_build(system)  # caches exist at log position 0
-        store = system.store
-        store._cand_log.extend(range(_CAND_LOG_LIMIT + 10))
-        store._trim_cand_log()
-        assert len(store._cand_log) <= _CAND_LOG_LIMIT
-        # Every surviving cache either kept pace (cursor rebased into
-        # range) or was dropped rather than pinning the log.
-        for group in store.groups.values():
-            cache = group._cand_cache
-            if cache is not None:
-                assert 0 <= cache.log_pos <= len(store._cand_log)
-        # The pipeline recovers: next build rebuilds dropped caches.
-        system.run_slot()
-        double_build(system)
+            assert counts["rebuilt"] == 0 and counts["dropped"] == 0
+            assert counts["reused"] > 0
 
 
 class TestRetention:
@@ -270,15 +286,47 @@ class TestRetention:
             assert len(seen) == 2 * (slot + 1)
             assert all(ref() is None for ref in seen), f"slot {slot}"
 
-    def test_drop_log_stays_bounded(self, monkeypatch):
-        monkeypatch.setattr(state, "_CAND_LOG_LIMIT", 16)
+    def test_pool_stays_within_twice_its_live_edges(self):
         config = SystemConfig.tiny(
             seed=5, arrival_rate_per_s=1.0, early_departure_prob=0.5
         )
         system = P2PSystem(config)
         system.populate_static(30)
+        store = system.store
+        sizes = []
         for _ in range(8):
             system.run_slot(churn=True, remove_finished=True)
-            assert len(system.store._cand_log) <= 16
-        # Enough churn to overflow the limit several times over.
-        assert system.departures > 16
+            sizes.append(len(store._pool_ids))
+            assert sizes[-1] <= 2 * store._pool_live + POOL_SLACK
+            store.check_consistency(system.peers, system.tracker)
+        # Churn dropped tables, and a compaction gave their spans back.
+        assert system.departures > 0
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+class TestOneTablePath:
+    def test_one_cost_lookup_per_table_made(self):
+        """``costs_for_pairs`` runs once per table a build makes."""
+        config = SystemConfig.tiny(
+            seed=5, arrival_rate_per_s=1.0, early_departure_prob=0.5,
+            bid_rounds_per_slot=2,
+        )
+        system = P2PSystem(config)
+        system.populate_static(30)
+        calls = count_cost_lookups(system)
+        tracer = system.attach_tracer(MemoryTraceSink())
+        for _ in range(6):
+            system.run_slot(churn=True, remove_finished=True)
+        made = sum(r["build"]["rebuilt"] for r in tracer.records())
+        assert made > 0 and len(calls) == made
+        assert system.departures > 0 and system.arrivals > 0
+
+    def test_steady_static_slot_makes_no_table(self):
+        system = make_system(slots=3)
+        calls = count_cost_lookups(system)
+        tracer = system.attach_tracer(MemoryTraceSink())
+        system.run_slot()
+        (record,) = tracer.records()
+        assert record["build"]["rebuilt"] == 0 and record["build"]["dropped"] == 0
+        assert record["build"]["reused"] > 0
+        assert calls == []

@@ -2,13 +2,13 @@
 
 The store keeps columnar state alive across slots, so every mutation
 path — admit, remove, churn departure, transfer, neighbor refill,
-direct session pokes — must invalidate the right version-keyed caches.
-Each test mutates through one path and asserts the store still matches
-the peers dict (:meth:`PeerStateStore.check_consistency` compares the
-online ids, member tables, row bindings and the values written at
-admission); :class:`TestConsistencyCheckFires` pins that each of those
-checks catches a drift.  The store's columns are the only copy of an
-online peer's playback, capacity and transfer state:
+direct session pokes — must keep it right.  Each test mutates through
+one path and asserts the store still matches the peers dict
+(:meth:`PeerStateStore.check_consistency` compares the online ids,
+member tables, the candidate-table pool, row bindings and the values
+written at admission); :class:`TestConsistencyCheckFires` pins that
+each of those checks catches a drift.  The store's columns are the
+only copy of an online peer's playback, capacity and transfer state:
 :class:`TestColumnsOwnPeerState` pins that the objects read and write
 them.  Membership is recorded once, by id, and read back in ascending
 id order (:class:`TestOneRecordOfMembership`).
@@ -53,9 +53,7 @@ def store_row(system, peer):
 class TestMembershipPaths:
     def test_admit_updates_columns_and_versions(self):
         system = build_system(5)
-        before = system.store.membership_version
         peer = system.add_watching_peer(video_id=0, upload_multiple=2.0)
-        assert system.store.membership_version > before
         ids, caps = system.store.capacity_columns()
         assert ids[-1] == peer.peer_id
         assert caps[-1] == peer.upload_capacity_chunks
@@ -66,15 +64,20 @@ class TestMembershipPaths:
 
     def test_remove_frees_row_and_drops_caches(self):
         system = build_system(8)
-        system.build_problem(system.now)  # populate candidate entries
-        victim = next(p for p in system.peers.values() if not p.is_seed)
+        system.build_problem(system.now)  # build candidate tables
+        store = system.store
+        victim = next(
+            p for p in system.peers.values()
+            if not p.is_seed and store._table_count[p.peer_id] > 0
+        )
         pid = victim.peer_id
-        group = system.store.groups[victim.video.video_id]
+        group = store.groups[victim.video.video_id]
         _, row = store_row(system, victim)
-        epoch = system.store.candidate_epoch
+        live = store._pool_live
+        edges = int(store._table_count[pid])
         system.remove_peer(pid)
-        assert pid not in system.store._cand
-        assert system.store.candidate_epoch > epoch
+        assert store._table_count[pid] == -1  # its table is dropped
+        assert store._pool_live == live - edges
         assert system.store.isp_table()[pid] == -1
         assert system.store._row_table[pid] == -1
         assert pid not in group.member_ids.tolist()
@@ -102,13 +105,10 @@ class TestMembershipPaths:
         system = build_system(
             15, arrival_rate_per_s=1.0, early_departure_prob=0.6
         )
-        versions = [system.tracker.version]
         for _ in range(8):
             system.run_slot(churn=True, remove_finished=True)
             system.store.check_consistency(system.peers, system.tracker)
-            versions.append(system.tracker.version)
         assert system.departures > 0 and system.arrivals > 0
-        assert versions[-1] > versions[0]  # tracker versioning advanced
 
     def test_bucket_growth_rebinds_every_buffer(self):
         system = build_system(3)
@@ -141,23 +141,23 @@ class TestTransferPath:
 class TestNeighborRefill:
     def test_link_change_invalidates_candidate_entries(self):
         system = build_system(12)
-        system.build_problem(system.now)  # build + cache entries
+        system.build_problem(system.now)  # build candidate tables
+        store = system.store
         watcher = next(
             p
             for p in system.peers.values()
-            if p.watching and p.peer_id in system.store._cand
+            if p.watching and store._table_count[p.peer_id] > 0
         )
         pid = watcher.peer_id
-        neighbor = next(iter(system.overlay.neighbors(pid)))
-        old_entry = system.store._cand[pid]
-        epoch = system.store.candidate_epoch
+        neighbor = int(store._pool_ids[store._table_start[pid]])
         system.overlay.disconnect(pid, neighbor)
+        dropped = store.table_counts["dropped"]
         system.build_problem(system.now)  # drains the dirty set
-        assert system.store.candidate_epoch > epoch
-        entry = system.store._cand.get(pid)
-        if entry is not None:  # rebuilt lazily only if the peer requests
-            assert neighbor not in entry[1].tolist()
-            assert entry is not old_entry
+        assert store.table_counts["dropped"] >= dropped + 1
+        count = int(store._table_count[pid])
+        if count >= 0:  # rebuilt only if the peer is active
+            start = int(store._table_start[pid])
+            assert neighbor not in store._pool_ids[start : start + count].tolist()
 
     def test_refill_reconnects_and_store_sees_new_candidates(self):
         system = build_system(12)
@@ -355,14 +355,6 @@ class TestOutOfBandMutation:
 
 
 class TestVersionCounters:
-    def test_membership_version_monotone_over_churn(self):
-        system = build_system(10, arrival_rate_per_s=0.8, early_departure_prob=0.5)
-        seen = [system.store.membership_version]
-        for _ in range(5):
-            system.run_slot(churn=True, remove_finished=True)
-            seen.append(system.store.membership_version)
-        assert seen == sorted(seen)
-
     def test_overlay_dirty_set_drained_by_build(self):
         system = build_system(8)
         system.build_problem(system.now)
@@ -496,6 +488,31 @@ class TestConsistencyCheckFires:
         a, _ = self.two_watchers(system)
         a.session.peer_row = PeerRow(a.video.n_chunks)
         self.assert_fires(system, f"peer {a.peer_id}'s buffer or session")
+
+    @staticmethod
+    def table_holder(system):
+        """Build once; a peer that then holds a non-empty table."""
+        system.build_problem(system.now)
+        counts = system.store._table_count
+        return next(pid for pid in system.peers if counts[pid] > 0)
+
+    def test_offline_id_holding_a_table(self):
+        system = build_system(8)
+        self.table_holder(system)
+        system.store._table_count[max(system.peers) + 1] = 0
+        self.assert_fires(system, "an offline id holds a candidate table")
+
+    def test_span_outside_the_pool(self):
+        system = build_system(8)
+        pid = self.table_holder(system)
+        system.store._table_start[pid] = len(system.store._pool_ids)
+        self.assert_fires(system, "span leaves the pool")
+
+    def test_live_count_drift(self):
+        system = build_system(8)
+        self.table_holder(system)
+        system.store._pool_live += 1
+        self.assert_fires(system, "live count drifted")
 
     @pytest.mark.parametrize(
         "column, value, what",

@@ -11,7 +11,7 @@ from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import round_budget  # noqa: E402
+from slot import capacity_array, round_budget  # noqa: E402
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ class TestAdmission:
     def test_add_watching_peer_wires_everything(self, tiny_system):
         peer = tiny_system.add_watching_peer(video_id=0, upload_multiple=2.0)
         assert peer.peer_id in tiny_system.peers
-        assert peer.peer_id in tiny_system.tracker
+        assert peer.peer_id in tiny_system.tracker.members_view(0)
         assert peer.peer_id in tiny_system.overlay
         assert peer.peer_id in tiny_system.topology
         assert tiny_system.overlay.degree(peer.peer_id) > 0  # found neighbors
@@ -52,7 +52,7 @@ class TestAdmission:
         tiny_system.costs.cost(pid, 1)
         tiny_system.remove_peer(pid)
         assert pid not in tiny_system.peers
-        assert pid not in tiny_system.tracker
+        assert pid not in tiny_system.tracker.members_view(0)
         assert pid not in tiny_system.overlay
         assert pid not in tiny_system.topology
         assert all(pid not in key for key in tiny_system.costs._cache)
@@ -78,9 +78,8 @@ class TestProblemConstruction:
 
     def test_capacity_override(self, tiny_system):
         tiny_system.populate_static(5)
-        problem = tiny_system.build_problem(
-            0.0, capacities={pid: 1 for pid in tiny_system.peers}
-        )
+        ones = capacity_array(tiny_system, {pid: 1 for pid in tiny_system.peers})
+        problem = tiny_system.build_problem(0.0, capacity_array=ones)
         assert all(problem.capacity_of(u) == 1 for u in problem.uploaders())
 
     def test_round_budget_splits_exactly(self):

@@ -20,12 +20,15 @@ from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import build_problem_reference, round_budget  # noqa: E402
+from slot import build_problem_reference, capacity_array, round_budget  # noqa: E402
 
 
 def assert_same_slot_problem(system, now, capacities=None):
     ref, ref_owner = build_problem_reference(system, now, capacities=capacities)
-    col = system.build_problem(now, capacities=capacities)
+    col = system.build_problem(
+        now,
+        capacity_array=None if capacities is None else capacity_array(system, capacities),
+    )
     assert ref_owner == dict(enumerate(col.request_peer_array().tolist()))
     assert ref.n_requests == col.n_requests
     assert ref.n_edges() == col.n_edges()
@@ -67,7 +70,7 @@ class TestStaticEquivalence:
         assert_same_slot_problem(system, system.now, capacities=budgets)
 
     def test_zero_budget_peers_equal_missing_entries(self):
-        """Satellite: skipping zero entries must not change the problem."""
+        """Zero budgets build the problem the reference builds without them."""
         system = P2PSystem(SystemConfig.tiny(seed=9))
         system.populate_static(15)
         system.run(duration_seconds=20)
@@ -76,8 +79,10 @@ class TestStaticEquivalence:
         for pid in some:
             full[pid] = system.peers[pid].upload_capacity_chunks
         sparse = {pid: cap for pid, cap in full.items() if cap > 0}
-        p_full = system.build_problem(system.now, capacities=full)
-        p_sparse = system.build_problem(system.now, capacities=sparse)
+        p_full = system.build_problem(
+            system.now, capacity_array=capacity_array(system, full)
+        )
+        p_sparse, _ = build_problem_reference(system, system.now, capacities=sparse)
         assert p_full.uploaders() == p_sparse.uploaders()
         for u in p_full.uploaders():
             assert p_full.capacity_of(u) == p_sparse.capacity_of(u)

@@ -48,4 +48,6 @@ def test_churn_population_accounting(seed, rate):
     assert len(system.peers) == system.n_seeds() + system.arrivals - system.departures
     # Nobody departs before arriving; the topology matches the peer map.
     assert system.topology.all_peers() == set(system.peers)
-    assert set(system.tracker.online_peers()) == set(system.peers)
+    videos = {p.video.video_id for p in system.peers.values()}
+    registered = set().union(*(system.tracker.members_view(v) for v in videos))
+    assert registered == set(system.peers) and len(system.tracker) == len(registered)

@@ -46,9 +46,9 @@ class TestRegistry:
         tracker = Tracker(store)
         peer = make_peer(store, 1)
         tracker.register(peer)
-        assert 1 in tracker and len(tracker) == 1
-        tracker.unregister(1)
-        assert 1 not in tracker
+        assert 1 in tracker.members_view(0) and len(tracker) == 1
+        tracker.unregister(peer)
+        assert 1 not in tracker.members_view(0) and len(tracker) == 0
 
     def test_duplicate_registration_rejected(self, store):
         tracker = Tracker(store)
@@ -58,23 +58,33 @@ class TestRegistry:
             tracker.register(peer)
 
     def test_unregister_unknown_raises(self, store):
+        tracker = Tracker(store)
         with pytest.raises(KeyError):
-            Tracker(store).unregister(5)
+            tracker.unregister(make_peer(store, 5))
+        tracker.register(make_peer(store, 6, video_id=0))
+        with pytest.raises(KeyError):  # same video, other peer
+            tracker.unregister(make_peer(store, 7, video_id=0))
 
     def test_peers_watching_by_video(self, store):
         tracker = Tracker(store)
         tracker.register(make_peer(store, 1, video_id=0))
         tracker.register(make_peer(store, 2, video_id=0))
         tracker.register(make_peer(store, 3, video_id=1))
-        assert tracker.peers_watching(0) == {1, 2}
-        assert tracker.peers_watching(1) == {3}
-        assert tracker.peers_watching(9) == set()
+        assert tracker.members_view(0) == {1, 2}
+        assert tracker.members_view(1) == {3}
+        assert tracker.members_view(9) == set()
 
     def test_online_peers(self, store):
+        """The online peers are the union of the per-video sets."""
         tracker = Tracker(store)
-        tracker.register(make_peer(store, 1))
+        one = make_peer(store, 1)
+        tracker.register(one)
         tracker.register(make_peer(store, 2, video_id=1))
-        assert sorted(tracker.online_peers()) == [1, 2]
+        tracker.register(make_peer(store, 3, video_id=1))
+        assert len(tracker) == 3
+        tracker.unregister(one)
+        assert len(tracker) == 2
+        assert tracker.members_view(0) == set()
 
 
 class TestBootstrap:

@@ -19,7 +19,7 @@ from strategies import scenarios
 from support import assert_same_problem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from slot import build_problem_reference  # noqa: E402
+from slot import build_problem_reference, capacity_array  # noqa: E402
 
 
 @given(sc=scenarios)
@@ -34,21 +34,21 @@ def test_build_matches_reference_full_capacity(sc):
 
 @given(sc=scenarios)
 def test_build_matches_reference_subround_budgets(sc):
-    """The sub-round budget split: dict and array capacity variants."""
+    """The sub-round budget split, against the reference's dict budgets."""
     system = sc.build_system()
     now = system.now
     rounds = max(2, sc.bid_rounds)
-    ids, caps = system._capacity_arrays()
+    ids, caps = system.store.capacity_columns()
     shares = caps * 1 // rounds  # a deliberately uneven, zero-heavy split
     budgets = {
         pid: int(share)
         for pid, share in zip(ids.tolist(), shares.tolist())
         if share > 0
     }
-    new_p = system.build_problem(now, capacities=budgets)
+    new_p = system.build_problem(now, capacity_array=capacity_array(system, budgets))
     ref_p, _ = build_problem_reference(system, now, capacities=budgets)
     assert_same_problem(ref_p, new_p)
-    # The loop-free array variant must build the identical problem.
+    # The shares themselves (zeros included) build the identical problem.
     arr_p = system.build_problem(now, capacity_array=shares)
     assert_same_problem(new_p, arr_p)
     assert np.array_equal(

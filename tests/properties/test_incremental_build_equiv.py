@@ -1,14 +1,15 @@
 """Property: the one ``build_problem`` ≡ the cold per-group assembler.
 
-``P2PSystem.build_problem`` splices each video group's candidate CSR
-forward from the previous build and assembles requests in one fused
-pass per bucket.  The oracle in ``tests/oracles/assemble.py`` is the
-cold per-group assembler it replaced, which rebuilds everything from
-the store on every call.  Random multi-slot trajectories — mixing
-churn, lossy links (retry suppression), sub-slot re-bid rounds and
-mid-run regime events (inter-ISP cost shocks, capacity ramps, overlay
-degree changes) — are realized through the official system APIs, and
-two invariants are pinned:
+``P2PSystem.build_problem`` reads each bucket's candidate tables from
+the store's pool with one range gather and assembles requests in one
+fused pass per bucket.  The oracle in ``tests/oracles/assemble.py`` is
+the cold per-group assembler it replaced, which re-derives windows,
+requests and edge order per video group on every call.  Random
+multi-slot trajectories — mixing churn, lossy links (retry
+suppression), sub-slot re-bid rounds and mid-run regime events
+(inter-ISP cost shocks, capacity ramps, overlay degree changes) — are
+realized through the official system APIs, and three invariants are
+pinned:
 
 * **per-slot byte-identity**: at every slot boundary ``build_problem``
   equals the oracle's problem on the same state, byte for byte across
@@ -16,7 +17,11 @@ two invariants are pinned:
   edge net-utilities, capacities);
 * **twin-trajectory equality**: a twin system whose every build goes
   through the oracle produces exactly the same per-slot metrics and
-  final peer state, slot after slot.
+  final peer state, slot after slot;
+* **no stale table**: after every slot of a trajectory with churn, cut
+  links and a cost shock, every candidate table the store holds equals
+  one computed afresh from the overlay, the member tables and
+  ``CostModel.cost``, without the store's table path.
 
 A wide-window variant (``prefetch_chunks`` beyond the packed-word bound)
 drives the boolean branch of the fused assembler through the same
@@ -81,8 +86,8 @@ class DeltaScenario:
             # run_slot looks the build up on the instance, so the twin
             # assembles every bid round through the cold oracle.
             system.build_problem = (
-                lambda now, capacities=None, capacity_array=None:
-                build_problem_cold(system, now, capacities, capacity_array)
+                lambda now, capacity_array=None:
+                build_problem_cold(system, now, capacity_array)
             )
         system.populate_static(self.n_peers, stagger=self.stagger)
         if self.lossy:
@@ -186,14 +191,67 @@ def _check_build_byte_identity(sc: DeltaScenario) -> None:
     for s in range(sc.slots):
         sc.fire_events(system, s)
         system.run_slot(churn=sc.churn, remove_finished=sc.churn)
-        # Double build at the slot boundary: the oracle and the splice
-        # of the caches run_slot just left behind (deliveries, playback,
+        # Double build at the slot boundary: the oracle and the build
+        # on the state run_slot just left behind (deliveries, playback,
         # churn batches, retry pushes, any regime invalidation) must
         # agree byte for byte.  The oracle goes first, so any candidate
         # tables it builds are the ones build_problem then reads.
         now = system.now
         cold = build_problem_cold(system, now)
         assert_same_problem(cold, system.build_problem(now))
+
+
+def assert_tables_fresh(system: P2PSystem) -> None:
+    """Every held candidate table equals one computed from scratch."""
+    store = system.store
+    for pid, peer in system.peers.items():
+        count = int(store._table_count[pid])
+        if count < 0:
+            continue
+        members = set(store.groups[peer.video.video_id].member_ids.tolist())
+        nb = sorted(system.overlay.neighbors(pid) & members)
+        start = int(store._table_start[pid])
+        span = slice(start, start + count)
+        assert store._pool_ids[span].tolist() == nb, f"peer {pid}: neighbours"
+        assert store._pool_rows[span].tolist() == [
+            system.peers[u].peer_row.row for u in nb
+        ], f"peer {pid}: rows"
+        assert store._pool_costs[span].tolist() == [
+            system.costs.cost(u, pid) for u in nb
+        ], f"peer {pid}: costs"
+
+
+#: Every trajectory churns and takes an inter-ISP cost shock.
+churn_shock_scenarios = st.builds(
+    DeltaScenario,
+    seed=st.integers(0, 10_000),
+    n_peers=st.integers(4, 16),
+    n_videos=st.integers(1, 3),
+    churn=st.just(True),
+    bid_rounds=st.integers(1, 2),
+    slots=st.integers(3, 6),
+    lossy=st.booleans(),
+    shock=st.just("cost"),
+    shock_slot=st.integers(1, 2),
+    wide_window=st.just(False),
+)
+
+
+@given(sc=churn_shock_scenarios, cut=st.integers(0, 10_000))
+def test_no_table_outlives_its_inputs(sc, cut):
+    """Churn, a link cut before every slot and a cost shock."""
+    system = sc.build()
+    for s in range(sc.slots):
+        sc.fire_events(system, s)
+        links = sorted(
+            (a, b) for a in system.overlay.nodes()
+            for b in system.overlay.neighbors(a) if a < b
+        )
+        if links:
+            system.overlay.disconnect(*links[(cut + s) % len(links)])
+        system.run_slot(churn=True, remove_finished=True)
+        assert_tables_fresh(system)
+    assert system.departures > 0 or system.arrivals > 0
 
 
 @given(sc=delta_scenarios)

@@ -116,11 +116,12 @@ class TestCostShocks:
             system.set_isp_pair_cost_scale(0, 1, -1.0)
 
     def test_build_problem_matches_reference_after_shock(self):
-        """The store's candidate costs are invalidated, not stale."""
+        """The store's candidate tables are dropped, not left stale."""
         system = tiny_system()
-        epoch = system.store.candidate_epoch
+        tables = system.store._table_count
+        assert (tables >= 0).any()
         system.scale_inter_isp_costs(2.5)
-        assert system.store.candidate_epoch > epoch
+        assert not (tables >= 0).any()
         new_p = system.build_problem(system.now)
         ref_p, _ = build_problem_reference(system, system.now)
         assert_same_problem(ref_p, new_p)
