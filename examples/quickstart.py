@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro import (
     AuctionSolver,
-    SchedulingProblem,
+    ProblemBuilder,
     solve_hungarian,
     verify_theorem1,
 )
@@ -21,18 +21,19 @@ def main() -> None:
     # One slot: two uploaders selling bandwidth, four chunk requests.
     # Edge weight = valuation − network cost (cheap intra-ISP links ~1,
     # expensive inter-ISP links ~5, as in the paper's cost model).
-    problem = SchedulingProblem()
-    problem.set_capacity(100, 2)  # peer 100 can upload 2 chunks this slot
-    problem.set_capacity(200, 1)
+    builder = ProblemBuilder()
+    builder.set_capacity(100, 2)  # peer 100 can upload 2 chunks this slot
+    builder.set_capacity(200, 1)
 
-    problem.add_request(peer=1, chunk="v0:17", valuation=8.0,
+    builder.add_request(peer=1, chunk="v0:17", valuation=8.0,
                         candidates={100: 1.2, 200: 5.1})
-    problem.add_request(peer=2, chunk="v0:18", valuation=6.5,
+    builder.add_request(peer=2, chunk="v0:18", valuation=6.5,
                         candidates={100: 0.8})
-    problem.add_request(peer=3, chunk="v3:02", valuation=5.0,
+    builder.add_request(peer=3, chunk="v3:02", valuation=5.0,
                         candidates={100: 4.9, 200: 0.6})
-    problem.add_request(peer=4, chunk="v9:40", valuation=1.0,
+    builder.add_request(peer=4, chunk="v9:40", valuation=1.0,
                         candidates={200: 4.8})  # v − w < 0: not worth serving
+    problem = builder.build()  # checks every request; the problem is immutable
 
     print(problem.describe())
 

@@ -8,11 +8,12 @@ evaluation section.
 
 Quickstart::
 
-    from repro import SchedulingProblem, AuctionSolver, solve_hungarian
+    from repro import ProblemBuilder, AuctionSolver, solve_hungarian
 
-    p = SchedulingProblem()
-    p.set_capacity(100, 2)
-    p.add_request(peer=1, chunk="c", valuation=5.0, candidates={100: 1.0})
+    builder = ProblemBuilder()
+    builder.set_capacity(100, 2)
+    builder.add_request(peer=1, chunk="c", valuation=5.0, candidates={100: 1.0})
+    p = builder.build()
     result = AuctionSolver().solve(p)
     assert result.welfare(p) == solve_hungarian(p).welfare(p)
 
@@ -27,6 +28,7 @@ from .core import (
     AuctionSolver,
     ChunkRequest,
     DistributedAuction,
+    ProblemBuilder,
     ScaledAuctionSolver,
     ScheduleResult,
     SchedulingProblem,
@@ -53,6 +55,7 @@ __all__ = [
     "ChunkRequest",
     "DEFAULT_EPSILON",
     "DistributedAuction",
+    "ProblemBuilder",
     "RngRegistry",
     "ScaledAuctionSolver",
     "ScheduleResult",

@@ -17,11 +17,11 @@ with bidding increment ε the certificates hold within ``ε`` per request
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .problem import SchedulingProblem
+from .problem import CSRView, SchedulingProblem
 from .result import ScheduleResult
 
 __all__ = [
@@ -55,22 +55,49 @@ class CertificateReport:
         )
 
 
+def _lookup(ids: np.ndarray, values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``values`` of each of ``keys`` by id, 0 where ``ids`` lacks the key."""
+    out = np.zeros(len(keys), dtype=values.dtype)
+    if len(ids) and len(keys):
+        order = np.argsort(ids, kind="stable")
+        pos = order[np.minimum(np.searchsorted(ids, keys, sorter=order), len(ids) - 1)]
+        hit = ids[pos] == keys
+        out[hit] = values[pos[hit]]
+    return out
+
+
+def _dual_value(csr: CSRView, lam: np.ndarray, eta: np.ndarray) -> float:
+    """Σ λ_u B(u) + Σ η_r from the ``λ`` and ``η`` columns.
+
+    Both sums are Python ``sum`` over the columns in order, so the float
+    is the one a loop over uploaders and requests gives.
+    """
+    return sum((lam * csr.capacity).tolist()) + sum(eta.tolist())
+
+
+def _dual_columns(
+    problem: SchedulingProblem, result: ScheduleResult
+) -> Tuple[CSRView, np.ndarray, np.ndarray]:
+    """The CSR view, ``λ`` per uploader column and ``η`` per request."""
+    csr = problem.csr()
+    lam = _lookup(*result.price_arrays(), csr.uploaders)
+    eta = _lookup(*result.eta_arrays(), np.arange(csr.n_requests, dtype=np.int64))
+    return csr, lam, eta
+
+
 def dual_objective(
     problem: SchedulingProblem,
     prices: Dict[int, float],
     etas: Dict[int, float],
 ) -> float:
     """Dual value Σ λ_u B(u) + Σ η_d."""
-    lam_term = sum(
-        prices.get(u, 0.0) * problem.capacity_of(u) for u in problem.uploaders()
-    )
-    eta_term = sum(etas.get(r, 0.0) for r in range(problem.n_requests))
-    return lam_term + eta_term
+    duals = ScheduleResult(prices=prices, etas=etas)
+    return _dual_value(*_dual_columns(problem, duals))
 
 
 def duality_gap(problem: SchedulingProblem, result: ScheduleResult) -> float:
     """Dual minus primal objective; ≥ 0 for feasible pairs, ≤ served·ε at optimum."""
-    return dual_objective(problem, result.prices, result.etas) - result.welfare(problem)
+    return _dual_value(*_dual_columns(problem, result)) - result.welfare(problem)
 
 
 def check_complementary_slackness(
@@ -81,75 +108,64 @@ def check_complementary_slackness(
     """Verify dual feasibility and the three CS conditions from Appendix A.
 
     ``tol`` must dominate the solver's ε (use ``n·ε`` to be safe for the
-    aggregate gap; per-condition slack is ``ε``).
+    aggregate gap; per-condition slack is ``ε``).  Each condition is
+    one pass over the CSR columns; violations are listed by condition,
+    requests ascending and uploaders in declaration order (the
+    assignment's order for CS 2).
     """
+    csr, lam, eta = _dual_columns(problem, result)
     violations: List[str] = []
-    prices = result.prices
-    etas = result.etas
-    loads = result.uploader_loads()
 
     # Dual feasibility: λ_u + η_r ≥ v − w on every edge.  Edges to
     # zero-capacity uploaders are skipped: λ_u·B(u) = 0 there, so the
     # dual can raise λ_u for free and the constraint never binds.
-    dual_feasible = True
-    for r in range(problem.n_requests):
-        candidates = problem.candidates_of(r)
-        if len(candidates) == 0:
-            continue
-        values = problem.edge_values_of(r)
-        usable = np.array(
-            [problem.capacity_of(int(u)) > 0 for u in candidates], dtype=bool
-        )
-        if not usable.any():
-            continue
-        lam = np.array([prices.get(int(u), 0.0) for u in candidates[usable]])
-        slack = lam + etas.get(r, 0.0) - values[usable]
-        worst = float(slack.min())
-        if worst < -tol:
-            dual_feasible = False
-            violations.append(
-                f"dual infeasible at request {r}: min slack {worst:.3e}"
-            )
+    slack = lam[csr.uploader_index] + eta[csr.edge_rows()] - csr.values
+    slack[~(csr.capacity[csr.uploader_index] > 0)] = np.inf
+    worst = np.full(csr.n_requests, np.inf)
+    rows = np.flatnonzero(csr.counts())
+    if len(rows):
+        worst[rows] = np.minimum.reduceat(slack, csr.indptr[rows])
+    infeasible = np.flatnonzero(worst < -tol)
+    for r, w in zip(infeasible.tolist(), worst[infeasible].tolist()):
+        violations.append(f"dual infeasible at request {r}: min slack {w:.3e}")
 
     # CS 1: λ_u > 0 → uploader fully loaded.
-    cs_capacity = True
-    for u in problem.uploaders():
-        lam_u = prices.get(u, 0.0)
-        if lam_u > tol and loads.get(u, 0) != problem.capacity_of(u):
-            cs_capacity = False
-            violations.append(
-                f"uploader {u}: λ={lam_u:.3e} but load "
-                f"{loads.get(u, 0)}/{problem.capacity_of(u)}"
-            )
+    indices, uploaders = result.served_pairs()
+    load = _lookup(*np.unique(uploaders, return_counts=True), csr.uploaders)
+    idle = np.flatnonzero((lam > tol) & (load != csr.capacity))
+    for u, lam_u, load_u, cap in zip(
+        csr.uploaders[idle].tolist(),
+        lam[idle].tolist(),
+        load[idle].tolist(),
+        csr.capacity[idle].tolist(),
+    ):
+        violations.append(f"uploader {u}: λ={lam_u:.3e} but load {load_u}/{cap}")
 
     # CS 2: assigned edge → λ_u + η_r = v − w.
-    cs_assignment = True
-    for r, uploader in result.assignment.items():
-        if uploader is None:
-            continue
-        value = problem.edge_value(r, uploader)
-        resid = prices.get(uploader, 0.0) + etas.get(r, 0.0) - value
-        if abs(resid) > tol:
-            cs_assignment = False
-            violations.append(
-                f"request {r}→{uploader}: λ+η−(v−w) = {resid:.3e}"
-            )
+    resid = (
+        _lookup(*result.price_arrays(), uploaders)
+        + eta[indices]
+        - problem.edge_value_pairs(indices, uploaders)
+    )
+    loose = np.abs(resid) > tol
+    for r, u, x in zip(
+        indices[loose].tolist(), uploaders[loose].tolist(), resid[loose].tolist()
+    ):
+        violations.append(f"request {r}→{u}: λ+η−(v−w) = {x:.3e}")
 
     # CS 3: η_r > 0 → request served.
-    cs_request = True
-    for r in range(problem.n_requests):
-        if etas.get(r, 0.0) > tol and result.assignment.get(r) is None:
-            cs_request = False
-            violations.append(
-                f"request {r}: η={etas.get(r, 0.0):.3e} but unserved"
-            )
+    served = np.zeros(csr.n_requests, dtype=bool)
+    served[indices] = True
+    unpaid = np.flatnonzero((eta > tol) & ~served)
+    for r, eta_r in zip(unpaid.tolist(), eta[unpaid].tolist()):
+        violations.append(f"request {r}: η={eta_r:.3e} but unserved")
 
     return CertificateReport(
-        dual_feasible=dual_feasible,
-        cs_capacity=cs_capacity,
-        cs_assignment=cs_assignment,
-        cs_request=cs_request,
-        gap=duality_gap(problem, result),
+        dual_feasible=not len(infeasible),
+        cs_capacity=not len(idle),
+        cs_assignment=not loose.any(),
+        cs_request=not len(unpaid),
+        gap=_dual_value(csr, lam, eta) - result.welfare(problem),
         violations=violations,
     )
 

@@ -10,29 +10,28 @@ A :class:`SchedulingProblem` is one time slot's social-welfare ILP:
 
 The edge weight is the net utility ``v^{(c)}(d) − w_{u→d}``.  Solvers
 (:mod:`repro.core.auction`, :mod:`repro.core.exact`,
-:mod:`repro.core.baselines`) consume this object; they may not modify it.
+:mod:`repro.core.baselines`) consume this object; nothing can modify it.
 
-Construction comes in two flavours:
-
-* :meth:`SchedulingProblem.add_request` — one request at a time, fully
-  validated per call.  The reference path, used by tests, tooling and
-  hand-built instances.
-* :meth:`SchedulingProblem.add_requests_batch` / :class:`ProblemBuilder`
-  — a whole block of requests as flat CSR arrays, validated once with
-  vectorized checks.  The per-slot hot path of
-  :meth:`repro.p2p.system.P2PSystem.build_problem` uses this; a batch of
-  tens of thousands of requests costs a handful of numpy passes instead
-  of one Python dict walk per request.
+A problem is its columns, each stored once and read-only: the capacity
+columns (uploader ids and ``B(u)``), the request columns (downloader,
+chunk key and valuation per request) and the edge columns (candidate
+uploader ids and costs, flat, with ``indptr`` bounding each request's
+run).  It is made once, by its constructor, which checks every
+invariant in one vectorized pass.  The slot pipeline
+(:meth:`repro.p2p.system.P2PSystem.build_problem`) hands its store's
+columns straight to the constructor; a problem written by hand is
+assembled with :class:`ProblemBuilder`.
 
 Vectorized solvers read one array view, the flat
-:meth:`SchedulingProblem.csr` arrays.  Its size is the edge count ``E``,
-with no ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
+:meth:`SchedulingProblem.csr` arrays, derived from the columns on first
+use.  Its size is the edge count ``E``, with no ``(R, K_max)`` padding,
+so skewed candidate counts cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,6 +45,26 @@ __all__ = [
 
 _EMPTY_INT = np.empty(0, dtype=np.int64)
 _EMPTY_FLOAT = np.empty(0, dtype=float)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array`` (``array`` itself keeps its flags)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _column(values, dtype, copy: bool = False) -> np.ndarray:
+    """``values`` as a contiguous read-only column of ``dtype``.
+
+    The column is a view of ``values`` when that is already such an
+    array; ``copy`` copies it in that case, so the caller's later
+    writes cannot reach the problem.
+    """
+    array = np.ascontiguousarray(values, dtype=dtype)
+    if copy and array is values:
+        array = array.copy()
+    return _read_only(array)
 
 
 @dataclass(frozen=True)
@@ -124,584 +143,260 @@ class CSRView:
 
 
 class SchedulingProblem:
-    """Immutable-after-build description of one slot's assignment problem.
+    """One slot's assignment problem, made once from its columns.
 
-    Build with :meth:`add_request` / :meth:`add_requests_batch` /
-    :meth:`set_capacity`, then hand to a scheduler.  Request order is
-    preserved and indexes results.
+    * Capacities: uploader ``uploaders[i]`` may send ``capacity[i]``
+      chunks this slot; :meth:`uploaders` keeps this order.
+    * Requests: request ``r`` is ``(peers[r], chunks[r])``, valued
+      ``valuations[r]``.  Request order indexes results.
+    * Edges: request ``r``'s candidate uploaders are
+      ``cand_uploaders[indptr[r]:indptr[r+1]]``, at costs
+      ``cand_costs[indptr[r]:indptr[r+1]]``.  A request with no
+      candidates is legal (it simply can never be served).
+
+    ``chunks`` is either an ``(R, 2)`` int array of
+    ``(video_id, chunk_index)`` pairs (the slot pipeline's form) or a
+    sequence of hashable keys; the problem keeps the form it was given.
+    Every column defaults to empty, so ``SchedulingProblem()`` is the
+    empty problem.  The columns are stored read-only: the capacity
+    columns, and the peer and valuation columns when they are the
+    caller's own arrays, are copied; the edge and chunk columns are
+    read-only views of the caller's arrays.
+
+    With ``validate`` (the default) the constructor rejects, with
+    ``ValueError``, a capacity that is not a non-negative int, a
+    repeated uploader, a non-finite valuation, a bad cost, a
+    self-upload, an uploader with no declared capacity, a repeated
+    candidate within one request and a repeated request.
+    ``validate=False`` skips those checks (the shape checks always run)
+    for trusted producers whose output is pinned elsewhere — the slot
+    pipeline's construction is equivalence-tested against the
+    per-request reference, so it does not pay for re-validating what
+    the tests already guarantee.  Untrusted or hand-built input must
+    keep ``validate=True``.
 
     Example
     -------
-    >>> p = SchedulingProblem()
-    >>> p.set_capacity(10, 1)
-    >>> _ = p.add_request(peer=1, chunk="c0", valuation=5.0, candidates={10: 1.0})
+    >>> p = SchedulingProblem(uploaders=[10], capacity=[1], peers=[1],
+    ...                       chunks=["c0"], valuations=[5.0],
+    ...                       cand_uploaders=[10], cand_costs=[1.0],
+    ...                       indptr=[0, 1])
     >>> p.n_requests, p.total_capacity()
     (1, 1)
     """
 
-    def __init__(self) -> None:
-        # Columnar request storage: one entry per request each.
-        self._peers: List[int] = []
-        self._chunks: List[Hashable] = []
-        self._valuations: List[float] = []
-        # Scalar blocks from add_requests_batch whose list forms have not
-        # been materialized yet — batch producers hand numpy columns and
-        # the hot consumers (csr(), request_peer_array) read them as
-        # arrays, so the O(R) list round trip is deferred until a
-        # per-request accessor actually asks for it.
-        self._peer_pending: List[np.ndarray] = []
-        self._val_pending: List[np.ndarray] = []
-        self._n_pending_scalars = 0
-        self._request_keys: set = set()
-        self._keys_stale = False
-        self._candidates: List[np.ndarray] = []  # uploader peer ids per request
-        self._costs: List[np.ndarray] = []  # w_{u→d} aligned with candidates
-        # Flat CSR blocks from add_requests_batch, not yet split into the
-        # per-request view lists above; split lazily on first per-request
-        # access so batch-built problems feed csr() without ever paying
-        # for R slice objects.
-        self._lazy_blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        # (m, 2) int chunk-key blocks whose tuple forms have not been
-        # materialized into _chunks yet — batch producers hand chunk
-        # keys as arrays and most consumers (solvers, the transfer
-        # epilogue) only ever read the array form.
-        self._chunk_pending: List[np.ndarray] = []
-        self._cap_dict: Dict[int, int] = {}
-        # Trusted (ids, capacities) column pair from prime_capacities,
-        # not yet materialized into the dict; csr() reads it directly so
-        # batch producers skip both the dict build and the fromiters.
-        self._cap_primed: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._edge_count = 0
-        self._csr: Optional[CSRView] = None
-        self._peer_arr: Optional[np.ndarray] = None
-        self._chunk_arr: Optional[np.ndarray] = None
-
-    def _invalidate(self) -> None:
-        self._csr = None
-        self._peer_arr = None
-        self._chunk_arr = None
-
-    @property
-    def _capacity(self) -> Dict[int, int]:
-        """The capacity dict, materializing a primed column pair lazily.
-
-        After materialization the dict is the single source of truth
-        again (a later ``set_capacity`` write lands in it), so the
-        primed arrays are dropped.
-        """
-        primed = self._cap_primed
-        if primed is not None:
-            ids, caps = primed
-            self._cap_dict.update(zip(ids.tolist(), caps.tolist()))
-            self._cap_primed = None
-        return self._cap_dict
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def set_capacity(self, peer: int, capacity: int) -> None:
-        """Declare upload capacity ``B(peer)`` in chunks per slot."""
-        if capacity < 0 or int(capacity) != capacity:
-            raise ValueError(f"capacity must be a non-negative int, got {capacity!r}")
-        self._capacity[peer] = int(capacity)
-        self._invalidate()
-
-    def set_capacities_batch(
-        self, peers: Sequence[int], capacities: Sequence[int]
-    ) -> None:
-        """Declare many capacities at once (vectorized :meth:`set_capacity`)."""
-        ids = np.asarray(peers, dtype=np.int64)
-        caps = np.asarray(capacities)
-        if ids.shape != caps.shape or ids.ndim != 1:
-            raise ValueError(
-                f"peers and capacities must be 1-D and aligned, got shapes "
-                f"{ids.shape} and {caps.shape}"
-            )
-        if caps.size:
-            as_int = caps.astype(np.int64)
-            if np.any(caps != as_int) or np.any(as_int < 0):
-                bad = caps[(caps != as_int) | (as_int < 0)][0]
-                raise ValueError(
-                    f"capacity must be a non-negative int, got {bad!r}"
-                )
-            caps = as_int
-        self._capacity.update(zip(ids.tolist(), caps.tolist()))
-        self._invalidate()
-
-    def prime_capacities(
-        self, peers: np.ndarray, capacities: np.ndarray
-    ) -> None:
-        """Trusted bulk capacity declare from aligned id/value columns.
-
-        The loop-free counterpart of :meth:`set_capacities_batch` for
-        producers whose columns are invariant-checked elsewhere (the
-        slot pipeline's store columns: unique ids, non-negative int
-        capacities — pinned by the store consistency tests).  The
-        arrays are copied and handed to :meth:`csr` verbatim, so the
-        uploader/capacity columns come out byte-identical to the dict
-        path while skipping both the dict build and the fromiters.
-        Only legal on a problem with no capacities declared yet.
-        """
-        if self._cap_dict or self._cap_primed is not None:
-            raise ValueError(
-                "prime_capacities requires a problem with no declared "
-                "capacities"
-            )
-        ids = np.ascontiguousarray(peers, dtype=np.int64)
-        caps = np.ascontiguousarray(capacities, dtype=np.int64)
-        if ids.shape != caps.shape or ids.ndim != 1:
-            raise ValueError(
-                f"peers and capacities must be 1-D and aligned, got shapes "
-                f"{ids.shape} and {caps.shape}"
-            )
-        if ids is peers:
-            ids = ids.copy()
-        if caps is capacities:
-            caps = caps.copy()
-        self._cap_primed = (ids, caps)
-        self._invalidate()
-
-    def add_request(
+    def __init__(
         self,
-        peer: int,
-        chunk: Hashable,
-        valuation: float,
-        candidates: Dict[int, float],
-    ) -> int:
-        """Add request ``(peer, chunk)``; returns its index.
-
-        ``candidates`` maps uploader peer id → network cost ``w_{u→d}``.
-        Uploaders must have had capacity declared; the requester itself
-        cannot be a candidate.  A request with no candidates is legal (it
-        simply can never be served).
-        """
-        valuation = float(valuation)
-        if not np.isfinite(valuation):
-            raise ValueError(f"valuation must be finite, got {valuation!r}")
-        self._materialize_scalars()
-        self._ensure_keys()
-        key = (peer, chunk)
-        if key in self._request_keys:
-            raise ValueError(f"duplicate request {key!r}")
-        for uploader, cost in candidates.items():
-            if uploader == peer:
-                raise ValueError(f"peer {peer!r} cannot upload to itself")
-            if uploader not in self._capacity:
-                raise ValueError(
-                    f"candidate uploader {uploader!r} has no declared capacity"
-                )
-            if not np.isfinite(cost) or cost < 0:
-                raise ValueError(f"cost must be finite and >= 0, got {cost!r}")
-        self._request_keys.add(key)
-        self._peers.append(peer)
-        self._chunks.append(chunk)
-        self._valuations.append(valuation)
-        uploaders = np.fromiter(candidates.keys(), dtype=np.int64, count=len(candidates))
-        costs = np.fromiter(candidates.values(), dtype=float, count=len(candidates))
-        self._materialize_views()
-        self._candidates.append(uploaders)
-        self._costs.append(costs)
-        self._edge_count += len(uploaders)
-        self._invalidate()
-        return len(self._peers) - 1
-
-    def add_requests_batch(
-        self,
-        peers: Sequence[int],
-        chunks: Sequence[Hashable],
-        valuations: Sequence[float],
-        cand_uploaders: Sequence[int],
-        cand_costs: Sequence[float],
-        indptr: Sequence[int],
+        uploaders: Sequence[int] = (),
+        capacity: Sequence[int] = (),
+        peers: Sequence[int] = (),
+        chunks: Union[np.ndarray, Sequence[Hashable]] = (),
+        valuations: Sequence[float] = (),
+        cand_uploaders: Sequence[int] = (),
+        cand_costs: Sequence[float] = (),
+        indptr: Sequence[int] = (0,),
         validate: bool = True,
-    ) -> range:
-        """Append a block of requests from flat CSR arrays; returns their indices.
+    ) -> None:
+        ids = np.array(uploaders, dtype=np.int64)
+        caps = np.asarray(capacity)
+        if ids.ndim != 1 or ids.shape != caps.shape:
+            raise ValueError(
+                f"uploaders and capacity must be 1-D and aligned, got shapes "
+                f"{ids.shape} and {caps.shape}"
+            )
+        if validate:
+            _check_capacities(ids, caps)
+        self._uploaders = _read_only(ids)
+        self._capacity = _read_only(np.array(caps, dtype=np.int64))
 
-        Request ``i`` of the block is ``(peers[i], chunks[i])`` valued
-        ``valuations[i]``, with candidate uploaders
-        ``cand_uploaders[indptr[i]:indptr[i+1]]`` at costs
-        ``cand_costs[indptr[i]:indptr[i+1]]``.  Exactly the same
-        invariants as :meth:`add_request` are enforced — duplicate keys,
-        self-upload, undeclared uploaders, bad costs, duplicate
-        candidates within one request — but every check is one vectorized
-        pass over the batch instead of per-request Python work.
-
-        ``validate=False`` skips the invariant checks (shape checks are
-        always performed) for trusted producers whose output is pinned
-        elsewhere — the slot pipeline's construction is equivalence-tested
-        against the per-request reference, so it does not pay for
-        re-validating what the tests already guarantee.  Untrusted or
-        hand-built input must keep ``validate=True``.
-
-        ``chunks`` may be an ``(m, 2)`` int array of
-        ``(video_id, chunk_index)`` pairs instead of a tuple sequence;
-        the tuple keys are then materialized lazily, only if a
-        per-request accessor asks for them (the slot pipeline and the
-        solvers never do — they read :meth:`chunk_pair_array`).
-        """
-        peers_arr = np.ascontiguousarray(peers, dtype=np.int64)
-        valuations_arr = np.ascontiguousarray(valuations, dtype=float)
-        uploaders_arr = np.ascontiguousarray(cand_uploaders, dtype=np.int64)
-        costs_arr = np.ascontiguousarray(cand_costs, dtype=float)
-        indptr_arr = np.ascontiguousarray(indptr, dtype=np.int64)
-        m = len(peers_arr)
-        start = self.n_requests
-        chunk_block: Optional[np.ndarray] = None
+        self._peers = _column(peers, np.int64, copy=True)
+        self._valuations = _column(valuations, float, copy=True)
         if isinstance(chunks, np.ndarray):
-            chunk_block = np.ascontiguousarray(chunks, dtype=np.int64)
-            if chunk_block.ndim != 2 or chunk_block.shape[1] != 2:
+            self._chunks: Union[np.ndarray, Tuple[Hashable, ...]] = _column(
+                chunks, np.int64
+            )
+            if self._chunks.ndim != 2 or self._chunks.shape[1] != 2:
                 raise ValueError(
                     f"array chunks must have shape (m, 2), got "
-                    f"{chunk_block.shape}"
+                    f"{self._chunks.shape}"
                 )
-            n_chunks = len(chunk_block)
-            chunk_list: List[Hashable] = []
         else:
-            chunk_list = list(chunks)
-            n_chunks = len(chunk_list)
-        if n_chunks != m or len(valuations_arr) != m:
+            self._chunks = tuple(chunks)
+        m = len(self._peers)
+        if len(self._chunks) != m or len(self._valuations) != m:
             raise ValueError(
-                f"peers ({m}), chunks ({n_chunks}) and valuations "
-                f"({len(valuations_arr)}) must be aligned"
+                f"peers ({m}), chunks ({len(self._chunks)}) and valuations "
+                f"({len(self._valuations)}) must be aligned"
             )
-        if len(costs_arr) != len(uploaders_arr):
+
+        self._cand_uploaders = _column(cand_uploaders, np.int64)
+        self._cand_costs = _column(cand_costs, float)
+        self._indptr = _column(indptr, np.int64)
+        n_edges = len(self._cand_uploaders)
+        if len(self._cand_costs) != n_edges:
             raise ValueError(
-                f"cand_uploaders ({len(uploaders_arr)}) and cand_costs "
-                f"({len(costs_arr)}) must be aligned"
+                f"cand_uploaders ({n_edges}) and cand_costs "
+                f"({len(self._cand_costs)}) must be aligned"
             )
         if (
-            len(indptr_arr) != m + 1
-            or (m >= 0 and (indptr_arr[0] != 0 or indptr_arr[-1] != len(uploaders_arr)))
+            len(self._indptr) != m + 1
+            or self._indptr[0] != 0
+            or self._indptr[-1] != n_edges
         ):
             raise ValueError(
                 f"indptr must have length {m + 1}, start at 0 and end at "
-                f"{len(uploaders_arr)}, got {indptr_arr!r}"
+                f"{n_edges}, got {self._indptr!r}"
             )
-        counts = np.diff(indptr_arr)
-        if np.any(counts < 0):
+        if np.any(np.diff(self._indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
-        if m == 0:
-            return range(start, start)
-        if validate:
-            if chunk_block is not None:
-                chunk_list = list(map(tuple, chunk_block.tolist()))
-                chunk_block = None
-            self._validate_batch(
-                peers_arr, valuations_arr, uploaders_arr, costs_arr, counts, m
-            )
-            keys = list(zip(peers_arr.tolist(), chunk_list))
-            batch_keys = set(keys)
-            if len(batch_keys) < len(keys):
-                seen: set = set()
-                for key in keys:
-                    if key in seen:
-                        raise ValueError(f"duplicate request {key!r}")
-                    seen.add(key)
-            self._ensure_keys()
-            overlap = self._request_keys & batch_keys
-            if overlap:
-                raise ValueError(f"duplicate request {next(iter(overlap))!r}")
-            # All checks passed: commit the block (views into the flat
-            # arrays, so the append loop is O(R) slices, no per-edge work).
-            self._request_keys |= batch_keys
-        else:
-            # Trusted block: the key set is rebuilt lazily if a later
-            # per-request or validated add needs duplicate detection.
-            self._keys_stale = True
-        # The scalar blocks are retained (deferred materialization), so
-        # never alias the caller's buffers — ascontiguousarray is a
-        # no-op for already-conforming input.
-        if peers_arr is peers:
-            peers_arr = peers_arr.copy()
-        if valuations_arr is valuations:
-            valuations_arr = valuations_arr.copy()
-        self._peer_pending.append(peers_arr)
-        self._val_pending.append(valuations_arr)
-        self._n_pending_scalars += m
-        if chunk_block is not None:
-            self._chunk_pending.append(chunk_block)
-        else:
-            self._materialize_chunks()
-            self._chunks.extend(chunk_list)
-        self._lazy_blocks.append((uploaders_arr, costs_arr, indptr_arr))
-        self._edge_count += len(uploaders_arr)
-        self._invalidate()
-        return range(start, start + m)
+        if validate and m:
+            self._check_requests()
 
-    def _materialize_views(self) -> None:
-        """Split pending batch blocks into per-request zero-copy views.
+        self._csr: Optional[CSRView] = None
+        self._capacity_map: Optional[Dict[int, int]] = None
 
-        Deferred until a per-request accessor needs them — the solver
-        hot path (``csr()``/``welfare``) never does.
-        ``map()`` keeps the slicing loop in C.
-        """
-        if not self._lazy_blocks:
-            return
-        for uploaders_arr, costs_arr, indptr_arr in self._lazy_blocks:
-            bounds = indptr_arr.tolist()
-            slices = list(map(slice, bounds[:-1], bounds[1:]))
-            self._candidates.extend(map(uploaders_arr.__getitem__, slices))
-            self._costs.extend(map(costs_arr.__getitem__, slices))
-        self._lazy_blocks.clear()
-
-    def _validate_batch(
-        self,
-        peers_arr: np.ndarray,
-        valuations_arr: np.ndarray,
-        uploaders_arr: np.ndarray,
-        costs_arr: np.ndarray,
-        counts: np.ndarray,
-        m: int,
-    ) -> None:
-        """Vectorized invariant checks for one request batch."""
-        if not np.all(np.isfinite(valuations_arr)):
-            bad = valuations_arr[~np.isfinite(valuations_arr)][0]
+    def _check_requests(self) -> None:
+        """Vectorized invariant checks over the request and edge columns."""
+        valuations, costs = self._valuations, self._cand_costs
+        if not np.all(np.isfinite(valuations)):
+            bad = valuations[~np.isfinite(valuations)][0].item()
             raise ValueError(f"valuation must be finite, got {bad!r}")
-        if len(costs_arr) and (
-            not np.all(np.isfinite(costs_arr)) or np.any(costs_arr < 0)
-        ):
-            bad = costs_arr[~np.isfinite(costs_arr) | (costs_arr < 0)][0]
+        if len(costs) and (not np.all(np.isfinite(costs)) or np.any(costs < 0)):
+            bad = costs[~np.isfinite(costs) | (costs < 0)][0].item()
             raise ValueError(f"cost must be finite and >= 0, got {bad!r}")
-        if not len(uploaders_arr):
-            return
-        edge_peer = np.repeat(peers_arr, counts)
-        selfish = edge_peer == uploaders_arr
-        if np.any(selfish):
-            offender = int(edge_peer[selfish][0])
-            raise ValueError(f"peer {offender!r} cannot upload to itself")
-        declared = np.fromiter(
-            self._capacity.keys(), dtype=np.int64, count=len(self._capacity)
-        )
-        known = np.isin(uploaders_arr, declared)
-        if not known.all():
-            offender = int(uploaders_arr[~known][0])
-            raise ValueError(
-                f"candidate uploader {offender!r} has no declared capacity"
-            )
-        rows = np.repeat(np.arange(m, dtype=np.int64), counts)
-        same_row = rows[1:] == rows[:-1]
-        adjacent = uploaders_arr[1:] == uploaders_arr[:-1]
-        if np.all((uploaders_arr[1:] > uploaders_arr[:-1]) | ~same_row):
-            return  # strictly increasing within each row ⇒ no duplicates
-        if not np.any(adjacent & same_row):
-            # Not sorted: fall back to a per-row sort to find repeats.
-            order = np.lexsort((uploaders_arr, rows))
-            su, sr = uploaders_arr[order], rows[order]
-            adjacent = su[1:] == su[:-1]
-            same_row = sr[1:] == sr[:-1]
-            uploaders_arr, rows = su, sr
-        dup = adjacent & same_row
-        if np.any(dup):
-            where = int(np.nonzero(dup)[0][0])
-            raise ValueError(
-                f"duplicate candidate uploader {int(uploaders_arr[1:][where])!r} "
-                f"for request {int(rows[1:][where])!r} of the batch"
-            )
-
-    def _materialize_chunks(self) -> None:
-        """Convert pending chunk-pair blocks into the tuple-key list.
-
-        Deferred until a per-request accessor (or key validation) needs
-        the tuple form — the slot pipeline and the solvers never do.
-        """
-        if self._chunk_pending:
-            for block in self._chunk_pending:
-                self._chunks.extend(map(tuple, block.tolist()))
-            self._chunk_pending.clear()
-
-    def _materialize_scalars(self) -> None:
-        """Convert pending peer/valuation blocks into the scalar lists.
-
-        Deferred until a per-request accessor needs list indexing — the
-        solver hot path reads :meth:`request_peer_array` and the cached
-        CSR valuation column instead.
-        """
-        if self._peer_pending:
-            for block in self._peer_pending:
-                self._peers.extend(block.tolist())
-            self._peer_pending.clear()
-            for block in self._val_pending:
-                self._valuations.extend(block.tolist())
-            self._val_pending.clear()
-            self._n_pending_scalars = 0
-
-    def _scalar_column(
-        self, materialized: List, pending: List[np.ndarray], dtype
-    ) -> np.ndarray:
-        """Full column over ``materialized + pending`` without list work."""
-        if pending and not materialized:
-            return pending[0] if len(pending) == 1 else np.concatenate(pending)
-        head = np.asarray(materialized, dtype=dtype)
-        if not pending:
-            return head
-        return np.concatenate([head, *pending])
-
-    def _ensure_keys(self) -> None:
-        """Rebuild the duplicate-detection key set after trusted batches."""
-        if self._keys_stale:
-            self._materialize_chunks()
-            self._materialize_scalars()
-            self._request_keys = set(zip(self._peers, self._chunks))
-            self._keys_stale = False
+        uploaders = self._cand_uploaders
+        if len(uploaders):
+            counts = np.diff(self._indptr)
+            edge_peer = np.repeat(self._peers, counts)
+            selfish = edge_peer == uploaders
+            if np.any(selfish):
+                offender = int(edge_peer[selfish][0])
+                raise ValueError(f"peer {offender!r} cannot upload to itself")
+            known = np.isin(uploaders, self._uploaders)
+            if not known.all():
+                offender = int(uploaders[~known][0])
+                raise ValueError(
+                    f"candidate uploader {offender!r} has no declared capacity"
+                )
+            _check_unique_candidates(uploaders, counts)
+        chunks = self._chunks
+        if isinstance(chunks, np.ndarray):
+            chunks = map(tuple, chunks.tolist())
+        keys = list(zip(self._peers.tolist(), chunks))
+        if len(set(keys)) < len(keys):
+            seen: set = set()
+            for key in keys:
+                if key in seen:
+                    raise ValueError(f"duplicate request {key!r}")
+                seen.add(key)
 
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
     @property
     def n_requests(self) -> int:
-        return len(self._peers) + self._n_pending_scalars
-
-    @property
-    def requests(self) -> Sequence[ChunkRequest]:
-        return tuple(self.request(i) for i in range(self.n_requests))
+        return len(self._peers)
 
     def request(self, index: int) -> ChunkRequest:
-        self._materialize_chunks()
-        self._materialize_scalars()
         return ChunkRequest(
-            peer=self._peers[index],
-            chunk=self._chunks[index],
-            valuation=self._valuations[index],
+            peer=int(self._peers[index]),
+            chunk=self.chunk_of(index),
+            valuation=float(self._valuations[index]),
         )
 
     def chunk_of(self, index: int) -> Hashable:
         """Chunk key of request ``index`` (no :class:`ChunkRequest` built)."""
-        self._materialize_chunks()
-        return self._chunks[index]
+        chunk = self._chunks[index]
+        if isinstance(self._chunks, np.ndarray):
+            return tuple(chunk.tolist())
+        return chunk
 
     def request_peer_array(self) -> np.ndarray:
-        """Downloader peer id per request, ``(R,)`` int64; cached, do not mutate."""
-        if self._peer_arr is None:
-            self._peer_arr = self._scalar_column(
-                self._peers, self._peer_pending, np.int64
-            )
-        return self._peer_arr
+        """Downloader peer id per request, ``(R,)`` int64, read-only."""
+        return self._peers
 
     def request_valuation_array(self) -> np.ndarray:
-        """Valuation ``v`` per request, ``(R,)`` float; do not mutate."""
-        return self._scalar_column(self._valuations, self._val_pending, float)
+        """Valuation ``v`` per request, ``(R,)`` float, read-only."""
+        return self._valuations
 
     def chunk_pair_array(self) -> np.ndarray:
-        """Chunk keys as an ``(R, 2)`` int array; cached, do not mutate.
+        """Chunk keys as an ``(R, 2)`` int array, read-only.
 
         Only valid when every chunk key is a ``(video_id, chunk_index)``
         int pair — the shape the P2P slot pipeline always produces.
         Raises ``ValueError``/``TypeError`` otherwise.
         """
-        if self._chunk_arr is None:
-            if self._chunk_pending and not self._chunks:
-                # Pure array-batch construction: reuse the blocks.
-                blocks = self._chunk_pending
-                arr = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            else:
-                self._materialize_chunks()
-                arr = np.asarray(self._chunks, dtype=np.int64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError(
-                    "chunk keys are not (video_id, chunk_index) pairs"
-                )
-            self._chunk_arr = arr
-        return self._chunk_arr
+        if isinstance(self._chunks, np.ndarray):
+            return self._chunks
+        pairs = np.asarray(self._chunks, dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("chunk keys are not (video_id, chunk_index) pairs")
+        return _read_only(pairs)
+
+    def _row(self, index: int) -> slice:
+        return slice(int(self._indptr[index]), int(self._indptr[index + 1]))
 
     def candidates_of(self, index: int) -> np.ndarray:
         """Uploader peer ids that can serve request ``index``."""
-        self._materialize_views()
-        return self._candidates[index]
+        return self._cand_uploaders[self._row(index)]
 
     def costs_of(self, index: int) -> np.ndarray:
         """Edge costs ``w_{u→d}`` aligned with :meth:`candidates_of`."""
-        self._materialize_views()
-        return self._costs[index]
+        return self._cand_costs[self._row(index)]
 
     def edge_values_of(self, index: int) -> np.ndarray:
         """Net utilities ``v − w`` aligned with :meth:`candidates_of`."""
-        self._materialize_views()
-        self._materialize_scalars()
-        return self._valuations[index] - self._costs[index]
+        return self.csr().values[self._row(index)]
 
     def capacity_of(self, peer: int) -> int:
         """``B(peer)``; raises ``KeyError`` for unknown uploaders."""
-        return self._capacity[peer]
+        if self._capacity_map is None:
+            self._capacity_map = dict(
+                zip(self._uploaders.tolist(), self._capacity.tolist())
+            )
+        return self._capacity_map[peer]
 
     def uploaders(self) -> List[int]:
         """All peers with declared capacity, in declaration order."""
-        return list(self._capacity)
+        return self._uploaders.tolist()
 
     def total_capacity(self) -> int:
         """Σ_u B(u)."""
-        return sum(self._capacity.values())
+        return int(self._capacity.sum())
 
     def n_edges(self) -> int:
         """Total number of candidate edges."""
-        return self._edge_count
+        return len(self._cand_uploaders)
 
     def cost_of_edge(self, index: int, uploader: int) -> float:
         """Cost ``w_{u→d}`` of a specific edge; raises if absent."""
-        self._materialize_views()
-        cands = self._candidates[index]
-        pos = np.nonzero(cands == uploader)[0]
+        pos = np.nonzero(self.candidates_of(index) == uploader)[0]
         if len(pos) == 0:
             raise KeyError(
                 f"uploader {uploader!r} is not a candidate of request {index!r}"
             )
-        return float(self._costs[index][pos[0]])
+        return float(self.costs_of(index)[pos[0]])
 
     def edge_value(self, index: int, uploader: int) -> float:
         """Net utility ``v − w`` of a specific edge."""
-        self._materialize_scalars()
-        return self._valuations[index] - self.cost_of_edge(index, uploader)
+        return float(self._valuations[index]) - self.cost_of_edge(index, uploader)
 
     # ------------------------------------------------------------------
     # Array views for vectorized solvers
     # ------------------------------------------------------------------
     def csr(self) -> CSRView:
-        """Flat CSR arrays over a stable uploader index; cached.
+        """Flat CSR arrays over a stable uploader index.
 
-        Built with a handful of array passes — no per-request Python
-        loop — so it stays cheap on batch-built problems with hundreds
-        of thousands of edges.
+        Derived from the columns on the first call and cached: the same
+        object on every call, with every field read-only.  Built with a
+        handful of array passes — no per-request Python loop — so it
+        stays cheap on problems with hundreds of thousands of edges.
         """
         if self._csr is not None:
             return self._csr
-        n = self.n_requests
-        if self._lazy_blocks and not self._candidates:
-            # Batch-built problem: reuse the flat block arrays directly,
-            # never splitting them into per-request views.
-            blocks = self._lazy_blocks
-            if len(blocks) == 1:
-                flat_uploaders, flat_costs, indptr = blocks[0]
-                counts = np.diff(indptr)
-            else:
-                flat_uploaders = np.concatenate([b[0] for b in blocks])
-                flat_costs = np.concatenate([b[1] for b in blocks])
-                counts = np.concatenate([np.diff(b[2]) for b in blocks])
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(counts, out=indptr[1:])
-        else:
-            self._materialize_views()
-            counts = np.fromiter(map(len, self._candidates), dtype=np.int64, count=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            if self._candidates and self._edge_count:
-                flat_uploaders = np.concatenate(self._candidates)
-                flat_costs = np.concatenate(self._costs)
-            else:
-                flat_uploaders = _EMPTY_INT
-                flat_costs = _EMPTY_FLOAT
-        valuations = self._scalar_column(self._valuations, self._val_pending, float)
-        values = np.repeat(valuations, counts) - flat_costs
-        if self._cap_primed is not None:
-            # Primed column pair: dict insertion order would be exactly
-            # the array order, so these are the same columns fromiter
-            # would produce.
-            uploaders, capacity = self._cap_primed
-        else:
-            uploaders = np.fromiter(
-                self._cap_dict.keys(), dtype=np.int64, count=len(self._cap_dict)
-            )
-            capacity = np.fromiter(
-                self._cap_dict.values(), dtype=np.int64, count=len(self._cap_dict)
-            )
+        values = np.repeat(self._valuations, np.diff(self._indptr)) - self._cand_costs
+        uploaders = self._uploaders
+        flat_uploaders = self._cand_uploaders
         if len(flat_uploaders):
             min_id = int(uploaders.min())
             max_id = int(uploaders.max())
@@ -719,11 +414,11 @@ class SchedulingProblem:
         else:
             uploader_index = _EMPTY_INT
         self._csr = CSRView(
-            values=values,
-            uploader_index=uploader_index,
-            indptr=indptr,
+            values=_read_only(values),
+            uploader_index=_read_only(uploader_index),
+            indptr=self._indptr,
             uploaders=uploaders,
-            capacity=capacity,
+            capacity=self._capacity,
         )
         return self._csr
 
@@ -837,48 +532,40 @@ class SchedulingProblem:
         """One-line summary for logs."""
         return (
             f"SchedulingProblem(requests={self.n_requests}, "
-            f"uploaders={len(self._capacity)}, edges={self.n_edges()}, "
+            f"uploaders={len(self._uploaders)}, edges={self.n_edges()}, "
             f"capacity={self.total_capacity()})"
         )
 
     # ------------------------------------------------------------------
     # Derived problems
     # ------------------------------------------------------------------
-    def restricted(
-        self, keep: "Callable[[int], bool]"
-    ) -> Tuple["SchedulingProblem", Dict[int, int]]:
-        """Copy containing only the requests with ``keep(index)`` true.
-
-        Capacities are copied unchanged.  Returns the sub-problem and a
-        map new-index → original-index.  Used by the VCG extension
-        (welfare without one peer's requests) and by scenario tooling.
-        """
-        self._materialize_views()
-        self._materialize_chunks()
-        self._materialize_scalars()
-        sub = SchedulingProblem()
-        for uploader, capacity in self._capacity.items():
-            sub.set_capacity(uploader, capacity)
-        index_map: Dict[int, int] = {}
-        for index in range(self.n_requests):
-            if not keep(index):
-                continue
-            candidates = {
-                int(u): float(c)
-                for u, c in zip(self._candidates[index], self._costs[index])
-            }
-            new_index = sub.add_request(
-                self._peers[index],
-                self._chunks[index],
-                self._valuations[index],
-                candidates,
-            )
-            index_map[new_index] = index
-        return sub, index_map
-
     def without_peer(self, peer: int) -> Tuple["SchedulingProblem", Dict[int, int]]:
-        """Copy with every request of ``peer`` removed (capacities intact)."""
-        return self.restricted(lambda r: self._peers[r] != peer)
+        """Copy with every request of ``peer`` removed (capacities intact).
+
+        Returns the sub-problem and a map new-index → original-index.
+        Used by the VCG extension (welfare without one peer's requests).
+        """
+        keep = self._peers != peer
+        kept = np.flatnonzero(keep)
+        counts = np.diff(self._indptr)
+        indptr = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(counts[keep], out=indptr[1:])
+        if isinstance(self._chunks, np.ndarray):
+            chunks = self._chunks[keep]
+        else:
+            chunks = [self._chunks[index] for index in kept.tolist()]
+        edges = np.repeat(keep, counts)
+        sub = SchedulingProblem(
+            self._uploaders,
+            self._capacity,
+            self._peers[keep],
+            chunks,
+            self._valuations[keep],
+            self._cand_uploaders[edges],
+            self._cand_costs[edges],
+            indptr,
+        )
+        return sub, dict(enumerate(kept.tolist()))
 
     def reweighted(
         self, valuation_of: "Callable[[int], float]"
@@ -887,70 +574,108 @@ class SchedulingProblem:
 
         ``valuation_of(index)`` returns the (possibly misreported)
         valuation for the request at ``index`` — the strategic-bidding
-        tooling uses this to model manipulation.
+        tooling uses this to model manipulation.  A non-finite valuation
+        raises ``ValueError``.
         """
-        self._materialize_views()
-        self._materialize_chunks()
-        self._materialize_scalars()
-        sub = SchedulingProblem()
-        for uploader, capacity in self._capacity.items():
-            sub.set_capacity(uploader, capacity)
-        for index in range(self.n_requests):
-            candidates = {
-                int(u): float(c)
-                for u, c in zip(self._candidates[index], self._costs[index])
-            }
-            sub.add_request(
-                self._peers[index],
-                self._chunks[index],
-                float(valuation_of(index)),
-                candidates,
-            )
-        return sub
+        return SchedulingProblem(
+            self._uploaders,
+            self._capacity,
+            self._peers,
+            self._chunks,
+            [float(valuation_of(index)) for index in range(self.n_requests)],
+            self._cand_uploaders,
+            self._cand_costs,
+            self._indptr,
+        )
+
+
+def _check_capacities(ids: np.ndarray, caps: np.ndarray) -> None:
+    """Capacities are non-negative ints and uploader ids are unique."""
+    if not len(ids):
+        return
+    with np.errstate(invalid="ignore"):
+        as_int = caps.astype(np.int64)
+    bad = (caps != as_int) | (as_int < 0)
+    if np.any(bad):
+        raise ValueError(
+            f"capacity must be a non-negative int, got {caps[bad][0].item()!r}"
+        )
+    _, first = np.unique(ids, return_index=True)
+    if len(first) < len(ids):
+        repeated = np.ones(len(ids), dtype=bool)
+        repeated[first] = False
+        raise ValueError(f"duplicate uploader {int(ids[repeated][0])!r}")
+
+
+def _check_unique_candidates(uploaders: np.ndarray, counts: np.ndarray) -> None:
+    """No uploader appears twice among one request's candidates."""
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    same_row = rows[1:] == rows[:-1]
+    if np.all((uploaders[1:] > uploaders[:-1]) | ~same_row):
+        return  # strictly increasing within each row ⇒ no duplicates
+    adjacent = uploaders[1:] == uploaders[:-1]
+    if not np.any(adjacent & same_row):
+        # Not sorted: fall back to a per-row sort to find repeats.
+        order = np.lexsort((uploaders, rows))
+        uploaders, rows = uploaders[order], rows[order]
+        adjacent = uploaders[1:] == uploaders[:-1]
+        same_row = rows[1:] == rows[:-1]
+    dup = adjacent & same_row
+    if np.any(dup):
+        where = int(np.nonzero(dup)[0][0])
+        raise ValueError(
+            f"duplicate candidate uploader {int(uploaders[1:][where])!r} "
+            f"for request {int(rows[1:][where])!r} of the batch"
+        )
 
 
 class ProblemBuilder:
-    """Columnar accumulator that assembles a :class:`SchedulingProblem`.
+    """Assembles a :class:`SchedulingProblem` written by hand.
 
-    Collect capacity declarations and CSR *blocks* of requests (e.g. one
-    block per requesting peer), then :meth:`build` concatenates every
-    block once and performs a single vectorized
-    :meth:`SchedulingProblem.add_requests_batch` call.  This is the
-    construction path the per-slot pipeline uses: total cost is O(E) in
-    array ops, independent of how many blocks were added.
+    Declare capacities, add requests one at a time (:meth:`add_request`)
+    or as CSR *blocks* (:meth:`add_block`, e.g. one block per requesting
+    peer), then :meth:`build` hands the collected columns to the
+    :class:`SchedulingProblem` constructor, which checks them.  Values
+    pass through unconverted, so a bad one reaches that check.
 
     Example
     -------
     >>> b = ProblemBuilder()
     >>> b.set_capacity(10, 2)
-    >>> b.add_block(peers=1, chunks=["a", "b"], valuations=[5.0, 4.0],
+    >>> b.add_request(peer=1, chunk="a", valuation=5.0, candidates={10: 1.0})
+    0
+    >>> b.add_block(peers=2, chunks=["a", "b"], valuations=[5.0, 4.0],
     ...             cand_uploaders=[10, 10], cand_costs=[1.0, 2.0],
     ...             indptr=[0, 1, 2])
+    2
     >>> p = b.build()
     >>> p.n_requests, p.n_edges()
-    (2, 2)
+    (3, 3)
     """
 
     def __init__(self) -> None:
         self._capacity: Dict[int, int] = {}
-        self._peer_blocks: List[np.ndarray] = []
-        self._chunk_blocks: List[List[Hashable]] = []
-        self._valuation_blocks: List[np.ndarray] = []
-        self._uploader_blocks: List[np.ndarray] = []
-        self._cost_blocks: List[np.ndarray] = []
-        self._count_blocks: List[np.ndarray] = []
+        self._peers: List[int] = []
+        self._chunks: List[Hashable] = []
+        self._valuations: List[float] = []
+        self._cand_uploaders: List[int] = []
+        self._cand_costs: List[float] = []
+        self._indptr: List[int] = [0]
 
     # ------------------------------------------------------------------
     # Capacities
     # ------------------------------------------------------------------
     def set_capacity(self, peer: int, capacity: int) -> None:
-        """Declare one uploader capacity (order of declaration preserved)."""
-        self._capacity[int(peer)] = int(capacity)
+        """Declare ``B(peer)``; a repeat declaration replaces the value.
+
+        Uploaders keep the order of their first declaration.
+        """
+        self._capacity[peer] = capacity
 
     def set_capacities(self, peers: Sequence[int], capacities: Sequence[int]) -> None:
         """Declare many uploader capacities at once."""
-        ids = np.asarray(peers, dtype=np.int64)
-        caps = np.asarray(capacities, dtype=np.int64)
+        ids = np.asarray(peers)
+        caps = np.asarray(capacities)
         if ids.shape != caps.shape:
             raise ValueError(
                 f"peers and capacities must be aligned, got shapes "
@@ -959,8 +684,27 @@ class ProblemBuilder:
         self._capacity.update(zip(ids.tolist(), caps.tolist()))
 
     # ------------------------------------------------------------------
-    # Request blocks
+    # Requests
     # ------------------------------------------------------------------
+    def add_request(
+        self,
+        peer: int,
+        chunk: Hashable,
+        valuation: float,
+        candidates: Dict[int, float],
+    ) -> int:
+        """Add request ``(peer, chunk)``; returns its index.
+
+        ``candidates`` maps uploader peer id → network cost ``w_{u→d}``.
+        """
+        self._peers.append(peer)
+        self._chunks.append(chunk)
+        self._valuations.append(valuation)
+        self._cand_uploaders.extend(candidates)
+        self._cand_costs.extend(candidates.values())
+        self._indptr.append(len(self._cand_uploaders))
+        return len(self._peers) - 1
+
     def add_block(
         self,
         peers,
@@ -971,13 +715,12 @@ class ProblemBuilder:
         indptr=None,
         counts=None,
     ) -> int:
-        """Queue one CSR block of requests; returns the block's size.
+        """Add one CSR block of requests; returns the block's size.
 
         ``peers`` may be a scalar (one downloader for the whole block —
         the common per-peer case) or an array aligned with ``chunks``.
         Provide either ``indptr`` (length ``len(chunks) + 1``) or
-        ``counts`` (length ``len(chunks)``).  Arrays are stored as-is
-        and validated at :meth:`build` time by ``add_requests_batch``.
+        ``counts`` (length ``len(chunks)``).
         """
         chunk_list = list(chunks)
         m = len(chunk_list)
@@ -998,51 +741,37 @@ class ProblemBuilder:
                 raise ValueError(
                     f"counts must have length {m}, got {len(counts_arr)}"
                 )
-        peers_arr = np.asarray(peers, dtype=np.int64)
+        peers_arr = np.asarray(peers)
         if peers_arr.ndim == 0:
-            peers_arr = np.full(m, int(peers_arr), dtype=np.int64)
-        if m == 0:
-            return 0
-        self._peer_blocks.append(peers_arr)
-        self._chunk_blocks.append(chunk_list)
-        self._valuation_blocks.append(np.asarray(valuations, dtype=float))
-        self._uploader_blocks.append(np.asarray(cand_uploaders, dtype=np.int64))
-        self._cost_blocks.append(np.asarray(cand_costs, dtype=float))
-        self._count_blocks.append(counts_arr)
+            peers_arr = np.full(m, peers_arr)
+        self._peers.extend(peers_arr.tolist())
+        self._chunks.extend(chunk_list)
+        self._valuations.extend(np.asarray(valuations).tolist())
+        self._cand_uploaders.extend(np.asarray(cand_uploaders).tolist())
+        self._cand_costs.extend(np.asarray(cand_costs).tolist())
+        self._indptr.extend((self._indptr[-1] + np.cumsum(counts_arr)).tolist())
         return m
 
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
     def build(self, validate: bool = True) -> SchedulingProblem:
-        """Concatenate all blocks into one :class:`SchedulingProblem`.
+        """The :class:`SchedulingProblem` of everything added so far.
 
-        ``validate`` is forwarded to
-        :meth:`SchedulingProblem.add_requests_batch`.
+        ``validate`` is the constructor's: with it (the default) a
+        rejected value raises ``ValueError`` here.
         """
-        problem = SchedulingProblem()
-        if self._capacity:
-            problem.set_capacities_batch(
-                np.fromiter(self._capacity.keys(), dtype=np.int64, count=len(self._capacity)),
-                np.fromiter(self._capacity.values(), dtype=np.int64, count=len(self._capacity)),
-            )
-        if not self._peer_blocks:
-            return problem
-        peers = np.concatenate(self._peer_blocks)
-        chunks: List[Hashable] = []
-        for block in self._chunk_blocks:
-            chunks.extend(block)
-        valuations = np.concatenate(self._valuation_blocks)
-        cand_uploaders = np.concatenate(self._uploader_blocks)
-        cand_costs = np.concatenate(self._cost_blocks)
-        counts = np.concatenate(self._count_blocks)
-        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        problem.add_requests_batch(
-            peers, chunks, valuations, cand_uploaders, cand_costs, indptr,
+        return SchedulingProblem(
+            list(self._capacity),
+            list(self._capacity.values()),
+            self._peers,
+            self._chunks,
+            self._valuations,
+            self._cand_uploaders,
+            self._cand_costs,
+            self._indptr,
             validate=validate,
         )
-        return problem
 
 
 def random_problem(
@@ -1064,11 +793,11 @@ def random_problem(
     """
     if n_uploaders < 1:
         raise ValueError("need at least one uploader")
-    problem = SchedulingProblem()
+    builder = ProblemBuilder()
     first = max(10_000, n_requests)
     uploader_ids = [first + i for i in range(n_uploaders)]
     for u in uploader_ids:
-        problem.set_capacity(u, int(rng.integers(capacity_range[0], capacity_range[1] + 1)))
+        builder.set_capacity(u, int(rng.integers(capacity_range[0], capacity_range[1] + 1)))
     for r in range(n_requests):
         peer = r  # requester ids disjoint from uploader ids
         k = int(rng.integers(1, max_candidates + 1))
@@ -1080,5 +809,5 @@ def random_problem(
             valuation = float(rng.uniform(*valuation_range))
             costs = rng.uniform(*cost_range, size=len(chosen))
         candidates = {uploader_ids[int(j)]: float(c) for j, c in zip(chosen, costs)}
-        problem.add_request(peer=peer, chunk=f"chunk-{r}", valuation=valuation, candidates=candidates)
-    return problem
+        builder.add_request(peer=peer, chunk=f"chunk-{r}", valuation=valuation, candidates=candidates)
+    return builder.build()

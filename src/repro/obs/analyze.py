@@ -79,8 +79,7 @@ def trace_totals(records: List[dict]) -> Dict[str, object]:
         "price_updates": int(tot(lambda r: r["solver"]["price_updates"])),
         "evictions": int(tot(lambda r: r["solver"]["evictions"])),
         "rows_evaluated": int(tot(lambda r: r["solver"]["rows_evaluated"])),
-        # Optional in schema v2: traces written before it existed read 0.
-        "scalar_rounds": int(tot(lambda r: r["solver"].get("scalar_rounds", 0))),
+        "scalar_rounds": int(tot(lambda r: r["solver"]["scalar_rounds"])),
         "inter_isp": inter,
         "intra_isp": intra,
         "inter_frac": inter / (inter + intra) if inter + intra else 0.0,

@@ -78,11 +78,9 @@ _REQUIRED_NESTED: Dict[str, Tuple[str, ...]] = {
     # ``costs_for_pairs`` call each), ``dropped`` the tables dropped
     # since the build before (departures, link changes, cost shocks).
     "build": ("reused", "rebuilt", "dropped"),
-    # ``solver.scalar_rounds`` joined v2 later, so it is not required:
-    # readers default it to 0 for traces written before it.
     "solver": (
         "rounds", "bids_submitted", "bids_rejected", "evictions",
-        "price_updates", "rows_evaluated",
+        "price_updates", "rows_evaluated", "scalar_rounds",
     ),
     "retry": ("attempts", "succeeded", "surrendered", "evicted", "pending"),
     "traffic": ("inter", "intra"),

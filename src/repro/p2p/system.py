@@ -820,20 +820,19 @@ class P2PSystem:
         edges from one range gather of the watchers' candidate tables,
         which persist across builds; only the tables dropped since
         (churn, link changes, cost shocks) and those of watchers new to
-        the build are made afresh.  The whole request block is handed to
-        :meth:`SchedulingProblem.add_requests_batch` in one call — no
-        per-peer Python loop, no per-slot re-stacking.  Produces the
-        same problem (same request order, same candidate edges and
-        costs; candidates sorted by uploader id) as the per-request
-        builder in ``tests/oracles/slot.py``, which the property suite
-        pins byte-for-byte, as it pins the cold per-group assembler in
-        ``tests/oracles/assemble.py``.
+        the build are made afresh.  The store's capacity, request and
+        edge columns go straight to the :class:`SchedulingProblem`
+        constructor — no per-peer Python loop, no per-slot re-stacking.
+        Produces the same problem (same request order, same candidate
+        edges and costs; candidates sorted by uploader id) as the
+        per-request builder in ``tests/oracles/slot.py``, which the
+        property suite pins byte-for-byte, as it pins the cold
+        per-group assembler in ``tests/oracles/assemble.py``.
 
         ``capacity_array`` overrides the upload budgets, aligned with
         the store's ascending online ids (``run_slot``'s sub-round
-        split); by default each peer's own capacity applies.
-        Capacities are primed from the store's columns without a
-        per-peer dict.  The request-index → downstream peer map is
+        split); by default each peer's own capacity applies.  The
+        request-index → downstream peer map is
         ``problem.request_peer_array()``.
         """
         ids, caps = self.store.capacity_columns()
@@ -846,22 +845,15 @@ class P2PSystem:
                 )
         rounds = self.config.bid_rounds_per_slot
         lookahead = self.config.slot_seconds / rounds if rounds > 1 else 0.0
-        problem = SchedulingProblem()
-        problem.prime_capacities(ids, caps)
         parts = self.store.assemble_requests(now, self.valuation, lookahead)
-        if parts is None:
-            return problem
-        if len(self.retry_queue):
+        if parts is not None and len(self.retry_queue):
             # Chunks parked in the retry pipeline stay out of the
             # auction until delivered, evicted or surrendered — a
             # pending edge must not be double-assigned.
             parts = self._suppress_pending_requests(parts)
-            if parts is None:
-                return problem
         # validate=False: this producer is pinned against the per-request
         # reference by the construction-equivalence/property tests.
-        problem.add_requests_batch(*parts, validate=False)
-        return problem
+        return SchedulingProblem(ids, caps, *(parts or ()), validate=False)
 
     # The end-to-end benchmark's layer trace wraps build methods by name
     # and fails on a missing one; the name stays until that hook list

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import ProblemBuilder, SchedulingProblem
 
 
 def pytest_configure(config) -> None:
@@ -33,13 +33,14 @@ def small_problem() -> SchedulingProblem:
 
     Optimum: r0→100, r1→100, r2→200; r3 unserved; welfare = 7+5+4 = 16.
     """
-    p = SchedulingProblem()
-    p.set_capacity(100, 2)
-    p.set_capacity(200, 1)
-    p.add_request(peer=1, chunk="a", valuation=8.0, candidates={100: 1.0, 200: 2.0})
-    p.add_request(peer=2, chunk="b", valuation=6.0, candidates={100: 1.0})
-    p.add_request(peer=3, chunk="c", valuation=5.0, candidates={100: 4.0, 200: 1.0})
-    p.add_request(peer=4, chunk="d", valuation=2.0, candidates={200: 3.0})
+    builder = ProblemBuilder()
+    builder.set_capacity(100, 2)
+    builder.set_capacity(200, 1)
+    builder.add_request(peer=1, chunk="a", valuation=8.0, candidates={100: 1.0, 200: 2.0})
+    builder.add_request(peer=2, chunk="b", valuation=6.0, candidates={100: 1.0})
+    builder.add_request(peer=3, chunk="c", valuation=5.0, candidates={100: 4.0, 200: 1.0})
+    builder.add_request(peer=4, chunk="d", valuation=2.0, candidates={200: 3.0})
+    p = builder.build()
     return p
 
 

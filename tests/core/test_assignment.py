@@ -8,7 +8,7 @@ from scipy import optimize
 
 from repro.core.assignment import FORBIDDEN, expand_to_assignment
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 
 
 class TestExpansion:
@@ -79,8 +79,9 @@ class TestRoundTrip:
         assert hungarian == pytest.approx(solve_lp_relaxation(p).value, abs=1e-6)
 
     def test_empty_problem(self):
-        p = SchedulingProblem()
-        p.set_capacity(1, 2)
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 2)
+        p = builder.build()
         expansion = expand_to_assignment(p)
         assert expansion.weights.shape == (0, 2)
         result = solve_hungarian(p)

@@ -14,7 +14,7 @@ from repro.core.auction import (
     PriceTrace,
 )
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 from repro.core.scheduler import AuctionScheduler
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
@@ -39,19 +39,21 @@ class TestKnownOptima:
         assert result.assignment[3] is None  # v − w = −1 at its only edge
 
     def test_single_request_single_uploader(self, mode):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 5.0, {10: 2.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 5.0, {10: 2.0})
+        p = builder.build()
         result = AuctionSolver(mode=mode).solve(p)
         assert result.assignment[0] == 10
         assert result.welfare(p) == pytest.approx(3.0)
 
     def test_contention_highest_value_wins(self, mode):
         """Two requests, one slot: the higher-surplus request must win."""
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 8.0, {10: 1.0})  # surplus 7
-        p.add_request(2, "b", 5.0, {10: 1.0})  # surplus 4
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 8.0, {10: 1.0})  # surplus 7
+        builder.add_request(2, "b", 5.0, {10: 1.0})  # surplus 4
+        p = builder.build()
         result = AuctionSolver(epsilon=1e-6, mode=mode).solve(p)
         assert result.assignment[0] == 10
         assert result.assignment[1] is None
@@ -60,37 +62,41 @@ class TestKnownOptima:
 
     def test_spreads_across_uploaders(self, mode):
         """Capacity-1 uploaders force the optimum to spread requests."""
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.set_capacity(20, 1)
-        p.add_request(1, "a", 9.0, {10: 1.0, 20: 2.0})
-        p.add_request(2, "b", 9.0, {10: 1.0, 20: 2.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.set_capacity(20, 1)
+        builder.add_request(1, "a", 9.0, {10: 1.0, 20: 2.0})
+        builder.add_request(2, "b", 9.0, {10: 1.0, 20: 2.0})
+        p = builder.build()
         result = AuctionSolver(epsilon=1e-6, mode=mode).solve(p)
         assigned = {result.assignment[0], result.assignment[1]}
         assert assigned == {10, 20}
         assert result.welfare(p) == pytest.approx(15.0)
 
     def test_empty_problem(self, mode):
-        p = SchedulingProblem()
-        p.set_capacity(10, 2)
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 2)
+        p = builder.build()
         result = AuctionSolver(mode=mode).solve(p)
         assert result.assignment == {}
         assert result.welfare(p) == 0.0
 
     def test_request_without_candidates_unserved(self, mode):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 5.0, {})
-        p.add_request(2, "b", 5.0, {10: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 5.0, {})
+        builder.add_request(2, "b", 5.0, {10: 1.0})
+        p = builder.build()
         result = AuctionSolver(mode=mode).solve(p)
         assert result.assignment[0] is None
         assert result.assignment[1] == 10
 
     def test_zero_capacity_uploader_ignored(self, mode):
-        p = SchedulingProblem()
-        p.set_capacity(10, 0)
-        p.set_capacity(20, 1)
-        p.add_request(1, "a", 5.0, {10: 0.1, 20: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 0)
+        builder.set_capacity(20, 1)
+        builder.add_request(1, "a", 5.0, {10: 0.1, 20: 1.0})
+        p = builder.build()
         result = AuctionSolver(mode=mode).solve(p)
         assert result.assignment[0] == 20
 
@@ -103,10 +109,11 @@ class TestEpsilonZeroPaperMode:
     def test_exact_tie_goes_dormant_and_terminates(self, mode):
         """Two identical options tie exactly: with ε=0 the bid equals the
         price, the bidder waits (paper rule), and the auction still ends."""
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.set_capacity(20, 1)
-        p.add_request(1, "a", 5.0, {10: 1.0, 20: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.set_capacity(20, 1)
+        builder.add_request(1, "a", 5.0, {10: 1.0, 20: 1.0})
+        p = builder.build()
         result = AuctionSolver(epsilon=0.0, mode=mode).solve(p)
         # ties at price 0 with positive utility: bid = λ ⇒ dormant forever
         # OR assigned if the implementation's argmax committed first.
@@ -163,10 +170,11 @@ class TestDiagnostics:
         assert len(times) == len(prices)
 
     def test_price_update_callback(self, mode):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 8.0, {10: 1.0})
-        p.add_request(2, "b", 5.0, {10: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 8.0, {10: 1.0})
+        builder.add_request(2, "b", 5.0, {10: 1.0})
+        p = builder.build()
         updates = []
         AuctionSolver(
             epsilon=1e-6, mode=mode, on_price_update=lambda t, u, pr: updates.append((u, pr))
@@ -179,10 +187,11 @@ class TestDiagnostics:
 
 class TestWarmStart:
     def test_initial_prices_respected(self, mode):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.set_capacity(20, 1)
-        p.add_request(1, "a", 5.0, {10: 1.0, 20: 1.5})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.set_capacity(20, 1)
+        builder.add_request(1, "a", 5.0, {10: 1.0, 20: 1.5})
+        p = builder.build()
         # Price 10 out of reach: the request must go to 20.
         result = AuctionSolver(epsilon=1e-9, mode=mode).solve(
             p, initial_prices={10: 100.0}
@@ -190,9 +199,10 @@ class TestWarmStart:
         assert result.assignment[0] == 20
 
     def test_negative_initial_prices_clamped(self, mode):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 5.0, {10: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 5.0, {10: 1.0})
+        p = builder.build()
         result = AuctionSolver(mode=mode).solve(p, initial_prices={10: -5.0})
         assert result.assignment[0] == 10
 

@@ -21,7 +21,7 @@ from repro.core import auction
 from repro.core.auction import AuctionSolver, PriceTrace, _segment_max
 from repro.core.duality import check_complementary_slackness
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
@@ -55,10 +55,10 @@ def solve_like_dense(problem, epsilon):
 
 def skewed_problem(rng: np.random.Generator, n_requests=60, n_uploaders=25):
     """Instance with heavily skewed candidate counts (the padding worst case)."""
-    p = SchedulingProblem()
+    builder = ProblemBuilder()
     ids = [10_000 + i for i in range(n_uploaders)]
     for u in ids:
-        p.set_capacity(u, int(rng.integers(0, 3)))
+        builder.set_capacity(u, int(rng.integers(0, 3)))
     for r in range(n_requests):
         # A few requests see almost every uploader; most see one or two.
         k = n_uploaders if r % 10 == 0 else int(rng.integers(1, 3))
@@ -66,7 +66,8 @@ def skewed_problem(rng: np.random.Generator, n_requests=60, n_uploaders=25):
         candidates = {
             ids[int(j)]: float(rng.uniform(0, 10)) for j in chosen
         }
-        p.add_request(r, f"c{r}", float(rng.uniform(0.5, 12.0)), candidates)
+        builder.add_request(r, f"c{r}", float(rng.uniform(0.5, 12.0)), candidates)
+    p = builder.build()
     return p
 
 
@@ -166,9 +167,10 @@ class TestEmptyProblem:
     """Satellite fix: n == 0 must return a fully-populated result."""
 
     def make_empty(self):
-        p = SchedulingProblem()
-        p.set_capacity(7, 3)
-        p.set_capacity(8, 0)
+        builder = ProblemBuilder()
+        builder.set_capacity(7, 3)
+        builder.set_capacity(8, 0)
+        p = builder.build()
         return p
 
     @pytest.mark.parametrize("mode", ["jacobi", "jacobi-dense", "gauss-seidel"])
@@ -209,18 +211,20 @@ class TestEtasVectorized:
             assert fast[r] == slow[r]
 
     def test_zero_capacity_excluded(self):
-        p = SchedulingProblem()
-        p.set_capacity(1, 0)
-        p.set_capacity(2, 1)
-        p.add_request(10, "a", 9.0, {1: 0.5, 2: 4.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 0)
+        builder.set_capacity(2, 1)
+        builder.add_request(10, "a", 9.0, {1: 0.5, 2: 4.0})
+        p = builder.build()
         lam = {1: 0.0, 2: 1.0}
         # Only uploader 2 counts: eta = 9 - 4 - 1 = 4 (not 8.5 via u=1).
         assert AuctionSolver._etas(p, lam) == {0: 4.0}
         assert etas_reference(p, lam) == {0: 4.0}
 
     def test_empty_problem(self):
-        p = SchedulingProblem()
-        p.set_capacity(1, 2)
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 2)
+        p = builder.build()
         assert AuctionSolver._etas(p, {1: 0.0}) == {}
 
 
@@ -265,19 +269,20 @@ class TestContestedCommit:
     #: The zero-capacity uploader of the inert padding requests.
     DEAD = 99
 
-    def solve(self, problem, epsilon=EPS):
+    def solve(self, builder, epsilon=EPS):
         """Jacobi outcome and price-callback stream on both round paths.
 
-        The case is solved twice, each time held equal to the dense
-        oracle.
+        The builder's problem is solved twice, each time held equal to
+        the dense oracle.
         First every round runs on the vector path (``_SMALL_ROUND_ROWS
-        = 0``).  Then the problem is padded with inert requests whose
-        only candidate, ``DEAD``, has no capacity: they retire up front
-        and raise n, so round 1 is small (2·rows < n) and the whole
+        = 0``).  Then the builder pads the problem with inert requests
+        whose only candidate, ``DEAD``, has no capacity: they retire up
+        front and raise n, so round 1 is small (2·rows < n) and the whole
         solve runs in the tail loop.  Both runs must agree on the hand-built
         requests' assignment, the other uploaders' prices, the stats and
         the callback stream, which are returned.
         """
+        problem = builder.build()
         live = problem.n_requests
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(auction, "_SMALL_ROUND_ROWS", 0)
@@ -285,10 +290,10 @@ class TestContestedCommit:
         assert result.stats.scalar_rounds == 0
         vector = (result.assignment, result.prices, result.stats, calls)
 
-        problem.set_capacity(self.DEAD, 0)
+        builder.set_capacity(self.DEAD, 0)
         for i in range(2 * live):
-            problem.add_request(900 + i, f"inert{i}", 1.0, {self.DEAD: 0.0})
-        result, calls = solve_like_dense(problem, epsilon)
+            builder.add_request(900 + i, f"inert{i}", 1.0, {self.DEAD: 0.0})
+        result, calls = solve_like_dense(builder.build(), epsilon)
         assert result.stats.scalar_rounds == result.stats.rounds
         assignment = {r: u for r, u in result.assignment.items() if r < live}
         prices = {u: lam for u, lam in result.prices.items() if u != self.DEAD}
@@ -299,14 +304,14 @@ class TestContestedCommit:
         # U (id 1, B = 2) accepts A at 3.5 in round 1 and is not full.
         # In round 2 B bids 5.5 and C bids 3.5 at U: B fills the set and
         # C, tying member A, is rejected (the heap rejects b <= min).
-        p = SchedulingProblem()
-        p.set_capacity(1, 2)
-        p.set_capacity(2, 1)
-        p.add_request(100, "a", 5.0, {1: 2.0})  # A
-        p.add_request(101, "b", 10.0, {1: 5.0, 2: 1.0})  # B
-        p.add_request(102, "c", 10.0, {1: 7.0, 2: 2.0})  # C
-        p.add_request(103, "d", 20.0, {2: 0.0})  # D
-        assignment, prices, stats, _ = self.solve(p)
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 2)
+        builder.set_capacity(2, 1)
+        builder.add_request(100, "a", 5.0, {1: 2.0})  # A
+        builder.add_request(101, "b", 10.0, {1: 5.0, 2: 1.0})  # B
+        builder.add_request(102, "c", 10.0, {1: 7.0, 2: 2.0})  # C
+        builder.add_request(103, "d", 20.0, {2: 0.0})  # D
+        assignment, prices, stats, _ = self.solve(builder)
         assert assignment == {0: 1, 1: 1, 2: None, 3: 2}
         assert stats.evictions == 0
         assert prices == {1: 3.5, 2: 20.5}
@@ -315,14 +320,14 @@ class TestContestedCommit:
         # A and B both bid 3.5 in round 1 and fill U (id 1, B = 2), A
         # first.  In round 2 C bids 5.5 and evicts the lowest (bid, seq)
         # member: A.  The lowest kept bid stays 3.5, so λ_U does not move.
-        p = SchedulingProblem()
-        p.set_capacity(1, 2)
-        p.set_capacity(2, 1)
-        p.add_request(100, "a", 5.0, {1: 2.0})  # A
-        p.add_request(101, "b", 6.0, {1: 3.0})  # B
-        p.add_request(102, "c", 10.0, {1: 5.0, 2: 1.0})  # C
-        p.add_request(103, "d", 20.0, {2: 0.0})  # D
-        assignment, prices, stats, _ = self.solve(p)
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 2)
+        builder.set_capacity(2, 1)
+        builder.add_request(100, "a", 5.0, {1: 2.0})  # A
+        builder.add_request(101, "b", 6.0, {1: 3.0})  # B
+        builder.add_request(102, "c", 10.0, {1: 5.0, 2: 1.0})  # C
+        builder.add_request(103, "d", 20.0, {2: 0.0})  # D
+        assignment, prices, stats, _ = self.solve(builder)
         assert assignment == {0: None, 1: 1, 2: 1, 3: 2}
         assert stats.evictions == 1
         assert prices == {1: 3.5, 2: 20.5}
@@ -332,15 +337,15 @@ class TestContestedCommit:
         # Round 2: E and G fill the empty uploaders 1 and 3 while F
         # evicts A from uploader 2; all three reprice in the same round,
         # and the callbacks arrive in ascending uploader order.
-        p = SchedulingProblem()
+        builder = ProblemBuilder()
         for uploader in (1, 2, 3, 4):
-            p.set_capacity(uploader, 1)
-        p.add_request(100, "a", 5.0, {2: 2.0})  # A
-        p.add_request(103, "d", 20.0, {4: 0.0})  # D
-        p.add_request(104, "e", 10.0, {4: 1.0, 1: 5.0})  # E
-        p.add_request(105, "f", 10.0, {4: 1.0, 2: 4.0})  # F
-        p.add_request(106, "g", 10.0, {4: 1.0, 3: 5.0})  # G
-        assignment, prices, stats, calls = self.solve(p)
+            builder.set_capacity(uploader, 1)
+        builder.add_request(100, "a", 5.0, {2: 2.0})  # A
+        builder.add_request(103, "d", 20.0, {4: 0.0})  # D
+        builder.add_request(104, "e", 10.0, {4: 1.0, 1: 5.0})  # E
+        builder.add_request(105, "f", 10.0, {4: 1.0, 2: 4.0})  # F
+        builder.add_request(106, "g", 10.0, {4: 1.0, 3: 5.0})  # G
+        assignment, prices, stats, calls = self.solve(builder)
         assert assignment == {0: None, 1: 4, 2: 1, 3: 2, 4: 3}
         assert stats.evictions == 1
         assert prices == {1: 5.5, 2: 6.5, 3: 5.5, 4: 20.5}
@@ -354,13 +359,13 @@ class TestContestedCommit:
         # which takes uploader 1 at 8 − 3 = 5 in round 3.  X is
         # evaluated twice, where the dense reference's scan evaluates
         # it in all three rounds.
-        p = SchedulingProblem()
+        builder = ProblemBuilder()
         for uploader in (1, 2, 3):
-            p.set_capacity(uploader, 1)
-        p.add_request(100, "x", 10.0, {1: 2.0, 2: 2.0})  # X
-        p.add_request(101, "a", 20.0, {3: 0.0})  # A
-        p.add_request(102, "b", 10.0, {3: 0.0, 2: 5.0})  # B
-        assignment, prices, stats, calls = self.solve(p, epsilon=0.0)
+            builder.set_capacity(uploader, 1)
+        builder.add_request(100, "x", 10.0, {1: 2.0, 2: 2.0})  # X
+        builder.add_request(101, "a", 20.0, {3: 0.0})  # A
+        builder.add_request(102, "b", 10.0, {3: 0.0, 2: 5.0})  # B
+        assignment, prices, stats, calls = self.solve(builder, epsilon=0.0)
         assert assignment == {0: 1, 1: 3, 2: 2}
         assert prices == {1: 5.0, 2: 5.0, 3: 20.0}
         assert calls == [(1, 3, 20.0), (2, 2, 5.0), (3, 1, 5.0)]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core.auction import AuctionSolver
 from repro.core.duality import check_complementary_slackness, duality_gap, verify_theorem1
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import ProblemBuilder
 
 EPS = 1e-6
 
@@ -28,9 +28,9 @@ def problems(draw):
     uploader_ids = [100 + i for i in range(n_uploaders)]
     capacities = [draw(st.integers(0, 3)) for _ in uploader_ids]
     n_requests = draw(st.integers(1, 25))
-    p = SchedulingProblem()
+    builder = ProblemBuilder()
     for uid, cap in zip(uploader_ids, capacities):
-        p.set_capacity(uid, cap)
+        builder.set_capacity(uid, cap)
     for r in range(n_requests):
         k = draw(st.integers(0, n_uploaders))
         chosen = draw(
@@ -45,7 +45,8 @@ def problems(draw):
         valuation = round(
             draw(st.floats(0.0, 12.0, allow_nan=False, allow_infinity=False)), 3
         )
-        p.add_request(peer=r, chunk=f"c{r}", valuation=valuation, candidates=candidates)
+        builder.add_request(peer=r, chunk=f"c{r}", valuation=valuation, candidates=candidates)
+    p = builder.build()
     return p
 
 

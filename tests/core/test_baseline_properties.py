@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.auction import AuctionSolver
 from repro.core.scheduler import available_schedulers, make_scheduler
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import ProblemBuilder
 
 EPS = 1e-6
 
@@ -22,9 +22,9 @@ EPS = 1e-6
 def problems(draw):
     n_uploaders = draw(st.integers(1, 5))
     uploader_ids = [100 + i for i in range(n_uploaders)]
-    p = SchedulingProblem()
+    builder = ProblemBuilder()
     for uid in uploader_ids:
-        p.set_capacity(uid, draw(st.integers(0, 3)))
+        builder.set_capacity(uid, draw(st.integers(0, 3)))
     n_requests = draw(st.integers(1, 15))
     for r in range(n_requests):
         k = draw(st.integers(0, n_uploaders))
@@ -34,7 +34,8 @@ def problems(draw):
             for uid in chosen
         }
         valuation = round(draw(st.floats(0.0, 12.0, allow_nan=False)), 2)
-        p.add_request(peer=r, chunk=f"c{r}", valuation=valuation, candidates=candidates)
+        builder.add_request(peer=r, chunk=f"c{r}", valuation=valuation, candidates=candidates)
+    p = builder.build()
     return p
 
 

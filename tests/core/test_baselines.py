@@ -13,17 +13,18 @@ from repro.core.baselines import (
     SimpleLocalityScheduler,
     UtilityGreedyScheduler,
 )
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 
 
 def contended_problem():
     """Three requests competing for one cheap uploader (B=1) plus a dearer one."""
-    p = SchedulingProblem()
-    p.set_capacity(10, 1)  # cheap
-    p.set_capacity(20, 2)  # expensive
-    p.add_request(1, "a", 8.0, {10: 0.5, 20: 4.0})
-    p.add_request(2, "b", 6.0, {10: 0.5, 20: 4.0})
-    p.add_request(3, "c", 4.0, {10: 0.5, 20: 4.0})
+    builder = ProblemBuilder()
+    builder.set_capacity(10, 1)  # cheap
+    builder.set_capacity(20, 2)  # expensive
+    builder.add_request(1, "a", 8.0, {10: 0.5, 20: 4.0})
+    builder.add_request(2, "b", 6.0, {10: 0.5, 20: 4.0})
+    builder.add_request(3, "c", 4.0, {10: 0.5, 20: 4.0})
+    p = builder.build()
     return p
 
 
@@ -52,10 +53,11 @@ class TestSimpleLocality:
         assert result.assignment[2] is None
 
     def test_urgency_priority_at_uploader(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 2.0, {10: 0.5})
-        p.add_request(2, "b", 9.0, {10: 0.5})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 2.0, {10: 0.5})
+        builder.add_request(2, "b", 9.0, {10: 0.5})
+        p = builder.build()
         result = SimpleLocalityScheduler().schedule(p)
         assert result.assignment[1] == 10
         assert result.assignment[0] is None

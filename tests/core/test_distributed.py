@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.distributed import DistributedAuction
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency, SimNetwork
 
@@ -67,10 +67,11 @@ class TestProtocol:
             assert prices == sorted(prices)
 
     def test_convergence_time_positive_under_contention(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 8.0, {10: 1.0})
-        p.add_request(2, "b", 5.0, {10: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 8.0, {10: 1.0})
+        builder.add_request(2, "b", 5.0, {10: 1.0})
+        p = builder.build()
         auction, _ = run_distributed(p)
         assert auction.convergence_time() > 0.0
         times, prices = auction.price_series(10)
@@ -85,10 +86,11 @@ class TestProtocol:
             auction.start()
 
     def test_time_limit_enforced(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 8.0, {10: 1.0})
-        p.add_request(2, "b", 5.0, {10: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 8.0, {10: 1.0})
+        builder.add_request(2, "b", 5.0, {10: 1.0})
+        p = builder.build()
         sim = Simulator()
         network = SimNetwork(sim, latency=ConstantLatency(10.0))  # glacial
         auction = DistributedAuction(sim, network, p, epsilon=1e-6)
@@ -115,11 +117,12 @@ class TestFailures:
 
     def test_peer_departure_mid_auction(self):
         """Section IV-C: a departed uploader's winners re-bid elsewhere."""
-        p = SchedulingProblem()
-        p.set_capacity(10, 2)
-        p.set_capacity(20, 2)
-        p.add_request(1, "a", 8.0, {10: 0.5, 20: 1.0})
-        p.add_request(2, "b", 7.0, {10: 0.5, 20: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 2)
+        builder.set_capacity(20, 2)
+        builder.add_request(1, "a", 8.0, {10: 0.5, 20: 1.0})
+        builder.add_request(2, "b", 7.0, {10: 0.5, 20: 1.0})
+        p = builder.build()
         sim = Simulator()
         network = SimNetwork(sim, latency=ConstantLatency(0.01))
         auction = DistributedAuction(sim, network, p, epsilon=1e-6)
@@ -154,9 +157,9 @@ class TestEvictAcceptReordering:
     """
 
     def make_problem(self):
-        p = SchedulingProblem()
+        builder = ProblemBuilder()
         for u, c in {100: 0, 101: 1, 102: 1}.items():
-            p.set_capacity(u, c)
+            builder.set_capacity(u, c)
         requests = [
             (10.98, {}),
             (10.43, {100: 1.27, 101: 0.74, 102: 0.7}),
@@ -171,7 +174,8 @@ class TestEvictAcceptReordering:
             (5.07, {}),
         ]
         for r, (v, cands) in enumerate(requests):
-            p.add_request(peer=r, chunk=f"c{r}", valuation=v, candidates=cands)
+            builder.add_request(peer=r, chunk=f"c{r}", valuation=v, candidates=cands)
+        p = builder.build()
         return p
 
     def test_jittered_run_stays_optimal(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.distributed import DistributedAuction
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import ProblemBuilder
 from repro.sim.engine import Simulator
 from repro.sim.network import ConstantLatency, SimNetwork
 
@@ -20,9 +20,9 @@ EPS = 1e-6
 def small_problems(draw):
     n_uploaders = draw(st.integers(1, 4))
     uploader_ids = [100 + i for i in range(n_uploaders)]
-    p = SchedulingProblem()
+    builder = ProblemBuilder()
     for uid in uploader_ids:
-        p.set_capacity(uid, draw(st.integers(0, 2)))
+        builder.set_capacity(uid, draw(st.integers(0, 2)))
     n_requests = draw(st.integers(1, 12))
     for r in range(n_requests):
         k = draw(st.integers(0, n_uploaders))
@@ -31,7 +31,8 @@ def small_problems(draw):
             for uid in uploader_ids[:k]
         }
         valuation = round(draw(st.floats(0.0, 12.0, allow_nan=False)), 2)
-        p.add_request(peer=r, chunk=f"c{r}", valuation=valuation, candidates=candidates)
+        builder.add_request(peer=r, chunk=f"c{r}", valuation=valuation, candidates=candidates)
+    p = builder.build()
     return p
 
 

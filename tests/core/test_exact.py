@@ -10,7 +10,7 @@ from repro.core.exact import (
     solve_lp_relaxation,
     solve_min_cost_flow,
 )
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 
 
 class TestHungarian:
@@ -39,9 +39,10 @@ class TestLPRelaxation:
         lp.result.check_feasible(p)
 
     def test_empty_edges(self):
-        p = SchedulingProblem()
-        p.set_capacity(1, 1)
-        p.add_request(2, "a", 5.0, {})
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 1)
+        builder.add_request(2, "a", 5.0, {})
+        p = builder.build()
         lp = solve_lp_relaxation(p)
         assert lp.value == 0.0
         assert lp.integral

@@ -9,65 +9,91 @@ import numpy as np
 import pytest
 
 from repro.core.auction import AuctionSolver
-from repro.core.problem import ChunkRequest, SchedulingProblem, random_problem
+from repro.core.problem import (
+    ChunkRequest,
+    ProblemBuilder,
+    SchedulingProblem,
+    random_problem,
+)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
 from auction import dense_view  # noqa: E402
 
 
 class TestConstruction:
+    """Hand-built problems: every rejection comes from ``build()``."""
+
     def test_capacity_declaration(self):
-        p = SchedulingProblem()
-        p.set_capacity(1, 3)
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 3)
+        p = builder.build()
         assert p.capacity_of(1) == 3
         assert p.total_capacity() == 3
 
     def test_capacity_validation(self):
-        p = SchedulingProblem()
-        with pytest.raises(ValueError):
-            p.set_capacity(1, -1)
-        with pytest.raises(ValueError):
-            p.set_capacity(1, 2.5)
+        """``set_capacity`` passes a capacity through unconverted."""
+        for capacity in (-1, 1.5):
+            builder = ProblemBuilder()
+            builder.set_capacity(10, capacity)
+            with pytest.raises(ValueError, match="capacity must be a non-negative int"):
+                builder.build()
+
+    def test_capacities_validation(self):
+        """``set_capacities`` passes its capacities through unconverted."""
+        for capacity in (-1, 2.7):
+            builder = ProblemBuilder()
+            builder.set_capacities([10], [capacity])
+            with pytest.raises(ValueError, match="capacity must be a non-negative int"):
+                builder.build()
 
     def test_add_request_returns_index(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        assert p.add_request(1, "a", 5.0, {10: 1.0}) == 0
-        assert p.add_request(1, "b", 5.0, {10: 1.0}) == 1
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        assert builder.add_request(1, "a", 5.0, {10: 1.0}) == 0
+        assert builder.add_request(1, "b", 5.0, {10: 1.0}) == 1
+        assert builder.build().n_requests == 2
 
     def test_duplicate_request_rejected(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.add_request(1, "a", 5.0, {10: 1.0})
-        with pytest.raises(ValueError):
-            p.add_request(1, "a", 6.0, {10: 2.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.add_request(1, "a", 5.0, {10: 1.0})
+        builder.add_request(1, "a", 6.0, {10: 2.0})
+        with pytest.raises(ValueError, match="duplicate request"):
+            builder.build()
 
     def test_self_upload_rejected(self):
-        p = SchedulingProblem()
-        p.set_capacity(1, 1)
-        with pytest.raises(ValueError):
-            p.add_request(1, "a", 5.0, {1: 0.5})
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 1)
+        builder.add_request(1, "a", 5.0, {1: 0.5})
+        with pytest.raises(ValueError, match="cannot upload to itself"):
+            builder.build()
 
     def test_unknown_uploader_rejected(self):
-        p = SchedulingProblem()
-        with pytest.raises(ValueError):
-            p.add_request(1, "a", 5.0, {99: 1.0})
+        builder = ProblemBuilder()
+        builder.add_request(1, "a", 5.0, {99: 1.0})
+        with pytest.raises(ValueError, match="no declared capacity"):
+            builder.build()
 
     def test_bad_cost_rejected(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        with pytest.raises(ValueError):
-            p.add_request(1, "a", 5.0, {10: -1.0})
-        with pytest.raises(ValueError):
-            p.add_request(1, "b", 5.0, {10: float("inf")})
+        for cost in (-1.0, float("inf")):
+            builder = ProblemBuilder()
+            builder.set_capacity(10, 1)
+            builder.add_request(1, "a", 5.0, {10: cost})
+            with pytest.raises(ValueError, match="cost must be finite"):
+                builder.build()
 
     def test_nonfinite_valuation_rejected(self):
         with pytest.raises(ValueError):
             ChunkRequest(peer=1, chunk="a", valuation=float("nan"))
+        builder = ProblemBuilder()
+        builder.add_request(1, "a", float("nan"), {})
+        with pytest.raises(ValueError, match="valuation must be finite"):
+            builder.build()
 
     def test_empty_candidates_allowed(self):
-        p = SchedulingProblem()
-        index = p.add_request(1, "a", 5.0, {})
+        builder = ProblemBuilder()
+        index = builder.add_request(1, "a", 5.0, {})
+        p = builder.build()
         assert len(p.candidates_of(index)) == 0
 
 
@@ -93,6 +119,33 @@ class TestAccessors:
     def test_describe_mentions_sizes(self, small_problem):
         text = small_problem.describe()
         assert "requests=4" in text and "uploaders=2" in text
+
+
+    def test_handed_out_arrays_reject_writes(self):
+        peers = np.array([1, 2])
+        valuations = np.array([5.0, 4.0])
+        p = SchedulingProblem(
+            uploaders=[10, 11], capacity=[1, 2], peers=peers,
+            chunks=np.array([[0, 3], [0, 4]]), valuations=valuations,
+            cand_uploaders=[10, 11, 10], cand_costs=[1.0, 2.0, 0.5],
+            indptr=[0, 2, 3],
+        )
+        builder = ProblemBuilder()
+        builder.add_request(1, (0, 3), 5.0, {})
+        csr = p.csr()
+        handed_out = [
+            p.request_peer_array(), p.request_valuation_array(),
+            p.chunk_pair_array(), builder.build().chunk_pair_array(),
+            p.candidates_of(0), p.costs_of(0), p.edge_values_of(0),
+            csr.values, csr.uploader_index, csr.indptr, csr.uploaders,
+            csr.capacity,
+        ]
+        for array in handed_out:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        # The caller's own peer and valuation arrays stay its own.
+        peers[0], valuations[0] = 7, 1.0
+        assert p.request(0) == ChunkRequest(peer=1, chunk=(0, 3), valuation=5.0)
 
 
 class TestWelfare:

@@ -1,10 +1,13 @@
-"""Batch/columnar construction equivalence and the CSR view.
+"""The three paths into the constructor, derived problems and the CSR view.
 
-The columnar pipeline rests on two pins:
+The columnar problem rests on three pins:
 
-* ``add_requests_batch`` / ``ProblemBuilder`` build the *identical*
-  problem as a sequence of ``add_request`` calls (property-tested over
-  random instances);
+* ``ProblemBuilder.add_request``, ``ProblemBuilder.add_block`` and a
+  direct ``SchedulingProblem`` constructor call build the *identical*
+  problem from the same instance (property-tested over random
+  instances);
+* ``without_peer`` and ``reweighted`` return the problem that a
+  rebuild, one ``add_request`` at a time, returns;
 * ``csr()`` encodes every request's edges, in candidate order: the
   dense oracle's padded expansion of it (``tests/oracles/auction.py``)
   gives back the per-request accessors row by row.
@@ -27,7 +30,7 @@ from auction import dense_view, to_dense  # noqa: E402
 
 
 # ----------------------------------------------------------------------
-# Random instance description: plain data both construction paths consume.
+# Random instance description: plain data all three construction paths consume.
 # ----------------------------------------------------------------------
 @st.composite
 def instance_descriptions(draw):
@@ -52,20 +55,15 @@ def instance_descriptions(draw):
 
 
 def build_per_request(capacities, requests) -> SchedulingProblem:
-    p = SchedulingProblem()
+    builder = ProblemBuilder()
     for uploader, capacity in capacities.items():
-        p.set_capacity(uploader, capacity)
+        builder.set_capacity(uploader, capacity)
     for peer, chunk, valuation, candidates in requests:
-        p.add_request(peer=peer, chunk=chunk, valuation=valuation, candidates=candidates)
-    return p
+        builder.add_request(peer=peer, chunk=chunk, valuation=valuation, candidates=candidates)
+    return builder.build()
 
 
-def build_batched(capacities, requests) -> SchedulingProblem:
-    p = SchedulingProblem()
-    p.set_capacities_batch(list(capacities.keys()), list(capacities.values()))
-    peers = [peer for peer, _, _, _ in requests]
-    chunks = [chunk for _, chunk, _, _ in requests]
-    valuations = [v for _, _, v, _ in requests]
+def build_direct(capacities, requests) -> SchedulingProblem:
     cand_uploaders: list = []
     cand_costs: list = []
     indptr = [0]
@@ -73,8 +71,16 @@ def build_batched(capacities, requests) -> SchedulingProblem:
         cand_uploaders.extend(candidates.keys())
         cand_costs.extend(candidates.values())
         indptr.append(len(cand_uploaders))
-    p.add_requests_batch(peers, chunks, valuations, cand_uploaders, cand_costs, indptr)
-    return p
+    return SchedulingProblem(
+        uploaders=list(capacities.keys()),
+        capacity=list(capacities.values()),
+        peers=[peer for peer, _, _, _ in requests],
+        chunks=[chunk for _, chunk, _, _ in requests],
+        valuations=[v for _, _, v, _ in requests],
+        cand_uploaders=cand_uploaders,
+        cand_costs=cand_costs,
+        indptr=indptr,
+    )
 
 
 def build_with_builder(capacities, requests) -> SchedulingProblem:
@@ -103,6 +109,16 @@ def assert_problems_identical(a: SchedulingProblem, b: SchedulingProblem) -> Non
         assert a.request(r) == b.request(r)
         assert np.array_equal(a.candidates_of(r), b.candidates_of(r))
         assert np.array_equal(a.costs_of(r), b.costs_of(r))
+    # Every column, exactly: same dtype, same bytes.
+    columns = [
+        (a.request_peer_array(), b.request_peer_array()),
+        (a.request_valuation_array(), b.request_valuation_array()),
+    ]
+    ca, cb = a.csr(), b.csr()
+    for name in ("values", "uploader_index", "indptr", "uploaders", "capacity"):
+        columns.append((getattr(ca, name), getattr(cb, name)))
+    for x, y in columns:
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     da, db = dense_view(a), dense_view(b)
     assert np.array_equal(da.values, db.values)
     assert np.array_equal(da.uploader_index, db.uploader_index)
@@ -110,22 +126,73 @@ def assert_problems_identical(a: SchedulingProblem, b: SchedulingProblem) -> Non
     assert np.array_equal(da.capacity, db.capacity)
 
 
+def rebuild(problem: SchedulingProblem, keep=None, valuation_of=None):
+    """The request-by-request copy ``without_peer`` and ``reweighted`` replaced."""
+    builder = ProblemBuilder()
+    for uploader in problem.uploaders():
+        builder.set_capacity(uploader, problem.capacity_of(uploader))
+    for index in range(problem.n_requests):
+        if keep is not None and not keep(index):
+            continue
+        request = problem.request(index)
+        builder.add_request(
+            request.peer,
+            request.chunk,
+            request.valuation if valuation_of is None else float(valuation_of(index)),
+            {
+                int(u): float(c)
+                for u, c in zip(problem.candidates_of(index), problem.costs_of(index))
+            },
+        )
+    return builder.build()
+
+
 @settings(max_examples=60, deadline=None)
 @given(description=instance_descriptions())
 def test_batch_equals_per_request(description):
+    """A direct constructor call builds what ``add_request`` builds."""
     capacities, requests = description
     assert_problems_identical(
-        build_per_request(capacities, requests), build_batched(capacities, requests)
+        build_per_request(capacities, requests), build_direct(capacities, requests)
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(description=instance_descriptions())
 def test_builder_equals_per_request(description):
+    """``add_block`` builds what ``add_request`` builds."""
     capacities, requests = description
     assert_problems_identical(
         build_per_request(capacities, requests),
         build_with_builder(capacities, requests),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_requests=st.integers(0, 30),
+    factor=st.sampled_from([0.0, 0.5, 3.0]),
+)
+def test_derived_problems_equal_a_rebuild(seed, n_requests, factor):
+    rng = np.random.default_rng(seed)
+    p = random_problem(rng, n_requests=n_requests, n_uploaders=5)
+    # random_problem's request r is peer r's, so peer n_requests has none.
+    peer = int(rng.integers(n_requests + 1))
+
+    def kept(index):
+        return p.request(index).peer != peer
+
+    reduced, index_map = p.without_peer(peer)
+    assert_problems_identical(reduced, rebuild(p, keep=kept))
+    assert index_map == dict(enumerate(filter(kept, range(n_requests))))
+
+    def valuation_of(index):
+        value = p.request(index).valuation
+        return value if kept(index) else value * factor
+
+    assert_problems_identical(
+        p.reweighted(valuation_of), rebuild(p, valuation_of=valuation_of)
     )
 
 
@@ -162,11 +229,9 @@ class TestCSRView:
         assert np.array_equal(csr.counts(), [2, 1, 2, 1])
         assert np.array_equal(csr.edge_rows(), [0, 0, 1, 2, 2, 3])
 
-    def test_cached_and_invalidated(self, small_problem):
+    def test_cached(self, small_problem):
         first = small_problem.csr()
         assert small_problem.csr() is first
-        small_problem.set_capacity(300, 1)
-        assert small_problem.csr() is not first
 
     def test_welfare_matches_loop(self, small_problem):
         assignment = {0: 100, 1: 100, 2: 200, 3: None}
@@ -179,88 +244,62 @@ class TestCSRView:
 
 
 class TestBatchValidation:
-    def make_base(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.set_capacity(11, 2)
-        return p
+    """Each invariant, rejected by the constructor with its message."""
+
+    def construct(self, peers, chunks, valuations, cand_uploaders, cand_costs,
+                  indptr, uploaders=(10, 11), capacity=(1, 2)):
+        return SchedulingProblem(
+            uploaders, capacity, peers, chunks, valuations,
+            cand_uploaders, cand_costs, indptr,
+        )
 
     def test_duplicate_key_within_batch(self):
-        p = self.make_base()
         with pytest.raises(ValueError, match="duplicate request"):
-            p.add_requests_batch(
+            self.construct(
                 [1, 1], ["a", "a"], [5.0, 6.0], [10, 10], [1.0, 1.0], [0, 1, 2]
             )
-        assert p.n_requests == 0  # failed batch must not half-commit
 
     def test_duplicate_key_against_existing(self):
-        p = self.make_base()
-        p.add_request(1, "a", 5.0, {10: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacities([10, 11], [1, 2])
+        builder.add_request(1, "a", 5.0, {10: 1.0})
+        builder.add_block([1], ["a"], [6.0], [11], [1.0], indptr=[0, 1])
         with pytest.raises(ValueError, match="duplicate request"):
-            p.add_requests_batch([1], ["a"], [6.0], [11], [1.0], [0, 1])
-        assert p.n_requests == 1
+            builder.build()
+
+    def test_duplicate_uploader_rejected(self):
+        with pytest.raises(ValueError, match="duplicate uploader 10"):
+            self.construct([], [], [], [], [], [0], uploaders=[10, 11, 10],
+                           capacity=[1, 2, 3])
 
     def test_self_upload_rejected(self):
-        p = self.make_base()
-        p.set_capacity(1, 1)
         with pytest.raises(ValueError, match="cannot upload to itself"):
-            p.add_requests_batch([1], ["a"], [5.0], [1], [0.5], [0, 1])
+            self.construct([1], ["a"], [5.0], [1], [0.5], [0, 1],
+                           uploaders=[10, 11, 1], capacity=[1, 2, 1])
 
     def test_unknown_uploader_rejected(self):
-        p = self.make_base()
         with pytest.raises(ValueError, match="no declared capacity"):
-            p.add_requests_batch([1], ["a"], [5.0], [99], [1.0], [0, 1])
+            self.construct([1], ["a"], [5.0], [99], [1.0], [0, 1])
 
     def test_bad_cost_rejected(self):
-        p = self.make_base()
         with pytest.raises(ValueError, match="cost must be finite"):
-            p.add_requests_batch([1], ["a"], [5.0], [10], [-1.0], [0, 1])
+            self.construct([1], ["a"], [5.0], [10], [-1.0], [0, 1])
         with pytest.raises(ValueError, match="cost must be finite"):
-            p.add_requests_batch([1], ["a"], [5.0], [10], [np.inf], [0, 1])
+            self.construct([1], ["a"], [5.0], [10], [np.inf], [0, 1])
 
     def test_nonfinite_valuation_rejected(self):
-        p = self.make_base()
         with pytest.raises(ValueError, match="valuation must be finite"):
-            p.add_requests_batch([1], ["a"], [np.nan], [10], [1.0], [0, 1])
+            self.construct([1], ["a"], [np.nan], [10], [1.0], [0, 1])
 
     def test_duplicate_candidate_in_one_request(self):
-        p = self.make_base()
         with pytest.raises(ValueError, match="duplicate candidate"):
-            p.add_requests_batch(
-                [1], ["a"], [5.0], [10, 10], [1.0, 2.0], [0, 2]
-            )
+            self.construct([1], ["a"], [5.0], [10, 10], [1.0, 2.0], [0, 2])
 
     def test_bad_indptr_rejected(self):
-        p = self.make_base()
         with pytest.raises(ValueError, match="indptr"):
-            p.add_requests_batch([1], ["a"], [5.0], [10], [1.0], [0, 2])
+            self.construct([1], ["a"], [5.0], [10], [1.0], [0, 2])
         with pytest.raises(ValueError, match="indptr"):
-            p.add_requests_batch([1, 2], ["a", "b"], [5.0, 5.0], [10], [1.0], [0, 1])
-
-    def test_empty_batch_is_noop(self):
-        p = self.make_base()
-        indices = p.add_requests_batch([], [], [], [], [], [0])
-        assert indices == range(0, 0)
-        assert p.n_requests == 0
-
-    def test_returns_contiguous_indices(self):
-        p = self.make_base()
-        p.add_request(5, "z", 1.0, {10: 0.5})
-        indices = p.add_requests_batch(
-            [1, 2], ["a", "b"], [5.0, 4.0], [10, 11], [1.0, 2.0], [0, 1, 2]
-        )
-        assert indices == range(1, 3)
-        assert p.request(1).key == (1, "a")
-        assert p.request(2).key == (2, "b")
-
-    def test_mixed_batch_then_per_request(self):
-        p = self.make_base()
-        p.add_requests_batch([1], ["a"], [5.0], [10], [1.0], [0, 1])
-        index = p.add_request(2, "b", 4.0, {11: 0.5})
-        assert index == 1
-        assert p.n_edges() == 2
-        csr = p.csr()
-        assert csr.n_edges == 2
+            self.construct([1, 2], ["a", "b"], [5.0, 5.0], [10], [1.0], [0, 1])
 
 
 @settings(max_examples=25, deadline=None)

@@ -101,11 +101,10 @@ class TestDictRoundTrip:
         assert result.prices == {}
 
     def test_solver_handles_request_only_problem(self):
-        from repro.core.problem import SchedulingProblem
-
-        p = SchedulingProblem()
-        p.add_request(peer=1, chunk="a", valuation=2.0, candidates={})
-        p.add_request(peer=2, chunk="b", valuation=3.0, candidates={})
+        builder = ProblemBuilder()
+        builder.add_request(peer=1, chunk="a", valuation=2.0, candidates={})
+        builder.add_request(peer=2, chunk="b", valuation=3.0, candidates={})
+        p = builder.build()
         for mode in ("jacobi", "jacobi-dense", "gauss-seidel"):
             result = solve_in_mode(mode, p, epsilon=1e-6)
             assert result.assignment == {0: None, 1: None}

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 from repro.core.strategic import manipulation_study, true_utility_of_peer
 from repro.core.vcg import vcg_payments
 
 
 def monopoly_problem():
     """Two peers compete for one unit; the loser sets the winner's price."""
-    p = SchedulingProblem()
-    p.set_capacity(10, 1)
-    p.add_request(peer=1, chunk="a", valuation=8.0, candidates={10: 1.0})  # surplus 7
-    p.add_request(peer=2, chunk="b", valuation=5.0, candidates={10: 1.0})  # surplus 4
+    builder = ProblemBuilder()
+    builder.set_capacity(10, 1)
+    builder.add_request(peer=1, chunk="a", valuation=8.0, candidates={10: 1.0})  # surplus 7
+    builder.add_request(peer=2, chunk="b", valuation=5.0, candidates={10: 1.0})  # surplus 4
+    p = builder.build()
     return p
 
 
@@ -62,10 +63,11 @@ class TestVCGPayments:
         assert outcome.net_utility_of(2) == 0.0
 
     def test_no_competition_no_payment(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 2)
-        p.add_request(peer=1, chunk="a", valuation=8.0, candidates={10: 1.0})
-        p.add_request(peer=2, chunk="b", valuation=5.0, candidates={10: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 2)
+        builder.add_request(peer=1, chunk="a", valuation=8.0, candidates={10: 1.0})
+        builder.add_request(peer=2, chunk="b", valuation=5.0, candidates={10: 1.0})
+        p = builder.build()
         outcome = vcg_payments(p)
         assert outcome.total_payments() == pytest.approx(0.0)
 

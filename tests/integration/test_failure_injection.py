@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.distributed import DistributedAuction
 from repro.core.exact import solve_hungarian
-from repro.core.problem import SchedulingProblem, random_problem
+from repro.core.problem import ProblemBuilder, random_problem
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 from repro.sim.engine import Simulator
@@ -31,10 +31,11 @@ class TestDistributedAuctionFailures:
         result.check_feasible(p)
 
     def test_partition_confines_to_reachable_uploaders(self):
-        p = SchedulingProblem()
-        p.set_capacity(10, 1)
-        p.set_capacity(20, 1)
-        p.add_request(1, "a", 8.0, {10: 0.5, 20: 3.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.set_capacity(20, 1)
+        builder.add_request(1, "a", 8.0, {10: 0.5, 20: 3.0})
+        p = builder.build()
         sim = Simulator()
         network = SimNetwork(sim, latency=ConstantLatency(0.01))
         network.partition(1, 10)  # the cheap uploader is unreachable
@@ -61,9 +62,9 @@ class TestDistributedAuctionFailures:
             assert uploader not in result.assignment.values()
 
         # Compare against the optimum of the reduced problem.
-        reduced = SchedulingProblem()
+        builder = ProblemBuilder()
         for u in p.uploaders():
-            reduced.set_capacity(u, 0 if u in departed else p.capacity_of(u))
+            builder.set_capacity(u, 0 if u in departed else p.capacity_of(u))
         for r in range(p.n_requests):
             request = p.request(r)
             candidates = {
@@ -71,7 +72,8 @@ class TestDistributedAuctionFailures:
                 for u, c in zip(p.candidates_of(r), p.costs_of(r))
                 if int(u) not in departed
             }
-            reduced.add_request(request.peer, request.chunk, request.valuation, candidates)
+            builder.add_request(request.peer, request.chunk, request.valuation, candidates)
+        reduced = builder.build()
         optimum = solve_hungarian(reduced).welfare(reduced)
         welfare = result.welfare(p)
         assert welfare >= optimum - p.n_requests * 1e-6 - 1e-9

@@ -25,6 +25,7 @@ def minimal_record() -> dict:
         "solver": {
             "rounds": 1, "bids_submitted": 3, "bids_rejected": 0,
             "evictions": 0, "price_updates": 2, "rows_evaluated": 3,
+            "scalar_rounds": 0,
         },
         "retry": {
             "attempts": 0, "succeeded": 0, "surrendered": 0,

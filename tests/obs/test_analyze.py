@@ -72,10 +72,8 @@ class TestTotals:
         assert totals["inter_frac"] == pytest.approx(0.5)
         assert totals["miss_rate"] == pytest.approx(0.5)
 
-    def test_scalar_rounds_total_and_default(self):
+    def test_scalar_rounds_total(self):
         records = make_trace(3)
-        # Records written before the counter existed read 0.
-        assert trace_totals(records)["scalar_rounds"] == 0
         for record in records:
             record["solver"]["scalar_rounds"] = 2
         assert trace_totals(records)["scalar_rounds"] == 6

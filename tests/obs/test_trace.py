@@ -57,6 +57,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="solver.rows_evaluated"):
             validate_trace_record(record)
 
+    def test_rejects_missing_scalar_rounds(self):
+        record = minimal_record()
+        del record["solver"]["scalar_rounds"]
+        with pytest.raises(ValueError, match="solver.scalar_rounds"):
+            validate_trace_record(record)
+
     @pytest.mark.parametrize("phase", ["churn_s", "refill_s", "other_s"])
     def test_rejects_missing_timing_phase(self, phase):
         record = minimal_record()

@@ -184,22 +184,15 @@ def build_problem_cold(
 ) -> SchedulingProblem:
     """Same contract as ``P2PSystem.build_problem``, on the cold assembler.
 
-    Capacities go through the validating path
-    (``set_capacities_batch``) rather than the trusted priming.
+    The columns go through the validating constructor
+    (``validate=True``) rather than the trusted one.
     """
     ids, caps = system.store.capacity_columns()
     if capacity_array is not None:
         caps = np.asarray(capacity_array, dtype=np.int64)
     rounds = system.config.bid_rounds_per_slot
     lookahead = system.config.slot_seconds / rounds if rounds > 1 else 0.0
-    problem = SchedulingProblem()
-    problem.set_capacities_batch(ids, caps)
     parts = assemble_requests_cold(system.store, now, system.valuation, lookahead)
-    if parts is None:
-        return problem
-    if len(system.retry_queue):
+    if parts is not None and len(system.retry_queue):
         parts = system._suppress_pending_requests(parts)
-        if parts is None:
-            return problem
-    problem.add_requests_batch(*parts, validate=False)
-    return problem
+    return SchedulingProblem(ids, caps, *(parts or ()), validate=True)

@@ -48,7 +48,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import ProblemBuilder, SchedulingProblem
 from repro.core.result import ScheduleResult
 from repro.vod.playback import SlotPlaybackStats
 from repro.vod.valuation import DeadlineValuation
@@ -241,7 +241,7 @@ def build_problem_reference(
 
     Returns the problem and its request index → downloader map.
     """
-    problem = SchedulingProblem()
+    builder = ProblemBuilder()
     peers = online_peers(system)
     for peer in peers:
         capacity = (
@@ -249,7 +249,7 @@ def build_problem_reference(
             if capacities is None
             else capacities.get(peer.peer_id, 0)
         )
-        problem.set_capacity(peer.peer_id, capacity)
+        builder.set_capacity(peer.peer_id, capacity)
     request_owner: Dict[int, int] = {}
     for peer in peers:
         if peer.session is None:
@@ -289,14 +289,14 @@ def build_problem_reference(
             candidates = per_chunk.get(index)
             if not candidates:
                 continue  # nobody caches it: cannot even be requested
-            r = problem.add_request(
+            r = builder.add_request(
                 peer=peer.peer_id,
                 chunk=(video_id, index),
                 valuation=value,
                 candidates=candidates,
             )
             request_owner[r] = peer.peer_id
-    return problem, request_owner
+    return builder.build(), request_owner
 
 
 def process_departures_reference(system, t: float, remove_finished: bool) -> None:

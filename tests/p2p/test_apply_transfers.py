@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import ProblemBuilder
 from repro.core.result import ScheduleResult
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
@@ -132,17 +132,18 @@ class TestGroupedDelivery:
 
     def _hand_problem(self, system, edges):
         """Problem with one request per (watcher, chunk, uploader) edge."""
-        problem = SchedulingProblem()
+        builder = ProblemBuilder()
         assignment = {}
         for r, (watcher, index, uploader) in enumerate(edges):
-            problem.set_capacity(uploader.peer_id, len(edges))
-            problem.add_request(
+            builder.set_capacity(uploader.peer_id, len(edges))
+            builder.add_request(
                 peer=watcher.peer_id,
                 chunk=(watcher.video.video_id, index),
                 valuation=5.0,
                 candidates={uploader.peer_id: 1.0},
             )
             assignment[r] = uploader.peer_id
+        problem = builder.build()
         return problem, ScheduleResult(assignment=assignment)
 
     def _watchers_and_seed(self, system):

@@ -18,7 +18,7 @@ def _lossy_everywhere(system, loss=1.0, **kwargs):
         system.set_link_conditions(LinkParams(loss_rate=loss, **kwargs), isp_a=isp)
 
 
-def _request_keys(problem):
+def _request_triples(problem):
     pairs = problem.chunk_pair_array()
     return _triple_key(
         problem.request_peer_array(), pairs[:, 0], pairs[:, 1]
@@ -135,7 +135,7 @@ class TestRetryInteractions:
         key = _triple_key(
             np.array([down]), np.array([video]), np.array([chunk])
         )
-        assert not np.isin(key, _request_keys(suppressed)).any()
+        assert not np.isin(key, _request_triples(suppressed)).any()
 
     def test_ttl_surrender_reexposes_request(self, system):
         up = self._seed_holding(system, 0, 0)
@@ -149,7 +149,7 @@ class TestRetryInteractions:
         key = _triple_key(
             np.array([down]), np.array([video]), np.array([chunk])
         )
-        assert np.isin(key, _request_keys(reexposed)).any()
+        assert np.isin(key, _request_triples(reexposed)).any()
 
     def test_departed_uploader_evicts_edge(self, system):
         problem, down, video, chunk = self._park_first_request(

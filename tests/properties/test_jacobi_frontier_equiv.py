@@ -49,7 +49,7 @@ from hypothesis import strategies as st
 
 from repro.core import auction
 from repro.core.auction import AuctionNonConvergence, AuctionSolver
-from repro.core.problem import SchedulingProblem
+from repro.core.problem import ProblemBuilder, SchedulingProblem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
 from auction import solve_in_mode  # noqa: E402
@@ -68,11 +68,11 @@ def build_problem(
     integer_weights: bool,
 ) -> SchedulingProblem:
     rng = np.random.default_rng(seed)
-    problem = SchedulingProblem()
+    builder = ProblemBuilder()
     uploader_ids = [10_000 + i for i in range(n_uploaders)]
     for u in uploader_ids:
         capacity = 0 if rng.random() < zero_cap_prob else int(rng.integers(1, 4))
-        problem.set_capacity(u, capacity)
+        builder.set_capacity(u, capacity)
     for r in range(n_requests):
         k = int(rng.integers(1, max_candidates + 1))
         chosen = rng.choice(n_uploaders, size=min(k, n_uploaders), replace=False)
@@ -82,12 +82,13 @@ def build_problem(
         else:
             valuation = float(rng.uniform(0.5, 9.0))
             costs = rng.uniform(0.0, 9.0, size=len(chosen))
-        problem.add_request(
+        builder.add_request(
             peer=r,
             chunk=f"c{r}",
             valuation=valuation,
             candidates={uploader_ids[int(j)]: float(c) for j, c in zip(chosen, costs)},
         )
+    problem = builder.build()
     return problem
 
 
@@ -104,16 +105,16 @@ def crowd_problem(seed: int) -> SchedulingProblem:
     cold examples).
     """
     rng = np.random.default_rng(seed)
-    problem = SchedulingProblem()
+    builder = ProblemBuilder()
     quiet = [20_000 + i for i in range(int(rng.integers(2, 5)))]
     top = 30_000
-    problem.set_capacity(top, 1)
+    builder.set_capacity(top, 1)
     for u in quiet:
-        problem.set_capacity(u, int(rng.integers(1, 3)))
+        builder.set_capacity(u, int(rng.integers(1, 3)))
     n_fight = int(rng.integers(2, 4))
     for r in range(n_fight):
         second = quiet[int(rng.integers(len(quiet)))]
-        problem.add_request(
+        builder.add_request(
             peer=r,
             chunk=f"c{r}",
             valuation=float(rng.integers(10, 20)),
@@ -125,12 +126,13 @@ def crowd_problem(seed: int) -> SchedulingProblem:
     for r in range(n_fight, n_fight + int(rng.integers(3, 21))):
         a, b = rng.choice(len(quiet), size=2, replace=False)
         cost = float(rng.integers(0, 5))
-        problem.add_request(
+        builder.add_request(
             peer=r,
             chunk=f"c{r}",
             valuation=cost + float(rng.integers(1, 4)),
             candidates={quiet[int(a)]: cost, quiet[int(b)]: cost},
         )
+    problem = builder.build()
     return problem
 
 
@@ -227,15 +229,15 @@ def test_tail_wakes_a_dormant_crowd(seed, warm_fraction):
 def test_eviction_pressure(seed):
     """Capacity-1 uploaders + integer ties: maximal contested replays."""
     rng = np.random.default_rng(seed)
-    problem = SchedulingProblem()
+    builder = ProblemBuilder()
     n_uploaders = int(rng.integers(1, 5))
     uploader_ids = [10_000 + i for i in range(n_uploaders)]
     for u in uploader_ids:
-        problem.set_capacity(u, 1)
+        builder.set_capacity(u, 1)
     for r in range(int(rng.integers(2, 30))):
         k = int(rng.integers(1, n_uploaders + 1))
         chosen = rng.choice(n_uploaders, size=k, replace=False)
-        problem.add_request(
+        builder.add_request(
             peer=r,
             chunk=f"c{r}",
             valuation=float(rng.integers(2, 8)),
@@ -243,19 +245,21 @@ def test_eviction_pressure(seed):
                 uploader_ids[int(j)]: float(rng.integers(0, 4)) for j in chosen
             },
         )
+    problem = builder.build()
     assert_identical(problem, 0.01)
     assert_identical(problem, 0.0)
 
 
 def test_zero_capacity_everywhere():
     """All-masked problem: every request retires up front, η = 0."""
-    problem = SchedulingProblem()
-    problem.set_capacity(1, 0)
-    problem.set_capacity(2, 0)
+    builder = ProblemBuilder()
+    builder.set_capacity(1, 0)
+    builder.set_capacity(2, 0)
     for r in range(4):
-        problem.add_request(
+        builder.add_request(
             peer=100 + r, chunk=f"c{r}", valuation=5.0, candidates={1: 0.5, 2: 1.0}
         )
+    problem = builder.build()
     assert_identical(problem, 0.01)
     result = AuctionSolver(epsilon=0.01, mode="jacobi").solve(problem)
     assert all(u is None for u in result.assignment.values())

@@ -39,11 +39,12 @@ class TestExports:
 
     def test_module_docstring_example_runs(self):
         """The usage snippet in the package docstring must stay true."""
-        from repro import AuctionSolver, SchedulingProblem, solve_hungarian
+        from repro import AuctionSolver, ProblemBuilder, solve_hungarian
 
-        p = SchedulingProblem()
-        p.set_capacity(100, 2)
-        p.add_request(peer=1, chunk="c", valuation=5.0, candidates={100: 1.0})
+        builder = ProblemBuilder()
+        builder.set_capacity(100, 2)
+        builder.add_request(peer=1, chunk="c", valuation=5.0, candidates={100: 1.0})
+        p = builder.build()
         result = AuctionSolver().solve(p)
         assert result.welfare(p) == solve_hungarian(p).welfare(p)
 
