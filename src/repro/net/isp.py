@@ -74,6 +74,14 @@ class ISPTopology:
         """ISP index of ``peer_id``; raises ``KeyError`` if unknown."""
         return self._isp_of[peer_id]
 
+    def isps_of(self, peer_ids: np.ndarray) -> np.ndarray:
+        """ISP index of each of ``peer_ids`` (int64); ``KeyError`` if unknown."""
+        return np.fromiter(
+            map(self._isp_of.__getitem__, peer_ids.tolist()),
+            dtype=np.int64,
+            count=len(peer_ids),
+        )
+
     def peers_in(self, isp: int) -> Set[int]:
         """A copy of the roster of ISP ``isp``."""
         return set(self._members[isp])

@@ -9,7 +9,8 @@ ranking (same video, close playback position, seeds always eligible).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -95,10 +96,6 @@ class OverlayGraph:
             raise ValueError(f"degree_target must be >= 1, got {degree_target!r}")
         self.degree_target = int(degree_target)
         self._adj: Dict[int, Set[int]] = {}
-        # Sorted int64 neighbor arrays, built lazily and invalidated on
-        # any link change — the columnar slot pipeline reads these once
-        # per peer per slot instead of copying the neighbor set.
-        self._adj_arrays: Dict[int, np.ndarray] = {}
         #: Peers whose link set changed since the last
         #: :meth:`consume_dirty` — the peer-state store drops only these
         #: peers' candidate tables instead of sweeping every peer.
@@ -120,12 +117,10 @@ class OverlayGraph:
     def remove_node(self, peer_id: int) -> Set[int]:
         """Remove a peer; returns the set of ex-neighbors that lost a link."""
         neighbors = self._adj.pop(peer_id, set())
-        self._adj_arrays.pop(peer_id, None)
         self._dirty.add(peer_id)
         self._deficient.discard(peer_id)
         for other in neighbors:
             self._adj[other].discard(peer_id)
-            self._adj_arrays.pop(other, None)
             self._dirty.add(other)
             if len(self._adj[other]) < self.degree_target:
                 self._deficient.add(other)
@@ -151,8 +146,6 @@ class OverlayGraph:
         self.add_node(b)
         self._adj[a].add(b)
         self._adj[b].add(a)
-        self._adj_arrays.pop(a, None)
-        self._adj_arrays.pop(b, None)
         self._dirty.add(a)
         self._dirty.add(b)
         for node in (a, b):
@@ -164,7 +157,6 @@ class OverlayGraph:
         for node, other in ((a, b), (b, a)):
             if node in self._adj:
                 self._adj[node].discard(other)
-                self._adj_arrays.pop(node, None)
                 self._dirty.add(node)
                 if len(self._adj[node]) < self.degree_target:
                     self._deficient.add(node)
@@ -202,22 +194,24 @@ class OverlayGraph:
         """A copy of the neighbor set of ``peer_id``."""
         return set(self._adj.get(peer_id, set()))
 
-    def neighbor_array(self, peer_id: int) -> np.ndarray:
-        """Sorted int64 array of ``peer_id``'s neighbors (cached view).
+    def neighbor_columns(self, peer_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The neighbors of ``peer_ids`` (int64), read at once.
 
-        The array is rebuilt lazily after link changes and shared across
-        calls — callers must not mutate it.
+        Returns ``(counts, neighbors)``: ``neighbors`` holds each peer's
+        neighbors in ascending order, the peers' in the order given, and
+        ``counts`` how many each has (0 for an unknown id).  Ids must lie
+        in ``[0, 2**31)``.
         """
-        cached = self._adj_arrays.get(peer_id)
-        if cached is None:
-            members = self._adj.get(peer_id)
-            if members:
-                cached = np.fromiter(members, dtype=np.int64, count=len(members))
-                cached.sort()
-            else:
-                cached = np.empty(0, dtype=np.int64)
-            self._adj_arrays[peer_id] = cached
-        return cached
+        sets = list(map(self._adj.get, peer_ids.tolist(), repeat(())))
+        counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        flat = np.fromiter(
+            chain.from_iterable(sets), dtype=np.int64, count=int(counts.sum())
+        )
+        # One sort orders every peer's neighbors: the peer's position in
+        # the high half of the key keeps the peers apart.
+        owner = np.repeat(np.arange(len(sets), dtype=np.int64), counts)
+        keys = np.sort((owner << np.int64(32)) | flat)
+        return counts, keys & np.int64(0xFFFFFFFF)
 
     def degree(self, peer_id: int) -> int:
         return len(self._adj.get(peer_id, set()))

@@ -63,24 +63,22 @@ class TruncatedNormal:
             self.__dict__["_cdf_cache"] = cached
         return cached
 
-    def sample(self, rng: np.random.Generator, size: int | tuple = 1) -> np.ndarray:
-        """Draw samples via the inverse CDF of the truncated normal.
+    def from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """The samples that uniforms ``u`` in ``[0, 1)`` map to.
 
-        Implemented directly with ``ndtr``/``ndtri`` (no per-call scipy
-        distribution object — the cost model draws once per peer pair).
+        The inverse CDF of the truncated normal, elementwise, implemented
+        directly with ``ndtr``/``ndtri`` (no per-call scipy distribution
+        object).  :meth:`sample` applies it to ``rng.random(size)``, so a
+        caller that draws the uniforms itself gets the same samples.
         """
         cdf_low, cdf_high = self._cdf_bounds()
-        u = rng.random(size)
         z = special.ndtri(cdf_low + u * (cdf_high - cdf_low))
         samples = self.mean + self.std * np.asarray(z, dtype=float)
         return np.clip(samples, self.low, self.high)
 
-    def sample_one(self, rng: np.random.Generator) -> float:
-        """Draw a single float sample."""
-        cdf_low, cdf_high = self._cdf_bounds()
-        u = cdf_low + rng.random() * (cdf_high - cdf_low)
-        value = self.mean + self.std * float(special.ndtri(u))
-        return float(min(self.high, max(self.low, value)))
+    def sample(self, rng: np.random.Generator, size: int | tuple = 1) -> np.ndarray:
+        """Draw samples via the inverse CDF of the truncated normal."""
+        return self.from_uniform(rng.random(size))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Probability density at ``x`` (zero outside the truncation range)."""

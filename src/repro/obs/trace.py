@@ -74,9 +74,10 @@ _REQUIRED: Tuple[Tuple[str, type], ...] = (
 #: Required sub-fields of the nested counter groups.
 _REQUIRED_NESTED: Dict[str, Tuple[str, ...]] = {
     # Candidate tables over the slot's builds: ``reused`` counts active
-    # watchers whose table was kept, ``rebuilt`` the tables made (one
-    # ``costs_for_pairs`` call each), ``dropped`` the tables dropped
-    # since the build before (departures, link changes, cost shocks).
+    # watchers whose table was kept, ``rebuilt`` the tables made (a
+    # build that makes any makes one ``costs_for_pairs`` call for them
+    # all), ``dropped`` the tables dropped since the build before
+    # (departures, link changes, cost shocks).
     "build": ("reused", "rebuilt", "dropped"),
     "solver": (
         "rounds", "bids_submitted", "bids_rejected", "evictions",

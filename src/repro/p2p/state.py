@@ -37,12 +37,16 @@ at the few places state actually changes:
   triple addressed by two id-indexed columns, a start and a count (−1:
   no table).  A table is dropped when its peer's links change (the
   overlay's dirty set, :meth:`OverlayGraph.consume_dirty`), when the
-  peer departs and on a cost-regime change; missing tables of active
-  watchers are built in ascending id order, the order the per-request
-  reference visits peers, so the cost model samples never-seen pairs
-  in exactly its order (trajectory preservation).  A build reads all
-  of a bucket's tables with one range gather, and the pool is
-  compacted by one gather once its dead part outgrows its live part.
+  peer departs and on a cost-regime change.  A build makes the missing
+  tables of its active watchers in one pass: one read of their
+  neighbors, one same-video comparison against the id-indexed video
+  column, and one ``costs_for_pairs`` call whose destination runs are
+  the tables in ascending id order.  That is the order the per-request
+  reference visits peers, so the cost model samples never-seen pairs in
+  exactly its order (trajectory preservation); the per-table reference
+  is in ``tests/oracles/assemble.py``.  A build reads all of a bucket's
+  tables with one range gather, and the pool is compacted by one
+  gather once its dead part outgrows its live part.
 * **Playback** columns (start time/position, position, played count,
   last advance and the ``missed``-chunk bitmap) feed both the batched
   :meth:`PeerStateStore.advance_playback` and the window/valuation
@@ -339,9 +343,9 @@ class PeerStateStore:
         self._dropped = 0  # tables dropped since the last build
         #: Running totals of the builds' candidate tables: ``reused``
         #: (active watchers whose table was kept), ``rebuilt`` (tables
-        #: made, one ``costs_for_pairs`` call each) and ``dropped``
-        #: (tables dropped since the build before).  The slot trace
-        #: reports their per-slot differences.
+        #: made; a build that makes any makes one ``costs_for_pairs``
+        #: call) and ``dropped`` (tables dropped since the build
+        #: before).  The slot trace reports their per-slot differences.
         self.table_counts: Dict[str, int] = {
             "reused": 0, "rebuilt": 0, "dropped": 0,
         }
@@ -351,8 +355,9 @@ class PeerStateStore:
     # ------------------------------------------------------------------
     #: Peer-id-indexed columns and the value an id without an online
     #: peer reads: the bucket row and key, the values fixed at the
-    #: peer's construction (written once at admission), and the peers'
-    #: own upload capacity and transfer counters, which their
+    #: peer's construction (ISP, seed flag, departure time and video,
+    #: written once at admission), and the peers' own upload capacity
+    #: and transfer counters, which their
     #: ``upload_capacity_chunks`` / ``chunks_downloaded`` /
     #: ``chunks_uploaded`` / ``first_delivery_time`` read and write,
     #: and the span of the peer's candidate table in the pool (count
@@ -362,7 +367,7 @@ class PeerStateStore:
         ("_seed_table", False), ("_departure_table", np.inf),
         ("capacity", 0), ("downloaded", 0), ("uploaded", 0),
         ("first_delivery", np.nan), ("_table_start", 0),
-        ("_table_count", -1),
+        ("_table_count", -1), ("_video_table", -1),
     )
 
     def _ensure_group(self, peer: Peer) -> VideoGroup:
@@ -401,6 +406,7 @@ class PeerStateStore:
         self._departure_table[pid] = (
             np.inf if peer.departure_time is None else peer.departure_time
         )
+        self._video_table[pid] = peer.video.video_id
         return group
 
     def admit_batch(self, peers: Iterable[Peer]) -> None:
@@ -548,51 +554,37 @@ class PeerStateStore:
             self._table_count[ids[held]] = -1
             self._dropped += int(np.count_nonzero(held))
 
-    def _candidate_entry(
-        self, pid: int, group: VideoGroup
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Same-video neighbor ``(rows, ids, costs)`` of ``pid``, sorted by id."""
-        members = group.member_ids
-        nb = self.overlay.neighbor_array(pid)
-        if nb.size and members.size:
-            pos = np.searchsorted(members, nb)
-            pos[pos >= members.size] = 0
-            nb_ids = members[pos[members[pos] == nb]]
-        else:
-            nb_ids = _EMPTY_INT
-        return (
-            self._row_table[nb_ids],
-            nb_ids,
-            self.costs.costs_for_pairs(nb_ids, pid),
-        )
+    def _build_tables(self, need: np.ndarray) -> None:
+        """Build the candidate tables of the ascending ids ``need``.
 
-    def _build_tables(self, need: Sequence[Tuple[int, VideoGroup]]) -> None:
-        """Build the tables of ``need``'s ``(pid, group)`` pairs, in its order.
-
-        One :meth:`_candidate_entry` (one ``costs_for_pairs`` call) per
-        table, so the order of ``need`` is the order the cost model
-        samples never-seen pairs in, and one pool append for them all.
-        Before that, a pool whose dead part outgrows its live part is
-        compacted by one gather of the live tables.
+        One pass for them all: one read of their neighbors, one
+        same-video comparison, one ``costs_for_pairs`` call whose
+        destination runs are the tables in id order (so the cost model
+        draws exactly what one call per table would), and one pool
+        append.  Before that, a pool whose dead part outgrows its live
+        part is compacted by one gather of the live tables.
         """
         if len(self._pool_ids) > 2 * self._pool_live:
             live = self._online_ids[self._table_count[self._online_ids] >= 0]
             _, indptr, rows, ids, costs = self._gather_tables(live)
             self._pool_rows, self._pool_ids, self._pool_costs = rows, ids, costs
             self._table_start[live] = indptr[:-1]
-        if not need:
+        if not len(need):
             return
-        rows, ids, costs = zip(
-            *[self._candidate_entry(pid, group) for pid, group in need]
-        )
-        pids = np.fromiter((pid for pid, _ in need), dtype=np.int64, count=len(need))
-        counts = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-        self._table_start[pids] = np.cumsum(counts) - counts + len(self._pool_ids)
-        self._table_count[pids] = counts
-        self._pool_live += int(counts.sum())
-        self._pool_rows = np.concatenate((self._pool_rows,) + rows)
-        self._pool_ids = np.concatenate((self._pool_ids,) + ids)
-        self._pool_costs = np.concatenate((self._pool_costs,) + costs)
+        counts, neighbors = self.overlay.neighbor_columns(need)
+        owner = np.repeat(np.arange(len(need)), counts)
+        videos = self._video_table
+        same = videos[neighbors] == videos[need][owner]
+        ids = neighbors[same]
+        owner = owner[same]
+        counts = np.bincount(owner, minlength=len(need))
+        costs = self.costs.costs_for_pairs(ids, need[owner])
+        self._table_start[need] = np.cumsum(counts) - counts + len(self._pool_ids)
+        self._table_count[need] = counts
+        self._pool_live += len(ids)
+        self._pool_rows = np.concatenate((self._pool_rows, self._row_table[ids]))
+        self._pool_ids = np.concatenate((self._pool_ids, ids))
+        self._pool_costs = np.concatenate((self._pool_costs, costs))
 
     def _gather_tables(self, ids: np.ndarray):
         """The tables of ``ids`` concatenated in their order, by one gather.
@@ -759,7 +751,7 @@ class PeerStateStore:
         :meth:`_pack_requests` lands on identical bytes regardless.
         """
         staged = []
-        need: List[Tuple[int, VideoGroup]] = []
+        need: List[np.ndarray] = []
         per_bucket: Dict[int, list] = {}
         bucket_order: List[StateBucket] = []
         n_active = 0
@@ -841,16 +833,15 @@ class PeerStateStore:
                 (bucket, entries, act_rows, act_ids, due, avail, agidx, packed)
             )
             n_active += len(act_ids)
-            for i in np.flatnonzero(self._table_count[act_ids] < 0).tolist():
-                need.append((int(act_ids[i]), entries[int(agidx[i])][0]))
+            need.append(act_ids[self._table_count[act_ids] < 0])
         # Build missing candidate tables in ascending id order so the
         # cost model samples never-seen pairs in exactly the reference's
         # order (trajectory preservation).
-        need.sort(key=lambda item: item[0])
-        self._build_tables(need)
+        made = np.sort(np.concatenate(need)) if need else _EMPTY_INT
+        self._build_tables(made)
         tally = self.table_counts
-        tally["reused"] += n_active - len(need)
-        tally["rebuilt"] += len(need)
+        tally["reused"] += n_active - len(made)
+        tally["rebuilt"] += len(made)
         tally["dropped"] += self._dropped
         self._dropped = 0
         outputs = []
@@ -1089,7 +1080,8 @@ class PeerStateStore:
         inside it, its live count is the online tables' edges, and no
         offline id holds a table), that every online peer's buffer,
         session and peer share one handle bound to the row the row
-        table names, and the values written at admission.
+        table names, and the values written at admission (ISP, seed
+        flag, departure time and video).
         """
         ids = sorted(peers)
         assert self._online_ids.tolist() == ids, "online ids drifted from peers"
@@ -1149,4 +1141,7 @@ class PeerStateStore:
             )
             assert self._departure_table[pid] == departure, (
                 f"departure time of peer {pid} drifted"
+            )
+            assert self._video_table[pid] == peer.video.video_id, (
+                f"video of peer {pid} drifted"
             )

@@ -870,7 +870,10 @@ class P2PSystem:
         with a non-empty queue, i.e. never under ideal link conditions
         (the per-request builder in ``tests/oracles/slot.py`` has no
         counterpart — the construction-equivalence pins run with an
-        empty queue).
+        empty queue).  The assembler emits requests in ascending
+        (peer, chunk) order, and a peer watches one video, so the
+        request keys strictly ascend and one binary search of the
+        pending keys finds them.
         """
         from .retry import _triple_key
 
@@ -878,9 +881,14 @@ class P2PSystem:
         down, video, chunk = self.retry_queue.pending_triples()
         req_keys = _triple_key(req_peers, pairs[:, 0], pairs[:, 1])
         pending = _triple_key(down, video, chunk)
-        keep = ~np.isin(req_keys, pending)
-        if keep.all():
+        pos = np.searchsorted(req_keys, pending)
+        inside = pos < len(req_keys)
+        pos = pos[inside]
+        hit = pos[req_keys[pos] == pending[inside]]
+        if not len(hit):
             return parts
+        keep = np.ones(len(req_keys), dtype=bool)
+        keep[hit] = False
         if not keep.any():
             return None
         counts = np.diff(indptr)

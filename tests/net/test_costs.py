@@ -24,6 +24,12 @@ def make_model(seed=0):
     return topo, CostModel(topo, np.random.default_rng(seed))
 
 
+def cache_of(model):
+    """The model's cache as ``{(lo, hi): cost}``, ascending by pair."""
+    lo, hi, cost = model.cached_pairs()
+    return dict(zip(zip(lo.tolist(), hi.tolist()), cost.tolist()))
+
+
 class TestSampling:
     def test_self_cost_zero(self):
         _, model = make_model()
@@ -72,6 +78,54 @@ class TestSampling:
         assert vec[0] == model.cost(2, 1)
 
 
+class TestBatchedDraws:
+    def test_repeated_source_draws_once(self):
+        """A pair draws once in a call, however often its source repeats.
+
+        Drawing once per repeat (and keeping the first) shifted every
+        later cost: ``cost(3, 1)`` read 0.1096 after ``[2, 2]`` and
+        0.5953 after ``[2]``.
+        """
+        _, repeated = make_model()
+        _, once = make_model()
+        assert repeated.costs_for_pairs([2, 2], 1)[1] == once.costs_for_pairs([2], 1)[0]
+        assert repeated.cost(3, 1) == once.cost(3, 1) == pytest.approx(0.5953, abs=1e-4)
+        assert repeated.rng.bit_generator.state == once.rng.bit_generator.state
+
+    def test_runs_draw_what_one_call_per_run_draws(self):
+        _, batched = make_model(seed=3)
+        _, per_run = make_model(seed=3)
+        sources = [2, 4, 3, 5, 1, 5, 4, 2, 1]
+        dsts = [1, 1, 1, 1, 5, 5, 5, 4, 4]
+        got = batched.costs_for_pairs(sources, dsts)
+        want = np.concatenate([
+            per_run.costs_for_pairs([2, 4, 3, 5], 1),
+            per_run.costs_for_pairs([1, 5, 4], 5),
+            per_run.costs_for_pairs([2, 1], 4),
+        ])
+        assert np.array_equal(got, want)
+        # Later runs read pairs an earlier run drew; a self pair is 0.
+        assert got[4] == got[3] and got[8] == got[1] and got[5] == 0.0
+        assert cache_of(batched) == cache_of(per_run)
+        assert batched.rng.bit_generator.state == per_run.rng.bit_generator.state
+
+    def test_self_pairs_and_empty_batches_draw_nothing(self):
+        _, model = make_model()
+        state = model.rng.bit_generator.state
+        assert model.costs_for_pairs([], []).shape == (0,)
+        assert model.costs_for_pairs([1, 2], [1, 2]).tolist() == [0.0, 0.0]
+        assert model.rng.bit_generator.state == state
+        assert model.cache_size() == 0
+
+    @pytest.mark.parametrize("bad", [-1, 2**31])
+    def test_ids_must_fit_the_packed_key(self, bad):
+        _, model = make_model()
+        with pytest.raises(ValueError):
+            model.costs_for_pairs([bad], 1)
+        with pytest.raises(ValueError):
+            model.cost(1, bad)
+
+
 class TestMaintenance:
     def test_forget_peer_evicts_cache(self):
         _, model = make_model()
@@ -95,18 +149,18 @@ class TestMaintenance:
         total = batched.forget_peer(1, 4, 5)
         expected = sum(single.forget_peer(pid) for pid in (1, 4, 5))
         assert total == expected == 9
-        assert list(batched._cache.items()) == list(single._cache.items())
+        assert cache_of(batched) == cache_of(single)
 
     def test_forget_nothing_is_noop(self):
         model = self.full_cache()
-        before = list(model._cache.items())
+        before = cache_of(model)
         assert model.forget_peer() == 0
-        assert list(model._cache.items()) == before
+        assert cache_of(model) == before
 
     def test_repeated_id_counts_once(self):
         repeated, once = self.full_cache(), self.full_cache()
         assert repeated.forget_peer(2, 2, 3, 2) == once.forget_peer(2, 3) == 7
-        assert list(repeated._cache.items()) == list(once._cache.items())
+        assert cache_of(repeated) == cache_of(once)
 
     def test_forgotten_pair_resamples(self):
         _, model = make_model(seed=5)

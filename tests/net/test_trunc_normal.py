@@ -39,11 +39,12 @@ class TestSampling:
         b = dist.sample(np.random.default_rng(3), size=10)
         assert np.allclose(a, b)
 
-    def test_sample_one_scalar(self, rng):
+    def test_from_uniform_is_what_sample_applies(self):
         dist = TruncatedNormal(mean=1.0, std=1.0, low=0.0, high=2.0)
-        value = dist.sample_one(rng)
-        assert isinstance(value, float)
-        assert 0.0 <= value <= 2.0
+        u = np.random.default_rng(4).random(50)
+        samples = dist.sample(np.random.default_rng(4), size=50)
+        assert np.array_equal(dist.from_uniform(u), samples)
+        assert np.array_equal(dist.from_uniform(u[7:9]), samples[7:9])
 
     def test_paper_intra_distribution_bounds(self, rng):
         # Paper: intra-ISP ~ TN(1, 1, [0, 2]) — heavy truncation both sides.

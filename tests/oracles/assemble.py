@@ -14,11 +14,17 @@ the cost model by ``build_problem_reference`` in
 ``tests/oracles/slot.py``.  The property suite compares the two
 assemblers' problems byte for byte, and the slot-pipeline benchmark
 times one against the other.
+
+:func:`build_tables_per_table` is the per-table twin of the store's
+one-pass ``_build_tables``: one :func:`candidate_entry`, and so one
+``costs_for_pairs`` call, per table.  The property suite runs churn
+trajectories through both and compares the pool and the cost stream
+after every slot.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -134,23 +140,48 @@ def finish_group(store, prep, now: float, valuation, lookahead: float):
     return req_peers, req_chunks, req_vals, req_counts, cand_ids, cand_costs
 
 
+def candidate_entry(store, pid: int):
+    """Same-video neighbor ``(rows, ids, costs)`` of ``pid``, sorted by id."""
+    members = store.groups[int(store._video_table[pid])].member_ids
+    nb = np.array(sorted(store.overlay.neighbors(pid)), dtype=np.int64)
+    nb_ids = nb[np.isin(nb, members)]
+    return (
+        store._row_table[nb_ids],
+        nb_ids,
+        store.costs.costs_for_pairs(nb_ids, pid),
+    )
+
+
+def build_tables_per_table(store, need: np.ndarray) -> None:
+    """``PeerStateStore._build_tables``, one table at a time, in ``need``'s order."""
+    type(store)._build_tables(store, need[:0])  # the pool compaction, when due
+    if not len(need):
+        return
+    rows, ids, costs = zip(*[candidate_entry(store, pid) for pid in need.tolist()])
+    counts = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+    store._table_start[need] = np.cumsum(counts) - counts + len(store._pool_ids)
+    store._table_count[need] = counts
+    store._pool_live += int(counts.sum())
+    store._pool_rows = np.concatenate((store._pool_rows,) + rows)
+    store._pool_ids = np.concatenate((store._pool_ids,) + ids)
+    store._pool_costs = np.concatenate((store._pool_costs,) + costs)
+
+
 def assemble_requests_cold(store, now: float, valuation, lookahead: float = 0.0):
     """Same contract as ``PeerStateStore.assemble_requests``, per group."""
     store._drain_overlay()
     preps = []
-    need_entry: List[Tuple[int, object]] = []
+    need: List[int] = []
     for group in store.groups.values():
         prep = prepare_group(store, group, now)
         if prep is None:
             continue
         preps.append(prep)
-        for pid in prep[1].tolist():
-            if store._table_count[pid] < 0:
-                need_entry.append((pid, group))
+        ids = prep[1]
+        need.extend(ids[store._table_count[ids] < 0].tolist())
     # Missing candidate tables are built in ascending id order, so the
     # cost model samples never-seen pairs in reference order.
-    need_entry.sort(key=lambda item: item[0])
-    store._build_tables(need_entry)
+    store._build_tables(np.array(sorted(need), dtype=np.int64))
     parts = []
     for prep in preps:
         part = finish_group(store, prep, now, valuation, lookahead)

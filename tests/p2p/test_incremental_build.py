@@ -11,6 +11,7 @@ identical, and that no problem and no dead pool span outlives its use.
 from __future__ import annotations
 
 import gc
+import itertools
 import pathlib
 import sys
 import weakref
@@ -20,6 +21,7 @@ import numpy as np
 from repro.net.linkmodel import LinkParams
 from repro.obs import MemoryTraceSink
 from repro.p2p.config import SystemConfig
+from repro.p2p.retry import _triple_key
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
@@ -79,14 +81,31 @@ def has_table(system, pid) -> bool:
     return bool(system.store._table_count[pid] >= 0)
 
 
-def count_cost_lookups(system):
-    """The destinations of every ``costs_for_pairs`` call from now on."""
-    calls = []
+def record_table_builds(system):
+    """Every table build from now on, with the cost calls it made.
+
+    One ``(ids, counts, dsts)`` entry per build: the ids whose tables it
+    made, their sizes, and the destinations of each ``costs_for_pairs``
+    call made inside it.
+    """
+    builds = []
+    store = system.store
+    build_tables = store._build_tables
     lookup = system.costs.costs_for_pairs
-    system.costs.costs_for_pairs = (
-        lambda sources, dst: calls.append(dst) or lookup(sources, dst)
-    )
-    return calls
+
+    def recording_build(need):
+        calls = []
+        builds.append((need.tolist(), None, calls))
+        build_tables(need)
+        builds[-1] = (need.tolist(), store._table_count[need].tolist(), calls)
+
+    def recording_lookup(sources, dsts):
+        builds[-1][2].append(np.broadcast_to(dsts, np.shape(sources)).tolist())
+        return lookup(sources, dsts)
+
+    store._build_tables = recording_build
+    system.costs.costs_for_pairs = recording_lookup
+    return builds
 
 
 def has_row(problem, down, vid, chunk) -> bool:
@@ -240,6 +259,51 @@ class TestRetrySuppression:
         problem, _ = double_build(system)
         assert not has_row(problem, down, vid, chunk)
 
+    def test_request_keys_strictly_ascend(self):
+        """The assembler's order the suppression's binary search needs.
+
+        Requests come out in ascending (peer, chunk) order, and a peer
+        watches one video, so the packed (peer, video, chunk) keys
+        strictly ascend, here over three videos and churn.
+        """
+        config = SystemConfig.tiny(
+            seed=3, n_videos=3, arrival_rate_per_s=1.0, early_departure_prob=0.4
+        )
+        system = P2PSystem(config)
+        system.populate_static(24)
+        checked = 0
+        for _ in range(4):
+            parts = system.store.assemble_requests(system.now, system.valuation)
+            if parts is not None:
+                peers, pairs = parts[0], parts[1]
+                keys = _triple_key(peers, pairs[:, 0], pairs[:, 1])
+                assert (np.diff(keys) > 0).all()
+                checked += len(keys)
+            system.run_slot(churn=True, remove_finished=True)
+        assert checked > 0
+
+    def test_suppression_matches_a_set_lookup(self):
+        """Binary search drops exactly the requests a set lookup drops."""
+        system = make_system(n_videos=2)
+        parts = system.store.assemble_requests(system.now, system.valuation)
+        peers, pairs = parts[0], parts[1]
+        picked = np.arange(0, len(peers), 7)
+        # Pending triples: some requested (one twice), one not.
+        down = np.concatenate((peers[picked], peers[picked[:1]], [peers[-1]]))
+        vid = np.concatenate((pairs[picked, 0], pairs[picked[:1], 0], [0]))
+        chunk = np.concatenate((pairs[picked, 1], pairs[picked[:1], 1], [9999]))
+        system.retry_queue.push_failed(
+            down, np.zeros_like(down), vid, chunk, slot=system.slot_index
+        )
+        kept = system._suppress_pending_requests(parts)
+        keys = _triple_key(peers, pairs[:, 0], pairs[:, 1])
+        keep = ~np.isin(keys, _triple_key(down, vid, chunk))
+        assert np.array_equal(kept[0], peers[keep])
+        assert np.array_equal(kept[1], pairs[keep])
+        counts = np.diff(parts[5])
+        assert np.array_equal(kept[3], parts[3][np.repeat(keep, counts)])
+        assert np.array_equal(np.diff(kept[5]), counts[keep])
+
 
 class TestSessionSync:
     def test_out_of_band_rewind_is_resynced(self):
@@ -305,28 +369,44 @@ class TestRetention:
 
 
 class TestOneTablePath:
-    def test_one_cost_lookup_per_table_made(self):
-        """``costs_for_pairs`` runs once per table a build makes."""
+    def test_one_cost_call_per_build_that_makes_tables(self):
+        """A build that makes tables makes one ``costs_for_pairs`` call.
+
+        Its destination runs are exactly the tables made, in ascending
+        id order: one run per non-empty table, as long as the table.
+        """
         config = SystemConfig.tiny(
             seed=5, arrival_rate_per_s=1.0, early_departure_prob=0.5,
             bid_rounds_per_slot=2,
         )
         system = P2PSystem(config)
         system.populate_static(30)
-        calls = count_cost_lookups(system)
+        builds = record_table_builds(system)
         tracer = system.attach_tracer(MemoryTraceSink())
         for _ in range(6):
             system.run_slot(churn=True, remove_finished=True)
         made = sum(r["build"]["rebuilt"] for r in tracer.records())
-        assert made > 0 and len(calls) == made
+        assert made > 0 and sum(len(ids) for ids, _, _ in builds) == made
+        assert sum(1 for ids, _, _ in builds if ids) > 1
+        for ids, counts, calls in builds:
+            if not ids:
+                assert calls == []
+                continue
+            (dsts,) = calls
+            runs = [
+                (dst, len(list(group)))
+                for dst, group in itertools.groupby(dsts)
+            ]
+            assert runs == [(pid, n) for pid, n in zip(ids, counts) if n > 0]
+            assert ids == sorted(set(ids))
         assert system.departures > 0 and system.arrivals > 0
 
     def test_steady_static_slot_makes_no_table(self):
         system = make_system(slots=3)
-        calls = count_cost_lookups(system)
+        builds = record_table_builds(system)
         tracer = system.attach_tracer(MemoryTraceSink())
         system.run_slot()
         (record,) = tracer.records()
         assert record["build"]["rebuilt"] == 0 and record["build"]["dropped"] == 0
         assert record["build"]["reused"] > 0
-        assert calls == []
+        assert builds and all(not ids and not calls for ids, _, calls in builds)

@@ -55,7 +55,8 @@ class TestAdmission:
         assert pid not in tiny_system.tracker.members_view(0)
         assert pid not in tiny_system.overlay
         assert pid not in tiny_system.topology
-        assert all(pid not in key for key in tiny_system.costs._cache)
+        lo, hi, _ = tiny_system.costs.cached_pairs()
+        assert pid not in lo and pid not in hi
 
     def test_remove_unknown_raises(self, tiny_system):
         with pytest.raises(KeyError):

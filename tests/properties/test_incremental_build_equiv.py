@@ -21,7 +21,12 @@ pinned:
 * **no stale table**: after every slot of a trajectory with churn, cut
   links and a cost shock, every candidate table the store holds equals
   one computed afresh from the overlay, the member tables and
-  ``CostModel.cost``, without the store's table path.
+  ``CostModel.cost``, without the store's table path;
+* **one pass draws what one call per table drew**: a twin whose tables
+  are built one at a time, one ``costs_for_pairs`` call each (the
+  per-table oracle), holds the same pool spans, the same pair-cost
+  cache and the same ``costs`` RNG state after every slot of a churn
+  trajectory with a cost shock.
 
 A wide-window variant (``prefetch_chunks`` beyond the packed-word bound)
 drives the boolean branch of the fused assembler through the same
@@ -40,6 +45,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -49,7 +55,7 @@ from repro.p2p.system import P2PSystem
 from support import assert_same_peer_state, assert_same_problem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from assemble import build_problem_cold  # noqa: E402
+from assemble import build_problem_cold, build_tables_per_table  # noqa: E402
 
 
 @dataclass(frozen=True)
@@ -252,6 +258,33 @@ def test_no_table_outlives_its_inputs(sc, cut):
         system.run_slot(churn=True, remove_finished=True)
         assert_tables_fresh(system)
     assert system.departures > 0 or system.arrivals > 0
+
+
+@given(sc=churn_shock_scenarios)
+def test_one_pass_tables_match_per_table_twin(sc):
+    live = sc.build()
+    twin = sc.build()
+    store = twin.store
+    store._build_tables = lambda need: build_tables_per_table(store, need)
+    made = 0
+    for s in range(sc.slots):
+        for system in (live, twin):
+            sc.fire_events(system, s)
+            system.run_slot(churn=True, remove_finished=True)
+        a, b = live.store, twin.store
+        for name in (
+            "_table_start", "_table_count", "_pool_rows", "_pool_ids",
+            "_pool_costs",
+        ):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a._pool_live == b._pool_live
+        for col_a, col_b in zip(live.costs.cached_pairs(), twin.costs.cached_pairs()):
+            assert np.array_equal(col_a, col_b)
+        assert (
+            live.costs.rng.bit_generator.state == twin.costs.rng.bit_generator.state
+        ), f"slot {s}: the cost stream diverged"
+        made = a.table_counts["rebuilt"]
+    assert made > 0
 
 
 @given(sc=delta_scenarios)

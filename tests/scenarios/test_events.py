@@ -80,11 +80,13 @@ class TestCostShocks:
         b.scale_inter_isp_costs(3.0)
         # A never-sampled inter-ISP pair: same underlying draw, ×3.
         ids = sorted(a.peers)
+        lo, hi, _ = a.costs.cached_pairs()
+        cached = set(zip(lo.tolist(), hi.tolist()))
         fresh = None
         for u in ids:
             for d in ids:
                 if u < d and not a.costs.topology.same_isp(u, d):
-                    if (u, d) not in a.costs._cache:
+                    if (u, d) not in cached:
                         fresh = (u, d)
                         break
             if fresh:
