@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl scenarios scenarios-smoke scenarios-lossy trace-smoke results-check perf-ab
+.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl scenarios scenarios-smoke scenarios-lossy trace-smoke results-check claims perf-ab
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -64,6 +64,15 @@ results-check:
 	$(PYTHON) -m pytest -q benchmarks/test_fig*.py benchmarks/test_ablation*.py
 	$(MAKE) scenarios
 	git diff --exit-code -- results/
+
+# The paper's figure anchors across seeds: Fig. 2-6 at bench scale for
+# seeds 0-7 through the figure functions the benches call, printed as one
+# margin per anchor and seed (positive when the anchor holds), then each
+# figure's shape checks.  Writes nothing under results/ and exits 1 if
+# anything fails at some seed.  About a minute on a 2-core host, so not
+# part of `make test`.
+claims:
+	$(PYTHON) benchmarks/claims.py
 
 # Paired A/B of the end-to-end slot benchmark (perfbench/run.py --trace
 # $(TRACE)): BASE against this checkout (uncommitted tracked edits included),

@@ -23,7 +23,6 @@ def run_sweep():
         n_requests=600,
         n_uploaders=30,
         max_candidates=8,
-        mode="jacobi",
     )
 
 

@@ -5,7 +5,8 @@ The ROADMAP flagged this study as ready once warm starts landed: with
 refreshed deadlines and 1/R budget shares, and ``warm_start_prices``
 carries λ between waves (the paper's peers bid against *posted* prices).
 This bench runs the moderately-contended static workload end to end per
-(R, warm) cell and archives welfare + solve-time vs rounds.
+(R, warm) cell and archives welfare and solver work (summed jacobi
+rounds) vs rounds.
 """
 
 from __future__ import annotations

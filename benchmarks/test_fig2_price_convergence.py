@@ -9,6 +9,7 @@ sawtooth: price moves, resets per slot, converges within the slot.
 
 from __future__ import annotations
 
+from claims import assert_anchors
 from conftest import archive
 
 from repro.experiments.figures import fig2_price_convergence
@@ -23,6 +24,5 @@ def test_fig2_price_convergence(benchmark, results_dir):
     )
     archive(results_dir, "fig2", result.text)
     assert result.shape_holds, result.shape
-    # The paper's headline observation: convergence well within the slot.
-    series = result.series["auction"]["lambda_u"]
-    assert series.values.max() > 0.0
+    # The price moves (claims.ANCHORS).
+    assert_anchors(result)

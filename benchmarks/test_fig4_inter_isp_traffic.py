@@ -7,6 +7,7 @@ chunk's valuation justifies the cost.
 
 from __future__ import annotations
 
+from claims import assert_anchors
 from conftest import archive
 
 from repro.experiments.figures import fig4_inter_isp_traffic
@@ -21,10 +22,6 @@ def test_fig4_inter_isp_traffic(benchmark, results_dir):
     )
     archive(results_dir, "fig4", result.text)
     assert result.shape_holds, result.shape
-
-    auction = result.series["auction"]["inter_isp"].mean()
-    locality = result.series["locality"]["inter_isp"].mean()
-    # Factor check: the paper's gap is ~1.5–2×; ours must be at least 1.5×.
-    assert locality > 1.5 * auction
-    # Both shares are non-degenerate (there IS cross-ISP demand).
-    assert locality > 0.05
+    # Factor check: the paper's gap is ~1.5–2×, ours must be at least
+    # 1.5×; and there IS cross-ISP demand (claims.ANCHORS).
+    assert_anchors(result)

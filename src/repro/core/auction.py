@@ -23,18 +23,17 @@ rule exactly, with dormant bidders woken by price changes.
 
 Two execution modes:
 
-* ``"gauss-seidel"`` — one bid at a time, exactly the distributed
-  protocol's sequential semantics; Python loops, good to ~10^4 edges.
-* ``"jacobi"`` — all unassigned requests bid each round against the
-  round-start prices; numpy-vectorized over the problem's flat CSR view
-  (segment maxima via ``np.maximum.reduceat``), used for paper-scale
-  instances.  As in Alg. 1, the losers bid next: after round 1, a
-  round evaluates only the rows the round before left unassigned (its
-  rejected bidders and the members it evicted) plus, at ε = 0, the
-  dormant tied rows that a reprice of one of their candidates woke.
-  These are exactly the pending rows whose bid can have changed, so a
-  round costs O(its bidders' edges), not O(pending edges), and there is
-  no ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
+* ``"jacobi"`` (the default, and the mode every slot runs) —
+  all unassigned requests bid each round against the round-start
+  prices; numpy-vectorized over the problem's flat CSR view (segment
+  maxima via ``np.maximum.reduceat``).  As in Alg. 1, the losers bid
+  next: after round 1, a round evaluates only the rows the round
+  before left unassigned (its rejected bidders and the members it
+  evicted) plus, at ε = 0, the dormant tied rows that a reprice of one
+  of their candidates woke.  These are exactly the pending rows whose
+  bid can have changed, so a round costs O(its bidders' edges), not
+  O(pending edges), and there is no ``(R, K_max)`` padding, so skewed
+  candidate counts cost nothing.
   The ``η`` duals are computed on the result's first read of them.
   Each round commits every auctioneer's batch at once: an auctioneer
   that already holds members and whose batch reaches ``B(u)`` merges
@@ -51,12 +50,20 @@ Two execution modes:
   fixed per-round cost of synchronous auctions).  The handoff is
   one-way: with ε > 0 no round has more rows than the one before it.
 
+* ``"gauss-seidel"`` — one bid at a time, exactly the distributed
+  protocol's sequential semantics, in Python loops.  It is the
+  protocol-order reference that tests and the solver ablations compare
+  jacobi against, and a caller must name it.  On ablation A3's
+  800-request instance it runs 6-7× slower than jacobi (bench medians
+  of 20.9-37.4 ms against 3.3-5.7 ms in three runs, 2-core Xeon).
+
 The jacobi rounds' equivalence reference, the same synchronized
 semantics over a padded ``(R, K_max)`` view, is the dense oracle in
 ``tests/oracles/auction.py``; the two produce identical assignments.
 
-All modes provably reach assignments within ``n·ε`` of the optimum;
-tests cross-check them against the Hungarian oracle.
+Both modes provably reach assignments within ``n·ε`` of the optimum;
+tests cross-check them against the Hungarian oracle.  They break ties
+differently, so the assignments they reach can differ.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from .problem import CSRView, SchedulingProblem
 from .result import ScheduleResult, SolverStats
@@ -129,13 +137,9 @@ def _order_bids(bids: np.ndarray, target: np.ndarray, n_uploaders: int) -> np.nd
     doubles, so their complemented bit patterns sort them descending
     under an *integer* stable sort, and the grouping by uploader is a
     stable counting sort (scipy's one-row csr→csc transpose).  Small
-    rounds and scipy-less installs keep the lexsort.
+    rounds keep the lexsort.
     """
     if len(bids) < 1024:
-        return np.lexsort((-bids, target))
-    try:
-        from scipy import sparse
-    except ImportError:  # pragma: no cover - scipy is a core dependency
         return np.lexsort((-bids, target))
     by_bid = np.argsort(~bids.view(np.uint64), kind="stable")
     grouped = sparse.csr_matrix(
@@ -229,10 +233,11 @@ class AuctionSolver:
     epsilon:
         Bidding increment; ``0`` is the paper's exact rule.
     mode:
-        ``"auto"`` (jacobi for large instances), ``"gauss-seidel"`` or
-        ``"jacobi"`` (CSR-vectorized).
+        ``"jacobi"`` (the default: synchronized rounds over the CSR
+        view) or ``"gauss-seidel"`` (one bid at a time, the
+        protocol-order reference).
     max_bids / max_rounds:
-        Work budgets for the two modes; exceeded ⇒
+        Work budgets of Gauss-Seidel and jacobi; exceeded ⇒
         :class:`AuctionNonConvergence`.
     trace:
         Optional :class:`PriceTrace` filled with per-round price snapshots.
@@ -240,13 +245,10 @@ class AuctionSolver:
         Optional callback ``(round_or_bid_counter, uploader, price)``.
     """
 
-    #: Edge-count threshold above which ``"auto"`` picks the jacobi mode.
-    AUTO_JACOBI_EDGES = 20_000
-
     def __init__(
         self,
         epsilon: float = DEFAULT_EPSILON,
-        mode: str = "auto",
+        mode: str = "jacobi",
         max_bids: Optional[int] = None,
         max_rounds: int = 100_000,
         trace: Optional[PriceTrace] = None,
@@ -254,7 +256,7 @@ class AuctionSolver:
     ) -> None:
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-        if mode not in ("auto", "gauss-seidel", "jacobi"):
+        if mode not in ("jacobi", "gauss-seidel"):
             raise ValueError(f"unknown mode {mode!r}")
         self.epsilon = float(epsilon)
         self.mode = mode
@@ -282,10 +284,7 @@ class AuctionSolver:
         driver detects that via the duality gap and falls back to a cold
         run.
         """
-        mode = self.mode
-        if mode == "auto":
-            mode = "jacobi" if problem.n_edges() > self.AUTO_JACOBI_EDGES else "gauss-seidel"
-        if mode == "gauss-seidel":
+        if self.mode == "gauss-seidel":
             return self._solve_gauss_seidel(problem, initial_prices)
         return self._solve_jacobi(problem, initial_prices)
 
@@ -340,7 +339,7 @@ class AuctionSolver:
         return dict(enumerate(best.tolist()))
 
     # ------------------------------------------------------------------
-    # Gauss-Seidel: one bid at a time (faithful Alg. 1 semantics)
+    # Gauss-Seidel: one bid at a time (the protocol-order reference)
     # ------------------------------------------------------------------
     def _solve_gauss_seidel(
         self,
@@ -465,8 +464,8 @@ class AuctionSolver:
     ) -> ScheduleResult:
         """Fully-populated result for a zero-request problem.
 
-        Mirrors the gauss-seidel path: warm-started prices are clamped
-        to ≥ 0 and reported, and ``etas``/``stats`` are present like on
+        Warm-started prices are clamped to ≥ 0 and reported, as on a
+        solve with requests, and ``etas``/``stats`` are present like on
         every other return path.
         """
         lam = self._initial_lam(uploaders, initial_prices)
@@ -538,7 +537,7 @@ class AuctionSolver:
         return idx
 
     # ------------------------------------------------------------------
-    # Jacobi: synchronized rounds, vectorized (paper-scale instances)
+    # Jacobi: synchronized rounds, vectorized (the default)
     # ------------------------------------------------------------------
     def _solve_jacobi(
         self,

@@ -47,8 +47,8 @@ class ScaledAuctionSolver:
         Geometric reduction factor between phases (Bertsekas suggests 4–10).
     epsilon_initial:
         Starting ε; defaults to ``max_edge_value / 2``.
-    mode:
-        Forwarded to :class:`~repro.core.auction.AuctionSolver`.
+
+    Every phase, and the fallback, runs the jacobi auction.
     """
 
     name = "auction-scaled"
@@ -58,7 +58,6 @@ class ScaledAuctionSolver:
         epsilon_final: float = DEFAULT_EPSILON,
         theta: float = 5.0,
         epsilon_initial: Optional[float] = None,
-        mode: str = "auto",
         gap_tol: float = 1e-9,
     ) -> None:
         if epsilon_final <= 0:
@@ -68,7 +67,6 @@ class ScaledAuctionSolver:
         self.epsilon_final = float(epsilon_final)
         self.theta = float(theta)
         self.epsilon_initial = epsilon_initial
-        self.mode = mode
         self.gap_tol = float(gap_tol)
         self.phases: List[ScalingPhase] = []
         self.fell_back = False
@@ -88,7 +86,7 @@ class ScaledAuctionSolver:
         prices = None
         result: Optional[ScheduleResult] = None
         while True:
-            solver = AuctionSolver(epsilon=epsilon, mode=self.mode)
+            solver = AuctionSolver(epsilon=epsilon)
             result = solver.solve(problem, initial_prices=prices)
             self.phases.append(
                 ScalingPhase(
@@ -107,7 +105,7 @@ class ScaledAuctionSolver:
         if not (-self.gap_tol <= gap <= bound):
             # Warm-start stranded a price; redo cold for a sound certificate.
             self.fell_back = True
-            solver = AuctionSolver(epsilon=self.epsilon_final, mode=self.mode)
+            solver = AuctionSolver(epsilon=self.epsilon_final)
             result = solver.solve(problem)
         return result
 

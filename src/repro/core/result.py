@@ -56,6 +56,16 @@ class _ReadOnlyDict(dict):
 class SolverStats:
     """Work counters a solver reports for benchmarking and diagnostics.
 
+    What ``rounds`` counts depends on the solver:
+
+    * the jacobi auction counts its synchronized rounds;
+    * the Gauss-Seidel auction, the distributed auction
+      (:mod:`repro.core.distributed`) and the three preference-queue
+      baselines (``_preference_rounds`` in :mod:`repro.core.baselines`)
+      count bids;
+    * the greedy and random baselines report 1, and the exact oracles
+      (:mod:`repro.core.exact`) leave it at 0.
+
     ``rows_evaluated`` (bid-phase row evaluations) and ``scalar_rounds``
     (jacobi rounds that committed bids in the tail loop, after the
     handoff from the vector rounds) describe how

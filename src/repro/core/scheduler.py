@@ -48,30 +48,25 @@ class ChunkScheduler(Protocol):
 
 
 class AuctionScheduler:
-    """The paper's primal-dual auction as a :class:`ChunkScheduler`."""
+    """The paper's primal-dual auction as a :class:`ChunkScheduler`.
+
+    Every solve runs the jacobi auction (:class:`AuctionSolver`'s
+    default mode).
+    """
 
     name = "auction"
     #: The slot pipeline may pass ``initial_prices`` (warm-started
     #: re-bids); schedulers without this attribute are always run cold.
     supports_warm_start = True
 
-    def __init__(
-        self,
-        epsilon: float = DEFAULT_EPSILON,
-        mode: str = "auto",
-        **solver_kwargs,
-    ) -> None:
-        # Built here so a bad ε or mode fails at construction, not in
-        # the first slot; the solver keeps no state between solves.
-        self.solver = AuctionSolver(epsilon=epsilon, mode=mode, **solver_kwargs)
+    def __init__(self, epsilon: float = DEFAULT_EPSILON) -> None:
+        # Built here so a bad ε fails at construction, not in the first
+        # slot; the solver keeps no state between solves.
+        self.solver = AuctionSolver(epsilon=epsilon)
 
     @property
     def epsilon(self) -> float:
         return self.solver.epsilon
-
-    @property
-    def mode(self) -> str:
-        return self.solver.mode
 
     def schedule(
         self, problem: SchedulingProblem, initial_prices=None

@@ -34,9 +34,8 @@ class TestRegistry:
             make_scheduler("nope")
 
     def test_kwargs_forwarded(self):
-        scheduler = make_scheduler("auction", epsilon=0.5, mode="jacobi")
+        scheduler = make_scheduler("auction", epsilon=0.5)
         assert scheduler.epsilon == 0.5
-        assert scheduler.mode == "jacobi"
 
 
 class TestAdapters:

@@ -53,7 +53,7 @@ def test_ablation_rebid_regenerates_identically():
 
     Heavier than the other regen pins (seven end-to-end runs), so it
     samples the study at its first two round counts and compares just
-    those lines (header, rule and three rows) against the archive.
+    those lines (note, header, rule and three rows) against the archive.
     """
     archived = (RESULTS / "ablation_rebid.txt").read_text(encoding="utf-8")
     rows = rebid_study(rounds_list=(1, 2), seed=0)
@@ -73,6 +73,5 @@ def test_ablation_epsilon_regenerates_identically():
         n_requests=600,
         n_uploaders=30,
         max_candidates=8,
-        mode="jacobi",
     )
     assert render_epsilon_sweep(rows) + "\n" == archived

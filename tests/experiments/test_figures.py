@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.auction import AuctionSolver
 from repro.experiments.figures import (
     FigureResult,
     fig2_price_convergence,
+    fig3_social_welfare,
     fig4_inter_isp_traffic,
     run_figure,
 )
@@ -47,3 +49,13 @@ class TestFigureResults:
         assert list(a.series["auction"]["welfare"].values) == list(
             b.series["auction"]["welfare"].values
         )
+
+    def test_figure_run_makes_no_gauss_seidel_call(self, monkeypatch):
+        """Every slot runs the jacobi auction, however small its problem."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a figure run called the Gauss-Seidel solver")
+
+        monkeypatch.setattr(AuctionSolver, "_solve_gauss_seidel", refuse)
+        result = fig3_social_welfare(scale="tiny", seed=0)
+        assert len(result.series["auction"]["welfare"].values) > 0

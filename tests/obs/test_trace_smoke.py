@@ -28,7 +28,6 @@ from repro.obs import (
     load_trace,
     validate_trace_record,
 )
-from repro.core.scheduler import AuctionScheduler
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
 
@@ -74,15 +73,9 @@ class TestSpanContent:
 
 
     def test_solver_counts_scalar_rounds(self):
-        """A jacobi solve hands its small tail rounds to the tail loop.
-
-        Tiny problems stay under ``AUTO_JACOBI_EDGES`` and so run
-        Gauss-Seidel; the jacobi scheduler is passed explicitly.
-        """
+        """A jacobi solve hands its small tail rounds to the tail loop."""
         config = SystemConfig.tiny(seed=3)
-        system = P2PSystem(
-            config, scheduler=AuctionScheduler(epsilon=config.epsilon, mode="jacobi")
-        )
+        system = P2PSystem(config)
         system.populate_static(100, stagger=False)
         tracer = system.attach_tracer(MemoryTraceSink())
         for _ in range(4):
