@@ -144,7 +144,7 @@ SCENARIOS: Dict[str, dict] = {
     # Lossy row: the link-condition table stays degraded for the whole
     # run, so the timed apply pays the Bernoulli loss draw, failure
     # split and retry-queue push on every slot, and the timed build
-    # pays the pending-retry request suppression.  ``reference=False``
+    # pays the assembler's mask of pending-retry cells.  ``reference=False``
     # because the seed apply path has no link model to compare against.
     "lossy-medium": dict(
         n_peers=2000, slots=3, churn=False, overrides={},

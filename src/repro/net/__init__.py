@@ -10,7 +10,7 @@ from .linkmodel import (
     link_preset,
     preset_names,
 )
-from .topology import OverlayGraph, rank_candidates
+from .topology import OverlayGraph
 from .trunc_normal import TruncatedNormal
 
 __all__ = [
@@ -26,5 +26,4 @@ __all__ = [
     "TruncatedNormal",
     "link_preset",
     "preset_names",
-    "rank_candidates",
 ]

@@ -3,32 +3,34 @@
 The tracker bootstraps each joining peer "with a list of neighbors with
 close playback positions" (Section V); the default neighbor count is 30.
 :class:`OverlayGraph` maintains the undirected neighbor relation under
-churn, and :func:`rank_candidates` implements the tracker's proximity
-ranking (same video, close playback position, seeds always eligible).
+churn, and :func:`rank_candidate_columns` implements the tracker's
+proximity ranking (same video, close playback position, seeds always
+eligible).
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-__all__ = ["OverlayGraph", "rank_candidate_columns", "rank_candidates"]
+__all__ = ["OverlayGraph", "rank_candidate_columns"]
 
 
-def rank_candidates(
-    position_of: Callable[[int], Optional[float]],
+def rank_candidate_columns(
+    ids: np.ndarray,
+    positions: np.ndarray,
     joiner_position: float,
-    candidates: Iterable[int],
     rng: Optional[np.random.Generator] = None,
     seed_rank: str = "first",
 ) -> List[int]:
-    """Order ``candidates`` by closeness of playback position to the joiner.
+    """Order candidates by closeness of playback position to the joiner.
 
-    ``position_of`` returns a candidate's playback position, or ``None``
-    for seed peers, which have no position.  ``seed_rank`` decides how
-    seeds compete:
+    ``ids`` (int64) and ``positions`` (float) are aligned, in candidate
+    order, which fixes the order of the random draws; a seed's position
+    is NaN, since seeds have none.  ``seed_rank`` decides how seeds
+    compete:
 
     * ``"first"`` — seeds rank ahead of all watchers (distance 0): every
       joiner is guaranteed the seeds if its neighbor budget allows.
@@ -42,24 +44,6 @@ def rank_candidates(
     determinism.  The result is the ``(distance, tiebreak, peer)`` order,
     and the random draws are one bulk call in per-candidate order (under
     ``"random"`` a seed draws its rank, then its tiebreak).
-    """
-    ids = np.fromiter(candidates, dtype=np.int64)
-    # A seed's position is None, which becomes NaN here.
-    positions = np.array([position_of(p) for p in ids.tolist()], dtype=float)
-    return rank_candidate_columns(ids, positions, joiner_position, rng, seed_rank)
-
-
-def rank_candidate_columns(
-    ids: np.ndarray,
-    positions: np.ndarray,
-    joiner_position: float,
-    rng: Optional[np.random.Generator] = None,
-    seed_rank: str = "first",
-) -> List[int]:
-    """:func:`rank_candidates` over columns: ``positions`` is NaN for seeds.
-
-    ``ids`` (int64) and ``positions`` (float) are aligned, in candidate
-    order, which fixes the order of the random draws.
     """
     if seed_rank not in ("first", "random"):
         raise ValueError(f"unknown seed_rank {seed_rank!r}")

@@ -5,18 +5,21 @@ truncates an assigned transfer, the chunk is not re-auctioned
 immediately: the (downstream, uploader, video, chunk) edge parks in the
 system's :class:`RetryQueue` and is re-attempted against the *same*
 uploader after an exponential backoff measured in slots.  While an edge
-is pending, the downstream's request for that chunk is suppressed from
-:meth:`repro.p2p.system.P2PSystem.build_problem` so the auction does not
-double-assign it.  An edge that outlives its TTL is surrendered — it
-simply leaves the queue, and the still-missing chunk re-enters the next
-slot's window of interest like any other request.  Churn is handled by
-eviction: an edge whose uploader or downstream departed can never
-complete and is dropped during the slot-boundary sweep.
+is pending, the store's assembler leaves the downstream's cell for that
+chunk out of the windows it reads
+(:meth:`repro.p2p.state.PeerStateStore.assemble_requests`), so the
+auction never sees the request and cannot double-assign it; nothing
+subtracts pending requests afterwards.  An edge that outlives its TTL is
+surrendered — it simply leaves the queue, and the still-missing chunk
+re-enters the next slot's window of interest like any other request.
+Churn is handled by eviction: an edge whose uploader or downstream
+departed can never complete and is dropped during the slot-boundary
+sweep.
 
 Storage is columnar (parallel int64 arrays) so the per-slot sweep —
 evict offline endpoints, pop surrendered edges, pop due edges — is a
-handful of boolean masks regardless of queue depth, matching the rest of
-the slot pipeline.
+handful of boolean masks regardless of queue depth, and the backoff is
+one array rule, matching the rest of the slot pipeline.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ class RetryQueue:
     ) -> None:
         if backoff_base_slots < 1 or backoff_cap_slots < 1:
             raise ValueError("backoff slots must be >= 1")
+        if backoff_cap_slots >= 2**31:
+            raise ValueError("backoff_cap_slots must be below 2**31")
         if ttl_slots < 1:
             raise ValueError("ttl_slots must be >= 1")
         self.backoff_base_slots = int(backoff_base_slots)
@@ -92,12 +97,22 @@ class RetryQueue:
     def __len__(self) -> int:
         return len(self._down)
 
-    def backoff_slots(self, attempt: int) -> int:
-        """Slots to wait after failed attempt number ``attempt`` (>= 1)."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt!r}")
-        shift = min(attempt - 1, 62)
-        return min(self.backoff_base_slots << shift, self.backoff_cap_slots)
+    def backoff_slots(self, attempt):
+        """Slots to wait after failed attempt number ``attempt`` (>= 1).
+
+        ``min(base · 2**(attempt − 1), cap)``, for an int or an int
+        array (a scalar in gives an int out).  The shift stops at the
+        cap's bit length, where the product already exceeds the cap, so
+        the int64 arithmetic cannot overflow however many attempts an
+        edge has made.
+        """
+        a = np.asarray(attempt, dtype=np.int64)
+        if a.size and int(a.min()) < 1:
+            raise ValueError(f"attempt must be >= 1, got {int(a.min())}")
+        cap = self.backoff_cap_slots
+        shift = np.minimum(a - 1, cap.bit_length())
+        out = np.minimum(np.int64(min(self.backoff_base_slots, cap)) << shift, cap)
+        return int(out) if out.ndim == 0 else out
 
     # ------------------------------------------------------------------
     # Enqueue
@@ -123,11 +138,7 @@ class RetryQueue:
             return
         if attempts is None:
             attempts = np.ones(n, dtype=np.int64)
-        due = slot + np.fromiter(
-            (self.backoff_slots(int(a)) for a in attempts),
-            dtype=np.int64,
-            count=n,
-        )
+        due = slot + self.backoff_slots(attempts)
         expire = np.full(n, slot + self.ttl_slots, dtype=np.int64)
         self._append(down, up, video, chunk, attempts, due, expire)
 
@@ -141,11 +152,7 @@ class RetryQueue:
         if not failed.any():
             return
         attempts = batch.attempts[failed] + 1
-        due = slot + np.fromiter(
-            (self.backoff_slots(int(a)) for a in attempts),
-            dtype=np.int64,
-            count=len(attempts),
-        )
+        due = slot + self.backoff_slots(attempts)
         self._append(
             batch.down[failed],
             batch.up[failed],
@@ -195,8 +202,8 @@ class RetryQueue:
         """Remove expired edges; returns their (down, video, chunk).
 
         An edge expires once ``slot`` reaches its expiry — the chunk is
-        handed back to the auction (its request is no longer suppressed,
-        so the next ``build_problem`` re-exposes it).
+        handed back to the auction (its cell is no longer pending, so
+        the next ``build_problem`` requests it again).
         """
         if not len(self._down):
             return _EMPTY, _EMPTY, _EMPTY
@@ -240,29 +247,13 @@ class RetryQueue:
     # Queries
     # ------------------------------------------------------------------
     def pending_triples(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(downstream, video, chunk) of every pending edge — the
-        suppression set ``build_problem`` subtracts from its requests."""
-        return self._down, self._video, self._chunk
+        """(downstream, video, chunk) of every pending edge.
 
-    def drop_downstream_chunks(self, down: np.ndarray, video: np.ndarray,
-                               chunk: np.ndarray) -> int:
-        """Remove any pending edges matching the given triples.
-
-        Used when a chunk reaches the downstream by another path (e.g. a
-        surrendered edge's auction reassignment succeeds while a
-        duplicate is still parked).  Returns edges dropped.
+        ``build_problem`` hands the downstream and chunk columns to the
+        store's assembler, which leaves those cells out of the windows
+        it reads; nothing subtracts them from an assembled problem.
         """
-        if not len(self._down) or not len(down):
-            return 0
-        keys = _triple_key(self._down, self._video, self._chunk)
-        gone = _triple_key(np.asarray(down, dtype=np.int64),
-                           np.asarray(video, dtype=np.int64),
-                           np.asarray(chunk, dtype=np.int64))
-        keep = ~np.isin(keys, gone)
-        dropped = int(len(keep) - keep.sum())
-        if dropped:
-            self._filter(keep)
-        return dropped
+        return self._down, self._video, self._chunk
 
     # ------------------------------------------------------------------
     # Snapshot/restore (bench harness: timing runs must not leak state)
@@ -289,16 +280,3 @@ class RetryQueue:
         self._due = snap["due"].copy()
         self._expire = snap["expire"].copy()
 
-
-def _triple_key(peer: np.ndarray, video: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    """Pack (peer, video, chunk) into one int64 key for set operations.
-
-    Safe while peer ids stay below 2**31 and video/chunk below 2**16 —
-    comfortably true for every configuration in this repo (videos ≤ 100,
-    chunks/video ≤ 2560, peers well under a billion).
-    """
-    return (
-        (peer.astype(np.int64) << np.int64(32))
-        | (video.astype(np.int64) << np.int64(16))
-        | chunk.astype(np.int64)
-    )

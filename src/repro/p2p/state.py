@@ -59,7 +59,12 @@ the per-request builder in ``tests/oracles/slot.py`` bit for bit
 advance matches the per-session ``advance_to`` and the per-chunk loop
 there; the property suite under ``tests/properties/`` fuzzes whole
 scenarios against these and against the cold per-group assembler in
-``tests/oracles/assemble.py``.
+``tests/oracles/assemble.py``.  Its ``pending`` input, the retry
+queue's parked ``(peer, chunk)`` cells, is cleared from the available
+windows, so a pending chunk is never requested and nothing downstream
+subtracts pending requests; it is cleared after the build's missing
+candidate tables are listed, so the tables made and counted, and the
+cost draws, are those of the whole windows.
 
 A build reads what its windows touch.  The held-chunk bitmap is read at
 every candidate edge's window, so it is word-packed, but only over the
@@ -447,13 +452,7 @@ class PeerStateStore:
         ids = np.fromiter(
             (p.peer_id for p in peers), dtype=np.int64, count=len(peers)
         )
-        online = ids < len(self._row_table)
-        online[online] = self._row_table[ids[online]] >= 0
-        if not online.all():
-            raise KeyError(
-                f"peer {int(ids[~online][0])} is not in the store"
-            )
-        rows = self._row_table[ids].tolist()
+        rows = self._online_rows(ids).tolist()
         per_group: Dict[int, List[int]] = {}
         for i, peer in enumerate(peers):
             per_group.setdefault(peer.video.video_id, []).append(i)
@@ -498,6 +497,37 @@ class PeerStateStore:
     def isp_table(self) -> np.ndarray:
         """Peer-id-indexed ISP lookup table (−1 = offline; do not mutate)."""
         return self._isp_table
+
+    def _online_rows(self, ids: np.ndarray) -> np.ndarray:
+        """Bucket rows of the peers ``ids``; ``KeyError`` if one is not online.
+
+        An offline id's row reads −1, which would index another peer's
+        row, so it is refused rather than read.
+        """
+        online = (ids >= 0) & (ids < len(self._row_table))
+        online[online] = self._row_table[ids[online]] >= 0
+        if not online.all():
+            raise KeyError(f"peer {int(ids[~online][0])} is not online")
+        return self._row_table[ids]
+
+    def holds(self, ids: np.ndarray, chunks: np.ndarray) -> np.ndarray:
+        """Whether each online peer ``ids[i]`` holds chunk ``chunks[i]``.
+
+        The column form of ``peer.buffer.holds``: one gather of the
+        bitmap matrix per bucket key, and ``False`` for a chunk outside
+        the peer's video.  Raises ``KeyError`` on an id that is not
+        online.
+        """
+        rows = self._online_rows(ids)
+        keys = self._bucket_key[ids]
+        out = np.zeros(len(ids), dtype=bool)
+        for key in np.unique(keys).tolist():
+            at = np.flatnonzero(keys == key)
+            c = chunks[at]
+            inside = (c >= 0) & (c < key)
+            at, c = at[inside], c[inside]
+            out[at] = self.buckets[key].masks[rows[at], c]
+        return out
 
     def playback_positions(self, video_id: int, ids: np.ndarray) -> np.ndarray:
         """Positions of the online peers ``ids`` of video ``video_id``.
@@ -668,6 +698,7 @@ class PeerStateStore:
         now: float,
         valuation: DeadlineValuation,
         lookahead: float = 0.0,
+        pending: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ):
         """All slot requests as flat columns in reference request order.
 
@@ -679,6 +710,19 @@ class PeerStateStore:
         problem the per-request builder in ``tests/oracles/slot.py``
         constructs.
 
+        ``pending`` is the retry queue's ``(peer, chunk)`` columns: the
+        chunks whose transfer is parked for a retry (a peer watches one
+        video, so the video is implied).  Their cells are left out of
+        the windows, so they yield neither a request nor an edge, and
+        the auction cannot assign a pending chunk twice.  They are
+        cleared only after the build has listed the tables it must
+        make, so they change no table it makes or counts: a watcher
+        whose every available cell is pending keeps its table and
+        counts as reused, exactly as when the pending requests are
+        dropped after assembly (the reference in
+        ``tests/oracles/assemble.py``), and the cost draws and the
+        trace's table counts stay the same.
+
         Every call drops the tables of peers whose links changed and
         assembles in one fused pass per bucket
         (:meth:`_assemble_buckets`).  Windows and valuations are
@@ -686,7 +730,7 @@ class PeerStateStore:
         fractions); only the candidate tables carry over between builds.
         """
         self._drain_overlay()
-        return self._assemble_buckets(now, valuation, lookahead)
+        return self._assemble_buckets(now, valuation, lookahead, pending)
 
     @staticmethod
     def _pack_requests(peers, vids, chunks, vals, counts, cand_ids, cand_costs):
@@ -724,7 +768,8 @@ class PeerStateStore:
         return peers, pairs, vals, cand_ids, cand_costs, indptr
 
     def _assemble_buckets(
-        self, now: float, valuation: DeadlineValuation, lookahead: float
+        self, now: float, valuation: DeadlineValuation, lookahead: float,
+        pending: Optional[Tuple[np.ndarray, np.ndarray]],
     ):
         """The assembler proper: one fused pass per bucket.
 
@@ -746,9 +791,13 @@ class PeerStateStore:
 
         Active watchers without a candidate table get one first
         (:meth:`_build_tables`), and the build's tables are counted into
-        :attr:`table_counts`.  Group concatenation order is free here:
-        each peer watches one video, so the id-order permutation in
-        :meth:`_pack_requests` lands on identical bytes regardless.
+        :attr:`table_counts`.  Only then are the ``pending`` cells
+        cleared from ``avail`` (:meth:`_clear_pending`; the reason is
+        in :meth:`assemble_requests`).
+
+        Group concatenation order is free here: each peer watches one
+        video, so the id-order permutation in :meth:`_pack_requests`
+        lands on identical bytes regardless.
         """
         staged = []
         need: List[np.ndarray] = []
@@ -844,6 +893,8 @@ class PeerStateStore:
         tally["rebuilt"] += len(made)
         tally["dropped"] += self._dropped
         self._dropped = 0
+        if pending is not None and len(pending[0]):
+            self._clear_pending(staged, *pending)
         outputs = []
         for stage in staged:
             part = self._finish_bucket(stage, now, valuation, lookahead)
@@ -864,6 +915,34 @@ class PeerStateStore:
         return self._pack_requests(
             peers, vids, chunks, vals, counts, cand_ids, cand_costs
         )
+
+    def _clear_pending(self, staged, peers: np.ndarray, chunks: np.ndarray) -> None:
+        """Clear each ``(peer, chunk)`` cell from the staged ``avail`` windows.
+
+        ``k = chunk − due`` is the cell's window offset: bit ``W − 1 − k``
+        of a packed word, column ``k`` of a boolean window.  A peer that
+        is not staged (offline, finished, nothing available) and a chunk
+        outside its window change nothing.  Writes ``avail`` in place.
+        """
+        keys = self._bucket_key[peers]
+        rows = self._row_table[peers]
+        for bucket, _, act_rows, _, due, avail, _, packed in staged:
+            mine = np.flatnonzero(keys == bucket.n_chunks)
+            if not len(mine):
+                continue
+            at = np.full(bucket.n_rows, -1, dtype=np.int64)
+            at[act_rows] = np.arange(len(act_rows), dtype=np.int64)
+            i = at[rows[mine]]
+            c = chunks[mine][i >= 0]
+            i = i[i >= 0]
+            k = c - due[i]
+            inside = (k >= 0) & (k < bucket.window)
+            i, k = i[inside], k[inside]
+            if packed is None:
+                avail[i, k] = False
+            else:
+                bits = np.uint64(1) << (bucket.window - 1 - k).astype(np.uint64)
+                np.bitwise_and.at(avail, i, ~bits)
 
     def _packed_matrices(self, bucket: StateBucket, due: np.ndarray):
         """Word-packed held-chunk rows over the band the windows read.

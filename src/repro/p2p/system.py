@@ -829,6 +829,12 @@ class P2PSystem:
         property suite pins byte-for-byte, as it pins the cold
         per-group assembler in ``tests/oracles/assemble.py``.
 
+        Chunks parked in the retry queue stay out of the auction until
+        they are delivered, evicted or surrendered, so a pending edge is
+        never assigned twice: the queue's pending ``(peer, chunk)``
+        columns go to the assembler, which leaves those cells out of
+        the windows it reads.
+
         ``capacity_array`` overrides the upload budgets, aligned with
         the store's ascending online ids (``run_slot``'s sub-round
         split); by default each peer's own capacity applies.  The
@@ -845,12 +851,14 @@ class P2PSystem:
                 )
         rounds = self.config.bid_rounds_per_slot
         lookahead = self.config.slot_seconds / rounds if rounds > 1 else 0.0
-        parts = self.store.assemble_requests(now, self.valuation, lookahead)
-        if parts is not None and len(self.retry_queue):
-            # Chunks parked in the retry pipeline stay out of the
-            # auction until delivered, evicted or surrendered — a
-            # pending edge must not be double-assigned.
-            parts = self._suppress_pending_requests(parts)
+        pending = None
+        if len(self.retry_queue):
+            # Never under ideal links, where the queue stays empty.
+            down, _, chunk = self.retry_queue.pending_triples()
+            pending = (down, chunk)
+        parts = self.store.assemble_requests(
+            now, self.valuation, lookahead, pending
+        )
         # validate=False: this producer is pinned against the per-request
         # reference by the construction-equivalence/property tests.
         return SchedulingProblem(ids, caps, *(parts or ()), validate=False)
@@ -860,61 +868,18 @@ class P2PSystem:
     # drops it.
     patch_problem = build_problem
 
-    def _suppress_pending_requests(self, parts):
-        """Drop requests already parked in the retry queue from ``parts``.
-
-        ``parts`` is the tuple :meth:`PeerStateStore.assemble_requests`
-        returns; rows whose (peer, video, chunk) triple matches a
-        pending retry are removed, with the candidate CSR re-packed to
-        match.  Returns ``None`` when nothing survives.  Only called
-        with a non-empty queue, i.e. never under ideal link conditions
-        (the per-request builder in ``tests/oracles/slot.py`` has no
-        counterpart — the construction-equivalence pins run with an
-        empty queue).  The assembler emits requests in ascending
-        (peer, chunk) order, and a peer watches one video, so the
-        request keys strictly ascend and one binary search of the
-        pending keys finds them.
-        """
-        from .retry import _triple_key
-
-        req_peers, pairs, vals, cand_ids, cand_costs, indptr = parts
-        down, video, chunk = self.retry_queue.pending_triples()
-        req_keys = _triple_key(req_peers, pairs[:, 0], pairs[:, 1])
-        pending = _triple_key(down, video, chunk)
-        pos = np.searchsorted(req_keys, pending)
-        inside = pos < len(req_keys)
-        pos = pos[inside]
-        hit = pos[req_keys[pos] == pending[inside]]
-        if not len(hit):
-            return parts
-        keep = np.ones(len(req_keys), dtype=bool)
-        keep[hit] = False
-        if not keep.any():
-            return None
-        counts = np.diff(indptr)
-        edge_keep = np.repeat(keep, counts)
-        new_counts = counts[keep]
-        new_indptr = np.zeros(len(new_counts) + 1, dtype=indptr.dtype)
-        np.cumsum(new_counts, out=new_indptr[1:])
-        return (
-            req_peers[keep],
-            pairs[keep],
-            vals[keep],
-            cand_ids[edge_keep],
-            cand_costs[edge_keep],
-            new_indptr,
-        )
-
     def _process_retries(self, t: float) -> Dict[str, int]:
         """Slot-boundary sweep of the retry queue; returns its counters.
 
         Order: evict edges with a departed endpoint (churn safety),
         surrender expired edges back to the auction, then re-attempt the
-        due ones against the live link table — deliveries go through the
-        store's grouped ``deliver_runs`` path exactly like first-pass
-        transfers, failures re-park with doubled backoff and their
-        original expiry.  Returns counters plus the (inter, intra)
-        traffic the completed retries produced.
+        due ones against the live link table.  Deliveries go through
+        :meth:`_deliver`, the epilogue of first-pass transfers too,
+        grouped by downstream and stamped at ``t``; failures re-park
+        with doubled backoff and their original expiry.  Viability is
+        read off the store's bitmaps (:meth:`PeerStateStore.holds`).
+        Returns counters plus the (inter, intra) traffic the completed
+        retries produced.
         """
         zero = {
             "attempts": 0, "succeeded": 0, "surrendered": 0,
@@ -930,19 +895,12 @@ class P2PSystem:
         if not len(batch):
             zero.update(evicted=evicted, surrendered=surrendered)
             return zero
-        peers = self.peers
-        # Buffers only grow, and suppression should keep the downstream
-        # from obtaining the chunk elsewhere — guard both anyway: a
-        # non-viable edge can never complete, so it evicts.
-        viable = np.fromiter(
-            (
-                peers[int(u)].buffer.holds(int(c))
-                and not peers[int(d)].buffer.holds(int(c))
-                for u, d, c in zip(batch.up, batch.down, batch.chunk)
-            ),
-            dtype=bool,
-            count=len(batch),
-        )
+        # Buffers only grow, and the assembler keeps pending chunks out
+        # of the auction, so the downstream cannot obtain the chunk
+        # elsewhere — guard both anyway: a non-viable edge can never
+        # complete, so it evicts.
+        holds = self.store.holds
+        viable = holds(batch.up, batch.chunk) & ~holds(batch.down, batch.chunk)
         evicted += int(len(viable) - viable.sum())
         delivered_mask = viable.copy()
         delay_ms = 0.0
@@ -956,27 +914,11 @@ class P2PSystem:
             delay_ms = float(outcome.delay_ms.sum())
         failed = viable & ~delivered_mask
         queue.requeue(batch, failed, self.slot_index, expire)
-        inter = intra = 0
         sel = np.nonzero(delivered_mask)[0]
-        if len(sel):
-            order = np.argsort(batch.down[sel], kind="stable")
-            sel = sel[order]
-            down = batch.down[sel]
-            up = batch.up[sel]
-            chunks = batch.chunk[sel]
-            up_isps = isp_of[up]
-            down_isps = isp_of[down]
-            inter = int((up_isps != down_isps).sum())
-            intra = len(down) - inter
-            self.traffic_matrix.record_batch(up_isps, down_isps)
-            if self.isp_rollup is not None:
-                # Retry deliveries count as traffic (no per-edge cost in
-                # hand here — transit chunk counts still accumulate).
-                self.isp_rollup.record_transfers(up_isps, down_isps)
-            starts = np.concatenate(([0], np.nonzero(np.diff(down))[0] + 1))
-            stops = np.concatenate((starts[1:], [len(down)]))
-            self.store.deliver_runs(down[starts], starts, stops, chunks, t)
-            self.store.record_uploads(up)
+        sel = sel[np.argsort(batch.down[sel], kind="stable")]
+        inter, intra = self._deliver(
+            batch.up[sel], batch.down[sel], batch.chunk[sel], t
+        )
         if self.isp_rollup is not None and viable.any():
             self.isp_rollup.record_retries(
                 isp_of[batch.down[viable]], isp_of[batch.down[sel]]
@@ -996,12 +938,11 @@ class P2PSystem:
     ) -> Tuple[int, int]:
         """Deliver scheduled chunks; returns (inter-ISP, intra-ISP) counts.
 
-        Vectorized epilogue over the result's served columns: inter- vs
-        intra-ISP classification via the cached ISP lookup table, the
-        traffic matrix as one bincount, deliveries and download counters
-        as one grouped write per state bucket, and upload counters as
-        one bincount over the uploader column.  Produces exactly the state
-        changes of the per-edge loop in ``tests/oracles/slot.py``
+        Vectorized over the result's served columns.  Under lossy links
+        each assigned edge is classified first, and the failed ones park
+        in the retry queue; the survivors go through :meth:`_deliver`
+        with their transit costs.  Produces exactly the state changes
+        of the per-edge loop in ``tests/oracles/slot.py``
         (equivalence-tested).  ``problem`` comes from
         :meth:`build_problem`, so its chunk keys are ``(video, index)``
         pairs.
@@ -1010,27 +951,25 @@ class P2PSystem:
         if not len(indices):
             return 0, 0
         pair_array = problem.chunk_pair_array()
-        chunk_indices = pair_array[:, 1]
         downstream = problem.request_peer_array()[indices]
-        chunks = chunk_indices[indices]
-        isp_of = self.store.isp_table()
-        up_isps = isp_of[uploaders]
-        down_isps = isp_of[downstream]
+        chunks = pair_array[:, 1][indices]
         keep = None
         if self.links.active:
             # Lossy regime: classify each assigned edge under the link
             # table.  Failed/truncated edges park in the retry queue;
             # only survivors are delivered and counted as traffic.
-            outcome = self.links.evaluate(up_isps, down_isps, self._link_rng)
+            isp_of = self.store.isp_table()
+            outcome = self.links.evaluate(
+                isp_of[uploaders], isp_of[downstream], self._link_rng
+            )
             self._slot_link_delay_ms += float(outcome.delay_ms.sum())
             if outcome.n_failed:
                 failed = ~outcome.delivered
                 self._slot_transfers_failed += int(failed.sum())
-                videos = pair_array[:, 0][indices]
                 self.retry_queue.push_failed(
                     downstream[failed],
                     uploaders[failed],
-                    videos[failed],
+                    pair_array[:, 0][indices][failed],
                     chunks[failed],
                     self.slot_index,
                 )
@@ -1038,34 +977,51 @@ class P2PSystem:
                 uploaders = uploaders[keep]
                 downstream = downstream[keep]
                 chunks = chunks[keep]
-                up_isps = up_isps[keep]
-                down_isps = down_isps[keep]
-                if not len(downstream):
-                    return 0, 0
                 indices = indices[keep]
-        inter = int((up_isps != down_isps).sum())
-        intra = len(indices) - inter
-        self.traffic_matrix.record_batch(up_isps, down_isps)
+        costs = None
         if self.isp_rollup is not None:
             # Transit cost w = v − (v − w), at the delivered pairs.
             values = result.served_values(problem)
             if keep is not None:
                 values = values[keep]
-            self.isp_rollup.record_transfers(
-                up_isps,
-                down_isps,
-                problem.request_valuation_array()[indices] - values,
-            )
-        # Requests arrive grouped by downloader (one builder block per
-        # peer), so run boundaries are one diff — no sort.  A problem
-        # that interleaves owners just yields more (still correct) runs.
-        starts = np.concatenate(([0], np.nonzero(np.diff(downstream))[0] + 1))
-        stops = np.concatenate((starts[1:], [len(downstream)]))
-        self.store.deliver_runs(
-            downstream[starts], starts, stops, chunks, self.now
-        )
-        self.store.record_uploads(uploaders)
-        return inter, intra
+            costs = problem.request_valuation_array()[indices] - values
+        return self._deliver(uploaders, downstream, chunks, self.now, costs)
+
+    def _deliver(
+        self,
+        up: np.ndarray,
+        down: np.ndarray,
+        chunks: np.ndarray,
+        now: float,
+        costs: Optional[np.ndarray] = None,
+    ) -> Tuple[int, int]:
+        """Deliver ``chunks`` from ``up`` to ``down``; returns (inter, intra).
+
+        The one delivery epilogue, for first-pass and retry transfers
+        alike: inter- vs intra-ISP classification via the store's ISP
+        table, the traffic matrix and the rollup (transit ``costs``
+        when given) as one batch each, deliveries and download counters
+        as one grouped write per state bucket, and upload counters as
+        one bincount over the uploader column.  Each downstream's
+        transfers sit together (first-pass requests come grouped by
+        peer, and retries are sorted by downstream), so run boundaries
+        are one diff — no sort; an interleaved column only yields more
+        (still correct) runs.
+        """
+        if not len(down):
+            return 0, 0
+        isp_of = self.store.isp_table()
+        up_isps = isp_of[up]
+        down_isps = isp_of[down]
+        inter = int((up_isps != down_isps).sum())
+        self.traffic_matrix.record_batch(up_isps, down_isps)
+        if self.isp_rollup is not None:
+            self.isp_rollup.record_transfers(up_isps, down_isps, costs)
+        starts = np.concatenate(([0], np.nonzero(np.diff(down))[0] + 1))
+        stops = np.concatenate((starts[1:], [len(down)]))
+        self.store.deliver_runs(down[starts], starts, stops, chunks, now)
+        self.store.record_uploads(up)
+        return inter, len(down) - inter
 
     def _advance_playback(self, to_time: float) -> Tuple[int, int]:
         """Advance every session; returns (due, missed) chunk totals.

@@ -27,7 +27,7 @@ class Tracker:
     positions are read from.  ``seed_rank`` ("first" or "random")
     controls whether seeds are guaranteed top-ranked in bootstrap lists
     or compete at a random position rank; see
-    :func:`repro.net.topology.rank_candidates`.
+    :func:`repro.net.topology.rank_candidate_columns`.
     """
 
     _NO_MEMBERS: frozenset = frozenset()

@@ -1,11 +1,41 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and the Hypothesis profile for the test suite.
+
+Every ``@given`` test under ``tests/`` runs under the ``repro-props``
+profile, which keeps the fuzzing deterministic and bounded so tier-1
+stays fast and reproducible: ``derandomize=True`` makes Hypothesis
+derive examples from the test function itself (no ambient random seed,
+no example database), and the example budget is fixed (override with
+``REPRO_PROPS_EXAMPLES=n`` for a deeper local soak).  It is loaded
+here, before pytest imports any test module, because a module's
+``@settings(...)`` take their unset fields from the profile loaded when
+the module is imported.  The equivalence suite runs with
+``make test-props`` or ``pytest tests/properties -q``.
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.problem import ProblemBuilder, SchedulingProblem
+
+settings.register_profile(
+    "repro-props",
+    settings(
+        max_examples=int(os.environ.get("REPRO_PROPS_EXAMPLES", "70")),
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.data_too_large,
+            HealthCheck.filter_too_much,
+        ],
+    ),
+)
+settings.load_profile("repro-props")
 
 
 def pytest_configure(config) -> None:

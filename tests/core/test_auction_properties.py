@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, is_hypothesis_test, settings
 from hypothesis import strategies as st
 
 from repro.core.auction import AuctionSolver
@@ -110,3 +110,18 @@ def test_idempotent_across_runs(problem, seed):
     b = AuctionSolver(epsilon=EPS, mode="jacobi").solve(problem)
     assert a.assignment == b.assignment
     assert a.prices == b.prices
+
+
+def test_given_tests_run_derandomized():
+    """Every ``@given`` test here draws the same examples on every run.
+
+    Their ``@settings`` are fixed when this module is imported, so the
+    derandomized profile has to be loaded before that
+    (``tests/conftest.py``), not by a conftest pytest reaches later.
+    """
+    tests = [f for f in list(globals().values()) if is_hypothesis_test(f)]
+    assert len(tests) == 6
+    for test in tests:
+        applied = test._hypothesis_internal_use_settings
+        assert applied.derandomize, test.__name__
+        assert applied.database is None, test.__name__

@@ -5,29 +5,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.net.topology import OverlayGraph, rank_candidates
+from repro.net.topology import OverlayGraph, rank_candidate_columns
+
+
+def rank(table, joiner_position, candidates, **kwargs):
+    """Rank ``candidates`` at the positions ``table`` gives (``None``: a seed)."""
+    ids = np.array(candidates, dtype=np.int64)
+    positions = np.array([table.get(p) for p in candidates], dtype=float)
+    return rank_candidate_columns(ids, positions, joiner_position, **kwargs)
 
 
 class TestRankCandidates:
-    def positions(self, table):
-        return lambda peer: table.get(peer)
-
     def test_orders_by_distance(self):
         table = {1: 100.0, 2: 50.0, 3: 75.0}
-        ranked = rank_candidates(self.positions(table), 60.0, [1, 2, 3])
+        ranked = rank(table, 60.0, [1, 2, 3])
         assert ranked == [2, 3, 1]
 
     def test_seeds_first_by_default(self):
         table = {1: 61.0, 2: None}  # peer 2 is a seed
-        ranked = rank_candidates(self.positions(table), 60.0, [1, 2])
+        ranked = rank(table, 60.0, [1, 2])
         assert ranked[0] == 2
 
     def test_seed_rank_random_can_demote_seeds(self):
         table = {i: 60.0 + i for i in range(1, 8)}
         table[99] = None  # one seed among watchers
         positions = [
-            rank_candidates(
-                self.positions(table),
+            rank(
+                table,
                 60.0,
                 list(table),
                 rng=np.random.default_rng(s),
@@ -40,12 +44,12 @@ class TestRankCandidates:
 
     def test_unknown_seed_rank_rejected(self):
         with pytest.raises(ValueError):
-            rank_candidates(lambda p: None, 0.0, [1], seed_rank="bogus")
+            rank({1: None}, 0.0, [1], seed_rank="bogus")
 
     def test_deterministic_without_rng(self):
         table = {1: 10.0, 2: 10.0, 3: 30.0}
-        a = rank_candidates(self.positions(table), 10.0, [3, 2, 1])
-        b = rank_candidates(self.positions(table), 10.0, [1, 2, 3])
+        a = rank(table, 10.0, [3, 2, 1])
+        b = rank(table, 10.0, [1, 2, 3])
         assert a == b
 
 

@@ -20,6 +20,13 @@ one-pass ``_build_tables``: one :func:`candidate_entry`, and so one
 ``costs_for_pairs`` call, per table.  The property suite runs churn
 trajectories through both and compares the pool and the cost stream
 after every slot.
+
+:func:`suppress_pending_requests` is the reference for the retry mask:
+the production assembler leaves the retry queue's pending cells out of
+its windows, while this oracle assembles every request and then drops
+the rows whose ``(peer, video, chunk)`` triple is pending, with their
+edges, by a set lookup.  :func:`build_problem_cold` applies it, so the
+lossy trajectories of the property suite pin the mask.
 """
 
 from __future__ import annotations
@@ -208,6 +215,50 @@ def assemble_requests_cold(store, now: float, valuation, lookahead: float = 0.0)
     )
 
 
+def triple_key(peer: np.ndarray, video: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """Pack (peer, video, chunk) into one int64 key for set operations.
+
+    Safe while peer ids stay below 2**31 and video/chunk below 2**16 —
+    comfortably true for every configuration in this repo (videos ≤ 100,
+    chunks/video ≤ 2560, peers well under a billion).
+    """
+    return (
+        (np.asarray(peer, dtype=np.int64) << np.int64(32))
+        | (np.asarray(video, dtype=np.int64) << np.int64(16))
+        | np.asarray(chunk, dtype=np.int64)
+    )
+
+
+def suppress_pending_requests(parts, down, video, chunk):
+    """``parts`` without the requests whose triple is pending, or ``None``.
+
+    ``parts`` is an assembler's ``(peers, chunk_pairs, valuations,
+    cand_ids, cand_costs, indptr)``; a row whose (peer, video, chunk)
+    matches a pending ``(down, video, chunk)`` triple is removed, and
+    the candidate CSR is re-packed to match.  Returns ``None`` when
+    nothing survives.
+    """
+    if parts is None:
+        return None
+    req_peers, pairs, vals, cand_ids, cand_costs, indptr = parts
+    keys = triple_key(req_peers, pairs[:, 0], pairs[:, 1])
+    keep = ~np.isin(keys, triple_key(down, video, chunk))
+    if not keep.any():
+        return None
+    counts = np.diff(indptr)
+    edge_keep = np.repeat(keep, counts)
+    new_indptr = np.zeros(int(keep.sum()) + 1, dtype=indptr.dtype)
+    np.cumsum(counts[keep], out=new_indptr[1:])
+    return (
+        req_peers[keep],
+        pairs[keep],
+        vals[keep],
+        cand_ids[edge_keep],
+        cand_costs[edge_keep],
+        new_indptr,
+    )
+
+
 def build_problem_cold(
     system,
     now: float,
@@ -215,6 +266,8 @@ def build_problem_cold(
 ) -> SchedulingProblem:
     """Same contract as ``P2PSystem.build_problem``, on the cold assembler.
 
+    Pending retries are dropped after assembly
+    (:func:`suppress_pending_requests`), not masked out of the windows.
     The columns go through the validating constructor
     (``validate=True``) rather than the trusted one.
     """
@@ -224,6 +277,5 @@ def build_problem_cold(
     rounds = system.config.bid_rounds_per_slot
     lookahead = system.config.slot_seconds / rounds if rounds > 1 else 0.0
     parts = assemble_requests_cold(system.store, now, system.valuation, lookahead)
-    if parts is not None and len(system.retry_queue):
-        parts = system._suppress_pending_requests(parts)
+    parts = suppress_pending_requests(parts, *system.retry_queue.pending_triples())
     return SchedulingProblem(ids, caps, *(parts or ()), validate=True)

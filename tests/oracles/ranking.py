@@ -1,6 +1,6 @@
-"""Per-candidate twin of :func:`repro.net.topology.rank_candidates`.
+"""Per-candidate twin of :func:`repro.net.topology.rank_candidate_columns`.
 
-The production ranking gathers positions into arrays, takes every
+The production ranking reads the positions as one array, takes every
 random draw in one bulk call and orders with ``np.lexsort``.  This is
 the loop it replaced: one ``rng.random()`` per draw, in candidate order,
 and a sort of ``(distance, tiebreak, peer)`` tuples.  The property suite
@@ -21,7 +21,11 @@ def rank_candidates_reference(
     rng: Optional[np.random.Generator] = None,
     seed_rank: str = "first",
 ) -> List[int]:
-    """Same contract as ``rank_candidates``, one candidate at a time."""
+    """The ranking of ``rank_candidate_columns``, one candidate at a time.
+
+    ``position_of`` gives a candidate's playback position, or ``None``
+    for a seed.
+    """
     if seed_rank not in ("first", "random"):
         raise ValueError(f"unknown seed_rank {seed_rank!r}")
     candidates = list(candidates)

@@ -3,9 +3,10 @@
 The property suite (``tests/properties/test_incremental_build_equiv.py``)
 pins byte-identity with the cold oracle wholesale; these tests pin the
 *mechanism*: which mutations make the next build make or drop candidate
-tables (``PeerStateStore.table_counts``), how retry suppression deletes
-and restores request rows, that a repeated build on unchanged state is
-identical, and that no problem and no dead pool span outlives its use.
+tables (``PeerStateStore.table_counts``), how a pending retry keeps its
+request row out of the problem until it is surrendered or delivered,
+that a repeated build on unchanged state is identical, and that no
+problem and no dead pool span outlives its use.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import numpy as np
 from repro.net.linkmodel import LinkParams
 from repro.obs import MemoryTraceSink
 from repro.p2p.config import SystemConfig
-from repro.p2p.retry import _triple_key
+from repro.p2p.state import _PACKED_WINDOW_MAX
 from repro.p2p.system import P2PSystem
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
-from assemble import build_problem_cold  # noqa: E402
+from assemble import build_problem_cold, triple_key  # noqa: E402
 
 
 #: Pool edges the bound allows beyond twice the live ones, so the test
@@ -219,8 +220,8 @@ class TestRetrySuppression:
         system = make_system()
         down, _, vid, chunk = self._queue_one(system)
         problem, counts = double_build(system)
-        # The suppressed triple's row is deleted from the problem, and
-        # no candidate segment had to be re-read for it.
+        # The pending triple's row is left out of the problem, and no
+        # candidate table had to be made for it.
         assert not has_row(problem, down, vid, chunk)
         assert counts["rebuilt"] == 0
 
@@ -260,7 +261,7 @@ class TestRetrySuppression:
         assert not has_row(problem, down, vid, chunk)
 
     def test_request_keys_strictly_ascend(self):
-        """The assembler's order the suppression's binary search needs.
+        """The assembler's request order: no request repeats.
 
         Requests come out in ascending (peer, chunk) order, and a peer
         watches one video, so the packed (peer, video, chunk) keys
@@ -276,33 +277,45 @@ class TestRetrySuppression:
             parts = system.store.assemble_requests(system.now, system.valuation)
             if parts is not None:
                 peers, pairs = parts[0], parts[1]
-                keys = _triple_key(peers, pairs[:, 0], pairs[:, 1])
+                keys = triple_key(peers, pairs[:, 0], pairs[:, 1])
                 assert (np.diff(keys) > 0).all()
                 checked += len(keys)
             system.run_slot(churn=True, remove_finished=True)
         assert checked > 0
 
     def test_suppression_matches_a_set_lookup(self):
-        """Binary search drops exactly the requests a set lookup drops."""
-        system = make_system(n_videos=2)
-        parts = system.store.assemble_requests(system.now, system.valuation)
-        peers, pairs = parts[0], parts[1]
-        picked = np.arange(0, len(peers), 7)
-        # Pending triples: some requested (one twice), one not.
-        down = np.concatenate((peers[picked], peers[picked[:1]], [peers[-1]]))
-        vid = np.concatenate((pairs[picked, 0], pairs[picked[:1], 0], [0]))
-        chunk = np.concatenate((pairs[picked, 1], pairs[picked[:1], 1], [9999]))
-        system.retry_queue.push_failed(
-            down, np.zeros_like(down), vid, chunk, slot=system.slot_index
-        )
-        kept = system._suppress_pending_requests(parts)
-        keys = _triple_key(peers, pairs[:, 0], pairs[:, 1])
-        keep = ~np.isin(keys, _triple_key(down, vid, chunk))
-        assert np.array_equal(kept[0], peers[keep])
-        assert np.array_equal(kept[1], pairs[keep])
-        counts = np.diff(parts[5])
-        assert np.array_equal(kept[3], parts[3][np.repeat(keep, counts)])
-        assert np.array_equal(np.diff(kept[5]), counts[keep])
+        """The build leaves out exactly the requests a set lookup drops.
+
+        At a packed window (the word branch of the assembler's mask) and
+        at a wide one (the boolean branch).
+        """
+        for window in (_PACKED_WINDOW_MAX, _PACKED_WINDOW_MAX + 3):
+            system = make_system(n_videos=2, slots=1, prefetch_chunks=window)
+            full = system.build_problem(system.now)
+            peers, pairs = full.request_peer_array(), full.chunk_pair_array()
+            picked = np.arange(0, len(peers), 7)
+            assert len(picked) > 1
+            # Pending triples: some requested (one twice), one not.
+            down = np.concatenate((peers[picked], peers[picked[:1]], [peers[-1]]))
+            vid = np.concatenate((pairs[picked, 0], pairs[picked[:1], 0], [0]))
+            chunk = np.concatenate((pairs[picked, 1], pairs[picked[:1], 1], [9999]))
+            system.retry_queue.push_failed(
+                down, np.zeros_like(down), vid, chunk, slot=system.slot_index
+            )
+            kept = system.build_problem(system.now)
+            keys = triple_key(peers, pairs[:, 0], pairs[:, 1])
+            keep = ~np.isin(keys, triple_key(down, vid, chunk))
+            assert np.array_equal(kept.request_peer_array(), peers[keep])
+            assert np.array_equal(kept.chunk_pair_array(), pairs[keep])
+            a, b = full.csr(), kept.csr()
+            counts = np.diff(a.indptr)
+            edges = np.repeat(keep, counts)
+            assert np.array_equal(np.diff(b.indptr), counts[keep])
+            assert np.array_equal(
+                b.uploaders[b.uploader_index], a.uploaders[a.uploader_index][edges]
+            )
+            assert np.array_equal(b.values, a.values[edges])
+            assert_identical(build_problem_cold(system, system.now), kept)
 
 
 class TestSessionSync:

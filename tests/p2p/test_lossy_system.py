@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
 from repro.net.linkmodel import LinkParams
 from repro.p2p.config import SystemConfig
-from repro.p2p.retry import _triple_key
 from repro.p2p.system import P2PSystem
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
+from assemble import triple_key  # noqa: E402
 
 
 def _lossy_everywhere(system, loss=1.0, **kwargs):
@@ -20,7 +25,7 @@ def _lossy_everywhere(system, loss=1.0, **kwargs):
 
 def _request_triples(problem):
     pairs = problem.chunk_pair_array()
-    return _triple_key(
+    return triple_key(
         problem.request_peer_array(), pairs[:, 0], pairs[:, 1]
     )
 
@@ -132,7 +137,7 @@ class TestRetryInteractions:
         problem, down, video, chunk = self._park_first_request(system, uploader_id=0)
         suppressed = system.build_problem(system.now)
         assert suppressed.n_requests == problem.n_requests - 1
-        key = _triple_key(
+        key = triple_key(
             np.array([down]), np.array([video]), np.array([chunk])
         )
         assert not np.isin(key, _request_triples(suppressed)).any()
@@ -146,7 +151,7 @@ class TestRetryInteractions:
         assert len(system.retry_queue) == 0
         reexposed = system.build_problem(system.now)
         assert reexposed.n_requests == problem.n_requests
-        key = _triple_key(
+        key = triple_key(
             np.array([down]), np.array([video]), np.array([chunk])
         )
         assert np.isin(key, _request_triples(reexposed)).any()

@@ -31,10 +31,28 @@ class TestBackoff:
     def test_attempt_must_be_positive(self):
         with pytest.raises(ValueError):
             RetryQueue().backoff_slots(0)
+        with pytest.raises(ValueError):
+            RetryQueue().backoff_slots(np.array([3, 0, 2]))
+
+    @pytest.mark.parametrize("base,cap", [(1, 4), (2, 8), (2, 64), (3, 5), (5, 2)])
+    def test_array_rule_equals_scalar_rule(self, base, cap):
+        """One rule for arrays and scalars, exact past int64's shift range.
+
+        At ``(2, 64)`` a shift bounded only by 62 overflows int64 once
+        the attempt count passes 62.
+        """
+        queue = RetryQueue(backoff_base_slots=base, backoff_cap_slots=cap)
+        attempts = range(1, 201)
+        expected = [min(base << min(a - 1, 62), cap) for a in attempts]
+        got = queue.backoff_slots(np.arange(1, 201))
+        assert got.dtype == np.int64 and got.tolist() == expected
+        scalars = [queue.backoff_slots(a) for a in attempts]
+        assert scalars == expected
+        assert all(type(x) is int for x in scalars)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(backoff_base_slots=0), dict(backoff_cap_slots=0),
-                   dict(ttl_slots=0)]
+                   dict(ttl_slots=0), dict(backoff_cap_slots=2**31)]
     )
     def test_constructor_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -98,19 +116,6 @@ class TestLifecycle:
         _push_one(queue, down=100, up=1)
         assert queue.evict_departed(np.ones(5, dtype=bool)) == 1
         assert len(queue) == 0
-
-    def test_drop_downstream_chunks(self):
-        queue = RetryQueue()
-        queue.push_failed(
-            np.array([1, 1, 2]), np.array([9, 9, 9]),
-            np.array([0, 0, 0]), np.array([4, 5, 4]), 0,
-        )
-        dropped = queue.drop_downstream_chunks(
-            np.array([1]), np.array([0]), np.array([4])
-        )
-        assert dropped == 1
-        down, _, chunk = queue.pending_triples()
-        assert sorted(zip(down.tolist(), chunk.tolist())) == [(1, 5), (2, 4)]
 
 
 class TestSnapshot:

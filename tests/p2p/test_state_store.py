@@ -138,6 +138,43 @@ class TestTransferPath:
         system.store.check_consistency(system.peers)
 
 
+class TestHolds:
+    def test_column_read_equals_the_buffers(self):
+        """Random pairs over seeds, watchers and a second bucket."""
+        system = build_system(12)
+        system.run(20.0)
+        odd_video = Video(
+            video_id=999,
+            n_chunks=77,  # different chunk count → second StateBucket
+            chunk_size_bytes=system.catalog[0].chunk_size_bytes,
+            bitrate_bps=system.catalog[0].bitrate_bps,
+        )
+        odd = _craft_peer(system, max(system.peers) + 1, odd_video)
+        system._admit(odd)
+        odd.buffer.fill_range(10, 50)
+        assert len(system.store.buckets) == 2
+        rng = np.random.default_rng(0)
+        ids = rng.choice(np.array(sorted(system.peers)), size=3000)
+        chunks = rng.integers(-3, 90, size=3000)
+        got = system.store.holds(ids, chunks)
+        want = [
+            system.peers[int(p)].buffer.holds(int(c)) for p, c in zip(ids, chunks)
+        ]
+        assert got.tolist() == want
+        assert got.any() and not got.all()
+        assert odd.peer_id in ids
+        assert any(system.peers[int(p)].is_seed for p in ids)
+
+    def test_departed_id_raises(self):
+        system = build_system(8)
+        victim = next(pid for pid, p in system.peers.items() if not p.is_seed)
+        system.remove_peer(victim)
+        with pytest.raises(KeyError):
+            system.store.holds(np.array([victim]), np.array([0]))
+        with pytest.raises(KeyError):
+            system.store.holds(np.array([-1]), np.array([0]))
+
+
 class TestNeighborRefill:
     def test_link_change_invalidates_candidate_entries(self):
         system = build_system(12)

@@ -5,8 +5,9 @@ the store's pool with one range gather and assembles requests in one
 fused pass per bucket.  The oracle in ``tests/oracles/assemble.py`` is
 the cold per-group assembler it replaced, which re-derives windows,
 requests and edge order per video group on every call.  Random
-multi-slot trajectories — mixing churn, lossy links (retry
-suppression), sub-slot re-bid rounds and mid-run regime events
+multi-slot trajectories — mixing churn, lossy links (pending retries,
+which the build masks out of its windows and the oracle drops after
+assembly), sub-slot re-bid rounds and mid-run regime events
 (inter-ISP cost shocks, capacity ramps, overlay degree changes) — are
 realized through the official system APIs, and three invariants are
 pinned:

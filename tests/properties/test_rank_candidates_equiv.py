@@ -1,9 +1,10 @@
-"""Property: bulk-draw ``rank_candidates`` ≡ the per-candidate loop.
+"""Property: bulk-draw ``rank_candidate_columns`` ≡ the per-candidate loop.
 
 The tracker ranks every joiner's bootstrap candidates with
-:func:`repro.net.topology.rank_candidates`, which gathers positions
-into arrays, takes all its random draws in one ``rng.random(k)`` call
-and orders with ``np.lexsort``.  The oracle in ``tests/oracles`` is the
+:func:`repro.net.topology.rank_candidate_columns`, which reads the
+candidates' positions as one array (gathered here from the table),
+takes all its random draws in one ``rng.random(k)`` call and orders
+with ``np.lexsort``.  The oracle in ``tests/oracles`` is the
 per-candidate loop with a tuple sort it replaced.  Both must give the
 same ranking and leave the generator in the same state, in both
 ``seed_rank`` modes, with and without an RNG, on tied distances and on
@@ -20,7 +21,7 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.net.topology import rank_candidates
+from repro.net.topology import rank_candidate_columns
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
 from ranking import rank_candidates_reference  # noqa: E402
@@ -55,7 +56,9 @@ candidate_tables = st.dictionaries(st.integers(0, 3_000), positions, max_size=40
 def test_rank_candidates_matches_reference(table, joiner, seed, use_rng, seed_rank):
     rng_new = np.random.default_rng(seed) if use_rng else None
     rng_ref = np.random.default_rng(seed) if use_rng else None
-    new = rank_candidates(table.get, joiner, list(table), rng=rng_new, seed_rank=seed_rank)
+    ids = np.array(list(table), dtype=np.int64)
+    positions = np.array([table[p] for p in ids.tolist()], dtype=float)
+    new = rank_candidate_columns(ids, positions, joiner, rng=rng_new, seed_rank=seed_rank)
     ref = rank_candidates_reference(
         table.get, joiner, list(table), rng=rng_ref, seed_rank=seed_rank
     )
