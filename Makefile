@@ -65,10 +65,10 @@ results-check:
 	$(MAKE) scenarios
 	git diff --exit-code -- results/
 
-# The paper's figure anchors across seeds: Fig. 2-6 at bench scale for
-# seeds 0-7 through the figure functions the benches call, printed as one
-# margin per anchor and seed (positive when the anchor holds), then each
-# figure's shape checks.  Writes nothing under results/ and exits 1 if
+# The paper's anchors across seeds: Fig. 2-6 and ablation A4 at bench
+# scale for seeds 0-7 through the functions the benches call, printed as
+# one margin per anchor and seed (positive when the anchor holds), then
+# each figure's shape checks.  Writes nothing under results/ and exits 1 if
 # anything fails at some seed.  About a minute on a 2-core host, so not
 # part of `make test`.
 claims:

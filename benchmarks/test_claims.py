@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
-from claims import ANCHORS, FIGURES, Anchor, _ratio, render, sweep
+from claims import ANCHORS, RUNS, Anchor, _ratio, render, sweep
 
 
 def test_every_figure_has_an_anchor():
-    assert {a.figure for a in ANCHORS} == set(FIGURES)
+    assert {a.run for a in ANCHORS} == set(RUNS)
     labels = [a.label() for a in ANCHORS]
     assert len(set(labels)) == len(labels)
 
@@ -21,6 +21,17 @@ def test_margin_is_positive_exactly_when_the_claim_holds():
     assert above.margin(1.5) == 0.0
     assert below.margin(0.04) == pytest.approx(0.06)
     assert below.margin(0.10) == 0.0
+    assert not above.holds(above.margin(1.5))
+
+
+def test_a_non_strict_anchor_holds_at_its_bound():
+    at_least = Anchor("a4", "x", lambda r: r, 0.0, strict=False)
+    at_most = Anchor("a4", "x", lambda r: r, 0.0, below=True, strict=False)
+    assert at_least.holds(at_least.margin(0.0))
+    assert at_most.holds(at_most.margin(0.0))
+    assert not at_least.holds(at_least.margin(-1e-12))
+    assert not at_most.holds(at_most.margin(1e-12))
+    assert at_least.label() == "a4 x ≥ 0" and at_most.label() == "a4 x ≤ 0"
 
 
 def test_ratio_at_zero_denominator():

@@ -25,4 +25,4 @@ def test_fig2_price_convergence(benchmark, results_dir):
     archive(results_dir, "fig2", result.text)
     assert result.shape_holds, result.shape
     # The price moves (claims.ANCHORS).
-    assert_anchors(result)
+    assert_anchors("fig2", result)

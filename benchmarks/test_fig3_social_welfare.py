@@ -26,4 +26,4 @@ def test_fig3_social_welfare(benchmark, results_dir):
     # Who wins and by what factor (the paper shows a many-fold gap), and
     # the locality strawman dips negative at least once, Fig. 3's
     # hallmark (claims.ANCHORS).
-    assert_anchors(result)
+    assert_anchors("fig3", result)

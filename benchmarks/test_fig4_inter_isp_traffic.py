@@ -24,4 +24,4 @@ def test_fig4_inter_isp_traffic(benchmark, results_dir):
     assert result.shape_holds, result.shape
     # Factor check: the paper's gap is ~1.5–2×, ours must be at least
     # 1.5×; and there IS cross-ISP demand (claims.ANCHORS).
-    assert_anchors(result)
+    assert_anchors("fig4", result)

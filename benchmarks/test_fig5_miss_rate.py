@@ -24,4 +24,4 @@ def test_fig5_miss_rate(benchmark, results_dir):
     assert result.shape_holds, result.shape
     # Ordering plus rough magnitudes: auction < locality, both small
     # (claims.ANCHORS).
-    assert_anchors(result)
+    assert_anchors("fig5", result)

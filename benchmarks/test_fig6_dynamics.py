@@ -23,4 +23,4 @@ def test_fig6_peer_dynamics(benchmark, results_dir):
     assert result.shape_holds, result.shape
     # (a) welfare: auction positive and ahead; (b) inter-ISP share:
     # auction lower; (c) miss rate: auction no worse (claims.ANCHORS).
-    assert_anchors(result)
+    assert_anchors("fig6", result)

@@ -90,8 +90,10 @@ __all__ = [
     "PriceTrace",
 ]
 
-#: Default bidding increment: negligible welfare impact (gap ≤ n·ε) but
-#: guarantees termination even on tied instances.
+#: Default bidding increment: negligible welfare impact (gap ≤ n·ε).  Any
+#: ε > 0 terminates, but on tied instances the bids grow as 1/ε, so a price
+#: war can outrun ``AuctionSolver``'s round budget at this ε; slots run
+#: ``SystemConfig.epsilon`` = 0.01.
 DEFAULT_EPSILON = 1e-9
 
 #: The first jacobi round that is not bulk and evaluates at most this

@@ -66,6 +66,26 @@ class LPSolution:
         return float(np.minimum(self.x, 1.0 - self.x).max())
 
 
+def _lp_arrays(problem: SchedulingProblem):
+    """The LP relaxation as linprog's ``(c, A_ub, b_ub)``, from the CSR.
+
+    One variable per CSR edge, in CSR order, with cost ``−(v − w)``
+    (linprog minimizes).  Row ``i`` of ``A_ub`` is uploader ``i``'s
+    capacity (its edges sum to at most ``capacity[i]``) and row
+    ``U + r`` request ``r``'s one source (its edges sum to at most 1).
+    """
+    csr = problem.csr()
+    n_uploaders, n_edges = len(csr.uploaders), csr.n_edges
+    rows = np.concatenate((csr.uploader_index, n_uploaders + csr.edge_rows()))
+    cols = np.tile(np.arange(n_edges), 2)
+    a_ub = sparse.csr_matrix(
+        (np.ones(2 * n_edges), (rows, cols)),
+        shape=(n_uploaders + csr.n_requests, n_edges),
+    )
+    b_ub = np.concatenate((csr.capacity.astype(float), np.ones(csr.n_requests)))
+    return -csr.values, a_ub, b_ub
+
+
 def solve_lp_relaxation(
     problem: SchedulingProblem, integrality_tol: float = 1e-6
 ) -> LPSolution:
@@ -73,42 +93,18 @@ def solve_lp_relaxation(
 
     Variables are the edges ``a_{u→d}^{(c)} ∈ [0, 1]``; the two
     constraint families are uploader capacity and one-source-per-request.
+    The matrix is built from the problem's CSR columns, and a request is
+    served by the edge whose variable exceeds 0.5.
     """
-    edges = []  # (request index, uploader id, value)
-    for r in range(problem.n_requests):
-        for u, value in zip(problem.candidates_of(r), problem.edge_values_of(r)):
-            edges.append((r, int(u), float(value)))
-    n_edges = len(edges)
     n_requests = problem.n_requests
-    uploaders = problem.uploaders()
-    uploader_row = {u: i for i, u in enumerate(uploaders)}
-
-    if n_edges == 0:
+    assigned = np.full(n_requests, -1, dtype=np.int64)
+    if problem.n_edges() == 0:
         empty = ScheduleResult.from_assignment_ids(
-            np.full(n_requests, -1, dtype=np.int64),
-            stats=SolverStats(converged=True),
+            assigned, stats=SolverStats(converged=True)
         )
         return LPSolution(value=0.0, x=np.zeros(0), integral=True, result=empty)
 
-    c = -np.array([value for _, __, value in edges])  # linprog minimizes
-    data, row_idx, col_idx = [], [], []
-    for j, (r, u, _) in enumerate(edges):
-        row_idx.append(uploader_row[u])
-        col_idx.append(j)
-        data.append(1.0)
-        row_idx.append(len(uploaders) + r)
-        col_idx.append(j)
-        data.append(1.0)
-    a_ub = sparse.csr_matrix(
-        (data, (row_idx, col_idx)),
-        shape=(len(uploaders) + n_requests, n_edges),
-    )
-    b_ub = np.concatenate(
-        [
-            np.array([problem.capacity_of(u) for u in uploaders], dtype=float),
-            np.ones(n_requests),
-        ]
-    )
+    c, a_ub, b_ub = _lp_arrays(problem)
     lp = optimize.linprog(
         c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs"
     )
@@ -117,10 +113,9 @@ def solve_lp_relaxation(
     x = lp.x
     integral = bool(np.all(np.minimum(x, 1.0 - x) <= integrality_tol))
 
-    assigned = np.full(n_requests, -1, dtype=np.int64)
-    for j, (r, u, _) in enumerate(edges):
-        if x[j] > 0.5:
-            assigned[r] = u
+    csr = problem.csr()
+    taken = x > 0.5
+    assigned[csr.edge_rows()[taken]] = csr.uploaders[csr.uploader_index[taken]]
     result = ScheduleResult.from_assignment_ids(
         assigned, stats=SolverStats(converged=True)
     )

@@ -61,9 +61,10 @@ def per_isp_welfare(
 ) -> Dict[int, float]:
     """Welfare grouped by the downstream peer's ISP.
 
-    ``isp_of`` maps a peer id to its ISP index (e.g.
-    ``ISPTopology.isp_of``).  ISPs with no served peers report 0.0 when
-    ``n_isps`` is given.
+    ``isp_of`` maps a peer id to its ISP index (e.g. a system's
+    ``topology.isp_of``, which raises ``KeyError`` once the peer has
+    departed).  ISPs with no served peers report 0.0 when ``n_isps``
+    is given.
     """
     welfare: Dict[int, float] = (
         {isp: 0.0 for isp in range(n_isps)} if n_isps is not None else {}

@@ -44,7 +44,8 @@ class CostModel:
     Parameters
     ----------
     topology:
-        The ISP membership map deciding which distribution applies.
+        The one record of each peer's ISP, deciding which distribution
+        applies; a cached pair's ends stay placed until :meth:`forget_peer`.
     rng:
         Source of randomness for the cost draws.
     inter, intra:

@@ -26,12 +26,13 @@ at the few places state actually changes:
   member-id tables the candidate lookups binary-search.
 * **Membership** is recorded once, by peer id: the sorted array of
   online ids, and the id-indexed columns holding each online peer's
-  bucket row and key, plus the values fixed at construction (ISP, seed
-  flag, departure time), written once at admission.  Ascending id is
-  the only order: capacity columns, departure scans and request
-  columns all come out in it.  Online ids and member tables are merged
-  per batch in :meth:`PeerStateStore.admit_batch` and compacted per
-  batch in :meth:`PeerStateStore.remove_batch`.
+  bucket row and key, plus the values fixed at construction (seed
+  flag, departure time, video), written once at admission; its ISP's
+  one record is the cost model's ``topology``.  Ascending id is the
+  only order: capacity columns, departure scans and request columns
+  all come out in it.  Online ids and member tables are merged per
+  batch in :meth:`PeerStateStore.admit_batch` and compacted per batch
+  in :meth:`PeerStateStore.remove_batch`.
 * **Candidate tables** (a watcher's same-video neighbor rows, ids and
   costs) are kept once, as spans of one pooled ``(rows, ids, costs)``
   triple addressed by two id-indexed columns, a start and a count (−1:
@@ -360,7 +361,7 @@ class PeerStateStore:
     # ------------------------------------------------------------------
     #: Peer-id-indexed columns and the value an id without an online
     #: peer reads: the bucket row and key, the values fixed at the
-    #: peer's construction (ISP, seed flag, departure time and video,
+    #: peer's construction (seed flag, departure time and video,
     #: written once at admission), and the peers' own upload capacity
     #: and transfer counters, which their
     #: ``upload_capacity_chunks`` / ``chunks_downloaded`` /
@@ -368,10 +369,9 @@ class PeerStateStore:
     #: and the span of the peer's candidate table in the pool (count
     #: −1: no table).
     _ID_COLUMNS = (
-        ("_row_table", -1), ("_bucket_key", -1), ("_isp_table", -1),
-        ("_seed_table", False), ("_departure_table", np.inf),
-        ("capacity", 0), ("downloaded", 0), ("uploaded", 0),
-        ("first_delivery", np.nan), ("_table_start", 0),
+        ("_row_table", -1), ("_bucket_key", -1), ("_seed_table", False),
+        ("_departure_table", np.inf), ("capacity", 0), ("downloaded", 0),
+        ("uploaded", 0), ("first_delivery", np.nan), ("_table_start", 0),
         ("_table_count", -1), ("_video_table", -1),
     )
 
@@ -406,7 +406,6 @@ class PeerStateStore:
         group = self._ensure_group(peer)
         self._row_table[pid] = group.bucket.admit_row(peer, self)
         self._bucket_key[pid] = group.bucket.n_chunks
-        self._isp_table[pid] = peer.isp
         self._seed_table[pid] = peer.is_seed
         self._departure_table[pid] = (
             np.inf if peer.departure_time is None else peer.departure_time
@@ -493,10 +492,6 @@ class PeerStateStore:
         """
         ids = self._online_ids
         return ids, self.capacity[ids]
-
-    def isp_table(self) -> np.ndarray:
-        """Peer-id-indexed ISP lookup table (−1 = offline; do not mutate)."""
-        return self._isp_table
 
     def _online_rows(self, ids: np.ndarray) -> np.ndarray:
         """Bucket rows of the peers ``ids``; ``KeyError`` if one is not online.
@@ -1078,9 +1073,9 @@ class PeerStateStore:
 
         ``rollup`` (an :class:`~repro.obs.rollup.IspRollup`, when the
         run has one attached) receives the same due/missed counts
-        broken down by the watcher's home ISP — computed from the
-        per-row arrays the batch pass already holds, so the disabled
-        path pays nothing.
+        broken down by the watcher's home ISP (the cost model's topology
+        column) — computed from the per-row arrays the batch pass
+        already holds, so the disabled path pays nothing.
 
         One vectorized pass per bucket (a single pass for uniform
         catalogs) replaces the per-session ``advance_to`` loop: targets
@@ -1143,7 +1138,9 @@ class PeerStateStore:
         bucket.last_advance[rows[eligible]] = to_time
         if rollup is not None:
             rollup.record_playback(
-                self._isp_table[bucket.peer_ids[rows]], width, row_missed
+                self.costs.topology.column()[bucket.peer_ids[rows]],
+                width,
+                row_missed,
             )
         return int(width.sum()), int(row_missed.sum())
 
@@ -1159,8 +1156,8 @@ class PeerStateStore:
         inside it, its live count is the online tables' edges, and no
         offline id holds a table), that every online peer's buffer,
         session and peer share one handle bound to the row the row
-        table names, and the values written at admission (ISP, seed
-        flag, departure time and video).
+        table names, and the values written at admission (seed flag,
+        departure time and video).
         """
         ids = sorted(peers)
         assert self._online_ids.tolist() == ids, "online ids drifted from peers"
@@ -1211,7 +1208,6 @@ class PeerStateStore:
             assert peer.buffer.peer_row is handle and (
                 peer.session is None or peer.session.peer_row is handle
             ), f"peer {pid}'s buffer or session has another handle"
-            assert self._isp_table[pid] == peer.isp, f"ISP of peer {pid} drifted"
             assert self._seed_table[pid] == peer.is_seed, (
                 f"seed flag of peer {pid} drifted"
             )

@@ -291,14 +291,15 @@ class P2PSystem:
     def _admit_all(self, peers: Iterable[Peer]) -> None:
         """Bring new peers online, in order.
 
-        Three phases.  Each peer is placed in an ISP and takes its store
-        row as :meth:`PeerStateStore.admit_batch` reaches it (``peers``
-        is read once, so a generator of new peers keeps one private row
-        copy alive at a time).  The batch's member tables are then
-        merged once.  Last, each peer is bootstrapped and registered in
-        order: the tracker's ranking RNG is consumed in that order, and
-        it reads every candidate's position from the store, which by
-        then holds the whole batch.
+        Three phases.  Each peer is placed in an ISP (the topology's
+        column; ``peer.isp`` keeps the index) and takes its store row as
+        :meth:`PeerStateStore.admit_batch` reaches it (``peers`` is read
+        once, so a generator of new peers keeps one private row copy
+        alive at a time).  The batch's member tables are then merged
+        once.  Last, each peer is bootstrapped and registered in order:
+        the tracker's ranking RNG is consumed in that order, and it reads
+        every candidate's position from the store, which by then holds
+        the whole batch.
         """
         placed: List[Peer] = []
 
@@ -330,8 +331,9 @@ class P2PSystem:
     def _depart(self, ids: List[int]) -> None:
         """Take online peers offline, in order: every departure's path.
 
-        The store removes the whole batch at once, and the batch leaves
-        the pair-cost cache in one sweep.
+        The store removes the whole batch at once, the topology clears
+        each peer's ISP entry, and the batch leaves the pair-cost cache
+        in one sweep.
         """
         peers = [self.peers.pop(pid) for pid in ids]
         self.store.remove_batch(peers)
@@ -888,7 +890,7 @@ class P2PSystem:
         queue = self.retry_queue
         if not len(queue):
             return zero
-        isp_of = self.store.isp_table()
+        isp_of = self.topology.column()
         evicted = queue.evict_departed(isp_of >= 0)
         surrendered = len(queue.pop_surrendered(self.slot_index)[0])
         batch, expire = queue.pop_due(self.slot_index)
@@ -958,7 +960,7 @@ class P2PSystem:
             # Lossy regime: classify each assigned edge under the link
             # table.  Failed/truncated edges park in the retry queue;
             # only survivors are delivered and counted as traffic.
-            isp_of = self.store.isp_table()
+            isp_of = self.topology.column()
             outcome = self.links.evaluate(
                 isp_of[uploaders], isp_of[downstream], self._link_rng
             )
@@ -998,8 +1000,8 @@ class P2PSystem:
         """Deliver ``chunks`` from ``up`` to ``down``; returns (inter, intra).
 
         The one delivery epilogue, for first-pass and retry transfers
-        alike: inter- vs intra-ISP classification via the store's ISP
-        table, the traffic matrix and the rollup (transit ``costs``
+        alike: inter- vs intra-ISP classification via the topology's
+        ISP column, the traffic matrix and the rollup (transit ``costs``
         when given) as one batch each, deliveries and download counters
         as one grouped write per state bucket, and upload counters as
         one bincount over the uploader column.  Each downstream's
@@ -1010,7 +1012,7 @@ class P2PSystem:
         """
         if not len(down):
             return 0, 0
-        isp_of = self.store.isp_table()
+        isp_of = self.topology.column()
         up_isps = isp_of[up]
         down_isps = isp_of[down]
         inter = int((up_isps != down_isps).sum())

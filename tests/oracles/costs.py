@@ -58,7 +58,7 @@ class DictCostModel:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        dist = self.intra if self.topology.same_isp(src, dst) else self.inter
+        dist = self.intra if self._same_isp(src, dst) else self.inter
         value = sample_one(dist, self.rng)
         if self._isp_scale:
             value *= self._pair_scale(src, dst)
@@ -78,7 +78,7 @@ class DictCostModel:
             key = self._key(src, dst)
             cached = self._cache.get(key)
             if cached is None:
-                missing.setdefault(key, self.topology.same_isp(src, dst))
+                missing.setdefault(key, self._same_isp(src, dst))
                 out[i] = np.nan
             else:
                 out[i] = cached
@@ -101,6 +101,9 @@ class DictCostModel:
                 if np.isnan(out[i]):
                     out[i] = self._cache[self._key(src, dst)]
         return out
+
+    def _same_isp(self, src: int, dst: int) -> bool:
+        return self.topology.isp_of(src) == self.topology.isp_of(dst)
 
     def _pair_scale(self, src: int, dst: int) -> float:
         a = self.topology.isp_of(src)

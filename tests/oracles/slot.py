@@ -191,7 +191,7 @@ def record_upload(peer, n: int = 1) -> None:
 
 def is_inter_isp(costs, src: int, dst: int) -> bool:
     """Whether a transfer src→dst crosses an ISP boundary."""
-    return not costs.topology.same_isp(src, dst)
+    return costs.topology.isp_of(src) != costs.topology.isp_of(dst)
 
 
 def costs_from(costs, sources: Iterable[int], dst: int) -> np.ndarray:

@@ -208,7 +208,9 @@ class TestBatchStoreOps:
         # Store columns shrank coherently.
         ids, caps = system.store.capacity_columns()
         assert len(ids) == len(system.peers)
-        assert np.all(system.store.isp_table()[[p.peer_id for p in victims]] == -1)
+        gone = [p.peer_id for p in victims]
+        assert np.all(system.store._row_table[gone] == -1)
+        assert np.all(system.topology.column()[gone] == -1)
 
     def test_remove_batch_unknown_peer_raises(self):
         system = P2PSystem(SystemConfig.tiny(seed=6))

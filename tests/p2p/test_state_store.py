@@ -57,7 +57,7 @@ class TestMembershipPaths:
         ids, caps = system.store.capacity_columns()
         assert ids[-1] == peer.peer_id
         assert caps[-1] == peer.upload_capacity_chunks
-        assert system.store.isp_table()[peer.peer_id] == peer.isp
+        assert system.topology.column()[peer.peer_id] == peer.isp
         assert store_row(system, peer) == (peer.peer_row.cols, peer.peer_row.row)
         assert peer.buffer.mask.base is not None  # bound into the matrix
         system.store.check_consistency(system.peers)
@@ -78,7 +78,7 @@ class TestMembershipPaths:
         system.remove_peer(pid)
         assert store._table_count[pid] == -1  # its table is dropped
         assert store._pool_live == live - edges
-        assert system.store.isp_table()[pid] == -1
+        assert system.topology.column()[pid] == -1
         assert system.store._row_table[pid] == -1
         assert pid not in group.member_ids.tolist()
         assert row in group.bucket.free_rows
@@ -554,7 +554,6 @@ class TestConsistencyCheckFires:
     @pytest.mark.parametrize(
         "column, value, what",
         [
-            ("_isp_table", 99, "ISP"),
             ("_seed_table", True, "seed flag"),
             ("_departure_table", 0.5, "departure time"),
         ],

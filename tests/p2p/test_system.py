@@ -5,6 +5,7 @@ from __future__ import annotations
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from repro.p2p.config import SystemConfig
@@ -43,7 +44,7 @@ class TestAdmission:
         assert peer.peer_id in tiny_system.peers
         assert peer.peer_id in tiny_system.tracker.members_view(0)
         assert peer.peer_id in tiny_system.overlay
-        assert peer.peer_id in tiny_system.topology
+        assert tiny_system.topology.isp_of(peer.peer_id) == peer.isp
         assert tiny_system.overlay.degree(peer.peer_id) > 0  # found neighbors
 
     def test_remove_peer_cleans_up(self, tiny_system):
@@ -54,7 +55,7 @@ class TestAdmission:
         assert pid not in tiny_system.peers
         assert pid not in tiny_system.tracker.members_view(0)
         assert pid not in tiny_system.overlay
-        assert pid not in tiny_system.topology
+        assert tiny_system.topology.column()[pid] == -1
         lo, hi, _ = tiny_system.costs.cached_pairs()
         assert pid not in lo and pid not in hi
 
@@ -158,6 +159,23 @@ class TestChurn:
         system = P2PSystem(config)
         system.run(60.0, churn=True)
         assert system.departures > 0
+
+    def test_isp_column_follows_churn(self):
+        """The topology's column is the one record of every online ISP."""
+        config = SystemConfig.tiny(
+            seed=4, arrival_rate_per_s=1.0, early_departure_prob=0.5
+        )
+        system = P2PSystem(config)
+        system.run(60.0, churn=True)
+        assert system.departures > 0
+        column = system.topology.column()
+        placed = np.flatnonzero(column >= 0)
+        assert placed.tolist() == sorted(system.peers)
+        assert system.topology.sizes() == np.bincount(
+            column[placed], minlength=config.n_isps
+        ).tolist()
+        for pid, peer in system.peers.items():
+            assert column[pid] == peer.isp
 
     def test_same_seed_same_workload(self):
         """The comparison methodology: arrivals identical across schedulers."""

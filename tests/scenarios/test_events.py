@@ -63,11 +63,12 @@ class TestCostShocks:
     def test_cached_pairs_jump_in_place(self):
         system = tiny_system()
         costs = system.costs
+        isp = costs.topology.column()
         pairs = [
             (a, b)
             for a in system.peers
             for b in system.peers
-            if a < b and not costs.topology.same_isp(a, b)
+            if a < b and isp[a] != isp[b]
         ][:10]
         before = {p: costs.cost(*p) for p in pairs}
         system.scale_inter_isp_costs(2.0)
@@ -82,10 +83,11 @@ class TestCostShocks:
         ids = sorted(a.peers)
         lo, hi, _ = a.costs.cached_pairs()
         cached = set(zip(lo.tolist(), hi.tolist()))
+        isp = a.costs.topology.column()
         fresh = None
         for u in ids:
             for d in ids:
-                if u < d and not a.costs.topology.same_isp(u, d):
+                if u < d and isp[u] != isp[d]:
                     if (u, d) not in cached:
                         fresh = (u, d)
                         break
@@ -97,11 +99,12 @@ class TestCostShocks:
     def test_pair_scale_targets_only_that_pair(self):
         system = tiny_system()
         costs = system.costs
+        isp = costs.topology.column()
         intra_pairs = [
             (a, b)
             for a in system.peers
             for b in system.peers
-            if a < b and costs.topology.same_isp(a, b)
+            if a < b and isp[a] == isp[b]
         ][:5]
         before = {p: costs.cost(*p) for p in intra_pairs}
         system.set_isp_pair_cost_scale(0, 1, 4.0)  # inter pair only
