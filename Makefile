@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl scenarios scenarios-smoke scenarios-lossy trace-smoke results-check claims perf-ab
+.PHONY: test test-props bench bench-quick bench-all bench-xl bench-xxl scenarios scenarios-smoke scenarios-lossy trace-smoke results-check claims perf-ab solve-bench
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -89,3 +89,12 @@ PAIRS ?= 10
 TRACE ?= 0
 perf-ab:
 	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --workload $(W) --seed $(SEED) --pairs $(PAIRS) --trace $(TRACE)
+
+# The live auction solves of one perfbench workload (pass 0 of seed
+# $(SEED), its first 3 measured slots × 4 bid rounds), re-solved in
+# process: the solver's ms per solve (fastest of 5 sweeps) and one
+# sha256 over every result's assignment, λ, stats and price callbacks.
+# Two trees' solves can so be checked for bit-identity and timed in
+# seconds.  Not part of `make test`.
+solve-bench:
+	$(PYTHON) benchmarks/solve_bench.py --workload $(W) --seed $(SEED)

@@ -9,7 +9,6 @@ staying (empirically exactly) optimal.
 from __future__ import annotations
 
 import numpy as np
-from conftest import archive
 
 from repro.experiments.sweep import epsilon_sweep, render_epsilon_sweep
 
@@ -26,9 +25,9 @@ def run_sweep():
     )
 
 
-def test_ablation_epsilon(benchmark, results_dir):
+def test_ablation_epsilon(benchmark, archive):
     rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    archive(results_dir, "ablation_epsilon", render_epsilon_sweep(rows))
+    archive("ablation_epsilon", render_epsilon_sweep(rows))
 
     by_eps = {r.epsilon: r for r in rows}
     # Optimality improves (weakly) as ε shrinks ...

@@ -11,8 +11,6 @@ rounds) vs rounds.
 
 from __future__ import annotations
 
-from conftest import archive
-
 from repro.experiments.sweep import rebid_study, render_rebid_study
 
 
@@ -20,9 +18,9 @@ def run_study():
     return rebid_study(rounds_list=(1, 2, 4, 8), seed=0)
 
 
-def test_ablation_rebid(benchmark, results_dir):
+def test_ablation_rebid(benchmark, archive):
     rows = benchmark.pedantic(run_study, rounds=1, iterations=1)
-    archive(results_dir, "ablation_rebid", render_rebid_study(rows))
+    archive("ablation_rebid", render_rebid_study(rows))
 
     by_cell = {(r.rounds, r.warm): r for r in rows}
     # Re-bidding within the slot rescues deadline chunks the one-shot

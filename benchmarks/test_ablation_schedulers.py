@@ -8,12 +8,11 @@ random floor, all on the identical workload (same seed).
 from __future__ import annotations
 
 from claims import assert_anchors, run_shootout
-from conftest import archive
 
 from repro.metrics.report import render_table
 
 
-def test_ablation_schedulers(benchmark, results_dir):
+def test_ablation_schedulers(benchmark, archive):
     results = benchmark.pedantic(run_shootout, rounds=1, iterations=1)
     table = render_table(
         ["scheduler", "welfare/slot", "inter-ISP", "miss", "served",
@@ -31,7 +30,7 @@ def test_ablation_schedulers(benchmark, results_dir):
             for name, totals in results.items()
         ],
     )
-    archive(results_dir, "ablation_schedulers", table)
+    archive("ablation_schedulers", table)
     # The auction beats every deployable baseline and is within 2 % of
     # the centralized greedy; an ISP-oblivious scheduler is the welfare
     # floor; inter-ISP share orders auction ≤ locality ≤ agnostic

@@ -11,8 +11,6 @@ scarce-supply regime the paper's curves exhibit.
 
 from __future__ import annotations
 
-from conftest import archive
-
 from repro.metrics.report import render_table
 from repro.p2p.config import SystemConfig
 from repro.p2p.system import P2PSystem
@@ -29,7 +27,7 @@ def run_pair():
     return out
 
 
-def test_ablation_seed_rank(benchmark, results_dir):
+def test_ablation_seed_rank(benchmark, archive):
     results = benchmark.pedantic(run_pair, rounds=1, iterations=1)
     table = render_table(
         ["seed_rank", "welfare/slot", "inter-ISP", "miss"],
@@ -43,7 +41,7 @@ def test_ablation_seed_rank(benchmark, results_dir):
             for rank, totals in results.items()
         ],
     )
-    archive(results_dir, "ablation_seed_rank", table)
+    archive("ablation_seed_rank", table)
 
     # Guaranteed seeds ⇒ essentially no inter-ISP need; random rank ⇒ some.
     assert results["first"]["inter_isp_fraction"] <= results["random"]["inter_isp_fraction"]

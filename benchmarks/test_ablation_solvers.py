@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import archive
 
 from repro.experiments.sweep import render_solver_comparison, solver_comparison
 
@@ -24,9 +23,9 @@ def run_comparison():
     )
 
 
-def test_ablation_solvers(benchmark, results_dir):
+def test_ablation_solvers(benchmark, archive):
     rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    archive(results_dir, "ablation_solvers", render_solver_comparison(rows))
+    archive("ablation_solvers", render_solver_comparison(rows))
 
     welfare = {r.solver: r.welfare for r in rows}
     optimum = welfare["hungarian"]

@@ -10,7 +10,6 @@ VCG payments close it.
 from __future__ import annotations
 
 import numpy as np
-from conftest import archive
 
 from repro.core.problem import random_problem
 from repro.core.strategic import manipulation_study
@@ -28,7 +27,7 @@ def run_study():
     return problem, cheater, manipulation_study(problem, cheater, FACTORS)
 
 
-def test_ablation_strategic(benchmark, results_dir):
+def test_ablation_strategic(benchmark, archive):
     problem, cheater, rows = benchmark.pedantic(run_study, rounds=1, iterations=1)
     table = render_table(
         ["factor", "chunks", "auction true utility", "true welfare", "VCG net utility"],
@@ -38,7 +37,7 @@ def test_ablation_strategic(benchmark, results_dir):
             for r in rows
         ],
     )
-    archive(results_dir, "ablation_strategic", table)
+    archive("ablation_strategic", table)
 
     truthful = next(r for r in rows if r.factor == 1.0)
     overbids = [r for r in rows if r.factor > 1.0]

@@ -10,19 +10,18 @@ sawtooth: price moves, resets per slot, converges within the slot.
 from __future__ import annotations
 
 from claims import assert_anchors
-from conftest import archive
 
 from repro.experiments.figures import fig2_price_convergence
 
 
-def test_fig2_price_convergence(benchmark, results_dir):
+def test_fig2_price_convergence(benchmark, archive):
     result = benchmark.pedantic(
         fig2_price_convergence,
         kwargs={"scale": "bench", "seed": 0, "n_slots": 5},
         rounds=1,
         iterations=1,
     )
-    archive(results_dir, "fig2", result.text)
+    archive("fig2", result.text)
     assert result.shape_holds, result.shape
     # The price moves (claims.ANCHORS).
     assert_anchors("fig2", result)

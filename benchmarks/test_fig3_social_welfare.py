@@ -9,19 +9,18 @@ ignores chunk valuations when scheduling (v − w can be negative).
 from __future__ import annotations
 
 from claims import assert_anchors
-from conftest import archive
 
 from repro.experiments.figures import fig3_social_welfare
 
 
-def test_fig3_social_welfare(benchmark, results_dir):
+def test_fig3_social_welfare(benchmark, archive):
     result = benchmark.pedantic(
         fig3_social_welfare,
         kwargs={"scale": "bench", "seed": 0},
         rounds=1,
         iterations=1,
     )
-    archive(results_dir, "fig3", result.text)
+    archive("fig3", result.text)
     assert result.shape_holds, result.shape
     # Who wins and by what factor (the paper shows a many-fold gap), and
     # the locality strawman dips negative at least once, Fig. 3's

@@ -8,19 +8,18 @@ chunk's valuation justifies the cost.
 from __future__ import annotations
 
 from claims import assert_anchors
-from conftest import archive
 
 from repro.experiments.figures import fig4_inter_isp_traffic
 
 
-def test_fig4_inter_isp_traffic(benchmark, results_dir):
+def test_fig4_inter_isp_traffic(benchmark, archive):
     result = benchmark.pedantic(
         fig4_inter_isp_traffic,
         kwargs={"scale": "bench", "seed": 0},
         rounds=1,
         iterations=1,
     )
-    archive(results_dir, "fig4", result.text)
+    archive("fig4", result.text)
     assert result.shape_holds, result.shape
     # Factor check: the paper's gap is ~1.5–2×, ours must be at least
     # 1.5×; and there IS cross-ISP demand (claims.ANCHORS).

@@ -8,19 +8,18 @@ chunks that downstream peers value most (the most urgent deadlines).
 from __future__ import annotations
 
 from claims import assert_anchors
-from conftest import archive
 
 from repro.experiments.figures import fig5_miss_rate
 
 
-def test_fig5_miss_rate(benchmark, results_dir):
+def test_fig5_miss_rate(benchmark, archive):
     result = benchmark.pedantic(
         fig5_miss_rate,
         kwargs={"scale": "bench", "seed": 0},
         rounds=1,
         iterations=1,
     )
-    archive(results_dir, "fig5", result.text)
+    archive("fig5", result.text)
     assert result.shape_holds, result.shape
     # Ordering plus rough magnitudes: auction < locality, both small
     # (claims.ANCHORS).

@@ -25,21 +25,26 @@ Two execution modes:
 
 * ``"jacobi"`` (the default, and the mode every slot runs) —
   all unassigned requests bid each round against the round-start
-  prices; numpy-vectorized over the problem's flat CSR view (segment
-  maxima via ``np.maximum.reduceat``).  As in Alg. 1, the losers bid
-  next: after round 1, a round evaluates only the rows the round
-  before left unassigned (its rejected bidders and the members it
-  evicted) plus, at ε = 0, the dormant tied rows that a reprice of one
-  of their candidates woke.  These are exactly the pending rows whose
-  bid can have changed, so a round costs O(its bidders' edges), not
-  O(pending edges), and there is no ``(R, K_max)`` padding, so skewed
-  candidate counts cost nothing.
+  prices; numpy-vectorized over the problem's flat CSR view.  A bulk
+  round (round 1, or a warm re-bid wave) finds each row's two best
+  edges in one sweep over candidate columns, one vector step per
+  column; any other round takes segment maxima
+  (``np.maximum.reduceat``) over a gather of its rows' edges.  As in
+  Alg. 1, the losers bid next: after round 1, a round evaluates only
+  the rows the round before left unassigned (its rejected bidders and
+  the members it evicted) plus, at ε = 0, the dormant tied rows that a
+  reprice of one of their candidates woke.  These are exactly the
+  pending rows whose bid can have changed, so a round costs O(its
+  bidders' edges), not O(pending edges), and there is no
+  ``(R, K_max)`` padding, so skewed candidate counts cost nothing.
   The ``η`` duals are computed on the result's first read of them.
-  Each round commits every auctioneer's batch at once: an auctioneer
-  that already holds members and whose batch reaches ``B(u)`` merges
-  the two in one ``np.lexsort`` (higher bid first; on equal bids a
+  Each round commits every auctioneer's batch at once, in an order
+  built from 16-bit radix passes on large rounds: an auctioneer that
+  already holds members and whose batch reaches ``B(u)`` keeps the
+  members at or above its batch's best bid and ranks the rest with
+  the batch in one ``np.lexsort`` (higher bid first; on equal bids a
   member before an incoming bid, the later-accepted member first, and
-  incoming bids in batch order) and keeps the first ``B(u)``, exactly
+  incoming bids in batch order), keeping ``B(u)`` in all, exactly
   what the reference heap walk keeps.  The first round that is not
   bulk (``2·rows < n``) and evaluates at most ``_SMALL_ROUND_ROWS`` =
   32 rows hands the rest of the solve to a tail loop on Python-native
@@ -60,6 +65,9 @@ Two execution modes:
 The jacobi rounds' equivalence reference, the same synchronized
 semantics over a padded ``(R, K_max)`` view, is the dense oracle in
 ``tests/oracles/auction.py``; the two produce identical assignments.
+The same file keeps the whole-CSR bulk passes, the full-lexsort merge
+and the argsort-plus-transpose commit order that the column sweep, the
+at-risk merge and the radix order replaced, as references for them.
 
 Both modes provably reach assignments within ``n·ε`` of the optimum;
 tests cross-check them against the Hungarian oracle.  They break ties
@@ -78,7 +86,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .problem import CSRView, SchedulingProblem
 from .result import ScheduleResult, SolverStats
@@ -131,24 +138,90 @@ class PriceTrace:
         return self.times, self.prices.get(uploader, [])
 
 
+def _radix_order(
+    key: np.ndarray, bits: int, order: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Stable ascending order by a non-negative integer ``key`` below ``2**bits``.
+
+    One stable pass per 16 bits of the key, least significant first:
+    numpy radix-sorts 16-bit keys, where a stable argsort of a wider
+    integer runs a comparison sort.  ``order``, the order by an earlier
+    key, breaks the ties; without it ties keep their positions.
+    """
+    for shift in range(0, max(bits, 1), 16):
+        digit = (key if order is None else key[order]) >> shift
+        step = np.argsort(digit.astype(np.uint16), kind="stable")
+        order = step if order is None else order[step]
+    return order
+
+
 def _order_bids(bids: np.ndarray, target: np.ndarray, n_uploaders: int) -> np.ndarray:
     """Commit order: by uploader ascending, bid descending, stable ties.
 
-    Exactly ``np.lexsort((-bids, target))``, but built from two cheaper
-    passes on large rounds: submitted bids are strictly positive IEEE
-    doubles, so their complemented bit patterns sort them descending
-    under an *integer* stable sort, and the grouping by uploader is a
-    stable counting sort (scipy's one-row csr→csc transpose).  Small
-    rounds keep the lexsort.
+    Exactly ``np.lexsort((-bids, target))``, but built from 16-bit
+    radix passes on large rounds: submitted bids are strictly positive
+    IEEE doubles, so their complemented bit patterns sort them
+    descending as integers, in four passes, and one more pass per 16
+    bits of the uploader index groups them by uploader.  Small rounds
+    keep the lexsort.
     """
     if len(bids) < 1024:
         return np.lexsort((-bids, target))
-    by_bid = np.argsort(~bids.view(np.uint64), kind="stable")
-    grouped = sparse.csr_matrix(
-        (by_bid, target[by_bid], np.array([0, len(bids)])),
-        shape=(1, n_uploaders),
-    ).tocsc()
-    return grouped.data
+    by_bid = _radix_order(~bids.view(np.uint64), 64)
+    return _radix_order(target, (n_uploaders - 1).bit_length(), by_bid)
+
+
+def _best_two(
+    lens: np.ndarray,
+    starts: np.ndarray,
+    values: np.ndarray,
+    uidx: np.ndarray,
+    lam: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best surplus φ1, its first maximal edge and φ2 of a round's rows.
+
+    Row ``i`` has ``lens[i] ≥ 1`` edges from CSR edge ``starts[i]``,
+    where ``φ = values − λ`` at the edge's uploader (``lam=None``: a
+    cold round, ``φ = values``); φ2 is the best φ of the row's other
+    edges (``-inf`` for a single edge).  One sweep over candidate
+    columns: the rows are ordered by edge count, longest first (the
+    jagged-diagonal layout of Saad, "Krylov subspace methods on
+    supercomputers", 1989), so column ``k`` is one vector step over the
+    prefix of rows that have more than ``k`` edges.  A strictly greater
+    φ moves φ1 into φ2 and takes the edge; any other φ raises φ2 to the
+    max, so ties keep the first maximal edge.  Returns the three
+    columns in the caller's row order.
+    """
+    kmax = int(lens.max())
+    by_len = _radix_order(kmax - lens, kmax.bit_length())
+    # longer[k]: how many rows have more than k edges.
+    longer = (len(lens) - np.cumsum(np.bincount(lens))).tolist()
+    edge = starts[by_len]  # each row's edge in the current column
+    phi1 = values[edge]
+    if lam is not None:
+        phi1 -= lam[uidx[edge]]
+    best = edge.copy()
+    phi2 = np.full(len(lens), -np.inf)
+    phi = np.empty(len(lens))
+    low = np.empty(len(lens))
+    up = np.empty(len(lens), dtype=np.int64)
+    gt = np.empty(len(lens), dtype=bool)
+    for k in range(1, kmax):
+        nk = longer[k]
+        e = edge[:nk]
+        e += 1
+        x = np.take(values, e, out=phi[:nk])
+        if lam is not None:
+            x -= np.take(lam, np.take(uidx, e, out=up[:nk]), out=low[:nk])
+        p1 = phi1[:nk]
+        g = np.greater(x, p1, out=gt[:nk])
+        np.copyto(best[:nk], e, where=g)
+        p2 = phi2[:nk]
+        np.maximum(p2, np.minimum(x, p1, out=low[:nk]), out=p2)
+        np.maximum(p1, x, out=p1)
+    back = np.empty_like(by_len)
+    back[by_len] = np.arange(len(lens))
+    return phi1[back], best[back], phi2[back]
 
 
 def _segment_max(x: np.ndarray, indptr: np.ndarray) -> np.ndarray:
@@ -177,7 +250,10 @@ class _AssignmentSet:
     oracle: the lowest bid is evicted first, the earliest-added of
     equal bids first, and an incoming bid equal to the lowest loses.
     The jacobi vector rounds state the same rule as
-    :meth:`AuctionSolver._merge_contested`'s sort keys.
+    :meth:`AuctionSolver._merge_contested`'s filter and sort keys: a
+    member at or above its batch's best bid stays, and the others rank
+    with the batch by (higher bid, member first, later ``seq``, batch
+    order).
     """
 
     __slots__ = ("capacity", "bids", "_heap", "_seq")
@@ -284,8 +360,18 @@ class AuctionSolver:
         warm start can leave a positive price on an uploader that ends
         up unsaturated, voiding the CS-1 certificate — the scaling
         driver detects that via the duality gap and falls back to a cold
-        run.
+        run.  A NaN or infinite price, or an array pair of unequal
+        lengths, raises ``ValueError``.
         """
+        if initial_prices:
+            if isinstance(initial_prices, tuple):
+                ids, vals = initial_prices
+                if len(ids) != len(vals):
+                    raise ValueError("initial_prices ids and values differ in length")
+            else:
+                vals = list(initial_prices.values())
+            if not np.isfinite(np.asarray(vals, dtype=float)).all():
+                raise ValueError("initial_prices must be finite")
         if self.mode == "gauss-seidel":
             return self._solve_gauss_seidel(problem, initial_prices)
         return self._solve_jacobi(problem, initial_prices)
@@ -580,22 +666,27 @@ class AuctionSolver:
         round evaluates exactly the dense reference's pending rows.
 
         Bulk rounds (``2·rows ≥ n``: the first, or a warm re-bid wave
-        touching most rows) take the best surplus over the full CSR with
-        no gather.  Other rounds gather their rows' edges into a compact
-        sub-CSR over round-persistent scratch buffers, so a round costs
-        O(its rows' edges).
+        touching most rows) find each row's best surplus φ1, its first
+        maximal edge and the second best φ2 in one sweep over the rows'
+        candidate columns (:func:`_best_two`), one vector step per
+        column up to the round's largest candidate count.  Other rounds
+        gather their rows' edges into a compact sub-CSR over
+        round-persistent scratch buffers and take segment maxima, so a
+        round costs O(its rows' edges).
 
-        A vector round commits in one pass.  Each uploader's members
-        sit in a flat block of ``B(u)`` slots, so reading a contested
-        auctioneer's members costs O(B(u)).  A batch accepts a prefix
-        of itself, highest bid first.  An auctioneer that already holds
-        members and whose batch reaches ``B(u)`` is contested:
-        :meth:`_merge_contested` sorts its members and batch together
-        under the reference heap's tie order (higher bid; a member
-        before an equal incoming bid; the later-accepted member; batch
-        order) and keeps the first ``B(u)``.  Once a batch that got in
-        fills the set, ``λ_u`` becomes the lowest kept bid if that is
-        higher.
+        A vector round commits in one pass, in the order of
+        :func:`_order_bids` (by uploader, bid descending).  Each
+        uploader's members sit in a flat block of ``B(u)`` slots, so
+        reading a contested auctioneer's members costs O(B(u)).  A batch
+        accepts a prefix of itself, highest bid first.  An auctioneer
+        that already holds members and whose batch reaches ``B(u)`` is
+        contested: :meth:`_merge_contested` keeps the members at or
+        above the batch's best bid in place and sorts only the others
+        with the batch, under the reference heap's tie order (higher
+        bid; a member before an equal incoming bid; the later-accepted
+        member; batch order), into the slots the kept members leave.
+        Once a batch that got in fills the set, ``λ_u`` becomes the
+        lowest kept bid if that is higher.
 
         The first round that is not bulk and evaluates at most
         ``_SMALL_ROUND_ROWS`` rows hands the rest of the solve to
@@ -662,8 +753,7 @@ class AuctionSolver:
         # Rows with no edge, or only zero-capacity candidates, can never
         # bid and retire up front.  When nothing is masked and no row is
         # empty there are none, and the scan is skipped.
-        no_empty = bool(counts.min(initial=1) > 0)
-        if values is csr.values and no_empty:
+        if values is csr.values and counts.min(initial=1) > 0:
             retired = np.zeros(n, dtype=bool)
         else:
             retired = ~np.isfinite(_segment_max(values, indptr))
@@ -674,7 +764,6 @@ class AuctionSolver:
         base = np.zeros(n_uploaders, dtype=np.int64)
         np.cumsum(block[:-1], out=base[1:])
         member = np.empty(int(block.sum()), dtype=np.int64)
-        nonempty = nonempty_starts = None  # built lazily (masked problems)
         # Round-persistent scratch (sized once, reused every round) so
         # the sub-CSR gather never re-allocates edge-sized temporaries.
         iota_e = np.arange(n_edges, dtype=np.int64)
@@ -841,74 +930,24 @@ class AuctionSolver:
                 converged = tail(rows.tolist(), round_no)
                 break
             stats.rows_evaluated += len(rows)
-            full_best2 = False
+            # Pending rows are never empty (empty rows retire up
+            # front), so every row has a first column and plain
+            # reduceat is safe.
             if 2 * len(rows) >= n:
-                # Bulk round (the first, or a warm re-bid wave): the
-                # best-surplus pass runs over the full CSR with no
-                # gather.
-                if lam.any():
-                    np.take(lam, uidx, out=lam_e_buf)
-                    phi = np.subtract(values, lam_e_buf, out=phi_buf)
-                else:
-                    # Cold round: φ ≡ the (masked) values; read them
-                    # directly and copy only if the knockout pass below
-                    # needs to mutate the full-CSR φ.
-                    phi = values
-                if no_empty:
-                    phi1_all = np.maximum.reduceat(phi, indptr[:-1])
-                else:
-                    phi1_all = _segment_max(phi, indptr)
-                phi1 = phi1_all[rows]
-                live = phi1 > 0.0
-                retired[rows[~live]] = True
-                if not live.any():
-                    break
-                rows = rows[live]
-                phi1 = phi1[live]
-                full_best2 = 2 * int(counts[rows].sum()) >= n_edges
-                if full_best2:
-                    # Live bidders hold most edges: the best-edge /
-                    # second-best pass is cheaper over the full CSR than
-                    # through a gather.
-                    if phi is values:
-                        np.copyto(phi_buf, values)
-                        phi = phi_buf
-                    is_best = phi >= np.repeat(phi1_all, counts)
-                    if no_empty:
-                        loc_star_all = np.minimum.reduceat(
-                            np.where(is_best, iota_e, n_edges), indptr[:-1]
-                        )
-                        e_star = loc_star_all[rows]
-                        phi[loc_star_all] = -np.inf
-                        phi2 = np.maximum.reduceat(phi, indptr[:-1])[rows]
-                    else:
-                        if nonempty_starts is None:
-                            nonempty = counts > 0
-                            nonempty_starts = indptr[:-1][nonempty]
-                        loc_star_ne = np.minimum.reduceat(
-                            np.where(is_best, iota_e, n_edges), nonempty_starts
-                        )
-                        e_star_all = np.zeros(n, dtype=np.int64)
-                        e_star_all[nonempty] = loc_star_ne
-                        e_star = e_star_all[rows]
-                        phi[loc_star_ne] = -np.inf
-                        phi2 = _segment_max(phi, indptr)[rows]
-            if not full_best2:
-                # Every other round, and a bulk round whose live rows
-                # hold few edges: one sub-CSR of the rows' edges.
-                # Pending rows are never empty (empty rows retire up
-                # front), so plain reduceat is safe here.
+                # Bulk round (the first, or a warm re-bid wave): one
+                # sweep over the rows' candidate columns.
+                phi1, e_star, phi2 = _best_two(
+                    counts[rows], indptr[rows], values, uidx,
+                    lam if lam.any() else None,
+                )
+            else:
+                # Every other round: one sub-CSR of the rows' edges.
                 lens, eidx, phi_sub = gather(rows)
                 total = len(eidx)
                 starts = np.cumsum(lens) - lens
                 phi1 = np.maximum.reduceat(phi_sub, starts)
-                live = phi1 > 0.0
-                retired[rows[~live]] = True
-                if not live.any():
-                    break
                 # First maximal edge per row (same tie-break as the
-                # dense argmax), then knock it out in place for phi2;
-                # the rows just retired ride along and drop out after.
+                # dense argmax), then knock it out in place for phi2.
                 is_best = phi_sub >= np.repeat(phi1, lens)
                 loc_star = np.minimum.reduceat(
                     np.where(is_best, iota_e[:total], total), starts
@@ -916,9 +955,13 @@ class AuctionSolver:
                 e_star = eidx[loc_star]
                 phi_sub[loc_star] = -np.inf
                 phi2 = np.maximum.reduceat(phi_sub, starts)
-                if not live.all():
-                    rows, phi1 = rows[live], phi1[live]
-                    e_star, phi2 = e_star[live], phi2[live]
+            live = phi1 > 0.0
+            if not live.all():
+                retired[rows[~live]] = True
+                if not live.any():
+                    break
+                rows, phi1 = rows[live], phi1[live]
+                e_star, phi2 = e_star[live], phi2[live]
             edge_of[rows] = e_star
             target = uidx[e_star]
             outside = np.maximum(phi2, 0.0)
@@ -1037,9 +1080,8 @@ class AuctionSolver:
         ``member[base[i] : base[i] + m[i]]`` and receives the batch
         ``rows[starts[i] : starts[i] + lens[i]]`` (bid descending;
         ``within`` is each bid's position in its batch), and
-        ``m[i] + lens[i] >= cap[i]``.  One lexsort over all members and
-        batches keeps each auctioneer's first ``cap[i]`` entries in the
-        order the reference heap walk keeps them:
+        ``m[i] + lens[i] >= cap[i]``.  It keeps its ``cap[i]`` best
+        entries in the order the reference heap walk ranks them:
 
         * the higher bid first;
         * on equal bids, an existing member before an incoming bid (an
@@ -1049,31 +1091,48 @@ class AuctionSolver:
           lowest ``(bid, seq)``);
         * among incoming bids, batch order.
 
-        The kept incoming bids are a prefix of each batch — no incoming
-        bid is evicted in its own round — so the caller's accept-prefix
-        writes carry over.  Rewrites each block with its kept rows and
-        returns the number of incoming bids accepted and the lowest kept
-        bid per auctioneer, and the evicted member rows.
+        A member whose bid is at or above its batch's best bid ranks
+        above every incoming bid and every member below that bid, so it
+        keeps its slot unsorted.  One lexsort ranks the other members
+        with the batches, and each auctioneer keeps the first entries
+        that fit in the slots the safe members leave; the kept rows
+        refill the displaced members' slots first, then the block's
+        free slots.  The kept incoming bids are a prefix of each batch
+        — no incoming bid is evicted in its own round — so the caller's
+        accept-prefix writes carry over.  Returns the number of incoming
+        bids accepted per auctioneer, the lowest kept bid of each
+        auctioneer that accepted one, and the evicted member rows.
         """
-        held = member[AuctionSolver._concat_ranges(base, m)]
-        incoming = AuctionSolver._concat_ranges(starts, lens)
         group = np.arange(len(m))
+        slots = AuctionSolver._concat_ranges(base, m)
+        held = member[slots]
+        held_owner = np.repeat(group, m)
+        at_risk = bid_of[held] < np.repeat(bids[starts], m)
+        slots, held, held_owner = slots[at_risk], held[at_risk], held_owner[at_risk]
+        risk = np.bincount(held_owner, minlength=len(m))
+        room = cap - m + risk
+        incoming = AuctionSolver._concat_ranges(starts, lens)
         row = np.concatenate((held, rows[incoming]))
         bid = np.concatenate((bid_of[held], bids[incoming]))
         # Below the bid, one key carries both tie rules: members sort by
         # -1 - seq < 0 (later accepted first), incoming bids by their
         # batch position >= 0.
         tie = np.concatenate((-1 - seq_of[held], within[incoming]))
-        owner = np.concatenate((np.repeat(group, m), np.repeat(group, lens)))
+        owner = np.concatenate((held_owner, np.repeat(group, lens)))
         order = np.lexsort((tie, -bid, owner))
-        row, bid, tie = row[order], bid[order], tie[order]
-        size = m + lens
+        row, bid, tie, owner = row[order], bid[order], tie[order], owner[order]
         first = np.zeros(len(m), dtype=np.int64)
-        np.cumsum(size[:-1], out=first[1:])
-        rank = np.arange(len(row), dtype=np.int64) - np.repeat(first, size)
-        kept = rank < np.repeat(cap, size)
-        member[np.repeat(base, cap) + rank[kept]] = row[kept]
-        accepted = np.bincount(
-            np.repeat(group, size)[kept & (tie >= 0)], minlength=len(m)
-        )
-        return accepted, bid[first + cap - 1], row[~kept & (tie < 0)]
+        np.cumsum((risk + lens)[:-1], out=first[1:])
+        rank = np.arange(len(row), dtype=np.int64) - first[owner]
+        kept = rank < room[owner]
+        k, g = rank[kept], owner[kept]
+        # Rank k < risk refills the k-th at-risk slot; the rest fill the
+        # free slots from base + m on.
+        slot = (base + m - risk)[g] + k
+        refill = k < risk[g]
+        risk_first = np.zeros(len(m), dtype=np.int64)
+        np.cumsum(risk[:-1], out=risk_first[1:])
+        slot[refill] = slots[(risk_first[g] + k)[refill]]
+        member[slot] = row[kept]
+        accepted = np.bincount(g[tie[kept] >= 0], minlength=len(m))
+        return accepted, bid[first + room - 1], row[~kept & (tie < 0)]

@@ -14,7 +14,7 @@ from repro.core.auction import (
     PriceTrace,
 )
 from repro.core.exact import solve_hungarian
-from repro.core.problem import ProblemBuilder, random_problem
+from repro.core.problem import ProblemBuilder, SchedulingProblem, random_problem
 from repro.core.scheduler import AuctionScheduler
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "oracles"))
@@ -203,6 +203,36 @@ class TestWarmStart:
         p = builder.build()
         result = AuctionSolver(mode=mode).solve(p, initial_prices={10: -5.0})
         assert result.assignment[0] == 10
+
+    @staticmethod
+    def two_uploaders() -> SchedulingProblem:
+        """Uploaders 10 and 20 (B = 1), one request for each."""
+        builder = ProblemBuilder()
+        builder.set_capacity(10, 1)
+        builder.set_capacity(20, 1)
+        builder.add_request(1, "a", 5.0, {10: 1.0})
+        builder.add_request(2, "b", 5.0, {20: 1.0})
+        return builder.build()
+
+    @pytest.mark.parametrize("price", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("form", ["dict", "arrays"])
+    def test_non_finite_initial_prices_rejected(self, mode, price, form):
+        # A NaN in the array form left jacobi serving nothing at λ = NaN;
+        # the other forms and modes read it as 0 (max(0.0, nan) is 0.0).
+        prices = {10: price, 20: 0.5}
+        if form == "arrays":
+            prices = (np.array([10, 20]), np.array([price, 0.5]))
+        with pytest.raises(ValueError, match="initial_prices"):
+            AuctionSolver(mode=mode).solve(self.two_uploaders(), initial_prices=prices)
+
+    @pytest.mark.parametrize("n_ids, n_vals", [(2, 3), (3, 2)])
+    def test_unequal_price_arrays_rejected(self, mode, n_ids, n_vals):
+        # Jacobi adopted a 3-long λ for 2 uploaders when the ids matched
+        # and raised IndexError when the ids were longer; Gauss-Seidel
+        # zipped the two and dropped the extra silently.
+        prices = (np.array([10, 20, 30][:n_ids]), np.full(n_vals, 0.5))
+        with pytest.raises(ValueError, match="initial_prices"):
+            AuctionSolver(mode=mode).solve(self.two_uploaders(), initial_prices=prices)
 
 
 class TestModesAgree:

@@ -332,6 +332,24 @@ class TestContestedCommit:
         assert stats.evictions == 1
         assert prices == {1: 3.5, 2: 20.5}
 
+    def test_member_bidding_its_batch_best_bid_stays(self):
+        # A bids 3.5 and B 5.5 in round 1 and fill U (id 1, B = 2).  In
+        # round 2 C bids 5.5 at U, its batch's best bid and equal to
+        # member B's: B ranks above C and keeps its slot unsorted, C
+        # evicts A, the lowest member, and λ_U rises to 5.5.
+        builder = ProblemBuilder()
+        builder.set_capacity(1, 2)
+        builder.set_capacity(2, 1)
+        builder.add_request(100, "a", 5.0, {1: 2.0})  # A
+        builder.add_request(101, "b", 5.0, {1: 0.0})  # B
+        builder.add_request(102, "c", 10.0, {1: 5.0, 2: 1.0})  # C
+        builder.add_request(103, "d", 20.0, {2: 0.0})  # D
+        assignment, prices, stats, calls = self.solve(builder)
+        assert assignment == {0: None, 1: 1, 2: 1, 3: 2}
+        assert stats.evictions == 1
+        assert prices == {1: 5.5, 2: 20.5}
+        assert calls == [(1, 1, 3.5), (1, 2, 20.5), (2, 1, 5.5)]
+
     def test_contested_and_empty_auctioneers_reprice_in_uploader_order(self):
         # Round 1: A fills uploader 2 (B = 1) at 3.5 and D takes V (id 4).
         # Round 2: E and G fill the empty uploaders 1 and 3 while F

@@ -9,9 +9,23 @@
   runs the same rounds over the flat CSR view and evaluates only the
   rows a round can change; the two give the same assignment, ``λ``,
   ``η``, stats and price-callback stream.
+* :func:`best_two_full_csr` — a bulk round's best surplus, first
+  maximal edge and second best by whole-CSR passes (segment max, repeat
+  and compare, ``where`` plus min-reduceat, knock-out copy, second
+  segment max), which ``_best_two``'s sweep over candidate columns
+  replaced.
+* :func:`merge_contested_full` — the contested merge that lexsorts every
+  member of each contested auctioneer with its batch, which
+  ``AuctionSolver._merge_contested`` replaced by sorting only the
+  members the batch can displace.
+* :func:`order_bids_transpose` — the large-round commit order from a
+  64-bit stable argsort of the complemented bid bits and scipy's
+  csr→csc transpose, which ``_order_bids``' 16-bit radix passes
+  replaced.
 
-``tests/core/test_auction_csr.py`` and
-``tests/properties/test_jacobi_frontier_equiv.py`` pin the production
+``tests/core/test_auction_csr.py``,
+``tests/properties/test_jacobi_frontier_equiv.py`` and
+``tests/properties/test_jacobi_pieces_equiv.py`` pin the production
 paths against these; the slot-pipeline benchmark times the dense solve
 as its seed path.
 """
@@ -20,13 +34,103 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
-from repro.core.auction import AuctionNonConvergence, AuctionSolver, _AssignmentSet
+from repro.core.auction import (
+    AuctionNonConvergence,
+    AuctionSolver,
+    _AssignmentSet,
+    _segment_max,
+)
 from repro.core.problem import CSRView, SchedulingProblem
 from repro.core.result import ScheduleResult, SolverStats
+
+
+def best_two_full_csr(
+    values: np.ndarray,
+    indptr: np.ndarray,
+    uidx: np.ndarray,
+    lam: Optional[np.ndarray],
+    rows: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """φ1, its first maximal CSR edge and φ2 of ``rows``, by whole-CSR passes.
+
+    ``φ = values − lam[uidx]`` (``lam=None``: ``φ = values``).  Every
+    row of ``rows`` has at least one edge; other rows may be empty.
+    """
+    n_edges = len(values)
+    counts = np.diff(indptr)
+    phi = values.copy() if lam is None else values - lam[uidx]
+    phi1_all = _segment_max(phi, indptr)
+    is_best = phi >= np.repeat(phi1_all, counts)
+    nonempty = counts > 0
+    loc_star = np.minimum.reduceat(
+        np.where(is_best, np.arange(n_edges), n_edges), indptr[:-1][nonempty]
+    )
+    e_star_all = np.zeros(len(counts), dtype=np.int64)
+    e_star_all[nonempty] = loc_star
+    phi[loc_star] = -np.inf
+    phi2_all = _segment_max(phi, indptr)
+    return phi1_all[rows], e_star_all[rows], phi2_all[rows]
+
+
+def merge_contested_full(
+    member: np.ndarray,
+    base: np.ndarray,
+    m: np.ndarray,
+    cap: np.ndarray,
+    bid_of: np.ndarray,
+    seq_of: np.ndarray,
+    rows: np.ndarray,
+    bids: np.ndarray,
+    within: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``AuctionSolver._merge_contested`` by one lexsort over every member.
+
+    Same arguments and returns; each block is rewritten in rank order,
+    and the lowest kept bid is returned for every auctioneer.
+    """
+    held = member[AuctionSolver._concat_ranges(base, m)]
+    incoming = AuctionSolver._concat_ranges(starts, lens)
+    group = np.arange(len(m))
+    row = np.concatenate((held, rows[incoming]))
+    bid = np.concatenate((bid_of[held], bids[incoming]))
+    tie = np.concatenate((-1 - seq_of[held], within[incoming]))
+    owner = np.concatenate((np.repeat(group, m), np.repeat(group, lens)))
+    order = np.lexsort((tie, -bid, owner))
+    row, bid, tie = row[order], bid[order], tie[order]
+    size = m + lens
+    first = np.zeros(len(m), dtype=np.int64)
+    np.cumsum(size[:-1], out=first[1:])
+    rank = np.arange(len(row), dtype=np.int64) - np.repeat(first, size)
+    kept = rank < np.repeat(cap, size)
+    member[np.repeat(base, cap) + rank[kept]] = row[kept]
+    accepted = np.bincount(
+        np.repeat(group, size)[kept & (tie >= 0)], minlength=len(m)
+    )
+    return accepted, bid[first + cap - 1], row[~kept & (tie < 0)]
+
+
+def order_bids_transpose(
+    bids: np.ndarray, target: np.ndarray, n_uploaders: int
+) -> np.ndarray:
+    """``np.lexsort((-bids, target))`` for strictly positive bids, in two passes.
+
+    A stable argsort of the complemented 64-bit patterns orders the
+    bids descending; scipy's one-row csr→csc transpose, a stable
+    counting sort, then groups them by uploader.
+    """
+    by_bid = np.argsort(~bids.view(np.uint64), kind="stable")
+    grouped = sparse.csr_matrix(
+        (by_bid, target[by_bid], np.array([0, len(bids)])),
+        shape=(1, n_uploaders),
+    ).tocsc()
+    return grouped.data
 
 
 def etas_reference(problem: SchedulingProblem, lam: Dict[int, float]) -> Dict[int, float]:
